@@ -22,12 +22,11 @@ from .curvature import (bianchi_residuals, curvature_F, curvature_G3,
                         curvature_GB, curvature_T, eom_gradient_check,
                         eom_residuals, evaluate_action, fake_curvature)
 from .dof import DofTable, dof_count, dof_report
-from .gauge import GaugeData, fat_gauge_transform, thin_gauge_transform
+from .gauge import fat_gauge_transform, thin_gauge_transform
 from .lattice import (FieldConfiguration, Lattice, convergence_study,
                       discrete_derivative, fit_order, make_config_recipe,
                       make_lattice, sample_smooth_fields)
-from .localpoly import (evaluate_smeared, functional_gradient, poisson_bracket,
-                        smear)
+from .localpoly import poisson_bracket, smear
 from .phase import (PhasePoint, make_phase_recipe, phase_from_config,
                     random_phase_point, zero_phase_point)
 from .constraints import (MultiplierSet, canonical_hamiltonian,

@@ -38,6 +38,7 @@ __all__ = [
     "validate_crossed_module",
     "t_map",
     "lower_raise",
+    "contract",
     "load_crossed_module",
     "dump_crossed_module",
     "BUILTIN_NAMES",
@@ -338,6 +339,26 @@ def lower_raise(cm: DifferentialCrossedModule, tensor: np.ndarray, index_spec):
                 f"axis {axis} has size {out.shape[axis]}, expected {dim} for {kind!r}"
             )
         out = np.moveaxis(np.tensordot(metric, out, axes=(1, axis)), 0, axis)
+    return out
+
+
+def contract(T: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """out[i] = sum_{j,k} T[i, j, k] X[j] Y[k], summed over the nonzeros of T.
+
+    X and Y carry the contracted index first and lattice axes after it, so
+    this is einsum("ijk,j...,k...->i...", T, X, Y).  Structure tensors are
+    mostly zero: the loop does one product per nonzero and site, through a
+    single scratch buffer, where the dense contraction does I*J*K.  For
+    another index order pass a transposed view of T.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    out = np.zeros((T.shape[0],) + np.broadcast_shapes(X.shape[1:], Y.shape[1:]))
+    buf = np.empty(out.shape[1:])
+    for i, j, k in zip(*np.nonzero(T)):
+        np.multiply(X[j], Y[k], out=buf)
+        buf *= T[i, j, k]
+        out[i] += buf
     return out
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .crossed_module import contract
 from .lattice import (FieldConfiguration, discrete_derivative, eps4,
                       pair_index, pairs, triples)
 
@@ -54,13 +55,17 @@ def _D(field, axis, lattice):
     return discrete_derivative(field, axis, lattice)
 
 
+def _maxabs(arr) -> float:
+    return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
 def curvature_F(cm, cfg: FieldConfiguration) -> np.ndarray:
     """F^a on ordered pairs, shape (npairs, p, sites...)."""
     lat = cfg.lattice
     out = np.empty_like(cfg.B)
     for P, (m, n) in enumerate(pairs(lat.D)):
         dA = _D(cfg.A[n], m, lat) - _D(cfg.A[m], n, lat)
-        out[P] = dA + np.einsum("abc,b...,c...->a...", cm.f, cfg.A[m], cfg.A[n])
+        out[P] = dA + contract(cm.f, cfg.A[m], cfg.A[n])
     return out
 
 
@@ -75,24 +80,24 @@ def fake_curvature(cm, cfg: FieldConfiguration) -> np.ndarray:
 def _three_form(cm, cfg, two_form, coupling) -> np.ndarray:
     """S3-antisymmetrized covariant curl of a pair-stored 2-form.
 
-    coupling[out, a, in] couples A^a to the 2-form's Lie index.
+    coupling[out, a, in] couples A^a to the 2-form's Lie index.  An odd
+    permutation of (d, i, j) swaps the pair as well, so it repeats the term
+    of an even one: the 6-term sum is twice the 3 cyclic terms.
     """
     lat = cfg.lattice
     pidx = pair_index(lat.D)
     trs = triples(lat.D)
     dim_out = coupling.shape[0] if coupling.size else two_form.shape[1]
     out = np.zeros((len(trs), dim_out) + lat.shape)
-    perms = [((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
-             ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0)]
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     for Ti, tri in enumerate(trs):
-        for perm, sgn in perms:
+        for perm in cyclic:
             d, i, j = tri[perm[0]], tri[perm[1]], tri[perm[2]]
             P, psign = pidx[(i, j)]
-            c = sgn * psign
-            out[Ti] += c * _D(two_form[P], d, lat)
+            out[Ti] += psign * _D(two_form[P], d, lat)
             if coupling.size:
-                out[Ti] += c * np.einsum("xay,a...,y...->x...",
-                                         coupling, cfg.A[d], two_form[P])
+                out[Ti] += psign * contract(coupling, cfg.A[d], two_form[P])
+    out *= 2.0
     return out
 
 
@@ -114,8 +119,8 @@ def curvature_T(cm, cfg: FieldConfiguration) -> np.ndarray:
         dC = _D(cfg.C[n], m, lat) - _D(cfg.C[m], n, lat)
         out[P] = dC
         if cm.q:
-            out[P] += np.einsum("xay,a...,y...->x...", cm.act, cfg.A[m], cfg.C[n])
-            out[P] -= np.einsum("xay,a...,y...->x...", cm.act, cfg.A[n], cfg.C[m])
+            out[P] += contract(cm.act, cfg.A[m], cfg.C[n])
+            out[P] -= contract(cm.act, cfg.A[n], cfg.C[m])
     return out
 
 
@@ -174,7 +179,7 @@ def _cov_D_g_lower(cm, cfg, field_low, up_field, axis):
     """nabla_axis X_a = D X_a + f_{abc} A^b X^c for Q-lowered g fields."""
     lat = cfg.lattice
     out = _D(field_low, axis, lat)
-    out += np.einsum("abc,b...,c...->a...", cm.flow, cfg.A[axis], up_field)
+    out += contract(cm.flow, cfg.A[axis], up_field)
     return out
 
 
@@ -183,7 +188,7 @@ def _cov_D_h_lower(cm, cfg, field_low, up_field, axis):
     lat = cfg.lattice
     out = _D(field_low, axis, lat)
     if cm.q:
-        out += np.einsum("xay,a...,y...->x...", cm.actlow, cfg.A[axis], up_field)
+        out += contract(cm.actlow, cfg.A[axis], up_field)
     return out
 
 
@@ -206,6 +211,7 @@ def eom_residuals(cm, cfg: FieldConfiguration) -> dict:
              if cm.q else cfg.C)
 
     E_A = np.zeros((4, cm.p) + lat.shape)
+    actlow_a = cm.actlow.transpose(1, 0, 2)  # [a, al, be]
     for sig in range(4):
         for mu in range(4):
             for P, (n, r) in enumerate(P4):
@@ -219,8 +225,8 @@ def eom_residuals(cm, cfg: FieldConfiguration) -> dict:
                     e = eps4((m, n, rho, sig))
                     if not e:
                         continue
-                    E_A[sig] += 4.0 * e * np.einsum(
-                        "xay,x...,y...->a...", cm.actlow, cfg.beta[P], cfg.C[rho])
+                    E_A[sig] += 4.0 * e * contract(
+                        actlow_a, cfg.beta[P], cfg.C[rho])
 
     E_beta = np.zeros((len(P4), cm.q) + lat.shape)
     if cm.q:
@@ -237,16 +243,13 @@ def eom_residuals(cm, cfg: FieldConfiguration) -> dict:
                     continue
                 E_beta[P] -= 0.5 * e * np.einsum("xb,b...->x...", cm.dlow, cfg.B[Pp])
 
-    def _mx(arr):
-        return float(np.max(np.abs(arr))) if arr.size else 0.0
-
     return {
-        "H_norm": _mx(H),
-        "G_norm": _mx(G3),
+        "H_norm": _maxabs(H),
+        "G_norm": _maxabs(G3),
         "E_A": E_A,
         "E_beta": E_beta,
-        "E_A_norm": _mx(E_A),
-        "E_beta_norm": _mx(E_beta),
+        "E_A_norm": _maxabs(E_A),
+        "E_beta_norm": _maxabs(E_beta),
     }
 
 
@@ -304,6 +307,9 @@ def bianchi_residuals(cm, cfg: FieldConfiguration) -> dict:
     P4 = pairs(4)
     F = curvature_F(cm, cfg)
     F_low = np.einsum("ab,Pb...->Pa...", cm.Q, F)
+    # each identity is reduced to its max as soon as it is formed, and its
+    # intermediates are released, so at most one identity's arrays are live
+    out = {}
 
     # eps^{lmnr} nabla_m F_{a nr} = 0
     R1 = np.zeros((4, cm.p) + lat.shape)
@@ -314,6 +320,8 @@ def bianchi_residuals(cm, cfg: FieldConfiguration) -> dict:
                 if not e:
                     continue
                 R1[lam] += 2.0 * e * _cov_D_g_lower(cm, cfg, F_low[P], F[P], mu)
+    out["bianchi_F"] = _maxabs(R1)
+    del R1, F_low
 
     # eps^{lmnr} ( nabla^act_m T_{al nr} - act_{al a be} F^a_{mn} C^be_r ) = 0
     R2 = np.zeros((4, cm.q) + lat.shape)
@@ -332,8 +340,10 @@ def bianchi_residuals(cm, cfg: FieldConfiguration) -> dict:
                     e = eps4((lam, m, n, rho))
                     if not e:
                         continue
-                    R2[lam] -= 2.0 * e * np.einsum(
-                        "xay,a...,y...->x...", cm.actlow, F[P], cfg.C[rho])
+                    R2[lam] -= 2.0 * e * contract(cm.actlow, F[P], cfg.C[rho])
+        del T, T_low
+    out["bianchi_T"] = _maxabs(R2)
+    del R2
 
     # eps^{lmnr} ( 1/3 nabla_l GB_{mnr} - f F_{lm} B_{nr} ) = 0 (Q-lowered)
     GB = curvature_GB(cm, cfg)
@@ -342,7 +352,9 @@ def bianchi_residuals(cm, cfg: FieldConfiguration) -> dict:
     for lam, Ti, e in _AT4:
         R3 += 2.0 * e * _cov_D_g_lower(cm, cfg, GB_low[Ti], GB[Ti], lam)
     for Pi, Pj, e in _PP4:
-        R3 -= 4.0 * e * np.einsum("abc,b...,c...->a...", cm.flow, F[Pi], cfg.B[Pj])
+        R3 -= 4.0 * e * contract(cm.flow, F[Pi], cfg.B[Pj])
+    out["bianchi_GB"] = _maxabs(R3)
+    del R3, GB, GB_low
 
     # eps^{lmnr} ( 1/3 nabla^act_l G_{mnr} - act F_{lm} beta_{nr} ) = 0
     R4 = np.zeros((cm.q,) + lat.shape)
@@ -352,15 +364,6 @@ def bianchi_residuals(cm, cfg: FieldConfiguration) -> dict:
         for lam, Ti, e in _AT4:
             R4 += 2.0 * e * _cov_D_h_lower(cm, cfg, G3_low[Ti], G3[Ti], lam)
         for Pi, Pj, e in _PP4:
-            R4 -= 4.0 * e * np.einsum("xay,a...,y...->x...",
-                                      cm.actlow, F[Pi], cfg.beta[Pj])
-
-    def _mx(arr):
-        return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-    return {
-        "bianchi_F": _mx(R1),
-        "bianchi_T": _mx(R2),
-        "bianchi_GB": _mx(R3),
-        "bianchi_G": _mx(R4),
-    }
+            R4 -= 4.0 * e * contract(cm.actlow, F[Pi], cfg.beta[Pj])
+    out["bianchi_G"] = _maxabs(R4)
+    return out

@@ -26,27 +26,17 @@ normalization (see docs/conventions.md); both are covered by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .crossed_module import t_map
+from .crossed_module import contract, t_map
 from .lattice import FieldConfiguration, discrete_derivative, pairs
 
 __all__ = [
-    "GaugeData",
     "expm_batched",
     "thin_gauge_transform",
     "fat_gauge_transform",
 ]
-
-
-@dataclass
-class GaugeData:
-    """thin: g-valued scalar eps^a(x); fat: h-valued 1-form eta^al_mu(x)."""
-
-    thin: np.ndarray = None
-    fat: np.ndarray = None
 
 
 def expm_batched(M: np.ndarray) -> np.ndarray:
@@ -147,11 +137,10 @@ def fat_gauge_transform(cm, cfg: FieldConfiguration,
         for P, (m, n) in enumerate(pairs(lat.D)):
             d_eta = (discrete_derivative(eta[n], m, lat)
                      - discrete_derivative(eta[m], n, lat))
-            wedge = (np.einsum("xay,a...,y...->x...", cm.act, cfg.A[m], eta[n])
-                     - np.einsum("xay,a...,y...->x...", cm.act, cfg.A[n], eta[m]))
-            etaeta = np.einsum("xyz,y...,z...->x...", cm.phi, eta[m], eta[n])
+            wedge = (contract(cm.act, cfg.A[m], eta[n])
+                     - contract(cm.act, cfg.A[n], eta[m]))
+            etaeta = contract(cm.phi, eta[m], eta[n])
             beta_new[P] += d_eta + wedge + etaeta
             B_new[P] += 2.0 * (
-                np.einsum("axy,x...,y...->a...", T, cfg.C[m], eta[n])
-                - np.einsum("axy,x...,y...->a...", T, cfg.C[n], eta[m]))
+                contract(T, cfg.C[m], eta[n]) - contract(T, cfg.C[n], eta[m]))
     return FieldConfiguration(lat, A_new, beta_new, B_new, cfg.C.copy())

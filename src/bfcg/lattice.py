@@ -85,10 +85,28 @@ def make_lattice(D: int, n: int, a: float) -> Lattice:
 def discrete_derivative(field: np.ndarray, axis: int, lattice: Lattice) -> np.ndarray:
     """Central difference along lattice axis `axis` (0-based, 0..D-1).
 
-    The lattice axes are the trailing D axes of `field`.
+    The lattice axes are the trailing D axes of `field`.  The interior and
+    the two wrap-around faces are differenced straight into the result, so
+    no shifted copy of the field is made; the values are bitwise those of
+    (roll(f, -1) - roll(f, 1)) / (2a).
     """
+    field = np.asarray(field)
     ax = field.ndim - lattice.D + axis
-    return (np.roll(field, -1, axis=ax) - np.roll(field, 1, axis=ax)) / (2.0 * lattice.a)
+    out = np.empty(field.shape, dtype=np.result_type(field, 1.0))
+
+    def along(s):
+        idx = [slice(None)] * field.ndim
+        idx[ax] = s
+        return tuple(idx)
+
+    np.subtract(field[along(slice(2, None))], field[along(slice(None, -2))],
+                out=out[along(slice(1, -1))])
+    np.subtract(field[along(slice(1, 2))], field[along(slice(-1, None))],
+                out=out[along(slice(0, 1))])
+    np.subtract(field[along(slice(0, 1))], field[along(slice(-2, -1))],
+                out=out[along(slice(-1, None))])
+    out /= 2.0 * lattice.a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,31 +194,42 @@ class FieldRecipe:
         self.coeffs = coeffs
 
     def realize(self, lattice: Lattice) -> np.ndarray:
+        """Sample the polynomial on the lattice by direct synthesis.
+
+        The modes are grouped by their support, the axes where k mod n != 0.
+        Each group's sum of ca cos + sa sin varies only along its support,
+        so it is built on those axes alone and broadcast-added into the
+        output; the phase is reduced mod n in integers first.  No spectrum
+        of the full lattice is formed.
+        """
         if lattice.D != self.D:
             raise ValueError("recipe dimension mismatch")
         n = lattice.n
-        spec = np.zeros(self.comp_shape + lattice.shape, dtype=complex)
+        groups = {}
         for k, (ca, sa) in self.coeffs.items():
-            amp = 0.5 * (np.asarray(ca) - 1j * np.asarray(sa))
-            idx = tuple(np.mod(ki, n) for ki in k)
-            nidx = tuple(np.mod(-ki, n) for ki in k)
-            spec[(Ellipsis,) + idx] += amp
-            spec[(Ellipsis,) + nidx] += np.conj(amp)
-        axes = tuple(range(-self.D, 0))
-        out = np.fft.ifftn(spec, axes=axes) * (n ** self.D)
-        return np.ascontiguousarray(out.real)
+            support = tuple(d for d in range(self.D) if k[d] % n)
+            groups.setdefault(support, []).append((k, ca, sa))
+        out = np.zeros(self.comp_shape + lattice.shape)
+        for support, modes in groups.items():
+            grids = np.ix_(*[np.arange(n)] * len(support))
+            part = 0.0
+            for k, ca, sa in modes:
+                phase = sum((k[d] * g for d, g in zip(support, grids)), 0) % n
+                theta = (2.0 * np.pi / n) * phase
+                part = (part + np.multiply.outer(np.asarray(ca), np.cos(theta))
+                        + np.multiply.outer(np.asarray(sa), np.sin(theta)))
+            placed = tuple(n if d in support else 1 for d in range(self.D))
+            out += np.reshape(part, self.comp_shape + placed)
+        return out
 
     def realize_derivative(self, lattice: Lattice, axis: int) -> np.ndarray:
         """Exact analytic derivative of the trig polynomial along one axis."""
-        n = lattice.n
         L = lattice.extent
-        out = np.zeros(self.comp_shape + lattice.shape)
         deriv = {}
         for k, (ca, sa) in self.coeffs.items():
             w = 2.0 * np.pi * k[axis] / L
             # d/dx [ca cos + sa sin] = w (sa cos - ca sin)
             deriv[k] = (w * np.asarray(sa), -w * np.asarray(ca))
-        del out
         return FieldRecipe(self.D, self.comp_shape, deriv).realize(lattice)
 
 
@@ -379,17 +408,21 @@ def fit_order(spacings, residuals, exact_floor: float = EXACT_FLOOR):
     """Least-squares slope of log(residual) vs log(a).
 
     Returns the fitted order as float, or the string "exact" when every
-    residual is at the numerical noise floor.
+    residual is at the numerical noise floor.  A ladder that cannot carry
+    a verdict -- a non-finite rung, or a rung above the floor with fewer
+    than two positive rungs to fit -- gives NaN, which no order gate accepts.
     """
     residuals = np.asarray(residuals, dtype=float)
     spacings = np.asarray(spacings, dtype=float)
     if len(residuals) < 3:
         raise ValueError("need at least 3 resolutions to fit an order")
+    if not np.all(np.isfinite(residuals)):
+        return float("nan")
     if np.all(residuals <= exact_floor):
         return "exact"
     mask = residuals > 0
     if mask.sum() < 2:
-        return "exact"
+        return float("nan")
     slope = np.polyfit(np.log(spacings[mask]), np.log(residuals[mask]), 1)[0]
     return float(slope)
 

@@ -36,8 +36,6 @@ __all__ = [
     "evaluate_density",
     "LocalFunctional",
     "smear",
-    "evaluate_smeared",
-    "functional_gradient",
     "poisson_bracket",
 ]
 
@@ -234,14 +232,6 @@ def smear(density: Density, test, lattice: Lattice) -> LocalFunctional:
             for coeff, factors in terms:
                 entries.append((coeff, w, factors))
     return LocalFunctional(lattice, entries)
-
-
-def evaluate_smeared(fn: LocalFunctional, point: dict) -> float:
-    return fn.value(point)
-
-
-def functional_gradient(fn: LocalFunctional, point: dict) -> dict:
-    return fn.gradient(point)
 
 
 def poisson_bracket(fn_f: LocalFunctional, fn_g: LocalFunctional, point: dict,

@@ -41,6 +41,7 @@ import numpy as np
 
 from .constraints import (FAMILY_SHAPES, constraint_density, evaluate_constraint,
                           gauge_fixed_density, total_hamiltonian_functional)
+from .crossed_module import contract
 from .lattice import (EPS3_PAIR, Lattice, _random_recipe, discrete_derivative,
                       fit_order, pair_index, pairs)
 from .localpoly import evaluate_density, poisson_bracket, smear
@@ -540,7 +541,7 @@ def _spatial_F(cm, point):
     for P, (j, k) in enumerate(P3):
         out[P] = (discrete_derivative(A[k], j, lat)
                   - discrete_derivative(A[j], k, lat)
-                  + np.einsum("abc,b...,c...->a...", cm.f, A[j], A[k]))
+                  + contract(cm.f, A[j], A[k]))
     return out
 
 
@@ -552,8 +553,8 @@ def _spatial_T(cm, point):
         out[P] = (discrete_derivative(C[k], j, lat)
                   - discrete_derivative(C[j], k, lat))
         if cm.q:
-            out[P] += np.einsum("xay,a...,y...->x...", cm.act, A[j], C[k])
-            out[P] -= np.einsum("xay,a...,y...->x...", cm.act, A[k], C[j])
+            out[P] += contract(cm.act, A[j], C[k])
+            out[P] -= contract(cm.act, A[k], C[j])
     return out
 
 
@@ -561,10 +562,11 @@ def _cov_div_g_low(cm, point, field):
     """sum_i nabla_i X_a^i for a lowered-index (3, p) density array."""
     lat = point.lattice
     A = point.blocks["A"]
+    f_abc = cm.f.transpose(1, 2, 0)  # f^c_{ab} as [a, b, c]
     out = np.zeros((cm.p,) + lat.shape)
     for i in range(3):
         out += discrete_derivative(field[i], i, lat)
-        out += np.einsum("cab,b...,c...->a...", cm.f, A[i], field[i])
+        out += contract(f_abc, A[i], field[i])
     return out
 
 
@@ -577,7 +579,7 @@ def _cov_div_h_low(cm, point, field):
         out += discrete_derivative(field[k], k, lat)
         if cm.q:
             up = np.einsum("xy,y...->x...", cm.qfinv, field[k])
-            out += np.einsum("xay,a...,y...->x...", cm.actlow, A[k], up)
+            out += contract(cm.actlow, A[k], up)
     return out
 
 
@@ -605,11 +607,12 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     lhs_a = _cov_div_g_low(cm, point, phiH)
     if cm.q:
         lhs_a += 0.5 * np.einsum("ga,g...->a...", cm.dup, phiG)
-        mix1 = np.einsum("ga,ged->aed", cm.dup, cm.actQ)
+        mix1 = np.einsum("ga,ged->ade", cm.dup, cm.actQ)
         for P in range(3):
-            lhs_a += np.einsum("aed,d...,e...->a...", mix1, be[P], chiB[P])
+            lhs_a += contract(mix1, be[P], chiB[P])
+    f_abc = cm.f.transpose(1, 2, 0)  # f^c_{ab} as [a, b, c]
     for P in range(3):
-        lhs_a += np.einsum("cab,b...,c...->a...", cm.f, F3[P], chiB[P])
+        lhs_a += contract(f_abc, F3[P], chiB[P])
     rhs_a = np.zeros((cm.p,) + lat.shape)
     for i in range(3):
         for P in range(3):
@@ -617,7 +620,7 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
             if not s:
                 continue
             rhs_a += s * (discrete_derivative(F3_low[P], i, lat)
-                          + np.einsum("abc,b...,c...->a...", cm.flow, A[i], F3[P]))
+                          + contract(cm.flow, A[i], F3[P]))
 
     out = {
         "ra_residual": float(np.max(np.abs(lhs_a - rhs_a))),
@@ -640,31 +643,31 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     lhs_b = _cov_div_h_low(cm, point, phiCB)
     lhs_b += np.einsum("xa,a...->x...", cm.del_, phiBCb)
     chibe_up = np.einsum("xy,Py...->Px...", cm.qfinv, chibe)
+    del_f = np.einsum("xa,ead->xde", cm.del_, cm.f)
+    phi_xbg = cm.phi.transpose(1, 2, 0)  # phi^g_{xb} as [x, b, g]
+    actQ_xde = cm.actQ.transpose(0, 2, 1)  # actQ[x, e, d] as [x, d, e]
     for P in range(3):
-        lhs_b += np.einsum("xby,b...,y...->x...", cm.actlow, F3[P], chibe_up[P])
-        lhs_b -= np.einsum("xa,ead,d...,e...->x...", cm.del_, cm.f, B[P], chiB[P])
-        lhs_b -= np.einsum("gxb,b...,g...->x...", cm.phi, be[P], chibe[P])
+        lhs_b += contract(cm.actlow, F3[P], chibe_up[P])
+        lhs_b -= contract(del_f, B[P], chiB[P])
+        lhs_b -= contract(phi_xbg, be[P], chibe[P])
     for k in range(3):
-        lhs_b -= np.einsum("gxd,d...,g...->x...", cm.phi, C[k], chiC[k])
+        lhs_b -= contract(phi_xbg, C[k], chiC[k])
     for k in range(3):
         for m in range(3):
             if m == k:
                 continue
             Pmk, sig = PIDX3[(m, k)]
             gradC = (discrete_derivative(C[m], k, lat)
-                     + np.einsum("day,a...,y...->d...", cm.act, A[k], C[m]))
-            lhs_b += sig * np.einsum("xed,d...,e...->x...",
-                                     cm.actQ, gradC, chiB[Pmk])
+                     + contract(cm.act, A[k], C[m]))
+            lhs_b += sig * contract(actQ_xde, gradC, chiB[Pmk])
             covchi = (discrete_derivative(chiB[Pmk], k, lat)
-                      + np.einsum("ceb,b...,c...->e...", cm.f, A[k], chiB[Pmk]))
-            lhs_b += sig * np.einsum("xed,d...,e...->x...",
-                                     cm.actQ, C[m], covchi)
+                      + contract(f_abc, A[k], chiB[Pmk]))
+            lhs_b += sig * contract(actQ_xde, C[m], covchi)
     for k in range(3):
         for P in range(3):
             s = S3[k, P]
             if s:
-                lhs_b -= s * np.einsum("xbg,b...,g...->x...",
-                                       cm.actlow, SH[P], C[k])
+                lhs_b -= s * contract(cm.actlow, SH[P], C[k])
 
     rhs_b = np.zeros((cm.q,) + lat.shape)
     for i in range(3):
@@ -674,9 +677,8 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
                 continue
             up = T3[P]
             rhs_b += s * (discrete_derivative(T3_low[P], i, lat)
-                          + np.einsum("xay,a...,y...->x...", cm.actlow, A[i], up))
-            rhs_b -= s * np.einsum("xbg,b...,g...->x...",
-                                   cm.actlow, F3[P], C[i])
+                          + contract(cm.actlow, A[i], up))
+            rhs_b -= s * contract(cm.actlow, F3[P], C[i])
     out["rb_residual"] = float(np.max(np.abs(lhs_b - rhs_b)))
     out["rb_bianchi_norm"] = float(np.max(np.abs(rhs_b)))
     return out

@@ -1,0 +1,126 @@
+"""The 4D lattice kernels against their dense reference forms.
+
+contract() is checked against np.einsum on every structure tensor of every
+builtin module (zero tensors of the abelian modules and empty tensors at
+q = 0 included), FieldRecipe.realize against an inverse-FFT synthesis of
+the same trigonometric polynomial, and discrete_derivative bitwise against
+the np.roll formula.
+"""
+
+import numpy as np
+import pytest
+
+from bfcg.crossed_module import builtin_module, contract, t_map
+from bfcg.lattice import FieldRecipe, Lattice, discrete_derivative
+
+MODULES = ["trivial_bf(1)", "trivial_bf(3)", "adjoint(su2)", "vector_poincare",
+           "abelian(1,1)", "abelian(2,3)", "abelian(4,2)"]
+
+TENSORS = {
+    "f": lambda cm: cm.f,
+    "flow": lambda cm: cm.flow,
+    "act": lambda cm: cm.act,
+    "actlow": lambda cm: cm.actlow,
+    "phi": lambda cm: cm.phi,
+    "t_map": lambda cm: t_map(cm).T,
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("tensor", sorted(TENSORS))
+def test_contract_matches_einsum(name, tensor):
+    cm = builtin_module(name)
+    T = TENSORS[tensor](cm)
+    rng = np.random.default_rng(5)
+    sites = (4, 3, 5)
+    X = rng.normal(size=(T.shape[1],) + sites)
+    Y = rng.normal(size=(T.shape[2],) + sites)
+    got = contract(T, X, Y)
+    want = np.einsum("ijk,j...,k...->i...", T, X, Y)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
+def test_contract_transposed_view(name):
+    """Other index orders go through a transposed view of the tensor."""
+    cm = builtin_module(name)
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(cm.p, 4, 4, 4))
+    Y = rng.normal(size=(cm.p, 4, 4, 4))
+    want = np.einsum("cab,b...,c...->a...", cm.f, X, Y)
+    got = contract(cm.f.transpose(1, 2, 0), X, Y)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def test_contract_zero_tensor_gives_zeros():
+    cm = builtin_module("abelian(2,3)")
+    X = np.ones((2, 4, 4))
+    out = contract(cm.f, X, X)
+    assert out.shape == (2, 4, 4) and not np.any(out)
+
+
+def _ifftn_oracle(recipe, lattice):
+    """The recipe's polynomial through a complex spectrum and ifftn."""
+    n = lattice.n
+    spec = np.zeros(recipe.comp_shape + lattice.shape, dtype=complex)
+    for k, (ca, sa) in recipe.coeffs.items():
+        amp = 0.5 * (np.asarray(ca) - 1j * np.asarray(sa))
+        spec[(Ellipsis,) + tuple(np.mod(k, n))] += amp
+        spec[(Ellipsis,) + tuple(np.mod(np.negative(k), n))] += np.conj(amp)
+    axes = tuple(range(-recipe.D, 0))
+    return (np.fft.ifftn(spec, axes=axes) * n ** recipe.D).real
+
+
+def _modes(D, n):
+    def k(*head):
+        return head + (0,) * (D - len(head))
+    return [
+        k(),                    # constant
+        k(1),                   # axis-aligned
+        k(0, -2),               # negative
+        k(1, 2, -1),            # non-axis-aligned
+        k(*(2, -1, 3, 1)[:D]),  # support on every axis
+        k(n),                   # k = 0 mod n
+        k(n + 1, 0, n),         # aliases onto k(1)
+        k(n // 2),              # Nyquist
+        k(n // 2, n // 2),      # Nyquist on two axes
+    ]
+
+
+@pytest.mark.parametrize("D,n", [(3, 6), (3, 8), (4, 6), (4, 8)])
+def test_realize_matches_ifftn(D, n):
+    rng = np.random.default_rng(D * 100 + n)
+    comp = (2, 3)
+    coeffs = {k: (rng.normal(size=comp), rng.normal(size=comp))
+              for k in _modes(D, n)}
+    recipe = FieldRecipe(D, comp, coeffs)
+    lat = Lattice(D=D, n=n, a=1.0 / n)
+    got = recipe.realize(lat)
+    assert got.shape == comp + lat.shape and got.dtype == np.float64
+    assert np.max(np.abs(got - _ifftn_oracle(recipe, lat))) < 1e-12
+
+
+def test_realize_derivative_matches_ifftn():
+    rng = np.random.default_rng(11)
+    D, n = 4, 6
+    coeffs = {k: (rng.normal(size=(3,)), rng.normal(size=(3,)))
+              for k in _modes(D, n)}
+    recipe = FieldRecipe(D, (3,), coeffs)
+    lat = Lattice(D=D, n=n, a=0.5)
+    for axis in range(D):
+        w = {k: 2.0 * np.pi * k[axis] / lat.extent for k in coeffs}
+        deriv = FieldRecipe(D, (3,), {k: (w[k] * sa, -w[k] * ca)
+                                      for k, (ca, sa) in coeffs.items()})
+        got = recipe.realize_derivative(lat, axis)
+        assert np.max(np.abs(got - _ifftn_oracle(deriv, lat))) < 1e-12
+
+
+@pytest.mark.parametrize("D", [3, 4])
+def test_discrete_derivative_bitwise_roll(D):
+    lat = Lattice(D=D, n=5, a=0.3)
+    field = np.random.default_rng(D).normal(size=(2, 3) + lat.shape)
+    for axis in range(D):
+        ax = field.ndim - D + axis
+        want = (np.roll(field, -1, axis=ax) - np.roll(field, 1, axis=ax)) / (2.0 * lat.a)
+        assert np.array_equal(discrete_derivative(field, axis, lat), want)

@@ -149,6 +149,25 @@ def test_fit_order_needs_three():
         fit_order([0.1, 0.05], [1.0, 0.25])
 
 
+@pytest.mark.parametrize("residuals", [
+    [float("nan")] * 3,
+    [1e-2, float("nan"), 6.25e-4],
+    [1e-2, 2.5e-3, float("inf")],
+    [0.0, float("nan"), 0.0],
+])
+def test_fit_order_non_finite_rung_is_nan(residuals):
+    order = fit_order([1e-1, 5e-2, 2.5e-2], residuals)
+    assert isinstance(order, float) and np.isnan(order)
+
+
+@pytest.mark.parametrize("residuals", [[0.0, 0.0, 1e-3], [1e-3, 0.0, 0.0]])
+def test_fit_order_single_positive_rung_is_nan(residuals):
+    """One rung above the floor and nothing else to fit fails every order gate."""
+    order = fit_order([1e-1, 5e-2, 2.5e-2], residuals)
+    assert isinstance(order, float) and np.isnan(order)
+    assert not (order == "exact" or order >= 1.8)
+
+
 def test_convergence_study_harness():
     lats = [Lattice(3, n, 1.0 / n) for n in (8, 16, 32)]
     out = convergence_study(lambda lat: lat.a ** 2, lats)
