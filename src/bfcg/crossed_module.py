@@ -489,7 +489,6 @@ def dump_crossed_module(cm: DifferentialCrossedModule) -> str:
 def load_crossed_module(text: str) -> DifferentialCrossedModule:
     """Parse the text format; shapes and finiteness are checked, identities
     are not (validation is a separate step so broken inputs can be tested)."""
-    tokens = []
     name = None
     p = q = None
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
@@ -539,7 +538,6 @@ def load_crossed_module(text: str) -> DifferentialCrossedModule:
             tensors[tname] = np.array(vals).reshape(shape)
         else:
             raise CrossedModuleError(f"unrecognized line: {lines[i]!r}")
-    del tokens
     if p is None or q is None:
         raise CrossedModuleError("document must declare p and q")
     missing = [k for k in _TENSOR_ORDER if k not in tensors]

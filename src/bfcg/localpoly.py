@@ -16,6 +16,12 @@ summation-by-parts adjoint -D for differenced factors); there is no
 truncation anywhere, so Poisson-bracket antisymmetry holds to machine
 precision.
 
+Gradients are sparse: LocalFunctional.gradient returns a dict holding only
+the blocks the functional reads, and an absent block means zero.  Every
+pairing of gradients (pair_gradients, paired_sum) skips a product with an
+absent side, except that a non-finite entry facing an absent block still
+gives NaN, as the dense product NaN * 0 or inf * 0 would.
+
 Phase points are dicts block name -> array with component axes first and
 the three lattice axes last.  Each stored component of each block is one
 canonical degree of freedom; the lattice bracket normalization is
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Lattice
+from .lattice import Lattice, discrete_derivative
 
 __all__ = [
     "term",
@@ -36,6 +42,8 @@ __all__ = [
     "evaluate_density",
     "LocalFunctional",
     "smear",
+    "paired_sum",
+    "pair_gradients",
     "poisson_bracket",
 ]
 
@@ -104,15 +112,10 @@ class Density:
         return self
 
 
-def _central(arr, axis3, a):
-    ax = arr.ndim - 3 + axis3
-    return (np.roll(arr, -1, axis=ax) - np.roll(arr, 1, axis=ax)) / (2.0 * a)
-
-
 class _FactorCache:
-    def __init__(self, point, a):
+    def __init__(self, point, lattice):
         self.point = point
-        self.a = a
+        self.lattice = lattice
         self.cache = {}
 
     def get(self, factor):
@@ -120,7 +123,7 @@ class _FactorCache:
             block, comp, daxis = factor
             arr = self.point[block][comp]
             if daxis >= 0:
-                arr = _central(arr, daxis, self.a)
+                arr = discrete_derivative(arr, daxis, self.lattice)
             self.cache[factor] = arr
         return self.cache[factor]
 
@@ -129,7 +132,7 @@ def evaluate_density(density: Density, point: dict, lattice: Lattice) -> np.ndar
     """Pointwise values of the density, shape (comp_shape..., n, n, n)."""
     shape = density.comp_shape + lattice.shape
     out = np.zeros(shape)
-    fcache = _FactorCache(point, lattice.a)
+    fcache = _FactorCache(point, lattice)
     for fc, terms in density.items():
         acc = out[fc]
         for coeff, factors in terms:
@@ -156,7 +159,7 @@ class LocalFunctional:
 
     def value(self, point: dict) -> float:
         a3 = self.lattice.a ** 3
-        fcache = _FactorCache(point, self.lattice.a)
+        fcache = _FactorCache(point, self.lattice)
         total = 0.0
         for coeff, weight, factors in self.entries:
             prod = None
@@ -175,27 +178,27 @@ class LocalFunctional:
         return a3 * total
 
     def gradient(self, point: dict) -> dict:
-        """Exact partial derivatives w.r.t. every stored entry of every block."""
+        """Exact partial derivatives w.r.t. every stored entry of the blocks
+        the functional reads; a block it does not read is absent (zero)."""
         a3 = self.lattice.a ** 3
-        a = self.lattice.a
-        fcache = _FactorCache(point, a)
-        grad = {name: np.zeros_like(arr) for name, arr in point.items()}
+        fcache = _FactorCache(point, self.lattice)
+        grad = {}
         shape = self.lattice.shape
         for coeff, weight, factors in self.entries:
             vals = [fcache.get(f) for f in factors]
             for j, (block, comp, daxis) in enumerate(factors):
-                if block not in grad:
-                    continue
-                partial = np.full(shape, coeff * a3) if weight is None \
-                    else coeff * a3 * (weight * np.ones(shape))
+                partial = coeff * a3 if weight is None else coeff * a3 * weight
                 for k, v in enumerate(vals):
                     if k != j:
                         partial = partial * v
+                if block not in grad:
+                    grad[block] = np.zeros_like(point[block])
                 if daxis < 0:
                     grad[block][comp] += partial
                 else:
                     # adjoint of the central difference on a periodic lattice
-                    grad[block][comp] -= _central(partial, daxis, a)
+                    grad[block][comp] -= discrete_derivative(
+                        np.broadcast_to(partial, shape), daxis, self.lattice)
         return grad
 
 
@@ -234,6 +237,26 @@ def smear(density: Density, test, lattice: Lattice) -> LocalFunctional:
     return LocalFunctional(lattice, entries)
 
 
+def paired_sum(x, y, fn=None) -> float:
+    """np.sum(fn(x * y)) for two gradient blocks, where None is an absent
+    (zero) block.  A missing side gives 0.0 without any product, or NaN when
+    the present side holds a non-finite entry, as the dense NaN * 0 would."""
+    if x is None or y is None:
+        z = y if x is None else x
+        return 0.0 if z is None or np.isfinite(z).all() else np.nan
+    prod = x * y
+    return np.sum(prod if fn is None else fn(prod))
+
+
+def pair_gradients(gf: dict, gg: dict, pairs, a: float) -> float:
+    """{F, G} from the sparse gradients of F and G (see poisson_bracket)."""
+    total = 0.0
+    for qb, pb in pairs:
+        total += float(paired_sum(gf.get(qb), gg.get(pb))
+                       - paired_sum(gf.get(pb), gg.get(qb)))
+    return total / a ** 3
+
+
 def poisson_bracket(fn_f: LocalFunctional, fn_g: LocalFunctional, point: dict,
                     pairs) -> float:
     """{F, G} with the lattice pairing {q(x), p(y)} = delta_xy / a^3.
@@ -242,10 +265,5 @@ def poisson_bracket(fn_f: LocalFunctional, fn_g: LocalFunctional, point: dict,
     """
     if fn_f.lattice != fn_g.lattice:
         raise ValueError("functionals live on different lattices")
-    gf = fn_f.gradient(point)
-    gg = fn_g.gradient(point)
-    a3 = fn_f.lattice.a ** 3
-    total = 0.0
-    for qb, pb in pairs:
-        total += float(np.sum(gf[qb] * gg[pb]) - np.sum(gf[pb] * gg[qb]))
-    return total / a3
+    return pair_gradients(fn_f.gradient(point), fn_g.gradient(point), pairs,
+                          fn_f.lattice.a)

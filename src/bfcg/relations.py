@@ -44,7 +44,8 @@ from .constraints import (FAMILY_SHAPES, constraint_density, evaluate_constraint
 from .crossed_module import contract
 from .lattice import (EPS3_PAIR, Lattice, _random_recipe, discrete_derivative,
                       fit_order, pair_index, pairs)
-from .localpoly import evaluate_density, poisson_bracket, smear
+from .localpoly import (evaluate_density, pair_gradients, paired_sum,
+                        poisson_bracket, smear)
 from .phase import (CANONICAL_PAIRS, GAUGE_FIXED_PAIRS, PhasePoint,
                     make_phase_recipe, onshell_momenta)
 
@@ -374,13 +375,11 @@ def check_algebra_relation(cm, rel_id: str, point: PhasePoint, seed: int = 0,
     fnB = smear(densB, tB, lat)
     gA = fnA.gradient(point.blocks)
     gB = fnB.gradient(point.blocks)
-    lhs = 0.0
+    lhs = pair_gradients(gA, gB, pairs_, lat.a)
     scale = 1.0
     for qb, pb in pairs_:
-        lhs += float(np.sum(gA[qb] * gB[pb]) - np.sum(gA[pb] * gB[qb]))
-        scale += float(np.sum(np.abs(gA[qb] * gB[pb])) +
-                       np.sum(np.abs(gA[pb] * gB[qb])))
-    lhs /= lat.a ** 3
+        scale += float(paired_sum(gA.get(qb), gB.get(pb), np.abs) +
+                       paired_sum(gA.get(pb), gB.get(qb), np.abs))
     scale /= lat.a ** 3
     rhs = rel.rhs(cm, point, lat, tA, tB)
     return RelationResult(rid=rel_id, lhs=lhs, rhs=rhs,
@@ -416,8 +415,6 @@ def fundamental_bracket_residuals(cm, point: PhasePoint, seed: int = 0) -> dict:
     all cross-block brackets zero."""
     lat = point.lattice
     rng = np.random.default_rng(seed)
-    shapes = {name: point.blocks[name].shape[:-3] for name, _ in CANONICAL_PAIRS}
-    shapes.update({p_: point.blocks[p_].shape[:-3] for _, p_ in CANONICAL_PAIRS})
     fns = {}
     for qb, pb in CANONICAL_PAIRS:
         for name in (qb, pb):
@@ -500,6 +497,12 @@ def consistency_residuals(cm, point: PhasePoint, lamA0=None, lamB0=None,
     """
     lat = point.lattice
     ht = total_hamiltonian_functional(cm, lat, lamA0, lamB0, lamC0, lambe0)
+    g_ht = ht.gradient(point.blocks)
+
+    def bracket_with_ht(fam, t):
+        g_fn = smear(constraint_density(cm, fam), t, lat).gradient(point.blocks)
+        return pair_gradients(g_fn, g_ht, CANONICAL_PAIRS, lat.a)
+
     shapes = FAMILY_SHAPES(cm)
     rows = []
     fam_offset = {fam: 101 * (i + 1) for i, fam in enumerate(
@@ -507,8 +510,7 @@ def consistency_residuals(cm, point: PhasePoint, lamA0=None, lamB0=None,
         + ["S(H)", "S(G)", "S(CB)", "S(BCbeta)"])}
     for fam, phi_fam, sec_kind in _TEMPORAL_ROWS:
         t = make_test(cm, shapes[fam], lat, seed=seed * 9176 + fam_offset[fam])
-        fn = smear(constraint_density(cm, fam), t, lat)
-        br = poisson_bracket(fn, ht, point.blocks, CANONICAL_PAIRS)
+        br = bracket_with_ht(fam, t)
         phi_arr = evaluate_constraint(cm, phi_fam, point)
         phi_val = _vol_sum(lat, np.sum(
             t * phi_arr, axis=tuple(range(t.ndim - 3))))
@@ -519,13 +521,11 @@ def consistency_residuals(cm, point: PhasePoint, lamA0=None, lamB0=None,
         rows.append((f"{fam} vs secondary", abs(br - sec_val)))
     for fam in _SPATIAL_ROWS:
         t = make_test(cm, shapes[fam], lat, seed=seed * 9176 + fam_offset[fam])
-        fn = smear(constraint_density(cm, fam), t, lat)
-        br = poisson_bracket(fn, ht, point.blocks, CANONICAL_PAIRS)
+        br = bracket_with_ht(fam, t)
         rows.append((f"{fam} preservation", abs(br)))
     for fam in ("S(H)", "S(G)", "S(CB)", "S(BCbeta)"):
         t = make_test(cm, shapes[fam], lat, seed=seed * 9176 + fam_offset[fam])
-        fn = smear(constraint_density(cm, fam), t, lat)
-        br = poisson_bracket(fn, ht, point.blocks, CANONICAL_PAIRS)
+        br = bracket_with_ht(fam, t)
         rows.append((f"{fam} preservation (weak)", abs(br)))
     return rows
 

@@ -143,6 +143,17 @@ def test_smeared_PC0_gradient_is_test_field():
             assert np.max(np.abs(arr)) == 0.0
 
 
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
+def test_smeared_PC0_gradient_reads_only_pC0(name):
+    cm = builtin_module(name)
+    lat = Lattice(D=3, n=6, a=1.0 / 6)
+    dens = constraint_density(cm, "P(C)_0")
+    pt = random_phase_point(cm, lat, seed=5, rule="random")
+    t = np.random.default_rng(7).normal(size=(cm.q,) + lat.shape)
+    for test in (t, np.ones(cm.q)):
+        assert set(smear(dens, test, lat).gradient(pt.blocks)) == {"pC0"}
+
+
 def test_constraint_gradient_matches_finite_differences():
     dens = constraint_density(CM, "phi(BCbeta)")
     rng = np.random.default_rng(29)

@@ -1,10 +1,14 @@
 """Constraint-algebra relations, consistency, off-shell identities, reduction."""
 
+import numpy as np
 import pytest
 
+from bfcg.constraints import (FAMILY_SHAPES, constraint_density,
+                              evaluate_constraint, total_hamiltonian_functional)
 from bfcg.crossed_module import builtin_module
 from bfcg.lattice import Lattice
-from bfcg.phase import random_phase_point
+from bfcg.localpoly import poisson_bracket, smear
+from bfcg.phase import CANONICAL_PAIRS, random_phase_point
 from bfcg.relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_RELATIONS,
                             PRIMARY_RELATIONS, RELATIONS, ZERO_RELATIONS,
                             check_algebra_relation, classification_table,
@@ -116,6 +120,47 @@ def test_consistency_abelian_secondaries_preserved_exactly():
     for label, r in rows.items():
         if "weak" in label:
             assert r < 1e-11, (label, r)
+
+
+def _consistency_rows_one_bracket_each(cm, point, seed):
+    """consistency_residuals rebuilt with a full poisson_bracket per row, so
+    H_T is differentiated afresh for every row."""
+    from bfcg.relations import (_SPATIAL_ROWS, _TEMPORAL_ROWS, _secondary_dual,
+                                _vol_sum, make_test)
+    lat = point.lattice
+    ht = total_hamiltonian_functional(cm, lat)
+    fams = ([fam for fam, _, _ in _TEMPORAL_ROWS] + list(_SPATIAL_ROWS)
+            + ["S(H)", "S(G)", "S(CB)", "S(BCbeta)"])
+
+    def bracket(fam):
+        t = make_test(cm, FAMILY_SHAPES(cm)[fam], lat,
+                      seed=seed * 9176 + 101 * (fams.index(fam) + 1))
+        fn = smear(constraint_density(cm, fam), t, lat)
+        return t, poisson_bracket(fn, ht, point.blocks, CANONICAL_PAIRS)
+
+    def paired(t, arr):
+        return _vol_sum(lat, np.sum(t * arr, axis=tuple(range(t.ndim - 3))))
+
+    rows = []
+    for fam, phi_fam, sec_kind in _TEMPORAL_ROWS:
+        t, br = bracket(fam)
+        phi_val = paired(t, evaluate_constraint(cm, phi_fam, point))
+        sec_val = paired(t, _secondary_dual(cm, point, sec_kind))
+        rows.append((f"{fam} vs {phi_fam}", abs(br - phi_val)))
+        rows.append((f"{fam} vs secondary", abs(br - sec_val)))
+    for fam in _SPATIAL_ROWS:
+        rows.append((f"{fam} preservation", abs(bracket(fam)[1])))
+    for fam in ("S(H)", "S(G)", "S(CB)", "S(BCbeta)"):
+        rows.append((f"{fam} preservation (weak)", abs(bracket(fam)[1])))
+    return rows
+
+
+@pytest.mark.parametrize("cm", [SU2, VP], ids=["su2", "poincare"])
+@pytest.mark.parametrize("rule", ["random", "on_shell"])
+def test_consistency_reused_HT_gradient_matches_fresh_brackets(cm, rule):
+    pt = random_phase_point(cm, Lattice(D=3, n=6, a=1.0 / 6), seed=4, rule=rule)
+    rows = consistency_residuals(cm, pt, seed=3)
+    assert rows == _consistency_rows_one_bracket_each(cm, pt, seed=3)
 
 
 # ---------------------------------------------------------------------------
