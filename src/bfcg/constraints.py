@@ -1,9 +1,17 @@
 """Constraint densities, Hamiltonians, and Lagrange multipliers.
 
-All densities are built as explicit term lists (see localpoly) from the
-structure tensors of a crossed module, on the phase-space blocks of
-phase.PhasePoint.  Spatial epsilon bookkeeping uses the stored-pair signs
-s(i, P) = eps^{i j k} for P = (j, k), j < k.
+Every density is stated once, at tensor level, as a list of terms
+
+    (coefficient tensor, factor, factor, ...)
+
+expanded into component monomials by localpoly.tensor_density.  A factor is
+a phase-space block of phase.PhasePoint, written "X", or "dX" for its
+central difference; the coefficient axes are the free components, then per
+factor its derivative axis (for "dX") and its component axes.  Coefficients
+are np.einsum products of the structure tensors of a crossed module with the
+spatial constants of bfcg.lattice: EPS3_PAIR[i, P] = eps^{ijk} for the
+stored pair P = (j, k), j < k; PAIR[P, j, k] = +1 on the stored order, -1
+reversed; and eye(3).
 
 Families (free components in brackets; Lie indices on momenta and on all
 phi/chi densities are lowered):
@@ -58,14 +66,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import EPS3_PAIR, Lattice, pair_index, pairs
-from .localpoly import (Density, LocalFunctional, evaluate_density, mul_terms,
-                        scale_terms, smear, term)
-from .phase import PhasePoint
+from .lattice import EPS3_PAIR, PAIR, Lattice
+from .localpoly import (Density, LocalFunctional, evaluate_density, identity,
+                        mul_terms, smear, tensor_density)
+from .phase import PhasePoint, block_shapes
 
 __all__ = [
     "constraint_density",
-    "FAMILY_SHAPES",
+    "family_shape",
     "FAMILIES",
     "evaluate_constraint",
     "gauge_fixed_density",
@@ -78,369 +86,199 @@ __all__ = [
     "regrouping_residual",
 ]
 
-P3 = pairs(3)
-PIDX3 = pair_index(3)
-S3 = EPS3_PAIR
+E3 = EPS3_PAIR
+I3 = np.eye(3)
+_RANK = {block: len(shape) for block, shape in block_shapes(1, 1).items()}
 
 
-def _dual(P: int) -> int:
-    j, k = P3[P]
-    return 3 - j - k
+def _factor(spec):
+    """'X' is block X, 'dX' its central difference: (block, rank, deriv)."""
+    block = spec[1:] if spec.startswith("d") else spec
+    return (block, _RANK[block], block != spec)
 
 
-def _nz(x) -> bool:
-    return abs(float(x)) > 1e-15
+def _momentum(block):
+    """The bare momentum density pi(X): one identity term."""
+    return lambda cm: [(identity(block_shapes(cm.p, cm.q)[block]), block)]
 
 
-# ---------------------------------------------------------------------------
-# primary constraints
-# ---------------------------------------------------------------------------
-
-def _dens_momentum(block, comp_shape):
-    d = Density(comp_shape)
-    for fc in np.ndindex(*comp_shape):
-        d.add(fc, [term(1.0, (block, fc))])
-    return d
+def _eps_dual(terms):
+    """1/2 eps^{ijk} X_{jk} of terms whose first free axis is a stored pair."""
+    return [(np.einsum("iP,P...->i...", E3, c), *fs) for c, *fs in terms]
 
 
-def _dens_P_A(cm):
-    d = Density((3, cm.p))
-    for i in range(3):
-        for a in range(cm.p):
-            terms = [term(1.0, ("pA", (i, a)))]
-            for P in range(3):
-                s = S3[i, P]
-                if not s:
-                    continue
-                for b in range(cm.p):
-                    if _nz(cm.Q[a, b]):
-                        terms.append(term(-s * cm.Q[a, b], ("B", (P, b))))
-            d.add((i, a), terms)
-    return d
-
-
-def _dens_P_be(cm):
-    d = Density((3, cm.q))
-    for P in range(3):
-        l = _dual(P)
-        for al in range(cm.q):
-            terms = [term(1.0, ("pbe", (P, al)))]
-            for be in range(cm.q):
-                c = S3[l, P] * cm.qf[al, be]
-                if _nz(c):
-                    terms.append(term(c, ("C", (l, be))))
-            d.add((P, al), terms)
-    return d
+def _times(terms, K, spec):
+    """sum_free K[free, comp] X[free] spec[comp]: contract the free axes of
+    terms with K, whose remaining axes index the new first factor spec."""
+    axes = list(range(K.ndim - _RANK[spec]))
+    return [(np.tensordot(K, c, axes=(axes, axes)), spec, *fs)
+            for c, *fs in terms]
 
 
 # ---------------------------------------------------------------------------
-# secondary constraint densities
+# primary and secondary constraints
 # ---------------------------------------------------------------------------
 
-def _dens_S_H(cm, lowered: bool):
-    """S(H)^a_{jk} (or its Q-lowered version) on stored pairs."""
-    d = Density((3, cm.p))
-    for P, (j, k) in enumerate(P3):
-        for a in range(cm.p):
-            terms = []
-            if lowered:
-                for b in range(cm.p):
-                    if _nz(cm.Q[a, b]):
-                        terms.append(term(cm.Q[a, b], ("A", (k, b), j)))
-                        terms.append(term(-cm.Q[a, b], ("A", (j, b), k)))
-                fabc = cm.flow
-            else:
-                terms.append(term(1.0, ("A", (k, a), j)))
-                terms.append(term(-1.0, ("A", (j, a), k)))
-                fabc = cm.f
-            for b in range(cm.p):
-                for c in range(cm.p):
-                    if _nz(fabc[a, b, c]):
-                        terms.append(term(fabc[a, b, c], ("A", (j, b)), ("A", (k, c))))
-            dtens = cm.dlow if lowered else cm.del_
-            for al in range(cm.q):
-                if _nz(dtens[al, a]):
-                    terms.append(term(-dtens[al, a], ("be", (P, al))))
-            d.add((P, a), terms)
-    return d
+def _chi_A(cm):
+    """P(A)_a^i = pi(A)_a^i - 1/2 eps^{ijk} Q_ab B^b_jk."""
+    return [(identity((3, cm.p)), "pA"),
+            (-np.einsum("iP,ab->iaPb", E3, cm.Q), "B")]
 
 
-def _dens_S_G(cm, lowered: bool):
-    """S(G)^al = eps^{ijk}(D_i beta_{jk} + A_i act beta_{jk}) (6-term form)."""
-    d = Density((cm.q,))
-    met = cm.qf if lowered else np.eye(cm.q)
-    acts = cm.actlow if lowered else cm.act
-    for al in range(cm.q):
-        terms = []
-        for i in range(3):
-            for P in range(3):
-                s = 2.0 * S3[i, P]
-                if not s:
-                    continue
-                for be in range(cm.q):
-                    if _nz(met[al, be]):
-                        terms.append(term(s * met[al, be], ("be", (P, be), i)))
-                for a in range(cm.p):
-                    for ga in range(cm.q):
-                        c = s * acts[al, a, ga]
-                        if _nz(c):
-                            terms.append(term(c, ("A", (i, a)), ("be", (P, ga))))
-        d.add((al,), terms)
-    return d
+def _chi_beta(cm):
+    """P(beta)_al^{jk} = pi(beta)_al^{jk} + eps^{ljk} q_{al be} C^be_l."""
+    return [(identity((3, cm.q)), "pbe"),
+            (np.einsum("lP,xy->Pxly", E3, cm.qf), "C")]
 
 
-def _dens_S_CB(cm):
-    """S(CB)_{al ij} = cov curl of C minus del . B, on stored pairs."""
-    d = Density((3, cm.q))
-    for P, (j, k) in enumerate(P3):
-        for al in range(cm.q):
-            terms = []
-            for be in range(cm.q):
-                if _nz(cm.qf[al, be]):
-                    terms.append(term(cm.qf[al, be], ("C", (k, be), j)))
-                    terms.append(term(-cm.qf[al, be], ("C", (j, be), k)))
-            for a in range(cm.p):
-                for ga in range(cm.q):
-                    c = cm.actlow[al, a, ga]
-                    if _nz(c):
-                        terms.append(term(c, ("A", (j, a)), ("C", (k, ga))))
-                        terms.append(term(-c, ("A", (k, a)), ("C", (j, ga))))
-            for b in range(cm.p):
-                if _nz(cm.dlow[al, b]):
-                    terms.append(term(-cm.dlow[al, b], ("B", (P, b))))
-            d.add((P, al), terms)
-    return d
+def _S_H(cm, lowered):
+    """S(H)^a_jk = D_j A^a_k - D_k A^a_j + f^a_bc A^b_j A^c_k
+    - del_al^a beta^al_jk, or its Q-lowered form (Q, flow, dlow)."""
+    met, f, d = ((cm.Q, cm.flow, cm.dlow) if lowered
+                 else (np.eye(cm.p), cm.f, cm.del_))
+    return [(np.einsum("Pdk,ab->Padkb", PAIR, met), "dA"),
+            (0.5 * np.einsum("Pjk,abc->Pajbkc", PAIR, f), "A", "A"),
+            (-np.einsum("PQ,xa->PaQx", I3, d), "be")]
 
 
-def _dens_S_BCb(cm):
-    """S(BCbeta)_a = 1/2 eps^{ijk}(nabla_i B_{a jk} - C act beta)."""
-    d = Density((cm.p,))
-    for a in range(cm.p):
-        terms = []
-        for i in range(3):
-            for P in range(3):
-                s = S3[i, P]
-                if not s:
-                    continue
-                for b in range(cm.p):
-                    if _nz(cm.Q[a, b]):
-                        terms.append(term(s * cm.Q[a, b], ("B", (P, b), i)))
-                for b in range(cm.p):
-                    for c in range(cm.p):
-                        if _nz(cm.flow[a, b, c]):
-                            terms.append(term(s * cm.flow[a, b, c],
-                                              ("A", (i, b)), ("B", (P, c))))
-                for ga in range(cm.q):
-                    for be in range(cm.q):
-                        c = -s * cm.actlow[ga, a, be]
-                        if _nz(c):
-                            terms.append(term(c, ("C", (i, ga)), ("be", (P, be))))
-        d.add((a,), terms)
-    return d
+def _S_G(cm, lowered):
+    """S(G)^al = eps^{ijk} (D_i beta^al_jk + act^al_{a ga} A^a_i beta^ga_jk),
+    or its q-lowered form (qf, actlow)."""
+    met, act = (cm.qf, cm.actlow) if lowered else (np.eye(cm.q), cm.act)
+    return [(2 * np.einsum("iP,xy->xiPy", E3, met), "dbe"),
+            (2 * np.einsum("iP,xag->xiaPg", E3, act), "A", "be")]
+
+
+def _S_CB(cm):
+    """S(CB)_{al jk} = q_{al be} (D_j C^be_k - D_k C^be_j)
+    + act_{al a ga} (A^a_j C^ga_k - A^a_k C^ga_j) - del_{al b} B^b_jk."""
+    return [(np.einsum("Pdk,xy->Pxdky", PAIR, cm.qf), "dC"),
+            (np.einsum("Pjk,xag->Pxjakg", PAIR, cm.actlow), "A", "C"),
+            (-np.einsum("PQ,xb->PxQb", I3, cm.dlow), "B")]
+
+
+def _S_BCb(cm):
+    """S(BCbeta)_a = 1/2 eps^{ijk} (Q_ab D_i B^b_jk + f_{abc} A^b_i B^c_jk
+    - act_{ga a be} C^ga_i beta^be_jk)."""
+    return [(np.einsum("iP,ab->aiPb", E3, cm.Q), "dB"),
+            (np.einsum("iP,abc->aibPc", E3, cm.flow), "A", "B"),
+            (-np.einsum("iP,gab->aigPb", E3, cm.actlow), "C", "be")]
 
 
 # ---------------------------------------------------------------------------
 # first-class completions
 # ---------------------------------------------------------------------------
 
-def _dens_phi_H(cm):
-    d = Density((3, cm.p))
-    SHlow = _dens_S_H(cm, lowered=True)
-    for i in range(3):
-        for a in range(cm.p):
-            terms = []
-            for P in range(3):
-                s = S3[i, P]
-                if s:
-                    terms.extend(scale_terms(SHlow.per_comp[(P, a)], s))
-            for j in range(3):
-                if j == i:
-                    continue
-                Pij, sig = PIDX3[(i, j)]
-                terms.append(term(-sig, ("pB", (Pij, a), j)))
-                for c in range(cm.p):
-                    for b in range(cm.p):
-                        cf = -sig * cm.f[c, a, b]
-                        if _nz(cf):
-                            terms.append(term(cf, ("A", (j, b)), ("pB", (Pij, c))))
-            for al in range(cm.q):
-                if _nz(cm.dup[al, a]):
-                    terms.append(term(-cm.dup[al, a], ("pC", (i, al))))
-            d.add((i, a), terms)
-    return d
+def _phi_H(cm):
+    return _eps_dual(_S_H(cm, lowered=True)) + [
+        (-np.einsum("Pid,ac->iadPc", PAIR, np.eye(cm.p)), "dpB"),
+        (-np.einsum("Pij,cab->iajbPc", PAIR, cm.f), "A", "pB"),
+        (-np.einsum("ik,ga->iakg", I3, cm.dup), "pC")]
 
 
-def _dens_phi_G(cm):
-    d = Density((cm.q,))
-    SGlow = _dens_S_G(cm, lowered=True)
-    for al in range(cm.q):
-        terms = list(SGlow.per_comp[(al,)])
-        for k in range(3):
-            terms.append(term(2.0, ("pC", (k, al), k)))
-            for a in range(cm.p):
-                for de in range(cm.q):
-                    c = 2.0 * cm.actmix[al, a, de]
-                    if _nz(c):
-                        terms.append(term(c, ("A", (k, a)), ("pC", (k, de))))
-        for P in range(3):
-            for e in range(cm.p):
-                for de in range(cm.q):
-                    c = -2.0 * cm.actQ[al, e, de]
-                    if _nz(c):
-                        terms.append(term(c, ("be", (P, de)), ("pB", (P, e))))
-        d.add((al,), terms)
-    return d
+def _phi_G(cm):
+    return _S_G(cm, lowered=True) + [
+        (2 * np.einsum("dk,xy->xdky", I3, np.eye(cm.q)), "dpC"),
+        (2 * np.einsum("jk,xad->xjakd", I3, cm.actmix), "A", "pC"),
+        (-2 * np.einsum("PQ,xed->xPdQe", I3, cm.actQ), "be", "pB")]
 
 
-def _dens_phi_CB(cm):
-    d = Density((3, cm.q))
-    SCB = _dens_S_CB(cm)
-    for k in range(3):
-        for al in range(cm.q):
-            terms = []
-            for P in range(3):
-                s = S3[k, P]
-                if s:
-                    terms.extend(scale_terms(SCB.per_comp[(P, al)], s))
-            for j in range(3):
-                if j == k:
-                    continue
-                Pjk, sig = PIDX3[(j, k)]
-                l = _dual(Pjk)
-                terms.append(term(sig, ("pbe", (Pjk, al), j)))
-                for be in range(cm.q):
-                    c = sig * S3[l, Pjk] * cm.qf[al, be]
-                    if _nz(c):
-                        terms.append(term(c, ("C", (l, be), j)))
-                for a in range(cm.p):
-                    for de in range(cm.q):
-                        c = sig * cm.actmix[al, a, de]
-                        if _nz(c):
-                            terms.append(term(c, ("A", (j, a)), ("pbe", (Pjk, de))))
-                    for ga in range(cm.q):
-                        c = sig * S3[l, Pjk] * cm.actlow[al, a, ga]
-                        if _nz(c):
-                            terms.append(term(c, ("A", (j, a)), ("C", (l, ga))))
-            for a in range(cm.p):
-                if _nz(cm.del_[al, a]):
-                    terms.append(term(-cm.del_[al, a], ("pA", (k, a))))
-            for P in range(3):
-                s = S3[k, P]
-                if not s:
-                    continue
-                for b in range(cm.p):
-                    if _nz(cm.dlow[al, b]):
-                        terms.append(term(s * cm.dlow[al, b], ("B", (P, b))))
-            for m in range(3):
-                if m == k:
-                    continue
-                Pmk, sig = PIDX3[(m, k)]
-                for e in range(cm.p):
-                    for de in range(cm.q):
-                        c = -sig * cm.actQ[al, e, de]
-                        if _nz(c):
-                            terms.append(term(c, ("C", (m, de)), ("pB", (Pmk, e))))
-            d.add((k, al), terms)
-    return d
+def _phi_CB(cm):
+    return _eps_dual(_S_CB(cm)) + [
+        (np.einsum("Pdk,xy->kxdPy", PAIR, np.eye(cm.q)), "dpbe"),
+        (np.einsum("Pdk,lP,xy->kxdly", PAIR, E3, cm.qf), "dC"),
+        (np.einsum("Pjk,xad->kxjaPd", PAIR, cm.actmix), "A", "pbe"),
+        (np.einsum("Pjk,lP,xag->kxjalg", PAIR, E3, cm.actlow), "A", "C"),
+        (-np.einsum("kj,xa->kxja", I3, cm.del_), "pA"),
+        (np.einsum("kP,xb->kxPb", E3, cm.dlow), "B"),
+        (-np.einsum("Pmk,xed->kxmdPe", PAIR, cm.actQ), "C", "pB")]
 
 
-def _dens_phi_BCb(cm):
-    d = Density((cm.p,))
-    SBCb = _dens_S_BCb(cm)
-    for a in range(cm.p):
-        terms = list(SBCb.per_comp[(a,)])
-        for i in range(3):
-            terms.append(term(1.0, ("pA", (i, a), i)))
-            for P in range(3):
-                s = S3[i, P]
-                if not s:
-                    continue
-                for b in range(cm.p):
-                    if _nz(cm.Q[a, b]):
-                        terms.append(term(-s * cm.Q[a, b], ("B", (P, b), i)))
-            for c in range(cm.p):
-                for b in range(cm.p):
-                    if _nz(cm.f[c, a, b]):
-                        terms.append(term(cm.f[c, a, b], ("A", (i, b)), ("pA", (i, c))))
-                        for P in range(3):
-                            s = S3[i, P]
-                            if not s:
-                                continue
-                            for dd in range(cm.p):
-                                cf = -cm.f[c, a, b] * s * cm.Q[c, dd]
-                                if _nz(cf):
-                                    terms.append(term(cf, ("A", (i, b)), ("B", (P, dd))))
-        for P in range(3):
-            for e in range(cm.p):
-                for dd in range(cm.p):
-                    if _nz(cm.f[e, a, dd]):
-                        terms.append(term(cm.f[e, a, dd], ("B", (P, dd)), ("pB", (P, e))))
-        for k in range(3):
-            for al in range(cm.q):
-                for ga in range(cm.q):
-                    if _nz(cm.act[al, a, ga]):
-                        terms.append(term(cm.act[al, a, ga],
-                                          ("C", (k, ga)), ("pC", (k, al))))
-        for P in range(3):
-            l = _dual(P)
-            for al in range(cm.q):
-                for be in range(cm.q):
-                    c = cm.act[al, a, be]
-                    if not _nz(c):
-                        continue
-                    terms.append(term(c, ("be", (P, be)), ("pbe", (P, al))))
-                    for ga in range(cm.q):
-                        cf = c * S3[l, P] * cm.qf[al, ga]
-                        if _nz(cf):
-                            terms.append(term(cf, ("be", (P, be)), ("C", (l, ga))))
-        d.add((a,), terms)
-    return d
+def _phi_BCb(cm):
+    return _S_BCb(cm) + [
+        (np.einsum("di,ab->adib", I3, np.eye(cm.p)), "dpA"),
+        (-np.einsum("dP,ab->adPb", E3, cm.Q), "dB"),
+        (np.einsum("ij,cab->aibjc", I3, cm.f), "A", "pA"),
+        (-np.einsum("iP,cab,cd->aibPd", E3, cm.f, cm.Q), "A", "B"),
+        (np.einsum("PQ,ead->aPdQe", I3, cm.f), "B", "pB"),
+        (np.einsum("kl,xag->akglx", I3, cm.act), "C", "pC"),
+        (np.einsum("PQ,xab->aPbQx", I3, cm.act), "be", "pbe"),
+        (np.einsum("xab,lP,xg->aPblg", cm.act, E3, cm.qf), "be", "C")]
 
 
 # ---------------------------------------------------------------------------
-# family registry
+# canonical Hamiltonian and determined multipliers
 # ---------------------------------------------------------------------------
 
-def _build_family(cm, name: str) -> Density:
-    p, q = cm.p, cm.q
-    if name == "P(B)_0i" or name == "phi(B)":
-        return _dens_momentum("pB0", (3, p))
-    if name == "P(B)_jk" or name == "chi(B)":
-        return _dens_momentum("pB", (3, p))
-    if name == "P(C)_0" or name == "phi(C)":
-        return _dens_momentum("pC0", (q,))
-    if name == "P(C)_k" or name == "chi(C)":
-        return _dens_momentum("pC", (3, q))
-    if name == "P(A)_0" or name == "phi(A)":
-        return _dens_momentum("pA0", (p,))
-    if name == "P(A)_i" or name == "chi(A)":
-        return _dens_P_A(cm)
-    if name == "P(beta)_0i" or name == "phi(beta)":
-        return _dens_momentum("pbe0", (3, q))
-    if name == "P(beta)_jk" or name == "chi(beta)":
-        return _dens_P_be(cm)
-    if name == "S(H)":
-        return _dens_S_H(cm, lowered=False)
-    if name == "S(H)_low":
-        return _dens_S_H(cm, lowered=True)
-    if name == "S(G)":
-        return _dens_S_G(cm, lowered=False)
-    if name == "S(G)_low":
-        return _dens_S_G(cm, lowered=True)
-    if name == "S(CB)":
-        return _dens_S_CB(cm)
-    if name == "S(BCbeta)":
-        return _dens_S_BCb(cm)
-    if name == "phi(H)":
-        return _dens_phi_H(cm)
-    if name == "phi(G)":
-        return _dens_phi_G(cm)
-    if name == "phi(CB)":
-        return _dens_phi_CB(cm)
-    if name == "phi(BCbeta)":
-        return _dens_phi_BCb(cm)
-    raise KeyError(f"unknown constraint family {name!r}")
+def _H_c(cm):
+    return (_times(_S_H(cm, lowered=False),
+                   -np.einsum("iP,ab->Paib", E3, cm.Q), "B0")
+            + _times(_S_G(cm, lowered=False), -cm.qf, "C0")
+            + _times(_S_CB(cm), -np.einsum("kP,xy->Pxky", E3, np.eye(cm.q)),
+                     "be0")
+            + _times(_S_BCb(cm), -np.eye(cm.p), "A0"))
 
+
+def _lam_A(cm):
+    return [(np.einsum("di,ab->iadb", I3, np.eye(cm.p)), "dA0"),
+            (np.einsum("ij,abc->iajbc", I3, cm.f), "A", "A0"),
+            (np.einsum("ij,ga->iajg", I3, cm.del_), "be0")]
+
+
+def _lam_beta(cm):
+    return [(np.einsum("Pdk,xy->Pxdky", PAIR, np.eye(cm.q)), "dbe0"),
+            (np.einsum("Pjk,xag->Pxjakg", PAIR, cm.act), "A", "be0"),
+            (-np.einsum("PQ,xab->PxaQb", I3, cm.act), "A0", "be")]
+
+
+def _lam_C(cm):
+    return [(2 * np.einsum("dk,xy->kxdy", I3, np.eye(cm.q)), "dC0"),
+            (2 * np.einsum("kj,xag->kxjag", I3, cm.act), "A", "C0"),
+            (-np.einsum("kj,xag->kxajg", I3, cm.act), "A0", "C"),
+            (np.einsum("kj,xa->kxja", I3, cm.dup), "B0")]
+
+
+def _lam_B(cm):
+    return [(np.einsum("Pdn,ab->Padnb", PAIR, np.eye(cm.p)), "dB0"),
+            (np.einsum("Pmn,abc->Pambnc", PAIR, cm.f), "A", "B0"),
+            (2 * np.einsum("PQ,ead->PaeQd", I3, cm.actQ), "C0", "be"),
+            (np.einsum("Pmn,gad->Pamdng", PAIR, cm.actQ), "C", "be0"),
+            (-np.einsum("PQ,abd->PabQd", I3, cm.f), "A0", "B")]
+
+
+# ---------------------------------------------------------------------------
+# registry: name -> (free-component shape, tensor terms)
+# ---------------------------------------------------------------------------
+
+_REGISTRY = {
+    "P(B)_0i": ("3p", _momentum("pB0")),
+    "P(B)_jk": ("3p", _momentum("pB")),
+    "P(C)_0": ("q", _momentum("pC0")),
+    "P(C)_k": ("3q", _momentum("pC")),
+    "P(A)_0": ("p", _momentum("pA0")),
+    "P(A)_i": ("3p", _chi_A),
+    "P(beta)_0i": ("3q", _momentum("pbe0")),
+    "P(beta)_jk": ("3q", _chi_beta),
+    "S(H)": ("3p", lambda cm: _S_H(cm, lowered=False)),
+    "S(H)_low": ("3p", lambda cm: _S_H(cm, lowered=True)),
+    "S(G)": ("q", lambda cm: _S_G(cm, lowered=False)),
+    "S(G)_low": ("q", lambda cm: _S_G(cm, lowered=True)),
+    "S(CB)": ("3q", _S_CB),
+    "S(BCbeta)": ("p", _S_BCb),
+    "phi(H)": ("3p", _phi_H),
+    "phi(G)": ("q", _phi_G),
+    "phi(CB)": ("3q", _phi_CB),
+    "phi(BCbeta)": ("p", _phi_BCb),
+    "lam(A)": ("3p", _lam_A),
+    "lam(beta)": ("3q", _lam_beta),
+    "lam(C)": ("3q", _lam_C),
+    "lam(B)": ("3p", _lam_B),
+    "H_c": ("", _H_c),
+}
+_REGISTRY.update({alias: _REGISTRY[name] for alias, name in (
+    ("phi(B)", "P(B)_0i"), ("phi(C)", "P(C)_0"), ("phi(beta)", "P(beta)_0i"),
+    ("phi(A)", "P(A)_0"), ("chi(B)", "P(B)_jk"), ("chi(C)", "P(C)_k"),
+    ("chi(A)", "P(A)_i"), ("chi(beta)", "P(beta)_jk"))})
 
 FAMILIES = (
     "P(B)_0i", "P(B)_jk", "P(C)_0", "P(C)_k", "P(A)_0", "P(A)_i",
@@ -451,24 +289,35 @@ FAMILIES = (
     "chi(B)", "chi(C)", "chi(A)", "chi(beta)",
 )
 
+# determined multiplier family -> the spatial primary it multiplies in H_T
+_LAM_PRIMARY = (("lam(A)", "P(A)_i"), ("lam(beta)", "P(beta)_jk"),
+                ("lam(C)", "P(C)_k"), ("lam(B)", "P(B)_jk"))
 
-def FAMILY_SHAPES(cm) -> dict:
-    p, q = cm.p, cm.q
-    return {
-        "P(B)_0i": (3, p), "P(B)_jk": (3, p), "P(C)_0": (q,), "P(C)_k": (3, q),
-        "P(A)_0": (p,), "P(A)_i": (3, p), "P(beta)_0i": (3, q),
-        "P(beta)_jk": (3, q),
-        "S(H)": (3, p), "S(G)": (q,), "S(CB)": (3, q), "S(BCbeta)": (p,),
-        "phi(B)": (3, p), "phi(C)": (q,), "phi(beta)": (3, q), "phi(A)": (p,),
-        "phi(H)": (3, p), "phi(G)": (q,), "phi(CB)": (3, q), "phi(BCbeta)": (p,),
-        "chi(B)": (3, p), "chi(C)": (3, q), "chi(A)": (3, p), "chi(beta)": (3, q),
-    }
+# free temporal multiplier (lamA0, lamB0, lamC0, lambe0 in that order) ->
+# (temporal field it pairs with, primary it multiplies)
+_FREE = (("A0", "P(A)_0"), ("B0", "P(B)_0i"), ("C0", "P(C)_0"),
+         ("be0", "P(beta)_0i"))
+
+
+def family_shape(cm, name: str) -> tuple:
+    """Free-component shape of a registered density."""
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown constraint family {name!r}")
+    return tuple(3 if c == "3" else getattr(cm, c) for c in _REGISTRY[name][0])
 
 
 def constraint_density(cm, name: str) -> Density:
+    """Compressed monomial density of a registered family, cached per module.
+
+    Besides FAMILIES this builds S(H)_low, S(G)_low, the determined
+    multipliers lam(A), lam(beta), lam(C), lam(B) and H_c.
+    """
     key = ("density", name)
     if key not in cm._cache:
-        cm._cache[key] = _build_family(cm, name).compress()
+        shape = family_shape(cm, name)
+        terms = _REGISTRY[name][1](cm)
+        cm._cache[key] = tensor_density(
+            shape, *[(c, *map(_factor, fs)) for c, *fs in terms])
     return cm._cache[key]
 
 
@@ -492,6 +341,13 @@ def gauge_fixed_density(cm, name: str) -> Density:
     key = ("gf_density", name)
     if key in cm._cache:
         return cm._cache[key]
+    subs = {}  # (block, comp) -> [(coeff, momentum block, comp), ...]
+    for block, mom, T in (
+            ("B", "pA", np.einsum("lP,bc->Pblc", E3, cm.Qinv)),
+            ("C", "pbe", -np.einsum("mP,gd->mgPd", E3, cm.qfinv))):
+        for old in np.ndindex(*T.shape[:2]):
+            subs[(block, old)] = [(float(T[old][new]), mom, new) for new in
+                                  map(tuple, np.argwhere(T[old]).tolist())]
     src = constraint_density(cm, name)
     out = Density(src.comp_shape)
     for fc, terms in src.items():
@@ -499,26 +355,10 @@ def gauge_fixed_density(cm, name: str) -> Density:
         for coeff, factors in terms:
             expanded = [(coeff, ())]
             for block, comp, dax in factors:
-                subs = []
-                if block == "B":
-                    P, b = comp
-                    dP = _dual(P)
-                    for c in range(cm.p):
-                        cf = S3[dP, P] * cm.Qinv[b, c]
-                        if _nz(cf):
-                            subs.append((cf, ("pA", (dP, c), dax)))
-                elif block == "C":
-                    m, ga = comp
-                    Pm = next(Pi for Pi, pr in enumerate(P3) if m not in pr)
-                    for de in range(cm.q):
-                        cf = -S3[m, Pm] * cm.qfinv[ga, de]
-                        if _nz(cf):
-                            subs.append((cf, ("pbe", (Pm, de), dax)))
-                else:
-                    subs = [(1.0, (block, comp, dax))]
-                expanded = [(c0 * cs, f0 + (fs,))
-                            for c0, f0 in expanded for cs, fs in subs]
-            new_terms.extend((c0, f0) for c0, f0 in expanded if _nz(c0))
+                alts = subs.get((block, comp), [(1.0, block, comp)])
+                expanded = [(c0 * cs, f0 + ((blk, new, dax),))
+                            for c0, f0 in expanded for cs, blk, new in alts]
+            new_terms.extend(expanded)
         out.add(fc, new_terms)
     out.compress()
     cm._cache[key] = out
@@ -531,47 +371,7 @@ def gauge_fixed_density(cm, name: str) -> Density:
 
 def hamiltonian_density(cm) -> Density:
     """Scalar density of the canonical (velocity-free) Hamiltonian H_c."""
-    key = ("density", "H_c")
-    if key in cm._cache:
-        return cm._cache[key]
-    d = Density(())
-    SH = constraint_density(cm, "S(H)")
-    SG = constraint_density(cm, "S(G)")
-    SCB = constraint_density(cm, "S(CB)")
-    SBCb = constraint_density(cm, "S(BCbeta)")
-    terms = []
-    for i in range(3):
-        for P in range(3):
-            s = S3[i, P]
-            if not s:
-                continue
-            for a in range(cm.p):
-                for b in range(cm.p):
-                    c = -s * cm.Q[a, b]
-                    if _nz(c):
-                        terms.extend(mul_terms(
-                            SH.per_comp[(P, a)], [term(1.0, ("B0", (i, b)))], c))
-    for al in range(cm.q):
-        for be in range(cm.q):
-            c = -cm.qf[al, be]
-            if _nz(c):
-                terms.extend(mul_terms(
-                    SG.per_comp[(al,)], [term(1.0, ("C0", (be,)))], c))
-    for k in range(3):
-        for P in range(3):
-            s = S3[k, P]
-            if not s:
-                continue
-            for al in range(cm.q):
-                terms.extend(mul_terms(
-                    SCB.per_comp[(P, al)], [term(1.0, ("be0", (k, al)))], -s))
-    for a in range(cm.p):
-        terms.extend(mul_terms(
-            SBCb.per_comp[(a,)], [term(1.0, ("A0", (a,)))], -1.0))
-    d.add((), terms)
-    d.compress()
-    cm._cache[key] = d
-    return d
+    return constraint_density(cm, "H_c")
 
 
 def canonical_hamiltonian(cm, point: PhasePoint) -> float:
@@ -579,100 +379,27 @@ def canonical_hamiltonian(cm, point: PhasePoint) -> float:
     return fn.value(point.blocks)
 
 
-def _dens_lam_A(cm):
-    d = Density((3, cm.p))
-    for i in range(3):
-        for a in range(cm.p):
-            terms = [term(1.0, ("A0", (a,), i))]
-            for b in range(cm.p):
-                for c in range(cm.p):
-                    if _nz(cm.f[a, b, c]):
-                        terms.append(term(cm.f[a, b, c], ("A", (i, b)), ("A0", (c,))))
-            for ga in range(cm.q):
-                if _nz(cm.del_[ga, a]):
-                    terms.append(term(cm.del_[ga, a], ("be0", (i, ga))))
-            d.add((i, a), terms)
-    return d
+def _free_multipliers(cm, lattice: Lattice, arrays):
+    """Per-site arrays of the free temporal multipliers, in _FREE order.
 
-
-def _dens_lam_be(cm):
-    d = Density((3, cm.q))
-    for P, (j, k) in enumerate(P3):
-        for al in range(cm.q):
-            terms = [term(1.0, ("be0", (k, al), j)), term(-1.0, ("be0", (j, al), k))]
-            for a in range(cm.p):
-                for ga in range(cm.q):
-                    c = cm.act[al, a, ga]
-                    if _nz(c):
-                        terms.append(term(c, ("A", (j, a)), ("be0", (k, ga))))
-                        terms.append(term(-c, ("A", (k, a)), ("be0", (j, ga))))
-                for be in range(cm.q):
-                    c = cm.act[al, a, be]
-                    if _nz(c):
-                        terms.append(term(-c, ("A0", (a,)), ("be", (P, be))))
-            d.add((P, al), terms)
-    return d
-
-
-def _dens_lam_C(cm):
-    d = Density((3, cm.q))
-    for k in range(3):
-        for al in range(cm.q):
-            terms = [term(2.0, ("C0", (al,), k))]
-            for a in range(cm.p):
-                for ga in range(cm.q):
-                    c = cm.act[al, a, ga]
-                    if _nz(c):
-                        terms.append(term(2.0 * c, ("A", (k, a)), ("C0", (ga,))))
-                        terms.append(term(-c, ("A0", (a,)), ("C", (k, ga))))
-                if _nz(cm.dup[al, a]):
-                    terms.append(term(cm.dup[al, a], ("B0", (k, a))))
-            d.add((k, al), terms)
-    return d
-
-
-def _dens_lam_B(cm):
-    d = Density((3, cm.p))
-    for P, (m, n) in enumerate(P3):
-        for a in range(cm.p):
-            terms = [term(1.0, ("B0", (n, a), m)), term(-1.0, ("B0", (m, a), n))]
-            for b in range(cm.p):
-                for c in range(cm.p):
-                    if _nz(cm.f[a, b, c]):
-                        terms.append(term(cm.f[a, b, c], ("A", (m, b)), ("B0", (n, c))))
-                        terms.append(term(-cm.f[a, b, c], ("A", (n, b)), ("B0", (m, c))))
-            for ep in range(cm.q):
-                for de in range(cm.q):
-                    c = 2.0 * cm.actQ[ep, a, de]
-                    if _nz(c):
-                        terms.append(term(c, ("C0", (ep,)), ("be", (P, de))))
-            for ga in range(cm.q):
-                for de in range(cm.q):
-                    c = cm.actQ[ga, a, de]
-                    if _nz(c):
-                        terms.append(term(c, ("C", (m, de)), ("be0", (n, ga))))
-                        terms.append(term(-c, ("C", (n, de)), ("be0", (m, ga))))
-            for b in range(cm.p):
-                for dd in range(cm.p):
-                    if _nz(cm.f[a, b, dd]):
-                        terms.append(term(-cm.f[a, b, dd], ("A0", (b,)), ("B", (P, dd))))
-            d.add((P, a), terms)
-    return d
-
-
-_LAM_BUILDERS = {
-    "A": (_dens_lam_A, "P(A)_i"),
-    "beta": (_dens_lam_be, "P(beta)_jk"),
-    "C": (_dens_lam_C, "P(C)_k"),
-    "B": (_dens_lam_B, "P(B)_jk"),
-}
-
-
-def _lam_density(cm, which: str) -> Density:
-    key = ("density", f"lam({which})")
-    if key not in cm._cache:
-        cm._cache[key] = _LAM_BUILDERS[which][0](cm).compress()
-    return cm._cache[key]
+    Each input is None (kept as None), a per-site array of shape
+    comp + lattice.shape, or a constant of component shape comp, broadcast
+    over the sites; any other shape raises ValueError.
+    """
+    out = []
+    for (_, fam), arr in zip(_FREE, arrays):
+        if arr is not None:
+            comp = family_shape(cm, fam)
+            full = comp + lattice.shape
+            arr = np.asarray(arr, dtype=float)
+            if arr.shape == comp:
+                arr = np.broadcast_to(
+                    arr.reshape(comp + (1,) * lattice.D), full).copy()
+            elif arr.shape != full:
+                raise ValueError(f"free multiplier has shape {arr.shape}, "
+                                 f"expected {comp} or {full}")
+        out.append(arr)
+    return out
 
 
 @dataclass
@@ -693,29 +420,16 @@ def determine_multipliers(cm, point: PhasePoint, lamA0=None, lamB0=None,
                           lamC0=None, lambe0=None) -> MultiplierSet:
     """Fill the spatial multipliers from their closed forms.
 
-    Temporal components are free inputs (default zero).
+    Temporal components are free inputs (default zero), per site or constant.
     """
     lat = point.lattice
-    shape = lat.shape
-
-    def _free(arr, comp):
-        if arr is None:
-            return np.zeros(comp + shape)
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != comp + shape:
-            raise ValueError(f"free multiplier has shape {arr.shape}")
-        return arr
-
-    return MultiplierSet(
-        lamA=evaluate_density(_lam_density(cm, "A"), point.blocks, lat),
-        lamB=evaluate_density(_lam_density(cm, "B"), point.blocks, lat),
-        lamC=evaluate_density(_lam_density(cm, "C"), point.blocks, lat),
-        lambe=evaluate_density(_lam_density(cm, "beta"), point.blocks, lat),
-        lamA0=_free(lamA0, (cm.p,)),
-        lamB0=_free(lamB0, (3, cm.p)),
-        lamC0=_free(lamC0, (cm.q,)),
-        lambe0=_free(lambe0, (3, cm.q)),
-    )
+    free = _free_multipliers(cm, lat, (lamA0, lamB0, lamC0, lambe0))
+    free = [np.zeros(family_shape(cm, fam) + lat.shape) if arr is None else arr
+            for (_, fam), arr in zip(_FREE, free)]
+    lam = {name: evaluate_constraint(cm, name, point)
+           for name, _ in _LAM_PRIMARY}
+    return MultiplierSet(lam["lam(A)"], lam["lam(B)"], lam["lam(C)"],
+                         lam["lam(beta)"], *free)
 
 
 def total_hamiltonian_functional(cm, lattice: Lattice, lamA0=None, lamB0=None,
@@ -727,44 +441,16 @@ def total_hamiltonian_functional(cm, lattice: Lattice, lamA0=None, lamB0=None,
     temporal multipliers enter as fixed weight arrays.
     """
     entries = list(smear(hamiltonian_density(cm), None, lattice).entries)
-    for which, (_, pfam) in _LAM_BUILDERS.items():
-        lam = _lam_density(cm, which)
+    for lam_name, pfam in _LAM_PRIMARY:
         pdens = constraint_density(cm, pfam)
-        for fc, lterms in lam.items():
+        for fc, lterms in constraint_density(cm, lam_name).items():
             prod = mul_terms(lterms, pdens.per_comp[fc])
             entries.extend((c, None, f) for c, f in prod)
-    shape = lattice.shape
-    p, q = cm.p, cm.q
-
-    def _weight(arr, comp):
-        if arr is None:
-            return None
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape == comp:
-            arr = np.broadcast_to(
-                arr.reshape(comp + (1, 1, 1)), comp + shape).copy()
-        if arr.shape != comp + shape:
-            raise ValueError(f"free multiplier has shape {arr.shape}")
-        return arr
-
-    lamA0 = _weight(lamA0, (p,))
-    lamB0 = _weight(lamB0, (3, p))
-    lamC0 = _weight(lamC0, (q,))
-    lambe0 = _weight(lambe0, (3, q))
-    if lamA0 is not None:
-        for a in range(p):
-            entries.append((1.0, lamA0[a], term(1.0, ("pA0", (a,)))[1]))
-    if lamB0 is not None:
-        for i in range(3):
-            for a in range(p):
-                entries.append((1.0, lamB0[i, a], term(1.0, ("pB0", (i, a)))[1]))
-    if lamC0 is not None:
-        for al in range(q):
-            entries.append((1.0, lamC0[al], term(1.0, ("pC0", (al,)))[1]))
-    if lambe0 is not None:
-        for i in range(3):
-            for al in range(q):
-                entries.append((1.0, lambe0[i, al], term(1.0, ("pbe0", (i, al)))[1]))
+    free = _free_multipliers(cm, lattice, (lamA0, lamB0, lamC0, lambe0))
+    for (_, fam), weight in zip(_FREE, free):
+        if weight is not None:
+            entries.extend(
+                smear(constraint_density(cm, fam), weight, lattice).entries)
     return LocalFunctional(lattice, entries)
 
 
@@ -783,38 +469,14 @@ def regrouping_residual(cm, point: PhasePoint, lamA0=None, lamB0=None,
     every first-class density; it holds to machine precision.
     """
     lat = point.lattice
-    a3 = lat.a ** 3
     ht = total_hamiltonian(cm, point, lamA0, lamB0, lamC0, lambe0)
     blocks = point.blocks
-    phiH = evaluate_constraint(cm, "phi(H)", point)
-    phiG = evaluate_constraint(cm, "phi(G)", point)
-    phiCB = evaluate_constraint(cm, "phi(CB)", point)
-    phiBCb = evaluate_constraint(cm, "phi(BCbeta)", point)
     rhs = 0.0
-    rhs -= float(np.sum(blocks["B0"] * phiH))
-    rhs -= float(np.sum(blocks["C0"] * phiG))
-    rhs -= float(np.sum(blocks["be0"] * phiCB))
-    rhs -= float(np.sum(blocks["A0"] * phiBCb))
-
-    def _w(arr, comp):
-        if arr is None:
-            return None
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape == comp:
-            arr = np.broadcast_to(arr.reshape(comp + (1, 1, 1)),
-                                  comp + lat.shape)
-        return arr
-
-    wA = _w(lamA0, (cm.p,))
-    if wA is not None:
-        rhs += float(np.sum(wA * blocks["pA0"]))
-    wB = _w(lamB0, (3, cm.p))
-    if wB is not None:
-        rhs += float(np.sum(wB * blocks["pB0"]))
-    wC = _w(lamC0, (cm.q,))
-    if wC is not None:
-        rhs += float(np.sum(wC * blocks["pC0"]))
-    wbe = _w(lambe0, (3, cm.q))
-    if wbe is not None:
-        rhs += float(np.sum(wbe * blocks["pbe0"]))
-    return abs(ht - a3 * rhs)
+    for field, phi in (("B0", "phi(H)"), ("C0", "phi(G)"), ("be0", "phi(CB)"),
+                       ("A0", "phi(BCbeta)")):
+        rhs -= float(np.sum(blocks[field] * evaluate_constraint(cm, phi, point)))
+    free = _free_multipliers(cm, lat, (lamA0, lamB0, lamC0, lambe0))
+    for (field, _), weight in zip(_FREE, free):
+        if weight is not None:
+            rhs += float(np.sum(weight * blocks["p" + field]))
+    return abs(ht - lat.a ** 3 * rhs)

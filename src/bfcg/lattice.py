@@ -157,6 +157,19 @@ def pair_sign_table():
 EPS3_PAIR = pair_sign_table()  # EPS3_PAIR[i, P] = eps^{i,j,k}, P=(j,k) stored
 
 
+def _pair_tensor():
+    out = np.zeros((3, 3, 3))
+    for (j, k), (P, s) in pair_index(3).items():
+        out[P, j, k] = s
+    return out
+
+
+# PAIR[P, j, k] = +1 for the stored pair P = (j, k), -1 for (k, j), else 0, so
+# sum_{jk} PAIR[P, j, k] X_{jk} = X_{jk} - X_{kj} on P, and
+# eps^{ijk} = sum_P EPS3_PAIR[i, P] PAIR[P, j, k].
+PAIR = _pair_tensor()
+
+
 def eps4(perm) -> float:
     """Sign of a 4-permutation of (0,1,2,3); 0 if repeated entries."""
     perm = list(perm)

@@ -2,7 +2,8 @@
 
 Constraint densities of the canonical analysis are polynomials of degree
 at most three in the phase-space entries and their central differences.
-They are represented here as explicit term lists:
+They are stated once, at tensor level (tensor_density), and expanded into
+explicit term lists:
 
     Factor   = (block, comp, daxis)   one field entry, optionally centrally
                                       differenced along lattice axis daxis
@@ -36,9 +37,10 @@ from .lattice import Lattice, discrete_derivative
 
 __all__ = [
     "term",
-    "scale_terms",
     "mul_terms",
     "Density",
+    "identity",
+    "tensor_density",
     "evaluate_density",
     "LocalFunctional",
     "smear",
@@ -59,12 +61,6 @@ def term(coeff, *factors):
         else:
             norm.append((f[0], tuple(f[1]), f[2]))
     return (float(coeff), tuple(norm))
-
-
-def scale_terms(terms, c):
-    if abs(c) < _TINY:
-        return []
-    return [(coeff * c, factors) for coeff, factors in terms]
 
 
 def mul_terms(terms_a, terms_b, c=1.0):
@@ -110,6 +106,45 @@ class Density:
             self.per_comp[fc] = [
                 (c, f) for c, f in acc.values() if abs(c) >= _TINY]
         return self
+
+
+def identity(comp_shape) -> np.ndarray:
+    """Coefficient tensor delta of a term whose one factor is the free
+    component itself: shape comp_shape + comp_shape."""
+    comp_shape = tuple(comp_shape)
+    return np.eye(int(np.prod(comp_shape))).reshape(comp_shape + comp_shape)
+
+
+def tensor_density(comp_shape, *terms) -> Density:
+    """Expand tensor-level terms into a compressed Density.
+
+    A term is (coeff, factor, ...) with each factor (block, rank, deriv): a
+    field block with rank component axes, centrally differenced when deriv
+    is true.  The axes of coeff are the free components (comp_shape), then
+    for each factor in order its derivative axis (the lattice axis, only
+    when deriv) and its rank component axes.  Every entry of coeff at or
+    above the drop threshold becomes one monomial.
+    """
+    comp_shape = tuple(comp_shape)
+    nfree = len(comp_shape)
+    per_comp = {fc: [] for fc in np.ndindex(*comp_shape)}
+    for coeff, *factors in terms:
+        coeff = np.asarray(coeff, dtype=float)
+        if (coeff.shape[:nfree] != comp_shape or coeff.ndim != nfree + sum(
+                rank + bool(deriv) for _, rank, deriv in factors)):
+            raise ValueError(f"coefficient shape {coeff.shape} does not fit "
+                             f"free components {comp_shape} and {factors}")
+        keep = np.abs(coeff) >= _TINY
+        for c, idx in zip(coeff[keep].tolist(), np.argwhere(keep).tolist()):
+            pos = nfree
+            mono = []
+            for block, rank, deriv in factors:
+                daxis = idx[pos] if deriv else -1
+                pos += bool(deriv)
+                mono.append((block, tuple(idx[pos:pos + rank]), daxis))
+                pos += rank
+            per_comp[tuple(idx[:nfree])].append((c, tuple(mono)))
+    return Density(comp_shape, per_comp).compress()
 
 
 class _FactorCache:

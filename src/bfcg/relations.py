@@ -39,13 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (FAMILY_SHAPES, constraint_density, evaluate_constraint,
+from .constraints import (constraint_density, evaluate_constraint, family_shape,
                           gauge_fixed_density, total_hamiltonian_functional)
 from .crossed_module import contract
-from .lattice import (EPS3_PAIR, Lattice, _random_recipe, discrete_derivative,
-                      fit_order, pair_index, pairs)
-from .localpoly import (evaluate_density, pair_gradients, paired_sum,
-                        poisson_bracket, smear)
+from .lattice import (EPS3_PAIR, PAIR, Lattice, _random_recipe,
+                      discrete_derivative, fit_order, pair_index, pairs)
+from .localpoly import (evaluate_density, identity, pair_gradients,
+                        paired_sum, poisson_bracket, smear, tensor_density)
 from .phase import (CANONICAL_PAIRS, GAUGE_FIXED_PAIRS, PhasePoint,
                     make_phase_recipe, onshell_momenta)
 
@@ -91,247 +91,137 @@ def make_test(cm, shape, lattice, seed, mode_count=1):
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
-# ---------------------------------------------------------------------------
-
-def _rhs_prim1(cm, point, lat, tA, tB):
-    acc = np.zeros(lat.shape)
-    for i in range(3):
-        for P in range(3):
-            s = S3[i, P]
-            if s:
-                acc += s * np.einsum("a...,ab,b...->...", tA[P], cm.Q, tB[i])
-    return _vol_sum(lat, acc)
-
-
-def _rhs_prim2(cm, point, lat, tA, tB):
-    acc = np.zeros(lat.shape)
-    for k in range(3):
-        for P in range(3):
-            s = S3[k, P]
-            if s:
-                acc -= s * np.einsum("x...,xy,y...->...", tA[k], cm.qf, tB[P])
-    return _vol_sum(lat, acc)
-
-
-def _rhs_sc1(cm, point, lat, tA, tB):
-    SH = _array(cm, point, "S(H)", "gf")
-    acc = np.einsum("abc,Pa...,b...,Pc...->...", cm.f, tA, tB, SH)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_sc2(cm, point, lat, tA, tB):
-    SH = _array(cm, point, "S(H)", "gf")
-    acc = -2.0 * np.einsum("x...,xby,Py...,Pb...->...", tA, cm.act, tB, SH)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_sc3(cm, point, lat, tA, tB):
-    SB = _array(cm, point, "S(BCbeta)", "gf")
-    acc = np.einsum("cab,a...,b...,c...->...", cm.f, tA, tB, SB)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_sc4(cm, point, lat, tA, tB):
-    SG = _array(cm, point, "S(G)", "gf")
-    acc = np.einsum("x...,xay,a...,y...->...", tA, cm.act, tB, SG)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_sc5(cm, point, lat, tA, tB):
-    SCB = _array(cm, point, "S(CB)", "gf")
-    acc = np.einsum("Px...,xay,a...,Py...->...", tA, cm.actmix, tB, SCB)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_zero(cm, point, lat, tA, tB):
-    return 0.0
-
-
-def _rhs_fc1(cm, point, lat, tA, tB):
-    phiH = _array(cm, point, "phi(H)", "full")
-    phiH_up = np.einsum("ca,la...->lc...", cm.Qinv, phiH)
-    acc = -2.0 * np.einsum("x...,xcy,ly...,lc...->...",
-                           tA, cm.actlow, tB, phiH_up)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_fc2(cm, point, lat, tA, tB):
-    phiG = _array(cm, point, "phi(G)", "full")
-    acc = np.einsum("x...,xay,a...,y...->...", tA, cm.actmix, tB, phiG)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_fc3(cm, point, lat, tA, tB):
-    phiCB = _array(cm, point, "phi(CB)", "full")
-    acc = np.einsum("kx...,xay,a...,ky...->...", tA, cm.actmix, tB, phiCB)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_fc4(cm, point, lat, tA, tB):
-    phiH = _array(cm, point, "phi(H)", "full")
-    acc = np.einsum("cab,ia...,b...,ic...->...", cm.f, tA, tB, phiH)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_fc5(cm, point, lat, tA, tB):
-    phiB = _array(cm, point, "phi(BCbeta)", "full")
-    acc = np.einsum("cab,a...,b...,c...->...", cm.f, tA, tB, phiB)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_mixed1(cm, point, lat, tA, tB):
-    chiB = _array(cm, point, "chi(B)", "full")
-    acc = np.zeros(lat.shape)
-    for i in range(3):
-        for l in range(3):
-            if l == i:
-                continue
-            Pil, sig = PIDX3[(i, l)]
-            acc -= sig * np.einsum("cae,a...,e...,c...->...",
-                                   cm.f, tA[i], tB[l], chiB[Pil])
-    return _vol_sum(lat, acc)
-
-
-def _rhs_mixed2(cm, point, lat, tA, tB):
-    chiC = _array(cm, point, "chi(C)", "full")
-    acc = 2.0 * np.einsum("x...,xey,le...,ly...->...",
-                          tA, cm.actmix, tB, chiC)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_mixed3(cm, point, lat, tA, tB):
-    chiB = _array(cm, point, "chi(B)", "full")
-    acc = -2.0 * np.einsum("x...,xey,Py...,Pe...->...", tA, cm.actQ, tB, chiB)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_mixed4(cm, point, lat, tA, tB):
-    chibe = _array(cm, point, "chi(beta)", "full")
-    chibe_up = np.einsum("xy,Py...->Px...", cm.qfinv, chibe)
-    acc = np.zeros(lat.shape)
-    for k in range(3):
-        for l in range(3):
-            if l == k:
-                continue
-            Plk, sig = PIDX3[(l, k)]
-            acc += sig * np.einsum("xay,x...,a...,y...->...",
-                                   cm.actlow, tA[k], tB[l], chibe_up[Plk])
-    return _vol_sum(lat, acc)
-
-
-def _rhs_mixed5(cm, point, lat, tA, tB):
-    chiB = _array(cm, point, "chi(B)", "full")
-    acc = np.zeros(lat.shape)
-    for k in range(3):
-        for l in range(3):
-            if l == k:
-                continue
-            Plk, sig = PIDX3[(l, k)]
-            acc -= sig * np.einsum("xey,x...,y...,e...->...",
-                                   cm.actQ, tA[k], tB[l], chiB[Plk])
-    return _vol_sum(lat, acc)
-
-
-def _rhs_mixed6(cm, point, lat, tA, tB):
-    chiA = _array(cm, point, "chi(A)", "full")
-    acc = np.einsum("cae,a...,le...,lc...->...", cm.f, tA, tB, chiA)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_mixed7(cm, point, lat, tA, tB):
-    chibe = _array(cm, point, "chi(beta)", "full")
-    acc = np.einsum("a...,xay,Py...,Px...->...", tA, cm.act, tB, chibe)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_mixed8(cm, point, lat, tA, tB):
-    chiC = _array(cm, point, "chi(C)", "full")
-    acc = np.einsum("a...,xay,ly...,lx...->...", tA, cm.act, tB, chiC)
-    return _vol_sum(lat, acc)
-
-
-def _rhs_mixed9(cm, point, lat, tA, tB):
-    chiB = _array(cm, point, "chi(B)", "full")
-    acc = np.einsum("a...,cae,Pe...,Pc...->...", tA, cm.f, tB, chiB)
-    return _vol_sum(lat, acc)
-
-
-# ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RelationSpec:
+    """One bracket relation; its right side is the direct lattice sum
+
+        coeff * a^3 sum_x einsum(signature, *operands)
+
+    over the named operands: "tA"/"tB" are the test fields of famA/famB, a
+    structure-tensor attribute of the crossed module ("f", "Q", "qfinv",
+    ...) or "EPS3_PAIR"/"PAIR" is a constant, and any other name is a
+    density evaluated in the relation's system.  coeff = 0 means zero.
+    """
+
     rid: str
     system: str
     famA: str
     famB: str
     cls: str
-    rhs: callable
+    coeff: float
+    signature: str
+    operands: tuple
     note: str
 
 
 RELATIONS = {}
 
 
-def _rel(rid, system, famA, famB, cls, rhs, note):
-    RELATIONS[rid] = RelationSpec(rid, system, famA, famB, cls, rhs, note)
+def _rel(rid, system, famA, famB, coeff, signature, operands, note,
+         cls="exact"):
+    RELATIONS[rid] = RelationSpec(rid, system, famA, famB, cls, coeff,
+                                  signature, tuple(operands.split()), note)
 
 
-_rel("prim1", "full", "P(B)_jk", "P(A)_i", "exact", _rhs_prim1,
-     "{P(B)_a^{jk}, P(A)_b^i} = eps^{ijk} Q_ab d")
-_rel("prim2", "full", "P(C)_k", "P(beta)_jk", "exact", _rhs_prim2,
+_rel("prim1", "full", "P(B)_jk", "P(A)_i", 1, "iP,Pa...,ab,ib...->...",
+     "EPS3_PAIR tA Q tB", "{P(B)_a^{jk}, P(A)_b^i} = eps^{ijk} Q_ab d")
+_rel("prim2", "full", "P(C)_k", "P(beta)_jk", -1, "kP,kx...,xy,Py...->...",
+     "EPS3_PAIR tA qf tB",
      "{P(C)_al^k, P(beta)_be^{ij}} = -eps^{ijk} q_{al be} d")
 
-_rel("sc1", "gf", "S(H)", "S(BCbeta)", "exact", _rhs_sc1,
-     "{S(H)^a_{ij}, S(BCb)_b} = f^a_{bc} S(H)^c_{ij} d")
-_rel("sc2", "gf", "S(G)", "S(CB)", "exact", _rhs_sc2,
+_rel("sc1", "gf", "S(H)", "S(BCbeta)", 1, "abc,Pa...,b...,Pc...->...",
+     "f tA tB S(H)", "{S(H)^a_{ij}, S(BCb)_b} = f^a_{bc} S(H)^c_{ij} d")
+_rel("sc2", "gf", "S(G)", "S(CB)", -2, "x...,xby,Py...,Pb...->...",
+     "tA act tB S(H)",
      "{S(G)^al, S(CB)_{de ij}} = -2 act^al_{b de} S(H)^b_{ij} d")
-_rel("sc3", "gf", "S(BCbeta)", "S(BCbeta)", "exact", _rhs_sc3,
-     "{S(BCb)_a, S(BCb)_b} = f^c_{ab} S(BCb)_c d")
-_rel("sc4", "gf", "S(G)", "S(BCbeta)", "exact", _rhs_sc4,
-     "{S(G)^al, S(BCb)_a} = act^al_{a be} S(G)^be d")
-_rel("sc5", "gf", "S(CB)", "S(BCbeta)", "exact", _rhs_sc5,
+_rel("sc3", "gf", "S(BCbeta)", "S(BCbeta)", 1, "cab,a...,b...,c...->...",
+     "f tA tB S(BCbeta)", "{S(BCb)_a, S(BCb)_b} = f^c_{ab} S(BCb)_c d")
+_rel("sc4", "gf", "S(G)", "S(BCbeta)", 1, "x...,xay,a...,y...->...",
+     "tA act tB S(G)", "{S(G)^al, S(BCb)_a} = act^al_{a be} S(G)^be d")
+_rel("sc5", "gf", "S(CB)", "S(BCbeta)", 1, "Px...,xay,a...,Py...->...",
+     "tA actmix tB S(CB)",
      "{S(CB)_{al ij}, S(BCb)_a} = act_{al a}^de S(CB)_{de ij} d")
 
-_rel("sc0_HH", "gf", "S(H)", "S(H)", "exact", _rhs_zero, "{S(H), S(H)} = 0")
-_rel("sc0_HG", "gf", "S(H)", "S(G)", "exact", _rhs_zero, "{S(H), S(G)} = 0")
-_rel("sc0_GG", "gf", "S(G)", "S(G)", "exact", _rhs_zero, "{S(G), S(G)} = 0")
-_rel("sc0_HCB", "gf", "S(H)", "S(CB)", "exact", _rhs_zero,
+_rel("sc0_HH", "gf", "S(H)", "S(H)", 0, "", "", "{S(H), S(H)} = 0")
+_rel("sc0_HG", "gf", "S(H)", "S(G)", 0, "", "", "{S(H), S(G)} = 0")
+_rel("sc0_GG", "gf", "S(G)", "S(G)", 0, "", "", "{S(G), S(G)} = 0")
+_rel("sc0_HCB", "gf", "S(H)", "S(CB)", 0, "", "",
      "{S(H), S(CB)} = 0 (needs equivariance)")
-_rel("sc0_CBCB", "gf", "S(CB)", "S(CB)", "exact", _rhs_zero,
+_rel("sc0_CBCB", "gf", "S(CB)", "S(CB)", 0, "", "",
      "{S(CB), S(CB)} = 0 (needs total antisymmetry of lowered phi)")
 
-_rel("fc1", "full", "phi(G)", "phi(CB)", "exact", _rhs_fc1,
+_rel("fc1", "full", "phi(G)", "phi(CB)", -2, "x...,xcy,ly...,ca,la...->...",
+     "tA actlow tB Qinv phi(H)",
      "{phi(G)_al, phi(CB)_de^l} = -2 act_{al c de} phi(H)^{cl} d")
-_rel("fc2", "full", "phi(G)", "phi(BCbeta)", "exact", _rhs_fc2,
+_rel("fc2", "full", "phi(G)", "phi(BCbeta)", 1, "x...,xay,a...,y...->...",
+     "tA actmix tB phi(G)",
      "{phi(G)_al, phi(BCb)_a} = act_{al a}^de phi(G)_de d")
-_rel("fc3", "full", "phi(CB)", "phi(BCbeta)", "exact", _rhs_fc3,
+_rel("fc3", "full", "phi(CB)", "phi(BCbeta)", 1, "kx...,xay,a...,ky...->...",
+     "tA actmix tB phi(CB)",
      "{phi(CB)_al^k, phi(BCb)_a} = act_{al a}^de phi(CB)_de^k d")
-_rel("fc4", "full", "phi(H)", "phi(BCbeta)", "exact", _rhs_fc4,
-     "{phi(H)_a^i, phi(BCb)_b} = f^c_{ab} phi(H)_c^i d")
-_rel("fc5", "full", "phi(BCbeta)", "phi(BCbeta)", "exact", _rhs_fc5,
+_rel("fc4", "full", "phi(H)", "phi(BCbeta)", 1, "cab,ia...,b...,ic...->...",
+     "f tA tB phi(H)", "{phi(H)_a^i, phi(BCb)_b} = f^c_{ab} phi(H)_c^i d")
+_rel("fc5", "full", "phi(BCbeta)", "phi(BCbeta)", 1, "cab,a...,b...,c...->...",
+     "f tA tB phi(BCbeta)",
      "{phi(BCb)_a, phi(BCb)_b} = f^c_{ab} phi(BCb)_c d")
 
-_rel("mixed1", "full", "phi(H)", "chi(A)", "exact", _rhs_mixed1,
+_rel("mixed1", "full", "phi(H)", "chi(A)", -1, "Pil,cae,ia...,le...,Pc...->...",
+     "PAIR f tA tB chi(B)",
      "{phi(H)_a^i, chi(A)_e^l} = -f^c_{ae} chi(B)_c^{il} d")
-_rel("mixed2", "full", "phi(G)", "chi(A)", "exact", _rhs_mixed2,
+_rel("mixed2", "full", "phi(G)", "chi(A)", 2, "x...,xey,le...,ly...->...",
+     "tA actmix tB chi(C)",
      "{phi(G)_al, chi(A)_e^l} = 2 act_{al e}^de chi(C)_de^l d")
-_rel("mixed3", "full", "phi(G)", "chi(beta)", "exact", _rhs_mixed3,
+_rel("mixed3", "full", "phi(G)", "chi(beta)", -2, "x...,xey,Py...,Pe...->...",
+     "tA actQ tB chi(B)",
      "{phi(G)_al, chi(beta)_ga^{jk}} = -2 act_al^e_ga chi(B)_e^{jk} d")
-_rel("mixed4", "full", "phi(CB)", "chi(A)", "exact", _rhs_mixed4,
+_rel("mixed4", "full", "phi(CB)", "chi(A)", 1,
+     "Plk,xay,kx...,la...,yz,Pz...->...", "PAIR actlow tA tB qfinv chi(beta)",
      "{phi(CB)_al^k, chi(A)_a^l} = act_{al a ga} chi(beta)^{ga lk} d")
-_rel("mixed5", "full", "phi(CB)", "chi(C)", "exact", _rhs_mixed5,
+_rel("mixed5", "full", "phi(CB)", "chi(C)", -1, "Plk,xey,kx...,ly...,Pe...->...",
+     "PAIR actQ tA tB chi(B)",
      "{phi(CB)_al^k, chi(C)_de^l} = -act_al^e_de chi(B)_e^{lk} d")
-_rel("mixed6", "full", "phi(BCbeta)", "chi(A)", "exact", _rhs_mixed6,
-     "{phi(BCb)_a, chi(A)_e^l} = f^c_{ae} chi(A)_c^l d")
-_rel("mixed7", "full", "phi(BCbeta)", "chi(beta)", "exact", _rhs_mixed7,
+_rel("mixed6", "full", "phi(BCbeta)", "chi(A)", 1, "cae,a...,le...,lc...->...",
+     "f tA tB chi(A)", "{phi(BCb)_a, chi(A)_e^l} = f^c_{ae} chi(A)_c^l d")
+_rel("mixed7", "full", "phi(BCbeta)", "chi(beta)", 1, "a...,xay,Py...,Px...->...",
+     "tA act tB chi(beta)",
      "{phi(BCb)_a, chi(beta)_ga^{jk}} = act^de_{a ga} chi(beta)_de^{jk} d")
-_rel("mixed8", "full", "phi(BCbeta)", "chi(C)", "exact", _rhs_mixed8,
+_rel("mixed8", "full", "phi(BCbeta)", "chi(C)", 1, "a...,xay,ly...,lx...->...",
+     "tA act tB chi(C)",
      "{phi(BCb)_a, chi(C)_de^l} = act^ga_{a de} chi(C)_ga^l d")
-_rel("mixed9", "full", "phi(BCbeta)", "chi(B)", "exact", _rhs_mixed9,
-     "{phi(BCb)_a, chi(B)_e^{jk}} = f^c_{ae} chi(B)_c^{jk} d")
+_rel("mixed9", "full", "phi(BCbeta)", "chi(B)", 1, "a...,cae,Pe...,Pc...->...",
+     "tA f tB chi(B)", "{phi(BCb)_a, chi(B)_e^{jk}} = f^c_{ae} chi(B)_c^{jk} d")
+
+
+def _rhs(cm, rel, point, tA, tB) -> float:
+    """The relation's right side as a direct lattice sum (see RelationSpec).
+
+    The constant operands are contracted with each other first and then,
+    site by site, into the last per-site operand; the per-site product runs
+    over that folded array and the other site operands only.  Every step is
+    a plain einsum, so no step is multithreaded.
+    """
+    if rel.coeff == 0:
+        return 0.0
+    fixed = {"tA": tA, "tB": tB, "EPS3_PAIR": EPS3_PAIR, "PAIR": PAIR}
+    ops = [fixed[name] if name in fixed
+           else _array(cm, point, name, rel.system) if "(" in name
+           else getattr(cm, name) for name in rel.operands]
+    subs = rel.signature.split("->")[0].split(",")
+    const = [k for k, sub in enumerate(subs) if not sub.endswith("...")]
+    *rest, last = [k for k, sub in enumerate(subs) if sub.endswith("...")]
+    rest_idx = set("".join(subs[k] for k in rest)) - {"."}
+    k_idx = "".join(dict.fromkeys(c for k in const for c in subs[k]
+                                  if c in rest_idx or c in subs[last]))
+    keep = "".join(sorted((set(k_idx) | set(subs[last])) & rest_idx))
+    K = np.einsum(",".join(subs[k] for k in const) + "->" + k_idx,
+                  *[ops[k] for k in const])
+    folded = np.einsum(f"{k_idx},{subs[last]}->{keep}...", K, ops[last])
+    acc = np.einsum(",".join([keep + "..."] + [subs[k] for k in rest])
+                    + "->...", folded, *[ops[k] for k in rest])
+    return rel.coeff * _vol_sum(point.lattice, acc)
 
 
 PRIMARY_RELATIONS = ("prim1", "prim2")
@@ -363,10 +253,9 @@ def check_algebra_relation(cm, rel_id: str, point: PhasePoint, seed: int = 0,
         raise KeyError(f"unknown relation id {rel_id!r}")
     rel = RELATIONS[rel_id]
     lat = point.lattice
-    shapes = FAMILY_SHAPES(cm)
-    tA = make_test(cm, shapes[rel.famA], lat, seed=seed * 7919 + 11,
+    tA = make_test(cm, family_shape(cm, rel.famA), lat, seed=seed * 7919 + 11,
                    mode_count=mode_count)
-    tB = make_test(cm, shapes[rel.famB], lat, seed=seed * 7919 + 23,
+    tB = make_test(cm, family_shape(cm, rel.famB), lat, seed=seed * 7919 + 23,
                    mode_count=mode_count)
     pairs_ = GAUGE_FIXED_PAIRS if rel.system == "gf" else CANONICAL_PAIRS
     densA = _density(cm, rel.famA, rel.system)
@@ -381,7 +270,7 @@ def check_algebra_relation(cm, rel_id: str, point: PhasePoint, seed: int = 0,
         scale += float(paired_sum(gA.get(qb), gB.get(pb), np.abs) +
                        paired_sum(gA.get(pb), gB.get(qb), np.abs))
     scale /= lat.a ** 3
-    rhs = rel.rhs(cm, point, lat, tA, tB)
+    rhs = _rhs(cm, rel, point, tA, tB)
     return RelationResult(rid=rel_id, lhs=lhs, rhs=rhs,
                           residual=abs(lhs - rhs), cls=rel.cls, scale=scale)
 
@@ -419,7 +308,9 @@ def fundamental_bracket_residuals(cm, point: PhasePoint, seed: int = 0) -> dict:
     for qb, pb in CANONICAL_PAIRS:
         for name in (qb, pb):
             t = _random_recipe(rng, 3, point.blocks[name].shape[:-3], 1).realize(lat)
-            dens = _mono_density(name, point.blocks[name].shape[:-3])
+            shape = point.blocks[name].shape[:-3]
+            dens = tensor_density(shape, (identity(shape),
+                                          (name, len(shape), False)))
             fns[name] = (smear(dens, t, lat), t)
     worst_pair = 0.0
     worst_zero = 0.0
@@ -440,14 +331,6 @@ def fundamental_bracket_residuals(cm, point: PhasePoint, seed: int = 0) -> dict:
     return {"conjugate": worst_pair, "cross": worst_zero}
 
 
-def _mono_density(block, comp_shape):
-    from .localpoly import Density, term as _t
-    d = Density(comp_shape)
-    for fc in np.ndindex(*comp_shape):
-        d.add(fc, [_t(1.0, (block, fc))])
-    return d
-
-
 # ---------------------------------------------------------------------------
 # consistency conditions
 # ---------------------------------------------------------------------------
@@ -462,24 +345,14 @@ _TEMPORAL_ROWS = (
 _SPATIAL_ROWS = ("chi(B)", "chi(C)", "chi(A)", "chi(beta)")
 
 
+_DUALIZED = {"S(H)_dual": "S(H)_low", "S(CB)_dual": "S(CB)"}
+
+
 def _secondary_dual(cm, point, kind):
     """Epsilon-dualized secondary density matching each temporal primary."""
-    if kind == "S(H)_dual":
-        arr = _array(cm, point, "S(H)_low", "full")
-        out = np.zeros((3, cm.p) + point.lattice.shape)
-        for i in range(3):
-            for P in range(3):
-                if S3[i, P]:
-                    out[i] += S3[i, P] * arr[P]
-        return out
-    if kind == "S(CB)_dual":
-        arr = _array(cm, point, "S(CB)", "full")
-        out = np.zeros((3, cm.q) + point.lattice.shape)
-        for k in range(3):
-            for P in range(3):
-                if S3[k, P]:
-                    out[k] += S3[k, P] * arr[P]
-        return out
+    if kind in _DUALIZED:
+        arr = _array(cm, point, _DUALIZED[kind], "full")
+        return np.einsum("iP,P...->i...", EPS3_PAIR, arr)
     return _array(cm, point, kind, "full")
 
 
@@ -503,13 +376,12 @@ def consistency_residuals(cm, point: PhasePoint, lamA0=None, lamB0=None,
         g_fn = smear(constraint_density(cm, fam), t, lat).gradient(point.blocks)
         return pair_gradients(g_fn, g_ht, CANONICAL_PAIRS, lat.a)
 
-    shapes = FAMILY_SHAPES(cm)
     rows = []
     fam_offset = {fam: 101 * (i + 1) for i, fam in enumerate(
         [r[0] for r in _TEMPORAL_ROWS] + list(_SPATIAL_ROWS)
         + ["S(H)", "S(G)", "S(CB)", "S(BCbeta)"])}
     for fam, phi_fam, sec_kind in _TEMPORAL_ROWS:
-        t = make_test(cm, shapes[fam], lat, seed=seed * 9176 + fam_offset[fam])
+        t = make_test(cm, family_shape(cm, fam), lat, seed=seed * 9176 + fam_offset[fam])
         br = bracket_with_ht(fam, t)
         phi_arr = evaluate_constraint(cm, phi_fam, point)
         phi_val = _vol_sum(lat, np.sum(
@@ -520,11 +392,11 @@ def consistency_residuals(cm, point: PhasePoint, lamA0=None, lamB0=None,
         rows.append((f"{fam} vs {phi_fam}", abs(br - phi_val)))
         rows.append((f"{fam} vs secondary", abs(br - sec_val)))
     for fam in _SPATIAL_ROWS:
-        t = make_test(cm, shapes[fam], lat, seed=seed * 9176 + fam_offset[fam])
+        t = make_test(cm, family_shape(cm, fam), lat, seed=seed * 9176 + fam_offset[fam])
         br = bracket_with_ht(fam, t)
         rows.append((f"{fam} preservation", abs(br)))
     for fam in ("S(H)", "S(G)", "S(CB)", "S(BCbeta)"):
-        t = make_test(cm, shapes[fam], lat, seed=seed * 9176 + fam_offset[fam])
+        t = make_test(cm, family_shape(cm, fam), lat, seed=seed * 9176 + fam_offset[fam])
         br = bracket_with_ht(fam, t)
         rows.append((f"{fam} preservation (weak)", abs(br)))
     return rows

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from bfcg.constraints import (canonical_hamiltonian, constraint_density,
-                              determine_multipliers, evaluate_constraint,
-                              regrouping_residual, total_hamiltonian,
-                              total_hamiltonian_functional)
+from bfcg.constraints import (FAMILIES, canonical_hamiltonian,
+                              constraint_density, determine_multipliers,
+                              evaluate_constraint, family_shape,
+                              gauge_fixed_density, regrouping_residual,
+                              total_hamiltonian, total_hamiltonian_functional)
 from bfcg.crossed_module import builtin_module
 from bfcg.lattice import EPS3_PAIR, Lattice, pair_index, pairs, sample_smooth_fields
 from bfcg.localpoly import poisson_bracket, smear
-from bfcg.phase import (CANONICAL_PAIRS, dump_phase_point, load_phase_point,
-                        phase_from_config, random_phase_point,
-                        zero_phase_point)
+from bfcg.phase import (CANONICAL_PAIRS, GAUGE_FIXED_PAIRS, block_shapes,
+                        dump_phase_point, load_phase_point, phase_from_config,
+                        random_phase_point, zero_phase_point)
 
 CM = builtin_module("adjoint(su2)")
 LAT = Lattice(D=3, n=4, a=0.25)
@@ -67,17 +68,21 @@ def test_phase_point_round_trip():
 # duplicate-implementation oracle for phi(H)
 # ---------------------------------------------------------------------------
 
+def _D(field, ax, a):
+    """Central difference along lattice axis ax, written with np.roll."""
+    return (np.roll(field, -1, axis=field.ndim - 3 + ax)
+            - np.roll(field, 1, axis=field.ndim - 3 + ax)) / (2 * a)
+
+
 def _phiH_loop_oracle(cm, pt):
     """Plain-loop reimplementation of the phi(H) density."""
     lat = pt.lattice
-    n, a = lat.n, lat.a
     A, be = pt.blocks["A"], pt.blocks["be"]
     pB, pC = pt.blocks["pB"], pt.blocks["pC"]
     out = np.zeros((3, cm.p) + lat.shape)
 
     def D(field, ax):
-        return (np.roll(field, -1, axis=field.ndim - 3 + ax)
-                - np.roll(field, 1, axis=field.ndim - 3 + ax)) / (2 * a)
+        return _D(field, ax, lat.a)
 
     for i in range(3):
         for aa in range(cm.p):
@@ -107,11 +112,68 @@ def _phiH_loop_oracle(cm, pt):
     return out
 
 
-def test_phiH_matches_loop_oracle():
-    pt = random_phase_point(CM, LAT, seed=17, rule="random")
-    engine = evaluate_constraint(CM, "phi(H)", pt)
-    oracle = _phiH_loop_oracle(CM, pt)
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
+def test_phiH_matches_loop_oracle(name):
+    cm = builtin_module(name)
+    pt = random_phase_point(cm, LAT, seed=17, rule="random")
+    engine = evaluate_constraint(cm, "phi(H)", pt)
+    oracle = _phiH_loop_oracle(cm, pt)
     assert np.max(np.abs(engine - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
+def test_secondaries_match_curvature_oracles(name):
+    """S(H) is the spatial curvature F minus del.beta, and S(CB) is the
+    q-lowered 2-form curvature T of C minus dlow.B, on every stored pair."""
+    cm = builtin_module(name)
+    pt = random_phase_point(cm, LAT, seed=19, rule="random")
+    A, B, C, be = (pt.blocks[k] for k in ("A", "B", "C", "be"))
+    SH = evaluate_constraint(cm, "S(H)", pt)
+    SCB = evaluate_constraint(cm, "S(CB)", pt)
+    for P, (j, k) in enumerate(P3):
+        F = (_D(A[k], j, LAT.a) - _D(A[j], k, LAT.a)
+             + np.einsum("abc,b...,c...->a...", cm.f, A[j], A[k]))
+        T = (_D(C[k], j, LAT.a) - _D(C[j], k, LAT.a)
+             + np.einsum("xag,a...,g...->x...", cm.act, A[j], C[k])
+             - np.einsum("xag,a...,g...->x...", cm.act, A[k], C[j]))
+        expect_H = F - np.einsum("xa,x...->a...", cm.del_, be[P])
+        expect_CB = (np.einsum("xy,y...->x...", cm.qf, T)
+                     - np.einsum("xb,b...->x...", cm.dlow, B[P]))
+        assert np.max(np.abs(SH[P] - expect_H)) <= 1e-12
+        assert np.max(np.abs(SCB[P] - expect_CB)) <= 1e-12
+
+
+STRUCTURE_MODULES = ("trivial_bf(1)", "trivial_bf(3)", "adjoint(su2)",
+                     "vector_poincare", "abelian(1,1)", "abelian(2,3)",
+                     "abelian(4,2)")
+BUILT_NAMES = FAMILIES + ("S(H)_low", "S(G)_low", "lam(A)", "lam(beta)",
+                          "lam(C)", "lam(B)", "H_c")
+GAUGE_FIXED = ("S(H)", "S(G)", "S(CB)", "S(BCbeta)")
+
+
+@pytest.mark.parametrize("name", STRUCTURE_MODULES)
+def test_expanded_densities_fit_their_slots(name):
+    """Every monomial of every expanded density sits on a valid free
+    component and reads valid phase-space entries."""
+    cm = builtin_module(name)
+    blocks = block_shapes(cm.p, cm.q)
+    gf_blocks = {b for pair in GAUGE_FIXED_PAIRS for b in pair}
+    built = [(fam, constraint_density(cm, fam), blocks) for fam in BUILT_NAMES]
+    built += [(fam, gauge_fixed_density(cm, fam), gf_blocks)
+              for fam in GAUGE_FIXED]
+    for fam, dens, allowed in built:
+        assert dens.comp_shape == family_shape(cm, fam), fam
+        free = set(np.ndindex(*dens.comp_shape))
+        for fc, terms in dens.items():
+            assert fc in free, (fam, fc)
+            for _, factors in terms:
+                for block, comp, daxis in factors:
+                    assert block in allowed, (fam, block)
+                    shape = blocks[block]
+                    assert len(comp) == len(shape), (fam, block, comp)
+                    assert all(0 <= c < n for c, n in zip(comp, shape)), \
+                        (fam, block, comp)
+                    assert daxis in (-1, 0, 1, 2), (fam, block, daxis)
 
 
 def test_sigma_H_abelian_stencil():
@@ -260,6 +322,36 @@ def test_lamA_hand_formula_with_A_zero():
     pt2.blocks["A"] = np.zeros_like(pt2.blocks["A"])
     pt2.blocks["A0"] = np.zeros_like(pt2.blocks["A0"])
     assert np.max(np.abs(determine_multipliers(cm_ab, pt2).lamA)) < 1e-13
+
+
+FREE_MULTIPLIERS = {"lamA0": np.array([.3, -.2, .1]),
+                    "lamB0": np.arange(9.0).reshape(3, 3) / 9,
+                    "lamC0": np.array([-.4, .5, .6]),
+                    "lambe0": np.ones((3, 3))}
+
+
+def test_free_multipliers_accept_constants():
+    """A constant of component shape acts as its per-site broadcast."""
+    pt = random_phase_point(CM, LAT, seed=73, rule="random")
+    per_site = {k: np.broadcast_to(v.reshape(v.shape + (1, 1, 1)),
+                                   v.shape + LAT.shape)
+                for k, v in FREE_MULTIPLIERS.items()}
+    mset = determine_multipliers(CM, pt, **FREE_MULTIPLIERS)
+    for k, arr in per_site.items():
+        assert np.array_equal(getattr(mset, k), arr), k
+    assert (total_hamiltonian(CM, pt, **FREE_MULTIPLIERS)
+            == total_hamiltonian(CM, pt, **per_site))
+    assert regrouping_residual(CM, pt, lamA0=FREE_MULTIPLIERS["lamA0"]) < 1e-12
+    assert regrouping_residual(CM, pt, **FREE_MULTIPLIERS) < 1e-12
+
+
+@pytest.mark.parametrize("fn", [determine_multipliers, total_hamiltonian,
+                                regrouping_residual])
+@pytest.mark.parametrize("shape", [(2,), (4, 4, 4), (3, 5, 5, 5)])
+def test_free_multiplier_bad_shape_raises(fn, shape):
+    pt = random_phase_point(CM, LAT, seed=79, rule="random")
+    with pytest.raises(ValueError, match="free multiplier"):
+        fn(CM, pt, lamA0=np.ones(shape))
 
 
 def test_spatial_consistency_brackets_vanish_on_shell():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from bfcg.constraints import (FAMILY_SHAPES, constraint_density,
-                              evaluate_constraint, total_hamiltonian_functional)
+from bfcg.constraints import (constraint_density, evaluate_constraint,
+                              family_shape, total_hamiltonian_functional)
 from bfcg.crossed_module import builtin_module
 from bfcg.lattice import Lattice
 from bfcg.localpoly import poisson_bracket, smear
@@ -133,7 +133,7 @@ def _consistency_rows_one_bracket_each(cm, point, seed):
             + ["S(H)", "S(G)", "S(CB)", "S(BCbeta)"])
 
     def bracket(fam):
-        t = make_test(cm, FAMILY_SHAPES(cm)[fam], lat,
+        t = make_test(cm, family_shape(cm, fam), lat,
                       seed=seed * 9176 + 101 * (fams.index(fam) + 1))
         fn = smear(constraint_density(cm, fam), t, lat)
         return t, poisson_bracket(fn, ht, point.blocks, CANONICAL_PAIRS)
