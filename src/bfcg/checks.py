@@ -1,0 +1,291 @@
+"""The check registry: every verdict `bfcg` reports, and every gate behind it.
+
+Each check maps a crossed module and a `RunConfig` to a `CheckRecord`: the
+verdict, the detail of its verdict line, the report lines it prints and the
+plain floats behind them (the residual at each rung, the fitted orders).
+The CLI renders records to text; the acceptance suite asserts on them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .crossed_module import DEFAULT_TOL, validate_crossed_module
+from .curvature import (bianchi_residuals, curvature_F, curvature_G3,
+                        curvature_T, eom_gradient_check, eom_residuals,
+                        evaluate_action, fake_curvature)
+from .dof import dof_count, dof_report
+from .gauge import expm_batched, fat_gauge_transform, thin_gauge_transform
+from .lattice import Lattice, _random_recipe, fit_order, make_config_recipe
+from .phase import random_phase_point
+from .relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_RELATIONS,
+                        PRIMARY_RELATIONS, ZERO_RELATIONS,
+                        check_algebra_relation, consistency_residuals,
+                        fundamental_bracket_residuals, offshell_refinement,
+                        offshell_relations, reduction_residual)
+
+ORDER_WINDOW = (1.8, 2.2)        # fitted order of a second-order residual
+LADDER = (8, 16, 32)             # default lattice sizes
+OFFSHELL_LADDER = (16, 24, 32)   # inside the asymptotic regime of the off-shell fit
+FUNDAMENTAL_TOL = 1e-12          # fundamental Poisson brackets
+EOM_TOL = 1e-6                   # field equations against finite differences
+TABLE_RELATIONS = (PRIMARY_RELATIONS + SECONDARY_RELATIONS + FIRSTCLASS_RELATIONS
+                   + MIXED_RELATIONS)
+
+
+def order_ok(order) -> bool:
+    """Refinement verdict: lattice-exact, or a fitted order in ORDER_WINDOW."""
+    return order == "exact" or ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1]
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Inputs of a check run: the CLI's --seed, --n, --a, --tol and --modes."""
+    seed: int = 1
+    ns: tuple = LADDER
+    a: float | None = None      # lattice spacing at ns[0]; default 1/ns[0]
+    tol: float = DEFAULT_TOL
+    modes: int = 1
+
+    def __post_init__(self):
+        if not self.ns:
+            raise ValueError("the lattice ladder --n is empty")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"--tol must be finite and positive, got {self.tol!r}")
+        if self.a is None:
+            object.__setattr__(self, "a", 1.0 / self.ns[0])
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """One verdict and the plain floats it rests on; holds no arrays."""
+    name: str
+    ok: bool
+    detail: str = ""
+    lines: list = field(default_factory=list)
+    residuals: dict = field(default_factory=dict)   # label -> one float per rung
+    orders: dict = field(default_factory=dict)      # label -> order or "exact"
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.6e}"
+
+
+def _pf(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _order_str(order) -> str:
+    return order if order == "exact" else f"{order:.3f}"
+
+
+def _ladder_line(label: str, values, order) -> str:
+    return f"{label} {' '.join(_fmt(v) for v in values)} order {_order_str(order)}"
+
+
+def _lattice(cfg: RunConfig, D: int, n: int) -> Lattice:
+    """Lattice of size n over the extent fixed by the first rung."""
+    return Lattice(D=D, n=n, a=cfg.ns[0] * cfg.a / n)
+
+
+def _config(cm, cfg: RunConfig, lat: Lattice):
+    """The run's 4D field configuration, realized on `lat`."""
+    return make_config_recipe(cm, 4, cfg.modes, seed=cfg.seed,
+                              scale=0.4).realize(lat)
+
+
+def check_validate(cm, cfg: RunConfig) -> CheckRecord:
+    rep = validate_crossed_module(cm, tol=cfg.tol)
+    lines = [f"# crossed-module validation: {cm.name}"]
+    lines += [f"identity {name} {_fmt(viol)} {_pf(ok)}"
+              for name, viol, ok in rep.entries]
+    detail = (f"tol={cfg.tol:g}" if rep.passed
+              else f"failing: {','.join(rep.failures())}")
+    return CheckRecord("validate", rep.passed, detail, lines,
+                       {name: (float(viol),) for name, viol, _ in rep.entries})
+
+
+def check_curvature(cm, cfg: RunConfig) -> CheckRecord:
+    n = cfg.ns[0]
+    c = _config(cm, cfg, _lattice(cfg, 4, n))
+    fields = {"F": curvature_F(cm, c), "H": fake_curvature(cm, c),
+              "G": curvature_G3(cm, c), "T": curvature_T(cm, c)}
+    S = evaluate_action(cm, c)
+    norms = {k: float(np.max(np.abs(v))) if v.size else 0.0
+             for k, v in fields.items()}
+    lines = [f"# curvature norms at n={n}"]
+    lines += [f"curvature {k} maxabs {_fmt(v)}" for k, v in norms.items()]
+    lines.append(f"action {S!r}")
+    finite = all(np.all(np.isfinite(x)) for x in fields.values() if x.size)
+    return CheckRecord("curvature", bool(finite and np.isfinite(S)), "", lines,
+                       {k: (v,) for k, v in norms.items()})
+
+
+def check_bianchi(cm, cfg: RunConfig) -> CheckRecord:
+    if len(cfg.ns) < 3:
+        raise ValueError("bianchi refinement needs at least 3 resolutions")
+    keys = ("bianchi_F", "bianchi_T", "bianchi_GB", "bianchi_G")
+    table = {k: [] for k in keys}
+    spac = []
+    for n in cfg.ns:
+        lat = _lattice(cfg, 4, n)
+        res = bianchi_residuals(cm, _config(cm, cfg, lat))
+        for k in keys:
+            table[k].append(float(res[k]))
+        spac.append(lat.a)
+    orders = {k: fit_order(spac, v) for k, v in table.items()}
+    lines = [_ladder_line(f"bianchi {k} residuals", table[k], orders[k])
+             for k in keys]
+    return CheckRecord("bianchi", all(map(order_ok, orders.values())),
+                       f"n={list(cfg.ns)}", lines,
+                       {k: tuple(v) for k, v in table.items()}, orders)
+
+
+def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
+    rng = np.random.default_rng(cfg.seed + 100)
+    eps_rec = _random_recipe(rng, 4, (cm.p,), cfg.modes, scale=0.3)
+    eta_rec = _random_recipe(rng, 4, (4, cm.q), cfg.modes, scale=0.3)
+
+    # exact covariance under a constant thin parameter
+    lat = _lattice(cfg, 4, cfg.ns[0])
+    c = _config(cm, cfg, lat)
+    eps_c = rng.normal(size=cm.p) * 0.4
+    eps_field = np.broadcast_to(eps_c.reshape((cm.p,) + (1,) * 4),
+                                (cm.p,) + lat.shape).copy()
+    Rg = expm_batched(-np.einsum("abc,b...->...ac", cm.f, eps_field))
+    F0 = curvature_F(cm, c)
+    F1 = curvature_F(cm, thin_gauge_transform(cm, c, eps_field))
+    rot = np.stack([np.einsum("...ab,b...->a...", Rg, F0[P])
+                    for P in range(F0.shape[0])])
+    cov = float(np.max(np.abs(F1 - rot)))
+    lines = [f"gauge thin-constant F-covariance {_fmt(cov)}"]
+    residuals, orders = {"covariance": (cov,)}, {}
+    if len(cfg.ns) >= 3:
+        dS = {"thin": [], "fat": []}
+        spac = []
+        for n in cfg.ns:
+            lat = _lattice(cfg, 4, n)
+            c0 = _config(cm, cfg, lat)
+            S0 = evaluate_action(cm, c0)
+            ct = thin_gauge_transform(cm, c0, eps_rec.realize(lat))
+            cf = fat_gauge_transform(cm, c0, eta_rec.realize(lat))
+            dS["thin"].append(abs(evaluate_action(cm, ct) - S0))
+            dS["fat"].append(abs(evaluate_action(cm, cf) - S0))
+            spac.append(lat.a)
+        orders = {k: fit_order(spac, v) for k, v in dS.items()}
+        lines += [_ladder_line(f"gauge {k} dS", v, orders[k]) for k, v in dS.items()]
+        residuals.update((k, tuple(map(float, v))) for k, v in dS.items())
+    return CheckRecord("gauge-check",
+                       cov <= cfg.tol and all(map(order_ok, orders.values())),
+                       "", lines, residuals, orders)
+
+
+def check_eom(cm, cfg: RunConfig) -> CheckRecord:
+    c = _config(cm, cfg, _lattice(cfg, 4, cfg.ns[0]))
+    res = eom_residuals(cm, c)
+    worst = eom_gradient_check(cm, c, n_samples=16, seed=cfg.seed)
+    lines = [f"eom H-norm {_fmt(res['H_norm'])} G-norm {_fmt(res['G_norm'])}",
+             f"eom E_A-norm {_fmt(res['E_A_norm'])} "
+             f"E_beta-norm {_fmt(res['E_beta_norm'])}",
+             f"eom finite-difference relerr {_fmt(worst)}"]
+    return CheckRecord("eom", worst <= EOM_TOL, "", lines,
+                       {"relerr": (float(worst),)})
+
+
+def check_algebra(cm, cfg: RunConfig) -> CheckRecord:
+    n = cfg.ns[0]
+    lat = _lattice(cfg, 3, n)
+    ok = True
+    lines = [f"# relation table at n={n}, 3 random points"]
+    worst_fund = 0.0
+    for ptseed in range(3):
+        point = random_phase_point(cm, lat, seed=cfg.seed + 17 * ptseed,
+                                   rule="random", mode_count=cfg.modes)
+        fb = fundamental_bracket_residuals(cm, point, seed=cfg.seed + ptseed)
+        # np.max, not max: a NaN residual must reach the gate
+        worst_fund = float(np.max([worst_fund, fb["conjugate"], fb["cross"]]))
+        for rid in TABLE_RELATIONS + ZERO_RELATIONS:
+            res = check_algebra_relation(cm, rid, point,
+                                         seed=cfg.seed + 31 * ptseed)
+            good = res.residual <= cfg.tol * max(1.0, res.scale)
+            ok = ok and good
+            if ptseed == 0:
+                lines.append(f"relation {rid} lhs {_fmt(res.lhs)} rhs {_fmt(res.rhs)}"
+                             f" residual {_fmt(res.residual)} {res.cls} {_pf(good)}")
+    lines.append(f"fundamental-brackets worst {_fmt(worst_fund)}")
+    return CheckRecord("algebra", ok and worst_fund <= FUNDAMENTAL_TOL, "", lines,
+                       {"fundamental": (worst_fund,)})
+
+
+def check_consistency(cm, cfg: RunConfig) -> CheckRecord:
+    n = cfg.ns[0]
+    lat = _lattice(cfg, 3, n)
+    ok = True
+    lines = [f"# consistency at an on-shell point, n={n}"]
+    point_on = random_phase_point(cm, lat, seed=cfg.seed + 3,
+                                  rule="on_shell", mode_count=cfg.modes)
+    for label, r in consistency_residuals(cm, point_on, seed=cfg.seed):
+        gated = "weak" not in label
+        good = r <= cfg.tol or not gated
+        ok = ok and good
+        lines.append(f"consistency {label} {_fmt(r)}"
+                     + (f" {_pf(good)}" if gated else ""))
+    point_rnd = random_phase_point(cm, lat, seed=cfg.seed + 5,
+                                   rule="random", mode_count=cfg.modes)
+    for label, r in consistency_residuals(cm, point_rnd, seed=cfg.seed):
+        if "vs phi" in label:
+            good = r <= cfg.tol
+            ok = ok and good
+            lines.append(f"consistency(random) {label} {_fmt(r)} {_pf(good)}")
+    red = reduction_residual(cm, point_rnd)
+    lines.append(f"consistency gauge-fixed-reduction {_fmt(red)}")
+    return CheckRecord("consistency", ok and red <= cfg.tol, "", lines,
+                       {"reduction": (float(red),)})
+
+
+def check_offshell(cm, cfg: RunConfig) -> CheckRecord:
+    if not any(np.any(t) for t in (cm.f, cm.act, cm.del_)):
+        # abelian: both dependencies hold exactly at any single n
+        point = random_phase_point(cm, _lattice(cfg, 3, cfg.ns[0]),
+                                   seed=cfg.seed + 7, rule="random",
+                                   mode_count=cfg.modes)
+        out = offshell_relations(cm, point)
+        res = {k: (float(out[f"{k}_residual"]),) for k in ("ra", "rb")}
+        lines = [f"offshell {k} residual {_fmt(v[0])} (abelian)"
+                 for k, v in res.items()]
+        return CheckRecord("offshell", all(v[0] <= cfg.tol for v in res.values()),
+                           "", lines, res)
+    out = offshell_refinement(cm, list(OFFSHELL_LADDER), seed=cfg.seed,
+                              extent=1.0, mode_count=cfg.modes)
+    orders = {k: out[f"{k}_order"] for k in ("ra", "rb")}
+    lines = [f"offshell ladder n={list(OFFSHELL_LADDER)}"]
+    lines += [_ladder_line(f"offshell {k} residuals", out[f"{k}_residuals"], o)
+              for k, o in orders.items()]
+    lines.append(f"offshell bianchi-content orders "
+                 f"{_order_str(out['ra_bianchi_order'])} "
+                 f"{_order_str(out['rb_bianchi_order'])}")
+    return CheckRecord("offshell", all(map(order_ok, orders.values())), "", lines,
+                       {k: tuple(map(float, out[f"{k}_residuals"])) for k in orders},
+                       orders)
+
+
+def check_dof(p: int, q: int) -> CheckRecord:
+    t = dof_count(p, q)
+    return CheckRecord("dof", t.n == 0, f"N={t.N} F={t.F} S={t.S} n={t.n}",
+                       dof_report(t).rstrip("\n").split("\n"))
+
+
+# subcommand -> check, in full-report order
+CHECKS = {
+    "validate": check_validate,
+    "curvature": check_curvature,
+    "bianchi": check_bianchi,
+    "gauge-check": check_gauge,
+    "eom": check_eom,
+    "algebra": check_algebra,
+    "consistency": check_consistency,
+    "offshell": check_offshell,
+}

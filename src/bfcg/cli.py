@@ -1,10 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: flags -> `RunConfig` -> `bfcg.checks` -> report.
 
 Subcommands: validate, curvature, gauge-check, bianchi, eom, algebra,
-consistency, offshell, dof, full-report.  Reports are plain structured
-text with a stable schema header; identical configurations (including
-seeds) produce byte-identical reports.  Exit codes: 0 all selected checks
-pass, 1 check failure, 2 usage or I/O error.
+consistency, offshell, dof, full-report.  Reports are plain structured text
+with a stable schema header; identical configurations (including seeds)
+produce byte-identical reports.  Exit codes: 0 all selected checks pass,
+1 check failure, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -12,331 +12,53 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
-from .crossed_module import (builtin_module, load_crossed_module,
-                             validate_crossed_module)
-from .curvature import (bianchi_residuals, curvature_F, curvature_G3,
-                        curvature_T, eom_gradient_check, eom_residuals,
-                        evaluate_action, fake_curvature)
-from .dof import dof_count, dof_report
-from .gauge import expm_batched, fat_gauge_transform, thin_gauge_transform
-from .lattice import Lattice, _random_recipe, fit_order, make_config_recipe
-from .phase import random_phase_point
-from .relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_RELATIONS,
-                        PRIMARY_RELATIONS, ZERO_RELATIONS,
-                        check_algebra_relation, consistency_residuals,
-                        fundamental_bracket_residuals, offshell_refinement,
-                        offshell_relations, reduction_residual)
+# every check_* stays importable from here, and is called through CHECKS or
+# this module's globals
+from .checks import (CHECKS, DEFAULT_TOL, LADDER, RunConfig,  # noqa: F401
+                     check_algebra, check_bianchi, check_consistency,
+                     check_curvature, check_dof, check_eom, check_gauge,
+                     check_offshell, check_validate)
+from .crossed_module import builtin_module, load_crossed_module
 
 SCHEMA = "bfcg-report schema 1"
-ORDER_WINDOW = (1.8, 2.2)
-DEFAULT_TOL = 1e-10
-ALL_TABLE_RELATIONS = (PRIMARY_RELATIONS + SECONDARY_RELATIONS + FIRSTCLASS_RELATIONS
-                       + MIXED_RELATIONS)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6e}"
-
-
-def _order_ok(order) -> bool:
-    if order == "exact":
-        return True
-    return ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1]
-
-
-def _order_str(order) -> str:
-    return order if order == "exact" else f"{order:.3f}"
-
-
-class Report:
-    def __init__(self):
-        self.lines = [SCHEMA, f"version {__version__}"]
-        self.failures = 0
-
-    def line(self, text=""):
-        self.lines.append(text)
-
-    def check(self, name: str, ok: bool, detail: str = ""):
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            self.failures += 1
-        suffix = f"  {detail}" if detail else ""
-        self.lines.append(f"[{status}] {name}{suffix}")
-
-    def text(self) -> str:
-        verdict = "PASS" if self.failures == 0 else "FAIL"
-        return "\n".join(self.lines + [f"overall {verdict}"]) + "\n"
 
 
 def _load_module(args):
-    if getattr(args, "spec", None):
+    if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 return load_crossed_module(fh.read())
         except OSError as exc:
             raise SystemExit(f"error: cannot read spec file: {exc}") from exc
-    return builtin_module(args.module)
+    return builtin_module("adjoint(su2)" if args.module is None else args.module)
 
 
-def _n_list(args):
-    return [int(s) for s in str(args.n).split(",") if s]
+def _render(rec) -> list:
+    """Report lines of one check record, its verdict line last."""
+    detail = f"  {rec.detail}" if rec.detail else ""
+    return rec.lines + [f"[{'PASS' if rec.ok else 'FAIL'}] {rec.name}{detail}"]
 
-
-def _extent(args):
-    ns = _n_list(args)
-    return ns[0] * args.a
-
-
-def _is_abelian(cm) -> bool:
-    return (np.max(np.abs(cm.f)) if cm.f.size else 0.0) == 0.0 and \
-           (np.max(np.abs(cm.act)) if cm.act.size else 0.0) == 0.0 and \
-           (np.max(np.abs(cm.del_)) if cm.del_.size else 0.0) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# individual checks
-# ---------------------------------------------------------------------------
-
-def check_validate(cm, args, rep: Report):
-    rep.line(f"# crossed-module validation: {cm.name}")
-    report = validate_crossed_module(cm, tol=args.tol)
-    for name, viol, ok in report.entries:
-        rep.line(f"identity {name} {_fmt(viol)} {'PASS' if ok else 'FAIL'}")
-    rep.check("validate", report.passed,
-              f"tol={args.tol:g}" if report.passed
-              else f"failing: {','.join(report.failures())}")
-
-
-def check_curvature(cm, args, rep: Report):
-    n = _n_list(args)[0]
-    lat = Lattice(D=4, n=n, a=_extent(args) / n)
-    cfg = make_config_recipe(cm, 4, args.modes, seed=args.seed,
-                             scale=0.4).realize(lat)
-    F = curvature_F(cm, cfg)
-    H = fake_curvature(cm, cfg)
-    G3 = curvature_G3(cm, cfg)
-    T = curvature_T(cm, cfg)
-    S = evaluate_action(cm, cfg)
-    rep.line(f"# curvature norms at n={n}")
-    for name, arr in (("F", F), ("H", H), ("G", G3), ("T", T)):
-        mx = float(np.max(np.abs(arr))) if arr.size else 0.0
-        rep.line(f"curvature {name} maxabs {_fmt(mx)}")
-    rep.line(f"action {S!r}")
-    finite = all(np.all(np.isfinite(x)) for x in (F, H, G3, T) if x.size)
-    rep.check("curvature", bool(finite and np.isfinite(S)))
-
-
-def check_bianchi(cm, args, rep: Report):
-    ns = _n_list(args)
-    if len(ns) < 3:
-        raise SystemExit("error: bianchi refinement needs at least 3 resolutions")
-    L = _extent(args)
-    recipe = make_config_recipe(cm, 4, args.modes, seed=args.seed, scale=0.4)
-    keys = ("bianchi_F", "bianchi_T", "bianchi_GB", "bianchi_G")
-    table = {k: [] for k in keys}
-    spac = []
-    for n in ns:
-        lat = Lattice(D=4, n=n, a=L / n)
-        res = bianchi_residuals(cm, recipe.realize(lat))
-        for k in keys:
-            table[k].append(res[k])
-        spac.append(lat.a)
-    ok = True
-    for k in keys:
-        order = fit_order(spac, table[k])
-        good = _order_ok(order)
-        ok = ok and good
-        rep.line(f"bianchi {k} residuals "
-                 + " ".join(_fmt(v) for v in table[k])
-                 + f" order {_order_str(order)}")
-    rep.check("bianchi", ok, f"n={ns}")
-
-
-def check_gauge(cm, args, rep: Report):
-    ns = _n_list(args)
-    L = _extent(args)
-    recipe = make_config_recipe(cm, 4, args.modes, seed=args.seed, scale=0.4)
-    rng = np.random.default_rng(args.seed + 100)
-    eps_rec = _random_recipe(rng, 4, (cm.p,), args.modes, scale=0.3)
-    eta_rec = _random_recipe(rng, 4, (4, cm.q), args.modes, scale=0.3)
-
-    # exact covariance under constant thin parameter
-    n0 = ns[0]
-    lat = Lattice(D=4, n=n0, a=L / n0)
-    cfg = recipe.realize(lat)
-    eps_c = rng.normal(size=cm.p) * 0.4
-    eps_field = np.broadcast_to(eps_c.reshape((cm.p,) + (1,) * 4),
-                                (cm.p,) + lat.shape).copy()
-    cfg_t = thin_gauge_transform(cm, cfg, eps_field)
-    ad = np.einsum("abc,b...->...ac", cm.f, eps_field)
-    Rg = expm_batched(-ad)
-    F0 = curvature_F(cm, cfg)
-    F1 = curvature_F(cm, cfg_t)
-    rot = np.stack([np.einsum("...ab,b...->a...", Rg, F0[P])
-                    for P in range(F0.shape[0])])
-    cov = float(np.max(np.abs(F1 - rot)))
-    rep.line(f"gauge thin-constant F-covariance {_fmt(cov)}")
-    ok = cov <= args.tol
-
-    if len(ns) >= 3:
-        dthin, dfat, spac = [], [], []
-        for n in ns:
-            latn = Lattice(D=4, n=n, a=L / n)
-            c0 = recipe.realize(latn)
-            S0 = evaluate_action(cm, c0)
-            ct = thin_gauge_transform(cm, c0, eps_rec.realize(latn))
-            cf = fat_gauge_transform(cm, c0, eta_rec.realize(latn))
-            dthin.append(abs(evaluate_action(cm, ct) - S0))
-            dfat.append(abs(evaluate_action(cm, cf) - S0))
-            spac.append(latn.a)
-        o_thin = fit_order(spac, dthin)
-        o_fat = fit_order(spac, dfat)
-        rep.line("gauge thin dS " + " ".join(_fmt(v) for v in dthin)
-                 + f" order {_order_str(o_thin)}")
-        rep.line("gauge fat dS " + " ".join(_fmt(v) for v in dfat)
-                 + f" order {_order_str(o_fat)}")
-        ok = ok and _order_ok(o_thin) and (o_fat == "exact" or _order_ok(o_fat))
-    rep.check("gauge-check", ok)
-
-
-def check_eom(cm, args, rep: Report):
-    n = _n_list(args)[0]
-    lat = Lattice(D=4, n=n, a=_extent(args) / n)
-    cfg = make_config_recipe(cm, 4, args.modes, seed=args.seed,
-                             scale=0.4).realize(lat)
-    res = eom_residuals(cm, cfg)
-    rep.line(f"eom H-norm {_fmt(res['H_norm'])} G-norm {_fmt(res['G_norm'])}")
-    rep.line(f"eom E_A-norm {_fmt(res['E_A_norm'])} "
-             f"E_beta-norm {_fmt(res['E_beta_norm'])}")
-    worst = eom_gradient_check(cm, cfg, n_samples=16, seed=args.seed)
-    rep.line(f"eom finite-difference relerr {_fmt(worst)}")
-    rep.check("eom", worst <= 1e-6)
-
-
-def check_algebra(cm, args, rep: Report):
-    ns = _n_list(args)
-    n = ns[0]
-    lat = Lattice(D=3, n=n, a=_extent(args) / n)
-    ok = True
-    rep.line(f"# relation table at n={n}, 3 random points")
-    worst_fund = 0.0
-    for ptseed in range(3):
-        point = random_phase_point(cm, lat, seed=args.seed + 17 * ptseed,
-                                   rule="random", mode_count=args.modes)
-        fb = fundamental_bracket_residuals(cm, point, seed=args.seed + ptseed)
-        worst_fund = max(worst_fund, fb["conjugate"], fb["cross"])
-        for rid in ALL_TABLE_RELATIONS + ZERO_RELATIONS:
-            res = check_algebra_relation(cm, rid, point,
-                                         seed=args.seed + 31 * ptseed)
-            good = res.residual <= args.tol * max(1.0, res.scale)
-            ok = ok and good
-            if ptseed == 0:
-                rep.line(f"relation {rid} lhs {_fmt(res.lhs)} rhs {_fmt(res.rhs)}"
-                         f" residual {_fmt(res.residual)} {res.cls}"
-                         f" {'PASS' if good else 'FAIL'}")
-    rep.line(f"fundamental-brackets worst {_fmt(worst_fund)}")
-    ok = ok and worst_fund <= 1e-12
-    rep.check("algebra", ok)
-
-
-def check_consistency(cm, args, rep: Report):
-    ns = _n_list(args)
-    n = ns[0]
-    lat = Lattice(D=3, n=n, a=_extent(args) / n)
-    ok = True
-    point_on = random_phase_point(cm, lat, seed=args.seed + 3,
-                                  rule="on_shell", mode_count=args.modes)
-    rows = consistency_residuals(cm, point_on, seed=args.seed)
-    rep.line(f"# consistency at an on-shell point, n={n}")
-    for label, r in rows:
-        gated = "weak" not in label
-        good = (r <= args.tol) if gated else True
-        ok = ok and good
-        rep.line(f"consistency {label} {_fmt(r)}"
-                 + ("" if not gated else f" {'PASS' if good else 'FAIL'}"))
-    point_rnd = random_phase_point(cm, lat, seed=args.seed + 5,
-                                   rule="random", mode_count=args.modes)
-    rows = consistency_residuals(cm, point_rnd, seed=args.seed)
-    for label, r in rows:
-        if "vs phi" in label:
-            good = r <= args.tol
-            ok = ok and good
-            rep.line(f"consistency(random) {label} {_fmt(r)} "
-                     f"{'PASS' if good else 'FAIL'}")
-    red = reduction_residual(cm, point_rnd)
-    rep.line(f"consistency gauge-fixed-reduction {_fmt(red)}")
-    ok = ok and red <= args.tol
-    rep.check("consistency", ok)
-
-
-OFFSHELL_LADDER = (16, 24, 32)
-
-
-def check_offshell(cm, args, rep: Report):
-    ns = _n_list(args)
-    L = _extent(args)
-    if _is_abelian(cm):
-        n = ns[0]
-        lat = Lattice(D=3, n=n, a=L / n)
-        point = random_phase_point(cm, lat, seed=args.seed + 7, rule="random",
-                                   mode_count=args.modes)
-        out = offshell_relations(cm, point)
-        rep.line(f"offshell ra residual {_fmt(out['ra_residual'])} (abelian)")
-        rep.line(f"offshell rb residual {_fmt(out['rb_residual'])} (abelian)")
-        ok = out["ra_residual"] <= args.tol and out["rb_residual"] <= args.tol
-    else:
-        # fixed ladder inside the asymptotic regime of the order fit
-        ns = list(OFFSHELL_LADDER)
-        rep.line(f"offshell ladder n={ns}")
-        out = offshell_refinement(cm, ns, seed=args.seed, extent=1.0,
-                                  mode_count=args.modes)
-        rep.line("offshell ra residuals "
-                 + " ".join(_fmt(v) for v in out["ra_residuals"])
-                 + f" order {_order_str(out['ra_order'])}")
-        rep.line("offshell rb residuals "
-                 + " ".join(_fmt(v) for v in out["rb_residuals"])
-                 + f" order {_order_str(out['rb_order'])}")
-        rep.line(f"offshell bianchi-content orders "
-                 f"{_order_str(out['ra_bianchi_order'])} "
-                 f"{_order_str(out['rb_bianchi_order'])}")
-        ok = all(o == "exact" or o >= ORDER_WINDOW[0]
-                 for o in (out["ra_order"], out["rb_order"]))
-    rep.check("offshell", ok)
-
-
-def check_dof(args, rep: Report):
-    table = dof_count(args.p, args.q)
-    rep.line(dof_report(table).rstrip("\n"))
-    rep.check("dof", table.n == 0,
-              f"N={table.N} F={table.F} S={table.S} n={table.n}")
-
-
-# ---------------------------------------------------------------------------
-# argument plumbing
-# ---------------------------------------------------------------------------
 
 SMOKE_MODULES = ("adjoint(su2)", "vector_poincare")
 
 
-def _add_common(sp, with_lattice=True):
+def _add_common(sp):
     sp.add_argument("--module", default=None,
                     help="builtin crossed-module name (default adjoint(su2); "
                          "full-report defaults to both smoke modules)")
     sp.add_argument("--spec", default=None,
                     help="crossed-module spec file (overrides --module)")
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                    help="bound on lattice-exact residuals (finite, > 0)")
     sp.add_argument("--modes", type=int, default=1,
                     help="Fourier modes per axis in sampled fields")
     sp.add_argument("--out", default=None, help="write the report to a file")
-    if with_lattice:
-        sp.add_argument("--n", default="8,16,32",
-                        help="lattice sizes, comma separated")
-        sp.add_argument("--a", type=float, default=None,
-                        help="lattice spacing at the first n (default 1/n)")
+    sp.add_argument("--n", default=",".join(map(str, LADDER)),
+                    help="lattice sizes, comma separated")
+    sp.add_argument("--a", type=float, default=None,
+                    help="lattice spacing at the first n (default 1/n)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,30 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bfcg",
         description="BFCG lattice and canonical-analysis checks")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("validate", "curvature", "gauge-check", "bianchi", "eom",
-                 "algebra", "consistency", "offshell", "full-report"):
-        sp = sub.add_parser(name)
-        _add_common(sp)
+    for name in (*CHECKS, "full-report"):
+        _add_common(sub.add_parser(name))
     spd = sub.add_parser("dof")
     spd.add_argument("--p", type=int, required=True)
     spd.add_argument("--q", type=int, required=True)
     spd.add_argument("--out", default=None)
     return ap
-
-
-_CHECK_DISPATCH = {
-    "validate": check_validate,
-    "curvature": check_curvature,
-    "gauge-check": check_gauge,
-    "bianchi": check_bianchi,
-    "eom": check_eom,
-    "algebra": check_algebra,
-    "consistency": check_consistency,
-    "offshell": check_offshell,
-}
-
-FULL_SEQUENCE = ("validate", "curvature", "bianchi", "gauge-check", "eom",
-                 "algebra", "consistency", "offshell")
 
 
 def main(argv=None) -> int:
@@ -376,38 +81,39 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    rep = Report()
+    out = []   # report lines and check records, in report order
     try:
         if args.command == "dof":
-            check_dof(args, rep)
+            out.append(check_dof(args.p, args.q))
         else:
-            if args.a is None:
-                args.a = 1.0 / _n_list(args)[0]
-            if args.command == "full-report" and args.spec is None \
-                    and args.module is None:
+            ns = tuple(int(s) for s in args.n.split(",") if s)
+            cfg = RunConfig(seed=args.seed, ns=ns, a=args.a, tol=args.tol,
+                            modes=args.modes)
+            full = args.command == "full-report"
+            if full and args.spec is None and args.module is None:
                 modules = [builtin_module(name) for name in SMOKE_MODULES]
             else:
-                if args.module is None:
-                    args.module = "adjoint(su2)"
                 modules = [_load_module(args)]
-            rep.line(f"config n={args.n} a={args.a!r} seed={args.seed} "
-                     f"tol={args.tol:g}")
+            out.append(f"config n={args.n} a={cfg.a!r} seed={cfg.seed} "
+                       f"tol={cfg.tol:g}")
             for cm in modules:
-                rep.line(f"module {cm.name} p={cm.p} q={cm.q}")
-                if args.command == "full-report":
-                    for name in FULL_SEQUENCE:
-                        _CHECK_DISPATCH[name](cm, args, rep)
-                    check_dof(argparse.Namespace(p=cm.p, q=cm.q, out=None), rep)
-                else:
-                    _CHECK_DISPATCH[args.command](cm, args, rep)
+                out.append(f"module {cm.name} p={cm.p} q={cm.q}")
+                names = CHECKS if full else [args.command]
+                out += [CHECKS[name](cm, cfg) for name in names]
+                if full:
+                    out.append(check_dof(cm.p, cm.q))
     except SystemExit as exc:
         sys.stderr.write(str(exc) + "\n")
         return 2
     except (KeyError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    text = rep.text()
-    if getattr(args, "out", None):
+    lines = [SCHEMA, f"version {__version__}"]
+    for item in out:
+        lines += [item] if isinstance(item, str) else _render(item)
+    failed = any(not item.ok for item in out if not isinstance(item, str))
+    text = "\n".join(lines + [f"overall {'FAIL' if failed else 'PASS'}"]) + "\n"
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -415,7 +121,7 @@ def main(argv=None) -> int:
             sys.stderr.write(f"error: cannot write report: {exc}\n")
             return 2
     sys.stdout.write(text)
-    return 0 if rep.failures == 0 else 1
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,11 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import bfcg
 from bfcg.cli import main
 from bfcg.crossed_module import builtin_module, dump_crossed_module
 
@@ -27,16 +31,37 @@ def test_validate_builtin_pass(capsys):
     assert "[PASS] validate" in out
 
 
-def test_validate_broken_spec_fails(tmp_path, capsys):
+@pytest.fixture
+def broken_spec(tmp_path):
+    """adjoint(su2) with f[0,1,2] perturbed: Jacobi and Q-invariance fail."""
     cm = builtin_module("adjoint(su2)")
     f = cm.f.copy()
     f[0, 1, 2] += 0.1
-    text = dump_crossed_module(cm.replace_tensor("f", f))
     path = tmp_path / "broken.cmspec"
-    path.write_text(text)
-    code, out = _run(capsys, ["validate", "--spec", str(path)])
+    path.write_text(dump_crossed_module(cm.replace_tensor("f", f)))
+    return str(path)
+
+
+def test_validate_broken_spec_fails(broken_spec, capsys):
+    code, out = _run(capsys, ["validate", "--spec", broken_spec])
     assert code == 1
     assert "jacobi_g" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-3"])
+def test_bad_tol_is_usage_error(broken_spec, tol, capsys):
+    code = main(["validate", "--spec", broken_spec, f"--tol={tol}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--tol" in err
+
+
+@pytest.mark.parametrize("ladder", ["", ","])
+def test_empty_ladder_is_usage_error(ladder, capsys):
+    code = main(["validate", "--n", ladder])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--n" in err
 
 
 def test_missing_spec_file_is_usage_error(capsys):
@@ -63,8 +88,11 @@ def test_algebra_report_deterministic(tmp_path, capsys):
 def test_reports_identical_across_processes(tmp_path):
     """Same RunConfig gives byte-identical reports across interpreter runs."""
     outs = []
+    # the child imports the same bfcg as this process, with or without PYTHONPATH
+    src = str(Path(bfcg.__file__).resolve().parents[1])
+    path_env = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for hashseed, name in (("1", "a.txt"), ("7", "b.txt")):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path_env)
         path = tmp_path / name
         subprocess.run(
             [sys.executable, "-m", "bfcg.cli", "consistency", "--module",

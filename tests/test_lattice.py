@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bfcg.checks import order_ok
 from bfcg.crossed_module import builtin_module
 from bfcg.lattice import (FieldConfiguration, Lattice, convergence_study,
                           discrete_derivative, dump_field_configuration,
@@ -165,7 +166,7 @@ def test_fit_order_single_positive_rung_is_nan(residuals):
     """One rung above the floor and nothing else to fit fails every order gate."""
     order = fit_order([1e-1, 5e-2, 2.5e-2], residuals)
     assert isinstance(order, float) and np.isnan(order)
-    assert not (order == "exact" or order >= 1.8)
+    assert not order_ok(order)
 
 
 def test_convergence_study_harness():
