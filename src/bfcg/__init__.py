@@ -3,7 +3,7 @@
 Layers:
 
   crossed_module   structure tensors, identity validation, catalog, T map
-  lattice          periodic lattices, smooth recipes, convergence harness
+  lattice          periodic lattices, smooth recipes, refinement orders
   curvature        curvatures, action, field equations, Bianchi residuals
   gauge            thin and fat gauge transformations
   localpoly        exact-gradient engine for local polynomial functionals
@@ -23,9 +23,9 @@ from .curvature import (bianchi_residuals, curvature_F, curvature_G3,
                         eom_residuals, evaluate_action, fake_curvature)
 from .dof import DofTable, dof_count, dof_report
 from .gauge import fat_gauge_transform, thin_gauge_transform
-from .lattice import (FieldConfiguration, Lattice, convergence_study,
-                      discrete_derivative, fit_order, make_config_recipe,
-                      make_lattice, sample_smooth_fields)
+from .lattice import (FieldConfiguration, Lattice, discrete_derivative,
+                      finest_order, fit_order, make_config_recipe,
+                      sample_smooth_fields)
 from .localpoly import poisson_bracket, smear
 from .phase import (PhasePoint, make_phase_recipe, phase_from_config,
                     random_phase_point, zero_phase_point)

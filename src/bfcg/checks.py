@@ -19,7 +19,8 @@ from .curvature import (bianchi_residuals, curvature_F, curvature_G3,
                         evaluate_action, fake_curvature)
 from .dof import dof_count, dof_report
 from .gauge import expm_batched, fat_gauge_transform, thin_gauge_transform
-from .lattice import Lattice, _random_recipe, fit_order, make_config_recipe
+from .lattice import (Lattice, _random_recipe, finest_order, fit_order,
+                      make_config_recipe)
 from .phase import random_phase_point
 from .relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_RELATIONS,
                         PRIMARY_RELATIONS, ZERO_RELATIONS,
@@ -37,7 +38,11 @@ TABLE_RELATIONS = (PRIMARY_RELATIONS + SECONDARY_RELATIONS + FIRSTCLASS_RELATION
 
 
 def order_ok(order) -> bool:
-    """Refinement verdict: lattice-exact, or a fitted order in ORDER_WINDOW."""
+    """Refinement verdict: lattice-exact, or an order in ORDER_WINDOW.
+
+    Every refinement check passes it the finest_order of its residual
+    ladder, which also gives NaN for a ladder with a rung that grows.
+    """
     return order == "exact" or ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1]
 
 
@@ -55,6 +60,8 @@ class RunConfig:
             raise ValueError("the lattice ladder --n is empty")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"--tol must be finite and positive, got {self.tol!r}")
+        if self.a is not None and not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"--a must be finite and positive, got {self.a!r}")
         if self.a is None:
             object.__setattr__(self, "a", 1.0 / self.ns[0])
 
@@ -67,7 +74,8 @@ class CheckRecord:
     detail: str = ""
     lines: list = field(default_factory=list)
     residuals: dict = field(default_factory=dict)   # label -> one float per rung
-    orders: dict = field(default_factory=dict)      # label -> order or "exact"
+    orders: dict = field(default_factory=dict)      # label -> gated order, "exact"
+    fits: dict = field(default_factory=dict)        # label -> all-rung fit
 
 
 def _fmt(x: float) -> str:
@@ -82,8 +90,18 @@ def _order_str(order) -> str:
     return order if order == "exact" else f"{order:.3f}"
 
 
-def _ladder_line(label: str, values, order) -> str:
-    return f"{label} {' '.join(_fmt(v) for v in values)} order {_order_str(order)}"
+def _refinement(spacings, table: dict, label: str):
+    """Report lines, gated orders and all-rung fits of residual ladders.
+
+    The verdict rests on the finest pair of rungs (finest_order); the
+    least-squares fit over every rung is printed beside it.
+    """
+    orders = {k: finest_order(spacings, v) for k, v in table.items()}
+    fits = {k: fit_order(spacings, v) for k, v in table.items()}
+    lines = [f"{label.format(k)} {' '.join(_fmt(x) for x in v)} order "
+             f"{_order_str(fits[k])} finest-pair {_order_str(orders[k])}"
+             for k, v in table.items()]
+    return lines, orders, fits
 
 
 def _lattice(cfg: RunConfig, D: int, n: int) -> Lattice:
@@ -136,12 +154,10 @@ def check_bianchi(cm, cfg: RunConfig) -> CheckRecord:
         for k in keys:
             table[k].append(float(res[k]))
         spac.append(lat.a)
-    orders = {k: fit_order(spac, v) for k, v in table.items()}
-    lines = [_ladder_line(f"bianchi {k} residuals", table[k], orders[k])
-             for k in keys]
+    lines, orders, fits = _refinement(spac, table, "bianchi {} residuals")
     return CheckRecord("bianchi", all(map(order_ok, orders.values())),
                        f"n={list(cfg.ns)}", lines,
-                       {k: tuple(v) for k, v in table.items()}, orders)
+                       {k: tuple(v) for k, v in table.items()}, orders, fits)
 
 
 def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
@@ -162,7 +178,7 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
                     for P in range(F0.shape[0])])
     cov = float(np.max(np.abs(F1 - rot)))
     lines = [f"gauge thin-constant F-covariance {_fmt(cov)}"]
-    residuals, orders = {"covariance": (cov,)}, {}
+    residuals, orders, fits = {"covariance": (cov,)}, {}, {}
     if len(cfg.ns) >= 3:
         dS = {"thin": [], "fat": []}
         spac = []
@@ -175,12 +191,12 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
             dS["thin"].append(abs(evaluate_action(cm, ct) - S0))
             dS["fat"].append(abs(evaluate_action(cm, cf) - S0))
             spac.append(lat.a)
-        orders = {k: fit_order(spac, v) for k, v in dS.items()}
-        lines += [_ladder_line(f"gauge {k} dS", v, orders[k]) for k, v in dS.items()]
+        more, orders, fits = _refinement(spac, dS, "gauge {} dS")
+        lines += more
         residuals.update((k, tuple(map(float, v))) for k, v in dS.items())
     return CheckRecord("gauge-check",
                        cov <= cfg.tol and all(map(order_ok, orders.values())),
-                       "", lines, residuals, orders)
+                       "", lines, residuals, orders, fits)
 
 
 def check_eom(cm, cfg: RunConfig) -> CheckRecord:
@@ -260,16 +276,15 @@ def check_offshell(cm, cfg: RunConfig) -> CheckRecord:
                            "", lines, res)
     out = offshell_refinement(cm, list(OFFSHELL_LADDER), seed=cfg.seed,
                               extent=1.0, mode_count=cfg.modes)
-    orders = {k: out[f"{k}_order"] for k in ("ra", "rb")}
-    lines = [f"offshell ladder n={list(OFFSHELL_LADDER)}"]
-    lines += [_ladder_line(f"offshell {k} residuals", out[f"{k}_residuals"], o)
-              for k, o in orders.items()]
-    lines.append(f"offshell bianchi-content orders "
-                 f"{_order_str(out['ra_bianchi_order'])} "
-                 f"{_order_str(out['rb_bianchi_order'])}")
+    res = {k: tuple(map(float, out[f"{k}_residuals"])) for k in ("ra", "rb")}
+    more, orders, fits = _refinement([1.0 / n for n in OFFSHELL_LADDER], res,
+                                     "offshell {} residuals")
+    lines = [f"offshell ladder n={list(OFFSHELL_LADDER)}", *more,
+             f"offshell bianchi-content orders "
+             f"{_order_str(out['ra_bianchi_order'])} "
+             f"{_order_str(out['rb_bianchi_order'])}"]
     return CheckRecord("offshell", all(map(order_ok, orders.values())), "", lines,
-                       {k: tuple(map(float, out[f"{k}_residuals"])) for k in orders},
-                       orders)
+                       res, orders, fits)
 
 
 def check_dof(p: int, q: int) -> CheckRecord:

@@ -4,14 +4,15 @@ Every density is stated once, at tensor level, as a list of terms
 
     (coefficient tensor, factor, factor, ...)
 
-expanded into component monomials by localpoly.tensor_density.  A factor is
-a phase-space block of phase.PhasePoint, written "X", or "dX" for its
-central difference; the coefficient axes are the free components, then per
-factor its derivative axis (for "dX") and its component axes.  Coefficients
-are np.einsum products of the structure tensors of a crossed module with the
-spatial constants of bfcg.lattice: EPS3_PAIR[i, P] = eps^{ijk} for the
-stored pair P = (j, k), j < k; PAIR[P, j, k] = +1 on the stored order, -1
-reversed; and eye(3).
+expanded into component monomials by localpoly.tensor_density only: H_c and
+H_T (_product) and the gauge-fixed densities (_gauge_fix) are composed from
+terms too.  A factor is a phase-space block of phase.PhasePoint, written
+"X", or "dX" for its central difference; the coefficient axes are the free
+components, then per factor its derivative axis (for "dX") and its
+component axes.  Coefficients are np.einsum products of the structure
+tensors of a crossed module with the spatial constants of bfcg.lattice:
+EPS3_PAIR[i, P] = eps^{ijk} for the stored pair P = (j, k), j < k;
+PAIR[P, j, k] = +1 on the stored order, -1 reversed; and eye(3).
 
 Families (free components in brackets; Lie indices on momenta and on all
 phi/chi densities are lowered):
@@ -68,7 +69,7 @@ import numpy as np
 
 from .lattice import EPS3_PAIR, PAIR, Lattice
 from .localpoly import (Density, LocalFunctional, evaluate_density, identity,
-                        mul_terms, smear, tensor_density)
+                        smear, tensor_density)
 from .phase import PhasePoint, block_shapes
 
 __all__ = [
@@ -77,7 +78,6 @@ __all__ = [
     "FAMILIES",
     "evaluate_constraint",
     "gauge_fixed_density",
-    "hamiltonian_density",
     "canonical_hamiltonian",
     "MultiplierSet",
     "determine_multipliers",
@@ -107,12 +107,15 @@ def _eps_dual(terms):
     return [(np.einsum("iP,P...->i...", E3, c), *fs) for c, *fs in terms]
 
 
-def _times(terms, K, spec):
-    """sum_free K[free, comp] X[free] spec[comp]: contract the free axes of
-    terms with K, whose remaining axes index the new first factor spec."""
-    axes = list(range(K.ndim - _RANK[spec]))
-    return [(np.tensordot(K, c, axes=(axes, axes)), spec, *fs)
-            for c, *fs in terms]
+def _product(a_terms, b_terms):
+    """Scalar terms sum_free a[free] b[free]: coefficients of two term lists
+    with the same free axes contracted over them, factor lists joined."""
+    out = []
+    for ca, *fa in a_terms:
+        free = list(range(ca.ndim - sum(r + d for _, r, d in map(_factor, fa))))
+        out += [(np.tensordot(ca, cb, axes=(free, free)), *fa, *fb)
+                for cb, *fb in b_terms]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +214,18 @@ def _phi_BCb(cm):
 # ---------------------------------------------------------------------------
 
 def _H_c(cm):
-    return (_times(_S_H(cm, lowered=False),
-                   -np.einsum("iP,ab->Paib", E3, cm.Q), "B0")
-            + _times(_S_G(cm, lowered=False), -cm.qf, "C0")
-            + _times(_S_CB(cm), -np.einsum("kP,xy->Pxky", E3, np.eye(cm.q)),
-                     "be0")
-            + _times(_S_BCb(cm), -np.eye(cm.p), "A0"))
+    return (_product([(-np.einsum("iP,ab->Paib", E3, cm.Q), "B0")],
+                     _S_H(cm, lowered=False))
+            + _product([(-cm.qf, "C0")], _S_G(cm, lowered=False))
+            + _product([(-np.einsum("kP,xy->Pxky", E3, np.eye(cm.q)), "be0")],
+                       _S_CB(cm))
+            + _product([(-np.eye(cm.p), "A0")], _S_BCb(cm)))
+
+
+def _H_T(cm):
+    """H_c plus every determined multiplier times its spatial primary."""
+    return _H_c(cm) + [t for lam, prim in _LAM_PRIMARY for t in _product(
+        _REGISTRY[lam][1](cm), _REGISTRY[prim][1](cm))]
 
 
 def _lam_A(cm):
@@ -274,6 +283,7 @@ _REGISTRY = {
     "lam(C)": ("3q", _lam_C),
     "lam(B)": ("3p", _lam_B),
     "H_c": ("", _H_c),
+    "H_T": ("", _H_T),
 }
 _REGISTRY.update({alias: _REGISTRY[name] for alias, name in (
     ("phi(B)", "P(B)_0i"), ("phi(C)", "P(C)_0"), ("phi(beta)", "P(beta)_0i"),
@@ -306,19 +316,25 @@ def family_shape(cm, name: str) -> tuple:
     return tuple(3 if c == "3" else getattr(cm, c) for c in _REGISTRY[name][0])
 
 
+def _expand(cm, name: str, gauge_fixed: bool) -> Density:
+    """Expand the tensor terms of a registered family once per module."""
+    key = ("gf_density" if gauge_fixed else "density", name)
+    if key not in cm._cache:
+        shape, terms = family_shape(cm, name), _REGISTRY[name][1](cm)
+        terms = _gauge_fix(cm, terms) if gauge_fixed else terms
+        cm._cache[key] = tensor_density(
+            shape, *[(c, *map(_factor, fs)) for c, *fs in terms])
+    return cm._cache[key]
+
+
 def constraint_density(cm, name: str) -> Density:
     """Compressed monomial density of a registered family, cached per module.
 
     Besides FAMILIES this builds S(H)_low, S(G)_low, the determined
-    multipliers lam(A), lam(beta), lam(C), lam(B) and H_c.
+    multipliers lam(A), lam(beta), lam(C), lam(B), H_c and H_T (without its
+    free temporal multipliers).
     """
-    key = ("density", name)
-    if key not in cm._cache:
-        shape = family_shape(cm, name)
-        terms = _REGISTRY[name][1](cm)
-        cm._cache[key] = tensor_density(
-            shape, *[(c, *map(_factor, fs)) for c, *fs in terms])
-    return cm._cache[key]
+    return _expand(cm, name, gauge_fixed=False)
 
 
 def evaluate_constraint(cm, family: str, point: PhasePoint) -> np.ndarray:
@@ -331,51 +347,44 @@ def evaluate_constraint(cm, family: str, point: PhasePoint) -> np.ndarray:
 # gauge-fixed substitution (section-4 picture)
 # ---------------------------------------------------------------------------
 
+def _gauge_fix(cm, terms):
+    """Contract the component axes of every B, dB, C and dC factor of the
+    terms with the elimination map T[old comp..., new comp...] of its block,
+    giving pA, dpA, pbe and dpbe factors."""
+    subs = {"B": ("pA", np.einsum("lP,bc->Pblc", E3, cm.Qinv)),
+            "C": ("pbe", -np.einsum("mP,gd->mgPd", E3, cm.qfinv))}
+    out = []
+    for c, *specs in terms:
+        pos = c.ndim - sum(r + d for _, r, d in map(_factor, specs))
+        for k, spec in enumerate(specs):
+            block, rank, deriv = _factor(spec)
+            pos += deriv
+            if block in subs:
+                mom, T = subs[block]
+                c = np.moveaxis(np.tensordot(c, T, axes=([pos, pos + 1], [0, 1])),
+                                [-2, -1], [pos, pos + 1])
+                specs[k] = spec[:-len(block)] + mom
+            pos += rank
+        out.append((c, *specs))
+    return out
+
+
 def gauge_fixed_density(cm, name: str) -> Density:
     """Rewrite a density on the (A, beta; pi(A), pi(beta)) phase space.
 
     The eliminated fields are B_{a jk} = eps_{jkl} pi(A)_a^l and
     C_{al k} = -1/2 eps_{kmn} pi(beta)_al^{mn}; upper-index occurrences pick
-    up the inverse metrics.
+    up the inverse metrics.  Cached per module.
     """
-    key = ("gf_density", name)
-    if key in cm._cache:
-        return cm._cache[key]
-    subs = {}  # (block, comp) -> [(coeff, momentum block, comp), ...]
-    for block, mom, T in (
-            ("B", "pA", np.einsum("lP,bc->Pblc", E3, cm.Qinv)),
-            ("C", "pbe", -np.einsum("mP,gd->mgPd", E3, cm.qfinv))):
-        for old in np.ndindex(*T.shape[:2]):
-            subs[(block, old)] = [(float(T[old][new]), mom, new) for new in
-                                  map(tuple, np.argwhere(T[old]).tolist())]
-    src = constraint_density(cm, name)
-    out = Density(src.comp_shape)
-    for fc, terms in src.items():
-        new_terms = []
-        for coeff, factors in terms:
-            expanded = [(coeff, ())]
-            for block, comp, dax in factors:
-                alts = subs.get((block, comp), [(1.0, block, comp)])
-                expanded = [(c0 * cs, f0 + ((blk, new, dax),))
-                            for c0, f0 in expanded for cs, blk, new in alts]
-            new_terms.extend(expanded)
-        out.add(fc, new_terms)
-    out.compress()
-    cm._cache[key] = out
-    return out
+    return _expand(cm, name, gauge_fixed=True)
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonians and multipliers
 # ---------------------------------------------------------------------------
 
-def hamiltonian_density(cm) -> Density:
-    """Scalar density of the canonical (velocity-free) Hamiltonian H_c."""
-    return constraint_density(cm, "H_c")
-
-
 def canonical_hamiltonian(cm, point: PhasePoint) -> float:
-    fn = smear(hamiltonian_density(cm), None, point.lattice)
+    fn = smear(constraint_density(cm, "H_c"), None, point.lattice)
     return fn.value(point.blocks)
 
 
@@ -436,21 +445,15 @@ def total_hamiltonian_functional(cm, lattice: Lattice, lamA0=None, lamB0=None,
                                  lamC0=None, lambe0=None) -> LocalFunctional:
     """H_T = H_c + sum of multiplier terms as one local functional.
 
-    Spatial multipliers are expanded symbolically (they are phase-space
-    polynomials), so brackets with H_T see their field dependence exactly;
-    temporal multipliers enter as fixed weight arrays.
+    Spatial multipliers are phase-space polynomials, multiplied into the
+    density H_T at tensor level, so brackets with H_T see their field
+    dependence exactly; temporal multipliers enter as fixed weight arrays.
     """
-    entries = list(smear(hamiltonian_density(cm), None, lattice).entries)
-    for lam_name, pfam in _LAM_PRIMARY:
-        pdens = constraint_density(cm, pfam)
-        for fc, lterms in constraint_density(cm, lam_name).items():
-            prod = mul_terms(lterms, pdens.per_comp[fc])
-            entries.extend((c, None, f) for c, f in prod)
+    entries = list(smear(constraint_density(cm, "H_T"), None, lattice).entries)
     free = _free_multipliers(cm, lattice, (lamA0, lamB0, lamC0, lambe0))
     for (_, fam), weight in zip(_FREE, free):
         if weight is not None:
-            entries.extend(
-                smear(constraint_density(cm, fam), weight, lattice).entries)
+            entries += smear(constraint_density(cm, fam), weight, lattice).entries
     return LocalFunctional(lattice, entries)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["DofTable", "dof_count", "dof_report", "parse_dof_report"]
+__all__ = ["DofTable", "dof_count", "dof_report"]
 
 _FIELD_ROWS = (("A", 4, 0), ("beta", 0, 6), ("C", 0, 4), ("B", 6, 0))
 _FC_ROWS = (("phi(B)", 3, 0), ("phi(C)", 0, 1), ("phi(beta)", 0, 3),
@@ -63,7 +63,7 @@ def dof_count(p: int, q: int) -> DofTable:
 
 
 def dof_report(table: DofTable) -> str:
-    """Render the counting tables; round-trips through parse_dof_report."""
+    """Render the counting tables as report lines."""
     lines = [
         "# dof-report v1",
         f"p {table.p}",
@@ -85,30 +85,3 @@ def dof_report(table: DofTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_dof_report(text: str) -> DofTable:
-    section = None
-    meta = {}
-    fields, fc, sc, ded = {}, {}, {}, {}
-    totals = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if ln.startswith("["):
-            section = ln.strip("[]")
-            continue
-        if section is None:
-            k, v = ln.split()
-            meta[k] = int(v)
-        elif section == "totals":
-            k, _, v = ln.split()
-            totals[k] = int(v)
-        else:
-            k, v = ln.rsplit(" ", 1)
-            target = {"fields": fields, "first-class": fc,
-                      "second-class": sc, "deductions": ded}[section]
-            target[k.replace("_", " ")] = int(v)
-    t = DofTable(p=meta["p"], q=meta["q"], fields=fields, first_class=fc,
-                 second_class=sc, deductions=ded,
-                 N=totals["N"], F=totals["F"], S=totals["S"], n=totals["n"])
-    return t

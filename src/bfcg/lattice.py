@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "Lattice",
-    "make_lattice",
     "discrete_derivative",
     "pairs",
     "triples",
@@ -37,10 +36,8 @@ __all__ = [
     "make_config_recipe",
     "sample_smooth_fields",
     "FieldConfiguration",
-    "dump_field_configuration",
-    "load_field_configuration",
     "fit_order",
-    "convergence_study",
+    "finest_order",
 ]
 
 
@@ -76,10 +73,6 @@ class Lattice:
     @property
     def volume_element(self) -> float:
         return self.a ** self.D
-
-
-def make_lattice(D: int, n: int, a: float) -> Lattice:
-    return Lattice(D=D, n=n, a=a)
 
 
 def discrete_derivative(field: np.ndarray, axis: int, lattice: Lattice) -> np.ndarray:
@@ -356,61 +349,6 @@ def sample_smooth_fields(cm, lattice: Lattice, mode_count: int,
 
 
 # ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def dump_field_configuration(cfg: FieldConfiguration, module_name: str = "") -> str:
-    lat = cfg.lattice
-    lines = [
-        "# field-configuration v1",
-        "# storage: component axes first, lattice axes last;",
-        "# 2-forms on ordered pairs mu<nu in lexicographic order",
-        f"module {module_name or 'unnamed'}",
-        f"D {lat.D}",
-        f"n {lat.n}",
-        f"a {lat.a!r}",
-    ]
-    for name in ("A", "beta", "B", "C"):
-        arr = getattr(cfg, name)
-        dims = " ".join(str(d) for d in arr.shape)
-        lines.append(f"field {name} {dims}")
-        flat = arr.reshape(-1)
-        for start in range(0, flat.size, 6):
-            lines.append(" ".join(repr(float(v)) for v in flat[start:start + 6]))
-    return "\n".join(lines) + "\n"
-
-
-def load_field_configuration(text: str) -> FieldConfiguration:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    meta = {}
-    arrays = {}
-    i = 0
-    while i < len(lines):
-        parts = lines[i].split()
-        if parts[0] in ("module", "D", "n", "a"):
-            meta[parts[0]] = parts[1]
-            i += 1
-        elif parts[0] == "field":
-            name = parts[1]
-            shape = tuple(int(s) for s in parts[2:])
-            need = int(np.prod(shape))
-            vals = []
-            i += 1
-            while len(vals) < need:
-                if i >= len(lines):
-                    raise ValueError(f"field {name!r}: truncated data")
-                for tok in lines[i].split():
-                    vals.append(float(tok))
-                i += 1
-            arrays[name] = np.array(vals).reshape(shape)
-        else:
-            raise ValueError(f"unrecognized line: {lines[i]!r}")
-    lat = Lattice(D=int(meta["D"]), n=int(meta["n"]), a=float(meta["a"]))
-    return FieldConfiguration(lattice=lat, A=arrays["A"], beta=arrays["beta"],
-                              B=arrays["B"], C=arrays["C"])
-
-
-# ---------------------------------------------------------------------------
 # convergence harness
 # ---------------------------------------------------------------------------
 
@@ -440,21 +378,26 @@ def fit_order(spacings, residuals, exact_floor: float = EXACT_FLOOR):
     return float(slope)
 
 
-def convergence_study(evaluator, lattices, exact_floor: float = EXACT_FLOOR):
-    """Evaluate a residual functional on each lattice and fit the order.
+def finest_order(spacings, residuals, exact_floor: float = EXACT_FLOOR):
+    """Order of a refinement ladder from its finest pair of rungs.
 
-    evaluator(lattice) -> non-negative residual.  Returns a dict with the
-    residual table and the fitted order ("exact" for all-zero sequences).
+    The coarse rungs of a ladder may lie before the asymptotic regime,
+    where a least-squares fit over all rungs is dragged off the true order;
+    the finest pair is the nearest to that regime.  Returns "exact" when
+    every residual is at the noise floor, and NaN, which no order gate
+    accepts, for a non-finite rung or a ladder with a rung that does not
+    shrink under refinement (a zero rung below a positive one included).
     """
-    lattices = list(lattices)
-    if len(lattices) < 3:
-        raise ValueError("need at least 3 resolutions")
-    residuals = [float(evaluator(lat)) for lat in lattices]
-    spacings = [lat.a for lat in lattices]
-    order = fit_order(spacings, residuals, exact_floor=exact_floor)
-    return {
-        "n": [lat.n for lat in lattices],
-        "a": spacings,
-        "residuals": residuals,
-        "order": order,
-    }
+    residuals = np.asarray(residuals, dtype=float)
+    spacings = np.asarray(spacings, dtype=float)
+    if len(residuals) < 3:
+        raise ValueError("need at least 3 resolutions to fit an order")
+    if not np.all(np.isfinite(residuals)):
+        return float("nan")
+    if np.all(residuals <= exact_floor):
+        return "exact"
+    coarse_to_fine = np.argsort(-spacings)
+    r, a = residuals[coarse_to_fine], spacings[coarse_to_fine]
+    if r[-1] <= 0 or np.any(np.diff(r) >= 0):
+        return float("nan")
+    return float(np.log(r[-2] / r[-1]) / np.log(a[-2] / a[-1]))

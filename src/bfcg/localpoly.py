@@ -36,8 +36,6 @@ import numpy as np
 from .lattice import Lattice, discrete_derivative
 
 __all__ = [
-    "term",
-    "mul_terms",
     "Density",
     "identity",
     "tensor_density",
@@ -52,60 +50,16 @@ __all__ = [
 _TINY = 1e-15
 
 
-def term(coeff, *factors):
-    """Build one monomial; factors are (block, comp) or (block, comp, daxis)."""
-    norm = []
-    for f in factors:
-        if len(f) == 2:
-            norm.append((f[0], tuple(f[1]), -1))
-        else:
-            norm.append((f[0], tuple(f[1]), f[2]))
-    return (float(coeff), tuple(norm))
-
-
-def mul_terms(terms_a, terms_b, c=1.0):
-    """Product of two term lists (polynomial multiplication)."""
-    out = []
-    for ca, fa in terms_a:
-        for cb, fb in terms_b:
-            coeff = c * ca * cb
-            if abs(coeff) >= _TINY:
-                out.append((coeff, fa + fb))
-    return out
-
-
 class Density:
-    """A local density with free components.
+    """A local density made by tensor_density: comp_shape is the shape of
+    its free components, per_comp maps a free-component tuple to its terms."""
 
-    comp_shape is the shape of the free-component index block; per_comp maps
-    a free-component tuple to its term list.
-    """
-
-    def __init__(self, comp_shape, per_comp=None):
+    def __init__(self, comp_shape, per_comp):
         self.comp_shape = tuple(comp_shape)
-        self.per_comp = dict(per_comp or {})
-
-    def add(self, fc, terms):
-        fc = tuple(fc)
-        self.per_comp.setdefault(fc, []).extend(
-            t for t in terms if abs(t[0]) >= _TINY)
+        self.per_comp = per_comp
 
     def items(self):
         return self.per_comp.items()
-
-    def compress(self):
-        """Merge terms with identical factor tuples (order-sensitive key)."""
-        for fc, terms in self.per_comp.items():
-            acc = {}
-            for coeff, factors in terms:
-                key = tuple(sorted(factors))
-                if key in acc:
-                    acc[key] = (acc[key][0] + coeff, acc[key][1])
-                else:
-                    acc[key] = (coeff, factors)
-            self.per_comp[fc] = [
-                (c, f) for c, f in acc.values() if abs(c) >= _TINY]
-        return self
 
 
 def identity(comp_shape) -> np.ndarray:
@@ -123,11 +77,13 @@ def tensor_density(comp_shape, *terms) -> Density:
     is true.  The axes of coeff are the free components (comp_shape), then
     for each factor in order its derivative axis (the lattice axis, only
     when deriv) and its rank component axes.  Every entry of coeff at or
-    above the drop threshold becomes one monomial.
+    above the drop threshold becomes one monomial; monomials of one free
+    component with the same factor set are merged, and a merged coefficient
+    below the threshold is dropped.
     """
     comp_shape = tuple(comp_shape)
     nfree = len(comp_shape)
-    per_comp = {fc: [] for fc in np.ndindex(*comp_shape)}
+    per_comp = {fc: {} for fc in np.ndindex(*comp_shape)}
     for coeff, *factors in terms:
         coeff = np.asarray(coeff, dtype=float)
         if (coeff.shape[:nfree] != comp_shape or coeff.ndim != nfree + sum(
@@ -143,8 +99,13 @@ def tensor_density(comp_shape, *terms) -> Density:
                 pos += bool(deriv)
                 mono.append((block, tuple(idx[pos:pos + rank]), daxis))
                 pos += rank
-            per_comp[tuple(idx[:nfree])].append((c, tuple(mono)))
-    return Density(comp_shape, per_comp).compress()
+            acc = per_comp[tuple(idx[:nfree])]
+            key = tuple(sorted(mono))
+            c0, mono0 = acc.get(key, (0.0, tuple(mono)))
+            acc[key] = (c0 + c, mono0)
+    return Density(comp_shape, {
+        fc: [(c, f) for c, f in acc.values() if abs(c) >= _TINY]
+        for fc, acc in per_comp.items()})
 
 
 class _FactorCache:
@@ -243,12 +204,10 @@ def smear(density: Density, test, lattice: Lattice) -> LocalFunctional:
     test is an array of shape (comp_shape..., n, n, n) or (comp_shape...,)
     (constant test), or None for an unsmeared scalar density.
     """
-    entries = []
     if test is None:
-        for fc, terms in density.items():
-            for coeff, factors in terms:
-                entries.append((coeff, None, factors))
-        return LocalFunctional(lattice, entries)
+        return LocalFunctional(lattice, [(coeff, None, factors) for _, terms
+                                         in density.items()
+                                         for coeff, factors in terms])
     test = np.asarray(test, dtype=float)
     ncomp = len(density.comp_shape)
     if test.shape[:ncomp] != density.comp_shape:
@@ -258,6 +217,7 @@ def smear(density: Density, test, lattice: Lattice) -> LocalFunctional:
     per_site = test.ndim == ncomp + 3
     if not per_site and test.shape != density.comp_shape:
         raise ValueError(f"bad test shape {test.shape}")
+    entries = []
     for fc, terms in density.items():
         w = test[fc]
         if not per_site:

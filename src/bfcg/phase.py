@@ -47,8 +47,6 @@ __all__ = [
     "make_phase_recipe",
     "random_phase_point",
     "onshell_momenta",
-    "dump_phase_point",
-    "load_phase_point",
 ]
 
 CANONICAL_PAIRS = (
@@ -224,57 +222,3 @@ def random_phase_point(cm, lattice: Lattice, seed: int, rule: str = "random",
     """Generic smooth phase point, deterministic in seed."""
     return make_phase_recipe(cm, mode_count, seed, rule, scale).realize_with(cm, lattice)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_BLOCK_ORDER = COORD_BLOCKS + MOMENTUM_BLOCKS
-
-
-def dump_phase_point(point: PhasePoint, module_name: str = "") -> str:
-    lat = point.lattice
-    lines = [
-        "# phase-point v1",
-        "# blocks: coordinates then momenta; pair components on ordered j<k",
-        f"module {module_name or 'unnamed'}",
-        f"p {point.p}",
-        f"q {point.q}",
-        f"n {lat.n}",
-        f"a {lat.a!r}",
-    ]
-    for name in _BLOCK_ORDER:
-        arr = point.blocks[name]
-        dims = " ".join(str(d) for d in arr.shape)
-        lines.append(f"block {name} {dims}")
-        flat = arr.reshape(-1)
-        for start in range(0, flat.size, 6):
-            lines.append(" ".join(repr(float(v)) for v in flat[start:start + 6]))
-    return "\n".join(lines) + "\n"
-
-
-def load_phase_point(text: str) -> PhasePoint:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    meta, arrays = {}, {}
-    i = 0
-    while i < len(lines):
-        parts = lines[i].split()
-        if parts[0] in ("module", "p", "q", "n", "a"):
-            meta[parts[0]] = parts[1]
-            i += 1
-        elif parts[0] == "block":
-            name = parts[1]
-            shape = tuple(int(s) for s in parts[2:])
-            need = int(np.prod(shape)) if shape else 1
-            vals = []
-            i += 1
-            while len(vals) < need:
-                if i >= len(lines):
-                    raise ValueError(f"block {name!r}: truncated data")
-                vals.extend(float(tok) for tok in lines[i].split())
-                i += 1
-            arrays[name] = np.array(vals).reshape(shape)
-        else:
-            raise ValueError(f"unrecognized line: {lines[i]!r}")
-    lat = Lattice(D=3, n=int(meta["n"]), a=float(meta["a"]))
-    return PhasePoint(lat, int(meta["p"]), int(meta["q"]), arrays)

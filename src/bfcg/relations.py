@@ -42,8 +42,9 @@ import numpy as np
 from .constraints import (constraint_density, evaluate_constraint, family_shape,
                           gauge_fixed_density, total_hamiltonian_functional)
 from .crossed_module import contract
-from .lattice import (EPS3_PAIR, PAIR, Lattice, _random_recipe,
-                      discrete_derivative, fit_order, pair_index, pairs)
+from .curvature import curvature_F, curvature_T
+from .lattice import (EPS3_PAIR, PAIR, FieldConfiguration, Lattice,
+                      _random_recipe, discrete_derivative, fit_order, pair_index)
 from .localpoly import (evaluate_density, identity, pair_gradients,
                         paired_sum, poisson_bracket, smear, tensor_density)
 from .phase import (CANONICAL_PAIRS, GAUGE_FIXED_PAIRS, PhasePoint,
@@ -61,7 +62,6 @@ __all__ = [
     "classification_table",
 ]
 
-P3 = pairs(3)
 PIDX3 = pair_index(3)
 S3 = EPS3_PAIR
 
@@ -319,7 +319,7 @@ def fundamental_bracket_residuals(cm, point: PhasePoint, seed: int = 0) -> dict:
         fp, tp = fns[pb]
         val = poisson_bracket(fq, fp, point.blocks, CANONICAL_PAIRS)
         expect = _vol_sum(lat, np.sum(tq * tp, axis=tuple(range(tq.ndim - 3))))
-        worst_pair = max(worst_pair, abs(val - expect))
+        worst_pair = float(np.max([worst_pair, abs(val - expect)]))
     names = [n for pr in CANONICAL_PAIRS for n in pr]
     for i, na in enumerate(names):
         for nb in names[i + 1:]:
@@ -327,7 +327,7 @@ def fundamental_bracket_residuals(cm, point: PhasePoint, seed: int = 0) -> dict:
                 continue
             val = poisson_bracket(fns[na][0], fns[nb][0], point.blocks,
                                   CANONICAL_PAIRS)
-            worst_zero = max(worst_zero, abs(val))
+            worst_zero = float(np.max([worst_zero, abs(val)]))
     return {"conjugate": worst_pair, "cross": worst_zero}
 
 
@@ -406,30 +406,6 @@ def consistency_residuals(cm, point: PhasePoint, lamA0=None, lamB0=None,
 # off-shell dependencies of the first-class constraints
 # ---------------------------------------------------------------------------
 
-def _spatial_F(cm, point):
-    lat = point.lattice
-    A = point.blocks["A"]
-    out = np.zeros((3, cm.p) + lat.shape)
-    for P, (j, k) in enumerate(P3):
-        out[P] = (discrete_derivative(A[k], j, lat)
-                  - discrete_derivative(A[j], k, lat)
-                  + contract(cm.f, A[j], A[k]))
-    return out
-
-
-def _spatial_T(cm, point):
-    lat = point.lattice
-    A, C = point.blocks["A"], point.blocks["C"]
-    out = np.zeros((3, cm.q) + lat.shape)
-    for P, (j, k) in enumerate(P3):
-        out[P] = (discrete_derivative(C[k], j, lat)
-                  - discrete_derivative(C[j], k, lat))
-        if cm.q:
-            out[P] += contract(cm.act, A[j], C[k])
-            out[P] -= contract(cm.act, A[k], C[j])
-    return out
-
-
 def _cov_div_g_low(cm, point, field):
     """sum_i nabla_i X_a^i for a lowered-index (3, p) density array."""
     lat = point.lattice
@@ -469,7 +445,9 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     be = point.blocks["be"]
     C = point.blocks["C"]
     B = point.blocks["B"]
-    F3 = _spatial_F(cm, point)
+    # the spatial curvatures F and T are the curvature layer's at D = 3
+    cfg3 = FieldConfiguration(lat, A, be, B, C)
+    F3 = curvature_F(cm, cfg3)
     F3_low = np.einsum("ab,Pb...->Pa...", cm.Q, F3)
     chiB = evaluate_constraint(cm, "chi(B)", point)
     phiH = evaluate_constraint(cm, "phi(H)", point)
@@ -504,7 +482,7 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
         out["rb_bianchi_norm"] = 0.0
         return out
 
-    T3 = _spatial_T(cm, point)
+    T3 = curvature_T(cm, cfg3)
     T3_low = np.einsum("xy,Py...->Px...", cm.qf, T3)
     SH = evaluate_constraint(cm, "S(H)", point)
     phiCB = evaluate_constraint(cm, "phi(CB)", point)
@@ -602,5 +580,5 @@ def reduction_residual(cm, point: PhasePoint) -> float:
         phi_arr = evaluate_constraint(cm, phi_fam, reduced)
         sec_arr = _secondary_dual(cm, reduced, sec_kind)
         if phi_arr.size:
-            worst = max(worst, float(np.max(np.abs(phi_arr - sec_arr))))
+            worst = float(np.max([worst, np.max(np.abs(phi_arr - sec_arr))]))
     return worst

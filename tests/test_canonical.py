@@ -12,8 +12,8 @@ from bfcg.crossed_module import builtin_module
 from bfcg.lattice import EPS3_PAIR, Lattice, pair_index, pairs, sample_smooth_fields
 from bfcg.localpoly import poisson_bracket, smear
 from bfcg.phase import (CANONICAL_PAIRS, GAUGE_FIXED_PAIRS, block_shapes,
-                        dump_phase_point, load_phase_point, phase_from_config,
-                        random_phase_point, zero_phase_point)
+                        phase_from_config, random_phase_point,
+                        zero_phase_point)
 
 CM = builtin_module("adjoint(su2)")
 LAT = Lattice(D=3, n=4, a=0.25)
@@ -55,13 +55,6 @@ def test_phase_from_config_requires_D4():
     cfg3 = sample_smooth_fields(CM, LAT, 1, 1)
     with pytest.raises(ValueError):
         phase_from_config(CM, cfg3)
-
-
-def test_phase_point_round_trip():
-    pt = random_phase_point(CM, LAT, seed=3, rule="random")
-    back = load_phase_point(dump_phase_point(pt, CM.name))
-    for name, arr in pt.blocks.items():
-        assert np.array_equal(back.blocks[name], arr)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +275,17 @@ def test_HT_minus_Hc_is_multiplier_sum():
     direct += _pair_sum(mset.lamC, "P(C)_k")
     direct += _pair_sum(mset.lambe, "P(beta)_jk")
     assert abs((ht - hc) - a3 * direct) < 1e-11 * max(1.0, abs(ht))
+
+
+@pytest.mark.parametrize("name", STRUCTURE_MODULES)
+def test_total_hamiltonian_entries_have_distinct_factor_sets(name):
+    """H_T is one density: the multiplier products merge with H_c and with
+    each other, so no two entries share a factor set."""
+    entries = total_hamiltonian_functional(builtin_module(name), LAT).entries
+    keys = [tuple(sorted(factors)) for _, _, factors in entries]
+    assert len(set(keys)) == len(keys)
+    assert len(entries) == {"adjoint(su2)": 414,
+                            "vector_poincare": 906}.get(name, len(entries))
 
 
 def test_regrouping_identity_exact():

@@ -1,11 +1,14 @@
 """The check registry: the order gate, run configurations and records."""
 
+import numpy as np
 import pytest
 
 from bfcg import checks
-from bfcg.checks import (CHECKS, ORDER_WINDOW, RunConfig, check_dof,
-                         check_offshell, order_ok)
+from bfcg import curvature
+from bfcg.checks import (CHECKS, ORDER_WINDOW, RunConfig, check_bianchi,
+                         check_dof, check_offshell, order_ok)
 from bfcg.crossed_module import builtin_module
+from bfcg.lattice import discrete_derivative
 
 
 @pytest.mark.parametrize("order, ok", [
@@ -17,6 +20,14 @@ def test_order_ok_is_the_window(order, ok):
     assert order_ok(order) is ok
 
 
+def _ladder(order, ns):
+    """Residual ladder r = 4 a^order over the rungs ns (a = 1/n); NaN rungs
+    for a NaN order and zeros for "exact"."""
+    if order == "exact":
+        return [0.0] * len(ns)
+    return [4.0 * n ** -order for n in ns]
+
+
 @pytest.mark.parametrize("key", ["ra", "rb"])
 @pytest.mark.parametrize("order, ok", [(2.6, False), (float("nan"), False),
                                        ("exact", True)])
@@ -25,14 +36,16 @@ def test_offshell_gate_is_the_order_window(monkeypatch, key, order, ok):
     def fake_refinement(cm, n_list, **kwargs):
         out = {f"{k}_{s}": 2.0 for k in ("ra", "rb")
                for s in ("order", "bianchi_order")}
-        out.update(ra_residuals=[4e-3, 2e-3, 1e-3], rb_residuals=[4e-3, 2e-3, 1e-3])
-        out[f"{key}_order"] = order
+        out.update((f"{k}_residuals", _ladder(order if k == key else 2.0, n_list))
+                   for k in ("ra", "rb"))
         return out
 
     monkeypatch.setattr(checks, "offshell_refinement", fake_refinement)
     rec = check_offshell(builtin_module("adjoint(su2)"), RunConfig())
     assert rec.ok is ok
-    assert rec.orders[key] is order
+    got = rec.orders[key]
+    assert got == order if order == "exact" else np.isclose(got, order,
+                                                            equal_nan=True)
 
 
 def test_nan_fundamental_bracket_fails_algebra(monkeypatch):
@@ -62,4 +75,28 @@ def test_records_hold_plain_floats():
         for values in rec.residuals.values():
             assert isinstance(values, tuple)
             assert all(type(v) is float for v in values)
-        assert all(o == "exact" or type(o) is float for o in rec.orders.values())
+        assert all(o == "exact" or type(o) is float
+                   for o in (*rec.orders.values(), *rec.fits.values()))
+
+
+def test_first_order_stencil_in_one_bianchi_term_fails(monkeypatch):
+    """A forward difference slipped into the covariant derivative along
+    axis 0 of the Bianchi identities leaves an O(a) residual, which FAILs
+    on a ladder where the exact stencil passes."""
+    cm = builtin_module("adjoint(su2)")
+    cfg = RunConfig(seed=1, ns=(12, 16, 24))
+    assert check_bianchi(cm, cfg).ok
+    central = curvature._cov_D_g_lower
+
+    def forward_on_axis_0(cm, config, field_low, up_field, axis):
+        out = central(cm, config, field_low, up_field, axis)
+        if axis == 0:
+            lat = config.lattice
+            out += ((np.roll(field_low, -1, axis=-4) - field_low) / lat.a
+                    - discrete_derivative(field_low, 0, lat))
+        return out
+
+    monkeypatch.setattr(curvature, "_cov_D_g_lower", forward_on_axis_0)
+    rec = check_bianchi(cm, cfg)
+    assert not rec.ok
+    assert abs(rec.orders["bianchi_F"] - 1.0) < 0.2

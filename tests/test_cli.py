@@ -128,3 +128,24 @@ def test_curvature_subcommand(capsys):
                               "--n", "4", "--seed", "2"])
     assert code == 0
     assert "curvature F maxabs" in out
+
+
+@pytest.mark.parametrize("a", ["inf", "nan", "0", "-0.25"])
+def test_bad_spacing_is_usage_error(a, capsys):
+    code = main(["eom", "--module", "abelian(1,1)", "--n", "4", f"--a={a}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--a" in err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("eom", "eom finite-difference relerr nan"),
+    ("algebra", "fundamental-brackets worst nan"),
+])
+def test_nan_residual_at_huge_spacing_fails(command, line, capsys):
+    """At a = 1e308 the action and the brackets overflow to NaN; the
+    worst-case reductions keep the NaN, so the check FAILs."""
+    code, out = _run(capsys, [command, "--module", "abelian(1,1)", "--n", "4",
+                              "--a", "1e308"])
+    assert code == 1
+    assert line in out and f"[FAIL] {command}" in out

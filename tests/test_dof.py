@@ -2,7 +2,7 @@
 
 import pytest
 
-from bfcg.dof import dof_count, dof_report, parse_dof_report
+from bfcg.dof import dof_count
 
 
 def test_poincare_counts():
@@ -39,13 +39,3 @@ def test_invalid_dimensions():
         dof_count(0, 3)
     with pytest.raises(ValueError):
         dof_count(2, -1)
-
-
-def test_report_round_trip_idempotent():
-    t = dof_count(6, 4)
-    text = dof_report(t)
-    assert "n = 0" in text
-    back = parse_dof_report(text)
-    assert dof_report(back) == text
-    assert (back.N, back.F, back.S, back.n) == (t.N, t.F, t.S, t.n)
-    assert back.fields == t.fields and back.second_class == t.second_class

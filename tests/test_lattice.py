@@ -5,23 +5,21 @@ import pytest
 
 from bfcg.checks import order_ok
 from bfcg.crossed_module import builtin_module
-from bfcg.lattice import (FieldConfiguration, Lattice, convergence_study,
-                          discrete_derivative, dump_field_configuration,
-                          fit_order, load_field_configuration,
-                          make_config_recipe, make_lattice, pair_index, pairs,
-                          sample_smooth_fields, triples)
+from bfcg.lattice import (FieldConfiguration, Lattice, discrete_derivative,
+                          finest_order, fit_order, make_config_recipe,
+                          pair_index, pairs, sample_smooth_fields, triples)
 
 
 def test_make_lattice_basic():
-    lat = make_lattice(4, 8, 0.1)
+    lat = Lattice(4, 8, 0.1)
     assert lat.sites == 4096
-    assert make_lattice(3, 4, 0.25).sites == 64
+    assert Lattice(3, 4, 0.25).sites == 64
 
 
 @pytest.mark.parametrize("bad", [(4, 2, 0.1), (2, 8, 0.1), (4, 8, -1.0)])
 def test_make_lattice_rejects(bad):
     with pytest.raises(ValueError):
-        make_lattice(*bad)
+        Lattice(*bad)
 
 
 def test_pairs_and_triples():
@@ -36,13 +34,13 @@ def test_pairs_and_triples():
 # ---------------------------------------------------------------------------
 
 def test_derivative_of_constant_is_zero():
-    lat = make_lattice(3, 6, 0.5)
+    lat = Lattice(3, 6, 0.5)
     f = np.full(lat.shape, 3.7)
     assert np.max(np.abs(discrete_derivative(f, 1, lat))) == 0.0
 
 
 def test_single_mode_closed_form():
-    lat = make_lattice(3, 16, 0.25)
+    lat = Lattice(3, 16, 0.25)
     k = 2
     x = np.arange(lat.n)
     f = np.sin(2 * np.pi * k * x / lat.n)[:, None, None] * np.ones(lat.shape)
@@ -54,7 +52,7 @@ def test_single_mode_closed_form():
 
 
 def test_summation_by_parts_exact():
-    lat = make_lattice(3, 6, 0.3)
+    lat = Lattice(3, 6, 0.3)
     rng = np.random.default_rng(0)
     f = rng.normal(size=lat.shape)
     g = rng.normal(size=lat.shape)
@@ -69,7 +67,7 @@ def test_summation_by_parts_exact():
 
 def test_sampler_deterministic_and_seed_sensitive():
     cm = builtin_module("adjoint(su2)")
-    lat = make_lattice(4, 6, 0.2)
+    lat = Lattice(4, 6, 0.2)
     c1 = sample_smooth_fields(cm, lat, mode_count=1, seed=7)
     c2 = sample_smooth_fields(cm, lat, mode_count=1, seed=7)
     c3 = sample_smooth_fields(cm, lat, mode_count=1, seed=8)
@@ -80,7 +78,7 @@ def test_sampler_deterministic_and_seed_sensitive():
 def test_sampler_rejects_zero_modes():
     cm = builtin_module("adjoint(su2)")
     with pytest.raises(ValueError):
-        sample_smooth_fields(cm, make_lattice(4, 6, 0.2), mode_count=0, seed=1)
+        sample_smooth_fields(cm, Lattice(4, 6, 0.2), mode_count=0, seed=1)
 
 
 def test_recipe_derivative_second_order():
@@ -111,25 +109,15 @@ def test_recipe_resolution_independent():
 
 
 # ---------------------------------------------------------------------------
-# configuration container and IO
+# configuration container
 # ---------------------------------------------------------------------------
 
 def test_field_configuration_shape_checks():
     cm = builtin_module("adjoint(su2)")
-    lat = make_lattice(4, 4, 0.1)
+    lat = Lattice(4, 4, 0.1)
     cfg = sample_smooth_fields(cm, lat, 1, 0)
     with pytest.raises(ValueError):
         FieldConfiguration(lat, cfg.A[:2], cfg.beta, cfg.B, cfg.C)
-
-
-def test_config_round_trip():
-    cm = builtin_module("abelian(1,2)")
-    lat = make_lattice(4, 4, 0.3)
-    cfg = sample_smooth_fields(cm, lat, 1, 2)
-    back = load_field_configuration(dump_field_configuration(cfg, cm.name))
-    for name in ("A", "beta", "B", "C"):
-        assert np.array_equal(getattr(back, name), getattr(cfg, name))
-    assert back.lattice == cfg.lattice
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +157,34 @@ def test_fit_order_single_positive_rung_is_nan(residuals):
     assert not order_ok(order)
 
 
-def test_convergence_study_harness():
-    lats = [Lattice(3, n, 1.0 / n) for n in (8, 16, 32)]
-    out = convergence_study(lambda lat: lat.a ** 2, lats)
-    assert abs(out["order"] - 2.0) < 1e-12
-    out = convergence_study(lambda lat: 0.0, lats)
-    assert out["order"] == "exact"
+SPACINGS = [1 / 8, 1 / 16, 1 / 32]
+
+
+def test_finest_order_reads_the_finest_pair():
+    """A coarse rung before the asymptotic regime drags the all-rung fit out
+    of the window; the finest pair of r = a^2 (1 + 30 a^2) stays in it."""
+    residuals = [a ** 2 * (1 + 30 * a ** 2) for a in SPACINGS]
+    assert not order_ok(fit_order(SPACINGS, residuals))
+    order = finest_order(SPACINGS, residuals)
+    assert abs(order - np.log2(4 * (1 + 30 / 256) / (1 + 30 / 1024))) < 1e-12
+    assert order_ok(order)
+    assert finest_order(SPACINGS[::-1], residuals[::-1]) == order
+    assert finest_order(SPACINGS, [0.0, 1e-12, 0.0]) == "exact"
+
+
+@pytest.mark.parametrize("residuals", [
+    [a ** 1.0 for a in SPACINGS],               # first order
+    [a ** 2.6 for a in SPACINGS],               # too steep
+    [1e-2, 2.5e-3, 4e-3],                       # a rung that grows
+    [1e-2, 2.5e-3, 2.5e-3],                     # a rung that does not shrink
+    [1e-2, float("nan"), 6.25e-4],              # a NaN rung
+    [0.0, 0.0, 1e-3],                           # a single positive rung
+    [1e-3, 0.0, 0.0],
+])
+def test_finest_order_gate_fails_bad_ladders(residuals):
+    assert not order_ok(finest_order(SPACINGS, residuals))
+
+
+def test_finest_order_needs_three():
     with pytest.raises(ValueError):
-        convergence_study(lambda lat: lat.a, lats[:2])
+        finest_order([0.1, 0.05], [1.0, 0.25])

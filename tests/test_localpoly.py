@@ -4,10 +4,23 @@ import numpy as np
 import pytest
 
 from bfcg.lattice import Lattice
-from bfcg.localpoly import (Density, LocalFunctional, evaluate_density,
-                            pair_gradients, poisson_bracket, smear, term)
+from bfcg.localpoly import (LocalFunctional, evaluate_density, pair_gradients,
+                            poisson_bracket, smear, tensor_density)
 
 LAT = Lattice(D=3, n=4, a=0.5)
+
+# factors (block, rank, deriv) of the probe blocks: q1, p1 have 2 components,
+# q2, p2 one; a "d" prefix is the central difference
+Q1, P1, Q2, P2 = (("q1", 1, False), ("p1", 1, False), ("q2", 1, False),
+                  ("p2", 1, False))
+DQ1, DP1, DQ2, DP2 = ((b, r, True) for b, r, _ in (Q1, P1, Q2, P2))
+
+
+def _one(shape, idx, value=1.0):
+    """Coefficient tensor with one nonzero entry: one monomial."""
+    c = np.zeros(shape)
+    c[idx] = value
+    return c
 
 
 def _point(seed=0):
@@ -24,9 +37,9 @@ PAIRS = (("q1", "p1"), ("q2", "p2"))
 
 
 def test_density_evaluation_matches_hand_sum():
-    d = Density((2,))
-    d.add((0,), [term(2.0, ("q1", (0,))), term(1.0, ("q1", (1,)), ("p1", (0,)))])
-    d.add((1,), [term(-1.0, ("q2", (0,), 1))])
+    d = tensor_density((2,), (_one((2, 2), (0, 0), 2.0), Q1),
+                       (_one((2, 2, 2), (0, 1, 0)), Q1, P1),
+                       (_one((2, 3, 1), (1, 1, 0), -1.0), DQ2))
     pt = _point(1)
     arr = evaluate_density(d, pt, LAT)
     expect0 = 2.0 * pt["q1"][0] + pt["q1"][1] * pt["p1"][0]
@@ -36,9 +49,8 @@ def test_density_evaluation_matches_hand_sum():
 
 
 def test_smear_linearity_in_test_field():
-    d = Density((2,))
-    d.add((0,), [term(1.0, ("q1", (0,)), ("q1", (1,)))])
-    d.add((1,), [term(1.0, ("p1", (1,), 2))])
+    d = tensor_density((2,), (_one((2, 2, 2), (0, 0, 1)), Q1, Q1),
+                       (_one((2, 3, 2), (1, 2, 1)), DP1))
     pt = _point(2)
     rng = np.random.default_rng(3)
     t1 = rng.normal(size=(2,) + LAT.shape)
@@ -51,8 +63,7 @@ def test_smear_linearity_in_test_field():
 
 
 def test_delta_test_field_picks_one_site():
-    d = Density((1,))
-    d.add((0,), [term(1.0, ("q2", (0,)))])
+    d = tensor_density((1,), (np.ones((1, 1)), Q2))
     pt = _point(4)
     t = np.zeros((1,) + LAT.shape)
     t[0, 1, 2, 3] = 1.0
@@ -61,11 +72,10 @@ def test_delta_test_field_picks_one_site():
 
 
 def test_gradient_matches_finite_differences():
-    d = Density((2,))
-    d.add((0,), [term(1.5, ("q1", (0,)), ("p1", (1,))),
-                 term(-0.5, ("q1", (1,), 0), ("q2", (0,))),
-                 term(2.0, ("q1", (0,)), ("q1", (1,)), ("p2", (0,), 2))])
-    d.add((1,), [term(1.0, ("p1", (0,), 1))])
+    d = tensor_density((2,), (_one((2, 2, 2), (0, 0, 1), 1.5), Q1, P1),
+                       (_one((2, 3, 2, 1), (0, 0, 1, 0), -0.5), DQ1, Q2),
+                       (_one((2, 2, 2, 3, 1), (0, 0, 1, 2, 0), 2.0), Q1, Q1, DP2),
+                       (_one((2, 3, 2), (1, 1, 0)), DP1))
     rng = np.random.default_rng(5)
     t = rng.normal(size=(2,) + LAT.shape)
     fn = smear(d, t, LAT)
@@ -86,9 +96,7 @@ def test_gradient_matches_finite_differences():
 
 
 def test_gradient_of_linear_functional_is_exact_weight():
-    d = Density((2,))
-    for a in range(2):
-        d.add((a,), [term(1.0, ("p1", (a,)))])
+    d = tensor_density((2,), (np.eye(2), P1))
     rng = np.random.default_rng(7)
     t = rng.normal(size=(2,) + LAT.shape)
     fn = smear(d, t, LAT)
@@ -98,10 +106,8 @@ def test_gradient_of_linear_functional_is_exact_weight():
 
 
 def test_bracket_canonical_pair_and_antisymmetry():
-    dq = Density((1,))
-    dq.add((0,), [term(1.0, ("q2", (0,)))])
-    dp = Density((1,))
-    dp.add((0,), [term(1.0, ("p2", (0,)))])
+    dq = tensor_density((1,), (np.ones((1, 1)), Q2))
+    dp = tensor_density((1,), (np.ones((1, 1)), P2))
     rng = np.random.default_rng(9)
     f = rng.normal(size=(1,) + LAT.shape)
     g = rng.normal(size=(1,) + LAT.shape)
@@ -115,10 +121,8 @@ def test_bracket_canonical_pair_and_antisymmetry():
 
 
 def test_bracket_nonlinear_antisymmetry_exact():
-    d1 = Density(())
-    d1.add((), [term(1.0, ("q1", (0,)), ("p1", (1,)), ("q2", (0,), 1))])
-    d2 = Density(())
-    d2.add((), [term(1.0, ("p2", (0,)), ("q1", (1,), 2))])
+    d1 = tensor_density((), (_one((2, 2, 3, 1), (0, 1, 1, 0)), Q1, P1, DQ2))
+    d2 = tensor_density((), (_one((1, 3, 2), (0, 2, 1)), P2, DQ1))
     F = smear(d1, None, LAT)
     G = smear(d2, None, LAT)
     pt = _point(11)
@@ -129,12 +133,11 @@ def test_bracket_nonlinear_antisymmetry_exact():
 
 
 def _nonlinear_pair():
-    d1 = Density((2,))
-    d1.add((0,), [term(1.0, ("q1", (0,)), ("p1", (1,)), ("q2", (0,), 1))])
-    d1.add((1,), [term(-2.0, ("q1", (1,), 0))])
-    d2 = Density(())
-    d2.add((), [term(1.0, ("p2", (0,)), ("q1", (1,), 2)),
-                term(0.5, ("p1", (0,)))])
+    d1 = tensor_density((2,),
+                        (_one((2, 2, 2, 3, 1), (0, 0, 1, 1, 0)), Q1, P1, DQ2),
+                        (_one((2, 3, 2), (1, 0, 1), -2.0), DQ1))
+    d2 = tensor_density((), (_one((1, 3, 2), (0, 2, 1)), P2, DQ1),
+                        (_one((2,), 0, 0.5), P1))
     t = np.random.default_rng(13).normal(size=(2,) + LAT.shape)
     return smear(d1, t, LAT), smear(d2, None, LAT)
 
@@ -162,10 +165,8 @@ def test_sparse_pairing_equals_dense_pairing_bitwise():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_read_block_gives_nan_bracket(bad):
-    dF = Density(())
-    dF.add((), [term(1.0, ("q1", (0,)), ("p1", (0,)))])
-    dG = Density(())
-    dG.add((), [term(1.0, ("q2", (0,)))])
+    dF = tensor_density((), (_one((2, 2), (0, 0)), Q1, P1))
+    dG = tensor_density((), (np.ones(1), Q2))
     F, G = smear(dF, None, LAT), smear(dG, None, LAT)
     pt = _point(16)
     pt["q1"][0, 1, 2, 3] = bad
@@ -174,25 +175,33 @@ def test_non_finite_read_block_gives_nan_bracket(bad):
 
 
 def test_scalar_functional_constant_weight():
-    d = Density(())
-    d.add((), [term(3.0, ("q2", (0,)))])
+    d = tensor_density((), (np.full(1, 3.0), Q2))
     fn = smear(d, None, LAT)
     pt = _point(12)
     assert abs(fn.value(pt) - 3.0 * LAT.a ** 3 * np.sum(pt["q2"][0])) < 1e-12
 
 
 def test_smear_shape_mismatch():
-    d = Density((2,))
-    d.add((0,), [term(1.0, ("q1", (0,)))])
+    d = tensor_density((2,), (_one((2, 2), (0, 0)), Q1))
     with pytest.raises(ValueError):
         smear(d, np.zeros((3,) + LAT.shape), LAT)
 
 
 def test_bracket_lattice_mismatch():
-    d = Density(())
-    d.add((), [term(1.0, ("q2", (0,)))])
+    d = tensor_density((), (np.ones(1), Q2))
     other = Lattice(D=3, n=5, a=0.5)
     F = smear(d, None, LAT)
     G = LocalFunctional(other, list(smear(d, None, other).entries))
     with pytest.raises(ValueError):
         poisson_bracket(F, G, _point(0), PAIRS)
+
+
+def test_tensor_density_merges_equal_factor_sets():
+    """Monomials with the same factor set merge in either factor order, and
+    a merged coefficient that cancels is dropped."""
+    c = np.zeros((2, 2))
+    c[0, 1] = 1.5
+    d = tensor_density((), (c, Q1, P1), (c.T, P1, Q1),
+                       (_one((2, 2), (1, 1)), Q1, P1),
+                       (_one((2, 2), (1, 1), -1.0), P1, Q1))
+    assert d.per_comp[()] == [(3.0, (("q1", (0,), -1), ("p1", (1,), -1)))]

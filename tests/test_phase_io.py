@@ -1,6 +1,7 @@
 """Phase recipes and the gauge-fixed substitution machinery."""
 
 import numpy as np
+import pytest
 
 from bfcg.constraints import constraint_density, gauge_fixed_density
 from bfcg.crossed_module import builtin_module
@@ -30,17 +31,19 @@ def test_onshell_recipe_is_onshell_at_every_resolution():
             assert np.max(np.abs(arr)) < 1e-13, fam
 
 
-def test_gauge_fixed_substitution_matches_manual():
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
+def test_gauge_fixed_substitution_matches_manual(name):
     """gf densities equal the originals evaluated at substituted B, C."""
-    pt = random_phase_point(CM, LAT, seed=9, rule="random")
+    cm = builtin_module(name)
+    pt = random_phase_point(cm, LAT, seed=9, rule="random")
     S3 = EPS3_PAIR
     P3 = pairs(3)
     # rebuild B, C from the momenta the way the gf map defines them
     sub = pt.copy()
     B = np.zeros_like(pt.blocks["B"])
     C = np.zeros_like(pt.blocks["C"])
-    pA_up = np.einsum("ab,ib...->ia...", np.linalg.inv(CM.Q), pt.blocks["pA"])
-    pbe_up = np.einsum("xy,Py...->Px...", np.linalg.inv(CM.qf), pt.blocks["pbe"])
+    pA_up = np.einsum("ab,ib...->ia...", np.linalg.inv(cm.Q), pt.blocks["pA"])
+    pbe_up = np.einsum("xy,Py...->Px...", np.linalg.inv(cm.qf), pt.blocks["pbe"])
     for P, (j, k) in enumerate(P3):
         d = 3 - j - k
         B[P] = S3[d, P] * pA_up[d]
@@ -49,9 +52,9 @@ def test_gauge_fixed_substitution_matches_manual():
         C[m] = -S3[m, Pm] * pbe_up[Pm]
     sub.blocks["B"] = B
     sub.blocks["C"] = C
-    for fam in ("S(CB)", "S(BCbeta)"):
-        gf = evaluate_density(gauge_fixed_density(CM, fam), pt.blocks, LAT)
-        manual = evaluate_density(constraint_density(CM, fam), sub.blocks, LAT)
+    for fam in ("S(H)", "S(G)", "S(CB)", "S(BCbeta)"):
+        gf = evaluate_density(gauge_fixed_density(cm, fam), pt.blocks, LAT)
+        manual = evaluate_density(constraint_density(cm, fam), sub.blocks, LAT)
         assert np.max(np.abs(gf - manual)) < 1e-12, fam
 
 

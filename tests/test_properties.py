@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from bfcg.crossed_module import DifferentialCrossedModule, lower_raise
 from bfcg.dof import dof_count
 from bfcg.lattice import Lattice, fit_order
-from bfcg.localpoly import Density, poisson_bracket, smear, term
+from bfcg.localpoly import poisson_bracket, smear, tensor_density
 
 LAT = Lattice(D=3, n=4, a=0.5)
 PAIRS = (("q1", "p1"),)
@@ -57,18 +57,27 @@ def test_lower_raise_round_trip_random_metrics(seed, p, q):
 
 @st.composite
 def _term_lists(draw):
+    """Tensor terms of one monomial each: a coefficient tensor with one
+    drawn entry, over drawn factors of the blocks q1, p1 (2 components)."""
     nterms = draw(st.integers(1, 4))
     terms = []
     for _ in range(nterms):
         coeff = draw(st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 1e-3))
         nfac = draw(st.integers(1, 3))
-        factors = []
+        factors, shape, idx = [], [], []
         for _ in range(nfac):
             block = draw(st.sampled_from(["q1", "p1"]))
             comp = draw(st.integers(0, 1))
             dax = draw(st.sampled_from([-1, 0, 1, 2]))
-            factors.append((block, (comp,), dax))
-        terms.append(term(coeff, *factors))
+            factors.append((block, 1, dax >= 0))
+            if dax >= 0:
+                shape.append(3)
+                idx.append(dax)
+            shape.append(2)
+            idx.append(comp)
+        c = np.zeros(shape)
+        c[tuple(idx)] = coeff
+        terms.append((c, *factors))
     return terms
 
 
@@ -76,10 +85,8 @@ def _term_lists(draw):
 @settings(max_examples=40, deadline=None)
 def test_bracket_antisymmetry_random_functionals(ta, tb, seed):
     """{F, G} = -{G, F} holds exactly for arbitrary polynomial functionals."""
-    da = Density(())
-    da.add((), ta)
-    db = Density(())
-    db.add((), tb)
+    da = tensor_density((), *ta)
+    db = tensor_density((), *tb)
     rng = np.random.default_rng(seed)
     pt = {"q1": rng.normal(size=(2,) + LAT.shape),
           "p1": rng.normal(size=(2,) + LAT.shape)}
@@ -94,19 +101,18 @@ def test_bracket_antisymmetry_random_functionals(ta, tb, seed):
 @settings(max_examples=25, deadline=None)
 def test_bracket_bilinearity(seed):
     rng = np.random.default_rng(seed)
-    d1, d2, d3 = Density(()), Density(()), Density(())
-    d1.add((), [term(1.0, ("q1", (0,)), ("p1", (1,)))])
-    d2.add((), [term(1.0, ("q1", (1,), 1))])
-    d3.add((), [term(1.0, ("p1", (0,)), ("q1", (0,)))])
+    q1, p1, dq1 = ("q1", 1, False), ("p1", 1, False), ("q1", 1, True)
+    t1 = (np.outer([1.0, 0.0], [0.0, 1.0]), q1, p1)
+    t2 = (np.outer([0.0, 1.0, 0.0], [0.0, 1.0]), dq1)
+    d1, d2 = tensor_density((), t1), tensor_density((), t2)
+    d3 = tensor_density((), (np.outer([1.0, 0.0], [1.0, 0.0]), p1, q1))
     pt = {"q1": rng.normal(size=(2,) + LAT.shape),
           "p1": rng.normal(size=(2,) + LAT.shape)}
     a, b = rng.normal(), rng.normal()
     F1 = smear(d1, None, LAT)
     F2 = smear(d2, None, LAT)
     G = smear(d3, None, LAT)
-    combo = Density(())
-    combo.add((), [(a * c, f) for c, f in d1.per_comp[()]]
-              + [(b * c, f) for c, f in d2.per_comp[()]])
+    combo = tensor_density((), (a * t1[0], *t1[1:]), (b * t2[0], *t2[1:]))
     lhs = poisson_bracket(smear(combo, None, LAT), G, pt, PAIRS)
     rhs = (a * poisson_bracket(F1, G, pt, PAIRS)
            + b * poisson_bracket(F2, G, pt, PAIRS))

@@ -8,6 +8,7 @@ from bfcg.constraints import (constraint_density, evaluate_constraint,
 from bfcg.crossed_module import builtin_module
 from bfcg.lattice import Lattice
 from bfcg.localpoly import poisson_bracket, smear
+from bfcg import relations
 from bfcg.phase import CANONICAL_PAIRS, random_phase_point
 from bfcg.relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_RELATIONS,
                             PRIMARY_RELATIONS, RELATIONS, ZERO_RELATIONS,
@@ -197,6 +198,20 @@ def test_offshell_su2_converges():
 def test_reduction_to_secondary_densities(cm):
     pt = random_phase_point(cm, LAT, seed=13, rule="random")
     assert reduction_residual(cm, pt) < 1e-12
+
+
+def test_reduction_keeps_a_nan_row(monkeypatch):
+    """A NaN in a later phi row reaches the result instead of being
+    dropped by the running maximum."""
+    pt = random_phase_point(SU2, LAT, seed=13, rule="random")
+    dual = relations._secondary_dual
+
+    def nan_for_bcbeta(cm, point, kind):
+        arr = dual(cm, point, kind)
+        return np.full_like(arr, np.nan) if kind == "S(BCbeta)" else arr
+
+    monkeypatch.setattr(relations, "_secondary_dual", nan_for_bcbeta)
+    assert np.isnan(reduction_residual(SU2, pt))
 
 
 def test_q_zero_pure_bf_sector():
