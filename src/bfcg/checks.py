@@ -186,10 +186,14 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
             lat = _lattice(cfg, 4, n)
             c0 = _config(cm, cfg, lat)
             S0 = evaluate_action(cm, c0)
-            ct = thin_gauge_transform(cm, c0, eps_rec.realize(lat))
-            cf = fat_gauge_transform(cm, c0, eta_rec.realize(lat))
-            dS["thin"].append(abs(evaluate_action(cm, ct) - S0))
-            dS["fat"].append(abs(evaluate_action(cm, cf) - S0))
+            # each transformed configuration is dropped once its action is
+            # known, so at most one is alive beside c0
+            S_thin = evaluate_action(
+                cm, thin_gauge_transform(cm, c0, eps_rec.realize(lat)))
+            dS["thin"].append(abs(S_thin - S0))
+            S_fat = evaluate_action(
+                cm, fat_gauge_transform(cm, c0, eta_rec.realize(lat)))
+            dS["fat"].append(abs(S_fat - S0))
             spac.append(lat.a)
         more, orders, fits = _refinement(spac, dS, "gauge {} dS")
         lines += more

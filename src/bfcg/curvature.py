@@ -59,26 +59,41 @@ def _maxabs(arr) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def _curvature_F_pair(cm, cfg, P) -> np.ndarray:
+    """F^a on the stored pair P, shape (p, sites...)."""
+    lat = cfg.lattice
+    m, n = pairs(lat.D)[P]
+    out = _D(cfg.A[n], m, lat) - _D(cfg.A[m], n, lat)
+    out += contract(cm.f, cfg.A[m], cfg.A[n])
+    return out
+
+
+def _fake_curvature_pair(cm, cfg, P) -> np.ndarray:
+    """H^a on the stored pair P, shape (p, sites...)."""
+    out = _curvature_F_pair(cm, cfg, P)
+    if cm.q:
+        out -= np.einsum("ga,g...->a...", cm.del_, cfg.beta[P])
+    return out
+
+
 def curvature_F(cm, cfg: FieldConfiguration) -> np.ndarray:
     """F^a on ordered pairs, shape (npairs, p, sites...)."""
-    lat = cfg.lattice
     out = np.empty_like(cfg.B)
-    for P, (m, n) in enumerate(pairs(lat.D)):
-        dA = _D(cfg.A[n], m, lat) - _D(cfg.A[m], n, lat)
-        out[P] = dA + contract(cm.f, cfg.A[m], cfg.A[n])
+    for P in range(out.shape[0]):
+        out[P] = _curvature_F_pair(cm, cfg, P)
     return out
 
 
 def fake_curvature(cm, cfg: FieldConfiguration) -> np.ndarray:
     """H^a_{mn} = F^a_{mn} - del_al^a beta^al_{mn}."""
-    H = curvature_F(cm, cfg)
-    if cm.q:
-        H -= np.einsum("ga,Pg...->Pa...", cm.del_, cfg.beta)
-    return H
+    out = np.empty_like(cfg.B)
+    for P in range(out.shape[0]):
+        out[P] = _fake_curvature_pair(cm, cfg, P)
+    return out
 
 
-def _three_form(cm, cfg, two_form, coupling) -> np.ndarray:
-    """S3-antisymmetrized covariant curl of a pair-stored 2-form.
+def _three_form_triple(cm, cfg, two_form, coupling, tri) -> np.ndarray:
+    """S3-antisymmetrized covariant curl of a pair-stored 2-form on one triple.
 
     coupling[out, a, in] couples A^a to the 2-form's Lie index.  An odd
     permutation of (d, i, j) swaps the pair as well, so it repeats the term
@@ -86,18 +101,25 @@ def _three_form(cm, cfg, two_form, coupling) -> np.ndarray:
     """
     lat = cfg.lattice
     pidx = pair_index(lat.D)
-    trs = triples(lat.D)
     dim_out = coupling.shape[0] if coupling.size else two_form.shape[1]
-    out = np.zeros((len(trs), dim_out) + lat.shape)
-    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    for Ti, tri in enumerate(trs):
-        for perm in cyclic:
-            d, i, j = tri[perm[0]], tri[perm[1]], tri[perm[2]]
-            P, psign = pidx[(i, j)]
-            out[Ti] += psign * _D(two_form[P], d, lat)
-            if coupling.size:
-                out[Ti] += psign * contract(coupling, cfg.A[d], two_form[P])
+    out = np.zeros((dim_out,) + lat.shape)
+    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        d, i, j = tri[perm[0]], tri[perm[1]], tri[perm[2]]
+        P, psign = pidx[(i, j)]
+        out += psign * _D(two_form[P], d, lat)
+        if coupling.size:
+            out += psign * contract(coupling, cfg.A[d], two_form[P])
     out *= 2.0
+    return out
+
+
+def _three_form(cm, cfg, two_form, coupling) -> np.ndarray:
+    """The 3-form of _three_form_triple on every ordered triple."""
+    trs = triples(cfg.lattice.D)
+    dim_out = coupling.shape[0] if coupling.size else two_form.shape[1]
+    out = np.empty((len(trs), dim_out) + cfg.lattice.shape)
+    for Ti, tri in enumerate(trs):
+        out[Ti] = _three_form_triple(cm, cfg, two_form, coupling, tri)
     return out
 
 
@@ -156,18 +178,24 @@ _AT4 = _axis_triple_signs()
 
 
 def evaluate_action(cm, cfg: FieldConfiguration) -> float:
-    """BFCG action S on a D=4 periodic lattice."""
+    """BFCG action S on a D=4 periodic lattice.
+
+    H is formed one stored pair and G one stored triple at a time, each
+    contracted into the density at once, so the working set is a few site
+    arrays whatever the lattice size.
+    """
     lat = cfg.lattice
     if lat.D != 4:
         raise ValueError("the action is defined on D=4 configurations")
-    H = fake_curvature(cm, cfg)
     dens = np.zeros(lat.shape)
     for Pi, Pj, e in _PP4:
-        dens += e * np.einsum("a...,ab,b...->...", cfg.B[Pi], cm.Q, H[Pj])
+        H = _fake_curvature_pair(cm, cfg, Pj)
+        dens += e * np.einsum("a...,ab,b...->...", cfg.B[Pi], cm.Q, H)
     if cm.q:
-        G3 = curvature_G3(cm, cfg)
+        T4 = triples(4)
         for mu, Ti, e in _AT4:
-            dens += e * np.einsum("x...,xy,y...->...", cfg.C[mu], cm.qf, G3[Ti])
+            G = _three_form_triple(cm, cfg, cfg.beta, cm.act, T4[Ti])
+            dens += e * np.einsum("x...,xy,y...->...", cfg.C[mu], cm.qf, G)
     return float(lat.volume_element * np.sum(dens))
 
 

@@ -21,6 +21,13 @@ A fat transformation with an h-valued 1-form eta acts exactly:
 The eta^eta coefficient and the factor 2 on the B shift are fixed by exact
 invariance of the fake curvature and of the action under this package's
 normalization (see docs/conventions.md); both are covered by tests.
+
+Working set.  The thin transformation is pointwise once D eps is formed, so
+it runs over blocks of _BLOCK sites: beside its output it holds one block's
+(sites, p, p) stacks (ad, the exponentials, the dexpinv sum; tens of MB)
+and one site array of D eps, whatever the lattice size.  The fat
+transformation differences whole fields, one stored pair at a time: beside
+its output and eta it holds a few site arrays.
 """
 
 from __future__ import annotations
@@ -39,11 +46,15 @@ __all__ = [
 ]
 
 
+_BLOCK = 1 << 15   # sites per block of the pointwise thin transform
+
+
 def expm_batched(M: np.ndarray) -> np.ndarray:
     """Matrix exponential of a stack of small matrices (..., d, d).
 
     Scaling and squaring with a Taylor series long enough for double
-    precision once the scaled norm is below 1/2.
+    precision once the scaled norm is below 1/2.  The terms accumulate in
+    place, so the working set is five stacks the size of M.
     """
     if M.shape[-1] == 0:
         return M.copy()
@@ -51,35 +62,46 @@ def expm_batched(M: np.ndarray) -> np.ndarray:
     s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
     T = M / (2.0 ** s)
     d = M.shape[-1]
-    eye = np.broadcast_to(np.eye(d), M.shape).copy()
-    result = eye.copy()
-    power = eye.copy()
+    result = np.broadcast_to(np.eye(d), M.shape).copy()
+    power = result.copy()
+    scratch = np.empty_like(result)
     for k in range(1, 19):
-        power = power @ T / k
-        result = result + power
+        np.matmul(power, T, out=scratch)
+        scratch /= k
+        power, scratch = scratch, power
+        result += power
     for _ in range(s):
-        result = result @ result
+        np.matmul(result, result, out=scratch)
+        result, scratch = scratch, result
     return result
 
 
-def _ad_matrices(cm, eps_field):
-    """(sites..., p, p) with (ad_eps)^a_c = f^a_{bc} eps^b."""
-    return np.einsum("abc,b...->...ac", cm.f, eps_field)
-
-
-def _act_matrices(cm, eps_field):
-    """(sites..., q, q) with (act_eps)^al_ga = eps^a act^al_{a ga}."""
-    return np.einsum("xay,a...->...xy", cm.act, eps_field)
+def _dexpinv(neg_ad: np.ndarray, order: int) -> np.ndarray:
+    """sum_{k=0}^{order} (-ad)^k / (k+1)! for a stack (..., p, p) of -ad."""
+    S = np.broadcast_to(np.eye(neg_ad.shape[-1]), neg_ad.shape).copy()
+    power = S.copy()
+    scratch = np.empty_like(S)
+    fact = 1.0
+    for k in range(1, order + 1):
+        np.matmul(power, neg_ad, out=scratch)
+        power, scratch = scratch, power
+        fact *= (k + 1)
+        S += power / fact
+    return S
 
 
 def _apply(mat, field):
-    """Apply per-site matrices (sites..., d, d) to a field (d, sites...)."""
-    return np.einsum("...xy,y...->x...", mat, field)
+    """Apply per-site matrices (sites, d, d) to a block field (d, sites)."""
+    return np.einsum("sxy,ys->xs", mat, field)
 
 
 def thin_gauge_transform(cm, cfg: FieldConfiguration, eps_field: np.ndarray,
                          dexp_order: int = 6) -> FieldConfiguration:
-    """Thin transformation with parameter eps^a(x); exact for constant eps."""
+    """Thin transformation with parameter eps^a(x); exact for constant eps.
+
+    Each block of _BLOCK sites gets its own ad/act matrices, exponentials
+    and dexpinv sum, applied straight into the preallocated output fields.
+    """
     if dexp_order < 1:
         raise ValueError("dexp series order must be >= 1")
     lat = cfg.lattice
@@ -87,34 +109,31 @@ def thin_gauge_transform(cm, cfg: FieldConfiguration, eps_field: np.ndarray,
     if eps_field.shape != (cm.p,) + lat.shape:
         raise ValueError(f"eps field has shape {eps_field.shape}")
 
-    ad = _ad_matrices(cm, eps_field)
-    Rg = expm_batched(-ad)
-    if cm.q:
-        Rh = expm_batched(-_act_matrices(cm, eps_field))
+    def sites(arr):  # (..., n, ..., n) -> (..., sites)
+        return arr.reshape(arr.shape[:-lat.D] + (lat.sites,))
 
-    # dexpinv coefficients sum_k (-ad)^k/(k+1)!
-    d = cm.p
-    eye = np.broadcast_to(np.eye(d), ad.shape).copy()
-    S = eye / 1.0
-    power = eye.copy()
-    fact = 1.0
-    for k in range(1, dexp_order + 1):
-        power = power @ (-ad)
-        fact *= (k + 1)
-        S = S + power / fact
+    new = {name: np.empty(getattr(cfg, name).shape)
+           for name in ("A", "beta", "B", "C")}
+    for mu in range(lat.D):  # D eps, rotated by dexpinv in place below
+        new["A"][mu] = discrete_derivative(eps_field, mu, lat)
+    eps = sites(eps_field)
+    A, beta, B, C = (sites(getattr(cfg, name)) for name in new)
+    A_out, beta_out, B_out, C_out = map(sites, new.values())
 
-    A_new = np.empty_like(cfg.A)
-    for mu in range(lat.D):
-        deps = discrete_derivative(eps_field, mu, lat)
-        A_new[mu] = _apply(Rg, cfg.A[mu]) + _apply(S, deps)
-    B_new = np.stack([_apply(Rg, cfg.B[P]) for P in range(cfg.B.shape[0])])
-    if cm.q:
-        beta_new = np.stack([_apply(Rh, cfg.beta[P]) for P in range(cfg.beta.shape[0])])
-        C_new = np.stack([_apply(Rh, cfg.C[mu]) for mu in range(lat.D)])
-    else:
-        beta_new = cfg.beta.copy()
-        C_new = cfg.C.copy()
-    return FieldConfiguration(lat, A_new, beta_new, B_new, C_new)
+    for start in range(0, lat.sites, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        neg_ad = -np.einsum("abc,bs->sac", cm.f, eps[:, blk])
+        Rg = expm_batched(neg_ad)
+        S = _dexpinv(neg_ad, dexp_order)
+        Rh = expm_batched(-np.einsum("xay,as->sxy", cm.act, eps[:, blk]))
+        for mu in range(lat.D):
+            A_out[mu, :, blk] = (_apply(Rg, A[mu, :, blk])
+                                 + _apply(S, A_out[mu, :, blk]))
+            C_out[mu, :, blk] = _apply(Rh, C[mu, :, blk])
+        for P in range(B.shape[0]):
+            B_out[P, :, blk] = _apply(Rg, B[P, :, blk])
+            beta_out[P, :, blk] = _apply(Rh, beta[P, :, blk])
+    return FieldConfiguration(lat, **new)
 
 
 def fat_gauge_transform(cm, cfg: FieldConfiguration,

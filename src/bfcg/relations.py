@@ -44,7 +44,8 @@ from .constraints import (constraint_density, evaluate_constraint, family_shape,
 from .crossed_module import contract
 from .curvature import curvature_F, curvature_T
 from .lattice import (EPS3_PAIR, PAIR, FieldConfiguration, Lattice,
-                      _random_recipe, discrete_derivative, fit_order, pair_index)
+                      _random_recipe, discrete_derivative, finest_order,
+                      fit_order, pair_index)
 from .localpoly import (evaluate_density, identity, pair_gradients,
                         paired_sum, poisson_bracket, smear, tensor_density)
 from .phase import (CANONICAL_PAIRS, GAUGE_FIXED_PAIRS, PhasePoint,
@@ -277,7 +278,11 @@ def check_algebra_relation(cm, rel_id: str, point: PhasePoint, seed: int = 0,
 
 def relation_refinement(cm, rel_id: str, n_list, seed: int = 0,
                         extent: float = 1.0, mode_count: int = 1):
-    """Residual ladder of a relation over resolutions at fixed physical box."""
+    """Residual ladder of a relation over resolutions at fixed physical box.
+
+    "order" is the finest-pair order, which refinement verdicts gate;
+    "fit" is the least-squares fit over every rung, for display.
+    """
     recipe = make_phase_recipe(cm, mode_count, seed=seed * 131 + 5, rule="random")
     residuals, spacings = [], []
     for n in n_list:
@@ -291,7 +296,8 @@ def relation_refinement(cm, rel_id: str, n_list, seed: int = 0,
         "relation": rel_id,
         "n": list(n_list),
         "residuals": residuals,
-        "order": fit_order(spacings, residuals),
+        "order": finest_order(spacings, residuals),
+        "fit": fit_order(spacings, residuals),
     }
 
 

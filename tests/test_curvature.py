@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from bfcg.checks import order_ok
 from bfcg.crossed_module import builtin_module
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
                             curvature_GB, curvature_T, eom_gradient_check,
                             eom_residuals, evaluate_action, fake_curvature)
 from bfcg.lattice import (FieldConfiguration, Lattice, discrete_derivative,
-                          eps4, make_config_recipe, pair_index, pairs,
-                          sample_smooth_fields, triples)
+                          eps4, finest_order, make_config_recipe, pair_index,
+                          pairs, sample_smooth_fields, triples)
 
 
 def _zero_config(cm, lat):
@@ -245,8 +246,7 @@ def test_bianchi_converges_second_order():
         for k in table:
             table[k].append(res[k])
         spacings.append(lat.a)
-    from bfcg.lattice import fit_order
     for k, vals in table.items():
-        order = fit_order(spacings, vals)
+        order = finest_order(spacings, vals)
         assert vals[0] > 0.1, "residual must be non-trivial"
-        assert 1.6 <= order <= 2.3, (k, order, vals)
+        assert order_ok(order), (k, order, vals)

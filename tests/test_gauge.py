@@ -1,14 +1,21 @@
 """Thin and fat gauge transformations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bfcg.checks import order_ok
 from bfcg.crossed_module import builtin_module
 from bfcg.curvature import (curvature_F, curvature_G3, evaluate_action,
                             fake_curvature)
 from bfcg.gauge import expm_batched, fat_gauge_transform, thin_gauge_transform
-from bfcg.lattice import (Lattice, _random_recipe, fit_order,
-                          make_config_recipe, sample_smooth_fields)
+from bfcg.lattice import (Lattice, _random_recipe, discrete_derivative, eps4,
+                          finest_order, make_config_recipe, pairs,
+                          sample_smooth_fields, triples)
+
+ORACLE_MODULES = ["adjoint(su2)", "vector_poincare", "abelian(2,3)",
+                  "trivial_bf(3)"]
 
 
 def _const_field(vec, lat):
@@ -84,9 +91,119 @@ def test_thin_action_invariance_refines_second_order():
         out = thin_gauge_transform(cm, cfg, eps_rec.realize(lat))
         deltas.append(abs(evaluate_action(cm, out) - evaluate_action(cm, cfg)))
         spacings.append(lat.a)
-    order = fit_order(spacings, deltas)
+    order = finest_order(spacings, deltas)
     assert deltas[0] > 1e-4
-    assert 1.7 <= order <= 2.3, (order, deltas)
+    assert order_ok(order), (order, deltas)
+
+
+def _thin_oracle(cm, cfg, eps, dexp_order=6):
+    """The thin transform on whole (sites..., p, p) stacks of every site."""
+    lat = cfg.lattice
+
+    def apply(mat, field):
+        return np.einsum("...xy,y...->x...", mat, field)
+
+    ad = np.einsum("abc,b...->...ac", cm.f, eps)
+    Rg = expm_batched(-ad)
+    eye = np.broadcast_to(np.eye(cm.p), ad.shape)
+    S, power, fact = eye.copy(), eye.copy(), 1.0
+    for k in range(1, dexp_order + 1):
+        power = power @ (-ad)
+        fact *= k + 1
+        S = S + power / fact
+    A = np.stack([apply(Rg, cfg.A[mu])
+                  + apply(S, discrete_derivative(eps, mu, lat))
+                  for mu in range(lat.D)])
+    B = np.stack([apply(Rg, X) for X in cfg.B])
+    beta, C = cfg.beta, cfg.C
+    if cm.q:
+        Rh = expm_batched(-np.einsum("xay,a...->...xy", cm.act, eps))
+        beta = np.stack([apply(Rh, X) for X in cfg.beta])
+        C = np.stack([apply(Rh, X) for X in cfg.C])
+    return {"A": A, "beta": beta, "B": B, "C": C}
+
+
+def _action_oracle(cm, cfg):
+    """S from the full H and G3 arrays, summed over every eps^{mnrs} term."""
+    H, G3 = fake_curvature(cm, cfg), curvature_G3(cm, cfg)
+    dens = np.zeros(cfg.lattice.shape)
+    for Pi, (m, n) in enumerate(pairs(4)):
+        for Pj, (r, s) in enumerate(pairs(4)):
+            e = eps4((m, n, r, s))
+            if e:
+                dens += e * np.einsum("a...,ab,b...->...",
+                                      cfg.B[Pi], cm.Q, H[Pj])
+    for mu in range(4):
+        for Ti, tri in enumerate(triples(4)):
+            e = eps4((mu,) + tri)
+            if e and cm.q:
+                dens += e * np.einsum("x...,xy,y...->...",
+                                      cfg.C[mu], cm.qf, G3[Ti])
+    return cfg.lattice.volume_element * float(np.sum(dens))
+
+
+@pytest.mark.parametrize("name", ORACLE_MODULES)
+def test_blockwise_thin_matches_whole_stack_oracle(name):
+    """n = 14 has 38 416 sites: one full block of sites and a partial one.
+
+    The parameter is large enough that, on adjoint(su2), the exponential
+    squares 4 times in the full block and on the whole lattice, but 3 times
+    in the partial block.
+    """
+    cm = builtin_module(name)
+    lat = Lattice(4, 14, 1.0 / 14)
+    cfg = make_config_recipe(cm, 4, 2, seed=1, scale=0.4).realize(lat)
+    eps = _random_recipe(np.random.default_rng(3), 4, (cm.p,), 2,
+                         scale=0.9).realize(lat)
+    out = thin_gauge_transform(cm, cfg, eps)
+    ref = _thin_oracle(cm, cfg, eps)
+    for field, want in ref.items():
+        got = getattr(out, field)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13, field
+    for c in (cfg, out):
+        S, S_ref = evaluate_action(cm, c), _action_oracle(cm, c)
+        assert abs(S - S_ref) <= 1e-12 * max(1.0, abs(S_ref)), (S, S_ref)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated, traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_thin_working_set_does_not_scale_with_lattice():
+    """Beside its output, the thin transform holds one block's stacks and
+    one site array of D eps at a time, however large the lattice."""
+    cm = builtin_module("vector_poincare")
+    extra, dp_bytes = {}, {}
+    for n in (16, 20):
+        lat = Lattice(4, n, 1.0 / n)
+        cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(lat)
+        eps = _random_recipe(np.random.default_rng(2), 4, (cm.p,), 1,
+                             scale=0.3).realize(lat)
+        out, peak = _traced_peak(thin_gauge_transform, cm, cfg, eps)
+        out_bytes = sum(getattr(out, f).nbytes for f in ("A", "beta", "B", "C"))
+        extra[n] = peak - out_bytes
+        dp_bytes[n] = lat.D * cm.p * lat.sites * 8
+        del cfg, out
+    allowed = dp_bytes[20] - dp_bytes[16] + 8e6
+    assert extra[20] - extra[16] <= allowed, (extra, allowed)
+
+
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
+def test_action_working_set_is_a_few_site_arrays(name):
+    cm = builtin_module(name)
+    lat = Lattice(4, 16, 1.0 / 16)
+    cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(lat)
+    _, peak = _traced_peak(evaluate_action, cm, cfg)
+    site_array = max(cm.p, cm.q) * lat.sites * 8
+    assert peak <= 6 * site_array, peak / site_array
 
 
 def test_fat_identity_at_zero_parameter():

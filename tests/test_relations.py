@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bfcg.checks import order_ok
 from bfcg.constraints import (constraint_density, evaluate_constraint,
                               family_shape, total_hamiltonian_functional)
 from bfcg.crossed_module import builtin_module
@@ -83,6 +84,26 @@ def test_zero_relations_are_nontrivial_cancellations():
 def test_relation_refinement_reports_exact():
     out = relation_refinement(SU2, "sc1", (4, 6, 8), seed=1)
     assert out["order"] == "exact"
+    assert out["fit"] == "exact"
+
+
+def test_relation_refinement_is_judged_by_the_finest_pair(monkeypatch):
+    """A ladder of order 1 on its coarse pair and 2 on its finest pair fits
+    outside the order window over all rungs; the verdict reads the finest
+    pair, as every other refinement check does."""
+    ladder = {8: 1.0, 16: 0.5, 32: 0.125}
+
+    def fake(cm, rel_id, point, seed=0, mode_count=1):
+        r = ladder[point.lattice.n]
+        return relations.RelationResult(rel_id, lhs=r, rhs=0.0, residual=r,
+                                        cls="refinement", scale=1.0)
+
+    monkeypatch.setattr(relations, "check_algebra_relation", fake)
+    out = relation_refinement(SU2, "sc1", (8, 16, 32), seed=1)
+    assert out["residuals"] == [1.0, 0.5, 0.125]
+    assert out["order"] == pytest.approx(2.0)
+    assert out["fit"] == pytest.approx(1.5)
+    assert order_ok(out["order"]) and not order_ok(out["fit"])
 
 
 # ---------------------------------------------------------------------------
