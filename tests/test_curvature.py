@@ -9,8 +9,8 @@ from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
                             curvature_GB, curvature_T, eom_gradient_check,
                             eom_residuals, evaluate_action, fake_curvature)
 from bfcg.lattice import (FieldConfiguration, Lattice, discrete_derivative,
-                          eps4, finest_order, make_config_recipe, pair_index,
-                          pairs, sample_smooth_fields, triples)
+                          eps4, finest_order, fit_order, make_config_recipe,
+                          pair_index, pairs, sample_smooth_fields, triples)
 
 
 def _zero_config(cm, lat):
@@ -248,5 +248,7 @@ def test_bianchi_converges_second_order():
         spacings.append(lat.a)
     for k, vals in table.items():
         order = finest_order(spacings, vals)
+        fit = fit_order(spacings, vals)
         assert vals[0] > 0.1, "residual must be non-trivial"
         assert order_ok(order), (k, order, vals)
+        assert 1.6 <= fit <= 2.3, (k, fit, vals)

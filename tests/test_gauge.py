@@ -11,7 +11,7 @@ from bfcg.curvature import (curvature_F, curvature_G3, evaluate_action,
                             fake_curvature)
 from bfcg.gauge import expm_batched, fat_gauge_transform, thin_gauge_transform
 from bfcg.lattice import (Lattice, _random_recipe, discrete_derivative, eps4,
-                          finest_order, make_config_recipe, pairs,
+                          finest_order, fit_order, make_config_recipe, pairs,
                           sample_smooth_fields, triples)
 
 ORACLE_MODULES = ["adjoint(su2)", "vector_poincare", "abelian(2,3)",
@@ -92,8 +92,10 @@ def test_thin_action_invariance_refines_second_order():
         deltas.append(abs(evaluate_action(cm, out) - evaluate_action(cm, cfg)))
         spacings.append(lat.a)
     order = finest_order(spacings, deltas)
+    fit = fit_order(spacings, deltas)
     assert deltas[0] > 1e-4
     assert order_ok(order), (order, deltas)
+    assert 1.7 <= fit <= 2.3, (fit, deltas)
 
 
 def _thin_oracle(cm, cfg, eps, dexp_order=6):
