@@ -33,9 +33,8 @@ from .constraints import (MultiplierSet, canonical_hamiltonian,
                           constraint_density, determine_multipliers,
                           evaluate_constraint, total_hamiltonian)
 from .relations import (RELATIONS, check_algebra_relation,
-                        classification_table, consistency_residuals,
-                        fundamental_bracket_residuals, offshell_relations,
-                        reduction_residual, relation_refinement)
+                        consistency_residuals, fundamental_bracket_residuals,
+                        offshell_relations, reduction_residual)
 
 __version__ = "0.1.0"
 

@@ -234,7 +234,7 @@ def check_algebra(cm, cfg: RunConfig) -> CheckRecord:
             ok = ok and good
             if ptseed == 0:
                 lines.append(f"relation {rid} lhs {_fmt(res.lhs)} rhs {_fmt(res.rhs)}"
-                             f" residual {_fmt(res.residual)} {res.cls} {_pf(good)}")
+                             f" residual {_fmt(res.residual)} exact {_pf(good)}")
     lines.append(f"fundamental-brackets worst {_fmt(worst_fund)}")
     return CheckRecord("algebra", ok and worst_fund <= FUNDAMENTAL_TOL, "", lines,
                        {"fundamental": (worst_fund,)})

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lattice import EPS3
+
 __all__ = [
     "DifferentialCrossedModule",
     "ValidationReport",
@@ -281,27 +283,16 @@ def validate_crossed_module(cm: DifferentialCrossedModule,
 # T map and index gymnastics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TMapTensor:
-    """Antisymmetric map T: h × h → g with Q_{ba} T^b_{αβ} = -▷_{αaβ}."""
-
-    T: np.ndarray  # T[a, al, be] = T^a_{αβ}
-
-    @property
-    def antisymmetry_violation(self) -> float:
-        return _maxabs(self.T + np.swapaxes(self.T, 1, 2))
-
-
-def t_map(cm: DifferentialCrossedModule) -> TMapTensor:
-    """Solve Q_{ba} T^b_{αβ} = -▷_{αaβ} for T (Q must be non-degenerate)."""
+def t_map(cm: DifferentialCrossedModule) -> np.ndarray:
+    """The antisymmetric map T: h × h → g, T[a, al, be] = T^a_{αβ}, solved
+    from Q_{ba} T^b_{αβ} = -▷_{αaβ} (Q must be non-degenerate)."""
     if _nondegeneracy_violation(cm.Q) > 0:
         raise np.linalg.LinAlgError("Q is numerically singular")
     if cm.q == 0:
-        return TMapTensor(T=np.zeros((cm.p, 0, 0)))
+        return np.zeros((cm.p, 0, 0))
     # actlow[al, a, be] = ▷_{αaβ};  T^b_{αβ} = -(Q^{-1})^{ba} ▷_{αaβ}
     rhs = -np.einsum("abd->bad", cm.actlow).reshape(cm.p, -1)
-    T = np.linalg.solve(cm.Q.T, rhs).reshape(cm.p, cm.q, cm.q)
-    return TMapTensor(T=T)
+    return np.linalg.solve(cm.Q.T, rhs).reshape(cm.p, cm.q, cm.q)
 
 
 _METRIC_OPS = {
@@ -368,16 +359,10 @@ def contract(T: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 BUILTIN_NAMES = ("trivial_bf(p)", "adjoint(su2)", "vector_poincare", "abelian(p,q)")
 
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    _EPS3[_i, _j, _k] = 1.0
-for _i, _j, _k in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:
-    _EPS3[_i, _j, _k] = -1.0
-
 
 def _su2() -> tuple:
     """su(2) with f^a_{bc} = ε_{abc} and Q = identity (our normalization)."""
-    return _EPS3.copy(), np.eye(3)
+    return EPS3.copy(), np.eye(3)
 
 
 def _so31_vector() -> tuple:

@@ -152,7 +152,7 @@ def fat_gauge_transform(cm, cfg: FieldConfiguration,
     beta_new = cfg.beta.copy()
     B_new = cfg.B.copy()
     if cm.q:
-        T = t_map(cm).T
+        T = t_map(cm)
         for P, (m, n) in enumerate(pairs(lat.D)):
             d_eta = (discrete_derivative(eta[n], m, lat)
                      - discrete_derivative(eta[m], n, lat))

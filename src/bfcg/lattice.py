@@ -31,7 +31,7 @@ __all__ = [
     "pairs",
     "triples",
     "pair_index",
-    "pair_sign_table",
+    "levi_civita",
     "FieldRecipe",
     "make_config_recipe",
     "sample_smooth_fields",
@@ -124,30 +124,26 @@ def pair_index(D: int):
     return table
 
 
-def pair_sign_table():
-    """3d duality signs s(i, P) = eps^{i j k} for the stored pair P=(j,k), j<k.
-
-    Returns (dual_axis_of_pair, sign) per stored 3d pair, plus the full
-    s[i][P] table.  Only the pair not containing i contributes.
-    """
-    P3 = pairs(3)
-    s = np.zeros((3, 3))
-    for Pi, (j, k) in enumerate(P3):
-        for i in range(3):
-            if i in (j, k):
-                continue
-            perm = [i, j, k]
-            sign = 1.0
-            # parity of the 3-permutation
-            if perm in ([0, 1, 2], [1, 2, 0], [2, 0, 1]):
-                sign = 1.0
-            else:
-                sign = -1.0
-            s[i, Pi] = sign
-    return s
+def levi_civita(perm) -> float:
+    """Levi-Civita symbol: the sign of perm as a permutation of
+    (0, ..., len(perm) - 1); 0 if an entry repeats."""
+    perm = list(perm)
+    if sorted(perm) != list(range(len(perm))):
+        return 0.0
+    sign = 1.0
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    return sign
 
 
-EPS3_PAIR = pair_sign_table()  # EPS3_PAIR[i, P] = eps^{i,j,k}, P=(j,k) stored
+# EPS3[i, j, k] = eps^{ijk}; EPS3_PAIR[i, P] = eps^{ijk} for the stored pair
+# P = (j, k), j < k, so only the pair not containing i contributes
+EPS3 = np.array([[[levi_civita((i, j, k)) for k in range(3)]
+                  for j in range(3)] for i in range(3)])
+EPS3_PAIR = np.array([[EPS3[(i,) + P] for P in pairs(3)] for i in range(3)])
 
 
 def _pair_tensor():
@@ -161,21 +157,6 @@ def _pair_tensor():
 # sum_{jk} PAIR[P, j, k] X_{jk} = X_{jk} - X_{kj} on P, and
 # eps^{ijk} = sum_P EPS3_PAIR[i, P] PAIR[P, j, k].
 PAIR = _pair_tensor()
-
-
-def eps4(perm) -> float:
-    """Sign of a 4-permutation of (0,1,2,3); 0 if repeated entries."""
-    perm = list(perm)
-    if sorted(perm) != [0, 1, 2, 3]:
-        return 0.0
-    sign = 1.0
-    p = perm[:]
-    for i in range(4):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------

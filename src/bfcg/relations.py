@@ -8,16 +8,9 @@ and verified in smeared form: the left side is an exact lattice Poisson
 bracket of two smeared functionals, the right side an independent direct
 lattice sum of the density arrays against the product of test fields.
 
-The catalog also fixes each relation's class:
-
-    exact       LHS - RHS vanishes identically on the lattice and is
-                asserted at machine precision.
-    refinement  LHS - RHS carries an O(a^2) discrete-Leibniz defect and is
-                checked to converge to zero at second order under lattice
-                refinement instead.
-
-Every bracket relation in the tables below turns out to be lattice-exact:
-their derivations need only pointwise algebra, exact summation by parts,
+Every bracket relation in the tables below is lattice-exact: LHS - RHS
+vanishes identically on the lattice and is asserted at machine precision.
+Their derivations need only pointwise algebra, exact summation by parts,
 and the commutativity of lattice shifts, never the product rule.  The
 discrete-Leibniz defect appears only in the off-shell dependency
 identities and in consistency brackets evaluated away from the
@@ -42,10 +35,10 @@ import numpy as np
 from .constraints import (constraint_density, evaluate_constraint, family_shape,
                           gauge_fixed_density, total_hamiltonian_functional)
 from .crossed_module import contract
-from .curvature import curvature_F, curvature_T
+from .curvature import _bianchi_g, _bianchi_h, curvature_F, curvature_T
 from .lattice import (EPS3_PAIR, PAIR, FieldConfiguration, Lattice,
-                      _random_recipe, discrete_derivative, finest_order,
-                      fit_order, pair_index)
+                      _random_recipe, discrete_derivative, fit_order,
+                      pair_index)
 from .localpoly import (evaluate_density, identity, pair_gradients,
                         paired_sum, poisson_bracket, smear, tensor_density)
 from .phase import (CANONICAL_PAIRS, GAUGE_FIXED_PAIRS, PhasePoint,
@@ -55,16 +48,13 @@ __all__ = [
     "RELATIONS",
     "RelationResult",
     "check_algebra_relation",
-    "relation_refinement",
     "fundamental_bracket_residuals",
     "consistency_residuals",
     "offshell_relations",
     "reduction_residual",
-    "classification_table",
 ]
 
 PIDX3 = pair_index(3)
-S3 = EPS3_PAIR
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +101,6 @@ class RelationSpec:
     system: str
     famA: str
     famB: str
-    cls: str
     coeff: float
     signature: str
     operands: tuple
@@ -121,10 +110,9 @@ class RelationSpec:
 RELATIONS = {}
 
 
-def _rel(rid, system, famA, famB, coeff, signature, operands, note,
-         cls="exact"):
-    RELATIONS[rid] = RelationSpec(rid, system, famA, famB, cls, coeff,
-                                  signature, tuple(operands.split()), note)
+def _rel(rid, system, famA, famB, coeff, signature, operands, note):
+    RELATIONS[rid] = RelationSpec(rid, system, famA, famB, coeff, signature,
+                                  tuple(operands.split()), note)
 
 
 _rel("prim1", "full", "P(B)_jk", "P(A)_i", 1, "iP,Pa...,ab,ib...->...",
@@ -232,18 +220,12 @@ MIXED_RELATIONS = tuple(f"mixed{i}" for i in range(1, 10))
 ZERO_RELATIONS = ("sc0_HH", "sc0_HG", "sc0_GG", "sc0_HCB", "sc0_CBCB")
 
 
-def classification_table() -> list:
-    """(relation id, class, statement) for every cataloged relation."""
-    return [(r.rid, r.cls, r.note) for r in RELATIONS.values()]
-
-
 @dataclass
 class RelationResult:
     rid: str
     lhs: float
     rhs: float
     residual: float
-    cls: str
     scale: float
 
 
@@ -273,32 +255,7 @@ def check_algebra_relation(cm, rel_id: str, point: PhasePoint, seed: int = 0,
     scale /= lat.a ** 3
     rhs = _rhs(cm, rel, point, tA, tB)
     return RelationResult(rid=rel_id, lhs=lhs, rhs=rhs,
-                          residual=abs(lhs - rhs), cls=rel.cls, scale=scale)
-
-
-def relation_refinement(cm, rel_id: str, n_list, seed: int = 0,
-                        extent: float = 1.0, mode_count: int = 1):
-    """Residual ladder of a relation over resolutions at fixed physical box.
-
-    "order" is the finest-pair order, which refinement verdicts gate;
-    "fit" is the least-squares fit over every rung, for display.
-    """
-    recipe = make_phase_recipe(cm, mode_count, seed=seed * 131 + 5, rule="random")
-    residuals, spacings = [], []
-    for n in n_list:
-        lat = Lattice(D=3, n=n, a=extent / n)
-        point = recipe.realize_with(cm, lat)
-        res = check_algebra_relation(cm, rel_id, point, seed=seed,
-                                     mode_count=mode_count)
-        residuals.append(res.residual)
-        spacings.append(lat.a)
-    return {
-        "relation": rel_id,
-        "n": list(n_list),
-        "residuals": residuals,
-        "order": finest_order(spacings, residuals),
-        "fit": fit_order(spacings, residuals),
-    }
+                          residual=abs(lhs - rhs), scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +399,9 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
 
     Each identity pairs a divergence of first-class densities (plus
     second-class tails) against half the lambda=0 component of the
-    corresponding Bianchi identity; both sides vanish in the continuum, and
-    the difference vanishes exactly for abelian modules and at O(a^2)
-    otherwise.
+    corresponding Bianchi identity, the Bianchi 3-form on the spatial triple
+    (0, 1, 2); both sides vanish in the continuum, and the difference
+    vanishes exactly for abelian modules and at O(a^2) otherwise.
     """
     lat = point.lattice
     A = point.blocks["A"]
@@ -454,7 +411,6 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     # the spatial curvatures F and T are the curvature layer's at D = 3
     cfg3 = FieldConfiguration(lat, A, be, B, C)
     F3 = curvature_F(cm, cfg3)
-    F3_low = np.einsum("ab,Pb...->Pa...", cm.Q, F3)
     chiB = evaluate_constraint(cm, "chi(B)", point)
     phiH = evaluate_constraint(cm, "phi(H)", point)
     phiG = evaluate_constraint(cm, "phi(G)", point)
@@ -469,14 +425,7 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     f_abc = cm.f.transpose(1, 2, 0)  # f^c_{ab} as [a, b, c]
     for P in range(3):
         lhs_a += contract(f_abc, F3[P], chiB[P])
-    rhs_a = np.zeros((cm.p,) + lat.shape)
-    for i in range(3):
-        for P in range(3):
-            s = S3[i, P]
-            if not s:
-                continue
-            rhs_a += s * (discrete_derivative(F3_low[P], i, lat)
-                          + contract(cm.flow, A[i], F3[P]))
+    rhs_a = 0.5 * _bianchi_g(cm, cfg3, F3, (0, 1, 2))
 
     out = {
         "ra_residual": float(np.max(np.abs(lhs_a - rhs_a))),
@@ -489,7 +438,6 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
         return out
 
     T3 = curvature_T(cm, cfg3)
-    T3_low = np.einsum("xy,Py...->Px...", cm.qf, T3)
     SH = evaluate_constraint(cm, "S(H)", point)
     phiCB = evaluate_constraint(cm, "phi(CB)", point)
     phiBCb = evaluate_constraint(cm, "phi(BCbeta)", point)
@@ -521,20 +469,11 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
             lhs_b += sig * contract(actQ_xde, C[m], covchi)
     for k in range(3):
         for P in range(3):
-            s = S3[k, P]
+            s = EPS3_PAIR[k, P]
             if s:
                 lhs_b -= s * contract(cm.actlow, SH[P], C[k])
 
-    rhs_b = np.zeros((cm.q,) + lat.shape)
-    for i in range(3):
-        for P in range(3):
-            s = S3[i, P]
-            if not s:
-                continue
-            up = T3[P]
-            rhs_b += s * (discrete_derivative(T3_low[P], i, lat)
-                          + contract(cm.actlow, A[i], up))
-            rhs_b -= s * contract(cm.actlow, F3[P], C[i])
+    rhs_b = 0.5 * _bianchi_h(cm, cfg3, F3, T3, (0, 1, 2))
     out["rb_residual"] = float(np.max(np.abs(lhs_b - rhs_b)))
     out["rb_bianchi_norm"] = float(np.max(np.abs(rhs_b)))
     return out

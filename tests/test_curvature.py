@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from bfcg import curvature
 from bfcg.checks import order_ok
-from bfcg.crossed_module import builtin_module
+from bfcg.crossed_module import builtin_module, contract
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
                             curvature_GB, curvature_T, eom_gradient_check,
                             eom_residuals, evaluate_action, fake_curvature)
 from bfcg.lattice import (FieldConfiguration, Lattice, discrete_derivative,
-                          eps4, finest_order, fit_order, make_config_recipe,
+                          levi_civita, finest_order, fit_order, make_config_recipe,
                           pair_index, pairs, sample_smooth_fields, triples)
 
 
@@ -146,7 +147,7 @@ def _action_loop_oracle(cm, cfg):
         for nu in range(4):
             for rho in range(4):
                 for sig in range(4):
-                    e = eps4((mu, nu, rho, sig))
+                    e = levi_civita((mu, nu, rho, sig))
                     if not e:
                         continue
                     total += 0.25 * e * np.einsum(
@@ -179,6 +180,80 @@ def test_action_matches_loop_oracle(name):
 # ---------------------------------------------------------------------------
 # equations of motion
 # ---------------------------------------------------------------------------
+
+ORACLE_MODULES = ["adjoint(su2)", "vector_poincare", "abelian(2,3)",
+                  "trivial_bf(3)"]
+
+
+def _oracle_config(name, n):
+    cm = builtin_module(name)
+    recipe = make_config_recipe(cm, 4, 1, seed=n, scale=0.7)
+    return cm, recipe.realize(Lattice(4, n, 1.0 / n))
+
+
+def _assert_close(got, want):
+    """got == want to 1e-12 relative to max(1, |want|), empty arrays included."""
+    assert np.shape(got) == np.shape(want)
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale
+
+
+def _cov_D_lower(cfg, field_low, up_field, axis, coupling_low):
+    """nabla_axis of a lowered field: D X_low + coupling_low(A_axis, X_up)."""
+    out = discrete_derivative(field_low, axis, cfg.lattice)
+    if coupling_low.size:
+        out += contract(coupling_low, cfg.A[axis], up_field)
+    return out
+
+
+def _eom_loop_oracle(cm, cfg):
+    """E_A and E_beta summed over every eps^{mnrs} term, with lowered fields."""
+    lat = cfg.lattice
+    P4 = pairs(4)
+    B_low = np.einsum("ab,Pb...->Pa...", cm.Q, cfg.B)
+    C_low = np.einsum("xy,my...->mx...", cm.qf, cfg.C) if cm.q else cfg.C
+    E_A = np.zeros((4, cm.p) + lat.shape)
+    actlow_a = cm.actlow.transpose(1, 0, 2)  # [a, al, be]
+    for sig in range(4):
+        for mu in range(4):
+            for P, (n, r) in enumerate(P4):
+                e = levi_civita((mu, n, r, sig))
+                if e:
+                    E_A[sig] += 2.0 * e * _cov_D_lower(
+                        cfg, B_low[P], cfg.B[P], mu, cm.flow)
+        if cm.q:
+            for P, (m, n) in enumerate(P4):
+                for rho in range(4):
+                    e = levi_civita((m, n, rho, sig))
+                    if e:
+                        E_A[sig] += 4.0 * e * contract(
+                            actlow_a, cfg.beta[P], cfg.C[rho])
+    E_beta = np.zeros((len(P4), cm.q) + lat.shape)
+    if cm.q:
+        for P, (r, s) in enumerate(P4):
+            for mu in range(4):
+                for nu in range(4):
+                    e = levi_civita((mu, nu, r, s))
+                    if e:
+                        E_beta[P] += e * _cov_D_lower(
+                            cfg, C_low[nu], cfg.C[nu], mu, cm.actlow)
+            for Pp, (m, n) in enumerate(P4):
+                e = levi_civita((m, n, r, s))
+                if e:
+                    E_beta[P] -= 0.5 * e * np.einsum(
+                        "xb,b...->x...", cm.dlow, cfg.B[Pp])
+    return E_A, E_beta
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("name", ORACLE_MODULES)
+def test_eom_matches_loop_oracle(name, n):
+    cm, cfg = _oracle_config(name, n)
+    res = eom_residuals(cm, cfg)
+    E_A, E_beta = _eom_loop_oracle(cm, cfg)
+    _assert_close(res["E_A"], E_A)
+    _assert_close(res["E_beta"], E_beta)
+
 
 def test_eom_zero_point():
     cm = builtin_module("adjoint(su2)")
@@ -252,3 +327,73 @@ def test_bianchi_converges_second_order():
         assert vals[0] > 0.1, "residual must be non-trivial"
         assert order_ok(order), (k, order, vals)
         assert 1.6 <= fit <= 2.3, (k, fit, vals)
+
+
+def _bianchi_loop_oracle(cm, cfg):
+    """The four Bianchi residual arrays summed over every eps^{lmnr} term,
+    with lowered fields: R1, R2 per axis lambda, R3, R4 as 4-forms."""
+    lat = cfg.lattice
+    P4 = pairs(4)
+    F = curvature_F(cm, cfg)
+    F_low = np.einsum("ab,Pb...->Pa...", cm.Q, F)
+    R1 = np.zeros((4, cm.p) + lat.shape)
+    R2 = np.zeros((4, cm.q) + lat.shape)
+    T = curvature_T(cm, cfg)
+    T_low = np.einsum("xy,Py...->Px...", cm.qf, T)
+    for lam in range(4):
+        for mu in range(4):
+            for P, (n, r) in enumerate(P4):
+                e = levi_civita((lam, mu, n, r))
+                if e:
+                    R1[lam] += 2.0 * e * _cov_D_lower(
+                        cfg, F_low[P], F[P], mu, cm.flow)
+                    R2[lam] += 2.0 * e * _cov_D_lower(
+                        cfg, T_low[P], T[P], mu, cm.actlow)
+        for P, (m, n) in enumerate(P4):
+            for rho in range(4):
+                e = levi_civita((lam, m, n, rho))
+                if e and cm.q:
+                    R2[lam] -= 2.0 * e * contract(cm.actlow, F[P], cfg.C[rho])
+    GB, G3 = curvature_GB(cm, cfg), curvature_G3(cm, cfg)
+    GB_low = np.einsum("ab,Tb...->Ta...", cm.Q, GB)
+    G3_low = np.einsum("xy,Ty...->Tx...", cm.qf, G3)
+    R3 = np.zeros((cm.p,) + lat.shape)
+    R4 = np.zeros((cm.q,) + lat.shape)
+    for lam in range(4):
+        for Ti, tri in enumerate(triples(4)):
+            e = levi_civita((lam,) + tri)
+            if e:
+                R3 += 2.0 * e * _cov_D_lower(cfg, GB_low[Ti], GB[Ti], lam,
+                                             cm.flow)
+                R4 += 2.0 * e * _cov_D_lower(cfg, G3_low[Ti], G3[Ti], lam,
+                                             cm.actlow)
+    for Pi, (l, m) in enumerate(P4):
+        for Pj, (n, r) in enumerate(P4):
+            e = levi_civita((l, m, n, r))
+            if e:
+                R3 -= 4.0 * e * contract(cm.flow, F[Pi], cfg.B[Pj])
+                if cm.q:
+                    R4 -= 4.0 * e * contract(cm.actlow, F[Pi], cfg.beta[Pj])
+    return {"bianchi_F": R1, "bianchi_T": R2, "bianchi_GB": R3, "bianchi_G": R4}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("name", ORACLE_MODULES)
+def test_bianchi_matches_loop_oracle(name, n):
+    """Each residual matches its eps-loop sum, and the 2-form identities are
+    the Bianchi 3-forms on the complementary triples:
+    R1[l] = eps^{l T} Q.d_A F|_T and R2[l] = eps^{l T} (q.d_A T - W)|_T."""
+    cm, cfg = _oracle_config(name, n)
+    res = bianchi_residuals(cm, cfg)
+    oracle = _bianchi_loop_oracle(cm, cfg)
+    for key, arr in oracle.items():
+        _assert_close(res[key], float(np.max(np.abs(arr), initial=0.0)))
+    F, T = curvature_F(cm, cfg), curvature_T(cm, cfg)
+    for lam in range(4):
+        tri = tuple(ax for ax in range(4) if ax != lam)
+        e = levi_civita((lam,) + tri)
+        _assert_close(e * curvature._bianchi_g(cm, cfg, F, tri),
+                      oracle["bianchi_F"][lam])
+        if cm.q:
+            _assert_close(e * curvature._bianchi_h(cm, cfg, F, T, tri),
+                          oracle["bianchi_T"][lam])

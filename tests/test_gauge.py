@@ -10,7 +10,7 @@ from bfcg.crossed_module import builtin_module
 from bfcg.curvature import (curvature_F, curvature_G3, evaluate_action,
                             fake_curvature)
 from bfcg.gauge import expm_batched, fat_gauge_transform, thin_gauge_transform
-from bfcg.lattice import (Lattice, _random_recipe, discrete_derivative, eps4,
+from bfcg.lattice import (Lattice, _random_recipe, discrete_derivative, levi_civita,
                           finest_order, fit_order, make_config_recipe, pairs,
                           sample_smooth_fields, triples)
 
@@ -131,13 +131,13 @@ def _action_oracle(cm, cfg):
     dens = np.zeros(cfg.lattice.shape)
     for Pi, (m, n) in enumerate(pairs(4)):
         for Pj, (r, s) in enumerate(pairs(4)):
-            e = eps4((m, n, r, s))
+            e = levi_civita((m, n, r, s))
             if e:
                 dens += e * np.einsum("a...,ab,b...->...",
                                       cfg.B[Pi], cm.Q, H[Pj])
     for mu in range(4):
         for Ti, tri in enumerate(triples(4)):
-            e = eps4((mu,) + tri)
+            e = levi_civita((mu,) + tri)
             if e and cm.q:
                 dens += e * np.einsum("x...,xy,y...->...",
                                       cfg.C[mu], cm.qf, G3[Ti])

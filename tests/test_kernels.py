@@ -22,7 +22,7 @@ TENSORS = {
     "act": lambda cm: cm.act,
     "actlow": lambda cm: cm.actlow,
     "phi": lambda cm: cm.phi,
-    "t_map": lambda cm: t_map(cm).T,
+    "t_map": t_map,
 }
 
 

@@ -5,9 +5,10 @@ import pytest
 
 from bfcg.checks import order_ok
 from bfcg.crossed_module import builtin_module
-from bfcg.lattice import (FieldConfiguration, Lattice, discrete_derivative,
-                          finest_order, fit_order, make_config_recipe,
-                          pair_index, pairs, sample_smooth_fields, triples)
+from bfcg.lattice import (EPS3_PAIR, FieldConfiguration, Lattice,
+                          discrete_derivative, finest_order, fit_order,
+                          make_config_recipe, pair_index, pairs,
+                          sample_smooth_fields, triples)
 
 
 def test_make_lattice_basic():
@@ -27,6 +28,8 @@ def test_pairs_and_triples():
     assert triples(3) == [(0, 1, 2)]
     idx = pair_index(3)
     assert idx[(0, 1)] == (0, 1.0) and idx[(1, 0)] == (0, -1.0)
+    # EPS3_PAIR[i, P] = eps^{ijk} for P = (j, k) in (01, 02, 12)
+    assert np.array_equal(EPS3_PAIR, [[0, 0, 1], [0, -1, 0], [1, 0, 0]])
 
 
 # ---------------------------------------------------------------------------

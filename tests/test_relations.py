@@ -3,21 +3,20 @@
 import numpy as np
 import pytest
 
-from bfcg.checks import order_ok
 from bfcg.constraints import (constraint_density, evaluate_constraint,
                               family_shape, total_hamiltonian_functional)
-from bfcg.crossed_module import builtin_module
-from bfcg.lattice import Lattice
+from bfcg.crossed_module import builtin_module, contract
+from bfcg.curvature import _bianchi_g, _bianchi_h, curvature_F, curvature_T
+from bfcg.lattice import (EPS3_PAIR, FieldConfiguration, Lattice,
+                          discrete_derivative)
 from bfcg.localpoly import poisson_bracket, smear
 from bfcg import relations
 from bfcg.phase import CANONICAL_PAIRS, random_phase_point
 from bfcg.relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_RELATIONS,
                             PRIMARY_RELATIONS, RELATIONS, ZERO_RELATIONS,
-                            check_algebra_relation, classification_table,
-                            consistency_residuals,
+                            check_algebra_relation, consistency_residuals,
                             fundamental_bracket_residuals, offshell_refinement,
-                            offshell_relations, reduction_residual,
-                            relation_refinement)
+                            offshell_relations, reduction_residual)
 
 SU2 = builtin_module("adjoint(su2)")
 VP = builtin_module("vector_poincare")
@@ -32,9 +31,7 @@ def test_catalog_covers_the_tables():
     assert len(SECONDARY_RELATIONS) == 5
     assert len(FIRSTCLASS_RELATIONS) == 5
     assert len(MIXED_RELATIONS) == 9
-    table = classification_table()
-    assert len(table) == len(RELATIONS)
-    assert all(cls in ("exact", "refinement") for _, cls, _ in table)
+    assert set(ALL_TABLE + ZERO_RELATIONS) == set(RELATIONS)
 
 
 def test_unknown_relation_id():
@@ -79,31 +76,6 @@ def test_zero_relations_are_nontrivial_cancellations():
     bad = SU2.replace_tensor("act", bad_act)
     res = check_algebra_relation(bad, "sc0_CBCB", pt, seed=11)
     assert res.residual > 1e-6
-
-
-def test_relation_refinement_reports_exact():
-    out = relation_refinement(SU2, "sc1", (4, 6, 8), seed=1)
-    assert out["order"] == "exact"
-    assert out["fit"] == "exact"
-
-
-def test_relation_refinement_is_judged_by_the_finest_pair(monkeypatch):
-    """A ladder of order 1 on its coarse pair and 2 on its finest pair fits
-    outside the order window over all rungs; the verdict reads the finest
-    pair, as every other refinement check does."""
-    ladder = {8: 1.0, 16: 0.5, 32: 0.125}
-
-    def fake(cm, rel_id, point, seed=0, mode_count=1):
-        r = ladder[point.lattice.n]
-        return relations.RelationResult(rel_id, lhs=r, rhs=0.0, residual=r,
-                                        cls="refinement", scale=1.0)
-
-    monkeypatch.setattr(relations, "check_algebra_relation", fake)
-    out = relation_refinement(SU2, "sc1", (8, 16, 32), seed=1)
-    assert out["residuals"] == [1.0, 0.5, 0.125]
-    assert out["order"] == pytest.approx(2.0)
-    assert out["fit"] == pytest.approx(1.5)
-    assert order_ok(out["order"]) and not order_ok(out["fit"])
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +172,56 @@ def test_offshell_abelian_exact():
     out = offshell_relations(AB, pt)
     assert out["ra_residual"] < 1e-12
     assert out["rb_residual"] < 1e-12
+
+
+def _offshell_rhs_loop_oracle(cm, cfg3):
+    """The Bianchi content of the two off-shell identities as eps^{ijk} loops
+    over stored pairs: rhs_a = eps^{ijk} nabla_i F_{a jk}, and rhs_b =
+    eps^{ijk} (nabla^act_i T_{al jk} - act_{al a be} F^a_{jk} C^be_i)."""
+    lat, A, C = cfg3.lattice, cfg3.A, cfg3.C
+    F3 = curvature_F(cm, cfg3)
+    F3_low = np.einsum("ab,Pb...->Pa...", cm.Q, F3)
+    T3 = curvature_T(cm, cfg3)
+    T3_low = np.einsum("xy,Py...->Px...", cm.qf, T3)
+    rhs_a = np.zeros((cm.p,) + lat.shape)
+    rhs_b = np.zeros((cm.q,) + lat.shape)
+    for i in range(3):
+        for P in range(3):
+            s = EPS3_PAIR[i, P]
+            if not s:
+                continue
+            rhs_a += s * (discrete_derivative(F3_low[P], i, lat)
+                          + contract(cm.flow, A[i], F3[P]))
+            if cm.q:
+                rhs_b += s * (discrete_derivative(T3_low[P], i, lat)
+                              + contract(cm.actlow, A[i], T3[P]))
+                rhs_b -= s * contract(cm.actlow, F3[P], C[i])
+    return rhs_a, rhs_b
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare",
+                                  "abelian(2,3)", "trivial_bf(3)"])
+def test_offshell_bianchi_content_matches_loop_oracle(name, n):
+    """rhs_a = 1/2 Q.d_A F and rhs_b = 1/2 (q.d_A T - W(actlow; F, C)) on the
+    spatial triple (0, 1, 2), as offshell_relations forms them."""
+    cm = builtin_module(name)
+    pt = random_phase_point(cm, Lattice(D=3, n=n, a=1.0 / n), seed=n,
+                            rule="random")
+    b = pt.blocks
+    cfg3 = FieldConfiguration(pt.lattice, b["A"], b["be"], b["B"], b["C"])
+    rhs_a, rhs_b = _offshell_rhs_loop_oracle(cm, cfg3)
+    F3, T3 = curvature_F(cm, cfg3), curvature_T(cm, cfg3)
+    out = offshell_relations(cm, pt)
+    for got, want, norm in (
+            (0.5 * _bianchi_g(cm, cfg3, F3, (0, 1, 2)), rhs_a, "ra_bianchi_norm"),
+            (0.5 * _bianchi_h(cm, cfg3, F3, T3, (0, 1, 2)), rhs_b,
+             "rb_bianchi_norm")):
+        scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+        assert got.shape == want.shape
+        assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale
+        assert abs(out[norm] - float(np.max(np.abs(want), initial=0.0))) \
+            <= 1e-12 * scale
 
 
 def test_offshell_su2_converges():
