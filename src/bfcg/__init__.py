@@ -16,7 +16,7 @@ Layers:
 
 from .crossed_module import (DifferentialCrossedModule, ValidationReport,
                              builtin_module, dump_crossed_module,
-                             load_crossed_module, lower_raise, t_map,
+                             load_crossed_module, t_map,
                              validate_crossed_module)
 from .curvature import (bianchi_residuals, curvature_F, curvature_G3,
                         curvature_GB, curvature_T, eom_gradient_check,

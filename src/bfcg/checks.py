@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossed_module import DEFAULT_TOL, validate_crossed_module
+from .crossed_module import DEFAULT_TOL, _maxabs, validate_crossed_module
 from .curvature import (bianchi_residuals, curvature_F, curvature_G3,
                         curvature_T, eom_gradient_check, eom_residuals,
                         evaluate_action, fake_curvature)
@@ -60,6 +60,8 @@ class RunConfig:
             raise ValueError("the lattice ladder --n is empty")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"--tol must be finite and positive, got {self.tol!r}")
+        if self.modes < 1:
+            raise ValueError(f"--modes must be at least 1, got {self.modes!r}")
         if self.a is not None and not (math.isfinite(self.a) and self.a > 0):
             raise ValueError(f"--a must be finite and positive, got {self.a!r}")
         if self.a is None:
@@ -132,12 +134,11 @@ def check_curvature(cm, cfg: RunConfig) -> CheckRecord:
     fields = {"F": curvature_F(cm, c), "H": fake_curvature(cm, c),
               "G": curvature_G3(cm, c), "T": curvature_T(cm, c)}
     S = evaluate_action(cm, c)
-    norms = {k: float(np.max(np.abs(v))) if v.size else 0.0
-             for k, v in fields.items()}
+    norms = {k: _maxabs(v) for k, v in fields.items()}
     lines = [f"# curvature norms at n={n}"]
     lines += [f"curvature {k} maxabs {_fmt(v)}" for k, v in norms.items()]
     lines.append(f"action {S!r}")
-    finite = all(np.all(np.isfinite(x)) for x in fields.values() if x.size)
+    finite = all(np.all(np.isfinite(x)) for x in fields.values())
     return CheckRecord("curvature", bool(finite and np.isfinite(S)), "", lines,
                        {k: (v,) for k, v in norms.items()})
 
@@ -176,7 +177,7 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
     F1 = curvature_F(cm, thin_gauge_transform(cm, c, eps_field))
     rot = np.stack([np.einsum("...ab,b...->a...", Rg, F0[P])
                     for P in range(F0.shape[0])])
-    cov = float(np.max(np.abs(F1 - rot)))
+    cov = _maxabs(F1 - rot)
     lines = [f"gauge thin-constant F-covariance {_fmt(cov)}"]
     residuals, orders, fits = {"covariance": (cov,)}, {}, {}
     if len(cfg.ns) >= 3:
@@ -206,7 +207,7 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
 def check_eom(cm, cfg: RunConfig) -> CheckRecord:
     c = _config(cm, cfg, _lattice(cfg, 4, cfg.ns[0]))
     res = eom_residuals(cm, c)
-    worst = eom_gradient_check(cm, c, n_samples=16, seed=cfg.seed)
+    worst = eom_gradient_check(cm, c, res, n_samples=16, seed=cfg.seed)
     lines = [f"eom H-norm {_fmt(res['H_norm'])} G-norm {_fmt(res['G_norm'])}",
              f"eom E_A-norm {_fmt(res['E_A_norm'])} "
              f"E_beta-norm {_fmt(res['E_beta_norm'])}",

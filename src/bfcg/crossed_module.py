@@ -22,6 +22,10 @@ all over the component formulas are cached on the instance:
 
 Metrics may be indefinite (Minkowski, Killing form of so(3,1)); nothing here
 assumes positivity.
+
+Pure BF theory is the member with h = 0: q = 0 is an empty h, so every
+h-tensor has a zero-length axis and every h-sector term is an empty array or
+an exact zero.  No code branches on it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "builtin_module",
     "validate_crossed_module",
     "t_map",
-    "lower_raise",
     "contract",
     "load_crossed_module",
     "dump_crossed_module",
@@ -88,7 +91,7 @@ class DifferentialCrossedModule:
                 raise CrossedModuleError(
                     f"tensor {attr!r} has shape {arr.shape}, expected {want}"
                 )
-            if arr.size and not np.all(np.isfinite(arr)):
+            if not np.all(np.isfinite(arr)):
                 raise CrossedModuleError(f"tensor {attr!r} has non-finite entries")
             object.__setattr__(self, attr, arr)
 
@@ -149,15 +152,14 @@ class DifferentialCrossedModule:
 
 
 def _build_derived(cm: DifferentialCrossedModule) -> dict:
-    q = cm.q
     Qinv = np.linalg.inv(cm.Q)
-    qfinv = np.linalg.inv(cm.qf) if q else np.zeros((0, 0))
+    qfinv = np.linalg.inv(cm.qf)
     flow = np.einsum("ad,dbc->abc", cm.Q, cm.f)
-    actlow = np.einsum("ag,gbd->abd", cm.qf, cm.act) if q else cm.act.copy()
-    actmix = np.einsum("abd,dg->abg", actlow, qfinv) if q else cm.act.copy()
-    actQ = np.einsum("eb,abd->aed", Qinv, actlow) if q else cm.act.copy()
-    dlow = np.einsum("ab,bc->ac", cm.del_, cm.Q) if q else cm.del_.copy()
-    dup = np.einsum("ag,gb,bc->ac", qfinv, cm.del_, cm.Q) if q else cm.del_.copy()
+    actlow = np.einsum("ag,gbd->abd", cm.qf, cm.act)
+    actmix = np.einsum("abd,dg->abg", actlow, qfinv)
+    actQ = np.einsum("eb,abd->aed", Qinv, actlow)
+    dlow = np.einsum("ab,bc->ac", cm.del_, cm.Q)
+    dup = np.einsum("ag,gb,bc->ac", qfinv, cm.del_, cm.Q)
     return {
         "Qinv": Qinv,
         "qfinv": qfinv,
@@ -185,25 +187,13 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(ok for _, _, ok in self.entries)
 
-    def violation(self, name: str) -> float:
-        for n, v, _ in self.entries:
-            if n == name:
-                return v
-        raise KeyError(name)
-
     def failures(self) -> list:
         return [n for n, _, ok in self.entries if not ok]
 
-    def to_text(self) -> str:
-        lines = [
-            f"{name} {viol:.6e} {'PASS' if ok else 'FAIL'}"
-            for name, viol, ok in self.entries
-        ]
-        lines.append(f"overall {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines) + "\n"
-
 
 def _maxabs(arr) -> float:
+    """max |arr|, 0.0 for an empty array (an h-sector term at q = 0); a NaN
+    entry gives NaN."""
     arr = np.asarray(arr)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
@@ -226,7 +216,7 @@ def validate_crossed_module(cm: DifferentialCrossedModule,
     f, phi, del_, act = cm.f, cm.phi, cm.del_, cm.act
     Q, qf = cm.Q, cm.qf
     # computed locally so degenerate metrics still produce a report
-    actlow = np.einsum("ag,gbd->abd", qf, act) if cm.q else act
+    actlow = np.einsum("ag,gbd->abd", qf, act)
     checks = []
 
     checks.append(("f_antisymmetry", _maxabs(f + np.swapaxes(f, 1, 2))))
@@ -237,34 +227,25 @@ def validate_crossed_module(cm: DifferentialCrossedModule,
              - np.einsum("cab,dce->dabe", f, f)
              + np.einsum("cae,dcb->dabe", f, f))
     checks.append(("jacobi_g", _maxabs(jac_g)))
-    if cm.q:
-        jac_h = (np.einsum("dac,cbe->dabe", phi, phi)
-                 - np.einsum("cab,dce->dabe", phi, phi)
-                 + np.einsum("cae,dcb->dabe", phi, phi))
-        checks.append(("jacobi_h", _maxabs(jac_h)))
-    else:
-        checks.append(("jacobi_h", 0.0))
+    jac_h = (np.einsum("dac,cbe->dabe", phi, phi)
+             - np.einsum("cab,dce->dabe", phi, phi)
+             + np.einsum("cae,dcb->dabe", phi, phi))
+    checks.append(("jacobi_h", _maxabs(jac_h)))
 
     # equivariance: ▷^β_{aα} ∂_β{}^b = ∂_α{}^c f^b_{ac}
-    if cm.q:
-        equi = (np.einsum("gad,gb->bad", act, del_)
-                - np.einsum("dc,bac->bad", del_, f))
-        checks.append(("equivariance", _maxabs(equi)))
-        # composition (Peiffer, algebra level): ∂_α{}^a ▷^γ_{aβ} = φ^γ_{αβ}
-        comp = np.einsum("da,gab->gdb", del_, act) - phi
-        checks.append(("composition_peiffer", _maxabs(comp)))
-        # mixed relation: f^a_{bc} ▷_{αaβ} = ▷_{α[b|γ} ▷^γ_{|c]β}
-        mixed = (np.einsum("abc,dae->dbce", f, actlow)
-                 - np.einsum("dbg,gce->dbce", actlow, act)
-                 + np.einsum("dcg,gbe->dbce", actlow, act))
-        checks.append(("mixed_representation", _maxabs(mixed)))
-        # invariance of q: ▷_{αaβ} antisymmetric in (α, β)
-        checks.append(("act_antisymmetry", _maxabs(actlow + np.swapaxes(actlow, 0, 2))))
-    else:
-        checks.append(("equivariance", 0.0))
-        checks.append(("composition_peiffer", 0.0))
-        checks.append(("mixed_representation", 0.0))
-        checks.append(("act_antisymmetry", 0.0))
+    equi = (np.einsum("gad,gb->bad", act, del_)
+            - np.einsum("dc,bac->bad", del_, f))
+    checks.append(("equivariance", _maxabs(equi)))
+    # composition (Peiffer, algebra level): ∂_α{}^a ▷^γ_{aβ} = φ^γ_{αβ}
+    comp = np.einsum("da,gab->gdb", del_, act) - phi
+    checks.append(("composition_peiffer", _maxabs(comp)))
+    # mixed relation: f^a_{bc} ▷_{αaβ} = ▷_{α[b|γ} ▷^γ_{|c]β}
+    mixed = (np.einsum("abc,dae->dbce", f, actlow)
+             - np.einsum("dbg,gce->dbce", actlow, act)
+             + np.einsum("dcg,gbe->dbce", actlow, act))
+    checks.append(("mixed_representation", _maxabs(mixed)))
+    # invariance of q: ▷_{αaβ} antisymmetric in (α, β)
+    checks.append(("act_antisymmetry", _maxabs(actlow + np.swapaxes(actlow, 0, 2))))
 
     checks.append(("Q_symmetric", _maxabs(Q - Q.T)))
     checks.append(("q_symmetric", _maxabs(qf - qf.T)))
@@ -280,7 +261,7 @@ def validate_crossed_module(cm: DifferentialCrossedModule,
 
 
 # ---------------------------------------------------------------------------
-# T map and index gymnastics
+# T map and structure-tensor contraction
 # ---------------------------------------------------------------------------
 
 def t_map(cm: DifferentialCrossedModule) -> np.ndarray:
@@ -288,49 +269,9 @@ def t_map(cm: DifferentialCrossedModule) -> np.ndarray:
     from Q_{ba} T^b_{αβ} = -▷_{αaβ} (Q must be non-degenerate)."""
     if _nondegeneracy_violation(cm.Q) > 0:
         raise np.linalg.LinAlgError("Q is numerically singular")
-    if cm.q == 0:
-        return np.zeros((cm.p, 0, 0))
     # actlow[al, a, be] = ▷_{αaβ};  T^b_{αβ} = -(Q^{-1})^{ba} ▷_{αaβ}
     rhs = -np.einsum("abd->bad", cm.actlow).reshape(cm.p, -1)
     return np.linalg.solve(cm.Q.T, rhs).reshape(cm.p, cm.q, cm.q)
-
-
-_METRIC_OPS = {
-    ("g", "lower"): lambda cm: cm.Q,
-    ("g", "raise"): lambda cm: cm.Qinv,
-    ("h", "lower"): lambda cm: cm.qf,
-    ("h", "raise"): lambda cm: cm.qfinv,
-}
-
-
-def lower_raise(cm: DifferentialCrossedModule, tensor: np.ndarray, index_spec):
-    """Raise/lower tensor slots with Q, qf and their inverses.
-
-    index_spec is a sequence, one entry per tensor axis: None to leave the
-    axis alone, or a pair ("g"|"h", "lower"|"raise").  Lowering contracts
-    with the metric, raising with its inverse, so lower-then-raise is the
-    identity.
-    """
-    tensor = np.asarray(tensor, dtype=float)
-    if len(index_spec) != tensor.ndim:
-        raise CrossedModuleError(
-            f"index_spec has {len(index_spec)} entries for a rank-{tensor.ndim} tensor"
-        )
-    out = tensor
-    for axis, spec in enumerate(index_spec):
-        if spec is None:
-            continue
-        kind, direction = spec
-        if (kind, direction) not in _METRIC_OPS:
-            raise CrossedModuleError(f"bad index spec {spec!r}")
-        metric = _METRIC_OPS[(kind, direction)](cm)
-        dim = cm.p if kind == "g" else cm.q
-        if out.shape[axis] != dim:
-            raise CrossedModuleError(
-                f"axis {axis} has size {out.shape[axis]}, expected {dim} for {kind!r}"
-            )
-        out = np.moveaxis(np.tensordot(metric, out, axes=(1, axis)), 0, axis)
-    return out
 
 
 def contract(T: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

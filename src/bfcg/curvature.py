@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .crossed_module import contract
+from .crossed_module import _maxabs, contract
 from .lattice import (FieldConfiguration, discrete_derivative, levi_civita,
                       pair_index, pairs, triples)
 
@@ -72,10 +72,6 @@ __all__ = [
 ]
 
 
-def _maxabs(arr) -> float:
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-
 def _curvature_F_pair(cm, cfg, P) -> np.ndarray:
     """F^a on the stored pair P, shape (p, sites...)."""
     lat = cfg.lattice
@@ -89,8 +85,7 @@ def _curvature_F_pair(cm, cfg, P) -> np.ndarray:
 def _fake_curvature_pair(cm, cfg, P) -> np.ndarray:
     """H^a on the stored pair P, shape (p, sites...)."""
     out = _curvature_F_pair(cm, cfg, P)
-    if cm.q:
-        out -= np.einsum("ga,g...->a...", cm.del_, cfg.beta[P])
+    out -= np.einsum("ga,g...->a...", cm.del_, cfg.beta[P])
     return out
 
 
@@ -113,12 +108,10 @@ def fake_curvature(cm, cfg: FieldConfiguration) -> np.ndarray:
 def _cov_derivative(cfg, coupling, X, axis) -> np.ndarray:
     """D_axis X + coupling(A_axis, X) for a field X with its Lie index first.
 
-    coupling[out, a, in] is f for g-valued and act for h-valued X; an empty
-    coupling (q = 0) leaves the plain central difference.
+    coupling[out, a, in] is f for g-valued and act for h-valued X.
     """
     out = discrete_derivative(X, axis, cfg.lattice)
-    if coupling.size:
-        out += contract(coupling, cfg.A[axis], X)
+    out += contract(coupling, cfg.A[axis], X)
     return out
 
 
@@ -224,10 +217,9 @@ def evaluate_action(cm, cfg: FieldConfiguration) -> float:
     for Pi, Pj, e in _PP4:
         H = _fake_curvature_pair(cm, cfg, Pj)
         dens += e * np.einsum("a...,ab,b...->...", cfg.B[Pi], cm.Q, H)
-    if cm.q:
-        for mu, tri, e in _AT4:
-            G = _three_form_triple(cfg, cfg.beta, cm.act, tri)
-            dens += e * np.einsum("x...,xy,y...->...", cfg.C[mu], cm.qf, G)
+    for mu, tri, e in _AT4:
+        G = _three_form_triple(cfg, cfg.beta, cm.act, tri)
+        dens += e * np.einsum("x...,xy,y...->...", cfg.C[mu], cm.qf, G)
     return float(lat.volume_element * np.sum(dens))
 
 
@@ -246,22 +238,20 @@ def eom_residuals(cm, cfg: FieldConfiguration) -> dict:
     if lat.D != 4:
         raise ValueError("equations of motion are defined on D=4 configurations")
     H = fake_curvature(cm, cfg)
-    G3 = curvature_G3(cm, cfg) if cm.q else np.zeros((4, 0) + lat.shape)
+    G3 = curvature_G3(cm, cfg)
 
     E_A = np.empty((4, cm.p) + lat.shape)
     actlow_a = cm.actlow.transpose(1, 0, 2)  # [a, al, be]
     for sig, tri, e in _AT4:
         E_A[sig] = _lower(cm.Q, _three_form_triple(cfg, cfg.B, cm.f, tri))
-        if cm.q:
-            E_A[sig] += 2.0 * _wedge_triple(actlow_a, cfg.beta, cfg.C, tri)
+        E_A[sig] += 2.0 * _wedge_triple(actlow_a, cfg.beta, cfg.C, tri)
         E_A[sig] *= -e
 
     E_beta = np.zeros((len(pairs(4)), cm.q) + lat.shape)
-    if cm.q:
-        T = curvature_T(cm, cfg)
-        for Pp, P, e in _PP4:
-            E_beta[P] = e * (_lower(cm.qf, T[Pp])
-                             - 0.5 * _lower(cm.dlow, cfg.B[Pp]))
+    T = curvature_T(cm, cfg)
+    for Pp, P, e in _PP4:
+        E_beta[P] = e * (_lower(cm.qf, T[Pp])
+                         - 0.5 * _lower(cm.dlow, cfg.B[Pp]))
 
     return {
         "H_norm": _maxabs(H),
@@ -273,16 +263,18 @@ def eom_residuals(cm, cfg: FieldConfiguration) -> dict:
     }
 
 
-def eom_gradient_check(cm, cfg: FieldConfiguration, n_samples: int = 24,
-                       step: float = 1e-6, seed: int = 0) -> float:
+def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
+                       n_samples: int = 24, step: float = 1e-6,
+                       seed: int = 0) -> float:
     """Max relative error between E_A/E_beta and finite differences of S.
 
-    Central differences in randomly sampled entries of A and beta are
-    compared against -1/2 a^4 E_A and 2 a^4 E_beta.  The reduction is
-    np.max, so a NaN error (a NaN action) is returned, never dropped.
+    res is eom_residuals(cm, cfg).  Central differences in randomly sampled
+    entries of A and beta are compared against -1/2 a^4 E_A and 2 a^4
+    E_beta; an empty field (beta at q = 0) has no entry to sample.  The
+    reduction is np.max, so a NaN error (a NaN action) is returned, never
+    dropped.
     """
     lat = cfg.lattice
-    res = eom_residuals(cm, cfg)
     rng = np.random.default_rng(seed)
     a4 = lat.volume_element
     worst = 0.0
@@ -296,23 +288,17 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, n_samples: int = 24,
         s_minus = evaluate_action(cm, work)
         return (s_plus - s_minus) / (2 * step)
 
-    scale = max(1.0, float(np.max(np.abs(res["E_A"]))) * a4)
-    for _ in range(n_samples):
-        mu = rng.integers(0, 4)
-        a = rng.integers(0, cm.p)
-        site = tuple(rng.integers(0, lat.n, size=4))
-        fd = _fd("A", (mu, a) + site)
-        analytic = -0.5 * a4 * res["E_A"][(mu, a) + site]
-        worst = float(np.max([worst, abs(fd - analytic) / scale]))
-    if cm.q:
-        scale_b = max(1.0, float(np.max(np.abs(res["E_beta"]))) * a4)
+    for field_name, E, coeff in (("A", res["E_A"], -0.5),
+                                 ("beta", res["E_beta"], 2.0)):
+        if E.size == 0:
+            continue
+        scale = max(1.0, _maxabs(E) * a4)
         for _ in range(n_samples):
-            P = rng.integers(0, len(pairs(4)))
-            al = rng.integers(0, cm.q)
+            comp = tuple(rng.integers(0, k) for k in E.shape[:2])
             site = tuple(rng.integers(0, lat.n, size=4))
-            fd = _fd("beta", (P, al) + site)
-            analytic = 2.0 * a4 * res["E_beta"][(P, al) + site]
-            worst = float(np.max([worst, abs(fd - analytic) / scale_b]))
+            fd = _fd(field_name, comp + site)
+            analytic = coeff * a4 * E[comp + site]
+            worst = float(np.max([worst, abs(fd - analytic) / scale]))
     return worst
 
 
@@ -345,15 +331,11 @@ def bianchi_residuals(cm, cfg: FieldConfiguration) -> dict:
     F = curvature_F(cm, cfg)
     # np.max, not max: a NaN triple must reach the result
     out = {"bianchi_F": float(np.max([_maxabs(_bianchi_g(cm, cfg, F, tri))
-                                      for tri in triples(4)])),
-           "bianchi_T": 0.0,
-           "bianchi_GB": _maxabs(_covariant_top_form(cfg, F, cfg.B, cm.f, cm.Q)),
-           "bianchi_G": 0.0}
-    if cm.q:
-        T = curvature_T(cm, cfg)
-        out["bianchi_T"] = float(np.max([_maxabs(_bianchi_h(cm, cfg, F, T, tri))
-                                         for tri in triples(4)]))
-        del T
-        out["bianchi_G"] = _maxabs(
-            _covariant_top_form(cfg, F, cfg.beta, cm.act, cm.qf))
+                                      for tri in triples(4)]))}
+    T = curvature_T(cm, cfg)
+    out["bianchi_T"] = float(np.max([_maxabs(_bianchi_h(cm, cfg, F, T, tri))
+                                     for tri in triples(4)]))
+    del T
+    out["bianchi_GB"] = _maxabs(_covariant_top_form(cfg, F, cfg.B, cm.f, cm.Q))
+    out["bianchi_G"] = _maxabs(_covariant_top_form(cfg, F, cfg.beta, cm.act, cm.qf))
     return out

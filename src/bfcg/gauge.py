@@ -145,21 +145,19 @@ def fat_gauge_transform(cm, cfg: FieldConfiguration,
         raise ValueError(f"eta field has shape {eta.shape}")
 
     A_new = cfg.A.copy()
-    if cm.q:
-        for mu in range(lat.D):
-            A_new[mu] += np.einsum("ga,g...->a...", cm.del_, eta[mu])
+    for mu in range(lat.D):
+        A_new[mu] += np.einsum("ga,g...->a...", cm.del_, eta[mu])
 
     beta_new = cfg.beta.copy()
     B_new = cfg.B.copy()
-    if cm.q:
-        T = t_map(cm)
-        for P, (m, n) in enumerate(pairs(lat.D)):
-            d_eta = (discrete_derivative(eta[n], m, lat)
-                     - discrete_derivative(eta[m], n, lat))
-            wedge = (contract(cm.act, cfg.A[m], eta[n])
-                     - contract(cm.act, cfg.A[n], eta[m]))
-            etaeta = contract(cm.phi, eta[m], eta[n])
-            beta_new[P] += d_eta + wedge + etaeta
-            B_new[P] += 2.0 * (
-                contract(T, cfg.C[m], eta[n]) - contract(T, cfg.C[n], eta[m]))
+    T = t_map(cm)
+    for P, (m, n) in enumerate(pairs(lat.D)):
+        d_eta = (discrete_derivative(eta[n], m, lat)
+                 - discrete_derivative(eta[m], n, lat))
+        wedge = (contract(cm.act, cfg.A[m], eta[n])
+                 - contract(cm.act, cfg.A[n], eta[m]))
+        etaeta = contract(cm.phi, eta[m], eta[n])
+        beta_new[P] += d_eta + wedge + etaeta
+        B_new[P] += 2.0 * (
+            contract(T, cfg.C[m], eta[n]) - contract(T, cfg.C[n], eta[m]))
     return FieldConfiguration(lat, A_new, beta_new, B_new, cfg.C.copy())

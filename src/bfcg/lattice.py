@@ -276,7 +276,7 @@ class FieldConfiguration:
             arr = np.asarray(arr, dtype=float)
             if arr.shape[:len(lead)] != lead or arr.shape[len(lead) + 1:] != shp:
                 raise ValueError(f"field {name} has shape {arr.shape}")
-            if arr.size and not np.all(np.isfinite(arr)):
+            if not np.all(np.isfinite(arr)):
                 raise ValueError(f"field {name} has non-finite entries")
             setattr(self, name, arr)
 

@@ -89,7 +89,7 @@ class PhasePoint:
                 arr = np.asarray(self.blocks[name], dtype=float)
                 if arr.shape != comp + self.lattice.shape:
                     raise ValueError(f"block {name!r} has shape {arr.shape}")
-                if arr.size and not np.all(np.isfinite(arr)):
+                if not np.all(np.isfinite(arr)):
                     raise ValueError(f"block {name!r} has non-finite entries")
                 self.blocks[name] = arr
 
@@ -119,21 +119,10 @@ def onshell_momenta(cm, blocks: dict, lattice: Lattice) -> dict:
     }
     # pi(A)_a^i = 1/2 eps^{ijk} B_{a jk} = sum_P s(i,P) (Q B)[P]
     B_low = np.einsum("ab,Pb...->Pa...", cm.Q, blocks["B"])
-    pA = np.zeros((3, p) + shape)
-    for i in range(3):
-        for P in range(3):
-            s = EPS3_PAIR[i, P]
-            if s:
-                pA[i] += s * B_low[P]
-    out["pA"] = pA
-    # pi(beta)_al^{jk} = -eps^{jkl} C_{al l'} = -s(dual,P) (qf C)[dual(P)]
-    pbe = np.zeros((3, q) + shape)
-    if q:
-        C_low = np.einsum("xy,my...->mx...", cm.qf, blocks["C"])
-        for P, (j, k) in enumerate(pairs(3)):
-            dual = 3 - j - k
-            pbe[P] = -EPS3_PAIR[dual, P] * C_low[dual]
-    out["pbe"] = pbe
+    out["pA"] = np.einsum("iP,Pa...->ia...", EPS3_PAIR, B_low)
+    # pi(beta)_al^{jk} = -eps^{jki} C_{al i} = -sum_i s(i,P) (qf C)[i]
+    C_low = np.einsum("xy,iy...->ix...", cm.qf, blocks["C"])
+    out["pbe"] = -np.einsum("iP,ix...->Px...", EPS3_PAIR, C_low)
     return out
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .constraints import (constraint_density, evaluate_constraint, family_shape,
                           gauge_fixed_density, total_hamiltonian_functional)
-from .crossed_module import contract
+from .crossed_module import _maxabs, contract
 from .curvature import _bianchi_g, _bianchi_h, curvature_F, curvature_T
 from .lattice import (EPS3_PAIR, PAIR, FieldConfiguration, Lattice,
                       _random_recipe, discrete_derivative, fit_order,
@@ -388,9 +388,8 @@ def _cov_div_h_low(cm, point, field):
     out = np.zeros((cm.q,) + lat.shape)
     for k in range(3):
         out += discrete_derivative(field[k], k, lat)
-        if cm.q:
-            up = np.einsum("xy,y...->x...", cm.qfinv, field[k])
-            out += contract(cm.actlow, A[k], up)
+        up = np.einsum("xy,y...->x...", cm.qfinv, field[k])
+        out += contract(cm.actlow, A[k], up)
     return out
 
 
@@ -417,26 +416,16 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
 
     # first dependency (g sector)
     lhs_a = _cov_div_g_low(cm, point, phiH)
-    if cm.q:
-        lhs_a += 0.5 * np.einsum("ga,g...->a...", cm.dup, phiG)
-        mix1 = np.einsum("ga,ged->ade", cm.dup, cm.actQ)
-        for P in range(3):
-            lhs_a += contract(mix1, be[P], chiB[P])
+    lhs_a += 0.5 * np.einsum("ga,g...->a...", cm.dup, phiG)
+    mix1 = np.einsum("ga,ged->ade", cm.dup, cm.actQ)
+    for P in range(3):
+        lhs_a += contract(mix1, be[P], chiB[P])
     f_abc = cm.f.transpose(1, 2, 0)  # f^c_{ab} as [a, b, c]
     for P in range(3):
         lhs_a += contract(f_abc, F3[P], chiB[P])
     rhs_a = 0.5 * _bianchi_g(cm, cfg3, F3, (0, 1, 2))
 
-    out = {
-        "ra_residual": float(np.max(np.abs(lhs_a - rhs_a))),
-        "ra_bianchi_norm": float(np.max(np.abs(rhs_a))),
-    }
-
-    if cm.q == 0:
-        out["rb_residual"] = 0.0
-        out["rb_bianchi_norm"] = 0.0
-        return out
-
+    # second dependency (h sector)
     T3 = curvature_T(cm, cfg3)
     SH = evaluate_constraint(cm, "S(H)", point)
     phiCB = evaluate_constraint(cm, "phi(CB)", point)
@@ -474,9 +463,12 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
                 lhs_b -= s * contract(cm.actlow, SH[P], C[k])
 
     rhs_b = 0.5 * _bianchi_h(cm, cfg3, F3, T3, (0, 1, 2))
-    out["rb_residual"] = float(np.max(np.abs(lhs_b - rhs_b)))
-    out["rb_bianchi_norm"] = float(np.max(np.abs(rhs_b)))
-    return out
+    return {
+        "ra_residual": _maxabs(lhs_a - rhs_a),
+        "ra_bianchi_norm": _maxabs(rhs_a),
+        "rb_residual": _maxabs(lhs_b - rhs_b),
+        "rb_bianchi_norm": _maxabs(rhs_b),
+    }
 
 
 def offshell_refinement(cm, n_list, seed: int = 0, extent: float = 1.0,
@@ -524,6 +516,5 @@ def reduction_residual(cm, point: PhasePoint) -> float:
                               ("phi(BCbeta)", "S(BCbeta)")):
         phi_arr = evaluate_constraint(cm, phi_fam, reduced)
         sec_arr = _secondary_dual(cm, reduced, sec_kind)
-        if phi_arr.size:
-            worst = float(np.max([worst, np.max(np.abs(phi_arr - sec_arr))]))
+        worst = float(np.max([worst, _maxabs(phi_arr - sec_arr)]))
     return worst

@@ -15,7 +15,8 @@ import numpy as np
 from bfcg.checks import (EOM_TOL, FUNDAMENTAL_TOL, LADDER, TABLE_RELATIONS,
                          RunConfig, check_bianchi, check_offshell, order_ok)
 from bfcg.crossed_module import builtin_module, validate_crossed_module
-from bfcg.curvature import curvature_F, eom_gradient_check, evaluate_action
+from bfcg.curvature import (curvature_F, eom_gradient_check, eom_residuals,
+                            evaluate_action)
 from bfcg.dof import dof_count
 from bfcg.gauge import expm_batched, fat_gauge_transform, thin_gauge_transform
 from bfcg.lattice import (Lattice, _random_recipe, finest_order, fit_order,
@@ -127,7 +128,8 @@ def test_criterion_04_gauge_invariance():
 
 def test_criterion_05_eom_cross_check():
     cm = builtin_module("adjoint(su2)")
-    worst = eom_gradient_check(cm, _su2_config(8), n_samples=24, seed=5)
+    c = _su2_config(8)
+    worst = eom_gradient_check(cm, c, eom_residuals(cm, c), n_samples=24, seed=5)
     _report("C05 eom finite-difference", worst <= EOM_TOL, f"relerr={worst:.2e}")
 
 

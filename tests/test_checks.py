@@ -63,9 +63,11 @@ def test_run_config_defaults_spacing_to_first_rung():
     assert RunConfig(ns=(6,), a=0.25).a == 0.25
 
 
-def test_records_hold_plain_floats():
-    """A record keeps report lines and floats, never a lattice array."""
-    cm = builtin_module("abelian(1,1)")
+@pytest.mark.parametrize("name", ["abelian(1,1)", "trivial_bf(1)"])
+def test_records_hold_plain_floats(name):
+    """A record keeps report lines and floats, never a lattice array; at
+    q = 0 (trivial_bf) every h-sector term is empty and still PASSes."""
+    cm = builtin_module(name)
     cfg = RunConfig(seed=2, ns=(4,))
     records = [check(cm, cfg) for name, check in CHECKS.items()
                if name != "bianchi"] + [check_dof(cm.p, cm.q)]

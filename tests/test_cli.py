@@ -56,6 +56,17 @@ def test_bad_tol_is_usage_error(broken_spec, tol, capsys):
     assert err.startswith("error:") and "--tol" in err
 
 
+@pytest.mark.parametrize("command", ["algebra", "consistency", "offshell"])
+@pytest.mark.parametrize("modes", [0, -3])
+def test_bad_modes_is_usage_error(command, modes, capsys):
+    """A field with no Fourier mode is a usage error, never a PASS."""
+    code = main([command, "--module", "adjoint(su2)", "--n", "6",
+                 f"--modes={modes}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: --modes must be")
+
+
 @pytest.mark.parametrize("ladder", ["", ","])
 def test_empty_ladder_is_usage_error(ladder, capsys):
     code = main(["validate", "--n", ladder])

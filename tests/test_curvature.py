@@ -267,7 +267,8 @@ def test_eom_matches_action_gradient():
     cm = builtin_module("adjoint(su2)")
     lat = Lattice(4, 5, 0.2)
     cfg = make_config_recipe(cm, 4, 1, seed=2, scale=0.4).realize(lat)
-    assert eom_gradient_check(cm, cfg, n_samples=10, seed=3) < 1e-6
+    assert eom_gradient_check(cm, cfg, eom_residuals(cm, cfg), n_samples=10,
+                              seed=3) < 1e-6
 
 
 def test_eom_curvature_part_flat_abelian():
