@@ -29,8 +29,7 @@ from .lattice import (FieldConfiguration, Lattice, discrete_derivative,
 from .localpoly import poisson_bracket, smear
 from .phase import (PhasePoint, make_phase_recipe, phase_from_config,
                     random_phase_point, zero_phase_point)
-from .constraints import (MultiplierSet, canonical_hamiltonian,
-                          constraint_density, determine_multipliers,
+from .constraints import (canonical_hamiltonian, constraint_density,
                           evaluate_constraint, total_hamiltonian)
 from .relations import (RELATIONS, check_algebra_relation,
                         consistency_residuals, fundamental_bracket_residuals,

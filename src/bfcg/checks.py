@@ -280,9 +280,9 @@ def check_offshell(cm, cfg: RunConfig) -> CheckRecord:
         return CheckRecord("offshell", all(v[0] <= cfg.tol for v in res.values()),
                            "", lines, res)
     out = offshell_refinement(cm, list(OFFSHELL_LADDER), seed=cfg.seed,
-                              extent=1.0, mode_count=cfg.modes)
+                              mode_count=cfg.modes)
     res = {k: tuple(map(float, out[f"{k}_residuals"])) for k in ("ra", "rb")}
-    more, orders, fits = _refinement([1.0 / n for n in OFFSHELL_LADDER], res,
+    more, orders, fits = _refinement(out["spacings"], res,
                                      "offshell {} residuals")
     lines = [f"offshell ladder n={list(OFFSHELL_LADDER)}", *more,
              f"offshell bianchi-content orders "

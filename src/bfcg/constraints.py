@@ -44,7 +44,8 @@ The canonical Hamiltonian is the velocity-free form
                   + A^a_0 S(BCbeta)_a ] a^3,
 
 and the determined multipliers (solving the spatial-primary consistency
-conditions exactly on the lattice) are
+conditions exactly on the lattice; registry densities, so
+evaluate_constraint(cm, "lam(A)", point) gives lam(A) per site) are
 
   lam(A)^a_i     = nabla_i A^a_0 + del_g^a beta^g_{0i}
   lam(beta)^al_{ij} = nabla^act_[i beta^al_{0 j]} - act^al_{a be} A^a_0 beta^be_{ij}
@@ -63,8 +64,6 @@ With these definitions H_T regroups exactly (a lattice identity, tested) as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lattice import EPS3_PAIR, PAIR, Lattice
@@ -79,8 +78,6 @@ __all__ = [
     "evaluate_constraint",
     "gauge_fixed_density",
     "canonical_hamiltonian",
-    "MultiplierSet",
-    "determine_multipliers",
     "total_hamiltonian_functional",
     "total_hamiltonian",
     "regrouping_residual",
@@ -409,36 +406,6 @@ def _free_multipliers(cm, lattice: Lattice, arrays):
                                  f"expected {comp} or {full}")
         out.append(arr)
     return out
-
-
-@dataclass
-class MultiplierSet:
-    """Determined spatial multipliers plus free temporal components."""
-
-    lamA: np.ndarray
-    lamB: np.ndarray
-    lamC: np.ndarray
-    lambe: np.ndarray
-    lamA0: np.ndarray
-    lamB0: np.ndarray
-    lamC0: np.ndarray
-    lambe0: np.ndarray
-
-
-def determine_multipliers(cm, point: PhasePoint, lamA0=None, lamB0=None,
-                          lamC0=None, lambe0=None) -> MultiplierSet:
-    """Fill the spatial multipliers from their closed forms.
-
-    Temporal components are free inputs (default zero), per site or constant.
-    """
-    lat = point.lattice
-    free = _free_multipliers(cm, lat, (lamA0, lamB0, lamC0, lambe0))
-    free = [np.zeros(family_shape(cm, fam) + lat.shape) if arr is None else arr
-            for (_, fam), arr in zip(_FREE, free)]
-    lam = {name: evaluate_constraint(cm, name, point)
-           for name, _ in _LAM_PRIMARY}
-    return MultiplierSet(lam["lam(A)"], lam["lam(B)"], lam["lam(C)"],
-                         lam["lam(beta)"], *free)
 
 
 def total_hamiltonian_functional(cm, lattice: Lattice, lamA0=None, lamB0=None,

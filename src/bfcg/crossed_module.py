@@ -11,7 +11,8 @@ A differential crossed module (g, h, ∂, ▷) is stored componentwise:
 
 Index placement is always the "natural" one above; raising/lowering is done
 explicitly with Q, qf and their inverses.  Lowered combinations that appear
-all over the component formulas are cached on the instance:
+all over the component formulas are cached on the instance (the cache is
+not an init field, so dataclasses.replace gives a fresh one):
 
     flow[a, b, c]    = Q_{ad} f^d_{bc}                (totally antisymmetric)
     actlow[al, a, be] = q_{αγ} ▷^γ_{aβ}               (antisymmetric in α, β)
@@ -46,7 +47,6 @@ __all__ = [
     "contract",
     "load_crossed_module",
     "dump_crossed_module",
-    "BUILTIN_NAMES",
 ]
 
 # relative spectral threshold for "non-degenerate"
@@ -71,7 +71,8 @@ class DifferentialCrossedModule:
     Q: np.ndarray
     qf: np.ndarray
     name: str = "unnamed"
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         p, q = self.p, self.q
@@ -134,22 +135,6 @@ class DifferentialCrossedModule:
     def dup(self):
         return self._derived("dup")
 
-    def replace_tensor(self, attr: str, value: np.ndarray) -> "DifferentialCrossedModule":
-        """Copy of the module with one tensor replaced (no validation)."""
-        data = {
-            "p": self.p,
-            "q": self.q,
-            "f": self.f,
-            "phi": self.phi,
-            "del_": self.del_,
-            "act": self.act,
-            "Q": self.Q,
-            "qf": self.qf,
-            "name": self.name,
-        }
-        data[attr] = value
-        return DifferentialCrossedModule(**data)
-
 
 def _build_derived(cm: DifferentialCrossedModule) -> dict:
     Qinv = np.linalg.inv(cm.Q)
@@ -181,7 +166,6 @@ class ValidationReport:
     """One line per identity: (name, max absolute violation, pass flag)."""
 
     entries: list
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -257,7 +241,7 @@ def validate_crossed_module(cm: DifferentialCrossedModule,
     checks.append(("Q_invariance", _maxabs(qinv)))
 
     entries = [(name, viol, viol <= tol) for name, viol in checks]
-    return ValidationReport(entries=entries, tol=tol)
+    return ValidationReport(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +281,6 @@ def contract(T: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
-
-BUILTIN_NAMES = ("trivial_bf(p)", "adjoint(su2)", "vector_poincare", "abelian(p,q)")
-
 
 def _su2() -> tuple:
     """su(2) with f^a_{bc} = ε_{abc} and Q = identity (our normalization)."""

@@ -264,19 +264,19 @@ def eom_residuals(cm, cfg: FieldConfiguration) -> dict:
 
 
 def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
-                       n_samples: int = 24, step: float = 1e-6,
-                       seed: int = 0) -> float:
+                       n_samples: int = 24, seed: int = 0) -> float:
     """Max relative error between E_A/E_beta and finite differences of S.
 
-    res is eom_residuals(cm, cfg).  Central differences in randomly sampled
-    entries of A and beta are compared against -1/2 a^4 E_A and 2 a^4
-    E_beta; an empty field (beta at q = 0) has no entry to sample.  The
-    reduction is np.max, so a NaN error (a NaN action) is returned, never
-    dropped.
+    res is eom_residuals(cm, cfg).  Central differences of step 1e-6 in
+    randomly sampled entries of A and beta are compared against -1/2 a^4
+    E_A and 2 a^4 E_beta; an empty field (beta at q = 0) has no entry to
+    sample.  The reduction is np.max, so a NaN error (a NaN action) is
+    returned, never dropped.
     """
     lat = cfg.lattice
     rng = np.random.default_rng(seed)
     a4 = lat.volume_element
+    step = 1e-6
     worst = 0.0
 
     def _fd(field_name, idx):

@@ -8,7 +8,7 @@ A thin transformation with parameter field eps^a(x) acts by
     beta, C -> exp(-act_eps) beta, C
 
 where ad_eps acts on g indices, act_eps = eps^a act_a on h indices, and
-dexpinv_eps(v) = sum_{k=0}^{K} (-ad_eps)^k / (k+1)!  v   (K = dexp order)
+dexpinv_eps(v) = sum_{k=0}^{K} (-ad_eps)^k / (k+1)!  v   (K = 6)
 realizes phi^{-1} d phi for phi = exp(eps).
 
 A fat transformation with an h-valued 1-form eta acts exactly:
@@ -76,13 +76,13 @@ def expm_batched(M: np.ndarray) -> np.ndarray:
     return result
 
 
-def _dexpinv(neg_ad: np.ndarray, order: int) -> np.ndarray:
-    """sum_{k=0}^{order} (-ad)^k / (k+1)! for a stack (..., p, p) of -ad."""
+def _dexpinv(neg_ad: np.ndarray) -> np.ndarray:
+    """sum_{k=0}^{6} (-ad)^k / (k+1)! for a stack (..., p, p) of -ad."""
     S = np.broadcast_to(np.eye(neg_ad.shape[-1]), neg_ad.shape).copy()
     power = S.copy()
     scratch = np.empty_like(S)
     fact = 1.0
-    for k in range(1, order + 1):
+    for k in range(1, 7):
         np.matmul(power, neg_ad, out=scratch)
         power, scratch = scratch, power
         fact *= (k + 1)
@@ -95,15 +95,13 @@ def _apply(mat, field):
     return np.einsum("sxy,ys->xs", mat, field)
 
 
-def thin_gauge_transform(cm, cfg: FieldConfiguration, eps_field: np.ndarray,
-                         dexp_order: int = 6) -> FieldConfiguration:
+def thin_gauge_transform(cm, cfg: FieldConfiguration,
+                         eps_field: np.ndarray) -> FieldConfiguration:
     """Thin transformation with parameter eps^a(x); exact for constant eps.
 
     Each block of _BLOCK sites gets its own ad/act matrices, exponentials
     and dexpinv sum, applied straight into the preallocated output fields.
     """
-    if dexp_order < 1:
-        raise ValueError("dexp series order must be >= 1")
     lat = cfg.lattice
     eps_field = np.asarray(eps_field, dtype=float)
     if eps_field.shape != (cm.p,) + lat.shape:
@@ -124,7 +122,7 @@ def thin_gauge_transform(cm, cfg: FieldConfiguration, eps_field: np.ndarray,
         blk = slice(start, start + _BLOCK)
         neg_ad = -np.einsum("abc,bs->sac", cm.f, eps[:, blk])
         Rg = expm_batched(neg_ad)
-        S = _dexpinv(neg_ad, dexp_order)
+        S = _dexpinv(neg_ad)
         Rh = expm_batched(-np.einsum("xay,as->sxy", cm.act, eps[:, blk]))
         for mu in range(lat.D):
             A_out[mu, :, blk] = (_apply(Rg, A[mu, :, blk])

@@ -21,7 +21,7 @@ continuum field can be realized on any resolution for Richardson studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,15 +227,19 @@ def _random_recipe(rng, D: int, comp_shape: tuple, mode_count: int,
     The mode set is the constant mode plus the axis-aligned frequencies
     1..mode_count on each axis (one representative of each {k, -k} pair);
     this keeps the spectrum soft enough for clean second-order refinement
-    fits while remaining fully generic in the components.
+    fits while remaining fully generic in the components.  mode_count < 1
+    raises ValueError: a field with no mode but the constant one is not a
+    smooth sample.
     """
+    if mode_count < 1:
+        raise ValueError("mode_count must be >= 1")
     ks = [(0,) * D]
     for axis in range(D):
         for k in range(1, mode_count + 1):
             kt = [0] * D
             kt[axis] = k
             ks.append(tuple(kt))
-    norm = scale / np.sqrt(max(len(ks), 1))
+    norm = scale / np.sqrt(len(ks))
     coeffs = {}
     for kt in ks:
         ca = rng.normal(size=comp_shape) * norm
@@ -310,8 +314,6 @@ class ConfigRecipe:
 def make_config_recipe(cm, D: int, mode_count: int, seed: int,
                        scale: float = 1.0) -> ConfigRecipe:
     """Deterministic smooth random recipe for a full field configuration."""
-    if mode_count < 1:
-        raise ValueError("mode_count must be >= 1")
     rng = np.random.default_rng(seed)
     npairs = len(pairs(D))
     return ConfigRecipe(
@@ -336,11 +338,11 @@ def sample_smooth_fields(cm, lattice: Lattice, mode_count: int,
 EXACT_FLOOR = 1e-11
 
 
-def fit_order(spacings, residuals, exact_floor: float = EXACT_FLOOR):
+def fit_order(spacings, residuals):
     """Least-squares slope of log(residual) vs log(a).
 
     Returns the fitted order as float, or the string "exact" when every
-    residual is at the numerical noise floor.  A ladder that cannot carry
+    residual is at most EXACT_FLOOR.  A ladder that cannot carry
     a verdict -- a non-finite rung, or a rung above the floor with fewer
     than two positive rungs to fit -- gives NaN, which no order gate accepts.
     """
@@ -350,7 +352,7 @@ def fit_order(spacings, residuals, exact_floor: float = EXACT_FLOOR):
         raise ValueError("need at least 3 resolutions to fit an order")
     if not np.all(np.isfinite(residuals)):
         return float("nan")
-    if np.all(residuals <= exact_floor):
+    if np.all(residuals <= EXACT_FLOOR):
         return "exact"
     mask = residuals > 0
     if mask.sum() < 2:
@@ -359,13 +361,13 @@ def fit_order(spacings, residuals, exact_floor: float = EXACT_FLOOR):
     return float(slope)
 
 
-def finest_order(spacings, residuals, exact_floor: float = EXACT_FLOOR):
+def finest_order(spacings, residuals):
     """Order of a refinement ladder from its finest pair of rungs.
 
     The coarse rungs of a ladder may lie before the asymptotic regime,
     where a least-squares fit over all rungs is dragged off the true order;
     the finest pair is the nearest to that regime.  Returns "exact" when
-    every residual is at the noise floor, and NaN, which no order gate
+    every residual is at most EXACT_FLOOR, and NaN, which no order gate
     accepts, for a non-finite rung or a ladder with a rung that does not
     shrink under refinement (a zero rung below a positive one included).
     """
@@ -375,7 +377,7 @@ def finest_order(spacings, residuals, exact_floor: float = EXACT_FLOOR):
         raise ValueError("need at least 3 resolutions to fit an order")
     if not np.all(np.isfinite(residuals)):
         return float("nan")
-    if np.all(residuals <= exact_floor):
+    if np.all(residuals <= EXACT_FLOOR):
         return "exact"
     coarse_to_fine = np.argsort(-spacings)
     r, a = residuals[coarse_to_fine], spacings[coarse_to_fine]

@@ -97,9 +97,6 @@ class PhasePoint:
         return PhasePoint(self.lattice, self.p, self.q,
                           {k: v.copy() for k, v in self.blocks.items()})
 
-    def __getitem__(self, name):
-        return self.blocks[name]
-
 
 def zero_phase_point(cm, lattice: Lattice) -> PhasePoint:
     return PhasePoint(lattice, cm.p, cm.q, {})
@@ -126,44 +123,27 @@ def onshell_momenta(cm, blocks: dict, lattice: Lattice) -> dict:
     return out
 
 
-def phase_from_config(cm, cfg: FieldConfiguration, momentum_rule: str = "on_shell",
-                      time_slice: int = 0, seed: int = 0) -> PhasePoint:
-    """Restrict a D=4 configuration to one time slice and attach momenta.
-
-    momentum_rule "on_shell" gives exactly vanishing primary constraints;
-    "random" draws independent smooth momenta (a generic off-constraint
-    point), deterministic in seed.
-    """
+def phase_from_config(cm, cfg: FieldConfiguration) -> PhasePoint:
+    """Restrict a D=4 configuration to the time slice t = 0 and attach the
+    on-shell momenta, so every primary constraint vanishes exactly."""
     if cfg.lattice.D != 4:
         raise ValueError("phase_from_config expects a D=4 configuration")
-    n, a = cfg.lattice.n, cfg.lattice.a
-    lat3 = Lattice(D=3, n=n, a=a)
-    t = time_slice % n
+    lat3 = Lattice(D=3, n=cfg.lattice.n, a=cfg.lattice.a)
     P4 = pairs(4)
     temporal = [P4.index((0, i + 1)) for i in range(3)]
     spatial = [P4.index((i + 1, j + 1)) for (i, j) in pairs(3)]
 
     blocks = {
-        "A0": cfg.A[0][:, t],
-        "A": np.stack([cfg.A[1 + i][:, t] for i in range(3)]),
-        "C0": cfg.C[0][:, t],
-        "C": np.stack([cfg.C[1 + i][:, t] for i in range(3)]),
-        "B0": np.stack([cfg.B[P][:, t] for P in temporal]),
-        "B": np.stack([cfg.B[P][:, t] for P in spatial]),
-        "be0": np.stack([cfg.beta[P][:, t] for P in temporal]),
-        "be": np.stack([cfg.beta[P][:, t] for P in spatial]),
+        "A0": cfg.A[0][:, 0],
+        "A": np.stack([cfg.A[1 + i][:, 0] for i in range(3)]),
+        "C0": cfg.C[0][:, 0],
+        "C": np.stack([cfg.C[1 + i][:, 0] for i in range(3)]),
+        "B0": np.stack([cfg.B[P][:, 0] for P in temporal]),
+        "B": np.stack([cfg.B[P][:, 0] for P in spatial]),
+        "be0": np.stack([cfg.beta[P][:, 0] for P in temporal]),
+        "be": np.stack([cfg.beta[P][:, 0] for P in spatial]),
     }
-    if momentum_rule == "on_shell":
-        blocks.update(onshell_momenta(cm, blocks, lat3))
-    elif momentum_rule == "random":
-        rng_seed = seed
-        shapes = block_shapes(cm.p, cm.q)
-        rng = np.random.default_rng(rng_seed)
-        for name in MOMENTUM_BLOCKS:
-            rec = _random_recipe(rng, 3, shapes[name], 1)
-            blocks[name] = rec.realize(lat3)
-    else:
-        raise ValueError(f"unknown momentum rule {momentum_rule!r}")
+    blocks.update(onshell_momenta(cm, blocks, lat3))
     return PhasePoint(lat3, cm.p, cm.q, blocks)
 
 
@@ -191,23 +171,23 @@ class PhaseRecipe:
         return PhasePoint(lattice, self.p, self.q, blocks)
 
 
-def make_phase_recipe(cm, mode_count: int, seed: int, rule: str = "random",
-                      scale: float = 1.0) -> PhaseRecipe:
+def make_phase_recipe(cm, mode_count: int, seed: int,
+                      rule: str = "random") -> PhaseRecipe:
     if rule not in ("random", "on_shell"):
         raise ValueError(f"unknown momentum rule {rule!r}")
     rng = np.random.default_rng(seed)
     shapes = block_shapes(cm.p, cm.q)
-    coord = {name: _random_recipe(rng, 3, shapes[name], mode_count, scale)
+    coord = {name: _random_recipe(rng, 3, shapes[name], mode_count)
              for name in COORD_BLOCKS}
     mom = {}
     if rule == "random":
-        mom = {name: _random_recipe(rng, 3, shapes[name], mode_count, scale)
+        mom = {name: _random_recipe(rng, 3, shapes[name], mode_count)
                for name in MOMENTUM_BLOCKS}
     return PhaseRecipe(p=cm.p, q=cm.q, rule=rule, coord=coord, mom=mom)
 
 
 def random_phase_point(cm, lattice: Lattice, seed: int, rule: str = "random",
-                       mode_count: int = 1, scale: float = 1.0) -> PhasePoint:
+                       mode_count: int = 1) -> PhasePoint:
     """Generic smooth phase point, deterministic in seed."""
-    return make_phase_recipe(cm, mode_count, seed, rule, scale).realize_with(cm, lattice)
+    return make_phase_recipe(cm, mode_count, seed, rule).realize_with(cm, lattice)
 

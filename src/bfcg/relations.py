@@ -14,9 +14,12 @@ Their derivations need only pointwise algebra, exact summation by parts,
 and the commutativity of lattice shifts, never the product rule.  The
 discrete-Leibniz defect appears only in the off-shell dependency
 identities and in consistency brackets evaluated away from the
-second-class surface, which is why those are handled by the refinement
-harness (and are exactly zero for abelian modules, where every
-structure-constant coefficient dies).
+second-class surface (both exactly zero for abelian modules, where every
+structure-constant coefficient dies).  The off-shell identities are gated
+by refinement.  No refinement covers the consistency brackets:
+check_consistency gates the on-shell rows except the weak secondary ones,
+which it reports ungated, and at a random point only the "vs phi" rows;
+the other random-point rows are neither gated nor reported.
 
 Relations live in two canonical systems: the full Dirac phase space
 ("full", all eight conjugate block pairs) and the gauge-fixed picture
@@ -76,9 +79,10 @@ def _vol_sum(lat, site_array):
     return float(lat.a ** 3 * np.sum(site_array))
 
 
-def make_test(cm, shape, lattice, seed, mode_count=1):
+def make_test(shape, lattice, seed):
+    """Smooth smearing test field of one Fourier mode per axis."""
     rng = np.random.default_rng(seed)
-    return _random_recipe(rng, 3, shape, mode_count).realize(lattice)
+    return _random_recipe(rng, 3, shape, 1).realize(lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +233,15 @@ class RelationResult:
     scale: float
 
 
-def check_algebra_relation(cm, rel_id: str, point: PhasePoint, seed: int = 0,
-                           mode_count: int = 1) -> RelationResult:
+def check_algebra_relation(cm, rel_id: str, point: PhasePoint,
+                           seed: int = 0) -> RelationResult:
     """Evaluate one relation at a phase point with smooth smearings."""
     if rel_id not in RELATIONS:
         raise KeyError(f"unknown relation id {rel_id!r}")
     rel = RELATIONS[rel_id]
     lat = point.lattice
-    tA = make_test(cm, family_shape(cm, rel.famA), lat, seed=seed * 7919 + 11,
-                   mode_count=mode_count)
-    tB = make_test(cm, family_shape(cm, rel.famB), lat, seed=seed * 7919 + 23,
-                   mode_count=mode_count)
+    tA = make_test(family_shape(cm, rel.famA), lat, seed=seed * 7919 + 11)
+    tB = make_test(family_shape(cm, rel.famB), lat, seed=seed * 7919 + 23)
     pairs_ = GAUGE_FIXED_PAIRS if rel.system == "gf" else CANONICAL_PAIRS
     densA = _density(cm, rel.famA, rel.system)
     densB = _density(cm, rel.famB, rel.system)
@@ -319,8 +321,7 @@ def _secondary_dual(cm, point, kind):
     return _array(cm, point, kind, "full")
 
 
-def consistency_residuals(cm, point: PhasePoint, lamA0=None, lamB0=None,
-                          lamC0=None, lambe0=None, seed: int = 0) -> list:
+def consistency_residuals(cm, point: PhasePoint, seed: int = 0) -> list:
     """Rows (label, residual) for every primary-constraint consistency bracket.
 
     Temporal primaries: {P[f], H_T} equals the first-class smearing exactly,
@@ -332,7 +333,7 @@ def consistency_residuals(cm, point: PhasePoint, lamA0=None, lamB0=None,
     zero for abelian modules).
     """
     lat = point.lattice
-    ht = total_hamiltonian_functional(cm, lat, lamA0, lamB0, lamC0, lambe0)
+    ht = total_hamiltonian_functional(cm, lat)
     g_ht = ht.gradient(point.blocks)
 
     def bracket_with_ht(fam, t):
@@ -344,7 +345,7 @@ def consistency_residuals(cm, point: PhasePoint, lamA0=None, lamB0=None,
         [r[0] for r in _TEMPORAL_ROWS] + list(_SPATIAL_ROWS)
         + ["S(H)", "S(G)", "S(CB)", "S(BCbeta)"])}
     for fam, phi_fam, sec_kind in _TEMPORAL_ROWS:
-        t = make_test(cm, family_shape(cm, fam), lat, seed=seed * 9176 + fam_offset[fam])
+        t = make_test(family_shape(cm, fam), lat, seed=seed * 9176 + fam_offset[fam])
         br = bracket_with_ht(fam, t)
         phi_arr = evaluate_constraint(cm, phi_fam, point)
         phi_val = _vol_sum(lat, np.sum(
@@ -355,11 +356,11 @@ def consistency_residuals(cm, point: PhasePoint, lamA0=None, lamB0=None,
         rows.append((f"{fam} vs {phi_fam}", abs(br - phi_val)))
         rows.append((f"{fam} vs secondary", abs(br - sec_val)))
     for fam in _SPATIAL_ROWS:
-        t = make_test(cm, family_shape(cm, fam), lat, seed=seed * 9176 + fam_offset[fam])
+        t = make_test(family_shape(cm, fam), lat, seed=seed * 9176 + fam_offset[fam])
         br = bracket_with_ht(fam, t)
         rows.append((f"{fam} preservation", abs(br)))
     for fam in ("S(H)", "S(G)", "S(CB)", "S(BCbeta)"):
-        t = make_test(cm, family_shape(cm, fam), lat, seed=seed * 9176 + fam_offset[fam])
+        t = make_test(family_shape(cm, fam), lat, seed=seed * 9176 + fam_offset[fam])
         br = bracket_with_ht(fam, t)
         rows.append((f"{fam} preservation (weak)", abs(br)))
     return rows
@@ -471,12 +472,14 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     }
 
 
-def offshell_refinement(cm, n_list, seed: int = 0, extent: float = 1.0,
-                        mode_count: int = 1) -> dict:
+def offshell_refinement(cm, n_list, seed: int = 0, mode_count: int = 1) -> dict:
+    """offshell_relations of one random recipe on each n of n_list, in a
+    box of extent 1; returns the spacings, residual and Bianchi-norm ladders
+    and their all-rung fits."""
     recipe = make_phase_recipe(cm, mode_count, seed=seed * 433 + 7, rule="random")
     res_a, res_b, norm_a, norm_b, spac = [], [], [], [], []
     for n in n_list:
-        lat = Lattice(D=3, n=n, a=extent / n)
+        lat = Lattice(D=3, n=n, a=1.0 / n)
         point = recipe.realize_with(cm, lat)
         out = offshell_relations(cm, point)
         res_a.append(out["ra_residual"])
@@ -486,6 +489,7 @@ def offshell_refinement(cm, n_list, seed: int = 0, extent: float = 1.0,
         spac.append(lat.a)
     return {
         "n": list(n_list),
+        "spacings": spac,
         "ra_residuals": res_a,
         "ra_order": fit_order(spac, res_a),
         "rb_residuals": res_b,

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from bfcg.constraints import (FAMILIES, canonical_hamiltonian,
-                              constraint_density, determine_multipliers,
-                              evaluate_constraint, family_shape,
-                              gauge_fixed_density, regrouping_residual,
-                              total_hamiltonian, total_hamiltonian_functional)
+                              constraint_density, evaluate_constraint,
+                              family_shape, gauge_fixed_density,
+                              regrouping_residual, total_hamiltonian,
+                              total_hamiltonian_functional)
 from bfcg.crossed_module import builtin_module
 from bfcg.lattice import EPS3_PAIR, Lattice, pair_index, pairs, sample_smooth_fields
 from bfcg.localpoly import poisson_bracket, smear
@@ -36,16 +36,14 @@ def test_zero_point_zero_constraints():
 def test_onshell_point_kills_primaries():
     lat4 = Lattice(D=4, n=4, a=0.25)
     cfg = sample_smooth_fields(CM, lat4, 1, 13)
-    pt = phase_from_config(CM, cfg, momentum_rule="on_shell")
+    pt = phase_from_config(CM, cfg)
     for fam in PRIMARY_FAMILIES:
         arr = evaluate_constraint(CM, fam, pt)
         assert np.max(np.abs(arr)) < 1e-13, fam
 
 
 def test_random_momenta_violate_primaries():
-    lat4 = Lattice(D=4, n=4, a=0.25)
-    cfg = sample_smooth_fields(CM, lat4, 1, 13)
-    pt = phase_from_config(CM, cfg, momentum_rule="random", seed=5)
+    pt = random_phase_point(CM, LAT, seed=5, rule="random")
     worst = max(np.max(np.abs(evaluate_constraint(CM, fam, pt)))
                 for fam in PRIMARY_FAMILIES)
     assert worst > 1e-3
@@ -255,7 +253,6 @@ def test_HT_minus_Hc_is_multiplier_sum():
     )
     ht = total_hamiltonian(CM, pt, **lam0)
     hc = canonical_hamiltonian(CM, pt)
-    mset = determine_multipliers(CM, pt, **lam0)
     blocks = pt.blocks
     a3 = LAT.a ** 3
 
@@ -266,14 +263,13 @@ def test_HT_minus_Hc_is_multiplier_sum():
         return float(np.sum(lam * arr))
 
     direct = 0.0
-    direct += _pair_sum(mset.lamA0, "P(A)_0")
-    direct += _pair_sum(mset.lamB0, "P(B)_0i")
-    direct += _pair_sum(mset.lamC0, "P(C)_0")
-    direct += _pair_sum(mset.lambe0, "P(beta)_0i")
-    direct += _pair_sum(mset.lamA, "P(A)_i")
-    direct += _pair_sum(mset.lamB, "P(B)_jk")
-    direct += _pair_sum(mset.lamC, "P(C)_k")
-    direct += _pair_sum(mset.lambe, "P(beta)_jk")
+    direct += _pair_sum(lam0["lamA0"], "P(A)_0")
+    direct += _pair_sum(lam0["lamB0"], "P(B)_0i")
+    direct += _pair_sum(lam0["lamC0"], "P(C)_0")
+    direct += _pair_sum(lam0["lambe0"], "P(beta)_0i")
+    for lam, prim in (("lam(A)", "P(A)_i"), ("lam(B)", "P(B)_jk"),
+                      ("lam(C)", "P(C)_k"), ("lam(beta)", "P(beta)_jk")):
+        direct += _pair_sum(evaluate_constraint(CM, lam, pt), prim)
     assert abs((ht - hc) - a3 * direct) < 1e-11 * max(1.0, abs(ht))
 
 
@@ -308,9 +304,9 @@ def test_regrouping_identity_exact():
 # ---------------------------------------------------------------------------
 
 def test_multipliers_zero_point():
-    mset = determine_multipliers(CM, zero_phase_point(CM, LAT))
-    for arr in (mset.lamA, mset.lamB, mset.lamC, mset.lambe):
-        assert np.max(np.abs(arr)) == 0.0
+    pt = zero_phase_point(CM, LAT)
+    for lam in ("lam(A)", "lam(B)", "lam(C)", "lam(beta)"):
+        assert np.max(np.abs(evaluate_constraint(CM, lam, pt))) == 0.0
 
 
 def test_lamA_hand_formula_with_A_zero():
@@ -318,14 +314,14 @@ def test_lamA_hand_formula_with_A_zero():
     pt = random_phase_point(CM, LAT, seed=59, rule="random")
     pt.blocks["A"] = np.zeros_like(pt.blocks["A"])
     pt.blocks["A0"] = np.zeros_like(pt.blocks["A0"])
-    mset = determine_multipliers(CM, pt)
+    lamA = evaluate_constraint(CM, "lam(A)", pt)
     expect = np.einsum("ga,ig...->ia...", CM.del_, pt.blocks["be0"])
-    assert np.max(np.abs(mset.lamA - expect)) < 1e-13
+    assert np.max(np.abs(lamA - expect)) < 1e-13
     cm_ab = builtin_module("abelian(2,2)")
     pt2 = random_phase_point(cm_ab, LAT, seed=61, rule="random")
     pt2.blocks["A"] = np.zeros_like(pt2.blocks["A"])
     pt2.blocks["A0"] = np.zeros_like(pt2.blocks["A0"])
-    assert np.max(np.abs(determine_multipliers(cm_ab, pt2).lamA)) < 1e-13
+    assert np.max(np.abs(evaluate_constraint(cm_ab, "lam(A)", pt2))) < 1e-13
 
 
 FREE_MULTIPLIERS = {"lamA0": np.array([.3, -.2, .1]),
@@ -340,17 +336,13 @@ def test_free_multipliers_accept_constants():
     per_site = {k: np.broadcast_to(v.reshape(v.shape + (1, 1, 1)),
                                    v.shape + LAT.shape)
                 for k, v in FREE_MULTIPLIERS.items()}
-    mset = determine_multipliers(CM, pt, **FREE_MULTIPLIERS)
-    for k, arr in per_site.items():
-        assert np.array_equal(getattr(mset, k), arr), k
     assert (total_hamiltonian(CM, pt, **FREE_MULTIPLIERS)
             == total_hamiltonian(CM, pt, **per_site))
     assert regrouping_residual(CM, pt, lamA0=FREE_MULTIPLIERS["lamA0"]) < 1e-12
     assert regrouping_residual(CM, pt, **FREE_MULTIPLIERS) < 1e-12
 
 
-@pytest.mark.parametrize("fn", [determine_multipliers, total_hamiltonian,
-                                regrouping_residual])
+@pytest.mark.parametrize("fn", [total_hamiltonian, regrouping_residual])
 @pytest.mark.parametrize("shape", [(2,), (4, 4, 4), (3, 5, 5, 5)])
 def test_free_multiplier_bad_shape_raises(fn, shape):
     pt = random_phase_point(CM, LAT, seed=79, rule="random")

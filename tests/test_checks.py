@@ -36,6 +36,7 @@ def test_offshell_gate_is_the_order_window(monkeypatch, key, order, ok):
     def fake_refinement(cm, n_list, **kwargs):
         out = {f"{k}_{s}": 2.0 for k in ("ra", "rb")
                for s in ("order", "bianchi_order")}
+        out["spacings"] = [1.0 / n for n in n_list]
         out.update((f"{k}_residuals", _ladder(order if k == key else 2.0, n_list))
                    for k in ("ra", "rb"))
         return out

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ def broken_spec(tmp_path):
     f = cm.f.copy()
     f[0, 1, 2] += 0.1
     path = tmp_path / "broken.cmspec"
-    path.write_text(dump_crossed_module(cm.replace_tensor("f", f)))
+    path.write_text(dump_crossed_module(replace(cm, f=f)))
     return str(path)
 
 

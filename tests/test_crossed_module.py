@@ -1,9 +1,12 @@
 """Crossed-module algebra: validation, catalog, T map, derived tensors, IO."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bfcg.crossed_module import (BUILTIN_NAMES, CrossedModuleError,
+from bfcg.constraints import constraint_density
+from bfcg.crossed_module import (CrossedModuleError,
                                  DifferentialCrossedModule, builtin_module,
                                  dump_crossed_module, load_crossed_module,
                                  t_map, validate_crossed_module)
@@ -119,7 +122,7 @@ def test_perturbed_jacobi_detected():
     cm = builtin_module("adjoint(su2)")
     f = cm.f.copy()
     f[0, 1, 2] += 0.1
-    bad = cm.replace_tensor("f", f)
+    bad = replace(cm, f=f)
     report = validate_crossed_module(bad)
     assert not report.passed
     assert max(v for _, v, _ in report.entries) >= 0.01
@@ -133,7 +136,7 @@ def test_every_single_entry_perturbation_detected(name):
         for idx in np.ndindex(*base.shape):
             tensor = base.copy()
             tensor[idx] += 0.1
-            bad = cm.replace_tensor(attr, tensor)
+            bad = replace(cm, **{attr: tensor})
             assert not validate_crossed_module(bad).passed, (name, attr, idx)
 
 
@@ -146,18 +149,30 @@ def test_abelian_act_perturbations_detected_del_is_not():
         for idx in np.ndindex(*base.shape):
             tensor = base.copy()
             tensor[idx] += 0.1
-            bad = cm.replace_tensor(attr, tensor)
+            bad = replace(cm, **{attr: tensor})
             assert not validate_crossed_module(bad).passed, (attr, idx)
     del_ = cm.del_.copy()
     del_[0, 0] += 0.1
-    assert validate_crossed_module(cm.replace_tensor("del_", del_)).passed
+    assert validate_crossed_module(replace(cm, del_=del_)).passed
+
+
+def test_replaced_module_gets_fresh_cache():
+    """dataclasses.replace must not hand the new module the derived tensors
+    and expanded densities of the old one."""
+    cm = builtin_module("adjoint(su2)")
+    assert np.max(np.abs(cm.actlow)) == 1.0
+    dens = constraint_density(cm, "S(CB)")
+    new = replace(cm, act=np.zeros_like(cm.act))
+    assert np.array_equal(new.actlow, np.zeros_like(cm.actlow))
+    assert constraint_density(new, "S(CB)") is not dens
+    assert constraint_density(cm, "S(CB)") is dens
 
 
 def test_degenerate_metric_fails():
     cm = builtin_module("abelian(2,2)")
     Q = cm.Q.copy()
     Q[1, 1] = 0.0
-    report = validate_crossed_module(cm.replace_tensor("Q", Q))
+    report = validate_crossed_module(replace(cm, Q=Q))
     assert "Q_nondegenerate" in report.failures()
 
 
@@ -193,7 +208,7 @@ def test_t_map_defining_relation_and_antisymmetry(name):
 
 def test_t_map_singular_Q_raises():
     cm = builtin_module("abelian(2,2)")
-    bad = cm.replace_tensor("Q", np.zeros((2, 2)))
+    bad = replace(cm, Q=np.zeros((2, 2)))
     with pytest.raises(np.linalg.LinAlgError):
         t_map(bad)
 
@@ -251,4 +266,3 @@ def test_constructor_rejects_non_finite():
 def test_unknown_builtin():
     with pytest.raises(KeyError):
         builtin_module("octonionic")
-    assert len(BUILTIN_NAMES) == 4

@@ -46,14 +46,6 @@ def test_thin_identity_at_zero_parameter():
         assert np.array_equal(getattr(out, name), getattr(cfg, name))
 
 
-def test_thin_rejects_bad_order():
-    cm = builtin_module("adjoint(su2)")
-    lat = Lattice(4, 4, 0.25)
-    cfg = sample_smooth_fields(cm, lat, 1, 2)
-    with pytest.raises(ValueError):
-        thin_gauge_transform(cm, cfg, np.zeros((cm.p,) + lat.shape), dexp_order=0)
-
-
 @pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
 def test_constant_thin_covariance_exact(name):
     cm = builtin_module(name)

@@ -9,6 +9,8 @@ from bfcg.lattice import (EPS3_PAIR, FieldConfiguration, Lattice,
                           discrete_derivative, finest_order, fit_order,
                           make_config_recipe, pair_index, pairs,
                           sample_smooth_fields, triples)
+from bfcg.phase import make_phase_recipe, random_phase_point
+from bfcg.relations import offshell_refinement
 
 
 def test_make_lattice_basic():
@@ -82,6 +84,20 @@ def test_sampler_rejects_zero_modes():
     cm = builtin_module("adjoint(su2)")
     with pytest.raises(ValueError):
         sample_smooth_fields(cm, Lattice(4, 6, 0.2), mode_count=0, seed=1)
+
+
+@pytest.mark.parametrize("sample", [
+    lambda cm: make_config_recipe(cm, 4, 0, seed=1),
+    lambda cm: make_phase_recipe(cm, 0, seed=1),
+    lambda cm: random_phase_point(cm, Lattice(3, 6, 0.2), seed=1, mode_count=0),
+    lambda cm: offshell_refinement(cm, (8, 12, 16), mode_count=0),
+], ids=["make_config_recipe", "make_phase_recipe", "random_phase_point",
+        "offshell_refinement"])
+def test_every_sampler_rejects_zero_modes(sample):
+    """mode_count 0 leaves only the constant mode: every entry point that
+    samples smooth fields raises instead of returning constant fields."""
+    with pytest.raises(ValueError, match="mode_count"):
+        sample(builtin_module("adjoint(su2)"))
 
 
 def test_recipe_derivative_second_order():
