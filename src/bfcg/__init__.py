@@ -19,13 +19,12 @@ from .crossed_module import (DifferentialCrossedModule, ValidationReport,
                              load_crossed_module, t_map,
                              validate_crossed_module)
 from .curvature import (bianchi_residuals, curvature_F, curvature_G3,
-                        curvature_GB, curvature_T, eom_gradient_check,
-                        eom_residuals, evaluate_action, fake_curvature)
+                        curvature_T, eom_gradient_check, eom_residuals,
+                        evaluate_action, fake_curvature)
 from .dof import DofTable, dof_count, dof_report
 from .gauge import fat_gauge_transform, thin_gauge_transform
 from .lattice import (FieldConfiguration, Lattice, discrete_derivative,
-                      finest_order, fit_order, make_config_recipe,
-                      sample_smooth_fields)
+                      finest_order, fit_order, make_config_recipe)
 from .localpoly import poisson_bracket, smear
 from .phase import (PhasePoint, make_phase_recipe, phase_from_config,
                     random_phase_point, zero_phase_point)

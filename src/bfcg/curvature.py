@@ -49,6 +49,17 @@ pair, and
 
 with actlow^T[a, al, be] = actlow[al, a, be].  R3 and R4 are 4-forms and sum
 the stored (axis, triple) and (pair, pair) terms of eps directly.
+
+Slab streaming.  Every stencil kernel here is evaluated one slab at a time
+(lattice.slabs: consecutive rows of lattice axis 0, at most
+lattice.SLAB_SITES sites), so its intermediates stay in cache; inputs and
+outputs are full arrays.  A slab reads the neighbour rows of its inputs
+along axis 0 from the full fields (lattice.slab_derivative).  Nested
+stencils -- d_A of F and of T, nabla_l of the d_A triples -- keep their
+inner level as full arrays built slab by slab, so no rows are recomputed.
+Each site gets the same operations in the same order on any partition, so
+the results are bitwise independent of the slab size; the action's density
+is one full site array summed once.
 """
 
 from __future__ import annotations
@@ -56,15 +67,14 @@ from __future__ import annotations
 import numpy as np
 
 from .crossed_module import _maxabs, contract
-from .lattice import (FieldConfiguration, discrete_derivative, levi_civita,
-                      pair_index, pairs, triples)
+from .lattice import (FieldConfiguration, levi_civita, pair_index, pairs,
+                      slab_derivative, slabs, triples)
 
 __all__ = [
     "curvature_F",
     "fake_curvature",
     "curvature_G3",
     "curvature_T",
-    "curvature_GB",
     "evaluate_action",
     "eom_residuals",
     "eom_gradient_check",
@@ -72,46 +82,51 @@ __all__ = [
 ]
 
 
-def _curvature_F_pair(cm, cfg, P) -> np.ndarray:
-    """F^a on the stored pair P, shape (p, sites...)."""
+def _curvature_F_pair(cm, cfg, P, rows) -> np.ndarray:
+    """F^a on the stored pair P over the slab `rows`, shape (p, slab...)."""
     lat = cfg.lattice
     m, n = pairs(lat.D)[P]
-    out = (discrete_derivative(cfg.A[n], m, lat)
-           - discrete_derivative(cfg.A[m], n, lat))
-    out += contract(cm.f, cfg.A[m], cfg.A[n])
+    out = (slab_derivative(cfg.A[n], m, lat, rows)
+           - slab_derivative(cfg.A[m], n, lat, rows))
+    out += contract(cm.f, cfg.A[m, :, rows], cfg.A[n, :, rows])
     return out
 
 
-def _fake_curvature_pair(cm, cfg, P) -> np.ndarray:
-    """H^a on the stored pair P, shape (p, sites...)."""
-    out = _curvature_F_pair(cm, cfg, P)
-    out -= np.einsum("ga,g...->a...", cm.del_, cfg.beta[P])
+def _fake_curvature_pair(cm, cfg, P, rows) -> np.ndarray:
+    """H^a on the stored pair P over the slab `rows`, shape (p, slab...)."""
+    out = _curvature_F_pair(cm, cfg, P, rows)
+    out -= np.einsum("ga,g...->a...", cm.del_, cfg.beta[P, :, rows])
+    return out
+
+
+def _by_slab(cfg, out, kernel) -> np.ndarray:
+    """Fill out[k] (lattice axes last) slab by slab with kernel(k, rows)."""
+    for rows in slabs(cfg.lattice):
+        for k in range(len(out)):
+            out[k, :, rows] = kernel(k, rows)
     return out
 
 
 def curvature_F(cm, cfg: FieldConfiguration) -> np.ndarray:
     """F^a on ordered pairs, shape (npairs, p, sites...)."""
-    out = np.empty_like(cfg.B)
-    for P in range(out.shape[0]):
-        out[P] = _curvature_F_pair(cm, cfg, P)
-    return out
+    return _by_slab(cfg, np.empty_like(cfg.B),
+                    lambda P, rows: _curvature_F_pair(cm, cfg, P, rows))
 
 
 def fake_curvature(cm, cfg: FieldConfiguration) -> np.ndarray:
     """H^a_{mn} = F^a_{mn} - del_al^a beta^al_{mn}."""
-    out = np.empty_like(cfg.B)
-    for P in range(out.shape[0]):
-        out[P] = _fake_curvature_pair(cm, cfg, P)
-    return out
+    return _by_slab(cfg, np.empty_like(cfg.B),
+                    lambda P, rows: _fake_curvature_pair(cm, cfg, P, rows))
 
 
-def _cov_derivative(cfg, coupling, X, axis) -> np.ndarray:
-    """D_axis X + coupling(A_axis, X) for a field X with its Lie index first.
+def _cov_derivative(cfg, coupling, X, axis, rows) -> np.ndarray:
+    """D_axis X + coupling(A_axis, X) over the slab `rows`, for a full field X
+    with its Lie index first.
 
     coupling[out, a, in] is f for g-valued and act for h-valued X.
     """
-    out = discrete_derivative(X, axis, cfg.lattice)
-    out += contract(coupling, cfg.A[axis], X)
+    out = slab_derivative(X, axis, cfg.lattice, rows)
+    out += contract(coupling, cfg.A[axis, :, rows], X[:, rows])
     return out
 
 
@@ -125,53 +140,53 @@ def _cyclic(tri, D):
         yield (tri[k],) + pidx[(tri[(k + 1) % 3], tri[(k + 2) % 3])]
 
 
-def _three_form_triple(cfg, two_form, coupling, tri) -> np.ndarray:
-    """d_A of a pair-stored 2-form on one triple: the S3-antisymmetrized
-    covariant curl sum_{p in S3} sgn(p) nabla_d X_{ij}, (d, i, j) = p(tri)."""
-    out = np.zeros(two_form.shape[1:])
+def _three_form_triple(cfg, two_form, coupling, tri, rows) -> np.ndarray:
+    """d_A of a full pair-stored 2-form on one triple over the slab `rows`:
+    the S3-antisymmetrized covariant curl sum_{p in S3} sgn(p) nabla_d X_{ij},
+    (d, i, j) = p(tri)."""
+    out = np.zeros(two_form[0, :, rows].shape)
     for d, P, psign in _cyclic(tri, cfg.lattice.D):
-        out += psign * _cov_derivative(cfg, coupling, two_form[P], d)
+        out += psign * _cov_derivative(cfg, coupling, two_form[P], d, rows)
     out *= 2.0
     return out
 
 
-def _wedge_triple(coupling, two_form, one_form, tri) -> np.ndarray:
-    """W(c; X, Y) on one triple: the S3 sum of c(X_{ij}, Y_d), which is
-    2 sum_{cyclic (d, i, j)} sgn(i, j) c(X_P, Y_d)."""
-    D = len(one_form)
-    out = np.zeros((coupling.shape[0],) + two_form.shape[2:])
-    for d, P, psign in _cyclic(tri, D):
-        out += psign * contract(coupling, two_form[P], one_form[d])
+def _wedge_triple(coupling, two_form, one_form, tri, rows) -> np.ndarray:
+    """W(c; X, Y) on one triple over the slab `rows`: the S3 sum of
+    c(X_{ij}, Y_d), which is 2 sum_{cyclic (d, i, j)} sgn(i, j) c(X_P, Y_d)."""
+    out = np.zeros((coupling.shape[0],) + two_form[0, :, rows].shape[1:])
+    for d, P, psign in _cyclic(tri, len(one_form)):
+        out += psign * contract(coupling, two_form[P, :, rows],
+                                one_form[d, :, rows])
     out *= 2.0
     return out
 
 
-def _three_form(cfg, two_form, coupling) -> np.ndarray:
-    """The 3-form of _three_form_triple on every ordered triple."""
-    trs = triples(cfg.lattice.D)
-    out = np.empty((len(trs),) + two_form.shape[1:])
-    for Ti, tri in enumerate(trs):
-        out[Ti] = _three_form_triple(cfg, two_form, coupling, tri)
-    return out
+def _three_form(cfg, two_form, coupling, tris) -> np.ndarray:
+    """The 3-form of _three_form_triple on the triples `tris`, as full
+    arrays filled slab by slab."""
+    return _by_slab(cfg, np.empty((len(tris),) + two_form.shape[1:]),
+                    lambda Ti, rows: _three_form_triple(cfg, two_form, coupling,
+                                                        tris[Ti], rows))
 
 
 def curvature_G3(cm, cfg: FieldConfiguration) -> np.ndarray:
     """G^al_{mnr} on ordered triples (S3 6-term convention)."""
-    return _three_form(cfg, cfg.beta, cm.act)
+    return _three_form(cfg, cfg.beta, cm.act, triples(cfg.lattice.D))
 
 
-def curvature_GB(cm, cfg: FieldConfiguration) -> np.ndarray:
-    """GB^a_{mnr} = S3[ d B + f A B ] on ordered triples."""
-    return _three_form(cfg, cfg.B, cm.f)
+def _curvature_T_pair(cm, cfg, P, rows) -> np.ndarray:
+    """T^al on the stored pair P over the slab `rows`, shape (q, slab...)."""
+    m, n = pairs(cfg.lattice.D)[P]
+    out = _cov_derivative(cfg, cm.act, cfg.C[n], m, rows)
+    out -= _cov_derivative(cfg, cm.act, cfg.C[m], n, rows)
+    return out
 
 
 def curvature_T(cm, cfg: FieldConfiguration) -> np.ndarray:
     """T^al_{mn} = nabla^act_m C_n - nabla^act_n C_m on ordered pairs."""
-    out = np.empty_like(cfg.beta)
-    for P, (m, n) in enumerate(pairs(cfg.lattice.D)):
-        out[P] = _cov_derivative(cfg, cm.act, cfg.C[n], m)
-        out[P] -= _cov_derivative(cfg, cm.act, cfg.C[m], n)
-    return out
+    return _by_slab(cfg, np.empty_like(cfg.beta),
+                    lambda P, rows: _curvature_T_pair(cm, cfg, P, rows))
 
 
 def _lower(metric, X) -> np.ndarray:
@@ -179,15 +194,17 @@ def _lower(metric, X) -> np.ndarray:
     return np.einsum("ab,b...->a...", metric, X)
 
 
-def _bianchi_g(cm, cfg, F, tri) -> np.ndarray:
-    """Q . d_A F on one triple, the g-sector Bianchi 3-form."""
-    return _lower(cm.Q, _three_form_triple(cfg, F, cm.f, tri))
+def _bianchi_g(cm, cfg, F, tri, rows) -> np.ndarray:
+    """Q . d_A F on one triple over the slab `rows`, the g-sector Bianchi
+    3-form."""
+    return _lower(cm.Q, _three_form_triple(cfg, F, cm.f, tri, rows))
 
 
-def _bianchi_h(cm, cfg, F, T, tri) -> np.ndarray:
-    """q . d_A T - W(actlow; F, C) on one triple, the h-sector Bianchi 3-form."""
-    out = _lower(cm.qf, _three_form_triple(cfg, T, cm.act, tri))
-    out -= _wedge_triple(cm.actlow, F, cfg.C, tri)
+def _bianchi_h(cm, cfg, F, T, tri, rows) -> np.ndarray:
+    """q . d_A T - W(actlow; F, C) on one triple over the slab `rows`, the
+    h-sector Bianchi 3-form."""
+    out = _lower(cm.qf, _three_form_triple(cfg, T, cm.act, tri, rows))
+    out -= _wedge_triple(cm.actlow, F, cfg.C, tri, rows)
     return out
 
 
@@ -206,20 +223,25 @@ _AT4 = [(mu, tri, levi_civita((mu,) + tri)) for mu in range(4)
 def evaluate_action(cm, cfg: FieldConfiguration) -> float:
     """BFCG action S on a D=4 periodic lattice.
 
-    H is formed one stored pair and G one stored triple at a time, each
-    contracted into the density at once, so the working set is a few site
-    arrays whatever the lattice size.
+    The density is one full site array, filled slab by slab: on each slab H
+    is formed one stored pair and G one stored triple at a time and added
+    at once, in the same per-site order on any slab partition, and the
+    density is summed by one np.sum.
     """
     lat = cfg.lattice
     if lat.D != 4:
         raise ValueError("the action is defined on D=4 configurations")
     dens = np.zeros(lat.shape)
-    for Pi, Pj, e in _PP4:
-        H = _fake_curvature_pair(cm, cfg, Pj)
-        dens += e * np.einsum("a...,ab,b...->...", cfg.B[Pi], cm.Q, H)
-    for mu, tri, e in _AT4:
-        G = _three_form_triple(cfg, cfg.beta, cm.act, tri)
-        dens += e * np.einsum("x...,xy,y...->...", cfg.C[mu], cm.qf, G)
+    for rows in slabs(lat):
+        slab = dens[rows]
+        for Pi, Pj, e in _PP4:
+            H = _fake_curvature_pair(cm, cfg, Pj, rows)
+            slab += e * np.einsum("a...,ab,b...->...", cfg.B[Pi, :, rows],
+                                  cm.Q, H)
+        for mu, tri, e in _AT4:
+            G = _three_form_triple(cfg, cfg.beta, cm.act, tri, rows)
+            slab += e * np.einsum("x...,xy,y...->...", cfg.C[mu, :, rows],
+                                  cm.qf, G)
     return float(lat.volume_element * np.sum(dens))
 
 
@@ -242,10 +264,12 @@ def eom_residuals(cm, cfg: FieldConfiguration) -> dict:
 
     E_A = np.empty((4, cm.p) + lat.shape)
     actlow_a = cm.actlow.transpose(1, 0, 2)  # [a, al, be]
-    for sig, tri, e in _AT4:
-        E_A[sig] = _lower(cm.Q, _three_form_triple(cfg, cfg.B, cm.f, tri))
-        E_A[sig] += 2.0 * _wedge_triple(actlow_a, cfg.beta, cfg.C, tri)
-        E_A[sig] *= -e
+    for rows in slabs(lat):
+        for sig, tri, e in _AT4:
+            E = _lower(cm.Q, _three_form_triple(cfg, cfg.B, cm.f, tri, rows))
+            E += 2.0 * _wedge_triple(actlow_a, cfg.beta, cfg.C, tri, rows)
+            E *= -e
+            E_A[sig, :, rows] = E
 
     E_beta = np.zeros((len(pairs(4)), cm.q) + lat.shape)
     T = curvature_T(cm, cfg)
@@ -306,36 +330,50 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
 # Bianchi identities
 # ---------------------------------------------------------------------------
 
-def _covariant_top_form(cfg, F, X, coupling, metric) -> np.ndarray:
-    """metric . eps^{lmnr} (1/3 nabla_l d_A X_{mnr} - c(F_{lm}, X_{nr})) for
-    a pair-stored 2-form X with coupling c: the 3-form Bianchi identity."""
-    out = np.zeros(X.shape[1:])
-    for lam, tri, e in _AT4:
-        out += 2.0 * e * _cov_derivative(
-            cfg, coupling, _three_form_triple(cfg, X, coupling, tri), lam)
-    for Pi, Pj, e in _PP4:
-        out -= 4.0 * e * contract(coupling, F[Pi], X[Pj])
-    return _lower(metric, out)
+def _covariant_top_form(cfg, F, X, coupling, metric) -> float:
+    """max |metric . eps^{lmnr} (1/3 nabla_l d_A X_{mnr} - c(F_{lm}, X_{nr}))|
+    for a pair-stored 2-form X with coupling c: the 3-form Bianchi identity.
+
+    The d_A triples are full arrays, built slab by slab before the outer
+    nabla_l differences them, so no slab recomputes a neighbour's rows.
+    """
+    dA = _three_form(cfg, X, coupling, [tri for _, tri, _ in _AT4])
+    worst = []
+    for rows in slabs(cfg.lattice):
+        out = np.zeros(X[0, :, rows].shape)
+        for k, (lam, _, e) in enumerate(_AT4):
+            out += 2.0 * e * _cov_derivative(cfg, coupling, dA[k], lam, rows)
+        for Pi, Pj, e in _PP4:
+            out -= 4.0 * e * contract(coupling, F[Pi, :, rows], X[Pj, :, rows])
+        worst.append(_maxabs(_lower(metric, out)))
+    # np.max, not max: a NaN slab must reach the result
+    return float(np.max(worst))
 
 
 def bianchi_residuals(cm, cfg: FieldConfiguration) -> dict:
     """Max-abs residuals of the four lattice Bianchi identities.
 
     The 2-form identities are eps^{l T} times a Bianchi 3-form on the triple
-    T complementary to l; each triple is reduced to its max as soon as it
-    is formed (the sign eps = +-1 does not change a max-abs).
+    T complementary to l; each triple is formed one slab at a time and
+    reduced to its max at once (the sign eps = +-1 does not change a
+    max-abs).  F and T are full arrays, filled slab by slab, because the
+    outer d_A differences them across slab edges.
     """
     lat = cfg.lattice
     if lat.D != 4:
         raise ValueError("Bianchi residuals are defined on D=4 configurations")
     F = curvature_F(cm, cfg)
-    # np.max, not max: a NaN triple must reach the result
-    out = {"bianchi_F": float(np.max([_maxabs(_bianchi_g(cm, cfg, F, tri))
-                                      for tri in triples(4)]))}
     T = curvature_T(cm, cfg)
-    out["bianchi_T"] = float(np.max([_maxabs(_bianchi_h(cm, cfg, F, T, tri))
-                                     for tri in triples(4)]))
+    worst_F, worst_T = [], []
+    for rows in slabs(lat):
+        for tri in triples(4):
+            worst_F.append(_maxabs(_bianchi_g(cm, cfg, F, tri, rows)))
+            worst_T.append(_maxabs(_bianchi_h(cm, cfg, F, T, tri, rows)))
     del T
-    out["bianchi_GB"] = _maxabs(_covariant_top_form(cfg, F, cfg.B, cm.f, cm.Q))
-    out["bianchi_G"] = _maxabs(_covariant_top_form(cfg, F, cfg.beta, cm.act, cm.qf))
-    return out
+    # np.max, not max: a NaN triple must reach the result
+    return {
+        "bianchi_F": float(np.max(worst_F)),
+        "bianchi_T": float(np.max(worst_T)),
+        "bianchi_GB": _covariant_top_form(cfg, F, cfg.B, cm.f, cm.Q),
+        "bianchi_G": _covariant_top_form(cfg, F, cfg.beta, cm.act, cm.qf),
+    }

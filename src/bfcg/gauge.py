@@ -22,12 +22,13 @@ The eta^eta coefficient and the factor 2 on the B shift are fixed by exact
 invariance of the fake curvature and of the action under this package's
 normalization (see docs/conventions.md); both are covered by tests.
 
-Working set.  The thin transformation is pointwise once D eps is formed, so
-it runs over blocks of _BLOCK sites: beside its output it holds one block's
-(sites, p, p) stacks (ad, the exponentials, the dexpinv sum; tens of MB)
-and one site array of D eps, whatever the lattice size.  The fat
-transformation differences whole fields, one stored pair at a time: beside
-its output and eta it holds a few site arrays.
+Working set.  Both transformations stream over the slabs of
+lattice.slabs, the package's one block size (lattice.SLAB_SITES sites).
+The thin transformation is pointwise once D eps is formed: beside its
+output it holds one slab's (sites, p, p) stacks (ad, the exponentials, the
+dexpinv sum; tens of MB) and that slab's D eps, whatever the lattice size.
+The fat transformation differences eta one slab and stored pair at a time
+into its copied output fields.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 import numpy as np
 
 from .crossed_module import contract, t_map
-from .lattice import FieldConfiguration, discrete_derivative, pairs
+from .lattice import FieldConfiguration, pairs, slab_derivative, slabs
 
 __all__ = [
     "expm_batched",
@@ -46,7 +47,8 @@ __all__ = [
 ]
 
 
-_BLOCK = 1 << 15   # sites per block of the pointwise thin transform
+# the largest norm with s = ceil(log2(norm / 0.5)) <= 1023, so 2**s is a double
+_MAX_NORM = 2.0 ** 1022
 
 
 def expm_batched(M: np.ndarray) -> np.ndarray:
@@ -54,11 +56,15 @@ def expm_batched(M: np.ndarray) -> np.ndarray:
 
     Scaling and squaring with a Taylor series long enough for double
     precision once the scaled norm is below 1/2.  The terms accumulate in
-    place, so the working set is five stacks the size of M.
+    place, so the working set is five stacks the size of M.  A stack whose
+    norm is non-finite, or too large for its scaling 2**s to be a double,
+    gives a NaN stack.
     """
     if M.shape[-1] == 0:
         return M.copy()
     norm = float(np.max(np.sum(np.abs(M), axis=-1))) if M.size else 0.0
+    if not norm <= _MAX_NORM:   # NaN included
+        return np.full(M.shape, np.nan)
     s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
     T = M / (2.0 ** s)
     d = M.shape[-1]
@@ -99,8 +105,8 @@ def thin_gauge_transform(cm, cfg: FieldConfiguration,
                          eps_field: np.ndarray) -> FieldConfiguration:
     """Thin transformation with parameter eps^a(x); exact for constant eps.
 
-    Each block of _BLOCK sites gets its own ad/act matrices, exponentials
-    and dexpinv sum, applied straight into the preallocated output fields.
+    Each slab gets its own D eps, ad/act matrices, exponentials and dexpinv
+    sum, applied straight into the preallocated output fields.
     """
     lat = cfg.lattice
     eps_field = np.asarray(eps_field, dtype=float)
@@ -112,21 +118,21 @@ def thin_gauge_transform(cm, cfg: FieldConfiguration,
 
     new = {name: np.empty(getattr(cfg, name).shape)
            for name in ("A", "beta", "B", "C")}
-    for mu in range(lat.D):  # D eps, rotated by dexpinv in place below
-        new["A"][mu] = discrete_derivative(eps_field, mu, lat)
     eps = sites(eps_field)
     A, beta, B, C = (sites(getattr(cfg, name)) for name in new)
     A_out, beta_out, B_out, C_out = map(sites, new.values())
 
-    for start in range(0, lat.sites, _BLOCK):
-        blk = slice(start, start + _BLOCK)
+    row = lat.sites // lat.n
+    for rows in slabs(lat):
+        blk = slice(rows.start * row, rows.stop * row)
         neg_ad = -np.einsum("abc,bs->sac", cm.f, eps[:, blk])
         Rg = expm_batched(neg_ad)
         S = _dexpinv(neg_ad)
         Rh = expm_batched(-np.einsum("xay,as->sxy", cm.act, eps[:, blk]))
         for mu in range(lat.D):
+            d_eps = slab_derivative(eps_field, mu, lat, rows)
             A_out[mu, :, blk] = (_apply(Rg, A[mu, :, blk])
-                                 + _apply(S, A_out[mu, :, blk]))
+                                 + _apply(S, d_eps.reshape(cm.p, -1)))
             C_out[mu, :, blk] = _apply(Rh, C[mu, :, blk])
         for P in range(B.shape[0]):
             B_out[P, :, blk] = _apply(Rg, B[P, :, blk])
@@ -136,26 +142,28 @@ def thin_gauge_transform(cm, cfg: FieldConfiguration,
 
 def fat_gauge_transform(cm, cfg: FieldConfiguration,
                         eta_field: np.ndarray) -> FieldConfiguration:
-    """Fat transformation with an h-valued 1-form eta^al_mu(x)."""
+    """Fat transformation with an h-valued 1-form eta^al_mu(x), one slab
+    at a time."""
     lat = cfg.lattice
     eta = np.asarray(eta_field, dtype=float)
     if eta.shape != (lat.D, cm.q) + lat.shape:
         raise ValueError(f"eta field has shape {eta.shape}")
 
     A_new = cfg.A.copy()
-    for mu in range(lat.D):
-        A_new[mu] += np.einsum("ga,g...->a...", cm.del_, eta[mu])
-
     beta_new = cfg.beta.copy()
     B_new = cfg.B.copy()
     T = t_map(cm)
-    for P, (m, n) in enumerate(pairs(lat.D)):
-        d_eta = (discrete_derivative(eta[n], m, lat)
-                 - discrete_derivative(eta[m], n, lat))
-        wedge = (contract(cm.act, cfg.A[m], eta[n])
-                 - contract(cm.act, cfg.A[n], eta[m]))
-        etaeta = contract(cm.phi, eta[m], eta[n])
-        beta_new[P] += d_eta + wedge + etaeta
-        B_new[P] += 2.0 * (
-            contract(T, cfg.C[m], eta[n]) - contract(T, cfg.C[n], eta[m]))
+    for rows in slabs(lat):
+        A, C, e = cfg.A[:, :, rows], cfg.C[:, :, rows], eta[:, :, rows]
+        for mu in range(lat.D):
+            A_new[mu, :, rows] += np.einsum("ga,g...->a...", cm.del_, e[mu])
+        for P, (m, n) in enumerate(pairs(lat.D)):
+            d_eta = (slab_derivative(eta[n], m, lat, rows)
+                     - slab_derivative(eta[m], n, lat, rows))
+            wedge = (contract(cm.act, A[m], e[n])
+                     - contract(cm.act, A[n], e[m]))
+            etaeta = contract(cm.phi, e[m], e[n])
+            beta_new[P, :, rows] += d_eta + wedge + etaeta
+            B_new[P, :, rows] += 2.0 * (
+                contract(T, C[m], e[n]) - contract(T, C[n], e[m]))
     return FieldConfiguration(lat, A_new, beta_new, B_new, cfg.C.copy())

@@ -10,6 +10,11 @@ difference
 which on a periodic lattice satisfies summation by parts exactly:
 sum_x g (D f) = -sum_x (D g) f.
 
+The 4D stencil kernels stream over slabs: runs of consecutive rows of
+lattice axis 0 of at most SLAB_SITES sites, the one block size of the
+package.  slab_derivative gives one slab's rows of the central difference,
+reading the neighbour rows along axis 0 from the full field.
+
 Antisymmetric form components are stored on ordered index pairs mu < nu
 (and ordered triples for 3-forms); reconstruction uses X_{nu mu} = -X_{mu nu}.
 
@@ -28,13 +33,14 @@ import numpy as np
 __all__ = [
     "Lattice",
     "discrete_derivative",
+    "slabs",
+    "slab_derivative",
     "pairs",
     "triples",
     "pair_index",
     "levi_civita",
     "FieldRecipe",
     "make_config_recipe",
-    "sample_smooth_fields",
     "FieldConfiguration",
     "fit_order",
     "finest_order",
@@ -75,31 +81,76 @@ class Lattice:
         return self.a ** self.D
 
 
+def _central(field: np.ndarray, ax: int, lo: int, hi: int, a: float) -> np.ndarray:
+    """Rows lo..hi-1 along array axis `ax` of the periodic central difference.
+
+    The interior rows and the two wrap-around rows are differenced straight
+    into the result, so no shifted copy of the field is made.
+    """
+    n = field.shape[ax]
+    shape = list(field.shape)
+    shape[ax] = hi - lo
+    out = np.empty(shape, dtype=np.result_type(field, 1.0))
+
+    def along(arr, s):
+        idx = [slice(None)] * field.ndim
+        idx[ax] = s
+        return arr[tuple(idx)]
+
+    first, last = max(lo, 1), min(hi, n - 1)   # rows without a wrap
+    if first < last:
+        np.subtract(along(field, slice(first + 1, last + 1)),
+                    along(field, slice(first - 1, last - 1)),
+                    out=along(out, slice(first - lo, last - lo)))
+    if lo == 0:
+        np.subtract(along(field, slice(1, 2)), along(field, slice(n - 1, n)),
+                    out=along(out, slice(0, 1)))
+    if hi == n:
+        np.subtract(along(field, slice(0, 1)), along(field, slice(n - 2, n - 1)),
+                    out=along(out, slice(n - 1 - lo, n - lo)))
+    out /= 2.0 * a
+    return out
+
+
 def discrete_derivative(field: np.ndarray, axis: int, lattice: Lattice) -> np.ndarray:
     """Central difference along lattice axis `axis` (0-based, 0..D-1).
 
-    The lattice axes are the trailing D axes of `field`.  The interior and
-    the two wrap-around faces are differenced straight into the result, so
-    no shifted copy of the field is made; the values are bitwise those of
-    (roll(f, -1) - roll(f, 1)) / (2a).
+    The lattice axes are the trailing D axes of `field`.  The values are
+    bitwise those of (roll(f, -1) - roll(f, 1)) / (2a).
     """
     field = np.asarray(field)
-    ax = field.ndim - lattice.D + axis
-    out = np.empty(field.shape, dtype=np.result_type(field, 1.0))
+    return _central(field, field.ndim - lattice.D + axis, 0, lattice.n, lattice.a)
 
-    def along(s):
-        idx = [slice(None)] * field.ndim
-        idx[ax] = s
-        return tuple(idx)
 
-    np.subtract(field[along(slice(2, None))], field[along(slice(None, -2))],
-                out=out[along(slice(1, -1))])
-    np.subtract(field[along(slice(1, 2))], field[along(slice(-1, None))],
-                out=out[along(slice(0, 1))])
-    np.subtract(field[along(slice(0, 1))], field[along(slice(-2, -1))],
-                out=out[along(slice(-1, None))])
-    out /= 2.0 * lattice.a
-    return out
+# ---------------------------------------------------------------------------
+# slabs: runs of rows of lattice axis 0
+# ---------------------------------------------------------------------------
+
+SLAB_SITES = 1 << 15   # sites per slab; one slab's intermediates fit in L2
+
+
+def slabs(lattice: Lattice) -> list:
+    """Row slices of lattice axis 0 that partition the lattice into slabs of
+    at most SLAB_SITES sites each (one row when a row alone is larger)."""
+    rows = max(1, SLAB_SITES // lattice.n ** (lattice.D - 1))
+    return [slice(lo, min(lo + rows, lattice.n))
+            for lo in range(0, lattice.n, rows)]
+
+
+def slab_derivative(field: np.ndarray, axis: int, lattice: Lattice,
+                    rows: slice) -> np.ndarray:
+    """The rows `rows` of lattice axis 0 of discrete_derivative, bitwise.
+
+    Along axes 1..D-1 the difference is local to the slab; along axis 0 it
+    reads the neighbour rows from the full field, wrapping periodically.
+    """
+    field = np.asarray(field)
+    lo, hi, _ = rows.indices(lattice.n)
+    ax0 = field.ndim - lattice.D
+    if axis == 0:
+        return _central(field, ax0, lo, hi, lattice.a)
+    slab = field[(slice(None),) * ax0 + (slice(lo, hi),)]
+    return _central(slab, ax0 + axis, 0, lattice.n, lattice.a)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +363,7 @@ class ConfigRecipe:
 
 
 def make_config_recipe(cm, D: int, mode_count: int, seed: int,
-                       scale: float = 1.0) -> ConfigRecipe:
+                       scale: float) -> ConfigRecipe:
     """Deterministic smooth random recipe for a full field configuration."""
     rng = np.random.default_rng(seed)
     npairs = len(pairs(D))
@@ -323,12 +374,6 @@ def make_config_recipe(cm, D: int, mode_count: int, seed: int,
         B=_random_recipe(rng, D, (npairs, cm.p), mode_count, scale),
         C=_random_recipe(rng, D, (D, cm.q), mode_count, scale),
     )
-
-
-def sample_smooth_fields(cm, lattice: Lattice, mode_count: int,
-                         seed: int) -> FieldConfiguration:
-    """Random trigonometric-polynomial configuration, deterministic in seed."""
-    return make_config_recipe(cm, lattice.D, mode_count, seed).realize(lattice)
 
 
 # ---------------------------------------------------------------------------

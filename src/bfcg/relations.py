@@ -424,7 +424,7 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     f_abc = cm.f.transpose(1, 2, 0)  # f^c_{ab} as [a, b, c]
     for P in range(3):
         lhs_a += contract(f_abc, F3[P], chiB[P])
-    rhs_a = 0.5 * _bianchi_g(cm, cfg3, F3, (0, 1, 2))
+    rhs_a = 0.5 * _bianchi_g(cm, cfg3, F3, (0, 1, 2), slice(None))
 
     # second dependency (h sector)
     T3 = curvature_T(cm, cfg3)
@@ -463,7 +463,7 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
             if s:
                 lhs_b -= s * contract(cm.actlow, SH[P], C[k])
 
-    rhs_b = 0.5 * _bianchi_h(cm, cfg3, F3, T3, (0, 1, 2))
+    rhs_b = 0.5 * _bianchi_h(cm, cfg3, F3, T3, (0, 1, 2), slice(None))
     return {
         "ra_residual": _maxabs(lhs_a - rhs_a),
         "ra_bianchi_norm": _maxabs(rhs_a),

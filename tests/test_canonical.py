@@ -9,7 +9,8 @@ from bfcg.constraints import (FAMILIES, canonical_hamiltonian,
                               regrouping_residual, total_hamiltonian,
                               total_hamiltonian_functional)
 from bfcg.crossed_module import builtin_module
-from bfcg.lattice import EPS3_PAIR, Lattice, pair_index, pairs, sample_smooth_fields
+from bfcg.lattice import EPS3_PAIR, Lattice, pair_index, pairs
+from support import sample_smooth_fields
 from bfcg.localpoly import poisson_bracket, smear
 from bfcg.phase import (CANONICAL_PAIRS, GAUGE_FIXED_PAIRS, block_shapes,
                         phase_from_config, random_phase_point,

@@ -161,3 +161,17 @@ def test_nan_residual_at_huge_spacing_fails(command, line, capsys):
                               "--a", "1e308"])
     assert code == 1
     assert line in out and f"[FAIL] {command}" in out
+
+
+def test_overflowing_structure_constants_never_pass(tmp_path, capsys):
+    """f scaled to 1.5e308 overflows the norm of the thin exponential: the
+    exponential is NaN, and gauge-check ends with a message, not a
+    traceback, and not with PASS."""
+    cm = builtin_module("adjoint(su2)")
+    path = tmp_path / "huge.cmspec"
+    path.write_text(dump_crossed_module(replace(cm, f=cm.f * 1.5e308)))
+    code = main(["gauge-check", "--spec", str(path), "--n", "6"])
+    out, err = capsys.readouterr()
+    assert code in (1, 2)
+    assert "[PASS] gauge-check" not in out
+    assert err.startswith("error:") or "[FAIL] gauge-check" in out

@@ -7,12 +7,13 @@ import pytest
 
 from bfcg.checks import order_ok
 from bfcg.crossed_module import builtin_module
-from bfcg.curvature import (curvature_F, curvature_G3, evaluate_action,
-                            fake_curvature)
+from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
+                            evaluate_action, fake_curvature)
 from bfcg.gauge import expm_batched, fat_gauge_transform, thin_gauge_transform
 from bfcg.lattice import (Lattice, _random_recipe, discrete_derivative, levi_civita,
                           finest_order, fit_order, make_config_recipe, pairs,
-                          sample_smooth_fields, triples)
+                          slabs, triples)
+from support import sample_smooth_fields
 
 ORACLE_MODULES = ["adjoint(su2)", "vector_poincare", "abelian(2,3)",
                   "trivial_bf(3)"]
@@ -35,6 +36,15 @@ def test_expm_batched_vs_series():
             termv = termv @ M[i] / k
             acc = acc + termv
         assert np.max(np.abs(E[i] - acc)) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [np.inf, np.nan, 1e308])
+def test_expm_batched_unscalable_norm_gives_nan(scale):
+    """A norm that is non-finite, or so large that no double 2**s scales it
+    into the series' range, gives a NaN stack instead of raising."""
+    M = np.array([[[0.0, scale], [-scale, 0.0]], [[0.0, 0.1], [0.0, 0.0]]])
+    out = expm_batched(M)
+    assert out.shape == M.shape and np.all(np.isnan(out))
 
 
 def test_thin_identity_at_zero_parameter():
@@ -138,11 +148,11 @@ def _action_oracle(cm, cfg):
 
 @pytest.mark.parametrize("name", ORACLE_MODULES)
 def test_blockwise_thin_matches_whole_stack_oracle(name):
-    """n = 14 has 38 416 sites: one full block of sites and a partial one.
+    """n = 14 is two slabs of unequal size: 11 rows and 3 rows of 2744
+    sites each, neither of them 2**15 sites.
 
-    The parameter is large enough that, on adjoint(su2), the exponential
-    squares 4 times in the full block and on the whole lattice, but 3 times
-    in the partial block.
+    The parameter is large enough that the exponentials square on every
+    nonabelian module, so the per-slab scaling is exercised.
     """
     cm = builtin_module(name)
     lat = Lattice(4, 14, 1.0 / 14)
@@ -172,8 +182,8 @@ def _traced_peak(fn, *args):
 
 
 def test_thin_working_set_does_not_scale_with_lattice():
-    """Beside its output, the thin transform holds one block's stacks and
-    one site array of D eps at a time, however large the lattice."""
+    """Beside its output, the thin transform holds one slab's stacks and
+    D eps at a time, however large the lattice."""
     cm = builtin_module("vector_poincare")
     extra, dp_bytes = {}, {}
     for n in (16, 20):
@@ -198,6 +208,25 @@ def test_action_working_set_is_a_few_site_arrays(name):
     _, peak = _traced_peak(evaluate_action, cm, cfg)
     site_array = max(cm.p, cm.q) * lat.sites * 8
     assert peak <= 6 * site_array, peak / site_array
+
+
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
+def test_bianchi_working_set_is_F_T_and_a_few_slabs(name):
+    """At n = 16 the lattice is two slabs.  Beside the full F and T, Bianchi
+    holds the temporaries of one slab: the 3-form accumulator, a covariant
+    derivative, its contraction and one product, each at most a half site
+    array.  The four full d_A triples of a top form come after T is
+    dropped, and on these modules they are no larger than T."""
+    cm = builtin_module(name)
+    lat = Lattice(4, 16, 1.0 / 16)
+    assert len(slabs(lat)) == 2
+    cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(lat)
+    _, peak = _traced_peak(bianchi_residuals, cm, cfg)
+    site_array = max(cm.p, cm.q) * lat.sites * 8
+    F_and_T = len(pairs(4)) * (cm.p + cm.q) * lat.sites * 8
+    assert 4 * max(cm.p, cm.q) <= len(pairs(4)) * cm.q
+    extra = peak - F_and_T
+    assert extra <= 4 * site_array / 2, extra / site_array
 
 
 def test_fat_identity_at_zero_parameter():

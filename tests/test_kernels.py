@@ -3,15 +3,25 @@
 contract() is checked against np.einsum on every structure tensor of every
 builtin module (zero tensors of the abelian modules and empty tensors at
 q = 0 included), FieldRecipe.realize against an inverse-FFT synthesis of
-the same trigonometric polynomial, and discrete_derivative bitwise against
-the np.roll formula.
+the same trigonometric polynomial, discrete_derivative and slab_derivative
+bitwise against the np.roll formula, and every slab-streamed kernel bitwise
+against itself on a different slab partition.
 """
 
 import numpy as np
 import pytest
 
+from bfcg import lattice
 from bfcg.crossed_module import builtin_module, contract, t_map
-from bfcg.lattice import FieldRecipe, Lattice, discrete_derivative
+from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
+                            curvature_T, eom_residuals, evaluate_action,
+                            fake_curvature)
+from bfcg.gauge import fat_gauge_transform, thin_gauge_transform
+from bfcg.lattice import (FieldRecipe, Lattice, _random_recipe,
+                          discrete_derivative, make_config_recipe,
+                          slab_derivative, slabs)
+from bfcg.phase import random_phase_point
+from bfcg.relations import offshell_relations
 
 MODULES = ["trivial_bf(1)", "trivial_bf(3)", "adjoint(su2)", "vector_poincare",
            "abelian(1,1)", "abelian(2,3)", "abelian(4,2)"]
@@ -118,9 +128,73 @@ def test_realize_derivative_matches_ifftn():
 
 @pytest.mark.parametrize("D", [3, 4])
 def test_discrete_derivative_bitwise_roll(D):
+    """Both differences, the slab one on slabs at either end of axis 0, in
+    its interior and over all of it, are bitwise the np.roll formula."""
     lat = Lattice(D=D, n=5, a=0.3)
     field = np.random.default_rng(D).normal(size=(2, 3) + lat.shape)
     for axis in range(D):
         ax = field.ndim - D + axis
         want = (np.roll(field, -1, axis=ax) - np.roll(field, 1, axis=ax)) / (2.0 * lat.a)
         assert np.array_equal(discrete_derivative(field, axis, lat), want)
+        for rows in (slice(0, 1), slice(4, 5), slice(0, 2), slice(3, 5),
+                     slice(1, 4), slice(0, 5), slice(None)):
+            got = slab_derivative(field, axis, lat, rows)
+            assert np.array_equal(got, want[:, :, rows]), (axis, rows)
+
+
+def test_slabs_partition_axis_0():
+    """Slabs are runs of whole rows of at most SLAB_SITES sites, one row at
+    least; at n = 16 and 32 they are the 2**15-site blocks of the lattice."""
+    for D, n, count in ((4, 8, 1), (4, 14, 2), (4, 16, 2), (4, 32, 32),
+                        (4, 40, 40), (3, 32, 1), (3, 64, 8)):
+        parts = slabs(Lattice(D, n, 1.0 / n))
+        assert len(parts) == count
+        assert [s.start for s in parts] == [0] + [s.stop for s in parts[:-1]]
+        assert parts[-1].stop == n
+        assert all((s.stop - s.start) * n ** (D - 1) <= lattice.SLAB_SITES
+                   or s.stop - s.start == 1 for s in parts)
+
+
+def _slabbed_outputs(cm, cfg, eps, eta, point):
+    """Every slab-streamed result on one configuration, by name."""
+    out = {"F": curvature_F(cm, cfg), "H": fake_curvature(cm, cfg),
+           "G3": curvature_G3(cm, cfg), "T": curvature_T(cm, cfg),
+           "S": evaluate_action(cm, cfg)}
+    out.update(("eom " + k, v) for k, v in eom_residuals(cm, cfg).items())
+    out.update(bianchi_residuals(cm, cfg))
+    for kind, new in (("thin", thin_gauge_transform(cm, cfg, eps)),
+                      ("fat", fat_gauge_transform(cm, cfg, eta))):
+        out.update((f"{kind} {f}", getattr(new, f))
+                   for f in ("A", "beta", "B", "C"))
+    out.update(("offshell " + k, v)
+               for k, v in offshell_relations(cm, point).items())
+    return out
+
+
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare",
+                                  "trivial_bf(1)", "abelian(2,3)"])
+def test_one_row_slabs_match_one_slab(name, monkeypatch):
+    """With one-row slabs every row is a slab edge, rows 0 and n-1 included;
+    the results are bitwise those of the whole lattice as one slab.  The
+    thin parameter keeps every exponential's norm below 1/2, so no slab
+    squares and the partition cannot move the exponentials either."""
+    cm = builtin_module(name)
+    lat = Lattice(4, 6, 1.0 / 6)
+    cfg = make_config_recipe(cm, 4, 1, seed=2, scale=0.4).realize(lat)
+    rng = np.random.default_rng(4)
+    eps = _random_recipe(rng, 4, (cm.p,), 1, scale=0.05).realize(lat)
+    eta = _random_recipe(rng, 4, (4, cm.q), 1, scale=0.3).realize(lat)
+    ad = np.einsum("abc,b...->...ac", cm.f, eps)
+    act = np.einsum("xay,a...->...xy", cm.act, eps)
+    assert all(np.max(np.sum(np.abs(M), axis=-1), initial=0.0) <= 0.5
+               for M in (ad, act))
+    point = random_phase_point(cm, Lattice(3, 6, 1.0 / 6), seed=3,
+                               rule="random")
+    assert len(slabs(lat)) == 1
+    whole = _slabbed_outputs(cm, cfg, eps, eta, point)
+    monkeypatch.setattr(lattice, "SLAB_SITES", 1)
+    assert len(slabs(lat)) == lat.n
+    rows = _slabbed_outputs(cm, cfg, eps, eta, point)
+    assert whole.keys() == rows.keys()
+    for key, want in whole.items():
+        assert np.array_equal(rows[key], want), key

@@ -7,10 +7,10 @@ from bfcg.checks import order_ok
 from bfcg.crossed_module import builtin_module
 from bfcg.lattice import (EPS3_PAIR, FieldConfiguration, Lattice,
                           discrete_derivative, finest_order, fit_order,
-                          make_config_recipe, pair_index, pairs,
-                          sample_smooth_fields, triples)
+                          make_config_recipe, pair_index, pairs, triples)
 from bfcg.phase import make_phase_recipe, random_phase_point
 from bfcg.relations import offshell_refinement
+from support import sample_smooth_fields
 
 
 def test_make_lattice_basic():
@@ -87,7 +87,7 @@ def test_sampler_rejects_zero_modes():
 
 
 @pytest.mark.parametrize("sample", [
-    lambda cm: make_config_recipe(cm, 4, 0, seed=1),
+    lambda cm: make_config_recipe(cm, 4, 0, seed=1, scale=1.0),
     lambda cm: make_phase_recipe(cm, 0, seed=1),
     lambda cm: random_phase_point(cm, Lattice(3, 6, 0.2), seed=1, mode_count=0),
     lambda cm: offshell_refinement(cm, (8, 12, 16), mode_count=0),
@@ -103,7 +103,7 @@ def test_every_sampler_rejects_zero_modes(sample):
 def test_recipe_derivative_second_order():
     """Discrete derivative of a sampled field converges to the analytic one."""
     cm = builtin_module("adjoint(su2)")
-    recipe = make_config_recipe(cm, D=3, mode_count=1, seed=3)
+    recipe = make_config_recipe(cm, D=3, mode_count=1, seed=3, scale=1.0)
     residuals, spacings = [], []
     for n in (8, 16, 32):
         lat = Lattice(D=3, n=n, a=1.0 / n)
@@ -119,7 +119,7 @@ def test_recipe_derivative_second_order():
 def test_recipe_resolution_independent():
     """The same recipe realized at n and 2n agrees on the shared sites."""
     cm = builtin_module("adjoint(su2)")
-    recipe = make_config_recipe(cm, D=3, mode_count=1, seed=5)
+    recipe = make_config_recipe(cm, D=3, mode_count=1, seed=5, scale=1.0)
     lat1 = Lattice(D=3, n=8, a=0.25)
     lat2 = Lattice(D=3, n=16, a=0.125)
     f1 = recipe.C.realize(lat1)

@@ -216,8 +216,9 @@ def test_offshell_bianchi_content_matches_loop_oracle(name, n):
     F3, T3 = curvature_F(cm, cfg3), curvature_T(cm, cfg3)
     out = offshell_relations(cm, pt)
     for got, want, norm in (
-            (0.5 * _bianchi_g(cm, cfg3, F3, (0, 1, 2)), rhs_a, "ra_bianchi_norm"),
-            (0.5 * _bianchi_h(cm, cfg3, F3, T3, (0, 1, 2)), rhs_b,
+            (0.5 * _bianchi_g(cm, cfg3, F3, (0, 1, 2), slice(None)), rhs_a,
+             "ra_bianchi_norm"),
+            (0.5 * _bianchi_h(cm, cfg3, F3, T3, (0, 1, 2), slice(None)), rhs_b,
              "rb_bianchi_norm")):
         scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
         assert got.shape == want.shape
