@@ -185,15 +185,17 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
         spac = []
         for n in cfg.ns:
             lat = _lattice(cfg, 4, n)
-            c0 = _config(cm, cfg, lat)
-            S0 = evaluate_action(cm, c0)
-            # each transformed configuration is dropped once its action is
-            # known, so at most one is alive beside c0
+            # the transforms overwrite the configuration they are given, so
+            # the fat leg realizes its own once the thin one is dropped: one
+            # configuration is alive at a time
+            c = _config(cm, cfg, lat)
+            S0 = evaluate_action(cm, c)
             S_thin = evaluate_action(
-                cm, thin_gauge_transform(cm, c0, eps_rec.realize(lat)))
+                cm, thin_gauge_transform(cm, c, eps_rec.realize(lat)))
+            del c
             dS["thin"].append(abs(S_thin - S0))
-            S_fat = evaluate_action(
-                cm, fat_gauge_transform(cm, c0, eta_rec.realize(lat)))
+            S_fat = evaluate_action(cm, fat_gauge_transform(
+                cm, _config(cm, cfg, lat), eta_rec.realize(lat)))
             dS["fat"].append(abs(S_fat - S0))
             spac.append(lat.a)
         more, orders, fits = _refinement(spac, dS, "gauge {} dS")

@@ -97,73 +97,68 @@ def _dexpinv(neg_ad: np.ndarray) -> np.ndarray:
 
 
 def _apply(mat, field):
-    """Apply per-site matrices (sites, d, d) to a block field (d, sites)."""
-    return np.einsum("sxy,ys->xs", mat, field)
+    """Apply per-site matrices (sites, d, d) to a slab field (d, rows, ...)."""
+    flat = field.reshape(len(field), len(mat))
+    return np.einsum("sxy,ys->xs", mat, flat).reshape(field.shape)
 
 
 def thin_gauge_transform(cm, cfg: FieldConfiguration,
                          eps_field: np.ndarray) -> FieldConfiguration:
-    """Thin transformation with parameter eps^a(x); exact for constant eps.
+    """Thin transformation with parameter eps^a(x), in place on cfg, which
+    it returns; exact for constant eps.
 
     Each slab gets its own D eps, ad/act matrices, exponentials and dexpinv
-    sum, applied straight into the preallocated output fields.
+    sum, and its rows of every field are overwritten with the transformed
+    values.  The result is not re-validated: an unscalable exponential
+    leaves NaN in the fields, which reaches the action and FAILs.
     """
     lat = cfg.lattice
     eps_field = np.asarray(eps_field, dtype=float)
     if eps_field.shape != (cm.p,) + lat.shape:
         raise ValueError(f"eps field has shape {eps_field.shape}")
 
-    def sites(arr):  # (..., n, ..., n) -> (..., sites)
-        return arr.reshape(arr.shape[:-lat.D] + (lat.sites,))
-
-    new = {name: np.empty(getattr(cfg, name).shape)
-           for name in ("A", "beta", "B", "C")}
-    eps = sites(eps_field)
-    A, beta, B, C = (sites(getattr(cfg, name)) for name in new)
-    A_out, beta_out, B_out, C_out = map(sites, new.values())
-
-    row = lat.sites // lat.n
     for rows in slabs(lat):
-        blk = slice(rows.start * row, rows.stop * row)
-        neg_ad = -np.einsum("abc,bs->sac", cm.f, eps[:, blk])
-        Rg = expm_batched(neg_ad)
-        S = _dexpinv(neg_ad)
-        Rh = expm_batched(-np.einsum("xay,as->sxy", cm.act, eps[:, blk]))
+        eps = eps_field[:, rows].reshape(cm.p, -1)
+        neg_ad = -np.einsum("abc,bs->sac", cm.f, eps)
+        Rg, S = expm_batched(neg_ad), _dexpinv(neg_ad)
+        Rh = expm_batched(-np.einsum("xay,as->sxy", cm.act, eps))
         for mu in range(lat.D):
             d_eps = slab_derivative(eps_field, mu, lat, rows)
-            A_out[mu, :, blk] = (_apply(Rg, A[mu, :, blk])
-                                 + _apply(S, d_eps.reshape(cm.p, -1)))
-            C_out[mu, :, blk] = _apply(Rh, C[mu, :, blk])
-        for P in range(B.shape[0]):
-            B_out[P, :, blk] = _apply(Rg, B[P, :, blk])
-            beta_out[P, :, blk] = _apply(Rh, beta[P, :, blk])
-    return FieldConfiguration(lat, **new)
+            cfg.A[mu, :, rows] = (_apply(Rg, cfg.A[mu, :, rows])
+                                  + _apply(S, d_eps))
+            cfg.C[mu, :, rows] = _apply(Rh, cfg.C[mu, :, rows])
+        for P in range(len(cfg.B)):
+            cfg.B[P, :, rows] = _apply(Rg, cfg.B[P, :, rows])
+            cfg.beta[P, :, rows] = _apply(Rh, cfg.beta[P, :, rows])
+    return cfg
 
 
 def fat_gauge_transform(cm, cfg: FieldConfiguration,
                         eta_field: np.ndarray) -> FieldConfiguration:
-    """Fat transformation with an h-valued 1-form eta^al_mu(x), one slab
-    at a time."""
+    """Fat transformation with an h-valued 1-form eta^al_mu(x), in place on
+    cfg, which it returns, one slab at a time.
+
+    Only eta is differenced, so each slab's beta and B shifts, which read
+    its rows of A and C, are added before its A shift.  The result is not
+    re-validated: a non-finite shift reaches the action and FAILs.
+    """
     lat = cfg.lattice
     eta = np.asarray(eta_field, dtype=float)
     if eta.shape != (lat.D, cm.q) + lat.shape:
         raise ValueError(f"eta field has shape {eta.shape}")
 
-    A_new = cfg.A.copy()
-    beta_new = cfg.beta.copy()
-    B_new = cfg.B.copy()
     T = t_map(cm)
     for rows in slabs(lat):
         A, C, e = cfg.A[:, :, rows], cfg.C[:, :, rows], eta[:, :, rows]
-        for mu in range(lat.D):
-            A_new[mu, :, rows] += np.einsum("ga,g...->a...", cm.del_, e[mu])
         for P, (m, n) in enumerate(pairs(lat.D)):
             d_eta = (slab_derivative(eta[n], m, lat, rows)
                      - slab_derivative(eta[m], n, lat, rows))
             wedge = (contract(cm.act, A[m], e[n])
                      - contract(cm.act, A[n], e[m]))
             etaeta = contract(cm.phi, e[m], e[n])
-            beta_new[P, :, rows] += d_eta + wedge + etaeta
-            B_new[P, :, rows] += 2.0 * (
+            cfg.beta[P, :, rows] += d_eta + wedge + etaeta
+            cfg.B[P, :, rows] += 2.0 * (
                 contract(T, C[m], e[n]) - contract(T, C[n], e[m]))
-    return FieldConfiguration(lat, A_new, beta_new, B_new, cfg.C.copy())
+        for mu in range(lat.D):
+            A[mu] += np.einsum("ga,g...->a...", cm.del_, e[mu])
+    return cfg

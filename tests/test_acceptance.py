@@ -104,10 +104,12 @@ def test_criterion_04_gauge_invariance():
         lat = Lattice(D=4, n=n, a=1.0 / n)
         cfg = _su2_config(n)
         S0 = evaluate_action(cm, cfg)
-        ct = thin_gauge_transform(cm, cfg, eps_rec.realize(lat))
-        cf = fat_gauge_transform(cm, cfg, eta_rec.realize(lat))
+        ct = thin_gauge_transform(cm, cfg.copy(), eps_rec.realize(lat))
         dthin.append(abs(evaluate_action(cm, ct) - S0))
+        del ct
+        cf = fat_gauge_transform(cm, cfg.copy(), eta_rec.realize(lat))
         dfat.append(abs(evaluate_action(cm, cf) - S0))
+        del cf
         spacings.append(lat.a)
     o_thin = finest_order(spacings, dthin)
     o_fat = finest_order(spacings, dfat)
@@ -115,7 +117,7 @@ def test_criterion_04_gauge_invariance():
     lat8 = cfg.lattice
     eps_c = np.broadcast_to(np.array([0.4, -0.3, 0.2]).reshape(3, 1, 1, 1, 1),
                             (3,) + lat8.shape).copy()
-    ct = thin_gauge_transform(cm, cfg, eps_c)
+    ct = thin_gauge_transform(cm, cfg.copy(), eps_c)
     Rg = expm_batched(-np.einsum("abc,b...->...ac", cm.f, eps_c))
     F0 = curvature_F(cm, cfg)
     rot = np.stack([np.einsum("...ab,b...->a...", Rg, F0[P]) for P in range(6)])

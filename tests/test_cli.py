@@ -163,15 +163,35 @@ def test_nan_residual_at_huge_spacing_fails(command, line, capsys):
     assert line in out and f"[FAIL] {command}" in out
 
 
-def test_overflowing_structure_constants_never_pass(tmp_path, capsys):
-    """f scaled to 1.5e308 overflows the norm of the thin exponential: the
-    exponential is NaN, and gauge-check ends with a message, not a
-    traceback, and not with PASS."""
+@pytest.fixture
+def huge_spec(tmp_path):
+    """adjoint(su2) with f scaled to 1.5e308: the norm of the thin
+    exponential overflows, so the exponential is NaN."""
     cm = builtin_module("adjoint(su2)")
     path = tmp_path / "huge.cmspec"
     path.write_text(dump_crossed_module(replace(cm, f=cm.f * 1.5e308)))
-    code = main(["gauge-check", "--spec", str(path), "--n", "6"])
+    return str(path)
+
+
+def test_overflowing_structure_constants_never_pass(huge_spec, capsys):
+    """The NaN exponential reaches the action: gauge-check prints its nan
+    rows and FAILs, with no traceback and no error message."""
+    code, out = _run(capsys, ["gauge-check", "--spec", huge_spec,
+                              "--n", "6,8,10"])
+    assert code == 1
+    assert "gauge thin-constant F-covariance nan" in out
+    assert "gauge thin dS nan nan nan" in out
+    assert "[FAIL] gauge-check" in out and "overall FAIL" in out
+
+
+def test_overflowing_structure_constants_keep_the_full_report(huge_spec,
+                                                              capsys):
+    """A FAILing gauge-check does not drop the rest of the report."""
+    code = main(["full-report", "--spec", huge_spec, "--n", "6,8,10"])
     out, err = capsys.readouterr()
-    assert code in (1, 2)
-    assert "[PASS] gauge-check" not in out
-    assert err.startswith("error:") or "[FAIL] gauge-check" in out
+    assert code == 1 and err == ""
+    verdicts = [line for line in out.splitlines()
+                if line.startswith(("[PASS] ", "[FAIL] "))]
+    assert len(verdicts) == 9, verdicts
+    assert "[FAIL] gauge-check" in verdicts
+    assert out.endswith("overall FAIL\n")

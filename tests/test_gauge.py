@@ -1,11 +1,13 @@
 """Thin and fat gauge transformations."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bfcg.checks import order_ok
+from bfcg import lattice
+from bfcg.checks import RunConfig, check_gauge, order_ok
 from bfcg.crossed_module import builtin_module
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
                             evaluate_action, fake_curvature)
@@ -51,7 +53,7 @@ def test_thin_identity_at_zero_parameter():
     cm = builtin_module("adjoint(su2)")
     lat = Lattice(4, 4, 0.25)
     cfg = sample_smooth_fields(cm, lat, 1, 2)
-    out = thin_gauge_transform(cm, cfg, np.zeros((cm.p,) + lat.shape))
+    out = thin_gauge_transform(cm, cfg.copy(), np.zeros((cm.p,) + lat.shape))
     for name in ("A", "beta", "B", "C"):
         assert np.array_equal(getattr(out, name), getattr(cfg, name))
 
@@ -63,7 +65,7 @@ def test_constant_thin_covariance_exact(name):
     cfg = sample_smooth_fields(cm, lat, 1, 3)
     rng = np.random.default_rng(4)
     eps = _const_field(rng.normal(size=cm.p) * 0.5, lat)
-    out = thin_gauge_transform(cm, cfg, eps)
+    out = thin_gauge_transform(cm, cfg.copy(), eps)
     ad = np.einsum("abc,b...->...ac", cm.f, eps)
     Rg = expm_batched(-ad)
     for F0, F1 in ((curvature_F(cm, cfg), curvature_F(cm, out)),
@@ -90,7 +92,7 @@ def test_thin_action_invariance_refines_second_order():
     for n in (6, 12, 24):
         lat = Lattice(4, n, 1.0 / n)
         cfg = recipe.realize(lat)
-        out = thin_gauge_transform(cm, cfg, eps_rec.realize(lat))
+        out = thin_gauge_transform(cm, cfg.copy(), eps_rec.realize(lat))
         deltas.append(abs(evaluate_action(cm, out) - evaluate_action(cm, cfg)))
         spacings.append(lat.a)
     order = finest_order(spacings, deltas)
@@ -159,7 +161,7 @@ def test_blockwise_thin_matches_whole_stack_oracle(name):
     cfg = make_config_recipe(cm, 4, 2, seed=1, scale=0.4).realize(lat)
     eps = _random_recipe(np.random.default_rng(3), 4, (cm.p,), 2,
                          scale=0.9).realize(lat)
-    out = thin_gauge_transform(cm, cfg, eps)
+    out = thin_gauge_transform(cm, cfg.copy(), eps)
     ref = _thin_oracle(cm, cfg, eps)
     for field, want in ref.items():
         got = getattr(out, field)
@@ -181,23 +183,84 @@ def _traced_peak(fn, *args):
     return out, peak
 
 
-def test_thin_working_set_does_not_scale_with_lattice():
-    """Beside its output, the thin transform holds one slab's stacks and
-    D eps at a time, however large the lattice."""
+def _transform_peaks(transform, param_shape):
+    """Traced peaks of an in-place transform on vector_poincare at n = 16
+    and 20, and the bytes of the configuration it overwrote."""
     cm = builtin_module("vector_poincare")
-    extra, dp_bytes = {}, {}
+    peak, cfg_bytes = {}, {}
     for n in (16, 20):
         lat = Lattice(4, n, 1.0 / n)
         cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(lat)
-        eps = _random_recipe(np.random.default_rng(2), 4, (cm.p,), 1,
-                             scale=0.3).realize(lat)
-        out, peak = _traced_peak(thin_gauge_transform, cm, cfg, eps)
-        out_bytes = sum(getattr(out, f).nbytes for f in ("A", "beta", "B", "C"))
-        extra[n] = peak - out_bytes
-        dp_bytes[n] = lat.D * cm.p * lat.sites * 8
+        param = _random_recipe(np.random.default_rng(2), 4, param_shape(cm), 1,
+                               scale=0.3).realize(lat)
+        out, peak[n] = _traced_peak(transform, cm, cfg, param)
+        assert out is cfg
+        cfg_bytes[n] = sum(getattr(cfg, f).nbytes
+                           for f in ("A", "beta", "B", "C"))
         del cfg, out
-    allowed = dp_bytes[20] - dp_bytes[16] + 8e6
-    assert extra[20] - extra[16] <= allowed, (extra, allowed)
+    return peak, cfg_bytes
+
+
+def test_thin_working_set_does_not_scale_with_lattice():
+    """The thin transform overwrites its input, so it holds one slab's
+    stacks and D eps at a time, however large the lattice: from n = 16 to
+    20 the configuration grows by 75 MB and the peak by at most 8 MB."""
+    peak, cfg_bytes = _transform_peaks(thin_gauge_transform,
+                                       lambda cm: (cm.p,))
+    assert peak[20] - peak[16] <= 8e6, peak
+    assert peak[20] < cfg_bytes[20], (peak, cfg_bytes)
+
+
+def test_fat_working_set_does_not_scale_with_lattice():
+    """The fat transform overwrites its input and differences eta one slab
+    and stored pair at a time: its peak is a few slab arrays."""
+    peak, cfg_bytes = _transform_peaks(fat_gauge_transform,
+                                       lambda cm: (4, cm.q))
+    assert peak[20] - peak[16] <= 8e6, peak
+    assert peak[20] < cfg_bytes[20] / 8, (peak, cfg_bytes)
+
+
+def test_gauge_check_holds_one_configuration():
+    """Each rung realizes its configuration once per transform, and the
+    transform overwrites it, so the check's peak stays well below the two
+    configurations that a transformed copy beside the original would take."""
+    cm = builtin_module("adjoint(su2)")
+    _, peak = _traced_peak(check_gauge, cm, RunConfig(ns=(8, 12, 20)))
+    lat = Lattice(4, 20, 1.0 / 20)
+    one = (lat.D + len(pairs(lat.D))) * (cm.p + cm.q) * lat.sites * 8
+    assert peak < 1.75 * one, peak / one
+
+
+def _squarings(M):
+    """How many times expm_batched squares the exponential of the stack M."""
+    norm = float(np.max(np.sum(np.abs(M), axis=-1)))
+    return max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+
+
+@pytest.mark.parametrize("name, scale", [("adjoint(su2)", 0.12),
+                                         ("vector_poincare", 0.08)])
+def test_slabs_that_square_differently_match_oracle(name, scale, monkeypatch):
+    """One-row slabs at n = 6 with a parameter whose per-row norms straddle
+    1/2, so the rows square their exponentials a different number of times.
+    The result matches the whole-stack oracle, and the one-slab result to
+    rounding: a slab's scaling moves the last bits, so not bitwise."""
+    cm = builtin_module(name)
+    lat = Lattice(4, 6, 1.0 / 6)
+    cfg = make_config_recipe(cm, 4, 2, seed=1, scale=0.4).realize(lat)
+    eps = _random_recipe(np.random.default_rng(4), 4, (cm.p,), 2,
+                         scale=scale).realize(lat)
+    ad = np.einsum("abc,b...->...ac", cm.f, eps)
+    assert len({_squarings(ad[r]) for r in range(lat.n)}) >= 2
+    assert len(slabs(lat)) == 1
+    whole = thin_gauge_transform(cm, cfg.copy(), eps)
+    monkeypatch.setattr(lattice, "SLAB_SITES", lat.n ** 3)
+    assert len(slabs(lat)) == lat.n
+    rows = thin_gauge_transform(cm, cfg.copy(), eps)
+    for field, want in _thin_oracle(cm, cfg, eps).items():
+        got, one = getattr(rows, field), getattr(whole, field)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12, field
+        assert (np.max(np.abs(got - one), initial=0.0)
+                <= 1e-13 * np.max(np.abs(one), initial=0.0)), field
 
 
 @pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
@@ -233,7 +296,7 @@ def test_fat_identity_at_zero_parameter():
     cm = builtin_module("adjoint(su2)")
     lat = Lattice(4, 4, 0.25)
     cfg = sample_smooth_fields(cm, lat, 1, 2)
-    out = fat_gauge_transform(cm, cfg, np.zeros((4, cm.q) + lat.shape))
+    out = fat_gauge_transform(cm, cfg.copy(), np.zeros((4, cm.q) + lat.shape))
     for name in ("A", "beta", "B", "C"):
         assert np.array_equal(getattr(out, name), getattr(cfg, name))
 
@@ -246,7 +309,7 @@ def test_fat_fake_curvature_invariance_exact(name):
     cfg = sample_smooth_fields(cm, lat, 1, 7)
     eta = _random_recipe(np.random.default_rng(8), 4, (4, cm.q), 1,
                          scale=0.5).realize(lat)
-    out = fat_gauge_transform(cm, cfg, eta)
+    out = fat_gauge_transform(cm, cfg.copy(), eta)
     assert np.max(np.abs(cfg.beta - out.beta)) > 0  # transformation nontrivial
     dH = fake_curvature(cm, out) - fake_curvature(cm, cfg)
     assert np.max(np.abs(dH)) < 1e-10
@@ -260,7 +323,7 @@ def test_fat_action_invariance_exact(name):
     cfg = sample_smooth_fields(cm, lat, 1, 9)
     eta = _random_recipe(np.random.default_rng(10), 4, (4, cm.q), 1,
                          scale=0.5).realize(lat)
-    out = fat_gauge_transform(cm, cfg, eta)
+    out = fat_gauge_transform(cm, cfg.copy(), eta)
     S0, S1 = evaluate_action(cm, cfg), evaluate_action(cm, out)
     assert abs(S1 - S0) < 1e-10 * max(1.0, abs(S0))
 
@@ -270,5 +333,5 @@ def test_fat_composes_with_C_unchanged():
     lat = Lattice(4, 4, 0.25)
     cfg = sample_smooth_fields(cm, lat, 1, 11)
     eta = _random_recipe(np.random.default_rng(12), 4, (4, cm.q), 1).realize(lat)
-    out = fat_gauge_transform(cm, cfg, eta)
+    out = fat_gauge_transform(cm, cfg.copy(), eta)
     assert np.array_equal(out.C, cfg.C)

@@ -162,8 +162,8 @@ def _slabbed_outputs(cm, cfg, eps, eta, point):
            "S": evaluate_action(cm, cfg)}
     out.update(("eom " + k, v) for k, v in eom_residuals(cm, cfg).items())
     out.update(bianchi_residuals(cm, cfg))
-    for kind, new in (("thin", thin_gauge_transform(cm, cfg, eps)),
-                      ("fat", fat_gauge_transform(cm, cfg, eta))):
+    for kind, new in (("thin", thin_gauge_transform(cm, cfg.copy(), eps)),
+                      ("fat", fat_gauge_transform(cm, cfg.copy(), eta))):
         out.update((f"{kind} {f}", getattr(new, f))
                    for f in ("A", "beta", "B", "C"))
     out.update(("offshell " + k, v)
