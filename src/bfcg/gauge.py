@@ -22,13 +22,14 @@ The eta^eta coefficient and the factor 2 on the B shift are fixed by exact
 invariance of the fake curvature and of the action under this package's
 normalization (see docs/conventions.md); both are covered by tests.
 
-Working set.  Both transformations stream over the slabs of
-lattice.slabs, the package's one block size (lattice.SLAB_SITES sites).
-The thin transformation is pointwise once D eps is formed: beside its
-output it holds one slab's (sites, p, p) stacks (ad, the exponentials, the
-dexpinv sum; tens of MB) and that slab's D eps, whatever the lattice size.
-The fat transformation differences eta one slab and stored pair at a time
-into its copied output fields.
+Working set.  Both transformations work in place: they overwrite the
+configuration they are given, one slab of lattice.slabs (the package's one
+block size, lattice.SLAB_SITES sites) at a time, and return it without
+re-validating it, so a non-finite value reaches the action and FAILs.  The
+thin transformation is pointwise once D eps is formed: it holds one slab's
+(sites, p, p) stacks (ad, the exponentials, the dexpinv sum; tens of MB)
+and that slab's D eps, whatever the lattice size.  The fat transformation
+differences only eta, one slab and stored pair at a time.
 """
 
 from __future__ import annotations
