@@ -233,7 +233,9 @@ def check_algebra(cm, cfg: RunConfig) -> CheckRecord:
         for rid in TABLE_RELATIONS + ZERO_RELATIONS:
             res = check_algebra_relation(cm, rid, point,
                                          seed=cfg.seed + 31 * ptseed)
-            good = res.residual <= cfg.tol * max(1.0, res.scale)
+            # an infinite scale would make the gate inf <= inf
+            good = bool(np.isfinite(res.scale)
+                        and res.residual <= cfg.tol * max(1.0, res.scale))
             ok = ok and good
             if ptseed == 0:
                 lines.append(f"relation {rid} lhs {_fmt(res.lhs)} rhs {_fmt(res.rhs)}"

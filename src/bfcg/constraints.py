@@ -43,7 +43,8 @@ The canonical Hamiltonian is the velocity-free form
                   + 1/2 eps^{ijk} beta^al_{0k} S(CB)_{al ij}
                   + A^a_0 S(BCbeta)_a ] a^3,
 
-and the determined multipliers (solving the spatial-primary consistency
+a term list (_H_c) that H_T is composed from, not a registry density; and
+the determined multipliers (solving the spatial-primary consistency
 conditions exactly on the lattice; registry densities, so
 evaluate_constraint(cm, "lam(A)", point) gives lam(A) per site) are
 
@@ -77,9 +78,7 @@ __all__ = [
     "FAMILIES",
     "evaluate_constraint",
     "gauge_fixed_density",
-    "canonical_hamiltonian",
     "total_hamiltonian_functional",
-    "total_hamiltonian",
     "regrouping_residual",
 ]
 
@@ -279,7 +278,6 @@ _REGISTRY = {
     "lam(beta)": ("3q", _lam_beta),
     "lam(C)": ("3q", _lam_C),
     "lam(B)": ("3p", _lam_B),
-    "H_c": ("", _H_c),
     "H_T": ("", _H_T),
 }
 _REGISTRY.update({alias: _REGISTRY[name] for alias, name in (
@@ -328,8 +326,8 @@ def constraint_density(cm, name: str) -> Density:
     """Compressed monomial density of a registered family, cached per module.
 
     Besides FAMILIES this builds S(H)_low, S(G)_low, the determined
-    multipliers lam(A), lam(beta), lam(C), lam(B), H_c and H_T (without its
-    free temporal multipliers).
+    multipliers lam(A), lam(beta), lam(C), lam(B) and H_T (without its free
+    temporal multipliers).
     """
     return _expand(cm, name, gauge_fixed=False)
 
@@ -380,30 +378,20 @@ def gauge_fixed_density(cm, name: str) -> Density:
 # Hamiltonians and multipliers
 # ---------------------------------------------------------------------------
 
-def canonical_hamiltonian(cm, point: PhasePoint) -> float:
-    fn = smear(constraint_density(cm, "H_c"), None, point.lattice)
-    return fn.value(point.blocks)
-
-
 def _free_multipliers(cm, lattice: Lattice, arrays):
     """Per-site arrays of the free temporal multipliers, in _FREE order.
 
-    Each input is None (kept as None), a per-site array of shape
-    comp + lattice.shape, or a constant of component shape comp, broadcast
-    over the sites; any other shape raises ValueError.
+    Each input is None (kept as None) or a per-site array of shape
+    comp + lattice.shape; any other shape raises ValueError.
     """
     out = []
     for (_, fam), arr in zip(_FREE, arrays):
         if arr is not None:
-            comp = family_shape(cm, fam)
-            full = comp + lattice.shape
+            full = family_shape(cm, fam) + lattice.shape
             arr = np.asarray(arr, dtype=float)
-            if arr.shape == comp:
-                arr = np.broadcast_to(
-                    arr.reshape(comp + (1,) * lattice.D), full).copy()
-            elif arr.shape != full:
+            if arr.shape != full:
                 raise ValueError(f"free multiplier has shape {arr.shape}, "
-                                 f"expected {comp} or {full}")
+                                 f"expected {full}")
         out.append(arr)
     return out
 
@@ -424,13 +412,6 @@ def total_hamiltonian_functional(cm, lattice: Lattice, lamA0=None, lamB0=None,
     return LocalFunctional(lattice, entries)
 
 
-def total_hamiltonian(cm, point: PhasePoint, lamA0=None, lamB0=None,
-                      lamC0=None, lambe0=None) -> float:
-    fn = total_hamiltonian_functional(cm, point.lattice, lamA0, lamB0,
-                                      lamC0, lambe0)
-    return fn.value(point.blocks)
-
-
 def regrouping_residual(cm, point: PhasePoint, lamA0=None, lamB0=None,
                         lamC0=None, lambe0=None) -> float:
     """|H_T - (free-multiplier terms - temporal fields . first-class)|.
@@ -438,9 +419,9 @@ def regrouping_residual(cm, point: PhasePoint, lamA0=None, lamB0=None,
     This lattice identity ties together H_c, the determined multipliers and
     every first-class density; it holds to machine precision.
     """
-    lat = point.lattice
-    ht = total_hamiltonian(cm, point, lamA0, lamB0, lamC0, lambe0)
-    blocks = point.blocks
+    lat, blocks = point.lattice, point.blocks
+    ht = total_hamiltonian_functional(cm, lat, lamA0, lamB0, lamC0,
+                                      lambe0).value(blocks)
     rhs = 0.0
     for field, phi in (("B0", "phi(H)"), ("C0", "phi(G)"), ("be0", "phi(CB)"),
                        ("A0", "phi(BCbeta)")):

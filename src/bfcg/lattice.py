@@ -72,11 +72,6 @@ class Lattice:
         return (self.n,) * self.D
 
     @property
-    def extent(self) -> float:
-        """Physical box size L = n * a."""
-        return self.n * self.a
-
-    @property
     def volume_element(self) -> float:
         return self.a ** self.D
 
@@ -259,16 +254,6 @@ class FieldRecipe:
             placed = tuple(n if d in support else 1 for d in range(self.D))
             out += np.reshape(part, self.comp_shape + placed)
         return out
-
-    def realize_derivative(self, lattice: Lattice, axis: int) -> np.ndarray:
-        """Exact analytic derivative of the trig polynomial along one axis."""
-        L = lattice.extent
-        deriv = {}
-        for k, (ca, sa) in self.coeffs.items():
-            w = 2.0 * np.pi * k[axis] / L
-            # d/dx [ca cos + sa sin] = w (sa cos - ca sin)
-            deriv[k] = (w * np.asarray(sa), -w * np.asarray(ca))
-        return FieldRecipe(self.D, self.comp_shape, deriv).realize(lattice)
 
 
 def _random_recipe(rng, D: int, comp_shape: tuple, mode_count: int,

@@ -146,7 +146,7 @@ def evaluate_density(density: Density, point: dict, lattice: Lattice) -> np.ndar
 class LocalFunctional:
     """a^3 * sum_x sum_entries coeff * weight(x) * prod factors(x).
 
-    weight is an (n,n,n) array, a scalar, or None (meaning 1).
+    weight is an (n,n,n) array or None (meaning 1).
     """
 
     def __init__(self, lattice: Lattice, entries):
@@ -201,35 +201,21 @@ class LocalFunctional:
 def smear(density: Density, test, lattice: Lattice) -> LocalFunctional:
     """Pair a density with a test field: value = a^3 sum_x test . density.
 
-    test is an array of shape (comp_shape..., n, n, n) or (comp_shape...,)
-    (constant test), or None for an unsmeared scalar density.
+    test is an array of shape (comp_shape..., n, n, n), or None for an
+    unsmeared scalar density; any other shape raises ValueError.
     """
     if test is None:
         return LocalFunctional(lattice, [(coeff, None, factors) for _, terms
                                          in density.items()
                                          for coeff, factors in terms])
     test = np.asarray(test, dtype=float)
-    ncomp = len(density.comp_shape)
-    if test.shape[:ncomp] != density.comp_shape:
+    if test.shape != density.comp_shape + lattice.shape:
         raise ValueError(
             f"test shape {test.shape} does not match free components "
-            f"{density.comp_shape}")
-    per_site = test.ndim == ncomp + 3
-    if not per_site and test.shape != density.comp_shape:
-        raise ValueError(f"bad test shape {test.shape}")
-    entries = []
-    for fc, terms in density.items():
-        w = test[fc]
-        if not per_site:
-            w = float(w)
-            if abs(w) < _TINY:
-                continue
-            for coeff, factors in terms:
-                entries.append((coeff * w, None, factors))
-        else:
-            for coeff, factors in terms:
-                entries.append((coeff, w, factors))
-    return LocalFunctional(lattice, entries)
+            f"{density.comp_shape} on lattice shape {lattice.shape}")
+    return LocalFunctional(lattice, [(coeff, test[fc], factors)
+                                     for fc, terms in density.items()
+                                     for coeff, factors in terms])
 
 
 def paired_sum(x, y, fn=None) -> float:

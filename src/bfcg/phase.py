@@ -33,16 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (EPS3_PAIR, FieldConfiguration, Lattice,
-                      _random_recipe, pairs)
+from .lattice import EPS3_PAIR, Lattice, _random_recipe
 
 __all__ = [
     "PhasePoint",
     "block_shapes",
     "CANONICAL_PAIRS",
     "GAUGE_FIXED_PAIRS",
-    "zero_phase_point",
-    "phase_from_config",
     "PhaseRecipe",
     "make_phase_recipe",
     "random_phase_point",
@@ -98,10 +95,6 @@ class PhasePoint:
                           {k: v.copy() for k, v in self.blocks.items()})
 
 
-def zero_phase_point(cm, lattice: Lattice) -> PhasePoint:
-    return PhasePoint(lattice, cm.p, cm.q, {})
-
-
 def onshell_momenta(cm, blocks: dict, lattice: Lattice) -> dict:
     """Momenta that make every primary constraint vanish exactly."""
     p, q = cm.p, cm.q
@@ -121,30 +114,6 @@ def onshell_momenta(cm, blocks: dict, lattice: Lattice) -> dict:
     C_low = np.einsum("xy,iy...->ix...", cm.qf, blocks["C"])
     out["pbe"] = -np.einsum("iP,ix...->Px...", EPS3_PAIR, C_low)
     return out
-
-
-def phase_from_config(cm, cfg: FieldConfiguration) -> PhasePoint:
-    """Restrict a D=4 configuration to the time slice t = 0 and attach the
-    on-shell momenta, so every primary constraint vanishes exactly."""
-    if cfg.lattice.D != 4:
-        raise ValueError("phase_from_config expects a D=4 configuration")
-    lat3 = Lattice(D=3, n=cfg.lattice.n, a=cfg.lattice.a)
-    P4 = pairs(4)
-    temporal = [P4.index((0, i + 1)) for i in range(3)]
-    spatial = [P4.index((i + 1, j + 1)) for (i, j) in pairs(3)]
-
-    blocks = {
-        "A0": cfg.A[0][:, 0],
-        "A": np.stack([cfg.A[1 + i][:, 0] for i in range(3)]),
-        "C0": cfg.C[0][:, 0],
-        "C": np.stack([cfg.C[1 + i][:, 0] for i in range(3)]),
-        "B0": np.stack([cfg.B[P][:, 0] for P in temporal]),
-        "B": np.stack([cfg.B[P][:, 0] for P in spatial]),
-        "be0": np.stack([cfg.beta[P][:, 0] for P in temporal]),
-        "be": np.stack([cfg.beta[P][:, 0] for P in spatial]),
-    }
-    blocks.update(onshell_momenta(cm, blocks, lat3))
-    return PhasePoint(lat3, cm.p, cm.q, blocks)
 
 
 @dataclass

@@ -38,7 +38,8 @@ import numpy as np
 from .constraints import (constraint_density, evaluate_constraint, family_shape,
                           gauge_fixed_density, total_hamiltonian_functional)
 from .crossed_module import _maxabs, contract
-from .curvature import _bianchi_g, _bianchi_h, curvature_F, curvature_T
+from .curvature import (_bianchi_g, _bianchi_h, _cov_derivative, curvature_F,
+                        curvature_T)
 from .lattice import (EPS3_PAIR, PAIR, FieldConfiguration, Lattice,
                       _random_recipe, discrete_derivative, fit_order,
                       pair_index)
@@ -451,11 +452,9 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
             if m == k:
                 continue
             Pmk, sig = PIDX3[(m, k)]
-            gradC = (discrete_derivative(C[m], k, lat)
-                     + contract(cm.act, A[k], C[m]))
+            gradC = _cov_derivative(cfg3, cm.act, C[m], k, slice(None))
             lhs_b += sig * contract(actQ_xde, gradC, chiB[Pmk])
-            covchi = (discrete_derivative(chiB[Pmk], k, lat)
-                      + contract(f_abc, A[k], chiB[Pmk]))
+            covchi = _cov_derivative(cfg3, f_abc, chiB[Pmk], k, slice(None))
             lhs_b += sig * contract(actQ_xde, C[m], covchi)
     for k in range(3):
         for P in range(3):

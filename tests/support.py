@@ -1,11 +1,12 @@
-"""Shared test helpers: a smooth-field sampler and the GB curvature oracle."""
+"""Shared test helpers: a smooth-field sampler, the analytic derivative of a
+recipe and the GB curvature oracle."""
 
 from itertools import permutations
 
 import numpy as np
 
-from bfcg.lattice import (Lattice, discrete_derivative, levi_civita,
-                          make_config_recipe, pair_index, triples)
+from bfcg.lattice import (FieldRecipe, Lattice, discrete_derivative,
+                          levi_civita, make_config_recipe, pair_index, triples)
 
 
 def sample_smooth_fields(cm, lattice: Lattice, mode_count: int, seed: int):
@@ -13,6 +14,19 @@ def sample_smooth_fields(cm, lattice: Lattice, mode_count: int, seed: int):
     deterministic in seed."""
     return make_config_recipe(cm, lattice.D, mode_count, seed,
                               scale=1.0).realize(lattice)
+
+
+def realize_derivative(recipe: FieldRecipe, lattice: Lattice,
+                       axis: int) -> np.ndarray:
+    """Exact analytic derivative of a recipe's trig polynomial along one
+    axis, in the box of extent L = n * a."""
+    L = lattice.n * lattice.a
+    deriv = {}
+    for k, (ca, sa) in recipe.coeffs.items():
+        w = 2.0 * np.pi * k[axis] / L
+        # d/dx [ca cos + sa sin] = w (sa cos - ca sin)
+        deriv[k] = (w * np.asarray(sa), -w * np.asarray(ca))
+    return FieldRecipe(recipe.D, recipe.comp_shape, deriv).realize(lattice)
 
 
 def curvature_GB(cm, cfg) -> np.ndarray:

@@ -6,11 +6,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bfcg
+from bfcg.checks import RunConfig, _lattice
 from bfcg.cli import main
-from bfcg.crossed_module import builtin_module, dump_crossed_module
+from bfcg.crossed_module import (builtin_module, dump_crossed_module,
+                                 load_crossed_module)
+from bfcg.phase import random_phase_point
+from bfcg.relations import check_algebra_relation
 
 
 def _run(capsys, argv):
@@ -195,3 +200,26 @@ def test_overflowing_structure_constants_keep_the_full_report(huge_spec,
     assert len(verdicts) == 9, verdicts
     assert "[FAIL] gauge-check" in verdicts
     assert out.endswith("overall FAIL\n")
+
+
+def test_overflowing_structure_constants_fail_their_algebra_rows(huge_spec,
+                                                                 capsys):
+    """A relation row whose residual or scale is not finite FAILs: with an
+    infinite scale the gate residual <= tol * scale would read inf <= inf."""
+    code, out = _run(capsys, ["algebra", "--spec", huge_spec, "--n", "6"])
+    assert code == 1 and "[FAIL] algebra" in out
+    rows = {line.split()[1]: line.split() for line in out.splitlines()
+            if line.startswith("relation ")}
+    assert len(rows) == 26
+    # the printed rows are those of the first of the check's random points
+    cm = load_crossed_module(Path(huge_spec).read_text(encoding="utf-8"))
+    cfg = RunConfig(ns=(6,))
+    point = random_phase_point(cm, _lattice(cfg, 3, 6), seed=cfg.seed,
+                               rule="random", mode_count=cfg.modes)
+    for rid, row in rows.items():
+        res = check_algebra_relation(cm, rid, point, seed=cfg.seed)
+        assert row[7] == f"{res.residual:.6e}", row
+        if not (np.isfinite(res.residual) and np.isfinite(res.scale)):
+            assert row[-1] == "FAIL", row
+    for rid in ("sc4", "sc5", "fc2", "fc3", "sc0_HCB"):
+        assert rows[rid][-1] == "FAIL", rows[rid]

@@ -183,8 +183,9 @@ def test_scalar_functional_constant_weight():
 
 def test_smear_shape_mismatch():
     d = tensor_density((2,), (_one((2, 2), (0, 0)), Q1))
-    with pytest.raises(ValueError):
-        smear(d, np.zeros((3,) + LAT.shape), LAT)
+    for test in (np.zeros((3,) + LAT.shape), np.zeros(2)):
+        with pytest.raises(ValueError):
+            smear(d, test, LAT)
 
 
 def test_bracket_lattice_mismatch():

@@ -13,7 +13,7 @@ from bfcg.lattice import (EPS3_PAIR, FieldConfiguration, Lattice,
                           discrete_derivative)
 from bfcg.localpoly import poisson_bracket, smear
 from bfcg import relations
-from bfcg.phase import CANONICAL_PAIRS, random_phase_point
+from bfcg.phase import CANONICAL_PAIRS, PhasePoint, random_phase_point
 from bfcg.relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_RELATIONS,
                             PRIMARY_RELATIONS, RELATIONS, ZERO_RELATIONS,
                             check_algebra_relation, consistency_residuals,
@@ -85,8 +85,7 @@ def test_zero_relations_are_nontrivial_cancellations():
 # ---------------------------------------------------------------------------
 
 def test_consistency_zero_point_all_zero():
-    from bfcg.phase import zero_phase_point
-    pt = zero_phase_point(SU2, LAT)
+    pt = PhasePoint(LAT, SU2.p, SU2.q, {})
     rows = consistency_residuals(SU2, pt, seed=1)
     assert all(r == 0.0 for _, r in rows)
 
@@ -164,8 +163,7 @@ def test_consistency_reused_HT_gradient_matches_fresh_brackets(cm, rule):
 # ---------------------------------------------------------------------------
 
 def test_offshell_zero_point():
-    from bfcg.phase import zero_phase_point
-    out = offshell_relations(SU2, zero_phase_point(SU2, LAT))
+    out = offshell_relations(SU2, PhasePoint(LAT, SU2.p, SU2.q, {}))
     assert out["ra_residual"] == 0.0 and out["rb_residual"] == 0.0
 
 
