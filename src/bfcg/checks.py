@@ -172,12 +172,10 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
     eps_c = rng.normal(size=cm.p) * 0.4
     eps_field = np.broadcast_to(eps_c.reshape((cm.p,) + (1,) * 4),
                                 (cm.p,) + lat.shape).copy()
-    Rg = expm_batched(-np.einsum("abc,b...->...ac", cm.f, eps_field))
+    Rg = expm_batched(-np.einsum("abc,b->ac", cm.f, eps_c))
     F0 = curvature_F(cm, c)
     F1 = curvature_F(cm, thin_gauge_transform(cm, c, eps_field))
-    rot = np.stack([np.einsum("...ab,b...->a...", Rg, F0[P])
-                    for P in range(F0.shape[0])])
-    cov = _maxabs(F1 - rot)
+    cov = _maxabs(F1 - np.einsum("ab,Pb...->Pa...", Rg, F0))
     lines = [f"gauge thin-constant F-covariance {_fmt(cov)}"]
     residuals, orders, fits = {"covariance": (cov,)}, {}, {}
     if len(cfg.ns) >= 3:

@@ -27,9 +27,10 @@ configuration they are given, one slab of lattice.slabs (the package's one
 block size, lattice.SLAB_SITES sites) at a time, and return it without
 re-validating it, so a non-finite value reaches the action and FAILs.  The
 thin transformation is pointwise once D eps is formed: it holds one slab's
-(sites, p, p) stacks (ad, the exponentials, the dexpinv sum; tens of MB)
-and that slab's D eps, whatever the lattice size.  The fat transformation
-differences only eta, one slab and stored pair at a time.
+(sites, p, p) stacks (-ad, its powers T..T^3 scaled by 2**-s, the two
+exponentials, the dexpinv sum; tens of MB) and that slab's D eps, whatever
+the lattice size.  The fat transformation differences only eta, one slab
+and stored pair at a time.
 """
 
 from __future__ import annotations
@@ -50,51 +51,61 @@ __all__ = [
 
 # the largest norm with s = ceil(log2(norm / 0.5)) <= 1023, so 2**s is a double
 _MAX_NORM = 2.0 ** 1022
+# 1/k! of the degree-18 Taylor polynomial, summed in blocks of T^0..T^2
+_TAYLOR = [1.0 / math.factorial(k) for k in range(19)]
 
 
-def expm_batched(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a stack of small matrices (..., d, d).
+def expm_batched(M: np.ndarray, return_dexpinv: bool = False):
+    """Matrix exponential of a stack of small matrices (..., d, d), and with
+    return_dexpinv also sum_{k=0}^{6} M^k / (k+1)! (dexpinv for M = -ad).
 
-    Scaling and squaring with a Taylor series long enough for double
-    precision once the scaled norm is below 1/2.  The terms accumulate in
-    place, so the working set is five stacks the size of M.  A stack whose
-    norm is non-finite, or too large for its scaling 2**s to be a double,
-    gives a NaN stack.
+    Scaling and squaring of the degree-18 Taylor polynomial of T = M / 2**s
+    (norm <= 1/2), evaluated by Paterson-Stockmeyer as a Horner scheme in
+    T^3 over blocks in I, T, T^2 (c I added on the diagonal only): 7
+    matmuls, then s squarings.  The dexpinv sum is L + H T^3 from the same
+    powers (M^k = 2**(s k) T^k), one more matmul.  Past the stack-wide s,
+    every step is per matrix.  The working set is seven stacks the size of
+    M, M included.  A non-finite norm, or one too large for 2**s to be a
+    double, gives NaN stacks.
     """
     if M.shape[-1] == 0:
-        return M.copy()
+        return (M.copy(), M.copy()) if return_dexpinv else M.copy()
     norm = float(np.max(np.sum(np.abs(M), axis=-1))) if M.size else 0.0
     if not norm <= _MAX_NORM:   # NaN included
-        return np.full(M.shape, np.nan)
+        nan = np.full(M.shape, np.nan)
+        return (nan, nan.copy()) if return_dexpinv else nan
     s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    T = M / (2.0 ** s)
-    d = M.shape[-1]
-    result = np.broadcast_to(np.eye(d), M.shape).copy()
-    power = result.copy()
-    scratch = np.empty_like(result)
-    for k in range(1, 19):
-        np.matmul(power, T, out=scratch)
-        scratch /= k
-        power, scratch = scratch, power
-        result += power
+    T = np.divide(M, 2.0 ** s, out=np.empty(M.shape))
+    T2 = np.matmul(T, T)
+    T3 = np.matmul(T2, T)
+    tmp = np.empty(M.shape)
+    # (..((c18 T^3 + B_15) T^3 + B_12) T^3 ..) T^3 + B_0, B_j of degree 2
+    result = np.multiply(T3, _TAYLOR[18])
+    for j in range(15, -1, -3):
+        result += np.multiply(T, _TAYLOR[j + 1], out=tmp)
+        result += np.multiply(T2, _TAYLOR[j + 2], out=tmp)
+        for i in range(M.shape[-1]):   # c_j I, on the diagonal only
+            result[..., i, i] += _TAYLOR[j]
+        if j:
+            np.matmul(result, T3, out=tmp)
+            result, tmp = tmp, result
+    if return_dexpinv:
+        # M^k / (k+1)! = T^k / ((k+1)! 2**(-s k)); L has k <= 3, H T^3 the rest
+        div = [math.ldexp(math.factorial(k + 1), -s * k) for k in range(7)]
+        dexpinv = np.divide(T3, div[6])
+        dexpinv += np.divide(T2, div[5], out=tmp)
+        dexpinv += np.divide(T, div[4], out=tmp)
+        np.matmul(dexpinv, T3, out=tmp)
+        dexpinv, tmp = tmp, dexpinv
+        for k, Tk in ((3, T3), (2, T2), (1, T)):
+            dexpinv += np.divide(Tk, div[k], out=tmp)
+        for i in range(M.shape[-1]):
+            dexpinv[..., i, i] += 1.0
+    del T, T2, T3
     for _ in range(s):
-        np.matmul(result, result, out=scratch)
-        result, scratch = scratch, result
-    return result
-
-
-def _dexpinv(neg_ad: np.ndarray) -> np.ndarray:
-    """sum_{k=0}^{6} (-ad)^k / (k+1)! for a stack (..., p, p) of -ad."""
-    S = np.broadcast_to(np.eye(neg_ad.shape[-1]), neg_ad.shape).copy()
-    power = S.copy()
-    scratch = np.empty_like(S)
-    fact = 1.0
-    for k in range(1, 7):
-        np.matmul(power, neg_ad, out=scratch)
-        power, scratch = scratch, power
-        fact *= (k + 1)
-        S += power / fact
-    return S
+        np.matmul(result, result, out=tmp)
+        result, tmp = tmp, result
+    return (result, dexpinv) if return_dexpinv else result
 
 
 def _apply(mat, field):
@@ -120,8 +131,8 @@ def thin_gauge_transform(cm, cfg: FieldConfiguration,
 
     for rows in slabs(lat):
         eps = eps_field[:, rows].reshape(cm.p, -1)
-        neg_ad = -np.einsum("abc,bs->sac", cm.f, eps)
-        Rg, S = expm_batched(neg_ad), _dexpinv(neg_ad)
+        Rg, S = expm_batched(-np.einsum("abc,bs->sac", cm.f, eps),
+                             return_dexpinv=True)
         Rh = expm_batched(-np.einsum("xay,as->sxy", cm.act, eps))
         for mu in range(lat.D):
             d_eps = slab_derivative(eps_field, mu, lat, rows)

@@ -1,5 +1,5 @@
 """Shared test helpers: a smooth-field sampler, the analytic derivative of a
-recipe and the GB curvature oracle."""
+recipe, the GB curvature oracle and a matrix-exponential oracle."""
 
 from itertools import permutations
 
@@ -45,3 +45,26 @@ def curvature_GB(cm, cfg) -> np.ndarray:
                    + np.einsum("abc,b...,c...->a...", cm.f, cfg.A[d], cfg.B[P]))
             out[Ti] += levi_civita(perm) * psign * cov
     return out
+
+
+def expm_series(M: np.ndarray, terms: int = 30) -> np.ndarray:
+    """exp of each matrix of a stack (..., d, d), summed term by term.
+
+    Each matrix is scaled by its own power of two 2**s to a 1-norm of at
+    most 1/2, its series summed to `terms` terms and squared s times, so a
+    matrix's result does not depend on the rest of the stack.
+    """
+    M = np.asarray(M, dtype=float)
+    norm = np.max(np.sum(np.abs(M), axis=-1), axis=-1)
+    s = np.zeros(norm.shape, dtype=int)
+    big = norm > 0.5
+    s[big] = np.ceil(np.log2(norm[big] / 0.5)).astype(int)
+    T = np.ldexp(M, -s[..., None, None])
+    E = np.broadcast_to(np.eye(M.shape[-1]), M.shape).copy()
+    term = E.copy()
+    for k in range(1, terms):
+        term = term @ T / k
+        E = E + term
+    for j in range(int(np.max(s, initial=0))):
+        E = np.where((s > j)[..., None, None], E @ E, E)
+    return E

@@ -15,7 +15,7 @@ from bfcg.gauge import expm_batched, fat_gauge_transform, thin_gauge_transform
 from bfcg.lattice import (Lattice, _random_recipe, discrete_derivative, levi_civita,
                           finest_order, fit_order, make_config_recipe, pairs,
                           slabs, triples)
-from support import sample_smooth_fields
+from support import expm_series, sample_smooth_fields
 
 ORACLE_MODULES = ["adjoint(su2)", "vector_poincare", "abelian(2,3)",
                   "trivial_bf(3)"]
@@ -30,23 +30,72 @@ def _const_field(vec, lat):
 def test_expm_batched_vs_series():
     rng = np.random.default_rng(0)
     M = rng.normal(size=(5, 3, 3))
-    E = expm_batched(M)
-    for i in range(5):
-        acc = np.eye(3)
-        termv = np.eye(3)
-        for k in range(1, 30):
-            termv = termv @ M[i] / k
-            acc = acc + termv
-        assert np.max(np.abs(E[i] - acc)) < 1e-12
+    assert np.max(np.abs(expm_batched(M) - expm_series(M))) < 1e-12
+
+
+@pytest.mark.parametrize("size", [1e-6, 1e-3, 0.1, 0.4, 1.0, 3.0, 10.0, 30.0,
+                                  100.0, 300.0, 1e3])
+def test_expm_batched_su2_closed_form(size):
+    """K = -ad_eps on adjoint(su2) is antisymmetric 3 x 3, so
+    exp K = I + (sin t / t) K + ((1 - cos t) / t^2) K^2 with t^2 = -tr(K^2)/2.
+    The sizes |eps| span the scalings s = 0 ... 12."""
+    cm = builtin_module("adjoint(su2)")
+    eps = np.random.default_rng(6).normal(size=(64, 3))
+    eps *= size / np.linalg.norm(eps, axis=1, keepdims=True)
+    K = -np.einsum("abc,sb->sac", cm.f, eps)
+    K2 = K @ K
+    t = np.sqrt(-np.trace(K2, axis1=1, axis2=2) / 2)[:, None, None]
+    # 1 - cos t written as 2 sin^2(t/2), which keeps its digits at small t
+    want = np.eye(3) + np.sin(t) / t * K + 2 * np.sin(t / 2) ** 2 / t ** 2 * K2
+    err = np.max(np.abs(expm_batched(K) - want), axis=(1, 2))
+    assert np.all(err <= 2e-15 * np.maximum(1.0, t[:, 0, 0])), np.max(err)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_expm_batched_dexpinv_matches_series(s):
+    """The dexpinv sum that comes with the exponential is its defining
+    series sum_{k=0}^{6} M^k / (k+1)!, whatever the stack's scaling s."""
+    rng = np.random.default_rng(5 + s)
+    M = rng.normal(size=(50, 4, 4))
+    M *= 0.45 * 2.0 ** s / np.max(np.sum(np.abs(M), axis=-1))
+    assert _squarings(M) == s
+    E, S = expm_batched(M, return_dexpinv=True)
+    assert np.array_equal(E, expm_batched(M))
+    want, power = np.broadcast_to(np.eye(4), M.shape).copy(), M.copy()
+    for k in range(1, 7):
+        want += power / math.factorial(k + 1)
+        power = power @ M
+    assert np.max(np.abs(S - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("scale", [np.inf, np.nan, 1e308])
 def test_expm_batched_unscalable_norm_gives_nan(scale):
     """A norm that is non-finite, or so large that no double 2**s scales it
-    into the series' range, gives a NaN stack instead of raising."""
+    into the series' range, gives NaN stacks, the exponential and its
+    dexpinv sum, instead of raising."""
     M = np.array([[[0.0, scale], [-scale, 0.0]], [[0.0, 0.1], [0.0, 0.0]]])
-    out = expm_batched(M)
-    assert out.shape == M.shape and np.all(np.isnan(out))
+    for out in (expm_batched(M), *expm_batched(M, return_dexpinv=True)):
+        assert out.shape == M.shape and np.all(np.isnan(out))
+
+
+def test_expm_batched_is_partition_independent():
+    """A matrix whose own scaling s equals its stack's gets bitwise the same
+    exponential and dexpinv sum in the stack, alone in a 1-stack and as one
+    2-D matrix: every operation is per matrix, so the slab partition of the
+    lattice cannot move a report's bytes."""
+    rng = np.random.default_rng(7)
+    M = rng.normal(size=(40, 4, 4))
+    M *= (rng.uniform(1.2, 2.0, size=40)
+          / np.max(np.sum(np.abs(M), axis=-1), axis=-1))[:, None, None]
+    M[30:] *= 0.1
+    E, S = expm_batched(M, return_dexpinv=True)
+    same = [i for i in range(len(M)) if _squarings(M[i]) == _squarings(M)]
+    assert len(same) == 30
+    for i in same:
+        for part in (M[i:i + 1], M[i]):
+            Ei, Si = expm_batched(part, return_dexpinv=True)
+            assert np.array_equal(Ei.reshape(E[i].shape), E[i])
+            assert np.array_equal(Si.reshape(S[i].shape), S[i])
 
 
 def test_thin_identity_at_zero_parameter():
@@ -67,7 +116,7 @@ def test_constant_thin_covariance_exact(name):
     eps = _const_field(rng.normal(size=cm.p) * 0.5, lat)
     out = thin_gauge_transform(cm, cfg.copy(), eps)
     ad = np.einsum("abc,b...->...ac", cm.f, eps)
-    Rg = expm_batched(-ad)
+    Rg = expm_series(-ad)
     for F0, F1 in ((curvature_F(cm, cfg), curvature_F(cm, out)),
                    (fake_curvature(cm, cfg), fake_curvature(cm, out))):
         rot = np.stack([np.einsum("...ab,b...->a...", Rg, F0[P])
@@ -75,7 +124,7 @@ def test_constant_thin_covariance_exact(name):
         assert np.max(np.abs(F1 - rot)) < 1e-10
     # G transforms in the exponentiated action representation
     if cm.q:
-        Rh = expm_batched(-np.einsum("xay,a...->...xy", cm.act, eps))
+        Rh = expm_series(-np.einsum("xay,a...->...xy", cm.act, eps))
         G0 = curvature_G3(cm, cfg)
         G1 = curvature_G3(cm, out)
         rot = np.stack([np.einsum("...xy,y...->x...", Rh, G0[T])
@@ -110,7 +159,7 @@ def _thin_oracle(cm, cfg, eps, dexp_order=6):
         return np.einsum("...xy,y...->x...", mat, field)
 
     ad = np.einsum("abc,b...->...ac", cm.f, eps)
-    Rg = expm_batched(-ad)
+    Rg = expm_series(-ad)
     eye = np.broadcast_to(np.eye(cm.p), ad.shape)
     S, power, fact = eye.copy(), eye.copy(), 1.0
     for k in range(1, dexp_order + 1):
@@ -123,7 +172,7 @@ def _thin_oracle(cm, cfg, eps, dexp_order=6):
     B = np.stack([apply(Rg, X) for X in cfg.B])
     beta, C = cfg.beta, cfg.C
     if cm.q:
-        Rh = expm_batched(-np.einsum("xay,a...->...xy", cm.act, eps))
+        Rh = expm_series(-np.einsum("xay,a...->...xy", cm.act, eps))
         beta = np.stack([apply(Rh, X) for X in cfg.beta])
         C = np.stack([apply(Rh, X) for X in cfg.C])
     return {"A": A, "beta": beta, "B": B, "C": C}
