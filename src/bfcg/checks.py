@@ -8,12 +8,14 @@ The CLI renders records to text; the acceptance suite asserts on them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossed_module import DEFAULT_TOL, _maxabs, validate_crossed_module
+from .crossed_module import (DEFAULT_TOL, _maxabs, _nondegeneracy_violation,
+                             validate_crossed_module)
 from .curvature import (bianchi_residuals, curvature_F, curvature_G3,
                         curvature_T, eom_gradient_check, eom_residuals,
                         evaluate_action, fake_curvature)
@@ -117,6 +119,20 @@ def _config(cm, cfg: RunConfig, lat: Lattice):
                               scale=0.4).realize(lat)
 
 
+def _nondegenerate(check):
+    """Run `check` only on a module whose metrics Q and q pass validate's
+    non-degeneracy rows; any other raises ValueError (a usage error, exit 2)
+    instead of reaching a verdict."""
+    @functools.wraps(check)
+    def guarded(cm, cfg: RunConfig) -> CheckRecord:
+        for label, metric in (("Q", cm.Q), ("q", cm.qf)):
+            if _nondegeneracy_violation(metric) > 0:
+                raise ValueError(f"the metric {label} of {cm.name} is "
+                                 f"degenerate (see validate)")
+        return check(cm, cfg)
+    return guarded
+
+
 def check_validate(cm, cfg: RunConfig) -> CheckRecord:
     rep = validate_crossed_module(cm, tol=cfg.tol)
     lines = [f"# crossed-module validation: {cm.name}"]
@@ -128,6 +144,7 @@ def check_validate(cm, cfg: RunConfig) -> CheckRecord:
                        {name: (float(viol),) for name, viol, _ in rep.entries})
 
 
+@_nondegenerate
 def check_curvature(cm, cfg: RunConfig) -> CheckRecord:
     n = cfg.ns[0]
     c = _config(cm, cfg, _lattice(cfg, 4, n))
@@ -143,6 +160,7 @@ def check_curvature(cm, cfg: RunConfig) -> CheckRecord:
                        {k: (v,) for k, v in norms.items()})
 
 
+@_nondegenerate
 def check_bianchi(cm, cfg: RunConfig) -> CheckRecord:
     if len(cfg.ns) < 3:
         raise ValueError("bianchi refinement needs at least 3 resolutions")
@@ -161,6 +179,7 @@ def check_bianchi(cm, cfg: RunConfig) -> CheckRecord:
                        {k: tuple(v) for k, v in table.items()}, orders, fits)
 
 
+@_nondegenerate
 def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
     rng = np.random.default_rng(cfg.seed + 100)
     eps_rec = _random_recipe(rng, 4, (cm.p,), cfg.modes, scale=0.3)
@@ -204,6 +223,7 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
                        "", lines, residuals, orders, fits)
 
 
+@_nondegenerate
 def check_eom(cm, cfg: RunConfig) -> CheckRecord:
     c = _config(cm, cfg, _lattice(cfg, 4, cfg.ns[0]))
     res = eom_residuals(cm, c)
@@ -216,6 +236,7 @@ def check_eom(cm, cfg: RunConfig) -> CheckRecord:
                        {"relerr": (float(worst),)})
 
 
+@_nondegenerate
 def check_algebra(cm, cfg: RunConfig) -> CheckRecord:
     n = cfg.ns[0]
     lat = _lattice(cfg, 3, n)
@@ -243,6 +264,7 @@ def check_algebra(cm, cfg: RunConfig) -> CheckRecord:
                        {"fundamental": (worst_fund,)})
 
 
+@_nondegenerate
 def check_consistency(cm, cfg: RunConfig) -> CheckRecord:
     n = cfg.ns[0]
     lat = _lattice(cfg, 3, n)
@@ -269,6 +291,7 @@ def check_consistency(cm, cfg: RunConfig) -> CheckRecord:
                        {"reduction": (float(red),)})
 
 
+@_nondegenerate
 def check_offshell(cm, cfg: RunConfig) -> CheckRecord:
     if not any(np.any(t) for t in (cm.f, cm.act, cm.del_)):
         # abelian: both dependencies hold exactly at any single n

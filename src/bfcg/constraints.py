@@ -265,10 +265,11 @@ _REGISTRY = {
     "P(beta)_0i": ("3q", _momentum("pbe0")),
     "P(beta)_jk": ("3q", _chi_beta),
     "S(H)": ("3p", lambda cm: _S_H(cm, lowered=False)),
-    "S(H)_low": ("3p", lambda cm: _S_H(cm, lowered=True)),
+    "S(H)_dual": ("3p", lambda cm: _eps_dual(_S_H(cm, lowered=True))),
     "S(G)": ("q", lambda cm: _S_G(cm, lowered=False)),
     "S(G)_low": ("q", lambda cm: _S_G(cm, lowered=True)),
     "S(CB)": ("3q", _S_CB),
+    "S(CB)_dual": ("3q", lambda cm: _eps_dual(_S_CB(cm))),
     "S(BCbeta)": ("p", _S_BCb),
     "phi(H)": ("3p", _phi_H),
     "phi(G)": ("q", _phi_G),
@@ -325,9 +326,10 @@ def _expand(cm, name: str, gauge_fixed: bool) -> Density:
 def constraint_density(cm, name: str) -> Density:
     """Compressed monomial density of a registered family, cached per module.
 
-    Besides FAMILIES this builds S(H)_low, S(G)_low, the determined
-    multipliers lam(A), lam(beta), lam(C), lam(B) and H_T (without its free
-    temporal multipliers).
+    Besides FAMILIES this builds S(G)_low, the epsilon duals S(H)_dual
+    (Q-lowered) and S(CB)_dual, 1/2 eps^{ijk} S_{jk}, that phi(H) and
+    phi(CB) start from, the determined multipliers lam(A), lam(beta),
+    lam(C), lam(B) and H_T (without its free temporal multipliers).
     """
     return _expand(cm, name, gauge_fixed=False)
 

@@ -10,10 +10,12 @@ A differential crossed module (g, h, ∂, ▷) is stored componentwise:
     qf[al, be]   = q_{αβ}       invariant bilinear form on h
 
 Index placement is always the "natural" one above; raising/lowering is done
-explicitly with Q, qf and their inverses.  Lowered combinations that appear
-all over the component formulas are cached on the instance (the cache is
-not an init field, so dataclasses.replace gives a fresh one):
+explicitly with Q, qf and their inverses.  Each derived tensor below is a
+cached property, computed on first use and kept in the instance dict (so
+dataclasses.replace gives a fresh one); only Qinv, qfinv and the tensors
+built from them need a non-degenerate metric:
 
+    Qinv, qfinv                                       (inverse metrics)
     flow[a, b, c]    = Q_{ad} f^d_{bc}                (totally antisymmetric)
     actlow[al, a, be] = q_{αγ} ▷^γ_{aβ}               (antisymmetric in α, β)
     actmix[al, a, de] = ▷_{αa}{}^δ = actlow · qf⁻¹
@@ -27,12 +29,16 @@ assumes positivity.
 Pure BF theory is the member with h = 0: q = 0 is an empty h, so every
 h-tensor has a zero-length axis and every h-sector term is an empty array or
 an exact zero.  No code branches on it.
+
+The `_cache` field holds the constraint densities expanded for the module
+(see bfcg.constraints).
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,65 +102,39 @@ class DifferentialCrossedModule:
                 raise CrossedModuleError(f"tensor {attr!r} has non-finite entries")
             object.__setattr__(self, attr, arr)
 
-    # -- cached derived tensors ------------------------------------------
+    # -- derived tensors, each computed on first use ---------------------
 
-    def _derived(self, key):
-        if key not in self._cache:
-            self._cache.update(_build_derived(self))
-        return self._cache[key]
-
-    @property
+    @cached_property
     def Qinv(self):
-        return self._derived("Qinv")
+        return np.linalg.inv(self.Q)
 
-    @property
+    @cached_property
     def qfinv(self):
-        return self._derived("qfinv")
+        return np.linalg.inv(self.qf)
 
-    @property
+    @cached_property
     def flow(self):
-        return self._derived("flow")
+        return np.einsum("ad,dbc->abc", self.Q, self.f)
 
-    @property
+    @cached_property
     def actlow(self):
-        return self._derived("actlow")
+        return np.einsum("ag,gbd->abd", self.qf, self.act)
 
-    @property
+    @cached_property
     def actmix(self):
-        return self._derived("actmix")
+        return np.einsum("abd,dg->abg", self.actlow, self.qfinv)
 
-    @property
+    @cached_property
     def actQ(self):
-        return self._derived("actQ")
+        return np.einsum("eb,abd->aed", self.Qinv, self.actlow)
 
-    @property
+    @cached_property
     def dlow(self):
-        return self._derived("dlow")
+        return np.einsum("ab,bc->ac", self.del_, self.Q)
 
-    @property
+    @cached_property
     def dup(self):
-        return self._derived("dup")
-
-
-def _build_derived(cm: DifferentialCrossedModule) -> dict:
-    Qinv = np.linalg.inv(cm.Q)
-    qfinv = np.linalg.inv(cm.qf)
-    flow = np.einsum("ad,dbc->abc", cm.Q, cm.f)
-    actlow = np.einsum("ag,gbd->abd", cm.qf, cm.act)
-    actmix = np.einsum("abd,dg->abg", actlow, qfinv)
-    actQ = np.einsum("eb,abd->aed", Qinv, actlow)
-    dlow = np.einsum("ab,bc->ac", cm.del_, cm.Q)
-    dup = np.einsum("ag,gb,bc->ac", qfinv, cm.del_, cm.Q)
-    return {
-        "Qinv": Qinv,
-        "qfinv": qfinv,
-        "flow": flow,
-        "actlow": actlow,
-        "actmix": actmix,
-        "actQ": actQ,
-        "dlow": dlow,
-        "dup": dup,
-    }
+        return np.einsum("ag,gb,bc->ac", self.qfinv, self.del_, self.Q)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +178,7 @@ def validate_crossed_module(cm: DifferentialCrossedModule,
     residuals are max-abs values of the identity written as LHS - RHS = 0.
     """
     f, phi, del_, act = cm.f, cm.phi, cm.del_, cm.act
-    Q, qf = cm.Q, cm.qf
-    # computed locally so degenerate metrics still produce a report
-    actlow = np.einsum("ag,gbd->abd", qf, act)
+    Q, qf, actlow = cm.Q, cm.qf, cm.actlow
     checks = []
 
     checks.append(("f_antisymmetry", _maxabs(f + np.swapaxes(f, 1, 2))))
@@ -395,15 +373,21 @@ def dump_crossed_module(cm: DifferentialCrossedModule) -> str:
 
 def load_crossed_module(text: str) -> DifferentialCrossedModule:
     """Parse the text format; shapes and finiteness are checked, identities
-    are not (validation is a separate step so broken inputs can be tested)."""
+    are not (validation is a separate step so broken inputs can be tested).
+    An unknown tensor name and a repeated entry are errors."""
     name = None
     p = q = None
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     tensors = {}
+    seen = set()
     i = 0
     while i < len(lines):
         parts = lines[i].split()
         key = parts[0]
+        entry = " ".join(parts[:2]) if key == "tensor" else key
+        if entry in seen:
+            raise CrossedModuleError(f"repeated entry {entry!r}")
+        seen.add(entry)
         if key == "name":
             name = " ".join(parts[1:]) if len(parts) > 1 else "unnamed"
             i += 1
@@ -421,6 +405,8 @@ def load_crossed_module(text: str) -> DifferentialCrossedModule:
             if len(parts) < 2:
                 raise CrossedModuleError(f"bad tensor line: {lines[i]!r}")
             tname = parts[1]
+            if tname not in _TENSOR_ORDER:
+                raise CrossedModuleError(f"unknown tensor {tname!r}")
             try:
                 shape = tuple(int(s) for s in parts[2:])
             except ValueError as exc:

@@ -115,12 +115,13 @@ def test_criterion_04_gauge_invariance():
     o_fat = finest_order(spacings, dfat)
     cfg = _su2_config(8)
     lat8 = cfg.lattice
-    eps_c = np.broadcast_to(np.array([0.4, -0.3, 0.2]).reshape(3, 1, 1, 1, 1),
-                            (3,) + lat8.shape).copy()
-    ct = thin_gauge_transform(cm, cfg.copy(), eps_c)
-    Rg = expm_batched(-np.einsum("abc,b...->...ac", cm.f, eps_c))
+    eps_c = np.array([0.4, -0.3, 0.2])
+    eps_field = np.broadcast_to(eps_c.reshape(3, 1, 1, 1, 1),
+                                (3,) + lat8.shape).copy()
+    ct = thin_gauge_transform(cm, cfg.copy(), eps_field)
+    Rg = expm_batched(-np.einsum("abc,b->ac", cm.f, eps_c))
     F0 = curvature_F(cm, cfg)
-    rot = np.stack([np.einsum("...ab,b...->a...", Rg, F0[P]) for P in range(6)])
+    rot = np.einsum("ab,Pb...->Pa...", Rg, F0)
     cov = float(np.max(np.abs(curvature_F(cm, ct) - rot)))
     ok_thin = o_thin != "exact" and order_ok(o_thin)
     _report("C04 gauge invariance", ok_thin and order_ok(o_fat) and cov <= 1e-10,

@@ -127,8 +127,8 @@ def test_secondaries_match_curvature_oracles(name):
 STRUCTURE_MODULES = ("trivial_bf(1)", "trivial_bf(3)", "adjoint(su2)",
                      "vector_poincare", "abelian(1,1)", "abelian(2,3)",
                      "abelian(4,2)")
-BUILT_NAMES = FAMILIES + ("S(H)_low", "S(G)_low", "lam(A)", "lam(beta)",
-                          "lam(C)", "lam(B)")
+BUILT_NAMES = FAMILIES + ("S(H)_dual", "S(CB)_dual", "S(G)_low", "lam(A)",
+                          "lam(beta)", "lam(C)", "lam(B)")
 GAUGE_FIXED = ("S(H)", "S(G)", "S(CB)", "S(BCbeta)")
 
 

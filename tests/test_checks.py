@@ -1,5 +1,7 @@
 """The check registry: the order gate, run configurations and records."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from bfcg import checks
 from bfcg import curvature
 from bfcg.checks import (CHECKS, ORDER_WINDOW, RunConfig, check_bianchi,
                          check_dof, check_offshell, order_ok)
-from bfcg.crossed_module import builtin_module
+from bfcg.cli import main
+from bfcg.crossed_module import builtin_module, dump_crossed_module
 from bfcg.lattice import slab_derivative
 
 
@@ -57,6 +60,27 @@ def test_nan_fundamental_bracket_fails_algebra(monkeypatch):
     rec = checks.check_algebra(builtin_module("abelian(1,1)"), RunConfig(ns=(4,)))
     assert not rec.ok
     assert rec.lines[-1] == "fundamental-brackets worst nan"
+
+
+@pytest.mark.parametrize("metric, value", [("Q", 0.0), ("Q", 1e-12),
+                                           ("qf", 0.0), ("qf", 1e-12)])
+@pytest.mark.parametrize("command", [name for name in CHECKS
+                                     if name != "validate"])
+def test_degenerate_metric_never_reaches_a_verdict(tmp_path, capsys, command,
+                                                   metric, value):
+    """A metric that validate FAILs as degenerate, exactly or nearly
+    singular, makes every other check a usage error (exit 2), never a PASS."""
+    cm = builtin_module("abelian(2,2)")
+    M = getattr(cm, metric).copy()
+    M[1, 1] = value
+    path = tmp_path / "degenerate.cmspec"
+    path.write_text(dump_crossed_module(replace(cm, **{metric: M})))
+    assert main(["validate", "--spec", str(path)]) == 1
+    capsys.readouterr()
+    code = main([command, "--spec", str(path), "--n", "4,6,8"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: the metric") and "degenerate" in err
 
 
 def test_run_config_defaults_spacing_to_first_rung():

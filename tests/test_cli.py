@@ -86,6 +86,17 @@ def test_missing_spec_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", ["tensor fx 1\n0.0\n", "p 3\n"])
+def test_malformed_spec_is_usage_error(tmp_path, extra, capsys):
+    """An unknown tensor or a repeated entry is not silently ignored."""
+    path = tmp_path / "bad.cmspec"
+    path.write_text(dump_crossed_module(builtin_module("adjoint(su2)")) + extra)
+    code = main(["validate", "--spec", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_unknown_module_is_usage_error(capsys):
     code = main(["validate", "--module", "not_a_module"])
     assert code == 2

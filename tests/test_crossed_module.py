@@ -255,6 +255,22 @@ def test_load_non_numeric_rejected():
         load_crossed_module(text)
 
 
+def test_load_unknown_tensor_rejected():
+    text = dump_crossed_module(builtin_module("abelian(1,1)")) + "tensor fx 1\n0.0\n"
+    with pytest.raises(CrossedModuleError, match="unknown tensor 'fx'"):
+        load_crossed_module(text)
+
+
+@pytest.mark.parametrize("extra", ["tensor f 3 3 3\n" + "0.0\n" * 27, "p 3\n",
+                                   "q 3\n", "name again\n"],
+                         ids=["tensor", "p", "q", "name"])
+def test_load_repeated_entry_rejected(extra):
+    """A second f block of zeros would silently make adjoint(su2) abelian."""
+    text = dump_crossed_module(builtin_module("adjoint(su2)")) + extra
+    with pytest.raises(CrossedModuleError, match="repeated entry"):
+        load_crossed_module(text)
+
+
 def test_constructor_rejects_non_finite():
     with pytest.raises(CrossedModuleError):
         DifferentialCrossedModule(

@@ -1,9 +1,11 @@
-"""Every public bfcg name has a caller outside the tests.
+"""Every public bfcg name, and every private function, has a caller
+outside the tests.
 
 A name in a module's __all__ that no other library code and no perfbench
 workload reaches is served only by the tests: it belongs in the tests, as
-an oracle, or nowhere.  These tests read the source files without
-importing them.
+an oracle, or nowhere.  A module-level private function that nothing in the
+library or in perfbench reads is a leftover of a cut.  These tests read the
+source files without importing them.
 """
 
 import ast
@@ -34,6 +36,14 @@ def _exported():
                     for t in node.targets):
                 out += [(path.stem, elt.value) for elt in node.value.elts]
     return out
+
+
+def _private_functions():
+    """(module, name) of every module-level function named _name."""
+    return [(path.stem, node.name) for path in _library_files()
+            for node in _tree(path).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")]
 
 
 def _references():
@@ -67,3 +77,9 @@ def test_the_surface_is_not_empty():
 def test_exported_name_has_a_caller(module, name):
     if name not in REFERENCES:
         pytest.fail(f"bfcg.{module}.{name} is called only by tests")
+
+
+@pytest.mark.parametrize("module, name", _private_functions())
+def test_private_function_has_a_caller(module, name):
+    if name not in REFERENCES:
+        pytest.fail(f"bfcg.{module}.{name} is never read by library code")

@@ -11,7 +11,7 @@ from bfcg.crossed_module import builtin_module, contract
 from bfcg.curvature import _bianchi_g, _bianchi_h, curvature_F, curvature_T
 from bfcg.lattice import (EPS3_PAIR, FieldConfiguration, Lattice,
                           discrete_derivative)
-from bfcg.localpoly import poisson_bracket, smear
+from bfcg.localpoly import LocalFunctional, poisson_bracket, smear
 from bfcg import relations
 from bfcg.phase import CANONICAL_PAIRS, PhasePoint, random_phase_point
 from bfcg.relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_RELATIONS,
@@ -48,6 +48,22 @@ def test_fundamental_brackets_machine_exact(cm):
     res = fundamental_bracket_residuals(cm, pt, seed=5)
     assert res["conjugate"] < 1e-12
     assert res["cross"] < 1e-12
+
+
+def test_fundamental_brackets_differentiate_each_block_once(monkeypatch):
+    """One gradient per smeared block (16), not one per side of each of the
+    120 brackets (240)."""
+    pt = random_phase_point(SU2, LAT, seed=2, rule="random")
+    calls = []
+    gradient = LocalFunctional.gradient
+
+    def counted(self, point):
+        calls.append(self)
+        return gradient(self, point)
+
+    monkeypatch.setattr(LocalFunctional, "gradient", counted)
+    fundamental_bracket_residuals(SU2, pt, seed=5)
+    assert len(calls) == 2 * len(CANONICAL_PAIRS) == 16
 
 
 @pytest.mark.parametrize("cm", [SU2, VP], ids=["su2", "poincare"])
@@ -120,8 +136,8 @@ def test_consistency_abelian_secondaries_preserved_exactly():
 def _consistency_rows_one_bracket_each(cm, point, seed):
     """consistency_residuals rebuilt with a full poisson_bracket per row, so
     H_T is differentiated afresh for every row."""
-    from bfcg.relations import (_SPATIAL_ROWS, _TEMPORAL_ROWS, _secondary_dual,
-                                _vol_sum, make_test)
+    from bfcg.relations import (_SPATIAL_ROWS, _TEMPORAL_ROWS, _vol_sum,
+                                make_test)
     lat = point.lattice
     ht = total_hamiltonian_functional(cm, lat)
     fams = ([fam for fam, _, _ in _TEMPORAL_ROWS] + list(_SPATIAL_ROWS)
@@ -140,7 +156,7 @@ def _consistency_rows_one_bracket_each(cm, point, seed):
     for fam, phi_fam, sec_kind in _TEMPORAL_ROWS:
         t, br = bracket(fam)
         phi_val = paired(t, evaluate_constraint(cm, phi_fam, point))
-        sec_val = paired(t, _secondary_dual(cm, point, sec_kind))
+        sec_val = paired(t, evaluate_constraint(cm, sec_kind, point))
         rows.append((f"{fam} vs {phi_fam}", abs(br - phi_val)))
         rows.append((f"{fam} vs secondary", abs(br - sec_val)))
     for fam in _SPATIAL_ROWS:
@@ -248,13 +264,13 @@ def test_reduction_keeps_a_nan_row(monkeypatch):
     """A NaN in a later phi row reaches the result instead of being
     dropped by the running maximum."""
     pt = random_phase_point(SU2, LAT, seed=13, rule="random")
-    dual = relations._secondary_dual
+    evaluate = relations.evaluate_constraint
 
-    def nan_for_bcbeta(cm, point, kind):
-        arr = dual(cm, point, kind)
-        return np.full_like(arr, np.nan) if kind == "S(BCbeta)" else arr
+    def nan_for_bcbeta(cm, family, point):
+        arr = evaluate(cm, family, point)
+        return np.full_like(arr, np.nan) if family == "S(BCbeta)" else arr
 
-    monkeypatch.setattr(relations, "_secondary_dual", nan_for_bcbeta)
+    monkeypatch.setattr(relations, "evaluate_constraint", nan_for_bcbeta)
     assert np.isnan(reduction_residual(SU2, pt))
 
 
