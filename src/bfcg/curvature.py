@@ -52,14 +52,17 @@ the stored (axis, triple) and (pair, pair) terms of eps directly.
 
 Slab streaming.  Every stencil kernel here is evaluated one slab at a time
 (lattice.slabs: consecutive rows of lattice axis 0, at most
-lattice.SLAB_SITES sites), so its intermediates stay in cache; inputs and
-outputs are full arrays.  A slab reads the neighbour rows of its inputs
-along axis 0 from the full fields (lattice.slab_derivative).  Nested
-stencils -- d_A of F and of T, nabla_l of the d_A triples -- keep their
-inner level as full arrays built slab by slab, so no rows are recomputed.
-Each site gets the same operations in the same order on any partition, so
-the results are bitwise independent of the slab size; the action's density
-is one full site array summed once.
+lattice.SLAB_SITES sites), so its intermediates stay in cache.  A kernel
+differences its input through a window: the slab and the neighbour rows
+before and after it along axis 0 (lattice.slab_derivative).  A full field's
+window is a view of it (lattice.slab_window).  The public curvatures are
+full arrays filled slab by slab, but the Bianchi identities never form one:
+they difference curvatures held in slab rings (_ring), which compute each
+slab once and pass the next difference the current slab with the edge rows
+of the slabs around it, so beside the configuration Bianchi holds a few
+slabs.  Each site gets the same operations in the same order on any
+partition, so the results are bitwise independent of the slab size; the
+action's density is one full site array summed once.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ import numpy as np
 
 from .crossed_module import _maxabs, contract
 from .lattice import (FieldConfiguration, levi_civita, pair_index, pairs,
-                      slab_derivative, slabs, triples)
+                      slab_derivative, slab_window, slabs, triples)
 
 __all__ = [
     "curvature_F",
@@ -86,8 +89,8 @@ def _curvature_F_pair(cm, cfg, P, rows) -> np.ndarray:
     """F^a on the stored pair P over the slab `rows`, shape (p, slab...)."""
     lat = cfg.lattice
     m, n = pairs(lat.D)[P]
-    out = (slab_derivative(cfg.A[n], m, lat, rows)
-           - slab_derivative(cfg.A[m], n, lat, rows))
+    out = (slab_derivative(slab_window(cfg.A[n], lat, rows), m, lat)
+           - slab_derivative(slab_window(cfg.A[m], lat, rows), n, lat))
     out += contract(cm.f, cfg.A[m, :, rows], cfg.A[n, :, rows])
     return out
 
@@ -119,14 +122,15 @@ def fake_curvature(cm, cfg: FieldConfiguration) -> np.ndarray:
                     lambda P, rows: _fake_curvature_pair(cm, cfg, P, rows))
 
 
-def _cov_derivative(cfg, coupling, X, axis, rows) -> np.ndarray:
-    """D_axis X + coupling(A_axis, X) over the slab `rows`, for a full field X
-    with its Lie index first.
+def _cov_derivative(cfg, coupling, window, axis, rows) -> np.ndarray:
+    """D_axis X + coupling(A_axis, X) over the slab `rows`, from the window
+    (row before, slab, row after) of X along lattice axis 0, Lie index first
+    (lattice.slab_derivative).
 
     coupling[out, a, in] is f for g-valued and act for h-valued X.
     """
-    out = slab_derivative(X, axis, cfg.lattice, rows)
-    out += contract(coupling, cfg.A[axis, :, rows], X[:, rows])
+    out = slab_derivative(window, axis, cfg.lattice)
+    out += contract(coupling, cfg.A[axis, :, rows], window[1])
     return out
 
 
@@ -141,45 +145,44 @@ def _cyclic(tri, D):
 
 
 def _three_form_triple(cfg, two_form, coupling, tri, rows) -> np.ndarray:
-    """d_A of a full pair-stored 2-form on one triple over the slab `rows`:
-    the S3-antisymmetrized covariant curl sum_{p in S3} sgn(p) nabla_d X_{ij},
-    (d, i, j) = p(tri)."""
-    out = np.zeros(two_form[0, :, rows].shape)
+    """d_A of a pair-stored 2-form, given by its window, on one triple over
+    the slab `rows`: the S3-antisymmetrized covariant curl
+    sum_{p in S3} sgn(p) nabla_d X_{ij}, (d, i, j) = p(tri)."""
+    out = np.zeros(two_form[1][0].shape)
     for d, P, psign in _cyclic(tri, cfg.lattice.D):
-        out += psign * _cov_derivative(cfg, coupling, two_form[P], d, rows)
+        window = tuple(w[P] for w in two_form)
+        out += psign * _cov_derivative(cfg, coupling, window, d, rows)
     out *= 2.0
     return out
 
 
-def _wedge_triple(coupling, two_form, one_form, tri, rows) -> np.ndarray:
-    """W(c; X, Y) on one triple over the slab `rows`: the S3 sum of
-    c(X_{ij}, Y_d), which is 2 sum_{cyclic (d, i, j)} sgn(i, j) c(X_P, Y_d)."""
-    out = np.zeros((coupling.shape[0],) + two_form[0, :, rows].shape[1:])
+def _wedge_triple(coupling, two_form, one_form, tri) -> np.ndarray:
+    """W(c; X, Y) on one triple over a slab of a 2-form X and a 1-form Y: the
+    S3 sum of c(X_{ij}, Y_d), which is 2 sum_{cyclic (d, i, j)} sgn(i, j)
+    c(X_P, Y_d)."""
+    out = np.zeros((coupling.shape[0],) + two_form.shape[2:])
     for d, P, psign in _cyclic(tri, len(one_form)):
-        out += psign * contract(coupling, two_form[P, :, rows],
-                                one_form[d, :, rows])
+        out += psign * contract(coupling, two_form[P], one_form[d])
     out *= 2.0
     return out
-
-
-def _three_form(cfg, two_form, coupling, tris) -> np.ndarray:
-    """The 3-form of _three_form_triple on the triples `tris`, as full
-    arrays filled slab by slab."""
-    return _by_slab(cfg, np.empty((len(tris),) + two_form.shape[1:]),
-                    lambda Ti, rows: _three_form_triple(cfg, two_form, coupling,
-                                                        tris[Ti], rows))
 
 
 def curvature_G3(cm, cfg: FieldConfiguration) -> np.ndarray:
     """G^al_{mnr} on ordered triples (S3 6-term convention)."""
-    return _three_form(cfg, cfg.beta, cm.act, triples(cfg.lattice.D))
+    tris = triples(cfg.lattice.D)
+    return _by_slab(cfg, np.empty((len(tris),) + cfg.beta.shape[1:]),
+                    lambda Ti, rows: _three_form_triple(
+                        cfg, slab_window(cfg.beta, cfg.lattice, rows), cm.act,
+                        tris[Ti], rows))
 
 
 def _curvature_T_pair(cm, cfg, P, rows) -> np.ndarray:
     """T^al on the stored pair P over the slab `rows`, shape (q, slab...)."""
-    m, n = pairs(cfg.lattice.D)[P]
-    out = _cov_derivative(cfg, cm.act, cfg.C[n], m, rows)
-    out -= _cov_derivative(cfg, cm.act, cfg.C[m], n, rows)
+    lat = cfg.lattice
+    m, n = pairs(lat.D)[P]
+    out = _cov_derivative(cfg, cm.act, slab_window(cfg.C[n], lat, rows), m, rows)
+    out -= _cov_derivative(cfg, cm.act, slab_window(cfg.C[m], lat, rows), n,
+                           rows)
     return out
 
 
@@ -195,16 +198,16 @@ def _lower(metric, X) -> np.ndarray:
 
 
 def _bianchi_g(cm, cfg, F, tri, rows) -> np.ndarray:
-    """Q . d_A F on one triple over the slab `rows`, the g-sector Bianchi
-    3-form."""
+    """Q . d_A F on one triple over the slab `rows`, from the window of F:
+    the g-sector Bianchi 3-form."""
     return _lower(cm.Q, _three_form_triple(cfg, F, cm.f, tri, rows))
 
 
 def _bianchi_h(cm, cfg, F, T, tri, rows) -> np.ndarray:
-    """q . d_A T - W(actlow; F, C) on one triple over the slab `rows`, the
-    h-sector Bianchi 3-form."""
+    """q . d_A T - W(actlow; F, C) on one triple over the slab `rows`, from
+    the windows of F and T: the h-sector Bianchi 3-form."""
     out = _lower(cm.qf, _three_form_triple(cfg, T, cm.act, tri, rows))
-    out -= _wedge_triple(cm.actlow, F, cfg.C, tri, rows)
+    out -= _wedge_triple(cm.actlow, F[1], cfg.C[:, :, rows], tri)
     return out
 
 
@@ -234,12 +237,13 @@ def evaluate_action(cm, cfg: FieldConfiguration) -> float:
     dens = np.zeros(lat.shape)
     for rows in slabs(lat):
         slab = dens[rows]
+        beta = slab_window(cfg.beta, lat, rows)
         for Pi, Pj, e in _PP4:
             H = _fake_curvature_pair(cm, cfg, Pj, rows)
             slab += e * np.einsum("a...,ab,b...->...", cfg.B[Pi, :, rows],
                                   cm.Q, H)
         for mu, tri, e in _AT4:
-            G = _three_form_triple(cfg, cfg.beta, cm.act, tri, rows)
+            G = _three_form_triple(cfg, beta, cm.act, tri, rows)
             slab += e * np.einsum("x...,xy,y...->...", cfg.C[mu, :, rows],
                                   cm.qf, G)
     return float(lat.volume_element * np.sum(dens))
@@ -265,9 +269,11 @@ def eom_residuals(cm, cfg: FieldConfiguration) -> dict:
     E_A = np.empty((4, cm.p) + lat.shape)
     actlow_a = cm.actlow.transpose(1, 0, 2)  # [a, al, be]
     for rows in slabs(lat):
+        B = slab_window(cfg.B, lat, rows)
         for sig, tri, e in _AT4:
-            E = _lower(cm.Q, _three_form_triple(cfg, cfg.B, cm.f, tri, rows))
-            E += 2.0 * _wedge_triple(actlow_a, cfg.beta, cfg.C, tri, rows)
+            E = _lower(cm.Q, _three_form_triple(cfg, B, cm.f, tri, rows))
+            E += 2.0 * _wedge_triple(actlow_a, cfg.beta[:, :, rows],
+                                     cfg.C[:, :, rows], tri)
             E *= -e
             E_A[sig, :, rows] = E
 
@@ -330,50 +336,113 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
 # Bianchi identities
 # ---------------------------------------------------------------------------
 
-def _covariant_top_form(cfg, F, X, coupling, metric) -> float:
-    """max |metric . eps^{lmnr} (1/3 nabla_l d_A X_{mnr} - c(F_{lm}, X_{nr}))|
-    for a pair-stored 2-form X with coupling c: the 3-form Bianchi identity.
+def _ring(lattice, kernel, reduce) -> list:
+    """reduce(rows, windows) on every slab of lattice.slabs, slab 0 last.
 
-    The d_A triples are full arrays, built slab by slab before the outer
-    nabla_l differences them, so no slab recomputes a neighbour's rows.
+    kernel(rows) gives a tuple of fields on the slab `rows` (D = 4 lattice
+    axes last), and windows holds one (row before, slab, row after) window
+    along lattice axis 0 per field (see lattice.slab_derivative); the
+    neighbour rows are the edge rows of the slabs around, read where they
+    lie.  Each slab is computed once.  Slab 0 waits for its row before, row
+    n - 1, so it is held to the end together with the first row of slab 1;
+    beside it the ring holds the current slab, the next one and the last
+    row of the previous one.
     """
-    dA = _three_form(cfg, X, coupling, [tri for _, tri, _ in _AT4])
-    worst = []
-    for rows in slabs(cfg.lattice):
-        out = np.zeros(X[0, :, rows].shape)
-        for k, (lam, _, e) in enumerate(_AT4):
-            out += 2.0 * e * _cov_derivative(cfg, coupling, dA[k], lam, rows)
-        for Pi, Pj, e in _PP4:
-            out -= 4.0 * e * contract(coupling, F[Pi, :, rows], X[Pj, :, rows])
-        worst.append(_maxabs(_lower(metric, out)))
-    # np.max, not max: a NaN slab must reach the result
-    return float(np.max(worst))
+    def edge(fields, k):
+        return tuple(f[..., k:k + 1 or None, :, :, :] for f in fields)
+
+    def copied(fields):
+        return tuple(f.copy() for f in fields)
+
+    parts = slabs(lattice)
+    zero = kernel(parts[0])
+    cur = kernel(parts[1]) if len(parts) > 1 else zero
+    before, head = edge(zero, -1), edge(cur, 0)
+    out = []
+    for s in range(1, len(parts)):
+        nxt = kernel(parts[s + 1]) if s + 1 < len(parts) else zero
+        out.append(reduce(parts[s], tuple(zip(before, cur, edge(nxt, 0)))))
+        before = copied(edge(cur, -1))
+        if s == 1:   # let slab 1 go: slab 0 reads only its first row
+            head = copied(head)
+        cur = nxt
+    out.append(reduce(parts[0], tuple(zip(before, zero, head))))
+    return out
+
+
+def _covariant_top_form(cfg, F, X, coupling, metric, dA0, rows) -> float:
+    """max |metric . eps^{lmnr} (1/3 nabla_l d_A X_{mnr} - c(F_{lm}, X_{nr}))|
+    over the slab `rows`, for a pair-stored 2-form X with coupling c: the
+    3-form Bianchi identity.  F is the slab's F, one array per stored pair.
+
+    dA0 is the window of d_A X on the triple (1, 2, 3), the one differenced
+    along axis 0.  The other three triples are differenced along axes 1..3
+    only, within the slab, so each is formed on the slab and needs no
+    neighbour rows.
+    """
+    window = slab_window(X, cfg.lattice, rows)
+    out = np.zeros(window[1][0].shape)
+    for lam, tri, e in _AT4:
+        dA = dA0 if lam == 0 else (
+            None, _three_form_triple(cfg, window, coupling, tri, rows), None)
+        out += 2.0 * e * _cov_derivative(cfg, coupling, dA, lam, rows)
+    for Pi, Pj, e in _PP4:
+        out -= 4.0 * e * contract(coupling, F[Pi], window[1][Pj])
+    return _maxabs(_lower(metric, out))
 
 
 def bianchi_residuals(cm, cfg: FieldConfiguration) -> dict:
     """Max-abs residuals of the four lattice Bianchi identities.
 
-    The 2-form identities are eps^{l T} times a Bianchi 3-form on the triple
-    T complementary to l; each triple is formed one slab at a time and
-    reduced to its max at once (the sign eps = +-1 does not change a
-    max-abs).  F and T are full arrays, filled slab by slab, because the
-    outer d_A differences them across slab edges.
+    No curvature is a full array: two slab rings (_ring) make two passes.
+    The first carries F and T.  The 2-form identities are eps^{l T} times a
+    Bianchi 3-form on the triple T complementary to l; each triple is formed
+    on one slab and reduced to its max at once (the sign eps = +-1 does not
+    change a max-abs).  The second carries d_A B and d_A beta on the triple
+    (1, 2, 3), the only triple the top forms difference along axis 0, and
+    forms F again on each slab for their wedge terms.  As two passes, not
+    one, they hold two ring fields at a time, not four.  Each site gets the
+    same operations as on any other slab partition, so the residuals are
+    bitwise independent of the slab size.
     """
     lat = cfg.lattice
     if lat.D != 4:
         raise ValueError("Bianchi residuals are defined on D=4 configurations")
-    F = curvature_F(cm, cfg)
-    T = curvature_T(cm, cfg)
-    worst_F, worst_T = [], []
-    for rows in slabs(lat):
-        for tri in triples(4):
-            worst_F.append(_maxabs(_bianchi_g(cm, cfg, F, tri, rows)))
-            worst_T.append(_maxabs(_bianchi_h(cm, cfg, F, T, tri, rows)))
-    del T
+    npairs = len(pairs(4))
+    tops = ((cfg.B, cm.f, cm.Q), (cfg.beta, cm.act, cm.qf))
+    dA0_triple = _AT4[0][1]   # complementary to axis 0
+
+    def curvatures(rows):
+        shape = cfg.A[0, 0, rows].shape
+        F = np.empty((npairs, cm.p) + shape)
+        T = np.empty((npairs, cm.q) + shape)
+        for P in range(npairs):
+            F[P] = _curvature_F_pair(cm, cfg, P, rows)
+            T[P] = _curvature_T_pair(cm, cfg, P, rows)
+        return F, T
+
+    def two_forms(rows, windows):
+        F, T = windows
+        return [(_maxabs(_bianchi_g(cm, cfg, F, tri, rows)),
+                 _maxabs(_bianchi_h(cm, cfg, F, T, tri, rows)))
+                for tri in triples(4)]
+
+    def top_triples(rows):
+        return tuple(_three_form_triple(cfg, slab_window(X, lat, rows),
+                                        coupling, dA0_triple, rows)
+                     for X, coupling, _ in tops)
+
+    def top_forms(rows, windows):
+        F = [_curvature_F_pair(cm, cfg, P, rows) for P in range(npairs)]
+        return [_covariant_top_form(cfg, F, X, coupling, metric, dA0, rows)
+                for (X, coupling, metric), dA0 in zip(tops, windows)]
+
     # np.max, not max: a NaN triple must reach the result
+    worst_F, worst_T = np.max(_ring(lat, curvatures, two_forms), axis=(0, 1))
+    worst_GB, worst_G = np.max(_ring(lat, top_triples, top_forms), axis=0)
     return {
-        "bianchi_F": float(np.max(worst_F)),
-        "bianchi_T": float(np.max(worst_T)),
-        "bianchi_GB": _covariant_top_form(cfg, F, cfg.B, cm.f, cm.Q),
-        "bianchi_G": _covariant_top_form(cfg, F, cfg.beta, cm.act, cm.qf),
+        "bianchi_F": float(worst_F),
+        "bianchi_T": float(worst_T),
+        "bianchi_GB": float(worst_GB),
+        "bianchi_G": float(worst_G),
     }

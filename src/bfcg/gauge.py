@@ -40,7 +40,8 @@ import math
 import numpy as np
 
 from .crossed_module import contract, t_map
-from .lattice import FieldConfiguration, pairs, slab_derivative, slabs
+from .lattice import (FieldConfiguration, pairs, slab_derivative, slab_window,
+                      slabs)
 
 __all__ = [
     "expm_batched",
@@ -134,8 +135,9 @@ def thin_gauge_transform(cm, cfg: FieldConfiguration,
         Rg, S = expm_batched(-np.einsum("abc,bs->sac", cm.f, eps),
                              return_dexpinv=True)
         Rh = expm_batched(-np.einsum("xay,as->sxy", cm.act, eps))
+        window = slab_window(eps_field, lat, rows)
         for mu in range(lat.D):
-            d_eps = slab_derivative(eps_field, mu, lat, rows)
+            d_eps = slab_derivative(window, mu, lat)
             cfg.A[mu, :, rows] = (_apply(Rg, cfg.A[mu, :, rows])
                                   + _apply(S, d_eps))
             cfg.C[mu, :, rows] = _apply(Rh, cfg.C[mu, :, rows])
@@ -163,8 +165,8 @@ def fat_gauge_transform(cm, cfg: FieldConfiguration,
     for rows in slabs(lat):
         A, C, e = cfg.A[:, :, rows], cfg.C[:, :, rows], eta[:, :, rows]
         for P, (m, n) in enumerate(pairs(lat.D)):
-            d_eta = (slab_derivative(eta[n], m, lat, rows)
-                     - slab_derivative(eta[m], n, lat, rows))
+            d_eta = (slab_derivative(slab_window(eta[n], lat, rows), m, lat)
+                     - slab_derivative(slab_window(eta[m], lat, rows), n, lat))
             wedge = (contract(cm.act, A[m], e[n])
                      - contract(cm.act, A[n], e[m]))
             etaeta = contract(cm.phi, e[m], e[n])

@@ -12,8 +12,9 @@ sum_x g (D f) = -sum_x (D g) f.
 
 The 4D stencil kernels stream over slabs: runs of consecutive rows of
 lattice axis 0 of at most SLAB_SITES sites, the one block size of the
-package.  slab_derivative gives one slab's rows of the central difference,
-reading the neighbour rows along axis 0 from the full field.
+package.  slab_derivative gives one slab's rows of the central difference
+from a window: the slab and its two neighbour rows along axis 0, taken
+from a full field by slab_window or from separately computed slabs.
 
 Antisymmetric form components are stored on ordered index pairs mu < nu
 (and ordered triples for 3-forms); reconstruction uses X_{nu mu} = -X_{mu nu}.
@@ -34,6 +35,7 @@ __all__ = [
     "Lattice",
     "discrete_derivative",
     "slabs",
+    "slab_window",
     "slab_derivative",
     "pairs",
     "triples",
@@ -76,35 +78,39 @@ class Lattice:
         return self.a ** self.D
 
 
-def _central(field: np.ndarray, ax: int, lo: int, hi: int, a: float) -> np.ndarray:
-    """Rows lo..hi-1 along array axis `ax` of the periodic central difference.
+def _rows(field: np.ndarray, ax: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 along array axis `ax` of field, as a view."""
+    return field[(slice(None),) * ax + (slice(lo, hi),)]
 
-    The interior rows and the two wrap-around rows are differenced straight
-    into the result, so no shifted copy of the field is made.
+
+def _central(field: np.ndarray, ax: int, a: float, before: np.ndarray,
+             after: np.ndarray) -> np.ndarray:
+    """Central difference along array axis `ax` of field, whose first row is
+    preceded by the one row `before` and whose last row is followed by the
+    one row `after`.
+
+    Each row is differenced straight from where its neighbours lie, so no
+    shifted or concatenated copy of the field is made.
     """
-    n = field.shape[ax]
-    shape = list(field.shape)
-    shape[ax] = hi - lo
-    out = np.empty(shape, dtype=np.result_type(field, 1.0))
-
-    def along(arr, s):
-        idx = [slice(None)] * field.ndim
-        idx[ax] = s
-        return arr[tuple(idx)]
-
-    first, last = max(lo, 1), min(hi, n - 1)   # rows without a wrap
-    if first < last:
-        np.subtract(along(field, slice(first + 1, last + 1)),
-                    along(field, slice(first - 1, last - 1)),
-                    out=along(out, slice(first - lo, last - lo)))
-    if lo == 0:
-        np.subtract(along(field, slice(1, 2)), along(field, slice(n - 1, n)),
-                    out=along(out, slice(0, 1)))
-    if hi == n:
-        np.subtract(along(field, slice(0, 1)), along(field, slice(n - 2, n - 1)),
-                    out=along(out, slice(n - 1 - lo, n - lo)))
+    m = field.shape[ax]
+    out = np.empty(field.shape, dtype=np.result_type(field, 1.0))
+    if m == 1:
+        np.subtract(after, before, out=out)
+    else:
+        np.subtract(_rows(field, ax, 1, 2), before, out=_rows(out, ax, 0, 1))
+        np.subtract(_rows(field, ax, 2, m), _rows(field, ax, 0, m - 2),
+                    out=_rows(out, ax, 1, m - 1))
+        np.subtract(after, _rows(field, ax, m - 2, m - 1),
+                    out=_rows(out, ax, m - 1, m))
     out /= 2.0 * a
     return out
+
+
+def _periodic(field: np.ndarray, ax: int, a: float) -> np.ndarray:
+    """The periodic central difference along array axis `ax` of field."""
+    m = field.shape[ax]
+    return _central(field, ax, a, _rows(field, ax, m - 1, m),
+                    _rows(field, ax, 0, 1))
 
 
 def discrete_derivative(field: np.ndarray, axis: int, lattice: Lattice) -> np.ndarray:
@@ -114,7 +120,7 @@ def discrete_derivative(field: np.ndarray, axis: int, lattice: Lattice) -> np.nd
     bitwise those of (roll(f, -1) - roll(f, 1)) / (2a).
     """
     field = np.asarray(field)
-    return _central(field, field.ndim - lattice.D + axis, 0, lattice.n, lattice.a)
+    return _periodic(field, field.ndim - lattice.D + axis, lattice.a)
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +138,31 @@ def slabs(lattice: Lattice) -> list:
             for lo in range(0, lattice.n, rows)]
 
 
-def slab_derivative(field: np.ndarray, axis: int, lattice: Lattice,
-                    rows: slice) -> np.ndarray:
-    """The rows `rows` of lattice axis 0 of discrete_derivative, bitwise.
-
-    Along axes 1..D-1 the difference is local to the slab; along axis 0 it
-    reads the neighbour rows from the full field, wrapping periodically.
-    """
+def slab_window(field: np.ndarray, lattice: Lattice, rows: slice) -> tuple:
+    """(the row before, the rows `rows`, the row after) of lattice axis 0 of
+    a full field, as views; the neighbour rows wrap periodically."""
     field = np.asarray(field)
-    lo, hi, _ = rows.indices(lattice.n)
-    ax0 = field.ndim - lattice.D
+    n, ax = lattice.n, field.ndim - lattice.D
+    lo, hi, _ = rows.indices(n)
+    return (_rows(field, ax, (lo - 1) % n, (lo - 1) % n + 1),
+            _rows(field, ax, lo, hi), _rows(field, ax, hi % n, hi % n + 1))
+
+
+def slab_derivative(window: tuple, axis: int, lattice: Lattice) -> np.ndarray:
+    """The central difference along lattice axis `axis` over the slab of
+    window = (row before, slab, row after), a run of rows of lattice axis 0
+    with its neighbour rows: bitwise the slab's rows of discrete_derivative.
+
+    Along axis 0 the slab's edge rows are differenced against the window's
+    neighbour rows, wherever those come from: slab_window's views of a full
+    field, or the edge rows of separately computed slabs.  Along the other
+    axes the slab is periodic on its own.
+    """
+    before, slab, after = window
+    ax = slab.ndim - lattice.D + axis
     if axis == 0:
-        return _central(field, ax0, lo, hi, lattice.a)
-    slab = field[(slice(None),) * ax0 + (slice(lo, hi),)]
-    return _central(slab, ax0 + axis, 0, lattice.n, lattice.a)
+        return _central(slab, ax, lattice.a, before, after)
+    return _periodic(slab, ax, lattice.a)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .crossed_module import _maxabs, contract
 from .curvature import (_bianchi_g, _bianchi_h, _cov_derivative, curvature_F,
                         curvature_T)
 from .lattice import (EPS3_PAIR, PAIR, FieldConfiguration, Lattice,
-                      _random_recipe, fit_order, pair_index)
+                      _random_recipe, fit_order, pair_index, slab_window)
 from .localpoly import (evaluate_density, identity, pair_gradients,
                         paired_sum, smear, tensor_density)
 from .phase import (CANONICAL_PAIRS, GAUGE_FIXED_PAIRS, PhasePoint,
@@ -365,6 +365,11 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     B = point.blocks["B"]
     # the spatial curvatures F and T are the curvature layer's at D = 3
     cfg3 = FieldConfiguration(lat, A, be, B, C)
+    every = slice(None)   # the whole spatial lattice is one slab
+
+    def window(X):
+        return slab_window(X, lat, every)
+
     F3 = curvature_F(cm, cfg3)
     chiB = evaluate_constraint(cm, "chi(B)", point)
     phiH = evaluate_constraint(cm, "phi(H)", point)
@@ -373,7 +378,7 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     # first dependency (g sector); f^c_{ab} as [a, b, c] is the coadjoint
     # coupling of a lowered g index
     f_abc = cm.f.transpose(1, 2, 0)
-    lhs_a = sum(_cov_derivative(cfg3, f_abc, phiH[i], i, slice(None))
+    lhs_a = sum(_cov_derivative(cfg3, f_abc, window(phiH[i]), i, every)
                 for i in range(3))
     lhs_a += 0.5 * np.einsum("ga,g...->a...", cm.dup, phiG)
     mix1 = np.einsum("ga,ged->ade", cm.dup, cm.actQ)
@@ -381,7 +386,7 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
         lhs_a += contract(mix1, be[P], chiB[P])
     for P in range(3):
         lhs_a += contract(f_abc, F3[P], chiB[P])
-    rhs_a = 0.5 * _bianchi_g(cm, cfg3, F3, (0, 1, 2), slice(None))
+    rhs_a = 0.5 * _bianchi_g(cm, cfg3, window(F3), (0, 1, 2), every)
 
     # second dependency (h sector)
     T3 = curvature_T(cm, cfg3)
@@ -392,7 +397,7 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     chibe = evaluate_constraint(cm, "chi(beta)", point)
 
     # actmix = actlow . qfinv is the coupling of a lowered h index
-    lhs_b = sum(_cov_derivative(cfg3, cm.actmix, phiCB[k], k, slice(None))
+    lhs_b = sum(_cov_derivative(cfg3, cm.actmix, window(phiCB[k]), k, every)
                 for k in range(3))
     lhs_b += np.einsum("xa,a...->x...", cm.del_, phiBCb)
     chibe_up = np.einsum("xy,Py...->Px...", cm.qfinv, chibe)
@@ -410,9 +415,9 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
             if m == k:
                 continue
             Pmk, sig = PIDX3[(m, k)]
-            gradC = _cov_derivative(cfg3, cm.act, C[m], k, slice(None))
+            gradC = _cov_derivative(cfg3, cm.act, window(C[m]), k, every)
             lhs_b += sig * contract(actQ_xde, gradC, chiB[Pmk])
-            covchi = _cov_derivative(cfg3, f_abc, chiB[Pmk], k, slice(None))
+            covchi = _cov_derivative(cfg3, f_abc, window(chiB[Pmk]), k, every)
             lhs_b += sig * contract(actQ_xde, C[m], covchi)
     for k in range(3):
         for P in range(3):
@@ -420,7 +425,8 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
             if s:
                 lhs_b -= s * contract(cm.actlow, SH[P], C[k])
 
-    rhs_b = 0.5 * _bianchi_h(cm, cfg3, F3, T3, (0, 1, 2), slice(None))
+    rhs_b = 0.5 * _bianchi_h(cm, cfg3, window(F3), window(T3), (0, 1, 2),
+                             every)
     return {
         "ra_residual": _maxabs(lhs_a - rhs_a),
         "ra_bianchi_norm": _maxabs(rhs_a),

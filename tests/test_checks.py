@@ -106,25 +106,49 @@ def test_records_hold_plain_floats(name):
                    for o in (*rec.orders.values(), *rec.fits.values()))
 
 
-def test_first_order_stencil_in_one_bianchi_term_fails(monkeypatch):
-    """A forward difference slipped into the covariant derivative along
-    axis 0 of the Bianchi identities leaves an O(a) residual, which FAILs
-    on a ladder where the exact stencil passes."""
+def _forward_bianchi_orders(monkeypatch, ring_only):
+    """The Bianchi record on a ladder where the exact stencil passes, with a
+    forward difference slipped into the covariant derivative along axis 0:
+    into every one, or only into those of slab-ring windows, whose slab is
+    no view of the configuration."""
     cm = builtin_module("adjoint(su2)")
     cfg = RunConfig(seed=1, ns=(12, 16, 24))
     assert check_bianchi(cm, cfg).ok
     central = curvature._cov_derivative
 
-    def forward_on_axis_0(config, coupling, field, axis, rows):
-        out = central(config, coupling, field, axis, rows)
-        if axis == 0:
+    def forward_on_axis_0(config, coupling, window, axis, rows):
+        out = central(config, coupling, window, axis, rows)
+        _, slab, after = window
+        ring = not any(np.may_share_memory(slab, getattr(config, f))
+                       for f in ("A", "beta", "B", "C"))
+        if axis == 0 and (ring or not ring_only):
             lat = config.lattice
-            ahead = np.take(field, (np.arange(lat.n)[rows] + 1) % lat.n, axis=-4)
-            out += ((ahead - field[:, rows]) / lat.a
-                    - slab_derivative(field, 0, lat, rows))
+            ahead = np.concatenate([slab[..., 1:, :, :, :], after], axis=-4)
+            out += ((ahead - slab) / lat.a
+                    - slab_derivative(window, 0, lat))
         return out
 
     monkeypatch.setattr(curvature, "_cov_derivative", forward_on_axis_0)
-    rec = check_bianchi(cm, cfg)
+    return check_bianchi(cm, cfg)
+
+
+def test_first_order_stencil_in_one_bianchi_term_fails(monkeypatch):
+    """A forward difference slipped into the covariant derivative along
+    axis 0 of the Bianchi identities leaves an O(a) residual in each of the
+    four, which FAILs on a ladder where the exact stencil passes."""
+    rec = _forward_bianchi_orders(monkeypatch, ring_only=False)
     assert not rec.ok
     assert abs(rec.orders["bianchi_F"] - 1.0) < 0.2
+    for key in ("bianchi_T", "bianchi_GB", "bianchi_G"):
+        assert abs(rec.orders[key] - 1.0) < 0.2, (key, rec.orders[key])
+
+
+def test_first_order_stencil_in_the_ring_differences_fails(monkeypatch):
+    """Slipped only into the differences of slab-ring windows, the forward
+    difference still moves all four orders to 1: each identity differences
+    a ring field along axis 0 (F, T, and the d_A triple of B and of beta),
+    and does so through the one covariant derivative."""
+    rec = _forward_bianchi_orders(monkeypatch, ring_only=True)
+    assert not rec.ok
+    for key in ("bianchi_F", "bianchi_T", "bianchi_GB", "bianchi_G"):
+        assert abs(rec.orders[key] - 1.0) < 0.2, (key, rec.orders[key])

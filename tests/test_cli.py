@@ -171,10 +171,12 @@ def test_bad_spacing_is_usage_error(a, capsys):
     ("algebra", "fundamental-brackets worst nan"),
 ])
 def test_nan_residual_at_huge_spacing_fails(command, line, capsys):
-    """At a = 1e308 the action and the brackets overflow to NaN; the
-    worst-case reductions keep the NaN, so the check FAILs."""
-    code, out = _run(capsys, [command, "--module", "abelian(1,1)", "--n", "4",
-                              "--a", "1e308"])
+    """At a = 1e308 the action and the brackets overflow to NaN, with the
+    RuntimeWarnings that this provokes; the worst-case reductions keep the
+    NaN, so the check FAILs."""
+    with pytest.warns(RuntimeWarning):
+        code, out = _run(capsys, [command, "--module", "abelian(1,1)", "--n",
+                                  "4", "--a", "1e308"])
     assert code == 1
     assert line in out and f"[FAIL] {command}" in out
 
@@ -182,7 +184,9 @@ def test_nan_residual_at_huge_spacing_fails(command, line, capsys):
 @pytest.fixture
 def huge_spec(tmp_path):
     """adjoint(su2) with f scaled to 1.5e308: the norm of the thin
-    exponential overflows, so the exponential is NaN."""
+    exponential overflows, so the exponential is NaN.  Every command on it
+    overflows on purpose, so its tests expect the RuntimeWarnings, and a
+    warning anywhere else in the suite stands out."""
     cm = builtin_module("adjoint(su2)")
     path = tmp_path / "huge.cmspec"
     path.write_text(dump_crossed_module(replace(cm, f=cm.f * 1.5e308)))
@@ -192,8 +196,9 @@ def huge_spec(tmp_path):
 def test_overflowing_structure_constants_never_pass(huge_spec, capsys):
     """The NaN exponential reaches the action: gauge-check prints its nan
     rows and FAILs, with no traceback and no error message."""
-    code, out = _run(capsys, ["gauge-check", "--spec", huge_spec,
-                              "--n", "6,8,10"])
+    with pytest.warns(RuntimeWarning):
+        code, out = _run(capsys, ["gauge-check", "--spec", huge_spec,
+                                  "--n", "6,8,10"])
     assert code == 1
     assert "gauge thin-constant F-covariance nan" in out
     assert "gauge thin dS nan nan nan" in out
@@ -203,7 +208,8 @@ def test_overflowing_structure_constants_never_pass(huge_spec, capsys):
 def test_overflowing_structure_constants_keep_the_full_report(huge_spec,
                                                               capsys):
     """A FAILing gauge-check does not drop the rest of the report."""
-    code = main(["full-report", "--spec", huge_spec, "--n", "6,8,10"])
+    with pytest.warns(RuntimeWarning):
+        code = main(["full-report", "--spec", huge_spec, "--n", "6,8,10"])
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
     verdicts = [line for line in out.splitlines()
@@ -217,7 +223,8 @@ def test_overflowing_structure_constants_fail_their_algebra_rows(huge_spec,
                                                                  capsys):
     """A relation row whose residual or scale is not finite FAILs: with an
     infinite scale the gate residual <= tol * scale would read inf <= inf."""
-    code, out = _run(capsys, ["algebra", "--spec", huge_spec, "--n", "6"])
+    with pytest.warns(RuntimeWarning):
+        code, out = _run(capsys, ["algebra", "--spec", huge_spec, "--n", "6"])
     assert code == 1 and "[FAIL] algebra" in out
     rows = {line.split()[1]: line.split() for line in out.splitlines()
             if line.startswith("relation ")}
@@ -227,8 +234,11 @@ def test_overflowing_structure_constants_fail_their_algebra_rows(huge_spec,
     cfg = RunConfig(ns=(6,))
     point = random_phase_point(cm, _lattice(cfg, 3, 6), seed=cfg.seed,
                                rule="random", mode_count=cfg.modes)
+    with pytest.warns(RuntimeWarning):
+        results = {rid: check_algebra_relation(cm, rid, point, seed=cfg.seed)
+                   for rid in rows}
     for rid, row in rows.items():
-        res = check_algebra_relation(cm, rid, point, seed=cfg.seed)
+        res = results[rid]
         assert row[7] == f"{res.residual:.6e}", row
         if not (np.isfinite(res.residual) and np.isfinite(res.scale)):
             assert row[-1] == "FAIL", row

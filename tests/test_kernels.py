@@ -5,13 +5,14 @@ builtin module (zero tensors of the abelian modules and empty tensors at
 q = 0 included), FieldRecipe.realize against an inverse-FFT synthesis of
 the same trigonometric polynomial, discrete_derivative and slab_derivative
 bitwise against the np.roll formula, and every slab-streamed kernel bitwise
-against itself on a different slab partition.
+against itself on a different slab partition; the slab rings of the Bianchi
+residuals compute each slab once.
 """
 
 import numpy as np
 import pytest
 
-from bfcg import lattice
+from bfcg import curvature, lattice
 from bfcg.crossed_module import builtin_module, contract, t_map
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
                             curvature_T, eom_residuals, evaluate_action,
@@ -19,7 +20,7 @@ from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
 from bfcg.gauge import fat_gauge_transform, thin_gauge_transform
 from bfcg.lattice import (FieldRecipe, Lattice, _random_recipe,
                           discrete_derivative, make_config_recipe,
-                          slab_derivative, slabs)
+                          slab_derivative, slab_window, slabs)
 from bfcg.phase import random_phase_point
 from bfcg.relations import offshell_relations
 from support import realize_derivative
@@ -130,7 +131,9 @@ def test_realize_derivative_matches_ifftn():
 @pytest.mark.parametrize("D", [3, 4])
 def test_discrete_derivative_bitwise_roll(D):
     """Both differences, the slab one on slabs at either end of axis 0, in
-    its interior and over all of it, are bitwise the np.roll formula."""
+    its interior and over all of it, are bitwise the np.roll formula, from
+    slab_window's views of the field and from copies of them (the edge rows
+    of separately computed slabs)."""
     lat = Lattice(D=D, n=5, a=0.3)
     field = np.random.default_rng(D).normal(size=(2, 3) + lat.shape)
     for axis in range(D):
@@ -139,8 +142,10 @@ def test_discrete_derivative_bitwise_roll(D):
         assert np.array_equal(discrete_derivative(field, axis, lat), want)
         for rows in (slice(0, 1), slice(4, 5), slice(0, 2), slice(3, 5),
                      slice(1, 4), slice(0, 5), slice(None)):
-            got = slab_derivative(field, axis, lat, rows)
-            assert np.array_equal(got, want[:, :, rows]), (axis, rows)
+            window = slab_window(field, lat, rows)
+            for win in (window, tuple(w.copy() for w in window)):
+                got = slab_derivative(win, axis, lat)
+                assert np.array_equal(got, want[:, :, rows]), (axis, rows)
 
 
 def test_slabs_partition_axis_0():
@@ -199,3 +204,44 @@ def test_one_row_slabs_match_one_slab(name, monkeypatch):
     assert whole.keys() == rows.keys()
     for key, want in whole.items():
         assert np.array_equal(rows[key], want), key
+
+
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare",
+                                  "trivial_bf(1)", "abelian(2,3)"])
+def test_bianchi_rings_compute_each_slab_once(name, monkeypatch):
+    """At n = 6 the Bianchi residuals are bitwise the same with slabs of 1,
+    2, 3 and 6 rows.  With 2 slabs a ring's previous and next slab are the
+    same slab, and with 1 slab both are the slab itself.  On every partition
+    each ring computes and reduces each slab exactly once."""
+    cm = builtin_module(name)
+    lat = Lattice(4, 6, 1.0 / 6)
+    cfg = make_config_recipe(cm, 4, 1, seed=2, scale=0.4).realize(lat)
+    ring, calls = curvature._ring, []
+
+    def counted_ring(lattice, kernel, reduce):
+        computed, reduced = [], []
+        calls.append((computed, reduced))
+
+        def counted_kernel(rows):
+            computed.append((rows.start, rows.stop))
+            return kernel(rows)
+
+        def counted_reduce(rows, windows):
+            reduced.append((rows.start, rows.stop))
+            return reduce(rows, windows)
+
+        return ring(lattice, counted_kernel, counted_reduce)
+
+    monkeypatch.setattr(curvature, "_ring", counted_ring)
+    res = {}
+    for rows in (1, 2, 3, 6):
+        monkeypatch.setattr(lattice, "SLAB_SITES", rows * lat.n ** 3)
+        parts = [(s.start, s.stop) for s in slabs(lat)]
+        assert len(parts) == lat.n // rows
+        calls.clear()
+        res[rows] = {k: float(v).hex()
+                     for k, v in bianchi_residuals(cm, cfg).items()}
+        assert len(calls) == 2
+        for computed, reduced in calls:
+            assert sorted(computed) == parts and sorted(reduced) == parts
+    assert res[1] == res[2] == res[3] == res[6], res

@@ -10,7 +10,7 @@ from bfcg.constraints import (constraint_density, evaluate_constraint,
 from bfcg.crossed_module import builtin_module, contract
 from bfcg.curvature import _bianchi_g, _bianchi_h, curvature_F, curvature_T
 from bfcg.lattice import (EPS3_PAIR, FieldConfiguration, Lattice,
-                          discrete_derivative)
+                          discrete_derivative, slab_window)
 from bfcg.localpoly import LocalFunctional, poisson_bracket, smear
 from bfcg import relations
 from bfcg.phase import CANONICAL_PAIRS, PhasePoint, random_phase_point
@@ -227,7 +227,8 @@ def test_offshell_bianchi_content_matches_loop_oracle(name, n):
     b = pt.blocks
     cfg3 = FieldConfiguration(pt.lattice, b["A"], b["be"], b["B"], b["C"])
     rhs_a, rhs_b = _offshell_rhs_loop_oracle(cm, cfg3)
-    F3, T3 = curvature_F(cm, cfg3), curvature_T(cm, cfg3)
+    F3, T3 = (slab_window(X, pt.lattice, slice(None))
+              for X in (curvature_F(cm, cfg3), curvature_T(cm, cfg3)))
     out = offshell_relations(cm, pt)
     for got, want, norm in (
             (0.5 * _bianchi_g(cm, cfg3, F3, (0, 1, 2), slice(None)), rhs_a,
