@@ -320,7 +320,7 @@ def check_offshell(cm, cfg: RunConfig) -> CheckRecord:
 def check_dof(p: int, q: int) -> CheckRecord:
     t = dof_count(p, q)
     return CheckRecord("dof", t.n == 0, f"N={t.N} F={t.F} S={t.S} n={t.n}",
-                       dof_report(t).rstrip("\n").split("\n"))
+                       dof_report(t))
 
 
 # subcommand -> check, in full-report order

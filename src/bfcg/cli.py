@@ -40,6 +40,14 @@ def _render(rec) -> list:
     return rec.lines + [f"[{'PASS' if rec.ok else 'FAIL'}] {rec.name}{detail}"]
 
 
+def _text(out) -> str:
+    """The report: schema header, then each line and rendered record."""
+    lines = [SCHEMA, f"version {__version__}"]
+    for item in out:
+        lines += [item] if isinstance(item, str) else _render(item)
+    return "\n".join(lines) + "\n"
+
+
 SMOKE_MODULES = ("adjoint(su2)", "vector_poincare")
 
 
@@ -98,21 +106,23 @@ def main(argv=None) -> int:
                        f"tol={cfg.tol:g}")
             for cm in modules:
                 out.append(f"module {cm.name} p={cm.p} q={cm.q}")
-                names = CHECKS if full else [args.command]
-                out += [CHECKS[name](cm, cfg) for name in names]
+                for name in CHECKS if full else [args.command]:
+                    out.append(CHECKS[name](cm, cfg))
                 if full:
                     out.append(check_dof(cm.p, cm.q))
     except SystemExit as exc:
         sys.stderr.write(str(exc) + "\n")
         return 2
     except (KeyError, ValueError, OSError) as exc:
+        # a full report that a module stops (a degenerate metric) still
+        # prints the records it reached, validate's among them
+        if args.command == "full-report" and not all(
+                isinstance(item, str) for item in out):
+            sys.stdout.write(_text(out))
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    lines = [SCHEMA, f"version {__version__}"]
-    for item in out:
-        lines += [item] if isinstance(item, str) else _render(item)
     failed = any(not item.ok for item in out if not isinstance(item, str))
-    text = "\n".join(lines + [f"overall {'FAIL' if failed else 'PASS'}"]) + "\n"
+    text = _text(out + [f"overall {'FAIL' if failed else 'PASS'}"])
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

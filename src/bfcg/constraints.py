@@ -65,17 +65,23 @@ With these definitions H_T regroups exactly (a lattice identity, tested) as
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from .lattice import EPS3_PAIR, PAIR, Lattice
 from .localpoly import (Density, LocalFunctional, evaluate_density, identity,
                         smear, tensor_density)
-from .phase import PhasePoint, block_shapes
+from .phase import COORD_BLOCKS, PhasePoint, block_shapes, component_shape
 
 __all__ = [
     "constraint_density",
     "family_shape",
     "FAMILIES",
+    "TEMPORAL",
+    "SECONDARIES",
+    "FIRST_CLASS",
+    "SECOND_CLASS",
     "evaluate_constraint",
     "gauge_fixed_density",
     "total_hamiltonian_functional",
@@ -94,8 +100,10 @@ def _factor(spec):
 
 
 def _momentum(block):
-    """The bare momentum density pi(X): one identity term."""
-    return lambda cm: [(identity(block_shapes(cm.p, cm.q)[block]), block)]
+    """Registry entry of the bare momentum density pi(X) of block X."""
+    code = COORD_BLOCKS[block]
+    return code, lambda cm: [(identity(component_shape(code, cm.p, cm.q)),
+                              "p" + block)]
 
 
 def _eps_dual(terms):
@@ -256,13 +264,13 @@ def _lam_B(cm):
 # ---------------------------------------------------------------------------
 
 _REGISTRY = {
-    "P(B)_0i": ("3p", _momentum("pB0")),
-    "P(B)_jk": ("3p", _momentum("pB")),
-    "P(C)_0": ("q", _momentum("pC0")),
-    "P(C)_k": ("3q", _momentum("pC")),
-    "P(A)_0": ("p", _momentum("pA0")),
+    "P(B)_0i": _momentum("B0"),
+    "P(B)_jk": _momentum("B"),
+    "P(C)_0": _momentum("C0"),
+    "P(C)_k": _momentum("C"),
+    "P(A)_0": _momentum("A0"),
     "P(A)_i": ("3p", _chi_A),
-    "P(beta)_0i": ("3q", _momentum("pbe0")),
+    "P(beta)_0i": _momentum("be0"),
     "P(beta)_jk": ("3q", _chi_beta),
     "S(H)": ("3p", lambda cm: _S_H(cm, lowered=False)),
     "S(H)_dual": ("3p", lambda cm: _eps_dual(_S_H(cm, lowered=True))),
@@ -281,35 +289,51 @@ _REGISTRY = {
     "lam(B)": ("3p", _lam_B),
     "H_T": ("", _H_T),
 }
-_REGISTRY.update({alias: _REGISTRY[name] for alias, name in (
-    ("phi(B)", "P(B)_0i"), ("phi(C)", "P(C)_0"), ("phi(beta)", "P(beta)_0i"),
-    ("phi(A)", "P(A)_0"), ("chi(B)", "P(B)_jk"), ("chi(C)", "P(C)_k"),
-    ("chi(A)", "P(A)_i"), ("chi(beta)", "P(beta)_jk"))})
 
-FAMILIES = (
-    "P(B)_0i", "P(B)_jk", "P(C)_0", "P(C)_k", "P(A)_0", "P(A)_i",
-    "P(beta)_0i", "P(beta)_jk",
-    "S(H)", "S(G)", "S(CB)", "S(BCbeta)",
-    "phi(B)", "phi(C)", "phi(beta)", "phi(A)",
-    "phi(H)", "phi(G)", "phi(CB)", "phi(BCbeta)",
-    "chi(B)", "chi(C)", "chi(A)", "chi(beta)",
+
+# ---------------------------------------------------------------------------
+# the Dirac classification
+# ---------------------------------------------------------------------------
+
+# temporal block -> its momentum primary -> the first-class completion of the
+# secondary it generates -> what that reduces to at chi = 0; consistency order
+Temporal = namedtuple("Temporal", "block primary completion secondary")
+TEMPORAL = (
+    Temporal("B0", "P(B)_0i", "phi(H)", "S(H)_dual"),
+    Temporal("C0", "P(C)_0", "phi(G)", "S(G)_low"),
+    Temporal("be0", "P(beta)_0i", "phi(CB)", "S(CB)_dual"),
+    Temporal("A0", "P(A)_0", "phi(BCbeta)", "S(BCbeta)"),
 )
+_PRIMARIES = tuple(name for name in _REGISTRY if name.startswith("P("))
+SECONDARIES = ("S(H)", "S(G)", "S(CB)", "S(BCbeta)")
+
+
+def _class_name(primary):
+    """P(X)_... under its class name: phi(X) if temporal, else chi(X)."""
+    temporal = primary in {row.primary for row in TEMPORAL}
+    return ("phi" if temporal else "chi") + primary[1:primary.index(")") + 1]
+
+
+_REGISTRY.update({_class_name(name): _REGISTRY[name] for name in _PRIMARIES})
+
+# first class: temporal primaries and completions; second: spatial primaries
+FIRST_CLASS = (*(_class_name(row.primary) for row in TEMPORAL),
+               *(row.completion for row in TEMPORAL))
+SECOND_CLASS = tuple(name for name in map(_class_name, _PRIMARIES)
+                     if name not in FIRST_CLASS)
+
+FAMILIES = _PRIMARIES + SECONDARIES + FIRST_CLASS + SECOND_CLASS
 
 # determined multiplier family -> the spatial primary it multiplies in H_T
 _LAM_PRIMARY = (("lam(A)", "P(A)_i"), ("lam(beta)", "P(beta)_jk"),
                 ("lam(C)", "P(C)_k"), ("lam(B)", "P(B)_jk"))
 
-# free temporal multiplier (lamA0, lamB0, lamC0, lambe0 in that order) ->
-# (temporal field it pairs with, primary it multiplies)
-_FREE = (("A0", "P(A)_0"), ("B0", "P(B)_0i"), ("C0", "P(C)_0"),
-         ("be0", "P(beta)_0i"))
-
 
 def family_shape(cm, name: str) -> tuple:
-    """Free-component shape of a registered density."""
+    """Free-component shape of a registered density (reads cm.p, cm.q)."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown constraint family {name!r}")
-    return tuple(3 if c == "3" else getattr(cm, c) for c in _REGISTRY[name][0])
+    return component_shape(_REGISTRY[name][0], cm.p, cm.q)
 
 
 def _expand(cm, name: str, gauge_fixed: bool) -> Density:
@@ -380,22 +404,20 @@ def gauge_fixed_density(cm, name: str) -> Density:
 # Hamiltonians and multipliers
 # ---------------------------------------------------------------------------
 
-def _free_multipliers(cm, lattice: Lattice, arrays):
-    """Per-site arrays of the free temporal multipliers, in _FREE order.
-
-    Each input is None (kept as None) or a per-site array of shape
-    comp + lattice.shape; any other shape raises ValueError.
-    """
-    out = []
-    for (_, fam), arr in zip(_FREE, arrays):
-        if arr is not None:
-            full = family_shape(cm, fam) + lattice.shape
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != full:
-                raise ValueError(f"free multiplier has shape {arr.shape}, "
-                                 f"expected {full}")
-        out.append(arr)
-    return out
+def _free_multipliers(cm, lattice: Lattice, lamA0, lamB0, lamC0, lambe0):
+    """(temporal row, per-site weight) of each free temporal multiplier given,
+    in argument order; a weight whose shape is not comp + lattice.shape of
+    the row's primary raises ValueError."""
+    rows = {row.block: row for row in TEMPORAL}
+    given = [(rows[block], np.asarray(arr, dtype=float)) for block, arr in zip(
+        ("A0", "B0", "C0", "be0"), (lamA0, lamB0, lamC0, lambe0))
+        if arr is not None]
+    for row, arr in given:
+        full = family_shape(cm, row.primary) + lattice.shape
+        if arr.shape != full:
+            raise ValueError(f"free multiplier has shape {arr.shape}, "
+                             f"expected {full}")
+    return given
 
 
 def total_hamiltonian_functional(cm, lattice: Lattice, lamA0=None, lamB0=None,
@@ -407,10 +429,10 @@ def total_hamiltonian_functional(cm, lattice: Lattice, lamA0=None, lamB0=None,
     dependence exactly; temporal multipliers enter as fixed weight arrays.
     """
     entries = list(smear(constraint_density(cm, "H_T"), None, lattice).entries)
-    free = _free_multipliers(cm, lattice, (lamA0, lamB0, lamC0, lambe0))
-    for (_, fam), weight in zip(_FREE, free):
-        if weight is not None:
-            entries += smear(constraint_density(cm, fam), weight, lattice).entries
+    for row, weight in _free_multipliers(cm, lattice, lamA0, lamB0, lamC0,
+                                         lambe0):
+        entries += smear(constraint_density(cm, row.primary), weight,
+                         lattice).entries
     return LocalFunctional(lattice, entries)
 
 
@@ -425,11 +447,9 @@ def regrouping_residual(cm, point: PhasePoint, lamA0=None, lamB0=None,
     ht = total_hamiltonian_functional(cm, lat, lamA0, lamB0, lamC0,
                                       lambe0).value(blocks)
     rhs = 0.0
-    for field, phi in (("B0", "phi(H)"), ("C0", "phi(G)"), ("be0", "phi(CB)"),
-                       ("A0", "phi(BCbeta)")):
-        rhs -= float(np.sum(blocks[field] * evaluate_constraint(cm, phi, point)))
-    free = _free_multipliers(cm, lat, (lamA0, lamB0, lamC0, lambe0))
-    for (field, _), weight in zip(_FREE, free):
-        if weight is not None:
-            rhs += float(np.sum(weight * blocks["p" + field]))
+    for row in TEMPORAL:
+        rhs -= float(np.sum(blocks[row.block]
+                            * evaluate_constraint(cm, row.completion, point)))
+    for row, weight in _free_multipliers(cm, lat, lamA0, lamB0, lamC0, lambe0):
+        rhs += float(np.sum(weight * blocks["p" + row.block]))
     return abs(ht - lat.a ** 3 * rhs)

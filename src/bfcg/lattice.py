@@ -27,6 +27,7 @@ continuum field can be realized on any resolution for Richardson studies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,9 +345,9 @@ class FieldConfiguration:
 
 @dataclass
 class ConfigRecipe:
-    """Resolution-independent recipes for all four fields."""
+    """Resolution-independent recipes for all four fields; p and q are read
+    only by perfbench's span tags."""
 
-    D: int
     p: int
     q: int
     A: FieldRecipe
@@ -370,7 +371,7 @@ def make_config_recipe(cm, D: int, mode_count: int, seed: int,
     rng = np.random.default_rng(seed)
     npairs = len(pairs(D))
     return ConfigRecipe(
-        D=D, p=cm.p, q=cm.q,
+        p=cm.p, q=cm.q,
         A=_random_recipe(rng, D, (D, cm.p), mode_count, scale),
         beta=_random_recipe(rng, D, (npairs, cm.q), mode_count, scale),
         B=_random_recipe(rng, D, (npairs, cm.p), mode_count, scale),
@@ -385,22 +386,29 @@ def make_config_recipe(cm, D: int, mode_count: int, seed: int,
 EXACT_FLOOR = 1e-11
 
 
-def fit_order(spacings, residuals):
-    """Least-squares slope of log(residual) vs log(a).
+def _ladder_order(estimate):
+    """The opening both order estimators share: at least 3 rungs, NaN for a
+    non-finite rung, "exact" when every rung is at most EXACT_FLOOR; any
+    other ladder goes to estimate(spacings, residuals) as float arrays."""
+    @functools.wraps(estimate)
+    def order(spacings, residuals):
+        residuals = np.asarray(residuals, dtype=float)
+        spacings = np.asarray(spacings, dtype=float)
+        if len(residuals) < 3:
+            raise ValueError("need at least 3 resolutions to fit an order")
+        if not np.all(np.isfinite(residuals)):
+            return float("nan")
+        if np.all(residuals <= EXACT_FLOOR):
+            return "exact"
+        return estimate(spacings, residuals)
+    return order
 
-    Returns the fitted order as float, or the string "exact" when every
-    residual is at most EXACT_FLOOR.  A ladder that cannot carry
-    a verdict -- a non-finite rung, or a rung above the floor with fewer
-    than two positive rungs to fit -- gives NaN, which no order gate accepts.
-    """
-    residuals = np.asarray(residuals, dtype=float)
-    spacings = np.asarray(spacings, dtype=float)
-    if len(residuals) < 3:
-        raise ValueError("need at least 3 resolutions to fit an order")
-    if not np.all(np.isfinite(residuals)):
-        return float("nan")
-    if np.all(residuals <= EXACT_FLOOR):
-        return "exact"
+
+@_ladder_order
+def fit_order(spacings, residuals):
+    """Least-squares slope of log(residual) vs log(a), as a float; NaN,
+    which no order gate accepts, with fewer than two positive rungs to fit;
+    see _ladder_order for the rest."""
     mask = residuals > 0
     if mask.sum() < 2:
         return float("nan")
@@ -408,24 +416,16 @@ def fit_order(spacings, residuals):
     return float(slope)
 
 
+@_ladder_order
 def finest_order(spacings, residuals):
     """Order of a refinement ladder from its finest pair of rungs.
 
     The coarse rungs of a ladder may lie before the asymptotic regime,
     where a least-squares fit over all rungs is dragged off the true order;
-    the finest pair is the nearest to that regime.  Returns "exact" when
-    every residual is at most EXACT_FLOOR, and NaN, which no order gate
-    accepts, for a non-finite rung or a ladder with a rung that does not
-    shrink under refinement (a zero rung below a positive one included).
+    the finest pair is the nearest to that regime.  NaN, which no order
+    gate accepts, when a rung does not shrink under refinement (a zero rung
+    below a positive one included); see _ladder_order for the rest.
     """
-    residuals = np.asarray(residuals, dtype=float)
-    spacings = np.asarray(spacings, dtype=float)
-    if len(residuals) < 3:
-        raise ValueError("need at least 3 resolutions to fit an order")
-    if not np.all(np.isfinite(residuals)):
-        return float("nan")
-    if np.all(residuals <= EXACT_FLOOR):
-        return "exact"
     coarse_to_fine = np.argsort(-spacings)
     r, a = residuals[coarse_to_fine], spacings[coarse_to_fine]
     if r[-1] <= 0 or np.any(np.diff(r) >= 0):

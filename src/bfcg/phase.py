@@ -38,6 +38,7 @@ from .lattice import EPS3_PAIR, Lattice, _random_recipe
 __all__ = [
     "PhasePoint",
     "block_shapes",
+    "component_shape",
     "CANONICAL_PAIRS",
     "GAUGE_FIXED_PAIRS",
     "PhaseRecipe",
@@ -46,23 +47,25 @@ __all__ = [
     "onshell_momenta",
 ]
 
-CANONICAL_PAIRS = (
-    ("A0", "pA0"), ("A", "pA"), ("B0", "pB0"), ("B", "pB"),
-    ("C0", "pC0"), ("C", "pC"), ("be0", "pbe0"), ("be", "pbe"),
-)
+# coordinate block -> code of its component shape: "3" is a spatial index or
+# stored pair, "p" a g index, "q" an h index
+COORD_BLOCKS = {"A0": "p", "A": "3p", "B0": "3p", "B": "3p",
+                "C0": "q", "C": "3q", "be0": "3q", "be": "3q"}
+
+CANONICAL_PAIRS = tuple((name, "p" + name) for name in COORD_BLOCKS)
 
 GAUGE_FIXED_PAIRS = (("A", "pA"), ("be", "pbe"))
 
-COORD_BLOCKS = ("A0", "A", "B0", "B", "C0", "C", "be0", "be")
-MOMENTUM_BLOCKS = ("pA0", "pA", "pB0", "pB", "pC0", "pC", "pbe0", "pbe")
+
+def component_shape(code: str, p: int, q: int) -> tuple:
+    """Shape of a component code (see COORD_BLOCKS) at dimensions p, q."""
+    return tuple({"3": 3, "p": p, "q": q}[c] for c in code)
 
 
 def block_shapes(p: int, q: int) -> dict:
-    base = {
-        "A0": (p,), "A": (3, p), "B0": (3, p), "B": (3, p),
-        "C0": (q,), "C": (3, q), "be0": (3, q), "be": (3, q),
-    }
-    base.update({"p" + k: v for k, v in base.items()})
+    base = {name: component_shape(code, p, q)
+            for name, code in COORD_BLOCKS.items()}
+    base.update({mom: base[name] for name, mom in CANONICAL_PAIRS})
     return base
 
 
@@ -97,16 +100,11 @@ class PhasePoint:
 
 def onshell_momenta(cm, blocks: dict, lattice: Lattice) -> dict:
     """Momenta that make every primary constraint vanish exactly."""
-    p, q = cm.p, cm.q
-    shape = lattice.shape
-    out = {
-        "pA0": np.zeros((p,) + shape),
-        "pB0": np.zeros((3, p) + shape),
-        "pB": np.zeros((3, p) + shape),
-        "pC0": np.zeros((q,) + shape),
-        "pC": np.zeros((3, q) + shape),
-        "pbe0": np.zeros((3, q) + shape),
-    }
+    shapes = block_shapes(cm.p, cm.q)
+    # every momentum outside the gauge-fixed pairs vanishes on shell
+    out = {mom: np.zeros(shapes[mom] + lattice.shape)
+           for name, mom in CANONICAL_PAIRS
+           if (name, mom) not in GAUGE_FIXED_PAIRS}
     # pi(A)_a^i = 1/2 eps^{ijk} B_{a jk} = sum_P s(i,P) (Q B)[P]
     B_low = np.einsum("ab,Pb...->Pa...", cm.Q, blocks["B"])
     out["pA"] = np.einsum("iP,Pa...->ia...", EPS3_PAIR, B_low)
@@ -124,20 +122,16 @@ class PhaseRecipe:
     coordinate fields; with rule "random" they have their own recipes.
     """
 
-    p: int
-    q: int
     rule: str
     coord: dict
     mom: dict
 
     def realize_with(self, cm, lattice: Lattice) -> PhasePoint:
-        blocks = {name: rec.realize(lattice) for name, rec in self.coord.items()}
+        blocks = {name: rec.realize(lattice)
+                  for name, rec in {**self.coord, **self.mom}.items()}
         if self.rule == "on_shell":
             blocks.update(onshell_momenta(cm, blocks, lattice))
-        else:
-            for name, rec in self.mom.items():
-                blocks[name] = rec.realize(lattice)
-        return PhasePoint(lattice, self.p, self.q, blocks)
+        return PhasePoint(lattice, cm.p, cm.q, blocks)
 
 
 def make_phase_recipe(cm, mode_count: int, seed: int,
@@ -151,8 +145,8 @@ def make_phase_recipe(cm, mode_count: int, seed: int,
     mom = {}
     if rule == "random":
         mom = {name: _random_recipe(rng, 3, shapes[name], mode_count)
-               for name in MOMENTUM_BLOCKS}
-    return PhaseRecipe(p=cm.p, q=cm.q, rule=rule, coord=coord, mom=mom)
+               for _, name in CANONICAL_PAIRS}
+    return PhaseRecipe(rule=rule, coord=coord, mom=mom)
 
 
 def random_phase_point(cm, lattice: Lattice, seed: int, rule: str = "random",

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (constraint_density, evaluate_constraint, family_shape,
+from .constraints import (SECOND_CLASS, SECONDARIES, TEMPORAL,
+                          constraint_density, evaluate_constraint, family_shape,
                           gauge_fixed_density, total_hamiltonian_functional)
 from .crossed_module import _maxabs, contract
 from .curvature import (_bianchi_g, _bianchi_h, _cov_derivative, curvature_F,
@@ -297,25 +298,14 @@ def fundamental_bracket_residuals(cm, point: PhasePoint, seed: int = 0) -> dict:
 # consistency conditions
 # ---------------------------------------------------------------------------
 
-# temporal primary, the first-class density and the secondary density its
-# bracket with H_T equals
-_TEMPORAL_ROWS = (
-    ("P(B)_0i", "phi(H)", "S(H)_dual"),
-    ("P(C)_0", "phi(G)", "S(G)_low"),
-    ("P(beta)_0i", "phi(CB)", "S(CB)_dual"),
-    ("P(A)_0", "phi(BCbeta)", "S(BCbeta)"),
-)
-
-_SPATIAL_ROWS = ("chi(B)", "chi(C)", "chi(A)", "chi(beta)")
-
 # family bracketed with H_T -> its rows (label, density the bracket is
 # compared to, None for zero), in row and test-seed order
 _CONSISTENCY_ROWS = (
-    *((fam, ((f"{fam} vs {phi}", phi), (f"{fam} vs secondary", sec)))
-      for fam, phi, sec in _TEMPORAL_ROWS),
-    *((fam, ((f"{fam} preservation", None),)) for fam in _SPATIAL_ROWS),
-    *((fam, ((f"{fam} preservation (weak)", None),))
-      for fam in ("S(H)", "S(G)", "S(CB)", "S(BCbeta)")),
+    *((row.primary, ((f"{row.primary} vs {row.completion}", row.completion),
+                     (f"{row.primary} vs secondary", row.secondary)))
+      for row in TEMPORAL),
+    *((fam, ((f"{fam} preservation", None),)) for fam in SECOND_CLASS),
+    *((fam, ((f"{fam} preservation (weak)", None),)) for fam in SECONDARIES),
 )
 
 
@@ -473,12 +463,10 @@ def reduction_residual(cm, point: PhasePoint) -> float:
     epsilon-dualized secondary densities.
     """
     reduced = point.copy()
-    reduced.blocks["pB"] = np.zeros_like(reduced.blocks["pB"])
-    reduced.blocks["pC"] = np.zeros_like(reduced.blocks["pC"])
     reduced.blocks.update(onshell_momenta(cm, reduced.blocks, point.lattice))
     worst = 0.0
-    for _, phi_fam, sec_fam in _TEMPORAL_ROWS:
-        diff = (evaluate_constraint(cm, phi_fam, reduced)
-                - evaluate_constraint(cm, sec_fam, reduced))
+    for row in TEMPORAL:
+        diff = (evaluate_constraint(cm, row.completion, reduced)
+                - evaluate_constraint(cm, row.secondary, reduced))
         worst = float(np.max([worst, _maxabs(diff)]))
     return worst

@@ -57,3 +57,17 @@ def test_workload_import_exists(module, name):
     mod = importlib.import_module(module)
     if not hasattr(mod, name):   # `from bfcg import cli` names a submodule
         importlib.import_module(f"{module}.{name}")
+
+
+def test_families_hold_the_benchmarked_names():
+    """canonical-n32's setup builds every name of FAMILIES: a tuple derived
+    from the classification must keep the same 24 names."""
+    from bfcg.constraints import FAMILIES
+    assert FAMILIES == (
+        "P(B)_0i", "P(B)_jk", "P(C)_0", "P(C)_k", "P(A)_0", "P(A)_i",
+        "P(beta)_0i", "P(beta)_jk",
+        "S(H)", "S(G)", "S(CB)", "S(BCbeta)",
+        "phi(B)", "phi(C)", "phi(beta)", "phi(A)",
+        "phi(H)", "phi(G)", "phi(CB)", "phi(BCbeta)",
+        "chi(B)", "chi(C)", "chi(A)", "chi(beta)",
+    )

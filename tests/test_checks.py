@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bfcg
 from bfcg import checks
 from bfcg import curvature
 from bfcg.checks import (CHECKS, ORDER_WINDOW, RunConfig, check_bianchi,
@@ -81,6 +82,29 @@ def test_degenerate_metric_never_reaches_a_verdict(tmp_path, capsys, command,
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: the metric") and "degenerate" in err
+
+
+def test_degenerate_metric_full_report_keeps_validate(tmp_path, capsys):
+    """A full report stopped by a degenerate metric prints the records it
+    reached, validate's with the failing row, then exits 2 without a
+    verdict."""
+    cm = builtin_module("abelian(2,2)")
+    Q = cm.Q.copy()
+    Q[1, 1] = 1e-12
+    path = tmp_path / "degenerate.cmspec"
+    path.write_text(dump_crossed_module(replace(cm, Q=Q)))
+    code = main(["full-report", "--spec", str(path), "--n", "4,6,8"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: the metric Q") and "degenerate" in err
+    lines = out.splitlines()
+    assert lines[:2] == ["bfcg-report schema 1", f"version {bfcg.__version__}"]
+    assert lines[2].startswith("config n=4,6,8 ")
+    assert lines[3] == "module abelian(2,2) p=2 q=2"
+    assert any(line.startswith("identity Q_nondegenerate ")
+               and line.endswith(" FAIL") for line in lines)
+    assert lines[-1].startswith("[FAIL] validate  failing: ")
+    assert "Q_nondegenerate" in lines[-1]
 
 
 def test_run_config_defaults_spacing_to_first_rung():

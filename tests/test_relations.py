@@ -136,11 +136,11 @@ def test_consistency_abelian_secondaries_preserved_exactly():
 def _consistency_rows_one_bracket_each(cm, point, seed):
     """consistency_residuals rebuilt with a full poisson_bracket per row, so
     H_T is differentiated afresh for every row."""
-    from bfcg.relations import (_SPATIAL_ROWS, _TEMPORAL_ROWS, _vol_sum,
-                                make_test)
+    from bfcg.constraints import SECOND_CLASS, TEMPORAL
+    from bfcg.relations import _vol_sum, make_test
     lat = point.lattice
     ht = total_hamiltonian_functional(cm, lat)
-    fams = ([fam for fam, _, _ in _TEMPORAL_ROWS] + list(_SPATIAL_ROWS)
+    fams = ([row.primary for row in TEMPORAL] + list(SECOND_CLASS)
             + ["S(H)", "S(G)", "S(CB)", "S(BCbeta)"])
 
     def bracket(fam):
@@ -153,13 +153,14 @@ def _consistency_rows_one_bracket_each(cm, point, seed):
         return _vol_sum(lat, np.sum(t * arr, axis=tuple(range(t.ndim - 3))))
 
     rows = []
-    for fam, phi_fam, sec_kind in _TEMPORAL_ROWS:
+    for row in TEMPORAL:
+        fam, phi_fam, sec_kind = row.primary, row.completion, row.secondary
         t, br = bracket(fam)
         phi_val = paired(t, evaluate_constraint(cm, phi_fam, point))
         sec_val = paired(t, evaluate_constraint(cm, sec_kind, point))
         rows.append((f"{fam} vs {phi_fam}", abs(br - phi_val)))
         rows.append((f"{fam} vs secondary", abs(br - sec_val)))
-    for fam in _SPATIAL_ROWS:
+    for fam in SECOND_CLASS:
         rows.append((f"{fam} preservation", abs(bracket(fam)[1])))
     for fam in ("S(H)", "S(G)", "S(CB)", "S(BCbeta)"):
         rows.append((f"{fam} preservation (weak)", abs(bracket(fam)[1])))
