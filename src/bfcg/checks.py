@@ -26,9 +26,9 @@ from .lattice import (Lattice, _random_recipe, finest_order, fit_order,
 from .phase import random_phase_point
 from .relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_RELATIONS,
                         PRIMARY_RELATIONS, ZERO_RELATIONS,
-                        check_algebra_relation, consistency_residuals,
-                        fundamental_bracket_residuals, offshell_refinement,
-                        offshell_relations, reduction_residual)
+                        consistency_residuals, fundamental_bracket_residuals,
+                        offshell_refinement, offshell_relations,
+                        reduction_residual, relation_table)
 
 ORDER_WINDOW = (1.8, 2.2)        # fitted order of a second-order residual
 LADDER = (8, 16, 32)             # default lattice sizes
@@ -249,15 +249,14 @@ def check_algebra(cm, cfg: RunConfig) -> CheckRecord:
         fb = fundamental_bracket_residuals(cm, point, seed=cfg.seed + ptseed)
         # np.max, not max: a NaN residual must reach the gate
         worst_fund = float(np.max([worst_fund, fb["conjugate"], fb["cross"]]))
-        for rid in TABLE_RELATIONS + ZERO_RELATIONS:
-            res = check_algebra_relation(cm, rid, point,
-                                         seed=cfg.seed + 31 * ptseed)
+        for res in relation_table(cm, TABLE_RELATIONS + ZERO_RELATIONS, point,
+                                  seed=cfg.seed + 31 * ptseed):
             # an infinite scale would make the gate inf <= inf
             good = bool(np.isfinite(res.scale)
                         and res.residual <= cfg.tol * max(1.0, res.scale))
             ok = ok and good
             if ptseed == 0:
-                lines.append(f"relation {rid} lhs {_fmt(res.lhs)} rhs {_fmt(res.rhs)}"
+                lines.append(f"relation {res.rid} lhs {_fmt(res.lhs)} rhs {_fmt(res.rhs)}"
                              f" residual {_fmt(res.residual)} exact {_pf(good)}")
     lines.append(f"fundamental-brackets worst {_fmt(worst_fund)}")
     return CheckRecord("algebra", ok and worst_fund <= FUNDAMENTAL_TOL, "", lines,

@@ -10,6 +10,7 @@ produce byte-identical reports.  Exit codes: 0 all selected checks pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -69,7 +70,9 @@ def _add_common(sp):
                     help="lattice spacing at the first n (default 1/n)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it is."""
     ap = argparse.ArgumentParser(
         prog="bfcg",
         description="BFCG lattice and canonical-analysis checks")

@@ -337,10 +337,12 @@ def family_shape(cm, name: str) -> tuple:
 
 
 def _expand(cm, name: str, gauge_fixed: bool) -> Density:
-    """Expand the tensor terms of a registered family once per module."""
-    key = ("gf_density" if gauge_fixed else "density", name)
+    """Expand the tensor terms of a registered family once per module; a
+    primary and its class alias share one registry entry and one expansion."""
+    shape = family_shape(cm, name)
+    key = ("gf_density" if gauge_fixed else "density", _REGISTRY[name])
     if key not in cm._cache:
-        shape, terms = family_shape(cm, name), _REGISTRY[name][1](cm)
+        terms = _REGISTRY[name][1](cm)
         terms = _gauge_fix(cm, terms) if gauge_fixed else terms
         cm._cache[key] = tensor_density(
             shape, *[(c, *map(_factor, fs)) for c, *fs in terms])

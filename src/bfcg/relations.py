@@ -7,6 +7,11 @@ Every bracket relation is stated distributionally as
 and verified in smeared form: the left side is an exact lattice Poisson
 bracket of two smeared functionals, the right side an independent direct
 lattice sum of the density arrays against the product of test fields.
+relation_table evaluates a list of relations at one point and shares their
+work: each smeared gradient, one per (system, family, side), and each
+right-side density array, one per (density, system), is made once per call.
+The arrays come from evaluate_density, never from the gradients, so the
+right side stays independent of the bracket engine.
 
 Every bracket relation in the tables below is lattice-exact: LHS - RHS
 vanishes identically on the lattice and is asserted at machine precision.
@@ -31,6 +36,7 @@ See docs/relations.md for the table in human-readable form.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +58,7 @@ __all__ = [
     "RELATIONS",
     "RelationResult",
     "check_algebra_relation",
+    "relation_table",
     "fundamental_bracket_residuals",
     "consistency_residuals",
     "offshell_relations",
@@ -69,11 +76,6 @@ def _density(cm, name, system):
     if system == "gf":
         return gauge_fixed_density(cm, name)
     return constraint_density(cm, name)
-
-
-def _array(cm, point, name, system):
-    dens = _density(cm, name, system)
-    return evaluate_density(dens, point.blocks, point.lattice)
 
 
 def _vol_sum(lat, site_array):
@@ -189,8 +191,9 @@ _rel("mixed9", "full", "phi(BCbeta)", "chi(B)", 1, "a...,cae,Pe...,Pc...->...",
      "tA f tB chi(B)", "{phi(BCb)_a, chi(B)_e^{jk}} = f^c_{ae} chi(B)_c^{jk} d")
 
 
-def _rhs(cm, rel, point, tA, tB) -> float:
-    """The relation's right side as a direct lattice sum (see RelationSpec).
+def _rhs(cm, rel, point, tA, tB, dens) -> float:
+    """The relation's right side as a direct lattice sum (see RelationSpec);
+    dens maps each density operand to its evaluate_density array.
 
     The constant operands are contracted with each other first and then,
     site by site, into the last per-site operand; the per-site product runs
@@ -199,10 +202,9 @@ def _rhs(cm, rel, point, tA, tB) -> float:
     """
     if rel.coeff == 0:
         return 0.0
-    fixed = {"tA": tA, "tB": tB, "EPS3_PAIR": EPS3_PAIR, "PAIR": PAIR}
-    ops = [fixed[name] if name in fixed
-           else _array(cm, point, name, rel.system) if "(" in name
-           else getattr(cm, name) for name in rel.operands]
+    fixed = {"tA": tA, "tB": tB, "EPS3_PAIR": EPS3_PAIR, "PAIR": PAIR, **dens}
+    ops = [fixed[name] if name in fixed else getattr(cm, name)
+           for name in rel.operands]
     subs = rel.signature.split("->")[0].split(",")
     const = [k for k, sub in enumerate(subs) if not sub.endswith("...")]
     *rest, last = [k for k, sub in enumerate(subs) if sub.endswith("...")]
@@ -234,31 +236,64 @@ class RelationResult:
     scale: float
 
 
+def relation_table(cm, rel_ids, point: PhasePoint, seed: int = 0) -> list:
+    """Evaluate relations at one phase point with smooth smearings; one
+    RelationResult per id, in order.
+
+    Relations share their work: the smeared gradient of a (system, family,
+    side) and the right-side density array of a (name, system) are each
+    made once per call, and dropped after their last use.
+    """
+    unknown = [rid for rid in rel_ids if rid not in RELATIONS]
+    if unknown:
+        raise KeyError(f"unknown relation id {unknown[0]!r}")
+    rels = [RELATIONS[rid] for rid in rel_ids]
+    lat = point.lattice
+
+    def sides(rel):
+        return ((rel.system, rel.famA, "A"), (rel.system, rel.famB, "B"))
+
+    def arrays(rel):
+        return [(name, rel.system) for name in rel.operands if "(" in name]
+
+    uses = Counter(key for rel in rels for key in (*sides(rel), *arrays(rel)))
+    memo = {}
+
+    def take(key, make):
+        if key not in memo:
+            memo[key] = make(*key)
+        uses[key] -= 1
+        return memo[key] if uses[key] else memo.pop(key)
+
+    def smeared(system, fam, side):
+        t = make_test(family_shape(cm, fam), lat,
+                      seed=seed * 7919 + (11 if side == "A" else 23))
+        return t, smear(_density(cm, fam, system), t, lat).gradient(point.blocks)
+
+    def evaluated(name, system):
+        return evaluate_density(_density(cm, name, system), point.blocks, lat)
+
+    out = []
+    for rel in rels:
+        (tA, gA), (tB, gB) = (take(key, smeared) for key in sides(rel))
+        pairs_ = GAUGE_FIXED_PAIRS if rel.system == "gf" else CANONICAL_PAIRS
+        lhs = pair_gradients(gA, gB, pairs_, lat.a)
+        scale = 1.0
+        for qb, pb in pairs_:
+            scale += float(paired_sum(gA.get(qb), gB.get(pb), np.abs) +
+                           paired_sum(gA.get(pb), gB.get(qb), np.abs))
+        scale /= lat.a ** 3
+        dens = {key[0]: take(key, evaluated) for key in arrays(rel)}
+        rhs = _rhs(cm, rel, point, tA, tB, dens)
+        out.append(RelationResult(rid=rel.rid, lhs=lhs, rhs=rhs,
+                                  residual=abs(lhs - rhs), scale=scale))
+    return out
+
+
 def check_algebra_relation(cm, rel_id: str, point: PhasePoint,
                            seed: int = 0) -> RelationResult:
     """Evaluate one relation at a phase point with smooth smearings."""
-    if rel_id not in RELATIONS:
-        raise KeyError(f"unknown relation id {rel_id!r}")
-    rel = RELATIONS[rel_id]
-    lat = point.lattice
-    tA = make_test(family_shape(cm, rel.famA), lat, seed=seed * 7919 + 11)
-    tB = make_test(family_shape(cm, rel.famB), lat, seed=seed * 7919 + 23)
-    pairs_ = GAUGE_FIXED_PAIRS if rel.system == "gf" else CANONICAL_PAIRS
-    densA = _density(cm, rel.famA, rel.system)
-    densB = _density(cm, rel.famB, rel.system)
-    fnA = smear(densA, tA, lat)
-    fnB = smear(densB, tB, lat)
-    gA = fnA.gradient(point.blocks)
-    gB = fnB.gradient(point.blocks)
-    lhs = pair_gradients(gA, gB, pairs_, lat.a)
-    scale = 1.0
-    for qb, pb in pairs_:
-        scale += float(paired_sum(gA.get(qb), gB.get(pb), np.abs) +
-                       paired_sum(gA.get(pb), gB.get(qb), np.abs))
-    scale /= lat.a ** 3
-    rhs = _rhs(cm, rel, point, tA, tB)
-    return RelationResult(rid=rel_id, lhs=lhs, rhs=rhs,
-                          residual=abs(lhs - rhs), scale=scale)
+    return relation_table(cm, (rel_id,), point, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,16 @@ def test_expanded_densities_fit_their_slots(name):
                     assert daxis in (-1, 0, 1, 2), (fam, block, daxis)
 
 
+@pytest.mark.parametrize("expand", [constraint_density, gauge_fixed_density])
+def test_class_alias_shares_its_primary_expansion(expand):
+    """phi(X) and chi(X) name the registry entry of their primary, so the
+    module expands each primary once under either name."""
+    cm = builtin_module("adjoint(su2)")
+    assert expand(cm, "chi(A)") is expand(cm, "P(A)_i")
+    assert expand(cm, "P(A)_0") is expand(cm, "phi(A)")
+    assert expand(cm, "chi(A)") is not expand(cm, "phi(A)")
+
+
 def test_sigma_H_abelian_stencil():
     """Abelian S(H) is the plain discrete curl of A."""
     cm = builtin_module("abelian(2,2)")

@@ -11,7 +11,7 @@ import pytest
 
 import bfcg
 from bfcg.checks import RunConfig, _lattice
-from bfcg.cli import main
+from bfcg.cli import build_parser, main
 from bfcg.crossed_module import (builtin_module, dump_crossed_module,
                                  load_crossed_module)
 from bfcg.phase import random_phase_point
@@ -111,6 +111,18 @@ def test_algebra_report_deterministic(tmp_path, capsys):
     b2 = (tmp_path / "r2.txt").read_bytes()
     assert b1 == b2
     assert b1.decode().splitlines()[0] == "bfcg-report schema 1"
+
+
+def test_cached_parser_reports_unchanged(capsys):
+    """The parser is built once per process; the calls after a usage error
+    print what the first ones did."""
+    calls = (["algebra", "--module", "abelian(1,1)", "--n", "4", "--seed", "2"],
+             ["dof", "--p", "2", "--q", "1"])
+    first = [_run(capsys, argv) for argv in calls]
+    assert _run(capsys, ["algebra", "--seed", "x"])[0] == 2
+    assert [_run(capsys, argv) for argv in calls] == first
+    assert [code for code, _ in first] == [0, 0]
+    assert build_parser() is build_parser()
 
 
 def test_reports_identical_across_processes(tmp_path):

@@ -18,7 +18,8 @@ from bfcg.relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_REL
                             PRIMARY_RELATIONS, RELATIONS, ZERO_RELATIONS,
                             check_algebra_relation, consistency_residuals,
                             fundamental_bracket_residuals, offshell_refinement,
-                            offshell_relations, reduction_residual)
+                            offshell_relations, reduction_residual,
+                            relation_table)
 
 SU2 = builtin_module("adjoint(su2)")
 VP = builtin_module("vector_poincare")
@@ -94,6 +95,70 @@ def test_zero_relations_are_nontrivial_cancellations():
     bad = replace(SU2, act=bad_act)
     res = check_algebra_relation(bad, "sc0_CBCB", pt, seed=11)
     assert res.residual > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the relation table at one point
+# ---------------------------------------------------------------------------
+
+FULL_TABLE = ALL_TABLE + ZERO_RELATIONS
+LAT6 = Lattice(D=3, n=6, a=1 / 6)
+
+
+def _count_work(monkeypatch):
+    """Counters of LocalFunctional.gradient calls and of the right-side
+    density arrays the relations evaluate."""
+    counts = {"gradient": 0, "array": 0}
+    gradient, evaluate = LocalFunctional.gradient, relations.evaluate_density
+
+    def counted_gradient(self, point):
+        counts["gradient"] += 1
+        return gradient(self, point)
+
+    def counted_evaluate(*args):
+        counts["array"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(LocalFunctional, "gradient", counted_gradient)
+    monkeypatch.setattr(relations, "evaluate_density", counted_evaluate)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare",
+                                  "abelian(2,3)", "trivial_bf(1)"])
+def test_relation_table_equals_each_relation_alone(name):
+    cm = builtin_module(name)
+    pt = random_phase_point(cm, LAT6, seed=12, rule="random")
+    alone = [check_algebra_relation(cm, rid, pt, seed=4) for rid in FULL_TABLE]
+    assert relation_table(cm, FULL_TABLE, pt, seed=4) == alone
+
+
+def test_relation_table_shares_gradients_and_arrays(monkeypatch):
+    """22 distinct (system, family, side) gradients and 12 distinct (name,
+    system) right-side arrays, where relation by relation takes 52 and 19."""
+    pt = random_phase_point(VP, LAT, seed=13, rule="random")
+    counts = _count_work(monkeypatch)
+    relation_table(VP, FULL_TABLE, pt, seed=2)
+    assert counts == {"gradient": 22, "array": 12}
+    for rid in FULL_TABLE:
+        check_algebra_relation(VP, rid, pt, seed=2)
+    assert counts == {"gradient": 22 + 52, "array": 12 + 19}
+
+
+def test_relation_table_repeated_id():
+    pt = random_phase_point(SU2, LAT, seed=14, rule="random")
+    first, again, other, last = relation_table(
+        SU2, ("mixed1", "mixed1", "sc2", "mixed1"), pt, seed=5)
+    assert first == again == last
+    assert other == check_algebra_relation(SU2, "sc2", pt, seed=5)
+
+
+def test_relation_table_unknown_id_before_any_work(monkeypatch):
+    pt = random_phase_point(SU2, LAT, seed=15, rule="random")
+    counts = _count_work(monkeypatch)
+    with pytest.raises(KeyError, match="sc99"):
+        relation_table(SU2, ("prim1", "fc1", "sc99"), pt)
+    assert counts == {"gradient": 0, "array": 0}
 
 
 # ---------------------------------------------------------------------------
