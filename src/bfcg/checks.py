@@ -20,7 +20,7 @@ from .curvature import (bianchi_residuals, curvature_F, curvature_G3,
                         curvature_T, eom_gradient_check, eom_residuals,
                         evaluate_action, fake_curvature)
 from .dof import dof_count, dof_report
-from .gauge import expm_batched, fat_gauge_transform, thin_gauge_transform
+from .gauge import expm_batched, thin_gauge_transform, transformed_actions
 from .lattice import (Lattice, _random_recipe, finest_order, fit_order,
                       make_config_recipe)
 from .phase import random_phase_point
@@ -113,10 +113,14 @@ def _lattice(cfg: RunConfig, D: int, n: int) -> Lattice:
     return Lattice(D=D, n=n, a=cfg.ns[0] * cfg.a / n)
 
 
+def _recipe(cm, cfg: RunConfig):
+    """The recipe of the run's 4D field configuration."""
+    return make_config_recipe(cm, 4, cfg.modes, seed=cfg.seed, scale=0.4)
+
+
 def _config(cm, cfg: RunConfig, lat: Lattice):
     """The run's 4D field configuration, realized on `lat`."""
-    return make_config_recipe(cm, 4, cfg.modes, seed=cfg.seed,
-                              scale=0.4).realize(lat)
+    return _recipe(cm, cfg).realize(lat)
 
 
 def _nondegenerate(check):
@@ -167,9 +171,10 @@ def check_bianchi(cm, cfg: RunConfig) -> CheckRecord:
     keys = ("bianchi_F", "bianchi_T", "bianchi_GB", "bianchi_G")
     table = {k: [] for k in keys}
     spac = []
+    recipe = _recipe(cm, cfg)
     for n in cfg.ns:
         lat = _lattice(cfg, 4, n)
-        res = bianchi_residuals(cm, _config(cm, cfg, lat))
+        res = bianchi_residuals(cm, recipe.stream(lat))
         for k in keys:
             table[k].append(float(res[k]))
         spac.append(lat.a)
@@ -185,9 +190,11 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
     eps_rec = _random_recipe(rng, 4, (cm.p,), cfg.modes, scale=0.3)
     eta_rec = _random_recipe(rng, 4, (4, cm.q), cfg.modes, scale=0.3)
 
+    recipe = _recipe(cm, cfg)
+
     # exact covariance under a constant thin parameter
     lat = _lattice(cfg, 4, cfg.ns[0])
-    c = _config(cm, cfg, lat)
+    c = recipe.realize(lat)
     eps_c = rng.normal(size=cm.p) * 0.4
     eps_field = np.broadcast_to(eps_c.reshape((cm.p,) + (1,) * 4),
                                 (cm.p,) + lat.shape).copy()
@@ -202,17 +209,10 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
         spac = []
         for n in cfg.ns:
             lat = _lattice(cfg, 4, n)
-            # the transforms overwrite the configuration they are given, so
-            # the fat leg realizes its own once the thin one is dropped: one
-            # configuration is alive at a time
-            c = _config(cm, cfg, lat)
-            S0 = evaluate_action(cm, c)
-            S_thin = evaluate_action(
-                cm, thin_gauge_transform(cm, c, eps_rec.realize(lat)))
-            del c
+            # one pass over the streamed slabs gives all three actions
+            S0, S_thin, S_fat = transformed_actions(
+                cm, recipe.stream(lat), eps_rec, eta_rec)
             dS["thin"].append(abs(S_thin - S0))
-            S_fat = evaluate_action(cm, fat_gauge_transform(
-                cm, _config(cm, cfg, lat), eta_rec.realize(lat)))
             dS["fat"].append(abs(S_fat - S0))
             spac.append(lat.a)
         more, orders, fits = _refinement(spac, dS, "gauge {} dS")

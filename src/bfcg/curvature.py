@@ -53,16 +53,20 @@ the stored (axis, triple) and (pair, pair) terms of eps directly.
 Slab streaming.  Every stencil kernel here is evaluated one slab at a time
 (lattice.slabs: consecutive rows of lattice axis 0, at most
 lattice.SLAB_SITES sites), so its intermediates stay in cache.  A kernel
-differences its input through a window: the slab and the neighbour rows
-before and after it along axis 0 (lattice.slab_derivative).  A full field's
-window is a view of it (lattice.slab_window).  The public curvatures are
-full arrays filled slab by slab, but the Bianchi identities never form one:
-they difference curvatures held in slab rings (_ring), which compute each
-slab once and pass the next difference the current slab with the edge rows
-of the slabs around it, so beside the configuration Bianchi holds a few
-slabs.  Each site gets the same operations in the same order on any
-partition, so the results are bitwise independent of the slab size; the
-action's density is one full site array summed once.
+reads its configuration only through the configuration's slab source
+(lattice.slab_source): a lattice.Slab holds each field's window, the slab
+and the neighbour rows before and after it along axis 0, which a kernel
+differences with lattice.slab_derivative.  A held FieldConfiguration gives
+views; a StreamedConfiguration realizes its recipes one slab ahead, so the
+action and the Bianchi residuals of a streamed configuration never form
+an n^4 field.  The public curvatures are full arrays filled slab by slab,
+but the Bianchi identities never form one: they difference curvatures
+held in slab rings (_ring), which compute each slab once and keep
+its edge rows for the slabs around, so beside the slab source Bianchi
+holds a few slabs.  Each site gets the same operations in
+the same order on any partition, so the results are bitwise independent
+of the slab size and of the source; the action's density is one full site
+array summed once.
 """
 
 from __future__ import annotations
@@ -70,8 +74,8 @@ from __future__ import annotations
 import numpy as np
 
 from .crossed_module import _maxabs, contract
-from .lattice import (FieldConfiguration, levi_civita, pair_index, pairs,
-                      slab_derivative, slab_window, slabs, triples)
+from .lattice import (FieldConfiguration, Slab, _axis0, _kept, levi_civita,
+                      pair_index, pairs, slab_derivative, triples)
 
 __all__ = [
     "curvature_F",
@@ -85,52 +89,53 @@ __all__ = [
 ]
 
 
-def _curvature_F_pair(cm, cfg, P, rows) -> np.ndarray:
-    """F^a on the stored pair P over the slab `rows`, shape (p, slab...)."""
-    lat = cfg.lattice
+def _curvature_F_pair(cm, slab, P) -> np.ndarray:
+    """F^a on the stored pair P over the slab, shape (p, slab...)."""
+    lat = slab.lattice
     m, n = pairs(lat.D)[P]
-    out = (slab_derivative(slab_window(cfg.A[n], lat, rows), m, lat)
-           - slab_derivative(slab_window(cfg.A[m], lat, rows), n, lat))
-    out += contract(cm.f, cfg.A[m, :, rows], cfg.A[n, :, rows])
+    out = (slab_derivative(slab.window("A", n), m, lat)
+           - slab_derivative(slab.window("A", m), n, lat))
+    out += contract(cm.f, slab["A"][m], slab["A"][n])
     return out
 
 
-def _fake_curvature_pair(cm, cfg, P, rows) -> np.ndarray:
-    """H^a on the stored pair P over the slab `rows`, shape (p, slab...)."""
-    out = _curvature_F_pair(cm, cfg, P, rows)
-    out -= np.einsum("ga,g...->a...", cm.del_, cfg.beta[P, :, rows])
+def _fake_curvature_pair(cm, slab, P) -> np.ndarray:
+    """H^a on the stored pair P over the slab, shape (p, slab...)."""
+    out = _curvature_F_pair(cm, slab, P)
+    out -= np.einsum("ga,g...->a...", cm.del_, slab["beta"][P])
     return out
 
 
-def _by_slab(cfg, out, kernel) -> np.ndarray:
-    """Fill out[k] (lattice axes last) slab by slab with kernel(k, rows)."""
-    for rows in slabs(cfg.lattice):
+def _by_slab(out, slabs, kernel) -> np.ndarray:
+    """Fill out[k] (lattice axes last) slab by slab with kernel(slab, k),
+    from a configuration's slab source `slabs`."""
+    for slab in slabs:
         for k in range(len(out)):
-            out[k, :, rows] = kernel(k, rows)
+            out[k, :, slab.rows] = kernel(slab, k)
     return out
 
 
 def curvature_F(cm, cfg: FieldConfiguration) -> np.ndarray:
     """F^a on ordered pairs, shape (npairs, p, sites...)."""
-    return _by_slab(cfg, np.empty_like(cfg.B),
-                    lambda P, rows: _curvature_F_pair(cm, cfg, P, rows))
+    return _by_slab(np.empty_like(cfg.B), cfg.slabs(("A",)),
+                    lambda slab, P: _curvature_F_pair(cm, slab, P))
 
 
 def fake_curvature(cm, cfg: FieldConfiguration) -> np.ndarray:
     """H^a_{mn} = F^a_{mn} - del_al^a beta^al_{mn}."""
-    return _by_slab(cfg, np.empty_like(cfg.B),
-                    lambda P, rows: _fake_curvature_pair(cm, cfg, P, rows))
+    return _by_slab(np.empty_like(cfg.B), cfg.slabs(("A",), ("beta",)),
+                    lambda slab, P: _fake_curvature_pair(cm, slab, P))
 
 
-def _cov_derivative(cfg, coupling, window, axis, rows) -> np.ndarray:
-    """D_axis X + coupling(A_axis, X) over the slab `rows`, from the window
-    (row before, slab, row after) of X along lattice axis 0, Lie index first
-    (lattice.slab_derivative).
+def _cov_derivative(slab, coupling, window, axis) -> np.ndarray:
+    """D_axis X + coupling(A_axis, X) over the slab, from the window (row
+    before, slab, row after) of X along lattice axis 0, Lie index first
+    (lattice.slab_derivative); A is the slab's.
 
     coupling[out, a, in] is f for g-valued and act for h-valued X.
     """
-    out = slab_derivative(window, axis, cfg.lattice)
-    out += contract(coupling, cfg.A[axis, :, rows], window[1])
+    out = slab_derivative(window, axis, slab.lattice)
+    out += contract(coupling, slab["A"][axis], window[1])
     return out
 
 
@@ -144,14 +149,13 @@ def _cyclic(tri, D):
         yield (tri[k],) + pidx[(tri[(k + 1) % 3], tri[(k + 2) % 3])]
 
 
-def _three_form_triple(cfg, two_form, coupling, tri, rows) -> np.ndarray:
-    """d_A of a pair-stored 2-form, given by its window, on one triple over
-    the slab `rows`: the S3-antisymmetrized covariant curl
+def _three_form_triple(slab, X, coupling, tri) -> np.ndarray:
+    """d_A of the slab's pair-stored 2-form X (a field name) on one triple
+    over the slab: the S3-antisymmetrized covariant curl
     sum_{p in S3} sgn(p) nabla_d X_{ij}, (d, i, j) = p(tri)."""
-    out = np.zeros(two_form[1][0].shape)
-    for d, P, psign in _cyclic(tri, cfg.lattice.D):
-        window = tuple(w[P] for w in two_form)
-        out += psign * _cov_derivative(cfg, coupling, window, d, rows)
+    out = np.zeros(slab[X][0].shape)
+    for d, P, psign in _cyclic(tri, slab.lattice.D):
+        out += psign * _cov_derivative(slab, coupling, slab.window(X, P), d)
     out *= 2.0
     return out
 
@@ -170,26 +174,24 @@ def _wedge_triple(coupling, two_form, one_form, tri) -> np.ndarray:
 def curvature_G3(cm, cfg: FieldConfiguration) -> np.ndarray:
     """G^al_{mnr} on ordered triples (S3 6-term convention)."""
     tris = triples(cfg.lattice.D)
-    return _by_slab(cfg, np.empty((len(tris),) + cfg.beta.shape[1:]),
-                    lambda Ti, rows: _three_form_triple(
-                        cfg, slab_window(cfg.beta, cfg.lattice, rows), cm.act,
-                        tris[Ti], rows))
+    return _by_slab(np.empty((len(tris),) + cfg.beta.shape[1:]),
+                    cfg.slabs(("beta",), ("A",)),
+                    lambda slab, Ti: _three_form_triple(
+                        slab, "beta", cm.act, tris[Ti]))
 
 
-def _curvature_T_pair(cm, cfg, P, rows) -> np.ndarray:
-    """T^al on the stored pair P over the slab `rows`, shape (q, slab...)."""
-    lat = cfg.lattice
-    m, n = pairs(lat.D)[P]
-    out = _cov_derivative(cfg, cm.act, slab_window(cfg.C[n], lat, rows), m, rows)
-    out -= _cov_derivative(cfg, cm.act, slab_window(cfg.C[m], lat, rows), n,
-                           rows)
+def _curvature_T_pair(cm, slab, P) -> np.ndarray:
+    """T^al on the stored pair P over the slab, shape (q, slab...)."""
+    m, n = pairs(slab.lattice.D)[P]
+    out = _cov_derivative(slab, cm.act, slab.window("C", n), m)
+    out -= _cov_derivative(slab, cm.act, slab.window("C", m), n)
     return out
 
 
 def curvature_T(cm, cfg: FieldConfiguration) -> np.ndarray:
     """T^al_{mn} = nabla^act_m C_n - nabla^act_n C_m on ordered pairs."""
-    return _by_slab(cfg, np.empty_like(cfg.beta),
-                    lambda P, rows: _curvature_T_pair(cm, cfg, P, rows))
+    return _by_slab(np.empty_like(cfg.beta), cfg.slabs(("C",), ("A",)),
+                    lambda slab, P: _curvature_T_pair(cm, slab, P))
 
 
 def _lower(metric, X) -> np.ndarray:
@@ -197,17 +199,17 @@ def _lower(metric, X) -> np.ndarray:
     return np.einsum("ab,b...->a...", metric, X)
 
 
-def _bianchi_g(cm, cfg, F, tri, rows) -> np.ndarray:
-    """Q . d_A F on one triple over the slab `rows`, from the window of F:
-    the g-sector Bianchi 3-form."""
-    return _lower(cm.Q, _three_form_triple(cfg, F, cm.f, tri, rows))
+def _bianchi_g(cm, slab, tri) -> np.ndarray:
+    """Q . d_A F on one triple over the slab, from its window of F: the
+    g-sector Bianchi 3-form."""
+    return _lower(cm.Q, _three_form_triple(slab, "F", cm.f, tri))
 
 
-def _bianchi_h(cm, cfg, F, T, tri, rows) -> np.ndarray:
-    """q . d_A T - W(actlow; F, C) on one triple over the slab `rows`, from
-    the windows of F and T: the h-sector Bianchi 3-form."""
-    out = _lower(cm.qf, _three_form_triple(cfg, T, cm.act, tri, rows))
-    out -= _wedge_triple(cm.actlow, F[1], cfg.C[:, :, rows], tri)
+def _bianchi_h(cm, slab, tri) -> np.ndarray:
+    """q . d_A T - W(actlow; F, C) on one triple over the slab, from its
+    windows of F and T: the h-sector Bianchi 3-form."""
+    out = _lower(cm.qf, _three_form_triple(slab, "T", cm.act, tri))
+    out -= _wedge_triple(cm.actlow, slab["F"], slab["C"], tri)
     return out
 
 
@@ -223,30 +225,45 @@ _AT4 = [(mu, tri, levi_civita((mu,) + tri)) for mu in range(4)
         for tri in triples(4) if mu not in tri]
 
 
-def evaluate_action(cm, cfg: FieldConfiguration) -> float:
-    """BFCG action S on a D=4 periodic lattice.
+# the fields the action density reads with their windows, and by rows
+ACTION_FIELDS = (("A", "beta"), ("B", "C"))
 
-    The density is one full site array, filled slab by slab: on each slab H
-    is formed one stored pair and G one stored triple at a time and added
-    at once, in the same per-site order on any slab partition, and the
-    density is summed by one np.sum.
+
+def _action_density(cm, slab, out) -> None:
+    """Add the action's density over the slab (without a^4) into out, the
+    slab's rows of a site array: H one stored pair and G one stored triple
+    at a time, in the same per-site order on any slab."""
+    for Pi, Pj, e in _PP4:
+        H = _fake_curvature_pair(cm, slab, Pj)
+        out += e * np.einsum("a...,ab,b...->...", slab["B"][Pi], cm.Q, H)
+    for mu, tri, e in _AT4:
+        G = _three_form_triple(slab, "beta", cm.act, tri)
+        out += e * np.einsum("x...,xy,y...->...", slab["C"][mu], cm.qf, G)
+
+
+def _action(lattice, dens) -> float:
+    """The action from its full density site array, summed by one np.sum."""
+    return float(lattice.volume_element * np.sum(dens))
+
+
+def _require_4d(lattice, what: str) -> None:
+    if lattice.D != 4:
+        raise ValueError(f"{what} defined on D=4 configurations")
+
+
+def evaluate_action(cm, cfg) -> float:
+    """BFCG action S on a D=4 periodic lattice, of a FieldConfiguration or
+    a StreamedConfiguration.
+
+    The density is one full site array, filled slab by slab by
+    _action_density and summed by one np.sum.
     """
     lat = cfg.lattice
-    if lat.D != 4:
-        raise ValueError("the action is defined on D=4 configurations")
+    _require_4d(lat, "the action is")
     dens = np.zeros(lat.shape)
-    for rows in slabs(lat):
-        slab = dens[rows]
-        beta = slab_window(cfg.beta, lat, rows)
-        for Pi, Pj, e in _PP4:
-            H = _fake_curvature_pair(cm, cfg, Pj, rows)
-            slab += e * np.einsum("a...,ab,b...->...", cfg.B[Pi, :, rows],
-                                  cm.Q, H)
-        for mu, tri, e in _AT4:
-            G = _three_form_triple(cfg, beta, cm.act, tri, rows)
-            slab += e * np.einsum("x...,xy,y...->...", cfg.C[mu, :, rows],
-                                  cm.qf, G)
-    return float(lat.volume_element * np.sum(dens))
+    for slab in cfg.slabs(*ACTION_FIELDS):
+        _action_density(cm, slab, dens[slab.rows])
+    return _action(lat, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +278,18 @@ def eom_residuals(cm, cfg: FieldConfiguration) -> dict:
     docstring, whose vanishing is the A/beta stationarity.
     """
     lat = cfg.lattice
-    if lat.D != 4:
-        raise ValueError("equations of motion are defined on D=4 configurations")
+    _require_4d(lat, "equations of motion are")
     H = fake_curvature(cm, cfg)
     G3 = curvature_G3(cm, cfg)
 
     E_A = np.empty((4, cm.p) + lat.shape)
     actlow_a = cm.actlow.transpose(1, 0, 2)  # [a, al, be]
-    for rows in slabs(lat):
-        B = slab_window(cfg.B, lat, rows)
+    for slab in cfg.slabs(("B",), ("A", "beta", "C")):
         for sig, tri, e in _AT4:
-            E = _lower(cm.Q, _three_form_triple(cfg, B, cm.f, tri, rows))
-            E += 2.0 * _wedge_triple(actlow_a, cfg.beta[:, :, rows],
-                                     cfg.C[:, :, rows], tri)
+            E = _lower(cm.Q, _three_form_triple(slab, "B", cm.f, tri))
+            E += 2.0 * _wedge_triple(actlow_a, slab["beta"], slab["C"], tri)
             E *= -e
-            E_A[sig, :, rows] = E
+            E_A[sig, :, slab.rows] = E
 
     E_beta = np.zeros((len(pairs(4)), cm.q) + lat.shape)
     T = curvature_T(cm, cfg)
@@ -336,110 +350,144 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
 # Bianchi identities
 # ---------------------------------------------------------------------------
 
-def _ring(lattice, kernel, reduce) -> list:
-    """reduce(rows, windows) on every slab of lattice.slabs, slab 0 last.
+def _ring(source, kernel, reduce, edges) -> list:
+    """reduce(rings) over every row of the lattice, in runs of rows, with
+    kernel(slab) called once per Slab of the source.
 
-    kernel(rows) gives a tuple of fields on the slab `rows` (D = 4 lattice
-    axes last), and windows holds one (row before, slab, row after) window
-    along lattice axis 0 per field (see lattice.slab_derivative); the
-    neighbour rows are the edge rows of the slabs around, read where they
-    lie.  Each slab is computed once.  Slab 0 waits for its row before, row
-    n - 1, so it is held to the end together with the first row of slab 1;
-    beside it the ring holds the current slab, the next one and the last
-    row of the previous one.
+    kernel gives a tuple of dicts of fields on the slab's rows (lattice axes
+    last); rings holds one Slab per dict for a run of rows, whose windows
+    take the neighbour rows of the fields named in `edges` from the slabs
+    around (the others' are None).  A slab's rows whose neighbours it holds
+    itself are reduced at once; its last row waits for the first row of the
+    next slab, and row 0 for row n - 1, to the end.  So beside the current
+    slab the ring holds slab 0 and the last two rows it has seen, a few
+    slabs at most.  Each row is reduced once.
     """
-    def edge(fields, k):
-        return tuple(f[..., k:k + 1 or None, :, :, :] for f in fields)
+    out, first, kept = [], [], []   # rows 0 and 1; the last two rows
 
-    def copied(fields):
-        return tuple(f.copy() for f in fields)
+    def rows(block, lo, hi):
+        return tuple({name: _axis0(f, lattice, lo, hi)
+                      for name, f in d.items()} for d in block)
 
-    parts = slabs(lattice)
-    zero = kernel(parts[0])
-    cur = kernel(parts[1]) if len(parts) > 1 else zero
-    before, head = edge(zero, -1), edge(cur, 0)
-    out = []
-    for s in range(1, len(parts)):
-        nxt = kernel(parts[s + 1]) if s + 1 < len(parts) else zero
-        out.append(reduce(parts[s], tuple(zip(before, cur, edge(nxt, 0)))))
-        before = copied(edge(cur, -1))
-        if s == 1:   # let slab 1 go: slab 0 reads only its first row
-            head = copied(head)
-        cur = nxt
-    out.append(reduce(parts[0], tuple(zip(before, zero, head))))
+    def neighbour(row):
+        return tuple({name: f for name, f in d.items() if name in edges}
+                     for d in row)
+
+    def rings(lo, hi, before, mid, after):
+        return tuple(Slab(lattice, slice(lo, hi),
+                          {name: (b.get(name), m[name], a.get(name))
+                           for name in m})
+                     for b, m, a in zip(before, mid, after))
+
+    for slab in source:
+        lattice, lo, hi = slab.lattice, slab.rows.start, slab.rows.stop
+        block = kernel(slab)
+        if lo >= 2:   # the last row of the slab before
+            out.append(reduce(rings(lo - 1, lo, kept[-2], kept[-1],
+                                    rows(block, 0, 1))))
+        start = max(lo, 1)   # row 0 waits for row n - 1
+        if start < hi - 1:
+            out.append(reduce(rings(
+                start, hi - 1, kept[-1] if start == lo
+                else rows(block, 0, 1), rows(block, start - lo, hi - 1 - lo),
+                rows(block, hi - 1 - lo, hi - lo))))
+        # slab 0 waits whole, with row 1 if that is the next slab's; of the
+        # others the last two rows wait, and a block of two rows whole
+        m = hi - lo
+        whole = m <= 2 or lo == 0
+        first += [rows(block, r - lo, r - lo + 1) for r in (0, 1)
+                  if lo <= r < hi]
+        first[1:] = map(neighbour, first[1:])
+        kept = kept[-1:] if m == 1 else []
+        kept += [tuple({name: _kept(f, lattice, k, whole)
+                        for name, f in d.items()} for d in block)
+                 for k in range(max(0, m - 2), m)]
+        kept[:-1] = map(neighbour, kept[:-1])
+        del slab, block   # let the slab go before the next is made
+    n = lattice.n
+    out.append(reduce(rings(n - 1, n, kept[-2], kept[-1], first[0])))
+    out.append(reduce(rings(0, 1, kept[-1], first[0], first[1])))
     return out
 
 
-def _covariant_top_form(cfg, F, X, coupling, metric, dA0, rows) -> float:
+def _covariant_top_form(slab, F, X, coupling, metric) -> float:
     """max |metric . eps^{lmnr} (1/3 nabla_l d_A X_{mnr} - c(F_{lm}, X_{nr}))|
-    over the slab `rows`, for a pair-stored 2-form X with coupling c: the
-    3-form Bianchi identity.  F is the slab's F, one array per stored pair.
+    over the slab, for the slab's pair-stored 2-form X (a field name) with
+    coupling c: the 3-form Bianchi identity.  F is the slab's F, one array
+    per stored pair.
 
-    dA0 is the window of d_A X on the triple (1, 2, 3), the one differenced
-    along axis 0.  The other three triples are differenced along axes 1..3
-    only, within the slab, so each is formed on the slab and needs no
-    neighbour rows.
+    The slab holds, as the field "d" + X, the window of d_A X on the triple
+    (1, 2, 3), the one differenced along axis 0.  The other three triples
+    are differenced along axes 1..3 only, within the slab, so each is
+    formed on the slab and needs no neighbour rows.
     """
-    window = slab_window(X, cfg.lattice, rows)
-    out = np.zeros(window[1][0].shape)
+    out = np.zeros(slab[X][0].shape)
     for lam, tri, e in _AT4:
-        dA = dA0 if lam == 0 else (
-            None, _three_form_triple(cfg, window, coupling, tri, rows), None)
-        out += 2.0 * e * _cov_derivative(cfg, coupling, dA, lam, rows)
+        dA = slab.window("d" + X) if lam == 0 else (
+            None, _three_form_triple(slab, X, coupling, tri), None)
+        out += 2.0 * e * _cov_derivative(slab, coupling, dA, lam)
     for Pi, Pj, e in _PP4:
-        out -= 4.0 * e * contract(coupling, F[Pi], window[1][Pj])
+        out -= 4.0 * e * contract(coupling, F[Pi], slab[X][Pj])
     return _maxabs(_lower(metric, out))
 
 
-def bianchi_residuals(cm, cfg: FieldConfiguration) -> dict:
-    """Max-abs residuals of the four lattice Bianchi identities.
+def bianchi_residuals(cm, cfg) -> dict:
+    """Max-abs residuals of the four lattice Bianchi identities of a
+    FieldConfiguration or a StreamedConfiguration.
 
-    No curvature is a full array: two slab rings (_ring) make two passes.
-    The first carries F and T.  The 2-form identities are eps^{l T} times a
-    Bianchi 3-form on the triple T complementary to l; each triple is formed
-    on one slab and reduced to its max at once (the sign eps = +-1 does not
-    change a max-abs).  The second carries d_A B and d_A beta on the triple
-    (1, 2, 3), the only triple the top forms difference along axis 0, and
-    forms F again on each slab for their wedge terms.  As two passes, not
-    one, they hold two ring fields at a time, not four.  Each site gets the
-    same operations as on any other slab partition, so the residuals are
-    bitwise independent of the slab size.
+    No curvature is a full array: two slab rings (_ring) make two
+    passes over the configuration's slabs.  The first reads A and C and
+    carries F and T.  The 2-form identities are eps^{l T} times a Bianchi
+    3-form on the triple T complementary to l; each triple is formed on one
+    run of rows and reduced to its max at once (the sign eps = +-1 does not
+    change a max-abs).  The second reads A, B and beta and carries them with
+    d_A B and d_A beta on the triple (1, 2, 3), the only triple the top
+    forms difference along axis 0, and forms F again on each run for their
+    wedge terms.  As two passes, not one, they hold two ring fields at a
+    time, not four.  Each site gets the same operations as on any other
+    slab partition, so the residuals are bitwise independent of the slab
+    size and of the source.
     """
     lat = cfg.lattice
-    if lat.D != 4:
-        raise ValueError("Bianchi residuals are defined on D=4 configurations")
+    _require_4d(lat, "Bianchi residuals are")
     npairs = len(pairs(4))
-    tops = ((cfg.B, cm.f, cm.Q), (cfg.beta, cm.act, cm.qf))
+    tops = (("B", cm.f, cm.Q), ("beta", cm.act, cm.qf))
     dA0_triple = _AT4[0][1]   # complementary to axis 0
 
-    def curvatures(rows):
-        shape = cfg.A[0, 0, rows].shape
+    def curvatures(slab):
+        shape = slab["A"].shape[2:]
         F = np.empty((npairs, cm.p) + shape)
         T = np.empty((npairs, cm.q) + shape)
         for P in range(npairs):
-            F[P] = _curvature_F_pair(cm, cfg, P, rows)
-            T[P] = _curvature_T_pair(cm, cfg, P, rows)
-        return F, T
+            F[P] = _curvature_F_pair(cm, slab, P)
+            T[P] = _curvature_T_pair(cm, slab, P)
+        return ({"F": F, "T": T, "A": slab["A"], "C": slab["C"]},)
 
-    def two_forms(rows, windows):
-        F, T = windows
-        return [(_maxabs(_bianchi_g(cm, cfg, F, tri, rows)),
-                 _maxabs(_bianchi_h(cm, cfg, F, T, tri, rows)))
+    def two_forms(rings):
+        ring, = rings
+        return [(_maxabs(_bianchi_g(cm, ring, tri)),
+                 _maxabs(_bianchi_h(cm, ring, tri)))
                 for tri in triples(4)]
 
-    def top_triples(rows):
-        return tuple(_three_form_triple(cfg, slab_window(X, lat, rows),
-                                        coupling, dA0_triple, rows)
-                     for X, coupling, _ in tops)
+    def top_triples(slab):
+        fields = {X: slab[X] for X in ("A", "B", "beta")}
+        fields.update(("d" + X, _three_form_triple(slab, X, coupling,
+                                                   dA0_triple))
+                      for X, coupling, _ in tops)
+        return (fields,)
 
-    def top_forms(rows, windows):
-        F = [_curvature_F_pair(cm, cfg, P, rows) for P in range(npairs)]
-        return [_covariant_top_form(cfg, F, X, coupling, metric, dA0, rows)
-                for (X, coupling, metric), dA0 in zip(tops, windows)]
+    def top_forms(rings):
+        ring, = rings
+        F = [_curvature_F_pair(cm, ring, P) for P in range(npairs)]
+        return [_covariant_top_form(ring, F, X, coupling, metric)
+                for X, coupling, metric in tops]
 
     # np.max, not max: a NaN triple must reach the result
-    worst_F, worst_T = np.max(_ring(lat, curvatures, two_forms), axis=(0, 1))
-    worst_GB, worst_G = np.max(_ring(lat, top_triples, top_forms), axis=0)
+    worst_F, worst_T = np.max(_ring(cfg.slabs(("A", "C")), curvatures,
+                                    two_forms, ("F", "T")), axis=(0, 1))
+    worst_GB, worst_G = np.max(_ring(
+        cfg.slabs(rows=("A", "B", "beta")), top_triples, top_forms,
+        ("A", "B", "beta", "dB", "dbeta")), axis=0)
     return {
         "bianchi_F": float(worst_F),
         "bianchi_T": float(worst_T),

@@ -22,15 +22,21 @@ The eta^eta coefficient and the factor 2 on the B shift are fixed by exact
 invariance of the fake curvature and of the action under this package's
 normalization (see docs/conventions.md); both are covered by tests.
 
-Working set.  Both transformations work in place: they overwrite the
-configuration they are given, one slab of lattice.slabs (the package's one
-block size, lattice.SLAB_SITES sites) at a time, and return it without
-re-validating it, so a non-finite value reaches the action and FAILs.  The
-thin transformation is pointwise once D eps is formed: it holds one slab's
-(sites, p, p) stacks (-ad, its powers T..T^3 scaled by 2**-s, the two
-exponentials, the dexpinv sum; tens of MB) and that slab's D eps, whatever
-the lattice size.  The fat transformation differences only eta, one slab
-and stored pair at a time.
+Working set.  Each transformation has one body per slab of lattice.slabs
+(the package's one block size, lattice.SLAB_SITES sites), which reads the
+slab's rows of the configuration and the window of its parameter and
+writes the transformed rows where it is told.  thin_gauge_transform and
+fat_gauge_transform write them over the configuration they are given and
+return it without re-validating it, so a non-finite value reaches the
+action and FAILs.  transformed_actions writes them into new slab arrays
+that a slab ring (curvature._ring) hands to the action with their neighbour
+rows, so the gauge check's configuration, its transforms and their
+parameters are realized and transformed one slab at a time and no n^4
+field exists.  The thin body is pointwise once D eps is formed: it holds
+one slab's (sites, p, p) stacks of one sector at a time (-ad, its powers
+T..T^3 scaled by 2**-s, the exponential, the dexpinv sum; tens of MB) and
+that slab's D eps, whatever the lattice size.  The fat body differences
+only eta, one stored pair at a time.
 """
 
 from __future__ import annotations
@@ -40,13 +46,15 @@ import math
 import numpy as np
 
 from .crossed_module import contract, t_map
-from .lattice import (FieldConfiguration, pairs, slab_derivative, slab_window,
-                      slabs)
+from .curvature import (ACTION_FIELDS, _action, _action_density, _require_4d,
+                        _ring)
+from .lattice import FIELDS, FieldConfiguration, pairs, slab_derivative
 
 __all__ = [
     "expm_batched",
     "thin_gauge_transform",
     "fat_gauge_transform",
+    "transformed_actions",
 ]
 
 
@@ -115,64 +123,128 @@ def _apply(mat, field):
     return np.einsum("sxy,ys->xs", mat, flat).reshape(field.shape)
 
 
+def _thin_slab(cm, slab, out) -> None:
+    """The thin transformation of one slab, from its rows of the fields and
+    its window of "eps", written into out[field] (the slab's rows; out may
+    be the slab itself).
+
+    The slab gets its own D eps, ad/act matrices, exponentials and dexpinv
+    sum, so its exponentials scale by its own stack-wide 2**s.  The g-sector
+    fields are rotated before the h-sector exponential is formed, so at most
+    one sector's stacks are alive.
+    """
+    lat = slab.lattice
+    eps = slab["eps"].reshape(cm.p, -1)
+    Rg, S = expm_batched(-np.einsum("abc,bs->sac", cm.f, eps),
+                         return_dexpinv=True)
+    window = slab.window("eps")
+    for mu in range(lat.D):
+        d_eps = slab_derivative(window, mu, lat)
+        out["A"][mu] = _apply(Rg, slab["A"][mu]) + _apply(S, d_eps)
+    for P in range(len(slab["B"])):
+        out["B"][P] = _apply(Rg, slab["B"][P])
+    del Rg, S
+    Rh = expm_batched(-np.einsum("xay,as->sxy", cm.act, eps))
+    for mu in range(lat.D):
+        out["C"][mu] = _apply(Rh, slab["C"][mu])
+    for P in range(len(slab["beta"])):
+        out["beta"][P] = _apply(Rh, slab["beta"][P])
+
+
+def _fat_slab(cm, slab, out, T) -> None:
+    """The fat transformation of one slab, from its rows of the fields and
+    its window of "eta", written into out["A"], out["beta"] and out["B"]
+    (the slab's rows; out may be the slab itself); C does not change.  T is
+    t_map(cm).
+
+    Only eta is differenced, so the beta and B shifts, which read the rows
+    of A and C, are added before the A shift.
+    """
+    lat = slab.lattice
+    A, C, e = slab["A"], slab["C"], slab["eta"]
+    for P, (m, n) in enumerate(pairs(lat.D)):
+        d_eta = (slab_derivative(slab.window("eta", n), m, lat)
+                 - slab_derivative(slab.window("eta", m), n, lat))
+        wedge = (contract(cm.act, A[m], e[n])
+                 - contract(cm.act, A[n], e[m]))
+        etaeta = contract(cm.phi, e[m], e[n])
+        np.add(slab["beta"][P], d_eta + wedge + etaeta, out=out["beta"][P])
+        np.add(slab["B"][P], 2.0 * (contract(T, C[m], e[n])
+                                    - contract(T, C[n], e[m])),
+               out=out["B"][P])
+    for mu in range(lat.D):
+        np.add(A[mu], np.einsum("ga,g...->a...", cm.del_, e[mu]),
+               out=out["A"][mu])
+
+
+def _parameter(lat, field, shape, name):
+    """A full parameter array, checked against its shape."""
+    field = np.asarray(field, dtype=float)
+    if field.shape != shape + lat.shape:
+        raise ValueError(f"{name} field has shape {field.shape}")
+    return field
+
+
 def thin_gauge_transform(cm, cfg: FieldConfiguration,
                          eps_field: np.ndarray) -> FieldConfiguration:
     """Thin transformation with parameter eps^a(x), in place on cfg, which
     it returns; exact for constant eps.
 
-    Each slab gets its own D eps, ad/act matrices, exponentials and dexpinv
-    sum, and its rows of every field are overwritten with the transformed
-    values.  The result is not re-validated: an unscalable exponential
-    leaves NaN in the fields, which reaches the action and FAILs.
+    Each slab's rows of every field are overwritten with the transformed
+    values (_thin_slab).  The result is not re-validated: an unscalable
+    exponential leaves NaN in the fields, which reaches the action and
+    FAILs.
     """
-    lat = cfg.lattice
-    eps_field = np.asarray(eps_field, dtype=float)
-    if eps_field.shape != (cm.p,) + lat.shape:
-        raise ValueError(f"eps field has shape {eps_field.shape}")
-
-    for rows in slabs(lat):
-        eps = eps_field[:, rows].reshape(cm.p, -1)
-        Rg, S = expm_batched(-np.einsum("abc,bs->sac", cm.f, eps),
-                             return_dexpinv=True)
-        Rh = expm_batched(-np.einsum("xay,as->sxy", cm.act, eps))
-        window = slab_window(eps_field, lat, rows)
-        for mu in range(lat.D):
-            d_eps = slab_derivative(window, mu, lat)
-            cfg.A[mu, :, rows] = (_apply(Rg, cfg.A[mu, :, rows])
-                                  + _apply(S, d_eps))
-            cfg.C[mu, :, rows] = _apply(Rh, cfg.C[mu, :, rows])
-        for P in range(len(cfg.B)):
-            cfg.B[P, :, rows] = _apply(Rg, cfg.B[P, :, rows])
-            cfg.beta[P, :, rows] = _apply(Rh, cfg.beta[P, :, rows])
+    eps = _parameter(cfg.lattice, eps_field, (cm.p,), "eps")
+    for slab in cfg.slabs(rows=FIELDS, eps=eps):
+        _thin_slab(cm, slab, slab)
     return cfg
 
 
 def fat_gauge_transform(cm, cfg: FieldConfiguration,
                         eta_field: np.ndarray) -> FieldConfiguration:
     """Fat transformation with an h-valued 1-form eta^al_mu(x), in place on
-    cfg, which it returns, one slab at a time.
+    cfg, which it returns, one slab at a time (_fat_slab).  The result is
+    not re-validated: a non-finite shift reaches the action and FAILs.
+    """
+    eta = _parameter(cfg.lattice, eta_field, (cfg.lattice.D, cm.q), "eta")
+    T = t_map(cm)
+    for slab in cfg.slabs(rows=FIELDS, eta=eta):
+        _fat_slab(cm, slab, slab, T)
+    return cfg
 
-    Only eta is differenced, so each slab's beta and B shifts, which read
-    its rows of A and C, are added before its A shift.  The result is not
-    re-validated: a non-finite shift reaches the action and FAILs.
+
+def transformed_actions(cm, cfg, eps, eta) -> tuple:
+    """(S, S_thin, S_fat): the action of cfg and of its thin and fat
+    transforms with parameters eps and eta, in one pass over cfg's slabs.
+
+    cfg is a FieldConfiguration or a StreamedConfiguration and the
+    parameters are full arrays or FieldRecipes, so a streamed configuration
+    and its parameters are realized once, one slab ahead.  Each slab is
+    transformed once, on the lattice.slabs partition, into new slab arrays
+    (C is shared by the fat transform), and a slab ring (curvature._ring)
+    gives the action each transformed slab with its neighbour rows.  The
+    three values are bitwise those of evaluate_action on cfg and on the
+    transforms of a copy of it.
     """
     lat = cfg.lattice
-    eta = np.asarray(eta_field, dtype=float)
-    if eta.shape != (lat.D, cm.q) + lat.shape:
-        raise ValueError(f"eta field has shape {eta.shape}")
-
+    _require_4d(lat, "the action is")
+    dens = [np.zeros(lat.shape) for _ in range(3)]
     T = t_map(cm)
-    for rows in slabs(lat):
-        A, C, e = cfg.A[:, :, rows], cfg.C[:, :, rows], eta[:, :, rows]
-        for P, (m, n) in enumerate(pairs(lat.D)):
-            d_eta = (slab_derivative(slab_window(eta[n], lat, rows), m, lat)
-                     - slab_derivative(slab_window(eta[m], lat, rows), n, lat))
-            wedge = (contract(cm.act, A[m], e[n])
-                     - contract(cm.act, A[n], e[m]))
-            etaeta = contract(cm.phi, e[m], e[n])
-            cfg.beta[P, :, rows] += d_eta + wedge + etaeta
-            cfg.B[P, :, rows] += 2.0 * (
-                contract(T, C[m], e[n]) - contract(T, C[n], e[m]))
-        for mu in range(lat.D):
-            A[mu] += np.einsum("ga,g...->a...", cm.del_, e[mu])
-    return cfg
+
+    def transformed(slab):
+        _action_density(cm, slab, dens[0][slab.rows])
+        thin = {k: np.empty_like(slab[k]) for k in FIELDS}
+        _thin_slab(cm, slab, thin)
+        fat = {k: np.empty_like(slab[k]) for k in ("A", "beta", "B")}
+        fat["C"] = slab["C"]
+        _fat_slab(cm, slab, fat, T)
+        return thin, fat
+
+    def actions(rings):
+        for ring, d in zip(rings, dens[1:]):
+            _action_density(cm, ring, d[ring.rows])
+
+    _ring(cfg.slabs(*ACTION_FIELDS, eps=eps, eta=eta), transformed, actions,
+          ACTION_FIELDS[0])
+    return tuple(_action(lat, d) for d in dens)

@@ -13,8 +13,15 @@ sum_x g (D f) = -sum_x (D g) f.
 The 4D stencil kernels stream over slabs: runs of consecutive rows of
 lattice axis 0 of at most SLAB_SITES sites, the one block size of the
 package.  slab_derivative gives one slab's rows of the central difference
-from a window: the slab and its two neighbour rows along axis 0, taken
-from a full field by slab_window or from separately computed slabs.
+from a window: the slab and its two neighbour rows along axis 0.  A kernel
+reads a configuration only through a slab source (slab_source), which
+gives one Slab at a time: the windows of the fields the kernel differences
+along axis 0 and the rows of the others, as views of a held
+FieldConfiguration or as rows of a StreamedConfiguration's recipes, each
+realized once, so a streamed n^4 configuration never exists.  Fields a
+kernel computes per slab get their neighbour rows from a slab ring
+(curvature._ring), which keeps the edge rows of each slab for the slabs
+around it.
 
 Antisymmetric form components are stored on ordered index pairs mu < nu
 (and ordered triples for 3-forms); reconstruction uses X_{nu mu} = -X_{mu nu}.
@@ -38,6 +45,8 @@ __all__ = [
     "slabs",
     "slab_window",
     "slab_derivative",
+    "Slab",
+    "slab_source",
     "pairs",
     "triples",
     "pair_index",
@@ -45,6 +54,7 @@ __all__ = [
     "FieldRecipe",
     "make_config_recipe",
     "FieldConfiguration",
+    "StreamedConfiguration",
     "fit_order",
     "finest_order",
 ]
@@ -166,6 +176,93 @@ def slab_derivative(window: tuple, axis: int, lattice: Lattice) -> np.ndarray:
     return _periodic(slab, ax, lattice.a)
 
 
+@dataclass(frozen=True)
+class Slab:
+    """One slab of a lattice and the fields over it: each field's window
+    (row before, the slab's rows, row after) along lattice axis 0, with
+    lattice axes last (see slab_derivative)."""
+
+    lattice: Lattice
+    rows: slice
+    windows: dict
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        """The slab's rows of the field `name`."""
+        return self.windows[name][1]
+
+    def window(self, name: str, *index) -> tuple:
+        """The window of the field `name`, or of its component `index`."""
+        before, rows, after = self.windows[name]
+        return (None if before is None else before[index], rows[index],
+                None if after is None else after[index])
+
+
+def _axis0(field: np.ndarray, lattice: Lattice, lo: int,
+           hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of lattice axis 0 of field, as a view."""
+    return _rows(field, field.ndim - lattice.D, lo, hi)
+
+
+def _kept(field: np.ndarray, lattice: Lattice, k: int,
+          view: bool = False) -> np.ndarray:
+    """Row k of lattice axis 0 of field, to keep once the rest of field may
+    go: a copy when field owns other rows, else (or with `view`, when every
+    row of field is kept anyway) a view, such as one of a held field."""
+    k %= field.shape[field.ndim - lattice.D]
+    row = _axis0(field, lattice, k, k + 1)
+    if view or field.base is not None or row.shape == field.shape:
+        return row
+    return row.copy()
+
+
+def slab_source(lattice: Lattice, fields: dict, windowed):
+    """One Slab per slab of slabs(lattice), in order, over `fields` (name ->
+    full array or FieldRecipe): the fields named in `windowed` with their
+    windows, the others with the slab's rows alone (a window (None, rows,
+    None), which no difference along axis 0 can read).
+
+    An array gives views (slab_window).  A windowed recipe is realized one
+    slab ahead, so a slab's row after is the next slab's first row and its
+    row before is the last row of the slab before, kept: each row is
+    realized once, and only the periodic wrap rows n - 1 (before slab 0)
+    and 0 (after the last slab) are realized a second time.  Any other
+    recipe is realized at its slab.  Beside the slab it gives, the source
+    holds the next slab of its windowed recipes.
+    """
+    parts = slabs(lattice)
+    ahead = [k for k in windowed if isinstance(fields[k], FieldRecipe)]
+
+    def realized(lo, hi):
+        return {k: fields[k].realize(lattice, lo, hi) for k in ahead}
+
+    def row(block, k):
+        return {name: _axis0(f, lattice, k, k + 1 or None)
+                for name, f in block.items()}
+
+    def window(name, field, rows):
+        if name in windowed:
+            return slab_window(field, lattice, rows)
+        if isinstance(field, FieldRecipe):
+            return None, field.realize(lattice, rows.start, rows.stop), None
+        return None, _axis0(field, lattice, rows.start, rows.stop), None
+
+    nxt = realized(parts[0].start, parts[0].stop)
+    before = row(nxt, -1) if len(parts) == 1 else realized(-1, 0)
+    for s, rows in enumerate(parts):
+        cur = nxt
+        if s + 1 < len(parts):
+            nxt = realized(parts[s + 1].start, parts[s + 1].stop)
+            after = row(nxt, 0)
+        else:
+            after = row(cur, 0) if len(parts) == 1 else realized(
+                lattice.n, lattice.n + 1)
+        windows = {k: (before[k], cur[k], after[k]) if k in cur
+                   else window(k, v, rows) for k, v in fields.items()}
+        yield Slab(lattice, rows, windows)
+        del windows   # let the slab go before the next one is realized
+        before = {k: _kept(f, lattice, -1) for k, f in cur.items()}
+
+
 # ---------------------------------------------------------------------------
 # ordered index pairs / triples
 # ---------------------------------------------------------------------------
@@ -244,32 +341,39 @@ class FieldRecipe:
         self.comp_shape = tuple(comp_shape)
         self.coeffs = coeffs
 
-    def realize(self, lattice: Lattice) -> np.ndarray:
-        """Sample the polynomial on the lattice by direct synthesis.
+    def realize(self, lattice: Lattice, lo: int = 0,
+                hi: int | None = None) -> np.ndarray:
+        """Sample the polynomial by direct synthesis on rows lo..hi-1 of
+        lattice axis 0, all n rows by default.
 
-        The modes are grouped by their support, the axes where k mod n != 0.
+        The rows may run past 0 or n - 1: the phase k.m is reduced mod n in
+        integers before any float is formed, so row -1 is bitwise row n - 1,
+        and any run of rows is bitwise those rows of the full field.  The
+        modes are grouped by their support, the axes where k mod n != 0.
         Each group's sum of ca cos + sa sin varies only along its support,
         so it is built on those axes alone and broadcast-added into the
-        output; the phase is reduced mod n in integers first.  No spectrum
-        of the full lattice is formed.
+        output.  No spectrum of the full lattice is formed.
         """
         if lattice.D != self.D:
             raise ValueError("recipe dimension mismatch")
         n = lattice.n
+        hi = n if hi is None else hi
+        axes = [np.arange(lo, hi)] + [np.arange(n)] * (self.D - 1)
         groups = {}
         for k, (ca, sa) in self.coeffs.items():
             support = tuple(d for d in range(self.D) if k[d] % n)
             groups.setdefault(support, []).append((k, ca, sa))
-        out = np.zeros(self.comp_shape + lattice.shape)
+        out = np.zeros(self.comp_shape + (hi - lo,) + lattice.shape[1:])
         for support, modes in groups.items():
-            grids = np.ix_(*[np.arange(n)] * len(support))
+            grids = np.ix_(*[axes[d] for d in support])
             part = 0.0
             for k, ca, sa in modes:
                 phase = sum((k[d] * g for d, g in zip(support, grids)), 0) % n
                 theta = (2.0 * np.pi / n) * phase
                 part = (part + np.multiply.outer(np.asarray(ca), np.cos(theta))
                         + np.multiply.outer(np.asarray(sa), np.sin(theta)))
-            placed = tuple(n if d in support else 1 for d in range(self.D))
+            placed = tuple(len(axes[d]) if d in support else 1
+                           for d in range(self.D))
             out += np.reshape(part, self.comp_shape + placed)
         return out
 
@@ -308,8 +412,24 @@ def _random_recipe(rng, D: int, comp_shape: tuple, mode_count: int,
 # field configurations
 # ---------------------------------------------------------------------------
 
+FIELDS = ("A", "beta", "B", "C")
+
+
+class _SlabSource:
+    """A configuration read slab by slab: lattice and the four fields."""
+
+    def slabs(self, windows=(), rows=(), **extra):
+        """slab_source over the fields named in `windows` and in `rows` and
+        the extra fields (full arrays or FieldRecipes, such as a gauge
+        parameter): the extra fields and those in `windows` with their
+        windows, those in `rows` with the slab's rows alone."""
+        fields = {k: getattr(self, k) for k in windows + rows}
+        fields.update(extra)
+        return slab_source(self.lattice, fields, {*windows, *extra})
+
+
 @dataclass
-class FieldConfiguration:
+class FieldConfiguration(_SlabSource):
     """Lattice samples of the 2-connection (A, beta) and multipliers (B, C).
 
     Shapes (lattice axes trailing):
@@ -363,6 +483,23 @@ class ConfigRecipe:
             B=self.B.realize(lattice),
             C=self.C.realize(lattice),
         )
+
+    def stream(self, lattice: Lattice) -> "StreamedConfiguration":
+        return StreamedConfiguration(lattice, self.A, self.beta, self.B,
+                                     self.C)
+
+
+@dataclass(frozen=True)
+class StreamedConfiguration(_SlabSource):
+    """A configuration's recipes on a lattice, realized one slab at a time
+    by its slab source and never held whole.  Its slabs are bitwise those
+    of ConfigRecipe.realize on the same lattice."""
+
+    lattice: Lattice
+    A: FieldRecipe
+    beta: FieldRecipe
+    B: FieldRecipe
+    C: FieldRecipe
 
 
 def make_config_recipe(cm, D: int, mode_count: int, seed: int,

@@ -47,7 +47,7 @@ from .constraints import (SECOND_CLASS, SECONDARIES, TEMPORAL,
 from .crossed_module import _maxabs, contract
 from .curvature import (_bianchi_g, _bianchi_h, _cov_derivative, curvature_F,
                         curvature_T)
-from .lattice import (EPS3_PAIR, PAIR, FieldConfiguration, Lattice,
+from .lattice import (EPS3_PAIR, PAIR, FieldConfiguration, Lattice, Slab,
                       _random_recipe, fit_order, pair_index, slab_window)
 from .localpoly import (evaluate_density, identity, pair_gradients,
                         paired_sum, smear, tensor_density)
@@ -390,12 +390,15 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     B = point.blocks["B"]
     # the spatial curvatures F and T are the curvature layer's at D = 3
     cfg3 = FieldConfiguration(lat, A, be, B, C)
-    every = slice(None)   # the whole spatial lattice is one slab
+    every = slice(0, lat.n)   # the whole spatial lattice is one slab
 
     def window(X):
         return slab_window(X, lat, every)
 
     F3 = curvature_F(cm, cfg3)
+    T3 = curvature_T(cm, cfg3)
+    whole = Slab(lat, every, {"A": window(A), "C": window(C),
+                              "F": window(F3), "T": window(T3)})
     chiB = evaluate_constraint(cm, "chi(B)", point)
     phiH = evaluate_constraint(cm, "phi(H)", point)
     phiG = evaluate_constraint(cm, "phi(G)", point)
@@ -403,7 +406,7 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     # first dependency (g sector); f^c_{ab} as [a, b, c] is the coadjoint
     # coupling of a lowered g index
     f_abc = cm.f.transpose(1, 2, 0)
-    lhs_a = sum(_cov_derivative(cfg3, f_abc, window(phiH[i]), i, every)
+    lhs_a = sum(_cov_derivative(whole, f_abc, window(phiH[i]), i)
                 for i in range(3))
     lhs_a += 0.5 * np.einsum("ga,g...->a...", cm.dup, phiG)
     mix1 = np.einsum("ga,ged->ade", cm.dup, cm.actQ)
@@ -411,10 +414,9 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
         lhs_a += contract(mix1, be[P], chiB[P])
     for P in range(3):
         lhs_a += contract(f_abc, F3[P], chiB[P])
-    rhs_a = 0.5 * _bianchi_g(cm, cfg3, window(F3), (0, 1, 2), every)
+    rhs_a = 0.5 * _bianchi_g(cm, whole, (0, 1, 2))
 
     # second dependency (h sector)
-    T3 = curvature_T(cm, cfg3)
     SH = evaluate_constraint(cm, "S(H)", point)
     phiCB = evaluate_constraint(cm, "phi(CB)", point)
     phiBCb = evaluate_constraint(cm, "phi(BCbeta)", point)
@@ -422,7 +424,7 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     chibe = evaluate_constraint(cm, "chi(beta)", point)
 
     # actmix = actlow . qfinv is the coupling of a lowered h index
-    lhs_b = sum(_cov_derivative(cfg3, cm.actmix, window(phiCB[k]), k, every)
+    lhs_b = sum(_cov_derivative(whole, cm.actmix, window(phiCB[k]), k)
                 for k in range(3))
     lhs_b += np.einsum("xa,a...->x...", cm.del_, phiBCb)
     chibe_up = np.einsum("xy,Py...->Px...", cm.qfinv, chibe)
@@ -440,9 +442,9 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
             if m == k:
                 continue
             Pmk, sig = PIDX3[(m, k)]
-            gradC = _cov_derivative(cfg3, cm.act, window(C[m]), k, every)
+            gradC = _cov_derivative(whole, cm.act, window(C[m]), k)
             lhs_b += sig * contract(actQ_xde, gradC, chiB[Pmk])
-            covchi = _cov_derivative(cfg3, f_abc, window(chiB[Pmk]), k, every)
+            covchi = _cov_derivative(whole, f_abc, window(chiB[Pmk]), k)
             lhs_b += sig * contract(actQ_xde, C[m], covchi)
     for k in range(3):
         for P in range(3):
@@ -450,8 +452,7 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
             if s:
                 lhs_b -= s * contract(cm.actlow, SH[P], C[k])
 
-    rhs_b = 0.5 * _bianchi_h(cm, cfg3, window(F3), window(T3), (0, 1, 2),
-                             every)
+    rhs_b = 0.5 * _bianchi_h(cm, whole, (0, 1, 2))
     return {
         "ra_residual": _maxabs(lhs_a - rhs_a),
         "ra_bianchi_norm": _maxabs(rhs_a),

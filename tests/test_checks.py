@@ -133,25 +133,37 @@ def test_records_hold_plain_floats(name):
 def _forward_bianchi_orders(monkeypatch, ring_only):
     """The Bianchi record on a ladder where the exact stencil passes, with a
     forward difference slipped into the covariant derivative along axis 0:
-    into every one, or only into those of slab-ring windows, whose slab is
-    no view of the configuration."""
+    into every one, or only into those of the slab-ring fields F, T and the
+    d_A triples of B and beta, which the rings' reductions difference."""
     cm = builtin_module("adjoint(su2)")
     cfg = RunConfig(seed=1, ns=(12, 16, 24))
     assert check_bianchi(cm, cfg).ok
-    central = curvature._cov_derivative
+    central, ring = curvature._cov_derivative, curvature._ring
+    ring_fields = []   # the ring fields of the reduction under way
 
-    def forward_on_axis_0(config, coupling, window, axis, rows):
-        out = central(config, coupling, window, axis, rows)
-        _, slab, after = window
-        ring = not any(np.may_share_memory(slab, getattr(config, f))
-                       for f in ("A", "beta", "B", "C"))
-        if axis == 0 and (ring or not ring_only):
-            lat = config.lattice
-            ahead = np.concatenate([slab[..., 1:, :, :, :], after], axis=-4)
-            out += ((ahead - slab) / lat.a
+    def tracked_ring(source, kernel, reduce, edges):
+        def tracked(rings):
+            ring_fields[:] = [r[k] for r in rings
+                              for k in ("F", "T", "dB", "dbeta")
+                              if k in r.windows]
+            try:
+                return reduce(rings)
+            finally:
+                ring_fields.clear()
+        return ring(source, kernel, tracked, edges)
+
+    def forward_on_axis_0(slab, coupling, window, axis):
+        out = central(slab, coupling, window, axis)
+        _, mid, after = window
+        in_ring = any(np.may_share_memory(mid, f) for f in ring_fields)
+        if axis == 0 and (in_ring or not ring_only):
+            lat = slab.lattice
+            ahead = np.concatenate([mid[..., 1:, :, :, :], after], axis=-4)
+            out += ((ahead - mid) / lat.a
                     - slab_derivative(window, 0, lat))
         return out
 
+    monkeypatch.setattr(curvature, "_ring", tracked_ring)
     monkeypatch.setattr(curvature, "_cov_derivative", forward_on_axis_0)
     return check_bianchi(cm, cfg)
 

@@ -231,6 +231,22 @@ def test_overflowing_structure_constants_keep_the_full_report(huge_spec,
     assert out.endswith("overall FAIL\n")
 
 
+def test_overflowing_structure_constants_fail_across_slabs(huge_spec, capsys):
+    """On the 12/16/20 ladder, of 1, 2 and 5 slabs, each slab's NaN thin
+    exponential reaches the action through the slab ring: the full report
+    still prints every verdict, with gauge-check FAILing on nan rows."""
+    with pytest.warns(RuntimeWarning):
+        code = main(["full-report", "--spec", huge_spec, "--n", "12,16,20"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    verdicts = [line for line in out.splitlines()
+                if line.startswith(("[PASS] ", "[FAIL] "))]
+    assert len(verdicts) == 9, verdicts
+    assert "gauge thin dS nan nan nan" in out
+    assert "[FAIL] gauge-check" in verdicts
+    assert out.endswith("overall FAIL\n")
+
+
 def test_overflowing_structure_constants_fail_their_algebra_rows(huge_spec,
                                                                  capsys):
     """A relation row whose residual or scale is not finite FAILs: with an

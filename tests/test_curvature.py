@@ -9,9 +9,10 @@ from bfcg.crossed_module import builtin_module, contract
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
                             curvature_T, eom_gradient_check, eom_residuals,
                             evaluate_action, fake_curvature)
-from bfcg.lattice import (FieldConfiguration, Lattice, discrete_derivative,
-                          levi_civita, finest_order, fit_order, make_config_recipe,
-                          pair_index, pairs, slab_window, triples)
+from bfcg.lattice import (FieldConfiguration, Lattice, Slab,
+                          discrete_derivative, levi_civita, finest_order,
+                          fit_order, make_config_recipe, pair_index, pairs,
+                          slab_window, triples)
 from support import curvature_GB, sample_smooth_fields
 
 
@@ -390,14 +391,16 @@ def test_bianchi_matches_loop_oracle(name, n):
     oracle = _bianchi_loop_oracle(cm, cfg)
     for key, arr in oracle.items():
         _assert_close(res[key], float(np.max(np.abs(arr), initial=0.0)))
-    F, T = (slab_window(X, cfg.lattice, slice(None))
-            for X in (curvature_F(cm, cfg), curvature_T(cm, cfg)))
+    lat = cfg.lattice
+    whole = Slab(lat, slice(0, lat.n), {
+        name: slab_window(X, lat, slice(None))
+        for name, X in (("A", cfg.A), ("C", cfg.C), ("F", curvature_F(cm, cfg)),
+                        ("T", curvature_T(cm, cfg)))})
     for lam in range(4):
         tri = tuple(ax for ax in range(4) if ax != lam)
         e = levi_civita((lam,) + tri)
-        _assert_close(e * curvature._bianchi_g(cm, cfg, F, tri, slice(None)),
+        _assert_close(e * curvature._bianchi_g(cm, whole, tri),
                       oracle["bianchi_F"][lam])
         if cm.q:
-            _assert_close(e * curvature._bianchi_h(cm, cfg, F, T, tri,
-                                                   slice(None)),
+            _assert_close(e * curvature._bianchi_h(cm, whole, tri),
                           oracle["bianchi_T"][lam])

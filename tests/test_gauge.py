@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from bfcg import lattice
-from bfcg.checks import RunConfig, check_gauge, order_ok
+from bfcg.checks import RunConfig, check_bianchi, check_gauge, order_ok
 from bfcg.crossed_module import builtin_module
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
                             evaluate_action, fake_curvature)
-from bfcg.gauge import expm_batched, fat_gauge_transform, thin_gauge_transform
+from bfcg.gauge import (expm_batched, fat_gauge_transform,
+                        thin_gauge_transform, transformed_actions)
 from bfcg.lattice import (Lattice, _random_recipe, discrete_derivative, levi_civita,
                           finest_order, fit_order, make_config_recipe, pairs,
                           slabs, triples)
@@ -270,14 +271,70 @@ def test_fat_working_set_does_not_scale_with_lattice():
 
 
 def test_gauge_check_holds_one_configuration():
-    """Each rung realizes its configuration once per transform, and the
-    transform overwrites it, so the check's peak stays well below the two
-    configurations that a transformed copy beside the original would take."""
+    """Each rung streams its configuration, transforms and parameters slab
+    by slab, so the check's peak stays well below the two configurations
+    that a transformed copy beside the original would take."""
     cm = builtin_module("adjoint(su2)")
     _, peak = _traced_peak(check_gauge, cm, RunConfig(ns=(8, 12, 20)))
     lat = Lattice(4, 20, 1.0 / 20)
     one = (lat.D + len(pairs(lat.D))) * (cm.p + cm.q) * lat.sites * 8
     assert peak < 1.75 * one, peak / one
+
+
+def test_streamed_checks_hold_no_configuration():
+    """bianchi and gauge-check realize each rung one slab at a time.  At
+    n = 24 (12 slabs of 2 rows) Bianchi peaks below half of one
+    configuration, and gauge-check, which holds slab 0 and the current slab
+    of both transforms beside the source's slabs, below one.  (At n = 20 a
+    slab is a fifth of the lattice, and those slabs outweigh one
+    configuration.)"""
+    cm = builtin_module("adjoint(su2)")
+    lat = Lattice(4, 24, 1.0 / 24)
+    one = (lat.D + len(pairs(lat.D))) * (cm.p + cm.q) * lat.sites * 8
+    assert len(slabs(lat)) == 12
+    for check, bound in ((check_bianchi, one / 2), (check_gauge, one)):
+        rec, peak = _traced_peak(check, cm, RunConfig(ns=(8, 12, 24)))
+        assert rec.ok, rec.name
+        assert peak < bound, (rec.name, peak / one)
+
+
+@pytest.mark.parametrize("name, n", [("adjoint(su2)", 20),
+                                     ("vector_poincare", 14)])
+def test_transformed_actions_are_the_held_actions(name, n):
+    """One pass over a held or a streamed configuration gives bitwise the
+    actions of the configuration and of its transformed copies; n = 20 is
+    five slabs of 4 rows, n = 14 two of 11 and 3."""
+    cm = builtin_module(name)
+    lat = Lattice(4, n, 1.0 / n)
+    recipe = make_config_recipe(cm, 4, 2, seed=1, scale=0.4)
+    rng = np.random.default_rng(6)
+    eps = _random_recipe(rng, 4, (cm.p,), 2, scale=0.9)
+    eta = _random_recipe(rng, 4, (4, cm.q), 2, scale=0.3)
+    cfg = recipe.realize(lat)
+    want = (evaluate_action(cm, cfg),
+            evaluate_action(cm, thin_gauge_transform(cm, cfg.copy(),
+                                                     eps.realize(lat))),
+            evaluate_action(cm, fat_gauge_transform(cm, cfg.copy(),
+                                                    eta.realize(lat))))
+    assert transformed_actions(cm, recipe.stream(lat), eps, eta) == want
+    assert transformed_actions(cm, cfg, eps.realize(lat),
+                               eta.realize(lat)) == want
+
+
+def test_nan_exponential_of_one_slab_reaches_the_action():
+    """A NaN thin parameter on one slab of five gives that slab NaN
+    exponentials; the ring hands its rows to the action, which is NaN, with
+    no exception, while the untransformed and fat actions stay finite."""
+    cm = builtin_module("adjoint(su2)")
+    lat = Lattice(4, 20, 1.0 / 20)
+    cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(lat)
+    rng = np.random.default_rng(2)
+    eps = _random_recipe(rng, 4, (cm.p,), 1, scale=0.3).realize(lat)
+    eta = _random_recipe(rng, 4, (4, cm.q), 1, scale=0.3).realize(lat)
+    eps[:, slabs(lat)[2]] = np.nan
+    S0, S_thin, S_fat = transformed_actions(cm, cfg, eps, eta)
+    assert np.isfinite(S0) and np.isfinite(S_fat)
+    assert np.isnan(S_thin)
 
 
 def _squarings(M):

@@ -210,27 +210,29 @@ def test_one_row_slabs_match_one_slab(name, monkeypatch):
                                   "trivial_bf(1)", "abelian(2,3)"])
 def test_bianchi_rings_compute_each_slab_once(name, monkeypatch):
     """At n = 6 the Bianchi residuals are bitwise the same with slabs of 1,
-    2, 3 and 6 rows.  With 2 slabs a ring's previous and next slab are the
-    same slab, and with 1 slab both are the slab itself.  On every partition
-    each ring computes and reduces each slab exactly once."""
+    2, 3 and 6 rows, of a held and of a streamed configuration.  With 2
+    slabs a slab's previous and next slab are the same slab, and with 1
+    slab both are the slab itself.  On every partition each ring computes
+    each slab once, in order, and reduces each row once."""
     cm = builtin_module(name)
     lat = Lattice(4, 6, 1.0 / 6)
-    cfg = make_config_recipe(cm, 4, 1, seed=2, scale=0.4).realize(lat)
+    recipe = make_config_recipe(cm, 4, 1, seed=2, scale=0.4)
+    held = recipe.realize(lat)
     ring, calls = curvature._ring, []
 
-    def counted_ring(lattice, kernel, reduce):
+    def counted_ring(source, kernel, reduce, edges):
         computed, reduced = [], []
         calls.append((computed, reduced))
 
-        def counted_kernel(rows):
-            computed.append((rows.start, rows.stop))
-            return kernel(rows)
+        def counted_kernel(slab):
+            computed.append((slab.rows.start, slab.rows.stop))
+            return kernel(slab)
 
-        def counted_reduce(rows, windows):
-            reduced.append((rows.start, rows.stop))
-            return reduce(rows, windows)
+        def counted_reduce(rings):
+            reduced.extend(range(rings[0].rows.start, rings[0].rows.stop))
+            return reduce(rings)
 
-        return ring(lattice, counted_kernel, counted_reduce)
+        return ring(source, counted_kernel, counted_reduce, edges)
 
     monkeypatch.setattr(curvature, "_ring", counted_ring)
     res = {}
@@ -238,10 +240,12 @@ def test_bianchi_rings_compute_each_slab_once(name, monkeypatch):
         monkeypatch.setattr(lattice, "SLAB_SITES", rows * lat.n ** 3)
         parts = [(s.start, s.stop) for s in slabs(lat)]
         assert len(parts) == lat.n // rows
-        calls.clear()
-        res[rows] = {k: float(v).hex()
-                     for k, v in bianchi_residuals(cm, cfg).items()}
-        assert len(calls) == 2
-        for computed, reduced in calls:
-            assert sorted(computed) == parts and sorted(reduced) == parts
-    assert res[1] == res[2] == res[3] == res[6], res
+        for kind, cfg in (("held", held), ("streamed", recipe.stream(lat))):
+            calls.clear()
+            res[rows, kind] = {k: float(v).hex()
+                               for k, v in bianchi_residuals(cm, cfg).items()}
+            assert len(calls) == 2
+            for computed, reduced in calls:
+                assert computed == parts
+                assert sorted(reduced) == list(range(lat.n))
+    assert len(set(map(str, res.values()))) == 1, res

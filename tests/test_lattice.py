@@ -5,9 +5,11 @@ import pytest
 
 from bfcg.checks import order_ok
 from bfcg.crossed_module import builtin_module
-from bfcg.lattice import (EPS3_PAIR, FieldConfiguration, Lattice,
-                          discrete_derivative, finest_order, fit_order,
-                          make_config_recipe, pair_index, pairs, triples)
+from bfcg import lattice
+from bfcg.lattice import (EPS3_PAIR, FIELDS, FieldConfiguration, FieldRecipe,
+                          Lattice, discrete_derivative, finest_order,
+                          fit_order, make_config_recipe, pair_index, pairs,
+                          slabs, triples)
 from bfcg.phase import make_phase_recipe, random_phase_point
 from bfcg.relations import offshell_refinement
 from support import realize_derivative, sample_smooth_fields
@@ -125,6 +127,74 @@ def test_recipe_resolution_independent():
     f1 = recipe.C.realize(lat1)
     f2 = recipe.C.realize(lat2)
     assert np.max(np.abs(f1 - f2[..., ::2, ::2, ::2])) < 1e-12
+
+
+def _row_recipes(cm):
+    """Config recipes at 1 and 3 modes per axis, and a recipe whose modes
+    vary along several axes at once, axis 0 among them."""
+    rng = np.random.default_rng(9)
+    recipes = [getattr(make_config_recipe(cm, 4, modes, seed=1, scale=0.4), f)
+               for modes in (1, 3) for f in FIELDS]
+    recipes.append(FieldRecipe(4, (2,), {
+        k: (rng.normal(size=2), rng.normal(size=2))
+        for k in ((0, 0, 0, 0), (1, 1, 0, 2), (-2, 0, 3, 1), (0, 1, -1, 0))}))
+    return recipes
+
+
+@pytest.mark.parametrize("n", [6, 16, 20])
+def test_row_ranges_are_the_periodic_rows_of_the_full_field(n):
+    """Every slab's rows with two halo rows on each side, past row 0 and
+    row n - 1 included, realize bitwise the periodic rows of the full
+    field."""
+    lat = Lattice(4, n, 1.0 / n)
+    for recipe in _row_recipes(builtin_module("vector_poincare")):
+        full = recipe.realize(lat)
+        for rows in slabs(lat):
+            lo, hi = rows.start - 2, rows.stop + 2
+            want = np.take(full, np.arange(lo, hi) % n, axis=-4)
+            assert np.array_equal(recipe.realize(lat, lo, hi), want), (n, lo)
+
+
+@pytest.mark.parametrize("n", [6, 16, 20])
+def test_streamed_slabs_are_the_held_slabs(n, monkeypatch):
+    """A streamed configuration's slab windows are bitwise the held
+    configuration's, and each windowed row is realized once, but for the
+    wrap rows n - 1 and 0 of a lattice of several slabs."""
+    cm = builtin_module("adjoint(su2)")
+    lat = Lattice(4, n, 1.0 / n)
+    recipe = make_config_recipe(cm, 4, 3, seed=4, scale=0.4)
+    eps = _row_recipes(cm)[-1]
+    held = recipe.realize(lat).slabs(("A", "beta"), ("B", "C"),
+                                     eps=eps.realize(lat))
+    realized, realize = [], FieldRecipe.realize
+
+    def counted(self, lattice, lo=0, hi=None):
+        out = realize(self, lattice, lo, hi)
+        realized.append(out.shape[-4])
+        return out
+
+    monkeypatch.setattr(FieldRecipe, "realize", counted)
+    streamed = recipe.stream(lat).slabs(("A", "beta"), ("B", "C"), eps=eps)
+    for got, want in zip(streamed, held):
+        assert got.rows == want.rows
+        for name, window in want.windows.items():
+            for g, w in zip(got.windows[name], window):
+                assert (g is None and w is None) or np.array_equal(g, w)
+    # A, beta and eps windowed, B and C by rows
+    wrap = 2 if len(slabs(lat)) > 1 else 0
+    assert sum(realized) == 3 * (n + wrap) + 2 * n, realized
+
+
+def test_one_row_fields_are_kept_as_views():
+    """Keeping a row copies it only when the field owns other rows."""
+    lat = Lattice(4, 4, 0.25)
+    field = np.zeros((2,) + lat.shape)
+    kept = lattice._kept(field, lat, -1)
+    assert not np.may_share_memory(kept, field)
+    assert np.array_equal(kept, field[:, 3:])
+    one_row = field[:, 1:2].copy()
+    assert np.may_share_memory(lattice._kept(one_row, lat, -1), one_row)
+    assert np.may_share_memory(lattice._kept(field[:, 1:3], lat, 0), field)
 
 
 # ---------------------------------------------------------------------------

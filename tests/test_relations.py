@@ -9,7 +9,7 @@ from bfcg.constraints import (constraint_density, evaluate_constraint,
                               family_shape, total_hamiltonian_functional)
 from bfcg.crossed_module import builtin_module, contract
 from bfcg.curvature import _bianchi_g, _bianchi_h, curvature_F, curvature_T
-from bfcg.lattice import (EPS3_PAIR, FieldConfiguration, Lattice,
+from bfcg.lattice import (EPS3_PAIR, FieldConfiguration, Lattice, Slab,
                           discrete_derivative, slab_window)
 from bfcg.localpoly import LocalFunctional, poisson_bracket, smear
 from bfcg import relations
@@ -293,13 +293,16 @@ def test_offshell_bianchi_content_matches_loop_oracle(name, n):
     b = pt.blocks
     cfg3 = FieldConfiguration(pt.lattice, b["A"], b["be"], b["B"], b["C"])
     rhs_a, rhs_b = _offshell_rhs_loop_oracle(cm, cfg3)
-    F3, T3 = (slab_window(X, pt.lattice, slice(None))
-              for X in (curvature_F(cm, cfg3), curvature_T(cm, cfg3)))
+    lat = pt.lattice
+    whole = Slab(lat, slice(0, lat.n), {
+        name: slab_window(X, lat, slice(None))
+        for name, X in (("A", b["A"]), ("C", b["C"]),
+                        ("F", curvature_F(cm, cfg3)),
+                        ("T", curvature_T(cm, cfg3)))})
     out = offshell_relations(cm, pt)
     for got, want, norm in (
-            (0.5 * _bianchi_g(cm, cfg3, F3, (0, 1, 2), slice(None)), rhs_a,
-             "ra_bianchi_norm"),
-            (0.5 * _bianchi_h(cm, cfg3, F3, T3, (0, 1, 2), slice(None)), rhs_b,
+            (0.5 * _bianchi_g(cm, whole, (0, 1, 2)), rhs_a, "ra_bianchi_norm"),
+            (0.5 * _bianchi_h(cm, whole, (0, 1, 2)), rhs_b,
              "rb_bianchi_norm")):
         scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
         assert got.shape == want.shape
