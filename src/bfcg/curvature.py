@@ -66,7 +66,9 @@ its edge rows for the slabs around, so beside the slab source Bianchi
 holds a few slabs.  Each site gets the same operations in
 the same order on any partition, so the results are bitwise independent
 of the slab size and of the source; the action's density is one full site
-array summed once.
+array summed once.  So the finite differences of the field equations form
+again only the three rows of density that a perturbed entry moves, and
+sum them with the rest of the unperturbed density (_entry_actions).
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ from __future__ import annotations
 import numpy as np
 
 from .crossed_module import _maxabs, contract
-from .lattice import (FieldConfiguration, Slab, _axis0, _kept, levi_civita,
-                      pair_index, pairs, slab_derivative, triples)
+from .lattice import (SLAB_SITES, FieldConfiguration, Slab, _axis0, _kept,
+                      levi_civita, pair_index, pairs, slab_derivative,
+                      slab_window, triples)
 
 __all__ = [
     "curvature_F",
@@ -307,6 +310,69 @@ def eom_residuals(cm, cfg: FieldConfiguration) -> dict:
     }
 
 
+def _batched(window, ax: int, size: int) -> np.ndarray:
+    """A view of window with a batch axis of the given size at array axis ax,
+    broadcast."""
+    window = np.expand_dims(window, ax)
+    return np.broadcast_to(window, window.shape[:ax] + (size,)
+                           + window.shape[ax + 1:])
+
+
+def _entry_actions(cm, cfg: FieldConfiguration, dens, name: str,
+                   entries) -> list:
+    """S of cfg with one entry of its field `name` (A or beta) set, for each
+    (index, value) of entries; dens is the density that evaluate_action
+    sums for cfg, and is left as it was.
+
+    The density of a row reads the windowed fields of ACTION_FIELDS on the
+    row and its one-row window, so an entry on row y of lattice axis 0 moves
+    the density on rows y - 1..y + 1 alone.  Each entry's density is formed
+    on those rows only, from one Slab whose windows end on rows y - 2 and
+    y + 2 (slab_window, wrapped mod n as the slab source wraps them), and
+    spliced into dens for _action to sum.
+
+    The entries on one row are batched on an axis before the lattice axes:
+    every window is a broadcast view but the rows y - 1..y + 1 of the field
+    set, copied once per batch.  Batching pays on lattices far smaller than
+    a slab, where a kernel call is mostly overhead, so a batch holds
+    SLAB_SITES // (3 n^4) entries, at least one: its three-row blocks hold
+    at most SLAB_SITES / n sites, and from n = 10 on each entry is a batch.
+
+    Every site gets the operations of evaluate_action, so each S is bitwise
+    evaluate_action of the configuration with that entry set.
+    """
+    lat = cfg.lattice
+    ax = getattr(cfg, name).ndim - lat.D   # the batch axis
+    size = max(1, SLAB_SITES // (3 * lat.sites))
+    by_row = {}
+    for k, (index, _) in enumerate(entries):
+        by_row.setdefault(index[ax], []).append(k)
+    out = [None] * len(entries)
+    for y, ks in by_row.items():
+        rows = slice(y - 1, y + 2)
+        windows = {f: slab_window(getattr(cfg, f), lat, rows)
+                   for f in ACTION_FIELDS[0] + ACTION_FIELDS[1]}
+        moved = np.arange(y - 1, y + 2) % lat.n
+        kept = dens[moved]
+        for lo in range(0, len(ks), size):
+            batch = ks[lo:lo + size]
+            fields = {f: tuple(_batched(w, ax, len(batch)) for w in ws)
+                      for f, ws in windows.items()}
+            before, mid, after = fields[name]
+            mid = mid.copy()
+            for j, k in enumerate(batch):
+                index, value = entries[k]
+                mid[index[:ax] + (j, 1) + index[ax + 1:]] = value
+            fields[name] = before, mid, after
+            d = np.zeros((len(batch), 3) + lat.shape[1:])
+            _action_density(cm, Slab(lat, rows, fields), d)
+            for j, k in enumerate(batch):
+                dens[moved] = d[j]
+                out[k] = _action(lat, dens)
+        dens[moved] = kept
+    return out
+
+
 def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
                        n_samples: int = 24, seed: int = 0) -> float:
     """Max relative error between E_A/E_beta and finite differences of S.
@@ -314,34 +380,37 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
     res is eom_residuals(cm, cfg).  Central differences of step 1e-6 in
     randomly sampled entries of A and beta are compared against -1/2 a^4
     E_A and 2 a^4 E_beta; an empty field (beta at q = 0) has no entry to
-    sample.  The reduction is np.max, so a NaN error (a NaN action) is
-    returned, never dropped.
+    sample.  S(x + h) and S(x - h), with x - h formed as (x + h) - 2h, are
+    bitwise evaluate_action of the configuration with the entry set, but
+    each is summed from the density of cfg with the three rows the entry
+    moves formed again (_entry_actions), so no configuration is copied.  The
+    reduction is np.max, so a NaN error (a NaN action) is returned, never
+    dropped.
     """
     lat = cfg.lattice
     rng = np.random.default_rng(seed)
     a4 = lat.volume_element
     step = 1e-6
     worst = 0.0
+    dens = np.zeros(lat.shape)   # evaluate_action's density of cfg
+    for slab in cfg.slabs(*ACTION_FIELDS):
+        _action_density(cm, slab, dens[slab.rows])
 
-    def _fd(field_name, idx):
-        work = cfg.copy()
-        arr = getattr(work, field_name)
-        arr[idx] += step
-        s_plus = evaluate_action(cm, work)
-        arr[idx] -= 2 * step
-        s_minus = evaluate_action(cm, work)
-        return (s_plus - s_minus) / (2 * step)
-
-    for field_name, E, coeff in (("A", res["E_A"], -0.5),
-                                 ("beta", res["E_beta"], 2.0)):
+    for field_name, E, coeff in (("A", "E_A", -0.5), ("beta", "E_beta", 2.0)):
+        E, scale = res[E], max(1.0, res[E + "_norm"] * a4)
         if E.size == 0:
             continue
-        scale = max(1.0, _maxabs(E) * a4)
-        for _ in range(n_samples):
-            comp = tuple(rng.integers(0, k) for k in E.shape[:2])
-            site = tuple(rng.integers(0, lat.n, size=4))
-            fd = _fd(field_name, comp + site)
-            analytic = coeff * a4 * E[comp + site]
+        samples = [tuple(rng.integers(0, k) for k in E.shape[:2])
+                   + tuple(rng.integers(0, lat.n, size=4))
+                   for _ in range(n_samples)]
+        entries = []
+        for idx in samples:
+            plus = getattr(cfg, field_name)[idx] + step
+            entries += [(idx, plus), (idx, plus - 2 * step)]
+        S = _entry_actions(cm, cfg, dens, field_name, entries)
+        for idx, s_plus, s_minus in zip(samples, S[::2], S[1::2]):
+            fd = (s_plus - s_minus) / (2 * step)
+            analytic = coeff * a4 * E[idx]
             worst = float(np.max([worst, abs(fd - analytic) / scale]))
     return worst
 

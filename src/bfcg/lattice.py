@@ -151,12 +151,14 @@ def slabs(lattice: Lattice) -> list:
 
 def slab_window(field: np.ndarray, lattice: Lattice, rows: slice) -> tuple:
     """(the row before, the rows `rows`, the row after) of lattice axis 0 of
-    a full field, as views; the neighbour rows wrap periodically."""
+    a full field.  The rows, like the neighbour rows, wrap periodically, so
+    they may run past 0 or n - 1 (see _wrapped_rows): each part is a view,
+    or a copy if its rows cross from row n - 1 to row 0."""
     field = np.asarray(field)
-    n, ax = lattice.n, field.ndim - lattice.D
-    lo, hi, _ = rows.indices(n)
-    return (_rows(field, ax, (lo - 1) % n, (lo - 1) % n + 1),
-            _rows(field, ax, lo, hi), _rows(field, ax, hi % n, hi % n + 1))
+    lo, hi = rows.start or 0, lattice.n if rows.stop is None else rows.stop
+    return (_wrapped_rows(field, lattice, lo - 1, lo),
+            _wrapped_rows(field, lattice, lo, hi),
+            _wrapped_rows(field, lattice, hi, hi + 1))
 
 
 def slab_derivative(window: tuple, axis: int, lattice: Lattice) -> np.ndarray:
@@ -201,6 +203,17 @@ def _axis0(field: np.ndarray, lattice: Lattice, lo: int,
            hi: int) -> np.ndarray:
     """Rows lo..hi-1 of lattice axis 0 of field, as a view."""
     return _rows(field, field.ndim - lattice.D, lo, hi)
+
+
+def _wrapped_rows(field: np.ndarray, lattice: Lattice, lo: int,
+                  hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of lattice axis 0 of field, taken mod n: a view, or a
+    copy if they cross from row n - 1 to row 0."""
+    n = lattice.n
+    lo, hi = lo % n, lo % n + hi - lo
+    if hi <= n:
+        return _axis0(field, lattice, lo, hi)
+    return np.take(field, np.arange(lo, hi) % n, axis=field.ndim - lattice.D)
 
 
 def _kept(field: np.ndarray, lattice: Lattice, k: int,

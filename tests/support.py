@@ -1,6 +1,8 @@
 """Shared test helpers: a smooth-field sampler, the analytic derivative of a
-recipe, the GB curvature oracle and a matrix-exponential oracle."""
+recipe, the GB curvature oracle, a matrix-exponential oracle and a
+tracemalloc peak."""
 
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -68,3 +70,14 @@ def expm_series(M: np.ndarray, terms: int = 30) -> np.ndarray:
     for j in range(int(np.max(s, initial=0))):
         E = np.where((s > j)[..., None, None], E @ E, E)
     return E
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated, traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak

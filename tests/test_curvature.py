@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bfcg import curvature
-from bfcg.checks import order_ok
+from bfcg.checks import RunConfig, check_eom, order_ok
 from bfcg.crossed_module import builtin_module, contract
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
                             curvature_T, eom_gradient_check, eom_residuals,
@@ -13,7 +13,7 @@ from bfcg.lattice import (FieldConfiguration, Lattice, Slab,
                           discrete_derivative, levi_civita, finest_order,
                           fit_order, make_config_recipe, pair_index, pairs,
                           slab_window, triples)
-from support import curvature_GB, sample_smooth_fields
+from support import curvature_GB, sample_smooth_fields, traced_peak
 
 
 def _zero_config(cm, lat):
@@ -271,6 +271,106 @@ def test_eom_matches_action_gradient():
     cfg = make_config_recipe(cm, 4, 1, seed=2, scale=0.4).realize(lat)
     assert eom_gradient_check(cm, cfg, eom_residuals(cm, cfg), n_samples=10,
                               seed=3) < 1e-6
+
+
+def _density(cm, cfg):
+    """The density site array that evaluate_action sums."""
+    dens = np.zeros(cfg.lattice.shape)
+    for slab in cfg.slabs(*curvature.ACTION_FIELDS):
+        curvature._action_density(cm, slab, dens[slab.rows])
+    return dens
+
+
+@pytest.mark.parametrize("name, n", [
+    (name, n) for name in ("trivial_bf(1)", "abelian(4,2)", "adjoint(su2)",
+                           "vector_poincare") for n in (4, 5, 6)]
+    + [("trivial_bf(1)", 16), ("adjoint(su2)", 16)])
+def test_entry_actions_are_the_actions_of_perturbed_copies(name, n):
+    """Each action that the finite differences read, formed from the
+    density of the unperturbed configuration and the three rows an entry
+    moves, is bitwise evaluate_action of a copy with that entry set: on the
+    wrap rows 0 and n - 1 and a middle row, and with two samples (four
+    entries) at one site in one batch.  beta at q = 0 has no entry."""
+    cm = builtin_module(name)
+    lat = Lattice(4, n, 1.0 / n)
+    cfg = make_config_recipe(cm, 4, 1, seed=n, scale=0.4).realize(lat)
+    dens = _density(cm, cfg)
+    unperturbed = dens.copy()
+    rng = np.random.default_rng(n)
+    for field_name in ("A", "beta"):
+        field = getattr(cfg, field_name)
+        if field.size == 0:
+            continue
+        entries = []
+        for y in (0, n - 1, n // 2):
+            index = (tuple(rng.integers(0, k) for k in field.shape[:2]) + (y,)
+                     + tuple(rng.integers(0, n, size=3)))
+            plus = field[index] + 1e-6
+            entries += [(index, plus), (index, plus - 2e-6)]
+        index = entries[-1][0]
+        entries += [(index, field[index] + 0.5), (index, field[index] - 0.25)]
+        got = curvature._entry_actions(cm, cfg, dens, field_name, entries)
+        assert np.array_equal(dens, unperturbed)
+        for (index, value), S in zip(entries, got):
+            work = cfg.copy()
+            getattr(work, field_name)[index] = value
+            assert S == evaluate_action(cm, work), (field_name, index)
+
+
+def _gradient_check_oracle(cm, cfg, res, n_samples, seed):
+    """eom_gradient_check as a loop over copies: each finite difference
+    evaluates the action of a whole configuration copy, twice."""
+    lat = cfg.lattice
+    rng = np.random.default_rng(seed)
+    a4, step, worst = lat.volume_element, 1e-6, 0.0
+    for field_name, E, coeff in (("A", res["E_A"], -0.5),
+                                 ("beta", res["E_beta"], 2.0)):
+        if E.size == 0:
+            continue
+        scale = max(1.0, np.max(np.abs(E)) * a4)
+        for _ in range(n_samples):
+            idx = (tuple(rng.integers(0, k) for k in E.shape[:2])
+                   + tuple(rng.integers(0, lat.n, size=4)))
+            work = cfg.copy()
+            arr = getattr(work, field_name)
+            arr[idx] += step
+            s_plus = evaluate_action(cm, work)
+            arr[idx] -= 2 * step
+            fd = (s_plus - evaluate_action(cm, work)) / (2 * step)
+            worst = float(np.max([worst, abs(fd - coeff * a4 * E[idx]) / scale]))
+    return worst
+
+
+@pytest.mark.parametrize("name, n, seed", [("trivial_bf(1)", 5, 1),
+                                           ("abelian(4,2)", 6, 2),
+                                           ("adjoint(su2)", 5, 1),
+                                           ("vector_poincare", 4, 1)])
+def test_eom_gradient_check_is_the_loop_over_copies(name, n, seed):
+    """The eom check's relative error is bitwise that of the loop over
+    configuration copies, the same draws and steps on the same actions.
+    abelian(4,2) at n = 6 and seed 2 moves if x - h is formed other than as
+    (x + h) - 2h."""
+    cm = builtin_module(name)
+    rec = check_eom(cm, RunConfig(seed=seed, ns=(n,)))
+    cfg = make_config_recipe(cm, 4, 1, seed=seed, scale=0.4).realize(
+        Lattice(4, n, 1.0 / n))
+    res = eom_residuals(cm, cfg)
+    assert rec.residuals["relerr"] == (
+        _gradient_check_oracle(cm, cfg, res, n_samples=16, seed=seed),)
+
+
+def test_eom_gradient_check_copies_no_configuration():
+    """The finite differences form three rows of density per entry and copy
+    no configuration: at n = 12 on adjoint(su2) the check peaks below half
+    of one configuration, where a copy per sample takes a whole one."""
+    cm = builtin_module("adjoint(su2)")
+    lat = Lattice(4, 12, 1.0 / 12)
+    cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(lat)
+    res = eom_residuals(cm, cfg)
+    one = sum(getattr(cfg, f).nbytes for f in ("A", "beta", "B", "C"))
+    worst, peak = traced_peak(eom_gradient_check, cm, cfg, res, 16, 1)
+    assert worst < 1e-6
+    assert peak < one / 2, peak / one
 
 
 def test_eom_curvature_part_flat_abelian():

@@ -1,7 +1,6 @@
 """Thin and fat gauge transformations."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from bfcg.gauge import (expm_batched, fat_gauge_transform,
 from bfcg.lattice import (Lattice, _random_recipe, discrete_derivative, levi_civita,
                           finest_order, fit_order, make_config_recipe, pairs,
                           slabs, triples)
-from support import expm_series, sample_smooth_fields
+from support import expm_series, sample_smooth_fields, traced_peak
 
 ORACLE_MODULES = ["adjoint(su2)", "vector_poincare", "abelian(2,3)",
                   "trivial_bf(3)"]
@@ -222,17 +221,6 @@ def test_blockwise_thin_matches_whole_stack_oracle(name):
         assert abs(S - S_ref) <= 1e-12 * max(1.0, abs(S_ref)), (S, S_ref)
 
 
-def _traced_peak(fn, *args):
-    """fn(*args) and the peak bytes it allocated, traced by tracemalloc."""
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
 def _transform_peaks(transform, param_shape):
     """Traced peaks of an in-place transform on vector_poincare at n = 16
     and 20, and the bytes of the configuration it overwrote."""
@@ -243,7 +231,7 @@ def _transform_peaks(transform, param_shape):
         cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(lat)
         param = _random_recipe(np.random.default_rng(2), 4, param_shape(cm), 1,
                                scale=0.3).realize(lat)
-        out, peak[n] = _traced_peak(transform, cm, cfg, param)
+        out, peak[n] = traced_peak(transform, cm, cfg, param)
         assert out is cfg
         cfg_bytes[n] = sum(getattr(cfg, f).nbytes
                            for f in ("A", "beta", "B", "C"))
@@ -275,7 +263,7 @@ def test_gauge_check_holds_one_configuration():
     by slab, so the check's peak stays well below the two configurations
     that a transformed copy beside the original would take."""
     cm = builtin_module("adjoint(su2)")
-    _, peak = _traced_peak(check_gauge, cm, RunConfig(ns=(8, 12, 20)))
+    _, peak = traced_peak(check_gauge, cm, RunConfig(ns=(8, 12, 20)))
     lat = Lattice(4, 20, 1.0 / 20)
     one = (lat.D + len(pairs(lat.D))) * (cm.p + cm.q) * lat.sites * 8
     assert peak < 1.75 * one, peak / one
@@ -293,7 +281,7 @@ def test_streamed_checks_hold_no_configuration():
     one = (lat.D + len(pairs(lat.D))) * (cm.p + cm.q) * lat.sites * 8
     assert len(slabs(lat)) == 12
     for check, bound in ((check_bianchi, one / 2), (check_gauge, one)):
-        rec, peak = _traced_peak(check, cm, RunConfig(ns=(8, 12, 24)))
+        rec, peak = traced_peak(check, cm, RunConfig(ns=(8, 12, 24)))
         assert rec.ok, rec.name
         assert peak < bound, (rec.name, peak / one)
 
@@ -374,7 +362,7 @@ def test_action_working_set_is_a_few_site_arrays(name):
     cm = builtin_module(name)
     lat = Lattice(4, 16, 1.0 / 16)
     cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(lat)
-    _, peak = _traced_peak(evaluate_action, cm, cfg)
+    _, peak = traced_peak(evaluate_action, cm, cfg)
     site_array = max(cm.p, cm.q) * lat.sites * 8
     assert peak <= 6 * site_array, peak / site_array
 
@@ -392,7 +380,7 @@ def test_bianchi_rings_at_two_slabs_stay_within_F_and_T(name):
     lat = Lattice(4, 16, 1.0 / 16)
     assert len(slabs(lat)) == 2
     cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(lat)
-    _, peak = _traced_peak(bianchi_residuals, cm, cfg)
+    _, peak = traced_peak(bianchi_residuals, cm, cfg)
     site_array = max(cm.p, cm.q) * lat.sites * 8
     F_and_T = len(pairs(4)) * (cm.p + cm.q) * lat.sites * 8
     extra = peak - F_and_T
@@ -410,7 +398,7 @@ def test_bianchi_working_set_does_not_scale_with_lattice(name):
     for n in (20, 24):
         lat = Lattice(4, n, 1.0 / n)
         cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(lat)
-        _, peak[n] = _traced_peak(bianchi_residuals, cm, cfg)
+        _, peak[n] = traced_peak(bianchi_residuals, cm, cfg)
         cfg_bytes[n] = sum(getattr(cfg, f).nbytes
                            for f in ("A", "beta", "B", "C"))
         del cfg
