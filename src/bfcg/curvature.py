@@ -76,8 +76,8 @@ from __future__ import annotations
 import numpy as np
 
 from .crossed_module import _maxabs, contract
-from .lattice import (SLAB_SITES, FieldConfiguration, Slab, _axis0, _kept,
-                      levi_civita, pair_index, pairs, slab_derivative,
+from .lattice import (FIELDS, SLAB_SITES, FieldConfiguration, Slab, _axis0,
+                      _kept, levi_civita, pair_index, pairs, slab_derivative,
                       slab_window, triples)
 
 __all__ = [
@@ -350,8 +350,7 @@ def _entry_actions(cm, cfg: FieldConfiguration, dens, name: str,
     out = [None] * len(entries)
     for y, ks in by_row.items():
         rows = slice(y - 1, y + 2)
-        windows = {f: slab_window(getattr(cfg, f), lat, rows)
-                   for f in ACTION_FIELDS[0] + ACTION_FIELDS[1]}
+        windows = {f: slab_window(getattr(cfg, f), lat, rows) for f in FIELDS}
         moved = np.arange(y - 1, y + 2) % lat.n
         kept = dens[moved]
         for lo in range(0, len(ks), size):

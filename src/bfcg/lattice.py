@@ -364,8 +364,12 @@ class FieldRecipe:
         and any run of rows is bitwise those rows of the full field.  The
         modes are grouped by their support, the axes where k mod n != 0.
         Each group's sum of ca cos + sa sin varies only along its support,
-        so it is built on those axes alone and broadcast-added into the
-        output.  No spectrum of the full lattice is formed.
+        so it is built on those axes alone, and the groups are added in turn
+        on their smallest common broadcast shape; the rows are written once,
+        by the last addition or a final broadcast copy.  Each element gets
+        the additions of a sum into zeros, in the same order.  No spectrum
+        of the full lattice is formed, and the result is a fresh, writable,
+        C-contiguous array.
         """
         if lattice.D != self.D:
             raise ValueError("recipe dimension mismatch")
@@ -376,7 +380,8 @@ class FieldRecipe:
         for k, (ca, sa) in self.coeffs.items():
             support = tuple(d for d in range(self.D) if k[d] % n)
             groups.setdefault(support, []).append((k, ca, sa))
-        out = np.zeros(self.comp_shape + (hi - lo,) + lattice.shape[1:])
+        shape = self.comp_shape + (hi - lo,) + lattice.shape[1:]
+        out = 0.0
         for support, modes in groups.items():
             grids = np.ix_(*[axes[d] for d in support])
             part = 0.0
@@ -387,7 +392,9 @@ class FieldRecipe:
                         + np.multiply.outer(np.asarray(sa), np.sin(theta)))
             placed = tuple(len(axes[d]) if d in support else 1
                            for d in range(self.D))
-            out += np.reshape(part, self.comp_shape + placed)
+            out = out + np.reshape(part, self.comp_shape + placed)
+        if np.shape(out) != shape:
+            out = np.broadcast_to(out, shape).copy()
         return out
 
 

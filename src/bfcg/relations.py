@@ -342,9 +342,11 @@ _CONSISTENCY_ROWS = (
     *((fam, ((f"{fam} preservation", None),)) for fam in SECOND_CLASS),
     *((fam, ((f"{fam} preservation (weak)", None),)) for fam in SECONDARIES),
 )
+_COMPLETIONS = {row.completion for row in TEMPORAL}
 
 
-def consistency_residuals(cm, point: PhasePoint, seed: int = 0) -> list:
+def consistency_residuals(cm, point: PhasePoint, seed: int = 0,
+                          off_shell: bool = False) -> list:
     """Rows (label, residual) for every primary-constraint consistency bracket.
 
     Temporal primaries: {P[f], H_T} equals the first-class smearing exactly,
@@ -354,11 +356,21 @@ def consistency_residuals(cm, point: PhasePoint, seed: int = 0) -> list:
     values, hence vanishes at on-shell points; the raw bracket is reported.
     Secondary rows report the raw bracket value {S[f], H_T} (identically
     zero for abelian modules).
+
+    With off_shell, only the rows that hold at any point are formed: each
+    temporal primary against its first-class completion.  A row's test
+    field depends on its place among all the rows, so it is the same row
+    either way.
     """
     lat = point.lattice
     g_ht = total_hamiltonian_functional(cm, lat).gradient(point.blocks)
     rows = []
     for i, (fam, targets) in enumerate(_CONSISTENCY_ROWS):
+        if off_shell:
+            targets = [(label, dens) for label, dens in targets
+                       if dens in _COMPLETIONS]
+            if not targets:
+                continue
         t = make_test(family_shape(cm, fam), lat, seed=seed * 9176 + 101 * (i + 1))
         g_fn = smear(constraint_density(cm, fam), t, lat).gradient(point.blocks)
         br = pair_gradients(g_fn, g_ht, CANONICAL_PAIRS, lat.a)

@@ -155,6 +155,49 @@ def test_row_ranges_are_the_periodic_rows_of_the_full_field(n):
             assert np.array_equal(recipe.realize(lat, lo, hi), want), (n, lo)
 
 
+def _realize_into_zeros(recipe, lat, lo, hi):
+    """The recipe's rows summed mode group by mode group into zeros, each
+    group broadcast over the whole rows."""
+    n = lat.n
+    axes = [np.arange(lo, hi)] + [np.arange(n)] * 3
+    groups = {}
+    for k, (ca, sa) in recipe.coeffs.items():
+        support = tuple(d for d in range(4) if k[d] % n)
+        groups.setdefault(support, []).append((k, ca, sa))
+    out = np.zeros(recipe.comp_shape + (hi - lo,) + lat.shape[1:])
+    for support, modes in groups.items():
+        grids = np.ix_(*[axes[d] for d in support])
+        part = 0.0
+        for k, ca, sa in modes:
+            theta = (2.0 * np.pi / n) * (
+                sum((k[d] * g for d, g in zip(support, grids)), 0) % n)
+            part = (part + np.multiply.outer(np.asarray(ca), np.cos(theta))
+                    + np.multiply.outer(np.asarray(sa), np.sin(theta)))
+        out += np.reshape(part, recipe.comp_shape + tuple(
+            len(axes[d]) if d in support else 1 for d in range(4)))
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6, 16])
+def test_realize_is_the_sum_into_zeros(n):
+    """Adding the mode groups on their broadcast shapes gives, bit for bit
+    and zero signs included, the sum of the groups into zeros, as a fresh,
+    writable, C-contiguous array (the gauge transforms write into it)."""
+    lat = Lattice(4, n, 1.0 / n)
+    cm = builtin_module("vector_poincare")
+    recipes = _row_recipes(cm) + [
+        getattr(make_config_recipe(cm, 4, 2, seed=3, scale=0.4), f)
+        for f in FIELDS]
+    for recipe in recipes:
+        for lo, hi in ((0, n), (-1, 1), (n - 1, n + 2), (2, 3)):
+            got = recipe.realize(lat, lo, hi)
+            want = _realize_into_zeros(recipe, lat, lo, hi)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert got.flags.owndata
+
+
 @pytest.mark.parametrize("n", [6, 16, 20])
 def test_streamed_slabs_are_the_held_slabs(n, monkeypatch):
     """A streamed configuration's slab windows are bitwise the held

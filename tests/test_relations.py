@@ -190,6 +190,17 @@ def test_consistency_random_point_phi_rows_exact():
             assert r > 1e-6  # chi tails are visible off the on-shell surface
 
 
+@pytest.mark.parametrize("cm", [SU2, VP], ids=["su2", "vp"])
+def test_consistency_off_shell_rows_are_those_of_all_rows(cm):
+    """off_shell forms the four temporal-vs-completion rows alone, bitwise
+    as they are among all sixteen, in the same order."""
+    pt = random_phase_point(cm, LAT, seed=9, rule="random")
+    rows = consistency_residuals(cm, pt, seed=2)
+    assert len(rows) == 16
+    assert consistency_residuals(cm, pt, seed=2, off_shell=True) == [
+        (label, r) for label, r in rows if "vs phi" in label]
+
+
 def test_consistency_abelian_secondaries_preserved_exactly():
     pt = random_phase_point(AB, LAT, seed=10, rule="random")
     rows = dict(consistency_residuals(AB, pt, seed=3))
