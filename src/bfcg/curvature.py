@@ -395,8 +395,8 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
     for slab in cfg.slabs(*ACTION_FIELDS):
         _action_density(cm, slab, dens[slab.rows])
 
-    for field_name, E, coeff in (("A", "E_A", -0.5), ("beta", "E_beta", 2.0)):
-        E, scale = res[E], max(1.0, res[E + "_norm"] * a4)
+    for field_name, key, coeff in (("A", "E_A", -0.5), ("beta", "E_beta", 2.0)):
+        E, scale = res[key], max(1.0, res[key + "_norm"] * a4)
         if E.size == 0:
             continue
         samples = [tuple(rng.integers(0, k) for k in E.shape[:2])

@@ -210,10 +210,12 @@ def _wrapped_rows(field: np.ndarray, lattice: Lattice, lo: int,
     """Rows lo..hi-1 of lattice axis 0 of field, taken mod n: a view, or a
     copy if they cross from row n - 1 to row 0."""
     n = lattice.n
-    lo, hi = lo % n, lo % n + hi - lo
-    if hi <= n:
-        return _axis0(field, lattice, lo, hi)
-    return np.take(field, np.arange(lo, hi) % n, axis=field.ndim - lattice.D)
+    start = lo % n
+    stop = start + hi - lo
+    if stop <= n:
+        return _axis0(field, lattice, start, stop)
+    return np.take(field, np.arange(start, stop) % n,
+                   axis=field.ndim - lattice.D)
 
 
 def _kept(field: np.ndarray, lattice: Lattice, k: int,
