@@ -16,9 +16,8 @@ import numpy as np
 
 from .crossed_module import (DEFAULT_TOL, _maxabs, _nondegeneracy_violation,
                              validate_crossed_module)
-from .curvature import (bianchi_residuals, curvature_F, curvature_G3,
-                        curvature_T, eom_gradient_check, eom_residuals,
-                        evaluate_action, fake_curvature)
+from .curvature import (bianchi_residuals, curvature_F, curvature_norms,
+                        eom_gradient_check, eom_residuals, evaluate_action)
 from .dof import dof_count, dof_report
 from .gauge import expm_batched, thin_gauge_transform, transformed_actions
 from .lattice import (Lattice, _random_recipe, finest_order, fit_order,
@@ -118,11 +117,6 @@ def _recipe(cm, cfg: RunConfig):
     return make_config_recipe(cm, 4, cfg.modes, seed=cfg.seed, scale=0.4)
 
 
-def _config(cm, cfg: RunConfig, lat: Lattice):
-    """The run's 4D field configuration, realized on `lat`."""
-    return _recipe(cm, cfg).realize(lat)
-
-
 def _nondegenerate(check):
     """Run `check` only on a module whose metrics Q and q pass validate's
     non-degeneracy rows; any other raises ValueError (a usage error, exit 2)
@@ -151,15 +145,14 @@ def check_validate(cm, cfg: RunConfig) -> CheckRecord:
 @_nondegenerate
 def check_curvature(cm, cfg: RunConfig) -> CheckRecord:
     n = cfg.ns[0]
-    c = _config(cm, cfg, _lattice(cfg, 4, n))
-    fields = {"F": curvature_F(cm, c), "H": fake_curvature(cm, c),
-              "G": curvature_G3(cm, c), "T": curvature_T(cm, c)}
+    c = _recipe(cm, cfg).stream(_lattice(cfg, 4, n))
+    norms = curvature_norms(cm, c)
     S = evaluate_action(cm, c)
-    norms = {k: _maxabs(v) for k, v in fields.items()}
     lines = [f"# curvature norms at n={n}"]
     lines += [f"curvature {k} maxabs {_fmt(v)}" for k, v in norms.items()]
     lines.append(f"action {S!r}")
-    finite = all(np.all(np.isfinite(x)) for x in fields.values())
+    # a norm is finite iff every entry is
+    finite = all(map(np.isfinite, norms.values()))
     return CheckRecord("curvature", bool(finite and np.isfinite(S)), "", lines,
                        {k: (v,) for k, v in norms.items()})
 
@@ -225,7 +218,7 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
 
 @_nondegenerate
 def check_eom(cm, cfg: RunConfig) -> CheckRecord:
-    c = _config(cm, cfg, _lattice(cfg, 4, cfg.ns[0]))
+    c = _recipe(cm, cfg).realize(_lattice(cfg, 4, cfg.ns[0]))
     res = eom_residuals(cm, c)
     worst = eom_gradient_check(cm, c, res, n_samples=16, seed=cfg.seed)
     lines = [f"eom H-norm {_fmt(res['H_norm'])} G-norm {_fmt(res['G_norm'])}",

@@ -57,18 +57,18 @@ reads its configuration only through the configuration's slab source
 (lattice.slab_source): a lattice.Slab holds each field's window, the slab
 and the neighbour rows before and after it along axis 0, which a kernel
 differences with lattice.slab_derivative.  A held FieldConfiguration gives
-views; a StreamedConfiguration realizes its recipes one slab ahead, so the
-action and the Bianchi residuals of a streamed configuration never form
-an n^4 field.  The public curvatures are full arrays filled slab by slab,
-but the Bianchi identities never form one: they difference curvatures
-held in slab rings (_ring), which compute each slab once and keep
-its edge rows for the slabs around, so beside the slab source Bianchi
-holds a few slabs.  Each site gets the same operations in
-the same order on any partition, so the results are bitwise independent
-of the slab size and of the source; the action's density is one full site
-array summed once.  So the finite differences of the field equations form
-again only the three rows of density that a perturbed entry moves, and
-sum them with the rest of the unperturbed density (_entry_actions).
+views; a StreamedConfiguration realizes its recipes one slab ahead.  Only
+curvature_F, which the gauge check's covariance compares whole, forms a
+full curvature: the norms and the field equations reduce each stored pair
+or triple of a slab at once, and the Bianchi identities difference
+curvatures held in slab rings (_ring), which compute each slab once and
+keep its edge rows for the slabs around.  Each site gets the same
+operations in the same order on any partition, so the results are bitwise
+independent of the slab size and of the source; the action's density
+(_density) is one full site array summed once.  So the finite differences
+of the field equations form again only the three rows of density that a
+perturbed entry moves, and sum them with the rest of the unperturbed
+density (_entry_actions).
 """
 
 from __future__ import annotations
@@ -82,9 +82,7 @@ from .lattice import (FIELDS, SLAB_SITES, FieldConfiguration, Slab, _axis0,
 
 __all__ = [
     "curvature_F",
-    "fake_curvature",
-    "curvature_G3",
-    "curvature_T",
+    "curvature_norms",
     "evaluate_action",
     "eom_residuals",
     "eom_gradient_check",
@@ -109,25 +107,13 @@ def _fake_curvature_pair(cm, slab, P) -> np.ndarray:
     return out
 
 
-def _by_slab(out, slabs, kernel) -> np.ndarray:
-    """Fill out[k] (lattice axes last) slab by slab with kernel(slab, k),
-    from a configuration's slab source `slabs`."""
-    for slab in slabs:
-        for k in range(len(out)):
-            out[k, :, slab.rows] = kernel(slab, k)
-    return out
-
-
 def curvature_F(cm, cfg: FieldConfiguration) -> np.ndarray:
-    """F^a on ordered pairs, shape (npairs, p, sites...)."""
-    return _by_slab(np.empty_like(cfg.B), cfg.slabs(("A",)),
-                    lambda slab, P: _curvature_F_pair(cm, slab, P))
-
-
-def fake_curvature(cm, cfg: FieldConfiguration) -> np.ndarray:
-    """H^a_{mn} = F^a_{mn} - del_al^a beta^al_{mn}."""
-    return _by_slab(np.empty_like(cfg.B), cfg.slabs(("A",), ("beta",)),
-                    lambda slab, P: _fake_curvature_pair(cm, slab, P))
+    """F^a on ordered pairs, shape (npairs, p, sites...), slab by slab."""
+    out = np.empty_like(cfg.B)
+    for slab in cfg.slabs(("A",)):
+        for P in range(len(out)):
+            out[P, :, slab.rows] = _curvature_F_pair(cm, slab, P)
+    return out
 
 
 def _cov_derivative(slab, coupling, window, axis) -> np.ndarray:
@@ -174,27 +160,12 @@ def _wedge_triple(coupling, two_form, one_form, tri) -> np.ndarray:
     return out
 
 
-def curvature_G3(cm, cfg: FieldConfiguration) -> np.ndarray:
-    """G^al_{mnr} on ordered triples (S3 6-term convention)."""
-    tris = triples(cfg.lattice.D)
-    return _by_slab(np.empty((len(tris),) + cfg.beta.shape[1:]),
-                    cfg.slabs(("beta",), ("A",)),
-                    lambda slab, Ti: _three_form_triple(
-                        slab, "beta", cm.act, tris[Ti]))
-
-
 def _curvature_T_pair(cm, slab, P) -> np.ndarray:
     """T^al on the stored pair P over the slab, shape (q, slab...)."""
     m, n = pairs(slab.lattice.D)[P]
     out = _cov_derivative(slab, cm.act, slab.window("C", n), m)
     out -= _cov_derivative(slab, cm.act, slab.window("C", m), n)
     return out
-
-
-def curvature_T(cm, cfg: FieldConfiguration) -> np.ndarray:
-    """T^al_{mn} = nabla^act_m C_n - nabla^act_n C_m on ordered pairs."""
-    return _by_slab(np.empty_like(cfg.beta), cfg.slabs(("C",), ("A",)),
-                    lambda slab, P: _curvature_T_pair(cm, slab, P))
 
 
 def _lower(metric, X) -> np.ndarray:
@@ -244,6 +215,15 @@ def _action_density(cm, slab, out) -> None:
         out += e * np.einsum("x...,xy,y...->...", slab["C"][mu], cm.qf, G)
 
 
+def _density(cm, cfg) -> np.ndarray:
+    """The action's density (without a^4) of a configuration: one full site
+    array, filled slab by slab by _action_density."""
+    dens = np.zeros(cfg.lattice.shape)
+    for slab in cfg.slabs(*ACTION_FIELDS):
+        _action_density(cm, slab, dens[slab.rows])
+    return dens
+
+
 def _action(lattice, dens) -> float:
     """The action from its full density site array, summed by one np.sum."""
     return float(lattice.volume_element * np.sum(dens))
@@ -256,53 +236,76 @@ def _require_4d(lattice, what: str) -> None:
 
 def evaluate_action(cm, cfg) -> float:
     """BFCG action S on a D=4 periodic lattice, of a FieldConfiguration or
-    a StreamedConfiguration.
+    a StreamedConfiguration: its _density summed by one np.sum."""
+    _require_4d(cfg.lattice, "the action is")
+    return _action(cfg.lattice, _density(cm, cfg))
 
-    The density is one full site array, filled slab by slab by
-    _action_density and summed by one np.sum.
-    """
-    lat = cfg.lattice
-    _require_4d(lat, "the action is")
-    dens = np.zeros(lat.shape)
-    for slab in cfg.slabs(*ACTION_FIELDS):
-        _action_density(cm, slab, dens[slab.rows])
-    return _action(lat, dens)
+
+def _worst(arrays) -> float:
+    """max |x| over an iterable of arrays by np.max: NaN if any entry is."""
+    return float(np.max([_maxabs(x) for x in arrays]))
+
+
+def curvature_norms(cm, cfg) -> dict:
+    """max |F|, |H|, |G| and |T| of a FieldConfiguration or a
+    StreamedConfiguration in one pass over its slabs: each stored pair or
+    triple of a slab, H from the slab's F, is reduced to its max as it is
+    formed, and the slabs' maxima by np.max, so a NaN reaches its norm."""
+    _require_4d(cfg.lattice, "curvatures are")
+    npairs = len(pairs(4))
+    worst = []
+    for slab in cfg.slabs(("A", "beta", "C")):
+        F = [_curvature_F_pair(cm, slab, P) for P in range(npairs)]
+        worst.append((
+            _worst(F),
+            _worst(F[P] - np.einsum("ga,g...->a...", cm.del_, slab["beta"][P])
+                   for P in range(npairs)),
+            _worst(_three_form_triple(slab, "beta", cm.act, tri)
+                   for tri in triples(4)),
+            _worst(_curvature_T_pair(cm, slab, P) for P in range(npairs))))
+    return dict(zip("FHGT", map(float, np.max(worst, axis=0))))
 
 
 # ---------------------------------------------------------------------------
 # equations of motion
 # ---------------------------------------------------------------------------
 
-def eom_residuals(cm, cfg: FieldConfiguration) -> dict:
-    """Field-equation data: curvature norms and the multiplier equations.
+def eom_residuals(cm, cfg) -> dict:
+    """Field-equation data of a FieldConfiguration or a
+    StreamedConfiguration: curvature norms and the multiplier equations.
 
     Returns max-abs of H and G (the B/C stationarity conditions) and the
     two epsilon-contracted expressions E_A, E_beta described in the module
-    docstring, whose vanishing is the A/beta stationarity.
+    docstring, whose vanishing is the A/beta stationarity, with their
+    norms.  One pass over the slabs reduces H and G as curvature_norms
+    does, and fills the slab's rows of E_A and E_beta, the only full
+    arrays, forming T one stored pair at a time.
     """
     lat = cfg.lattice
     _require_4d(lat, "equations of motion are")
-    H = fake_curvature(cm, cfg)
-    G3 = curvature_G3(cm, cfg)
-
+    npairs = len(pairs(4))
     E_A = np.empty((4, cm.p) + lat.shape)
+    E_beta = np.empty((npairs, cm.q) + lat.shape)
     actlow_a = cm.actlow.transpose(1, 0, 2)  # [a, al, be]
-    for slab in cfg.slabs(("B",), ("A", "beta", "C")):
+    worst = []
+    for slab in cfg.slabs(FIELDS):
+        worst.append((
+            _worst(_fake_curvature_pair(cm, slab, P) for P in range(npairs)),
+            _worst(_three_form_triple(slab, "beta", cm.act, tri)
+                   for tri in triples(4))))
         for sig, tri, e in _AT4:
             E = _lower(cm.Q, _three_form_triple(slab, "B", cm.f, tri))
             E += 2.0 * _wedge_triple(actlow_a, slab["beta"], slab["C"], tri)
             E *= -e
             E_A[sig, :, slab.rows] = E
-
-    E_beta = np.zeros((len(pairs(4)), cm.q) + lat.shape)
-    T = curvature_T(cm, cfg)
-    for Pp, P, e in _PP4:
-        E_beta[P] = e * (_lower(cm.qf, T[Pp])
-                         - 0.5 * _lower(cm.dlow, cfg.B[Pp]))
-
+        for Pp, P, e in _PP4:
+            T = _curvature_T_pair(cm, slab, Pp)
+            E_beta[P, :, slab.rows] = e * (_lower(cm.qf, T) - 0.5
+                                           * _lower(cm.dlow, slab["B"][Pp]))
+    H_norm, G_norm = map(float, np.max(worst, axis=0))
     return {
-        "H_norm": _maxabs(H),
-        "G_norm": _maxabs(G3),
+        "H_norm": H_norm,
+        "G_norm": G_norm,
         "E_A": E_A,
         "E_beta": E_beta,
         "E_A_norm": _maxabs(E_A),
@@ -391,9 +394,7 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
     a4 = lat.volume_element
     step = 1e-6
     worst = 0.0
-    dens = np.zeros(lat.shape)   # evaluate_action's density of cfg
-    for slab in cfg.slabs(*ACTION_FIELDS):
-        _action_density(cm, slab, dens[slab.rows])
+    dens = _density(cm, cfg)
 
     for field_name, key, coeff in (("A", "E_A", -0.5), ("beta", "E_beta", 2.0)):
         E, scale = res[key], max(1.0, res[key + "_norm"] * a4)

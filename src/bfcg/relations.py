@@ -45,10 +45,10 @@ from .constraints import (SECOND_CLASS, SECONDARIES, TEMPORAL,
                           constraint_density, evaluate_constraint, family_shape,
                           gauge_fixed_density, total_hamiltonian_functional)
 from .crossed_module import _maxabs, contract
-from .curvature import (_bianchi_g, _bianchi_h, _cov_derivative, curvature_F,
-                        curvature_T)
-from .lattice import (EPS3_PAIR, PAIR, FieldConfiguration, Lattice, Slab,
-                      _random_recipe, fit_order, pair_index, slab_window)
+from .curvature import (_bianchi_g, _bianchi_h, _cov_derivative,
+                        _curvature_F_pair, _curvature_T_pair)
+from .lattice import (EPS3_PAIR, PAIR, Lattice, Slab, _random_recipe,
+                      fit_order, pair_index, slab_window)
 from .localpoly import (evaluate_density, identity, pair_gradients,
                         paired_sum, smear, tensor_density)
 from .phase import (CANONICAL_PAIRS, GAUGE_FIXED_PAIRS, PhasePoint,
@@ -400,17 +400,16 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     be = point.blocks["be"]
     C = point.blocks["C"]
     B = point.blocks["B"]
-    # the spatial curvatures F and T are the curvature layer's at D = 3
-    cfg3 = FieldConfiguration(lat, A, be, B, C)
     every = slice(0, lat.n)   # the whole spatial lattice is one slab
 
     def window(X):
         return slab_window(X, lat, every)
 
-    F3 = curvature_F(cm, cfg3)
-    T3 = curvature_T(cm, cfg3)
-    whole = Slab(lat, every, {"A": window(A), "C": window(C),
-                              "F": window(F3), "T": window(T3)})
+    # the spatial curvatures F and T are the curvature layer's at D = 3
+    whole = Slab(lat, every, {"A": window(A), "C": window(C)})
+    F3 = np.stack([_curvature_F_pair(cm, whole, P) for P in range(3)])
+    T3 = np.stack([_curvature_T_pair(cm, whole, P) for P in range(3)])
+    whole.windows.update(F=window(F3), T=window(T3))
     chiB = evaluate_constraint(cm, "chi(B)", point)
     phiH = evaluate_constraint(cm, "phi(H)", point)
     phiG = evaluate_constraint(cm, "phi(G)", point)

@@ -4,11 +4,12 @@
 
 The command matrix is `bfcg full-report --module M --n 6,8,10 --seed 1` on
 the seven catalog modules below, `bfcg bianchi` and `bfcg gauge-check`
-with `--n 12,16,20 --seed 1` on the two smoke modules, `bfcg eom` at one
-finer n on each smoke module, and `bfcg dof --p P --q Q` on four dimension
-pairs.  Each file holds a header of `#` lines, ended by MARK, then the
-exact stdout of one command run in process.  The header names the
-command, its exit code and the numpy version the bytes were made with.
+with `--n 12,16,20 --seed 1` on the two smoke modules, `bfcg eom` and
+`bfcg curvature` at one finer n on each smoke module, and
+`bfcg dof --p P --q Q` on four dimension pairs.  Each file holds a header
+of `#` lines, ended by MARK, then the exact stdout of one command run in
+process.  The header names the command, its exit code and the numpy
+version the bytes were made with.
 
 The bytes are locked, not the verdicts: the 6/8/10 ladder is
 pre-asymptotic, so on trivial_bf(3), adjoint(su2) and vector_poincare the
@@ -17,7 +18,9 @@ exits 1.  Every rung of that ladder is one slab of `lattice.slabs`; the
 12/16/20 ladder is 1, 2 and 5 slabs, so its reports lock the bytes across
 slab-ring boundaries and the thin transform's slab partition.  The eom
 reports at n = 16 (two slabs) and n = 12 (one slab) lock the finite
-differences of the action away from the 6/8/10 ladder.  A change that
+differences of the action away from the 6/8/10 ladder, and the curvature
+reports at n = 20 (five slabs) and n = 16 (two slabs) lock the slab-wise
+curvature norms and action across slab boundaries.  A change that
 moves a report byte reruns this script; the git diff of the files shows
 the moved rows.
 """
@@ -39,6 +42,7 @@ DOF_DIMS = ((1, 0), (3, 3), (6, 4), (2, 5))
 SLAB_MODULES = ("adjoint(su2)", "vector_poincare")
 SLAB_LADDER = "12,16,20"   # 1, 2 and 5 slabs
 EOM_RUNS = (("adjoint(su2)", "16"), ("vector_poincare", "12"))   # 2, 1 slabs
+CURVATURE_RUNS = (("adjoint(su2)", "20"), ("vector_poincare", "16"))   # 5, 2
 MARK = "# ---\n"
 LADDER_NOTE = (
     "# The bytes after the marker line are locked, not the verdicts: the\n"
@@ -52,6 +56,10 @@ EOM_NOTE = (
     "# The bytes after the marker line are locked, not the verdicts: the\n"
     "# finite differences of the action at one n, whose lattice is one or\n"
     "# two slabs of lattice.slabs.\n")
+CURVATURE_NOTE = (
+    "# The bytes after the marker line are locked, not the verdicts: the\n"
+    "# curvature norms and the action at one n, whose lattice is two or five\n"
+    "# slabs of lattice.slabs.\n")
 
 
 def _slug(module: str) -> str:
@@ -69,6 +77,9 @@ def commands() -> list:
     out += [(f"eom_{_slug(m)}_{n}.txt",
              ["eom", "--module", m, "--n", n, "--seed", "1"])
             for m, n in EOM_RUNS]
+    out += [(f"curvature_{_slug(m)}_{n}.txt",
+             ["curvature", "--module", m, "--n", n, "--seed", "1"])
+            for m, n in CURVATURE_RUNS]
     out += [(f"dof_{p}_{q}.txt", ["dof", "--p", str(p), "--q", str(q)])
             for p, q in DOF_DIMS]
     return out
@@ -89,7 +100,7 @@ def render(argv, code: int, report: str) -> str:
         f"# exit {code}\n",
         f"# numpy {np.__version__}\n",
         (SLAB_NOTE if SLAB_LADDER in argv else EOM_NOTE if argv[0] == "eom"
-         else LADDER_NOTE),
+         else CURVATURE_NOTE if argv[0] == "curvature" else LADDER_NOTE),
         "# Regenerate with: python tests/golden/regen.py\n",
         MARK, report])
 

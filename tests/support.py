@@ -1,5 +1,5 @@
 """Shared test helpers: a smooth-field sampler, the analytic derivative of a
-recipe, the GB curvature oracle, a matrix-exponential oracle and a
+recipe, the full-array curvature oracles, a matrix-exponential oracle and a
 tracemalloc peak."""
 
 import tracemalloc
@@ -7,8 +7,10 @@ from itertools import permutations
 
 import numpy as np
 
-from bfcg.lattice import (FieldRecipe, Lattice, discrete_derivative,
-                          levi_civita, make_config_recipe, pair_index, triples)
+from bfcg import curvature
+from bfcg.lattice import (FieldRecipe, Lattice, Slab, discrete_derivative,
+                          levi_civita, make_config_recipe, pair_index, pairs,
+                          slab_window, triples)
 
 
 def sample_smooth_fields(cm, lattice: Lattice, mode_count: int, seed: int):
@@ -29,6 +31,39 @@ def realize_derivative(recipe: FieldRecipe, lattice: Lattice,
         # d/dx [ca cos + sa sin] = w (sa cos - ca sin)
         deriv[k] = (w * np.asarray(sa), -w * np.asarray(ca))
     return FieldRecipe(recipe.D, recipe.comp_shape, deriv).realize(lattice)
+
+
+def _whole(cfg, *names) -> Slab:
+    """The whole lattice of a held configuration as one Slab over the named
+    fields, each with its window."""
+    lat = cfg.lattice
+    every = slice(0, lat.n)
+    return Slab(lat, every, {f: slab_window(getattr(cfg, f), lat, every)
+                             for f in names})
+
+
+def fake_curvature(cm, cfg) -> np.ndarray:
+    """H^a_{mn} = F^a_{mn} - del_al^a beta^al_{mn} on ordered pairs, a full
+    array from the library's pair kernel on the whole lattice."""
+    slab = _whole(cfg, "A", "beta")
+    return np.stack([curvature._fake_curvature_pair(cm, slab, P)
+                     for P in range(len(pairs(cfg.lattice.D)))])
+
+
+def curvature_G3(cm, cfg) -> np.ndarray:
+    """G^al_{mnr} on ordered triples (S3 6-term convention), a full array
+    from the library's triple kernel on the whole lattice."""
+    slab = _whole(cfg, "A", "beta")
+    return np.stack([curvature._three_form_triple(slab, "beta", cm.act, tri)
+                     for tri in triples(cfg.lattice.D)])
+
+
+def curvature_T(cm, cfg) -> np.ndarray:
+    """T^al_{mn} = nabla^act_m C_n - nabla^act_n C_m on ordered pairs, a
+    full array from the library's pair kernel on the whole lattice."""
+    slab = _whole(cfg, "A", "C")
+    return np.stack([curvature._curvature_T_pair(cm, slab, P)
+                     for P in range(len(pairs(cfg.lattice.D)))])
 
 
 def curvature_GB(cm, cfg) -> np.ndarray:

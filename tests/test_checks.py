@@ -9,10 +9,10 @@ import bfcg
 from bfcg import checks
 from bfcg import curvature
 from bfcg.checks import (CHECKS, ORDER_WINDOW, RunConfig, check_bianchi,
-                         check_dof, check_offshell, order_ok)
+                         check_curvature, check_dof, check_offshell, order_ok)
 from bfcg.cli import main
 from bfcg.crossed_module import builtin_module, dump_crossed_module
-from bfcg.lattice import slab_derivative
+from bfcg.lattice import Lattice, slab_derivative, slabs
 
 
 @pytest.mark.parametrize("order, ok", [
@@ -61,6 +61,28 @@ def test_nan_fundamental_bracket_fails_algebra(monkeypatch):
     rec = checks.check_algebra(builtin_module("abelian(1,1)"), RunConfig(ns=(4,)))
     assert not rec.ok
     assert rec.lines[-1] == "fundamental-brackets worst nan"
+
+
+def test_nan_on_the_last_slab_reaches_the_curvature_norm(monkeypatch):
+    """T is NaN on the last stored pair of the last of two slabs (n = 16)
+    only.  The NaN reaches the printed T norm and the check FAILs, while the
+    action, which does not read T, stays finite: the maxima are reduced by
+    np.max, where the built-in max would keep the first finite value."""
+    assert len(slabs(Lattice(4, 16, 1.0 / 16))) == 2
+    kernel = curvature._curvature_T_pair
+
+    def nan_at_the_end(cm, slab, P):
+        out = kernel(cm, slab, P)
+        if slab.rows.stop == slab.lattice.n and P == 5:
+            out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(curvature, "_curvature_T_pair", nan_at_the_end)
+    rec = check_curvature(builtin_module("adjoint(su2)"), RunConfig(ns=(16,)))
+    assert "curvature T maxabs nan" in rec.lines
+    assert np.isfinite(float(rec.lines[-1].split()[-1]))
+    assert np.isfinite([rec.residuals[k][0] for k in "FHG"]).all()
+    assert not rec.ok
 
 
 @pytest.mark.parametrize("metric, value", [("Q", 0.0), ("Q", 1e-12),

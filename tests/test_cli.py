@@ -181,6 +181,7 @@ def test_bad_spacing_is_usage_error(a, capsys):
 @pytest.mark.parametrize("command, line", [
     ("eom", "eom finite-difference relerr nan"),
     ("algebra", "fundamental-brackets worst nan"),
+    ("curvature", "action nan"),
 ])
 def test_nan_residual_at_huge_spacing_fails(command, line, capsys):
     """At a = 1e308 the action and the brackets overflow to NaN, with the

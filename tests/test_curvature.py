@@ -6,14 +6,15 @@ import pytest
 from bfcg import curvature
 from bfcg.checks import RunConfig, check_eom, order_ok
 from bfcg.crossed_module import builtin_module, contract
-from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
-                            curvature_T, eom_gradient_check, eom_residuals,
-                            evaluate_action, fake_curvature)
+from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_norms,
+                            eom_gradient_check, eom_residuals,
+                            evaluate_action)
 from bfcg.lattice import (FieldConfiguration, Lattice, Slab,
                           discrete_derivative, levi_civita, finest_order,
                           fit_order, make_config_recipe, pair_index, pairs,
                           slab_window, triples)
-from support import curvature_GB, sample_smooth_fields, traced_peak
+from support import (curvature_G3, curvature_GB, curvature_T, fake_curvature,
+                     sample_smooth_fields, traced_peak)
 
 
 def _zero_config(cm, lat):
@@ -131,6 +132,27 @@ def test_abelian_T_GB_match_exterior_derivative_oracle():
             P, ps = pidx[(i, j)]
             acc += sgn * ps * discrete_derivative(cfg.B[P], d, lat)
         assert np.max(np.abs(GB[Ti] - acc)) < 1e-12
+
+
+@pytest.mark.parametrize("name, n", [("adjoint(su2)", 14),
+                                     ("vector_poincare", 16),
+                                     ("trivial_bf(3)", 5), ("abelian(2,3)", 6)])
+def test_curvature_norms_are_the_full_array_maxima(name, n):
+    """The one slab pass gives bitwise the max-abs of the full F, H, G and T
+    arrays, of a held and of a streamed configuration, and eom_residuals
+    the same H and G norms; n = 14 is two slabs of 11 and 3 rows, n = 16
+    two of 8."""
+    cm = builtin_module(name)
+    lat = Lattice(4, n, 1.0 / n)
+    recipe = make_config_recipe(cm, 4, 2, seed=n, scale=0.7)
+    cfg = recipe.realize(lat)
+    full = {"F": curvature_F(cm, cfg), "H": fake_curvature(cm, cfg),
+            "G": curvature_G3(cm, cfg), "T": curvature_T(cm, cfg)}
+    want = {k: float(np.max(np.abs(v), initial=0.0)) for k, v in full.items()}
+    assert curvature_norms(cm, cfg) == want
+    assert curvature_norms(cm, recipe.stream(lat)) == want
+    res = eom_residuals(cm, cfg)
+    assert (res["H_norm"], res["G_norm"]) == (want["H"], want["G"])
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +279,37 @@ def test_eom_matches_loop_oracle(name, n):
     _assert_close(res["E_beta"], E_beta)
 
 
+def test_eom_residuals_hold_no_curvature_array():
+    """eom_residuals forms H, G and T one slab at a time, so on a held
+    adjoint(su2) configuration at n = 16 it peaks below one configuration,
+    of which the E_A and E_beta it returns are half."""
+    cm = builtin_module("adjoint(su2)")
+    lat = Lattice(4, 16, 1.0 / 16)
+    cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(lat)
+    one = sum(getattr(cfg, f).nbytes for f in ("A", "beta", "B", "C"))
+    _, peak = traced_peak(eom_residuals, cm, cfg)
+    assert peak < one, peak / one
+
+
+def test_nan_on_the_last_slab_reaches_the_eom_norm(monkeypatch):
+    """H is NaN on the last stored pair of the last of two slabs (n = 16)
+    only; the slabs' maxima are reduced by np.max, so the H norm is NaN."""
+    kernel = curvature._fake_curvature_pair
+
+    def nan_at_the_end(cm, slab, P):
+        out = kernel(cm, slab, P)
+        if slab.rows.stop == slab.lattice.n and P == 5:
+            out[...] = np.nan
+        return out
+
+    cm = builtin_module("adjoint(su2)")
+    cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(
+        Lattice(4, 16, 1.0 / 16))
+    monkeypatch.setattr(curvature, "_fake_curvature_pair", nan_at_the_end)
+    res = eom_residuals(cm, cfg)
+    assert np.isnan(res["H_norm"]) and np.isfinite(res["G_norm"])
+
+
 def test_eom_zero_point():
     cm = builtin_module("adjoint(su2)")
     cfg = _zero_config(cm, Lattice(4, 4, 0.2))
@@ -273,14 +326,6 @@ def test_eom_matches_action_gradient():
                               seed=3) < 1e-6
 
 
-def _density(cm, cfg):
-    """The density site array that evaluate_action sums."""
-    dens = np.zeros(cfg.lattice.shape)
-    for slab in cfg.slabs(*curvature.ACTION_FIELDS):
-        curvature._action_density(cm, slab, dens[slab.rows])
-    return dens
-
-
 @pytest.mark.parametrize("name, n", [
     (name, n) for name in ("trivial_bf(1)", "abelian(4,2)", "adjoint(su2)",
                            "vector_poincare") for n in (4, 5, 6)]
@@ -294,7 +339,7 @@ def test_entry_actions_are_the_actions_of_perturbed_copies(name, n):
     cm = builtin_module(name)
     lat = Lattice(4, n, 1.0 / n)
     cfg = make_config_recipe(cm, 4, 1, seed=n, scale=0.4).realize(lat)
-    dens = _density(cm, cfg)
+    dens = curvature._density(cm, cfg)
     unperturbed = dens.copy()
     rng = np.random.default_rng(n)
     for field_name in ("A", "beta"):

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from bfcg import lattice
-from bfcg.checks import RunConfig, check_bianchi, check_gauge, order_ok
+from bfcg.checks import (RunConfig, check_bianchi, check_curvature,
+                         check_gauge, order_ok)
 from bfcg.crossed_module import builtin_module
-from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
-                            evaluate_action, fake_curvature)
+from bfcg.curvature import bianchi_residuals, curvature_F, evaluate_action
 from bfcg.gauge import (expm_batched, fat_gauge_transform,
                         thin_gauge_transform, transformed_actions)
 from bfcg.lattice import (Lattice, _random_recipe, discrete_derivative, levi_civita,
                           finest_order, fit_order, make_config_recipe, pairs,
                           slabs, triples)
-from support import expm_series, sample_smooth_fields, traced_peak
+from support import (curvature_G3, expm_series, fake_curvature,
+                     sample_smooth_fields, traced_peak)
 
 ORACLE_MODULES = ["adjoint(su2)", "vector_poincare", "abelian(2,3)",
                   "trivial_bf(3)"]
@@ -270,18 +271,21 @@ def test_gauge_check_holds_one_configuration():
 
 
 def test_streamed_checks_hold_no_configuration():
-    """bianchi and gauge-check realize each rung one slab at a time.  At
-    n = 24 (12 slabs of 2 rows) Bianchi peaks below half of one
-    configuration, and gauge-check, which holds slab 0 and the current slab
-    of both transforms beside the source's slabs, below one.  (At n = 20 a
-    slab is a fifth of the lattice, and those slabs outweigh one
-    configuration.)"""
+    """bianchi, gauge-check and curvature realize each rung one slab at a
+    time.  At n = 24 (12 slabs of 2 rows) Bianchi and curvature, which
+    holds the action's density beside one slab's curvatures, peak below
+    half of one configuration, and gauge-check, which holds slab 0 and the
+    current slab of both transforms beside the source's slabs, below one.
+    (At n = 20 a slab is a fifth of the lattice, and those slabs outweigh
+    one configuration.)"""
     cm = builtin_module("adjoint(su2)")
     lat = Lattice(4, 24, 1.0 / 24)
     one = (lat.D + len(pairs(lat.D))) * (cm.p + cm.q) * lat.sites * 8
     assert len(slabs(lat)) == 12
-    for check, bound in ((check_bianchi, one / 2), (check_gauge, one)):
-        rec, peak = traced_peak(check, cm, RunConfig(ns=(8, 12, 24)))
+    for check, ns, bound in ((check_bianchi, (8, 12, 24), one / 2),
+                             (check_gauge, (8, 12, 24), one),
+                             (check_curvature, (24,), one / 2)):
+        rec, peak = traced_peak(check, cm, RunConfig(ns=ns))
         assert rec.ok, rec.name
         assert peak < bound, (rec.name, peak / one)
 

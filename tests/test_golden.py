@@ -22,7 +22,7 @@ REGEN = _regen()
 
 
 def test_the_matrix_is_not_empty():
-    assert len(REGEN.commands()) == 17
+    assert len(REGEN.commands()) == 19
 
 
 @pytest.mark.parametrize("name, argv", REGEN.commands(),

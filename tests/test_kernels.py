@@ -14,9 +14,8 @@ import pytest
 
 from bfcg import curvature, lattice
 from bfcg.crossed_module import builtin_module, contract, t_map
-from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_G3,
-                            curvature_T, eom_residuals, evaluate_action,
-                            fake_curvature)
+from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_norms,
+                            eom_residuals, evaluate_action)
 from bfcg.gauge import fat_gauge_transform, thin_gauge_transform
 from bfcg.lattice import (FieldRecipe, Lattice, _random_recipe,
                           discrete_derivative, make_config_recipe,
@@ -163,9 +162,8 @@ def test_slabs_partition_axis_0():
 
 def _slabbed_outputs(cm, cfg, eps, eta, point):
     """Every slab-streamed result on one configuration, by name."""
-    out = {"F": curvature_F(cm, cfg), "H": fake_curvature(cm, cfg),
-           "G3": curvature_G3(cm, cfg), "T": curvature_T(cm, cfg),
-           "S": evaluate_action(cm, cfg)}
+    out = {"F": curvature_F(cm, cfg), "S": evaluate_action(cm, cfg)}
+    out.update(("norm " + k, v) for k, v in curvature_norms(cm, cfg).items())
     out.update(("eom " + k, v) for k, v in eom_residuals(cm, cfg).items())
     out.update(bianchi_residuals(cm, cfg))
     for kind, new in (("thin", thin_gauge_transform(cm, cfg.copy(), eps)),

@@ -8,7 +8,7 @@ import pytest
 from bfcg.constraints import (constraint_density, evaluate_constraint,
                               family_shape, total_hamiltonian_functional)
 from bfcg.crossed_module import builtin_module, contract
-from bfcg.curvature import _bianchi_g, _bianchi_h, curvature_F, curvature_T
+from bfcg.curvature import _bianchi_g, _bianchi_h, curvature_F
 from bfcg.lattice import (EPS3_PAIR, FieldConfiguration, Lattice, Slab,
                           discrete_derivative, slab_window)
 from bfcg.localpoly import LocalFunctional, poisson_bracket, smear
@@ -20,6 +20,7 @@ from bfcg.relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_REL
                             fundamental_bracket_residuals, offshell_refinement,
                             offshell_relations, reduction_residual,
                             relation_table)
+from support import curvature_T
 
 SU2 = builtin_module("adjoint(su2)")
 VP = builtin_module("vector_poincare")
