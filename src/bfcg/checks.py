@@ -20,8 +20,8 @@ from .curvature import (bianchi_residuals, curvature_F, curvature_norms,
                         eom_gradient_check, eom_residuals, evaluate_action)
 from .dof import dof_count, dof_report
 from .gauge import expm_batched, thin_gauge_transform, transformed_actions
-from .lattice import (Lattice, _random_recipe, finest_order, fit_order,
-                      make_config_recipe)
+from .lattice import (FieldRecipe, Lattice, _random_recipe, finest_order,
+                      fit_order, make_config_recipe)
 from .phase import random_phase_point
 from .relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_RELATIONS,
                         PRIMARY_RELATIONS, ZERO_RELATIONS,
@@ -185,15 +185,13 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
 
     recipe = _recipe(cm, cfg)
 
-    # exact covariance under a constant thin parameter
-    lat = _lattice(cfg, 4, cfg.ns[0])
-    c = recipe.realize(lat)
+    # exact covariance under a constant thin parameter, a one-mode recipe
+    c = recipe.realize(_lattice(cfg, 4, cfg.ns[0]))
     eps_c = rng.normal(size=cm.p) * 0.4
-    eps_field = np.broadcast_to(eps_c.reshape((cm.p,) + (1,) * 4),
-                                (cm.p,) + lat.shape).copy()
     Rg = expm_batched(-np.einsum("abc,b->ac", cm.f, eps_c))
     F0 = curvature_F(cm, c)
-    F1 = curvature_F(cm, thin_gauge_transform(cm, c, eps_field))
+    F1 = curvature_F(cm, thin_gauge_transform(
+        cm, c, FieldRecipe(4, (cm.p,), {(0, 0, 0, 0): (eps_c, 0.0)})))
     cov = _maxabs(F1 - np.einsum("ab,Pb...->Pa...", Rg, F0))
     lines = [f"gauge thin-constant F-covariance {_fmt(cov)}"]
     residuals, orders, fits = {"covariance": (cov,)}, {}, {}

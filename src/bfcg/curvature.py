@@ -53,22 +53,21 @@ the stored (axis, triple) and (pair, pair) terms of eps directly.
 Slab streaming.  Every stencil kernel here is evaluated one slab at a time
 (lattice.slabs: consecutive rows of lattice axis 0, at most
 lattice.SLAB_SITES sites), so its intermediates stay in cache.  A kernel
-reads its configuration only through the configuration's slab source
-(lattice.slab_source): a lattice.Slab holds each field's window, the slab
-and the neighbour rows before and after it along axis 0, which a kernel
-differences with lattice.slab_derivative.  A held FieldConfiguration gives
-views; a StreamedConfiguration realizes its recipes one slab ahead.  Only
+reads its configuration, whose fields are held arrays or recipes, only
+through its slab source (lattice.slab_source): a lattice.Slab holds each
+field's window, the slab and the neighbour rows before and after it along
+axis 0, which a kernel differences with lattice.slab_derivative.  Only
 curvature_F, which the gauge check's covariance compares whole, forms a
 full curvature: the norms and the field equations reduce each stored pair
 or triple of a slab at once, and the Bianchi identities difference
-curvatures held in slab rings (_ring), which compute each slab once and
-keep its edge rows for the slabs around.  Each site gets the same
+curvatures held in slab rings (lattice._ring), which compute each slab once
+and keep its edge rows for the slabs around.  Each site gets the same
 operations in the same order on any partition, so the results are bitwise
-independent of the slab size and of the source; the action's density
+independent of the slab size and of the field kind; the action's density
 (_density) is one full site array summed once.  So the finite differences
-of the field equations form again only the three rows of density that a
-perturbed entry moves, and sum them with the rest of the unperturbed
-density (_entry_actions).
+of the field equations, which window held fields, form again only the
+three rows of density that a perturbed entry moves, and sum them with the
+rest of the unperturbed density (_entry_actions).
 """
 
 from __future__ import annotations
@@ -76,8 +75,8 @@ from __future__ import annotations
 import numpy as np
 
 from .crossed_module import _maxabs, contract
-from .lattice import (FIELDS, SLAB_SITES, FieldConfiguration, Slab, _axis0,
-                      _kept, levi_civita, pair_index, pairs, slab_derivative,
+from .lattice import (FIELDS, SLAB_SITES, FieldConfiguration, Slab, _ring,
+                      levi_civita, pair_index, pairs, slab_derivative,
                       slab_window, triples)
 
 __all__ = [
@@ -109,7 +108,7 @@ def _fake_curvature_pair(cm, slab, P) -> np.ndarray:
 
 def curvature_F(cm, cfg: FieldConfiguration) -> np.ndarray:
     """F^a on ordered pairs, shape (npairs, p, sites...), slab by slab."""
-    out = np.empty_like(cfg.B)
+    out = np.empty((len(pairs(cfg.lattice.D)), cm.p) + cfg.lattice.shape)
     for slab in cfg.slabs(("A",)):
         for P in range(len(out)):
             out[P, :, slab.rows] = _curvature_F_pair(cm, slab, P)
@@ -235,8 +234,8 @@ def _require_4d(lattice, what: str) -> None:
 
 
 def evaluate_action(cm, cfg) -> float:
-    """BFCG action S on a D=4 periodic lattice, of a FieldConfiguration or
-    a StreamedConfiguration: its _density summed by one np.sum."""
+    """BFCG action S on a D=4 periodic lattice: the configuration's _density
+    summed by one np.sum."""
     _require_4d(cfg.lattice, "the action is")
     return _action(cfg.lattice, _density(cm, cfg))
 
@@ -247,10 +246,10 @@ def _worst(arrays) -> float:
 
 
 def curvature_norms(cm, cfg) -> dict:
-    """max |F|, |H|, |G| and |T| of a FieldConfiguration or a
-    StreamedConfiguration in one pass over its slabs: each stored pair or
-    triple of a slab, H from the slab's F, is reduced to its max as it is
-    formed, and the slabs' maxima by np.max, so a NaN reaches its norm."""
+    """max |F|, |H|, |G| and |T| of a configuration in one pass over its
+    slabs: each stored pair or triple of a slab, H from the slab's F, is
+    reduced to its max as it is formed, and the slabs' maxima by np.max, so
+    a NaN reaches its norm."""
     _require_4d(cfg.lattice, "curvatures are")
     npairs = len(pairs(4))
     worst = []
@@ -271,8 +270,8 @@ def curvature_norms(cm, cfg) -> dict:
 # ---------------------------------------------------------------------------
 
 def eom_residuals(cm, cfg) -> dict:
-    """Field-equation data of a FieldConfiguration or a
-    StreamedConfiguration: curvature norms and the multiplier equations.
+    """Field-equation data of a configuration: curvature norms and the
+    multiplier equations.
 
     Returns max-abs of H and G (the B/C stationarity conditions) and the
     two epsilon-contracted expressions E_A, E_beta described in the module
@@ -419,66 +418,6 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
 # Bianchi identities
 # ---------------------------------------------------------------------------
 
-def _ring(source, kernel, reduce, edges) -> list:
-    """reduce(rings) over every row of the lattice, in runs of rows, with
-    kernel(slab) called once per Slab of the source.
-
-    kernel gives a tuple of dicts of fields on the slab's rows (lattice axes
-    last); rings holds one Slab per dict for a run of rows, whose windows
-    take the neighbour rows of the fields named in `edges` from the slabs
-    around (the others' are None).  A slab's rows whose neighbours it holds
-    itself are reduced at once; its last row waits for the first row of the
-    next slab, and row 0 for row n - 1, to the end.  So beside the current
-    slab the ring holds slab 0 and the last two rows it has seen, a few
-    slabs at most.  Each row is reduced once.
-    """
-    out, first, kept = [], [], []   # rows 0 and 1; the last two rows
-
-    def rows(block, lo, hi):
-        return tuple({name: _axis0(f, lattice, lo, hi)
-                      for name, f in d.items()} for d in block)
-
-    def neighbour(row):
-        return tuple({name: f for name, f in d.items() if name in edges}
-                     for d in row)
-
-    def rings(lo, hi, before, mid, after):
-        return tuple(Slab(lattice, slice(lo, hi),
-                          {name: (b.get(name), m[name], a.get(name))
-                           for name in m})
-                     for b, m, a in zip(before, mid, after))
-
-    for slab in source:
-        lattice, lo, hi = slab.lattice, slab.rows.start, slab.rows.stop
-        block = kernel(slab)
-        if lo >= 2:   # the last row of the slab before
-            out.append(reduce(rings(lo - 1, lo, kept[-2], kept[-1],
-                                    rows(block, 0, 1))))
-        start = max(lo, 1)   # row 0 waits for row n - 1
-        if start < hi - 1:
-            out.append(reduce(rings(
-                start, hi - 1, kept[-1] if start == lo
-                else rows(block, 0, 1), rows(block, start - lo, hi - 1 - lo),
-                rows(block, hi - 1 - lo, hi - lo))))
-        # slab 0 waits whole, with row 1 if that is the next slab's; of the
-        # others the last two rows wait, and a block of two rows whole
-        m = hi - lo
-        whole = m <= 2 or lo == 0
-        first += [rows(block, r - lo, r - lo + 1) for r in (0, 1)
-                  if lo <= r < hi]
-        first[1:] = map(neighbour, first[1:])
-        kept = kept[-1:] if m == 1 else []
-        kept += [tuple({name: _kept(f, lattice, k, whole)
-                        for name, f in d.items()} for d in block)
-                 for k in range(max(0, m - 2), m)]
-        kept[:-1] = map(neighbour, kept[:-1])
-        del slab, block   # let the slab go before the next is made
-    n = lattice.n
-    out.append(reduce(rings(n - 1, n, kept[-2], kept[-1], first[0])))
-    out.append(reduce(rings(0, 1, kept[-1], first[0], first[1])))
-    return out
-
-
 def _covariant_top_form(slab, F, X, coupling, metric) -> float:
     """max |metric . eps^{lmnr} (1/3 nabla_l d_A X_{mnr} - c(F_{lm}, X_{nr}))|
     over the slab, for the slab's pair-stored 2-form X (a field name) with
@@ -502,7 +441,7 @@ def _covariant_top_form(slab, F, X, coupling, metric) -> float:
 
 def bianchi_residuals(cm, cfg) -> dict:
     """Max-abs residuals of the four lattice Bianchi identities of a
-    FieldConfiguration or a StreamedConfiguration.
+    configuration.
 
     No curvature is a full array: two slab rings (_ring) make two
     passes over the configuration's slabs.  The first reads A and C and
@@ -515,7 +454,7 @@ def bianchi_residuals(cm, cfg) -> dict:
     wedge terms.  As two passes, not one, they hold two ring fields at a
     time, not four.  Each site gets the same operations as on any other
     slab partition, so the residuals are bitwise independent of the slab
-    size and of the source.
+    size and of the field kind.
     """
     lat = cfg.lattice
     _require_4d(lat, "Bianchi residuals are")

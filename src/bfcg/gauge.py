@@ -29,7 +29,7 @@ writes the transformed rows where it is told.  thin_gauge_transform and
 fat_gauge_transform write them over the configuration they are given and
 return it without re-validating it, so a non-finite value reaches the
 action and FAILs.  transformed_actions writes them into new slab arrays
-that a slab ring (curvature._ring) hands to the action with their neighbour
+that a slab ring (lattice._ring) hands to the action with their neighbour
 rows, so the gauge check's configuration, its transforms and their
 parameters are realized and transformed one slab at a time and no n^4
 field exists.  The thin body is pointwise once D eps is formed: it holds
@@ -46,9 +46,9 @@ import math
 import numpy as np
 
 from .crossed_module import contract, t_map
-from .curvature import (ACTION_FIELDS, _action, _action_density, _require_4d,
-                        _ring)
-from .lattice import FIELDS, FieldConfiguration, pairs, slab_derivative
+from .curvature import ACTION_FIELDS, _action, _action_density, _require_4d
+from .lattice import (FIELDS, FieldConfiguration, _fitted, _ring, pairs,
+                      slab_derivative)
 
 __all__ = [
     "expm_batched",
@@ -177,25 +177,25 @@ def _fat_slab(cm, slab, out, T) -> None:
                out=out["A"][mu])
 
 
-def _parameter(lat, field, shape, name):
-    """A full parameter array, checked against its shape."""
-    field = np.asarray(field, dtype=float)
-    if field.shape != shape + lat.shape:
-        raise ValueError(f"{name} field has shape {field.shape}")
-    return field
+def _parameter(cm, lat, name, field):
+    """The thin (eps, components (p,)) or fat (eta, (D, q)) parameter, a
+    full array or a FieldRecipe, checked for shape only: a non-finite value
+    reaches the action and FAILs."""
+    return _fitted(lat, name, field,
+                   (cm.p,) if name == "eps" else (lat.D, cm.q))
 
 
 def thin_gauge_transform(cm, cfg: FieldConfiguration,
                          eps_field: np.ndarray) -> FieldConfiguration:
-    """Thin transformation with parameter eps^a(x), in place on cfg, which
-    it returns; exact for constant eps.
+    """Thin transformation with parameter eps^a(x), a full array or a
+    FieldRecipe, in place on cfg, which it returns; exact for constant eps.
 
     Each slab's rows of every field are overwritten with the transformed
     values (_thin_slab).  The result is not re-validated: an unscalable
     exponential leaves NaN in the fields, which reaches the action and
     FAILs.
     """
-    eps = _parameter(cfg.lattice, eps_field, (cm.p,), "eps")
+    eps = _parameter(cm, cfg.lattice, "eps", eps_field)
     for slab in cfg.slabs(rows=FIELDS, eps=eps):
         _thin_slab(cm, slab, slab)
     return cfg
@@ -203,11 +203,12 @@ def thin_gauge_transform(cm, cfg: FieldConfiguration,
 
 def fat_gauge_transform(cm, cfg: FieldConfiguration,
                         eta_field: np.ndarray) -> FieldConfiguration:
-    """Fat transformation with an h-valued 1-form eta^al_mu(x), in place on
-    cfg, which it returns, one slab at a time (_fat_slab).  The result is
-    not re-validated: a non-finite shift reaches the action and FAILs.
+    """Fat transformation with an h-valued 1-form eta^al_mu(x), a full array
+    or a FieldRecipe, in place on cfg, which it returns, one slab at a time
+    (_fat_slab).  The result is not re-validated: a non-finite shift reaches
+    the action and FAILs.
     """
-    eta = _parameter(cfg.lattice, eta_field, (cfg.lattice.D, cm.q), "eta")
+    eta = _parameter(cm, cfg.lattice, "eta", eta_field)
     T = t_map(cm)
     for slab in cfg.slabs(rows=FIELDS, eta=eta):
         _fat_slab(cm, slab, slab, T)
@@ -218,11 +219,10 @@ def transformed_actions(cm, cfg, eps, eta) -> tuple:
     """(S, S_thin, S_fat): the action of cfg and of its thin and fat
     transforms with parameters eps and eta, in one pass over cfg's slabs.
 
-    cfg is a FieldConfiguration or a StreamedConfiguration and the
-    parameters are full arrays or FieldRecipes, so a streamed configuration
-    and its parameters are realized once, one slab ahead.  Each slab is
+    The fields of cfg and the parameters are full arrays or FieldRecipes,
+    which the slab source realizes slab by slab.  Each slab is
     transformed once, on the lattice.slabs partition, into new slab arrays
-    (C is shared by the fat transform), and a slab ring (curvature._ring)
+    (C is shared by the fat transform), and a slab ring (lattice._ring)
     gives the action each transformed slab with its neighbour rows.  The
     three values are bitwise those of evaluate_action on cfg and on the
     transforms of a copy of it.
@@ -245,6 +245,7 @@ def transformed_actions(cm, cfg, eps, eta) -> tuple:
         for ring, d in zip(rings, dens[1:]):
             _action_density(cm, ring, d[ring.rows])
 
+    eps, eta = _parameter(cm, lat, "eps", eps), _parameter(cm, lat, "eta", eta)
     _ring(cfg.slabs(*ACTION_FIELDS, eps=eps, eta=eta), transformed, actions,
           ACTION_FIELDS[0])
     return tuple(_action(lat, d) for d in dens)

@@ -14,14 +14,13 @@ The 4D stencil kernels stream over slabs: runs of consecutive rows of
 lattice axis 0 of at most SLAB_SITES sites, the one block size of the
 package.  slab_derivative gives one slab's rows of the central difference
 from a window: the slab and its two neighbour rows along axis 0.  A kernel
-reads a configuration only through a slab source (slab_source), which
-gives one Slab at a time: the windows of the fields the kernel differences
-along axis 0 and the rows of the others, as views of a held
-FieldConfiguration or as rows of a StreamedConfiguration's recipes, each
-realized once, so a streamed n^4 configuration never exists.  Fields a
-kernel computes per slab get their neighbour rows from a slab ring
-(curvature._ring), which keeps the edge rows of each slab for the slabs
-around it.
+reads a FieldConfiguration, whose fields are full arrays or FieldRecipes,
+only through its slab source (slab_source), which gives one Slab at a
+time: the windows of the fields the kernel differences along axis 0 and
+the rows of the others, as views of an array or as rows of a recipe, each
+realized once, so a streamed n^4 field never exists.  Fields a kernel
+computes per slab get their neighbour rows from a slab ring (_ring), which
+keeps the edge rows of each slab for the slabs around it.
 
 Antisymmetric form components are stored on ordered index pairs mu < nu
 (and ordered triples for 3-forms); reconstruction uses X_{nu mu} = -X_{mu nu}.
@@ -54,7 +53,6 @@ __all__ = [
     "FieldRecipe",
     "make_config_recipe",
     "FieldConfiguration",
-    "StreamedConfiguration",
     "fit_order",
     "finest_order",
 ]
@@ -278,6 +276,66 @@ def slab_source(lattice: Lattice, fields: dict, windowed):
         before = {k: _kept(f, lattice, -1) for k, f in cur.items()}
 
 
+def _ring(source, kernel, reduce, edges) -> list:
+    """reduce(rings) over every row of the lattice, in runs of rows, with
+    kernel(slab) called once per Slab of the source.
+
+    kernel gives a tuple of dicts of fields on the slab's rows (lattice axes
+    last); rings holds one Slab per dict for a run of rows, whose windows
+    take the neighbour rows of the fields named in `edges` from the slabs
+    around (the others' are None).  A slab's rows whose neighbours it holds
+    itself are reduced at once; its last row waits for the first row of the
+    next slab, and row 0 for row n - 1, to the end.  So beside the current
+    slab the ring holds slab 0 and the last two rows it has seen, a few
+    slabs at most.  Each row is reduced once.
+    """
+    out, first, kept = [], [], []   # rows 0 and 1; the last two rows
+
+    def rows(block, lo, hi):
+        return tuple({name: _axis0(f, lattice, lo, hi)
+                      for name, f in d.items()} for d in block)
+
+    def neighbour(row):
+        return tuple({name: f for name, f in d.items() if name in edges}
+                     for d in row)
+
+    def rings(lo, hi, before, mid, after):
+        return tuple(Slab(lattice, slice(lo, hi),
+                          {name: (b.get(name), m[name], a.get(name))
+                           for name in m})
+                     for b, m, a in zip(before, mid, after))
+
+    for slab in source:
+        lattice, lo, hi = slab.lattice, slab.rows.start, slab.rows.stop
+        block = kernel(slab)
+        if lo >= 2:   # the last row of the slab before
+            out.append(reduce(rings(lo - 1, lo, kept[-2], kept[-1],
+                                    rows(block, 0, 1))))
+        start = max(lo, 1)   # row 0 waits for row n - 1
+        if start < hi - 1:
+            out.append(reduce(rings(
+                start, hi - 1, kept[-1] if start == lo
+                else rows(block, 0, 1), rows(block, start - lo, hi - 1 - lo),
+                rows(block, hi - 1 - lo, hi - lo))))
+        # slab 0 waits whole, with row 1 if that is the next slab's; of the
+        # others the last two rows wait, and a block of two rows whole
+        m = hi - lo
+        whole = m <= 2 or lo == 0
+        first += [rows(block, r - lo, r - lo + 1) for r in (0, 1)
+                  if lo <= r < hi]
+        first[1:] = map(neighbour, first[1:])
+        kept = kept[-1:] if m == 1 else []
+        kept += [tuple({name: _kept(f, lattice, k, whole)
+                        for name, f in d.items()} for d in block)
+                 for k in range(max(0, m - 2), m)]
+        kept[:-1] = map(neighbour, kept[:-1])
+        del slab, block   # let the slab go before the next is made
+    n = lattice.n
+    out.append(reduce(rings(n - 1, n, kept[-2], kept[-1], first[0])))
+    out.append(reduce(rings(0, 1, kept[-1], first[0], first[1])))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # ordered index pairs / triples
 # ---------------------------------------------------------------------------
@@ -437,8 +495,57 @@ def _random_recipe(rng, D: int, comp_shape: tuple, mode_count: int,
 FIELDS = ("A", "beta", "B", "C")
 
 
-class _SlabSource:
-    """A configuration read slab by slab: lattice and the four fields."""
+def _fitted(lattice: Lattice, name: str, field, comp: tuple):
+    """field, a full array (as floats) or a FieldRecipe, if its component
+    shape on lattice fits comp, where None fits any size; else ValueError."""
+    if isinstance(field, FieldRecipe):
+        got, on_lattice = field.comp_shape, field.D == lattice.D
+    else:
+        field = np.asarray(field, dtype=float)
+        got = field.shape[:field.ndim - lattice.D]
+        on_lattice = field.shape[field.ndim - lattice.D:] == lattice.shape
+    if not on_lattice or len(got) != len(comp) or any(
+            c not in (None, g) for g, c in zip(got, comp)):
+        raise ValueError(f"field {name} does not fit components {comp} on "
+                         f"the lattice {lattice.shape}")
+    return field
+
+
+@dataclass
+class FieldConfiguration:
+    """The 2-connection (A, beta) and multipliers (B, C) on a lattice: each
+    field a full array of lattice samples (held), or a FieldRecipe realized
+    one slab at a time by the slab source and never held whole (streamed).
+    A streamed field's slabs are bitwise those of its realized array.
+
+    Component shapes (an array's lattice axes trailing):
+        A:    (D, p)      1-form
+        beta: (npairs, q) 2-form on ordered pairs
+        B:    (npairs, p) 2-form on ordered pairs
+        C:    (D, q)      1-form
+    """
+
+    lattice: Lattice
+    A: np.ndarray | FieldRecipe
+    beta: np.ndarray | FieldRecipe
+    B: np.ndarray | FieldRecipe
+    C: np.ndarray | FieldRecipe
+
+    def __post_init__(self):
+        D, npairs = self.lattice.D, len(pairs(self.lattice.D))
+        for name, lead in zip(FIELDS, (D, npairs, npairs, D)):
+            field = _fitted(self.lattice, name, getattr(self, name),
+                            (lead, None))
+            if isinstance(field, np.ndarray) and not np.all(np.isfinite(field)):
+                raise ValueError(f"field {name} has non-finite entries")
+            setattr(self, name, field)
+
+    def copy(self) -> "FieldConfiguration":
+        """A configuration with copies of the held fields; recipes, which
+        nothing writes, are shared."""
+        fields = (getattr(self, k) for k in FIELDS)
+        return FieldConfiguration(self.lattice, *(
+            f if isinstance(f, FieldRecipe) else f.copy() for f in fields))
 
     def slabs(self, windows=(), rows=(), **extra):
         """slab_source over the fields named in `windows` and in `rows` and
@@ -448,41 +555,6 @@ class _SlabSource:
         fields = {k: getattr(self, k) for k in windows + rows}
         fields.update(extra)
         return slab_source(self.lattice, fields, {*windows, *extra})
-
-
-@dataclass
-class FieldConfiguration(_SlabSource):
-    """Lattice samples of the 2-connection (A, beta) and multipliers (B, C).
-
-    Shapes (lattice axes trailing):
-        A:    (D, p)      1-form
-        beta: (npairs, q) 2-form on ordered pairs
-        B:    (npairs, p) 2-form on ordered pairs
-        C:    (D, q)      1-form
-    """
-
-    lattice: Lattice
-    A: np.ndarray
-    beta: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        D = self.lattice.D
-        npairs = len(pairs(D))
-        shp = self.lattice.shape
-        for name, arr, lead in (("A", self.A, (D,)), ("beta", self.beta, (npairs,)),
-                                ("B", self.B, (npairs,)), ("C", self.C, (D,))):
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape[:len(lead)] != lead or arr.shape[len(lead) + 1:] != shp:
-                raise ValueError(f"field {name} has shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"field {name} has non-finite entries")
-            setattr(self, name, arr)
-
-    def copy(self) -> "FieldConfiguration":
-        return FieldConfiguration(self.lattice, self.A.copy(), self.beta.copy(),
-                                  self.B.copy(), self.C.copy())
 
 
 @dataclass
@@ -506,22 +578,9 @@ class ConfigRecipe:
             C=self.C.realize(lattice),
         )
 
-    def stream(self, lattice: Lattice) -> "StreamedConfiguration":
-        return StreamedConfiguration(lattice, self.A, self.beta, self.B,
-                                     self.C)
-
-
-@dataclass(frozen=True)
-class StreamedConfiguration(_SlabSource):
-    """A configuration's recipes on a lattice, realized one slab at a time
-    by its slab source and never held whole.  Its slabs are bitwise those
-    of ConfigRecipe.realize on the same lattice."""
-
-    lattice: Lattice
-    A: FieldRecipe
-    beta: FieldRecipe
-    B: FieldRecipe
-    C: FieldRecipe
+    def stream(self, lattice: Lattice) -> FieldConfiguration:
+        """The configuration of these recipes on lattice, streamed."""
+        return FieldConfiguration(lattice, self.A, self.beta, self.B, self.C)
 
 
 def make_config_recipe(cm, D: int, mode_count: int, seed: int,

@@ -5,8 +5,8 @@ builtin module (zero tensors of the abelian modules and empty tensors at
 q = 0 included), FieldRecipe.realize against an inverse-FFT synthesis of
 the same trigonometric polynomial, discrete_derivative and slab_derivative
 bitwise against the np.roll formula, and every slab-streamed kernel bitwise
-against itself on a different slab partition; the slab rings of the Bianchi
-residuals compute each slab once.
+against itself on a different slab partition, and on held fields and on
+recipes; the slab rings of the Bianchi residuals compute each slab once.
 """
 
 import numpy as np
@@ -16,10 +16,12 @@ from bfcg import curvature, lattice
 from bfcg.crossed_module import builtin_module, contract, t_map
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_norms,
                             eom_residuals, evaluate_action)
-from bfcg.gauge import fat_gauge_transform, thin_gauge_transform
-from bfcg.lattice import (FieldRecipe, Lattice, _random_recipe,
-                          discrete_derivative, make_config_recipe,
-                          slab_derivative, slab_window, slabs)
+from bfcg.gauge import (fat_gauge_transform, thin_gauge_transform,
+                        transformed_actions)
+from bfcg.lattice import (FieldConfiguration, FieldRecipe, Lattice,
+                          _random_recipe, discrete_derivative,
+                          make_config_recipe, slab_derivative, slab_window,
+                          slabs)
 from bfcg.phase import random_phase_point
 from bfcg.relations import offshell_relations
 from support import realize_derivative
@@ -247,3 +249,35 @@ def test_bianchi_rings_compute_each_slab_once(name, monkeypatch):
                 assert computed == parts
                 assert sorted(reduced) == list(range(lat.n))
     assert len(set(map(str, res.values()))) == 1, res
+
+
+def _readers(cm, cfg, eps, eta) -> dict:
+    """Every 4D reader's result on cfg, its arrays as bytes."""
+    eom = eom_residuals(cm, cfg)
+    return {"curvature_F": curvature_F(cm, cfg).tobytes(),
+            "curvature_norms": curvature_norms(cm, cfg),
+            "evaluate_action": evaluate_action(cm, cfg),
+            "eom_residuals": {k: np.asarray(v).tobytes()
+                              for k, v in eom.items()},
+            "bianchi_residuals": bianchi_residuals(cm, cfg),
+            "transformed_actions": transformed_actions(cm, cfg, eps, eta)}
+
+
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare",
+                                  "trivial_bf(3)"])
+def test_held_and_recipe_fields_give_the_same_results(name, monkeypatch):
+    """On three slabs of 2 rows, every 4D reader gives bitwise the same
+    results on a configuration's realized arrays, on its recipes and on a
+    mix of both, with the gauge parameters of either kind."""
+    cm = builtin_module(name)
+    lat = Lattice(4, 6, 1.0 / 6)
+    monkeypatch.setattr(lattice, "SLAB_SITES", 2 * lat.n ** 3)
+    recipe = make_config_recipe(cm, 4, 2, seed=5, scale=0.4)
+    rng = np.random.default_rng(7)
+    eps = _random_recipe(rng, 4, (cm.p,), 2, scale=0.3)
+    eta = _random_recipe(rng, 4, (4, cm.q), 2, scale=0.3)
+    held = recipe.realize(lat)
+    mixed = FieldConfiguration(lat, held.A, recipe.beta, held.B, recipe.C)
+    want = _readers(cm, held, eps.realize(lat), eta.realize(lat))
+    assert _readers(cm, recipe.stream(lat), eps, eta) == want
+    assert _readers(cm, mixed, eps, eta.realize(lat)) == want
