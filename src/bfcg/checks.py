@@ -59,6 +59,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.ns:
             raise ValueError("the lattice ladder --n is empty")
+        if len(set(self.ns)) != len(self.ns):
+            raise ValueError(f"the lattice ladder --n repeats a size: "
+                             f"{list(self.ns)}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"--tol must be finite and positive, got {self.tol!r}")
         if self.modes < 1:
@@ -179,6 +182,9 @@ def check_bianchi(cm, cfg: RunConfig) -> CheckRecord:
 
 @_nondegenerate
 def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
+    if len(cfg.ns) == 2:
+        raise ValueError("gauge-check refinement needs at least 3 resolutions"
+                         " (one gives the covariance alone)")
     rng = np.random.default_rng(cfg.seed + 100)
     eps_rec = _random_recipe(rng, 4, (cm.p,), cfg.modes, scale=0.3)
     eta_rec = _random_recipe(rng, 4, (4, cm.q), cfg.modes, scale=0.3)

@@ -75,8 +75,8 @@ from __future__ import annotations
 import numpy as np
 
 from .crossed_module import _maxabs, contract
-from .lattice import (FIELDS, SLAB_SITES, FieldConfiguration, Slab, _ring,
-                      levi_civita, pair_index, pairs, slab_derivative,
+from .lattice import (FIELDS, SLAB_SITES, FieldConfiguration, Slab, _fitted,
+                      _ring, levi_civita, pair_index, pairs, slab_derivative,
                       slab_window, triples)
 
 __all__ = [
@@ -108,6 +108,7 @@ def _fake_curvature_pair(cm, slab, P) -> np.ndarray:
 
 def curvature_F(cm, cfg: FieldConfiguration) -> np.ndarray:
     """F^a on ordered pairs, shape (npairs, p, sites...), slab by slab."""
+    _require_fit(cm, cfg)
     out = np.empty((len(pairs(cfg.lattice.D)), cm.p) + cfg.lattice.shape)
     for slab in cfg.slabs(("A",)):
         for P in range(len(out)):
@@ -228,15 +229,27 @@ def _action(lattice, dens) -> float:
     return float(lattice.volume_element * np.sum(dens))
 
 
-def _require_4d(lattice, what: str) -> None:
-    if lattice.D != 4:
+def _require_fit(cm, cfg) -> None:
+    """ValueError unless every field of cfg, array or recipe, has the
+    components (D, p), (npairs, q), (npairs, p) and (D, q) of the module cm
+    (einsum would broadcast a size-1 component axis)."""
+    D, npairs = cfg.lattice.D, len(pairs(cfg.lattice.D))
+    for name, comp in zip(FIELDS, ((D, cm.p), (npairs, cm.q), (npairs, cm.p),
+                                   (D, cm.q))):
+        _fitted(cfg.lattice, name, getattr(cfg, name), comp)
+
+
+def _require_4d(cm, cfg, what: str) -> None:
+    """ValueError unless cfg is a D=4 configuration that fits cm."""
+    if cfg.lattice.D != 4:
         raise ValueError(f"{what} defined on D=4 configurations")
+    _require_fit(cm, cfg)
 
 
 def evaluate_action(cm, cfg) -> float:
     """BFCG action S on a D=4 periodic lattice: the configuration's _density
     summed by one np.sum."""
-    _require_4d(cfg.lattice, "the action is")
+    _require_4d(cm, cfg, "the action is")
     return _action(cfg.lattice, _density(cm, cfg))
 
 
@@ -250,7 +263,7 @@ def curvature_norms(cm, cfg) -> dict:
     slabs: each stored pair or triple of a slab, H from the slab's F, is
     reduced to its max as it is formed, and the slabs' maxima by np.max, so
     a NaN reaches its norm."""
-    _require_4d(cfg.lattice, "curvatures are")
+    _require_4d(cm, cfg, "curvatures are")
     npairs = len(pairs(4))
     worst = []
     for slab in cfg.slabs(("A", "beta", "C")):
@@ -281,7 +294,7 @@ def eom_residuals(cm, cfg) -> dict:
     arrays, forming T one stored pair at a time.
     """
     lat = cfg.lattice
-    _require_4d(lat, "equations of motion are")
+    _require_4d(cm, cfg, "equations of motion are")
     npairs = len(pairs(4))
     E_A = np.empty((4, cm.p) + lat.shape)
     E_beta = np.empty((npairs, cm.q) + lat.shape)
@@ -386,8 +399,12 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
     each is summed from the density of cfg with the three rows the entry
     moves formed again (_entry_actions), so no configuration is copied.  The
     reduction is np.max, so a NaN error (a NaN action) is returned, never
-    dropped.
+    dropped.  cfg's fields must be held arrays (ValueError on a recipe).
     """
+    _require_4d(cm, cfg, "equations of motion are")
+    if not all(isinstance(getattr(cfg, k), np.ndarray) for k in FIELDS):
+        raise ValueError("the finite differences of the action window held "
+                         "fields; realize the configuration's recipes")
     lat = cfg.lattice
     rng = np.random.default_rng(seed)
     a4 = lat.volume_element
@@ -457,7 +474,7 @@ def bianchi_residuals(cm, cfg) -> dict:
     size and of the field kind.
     """
     lat = cfg.lattice
-    _require_4d(lat, "Bianchi residuals are")
+    _require_4d(cm, cfg, "Bianchi residuals are")
     npairs = len(pairs(4))
     tops = (("B", cm.f, cm.Q), ("beta", cm.act, cm.qf))
     dA0_triple = _AT4[0][1]   # complementary to axis 0

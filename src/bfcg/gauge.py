@@ -24,19 +24,21 @@ normalization (see docs/conventions.md); both are covered by tests.
 
 Working set.  Each transformation has one body per slab of lattice.slabs
 (the package's one block size, lattice.SLAB_SITES sites), which reads the
-slab's rows of the configuration and the window of its parameter and
-writes the transformed rows where it is told.  thin_gauge_transform and
-fat_gauge_transform write them over the configuration they are given and
-return it without re-validating it, so a non-finite value reaches the
-action and FAILs.  transformed_actions writes them into new slab arrays
-that a slab ring (lattice._ring) hands to the action with their neighbour
-rows, so the gauge check's configuration, its transforms and their
-parameters are realized and transformed one slab at a time and no n^4
-field exists.  The thin body is pointwise once D eps is formed: it holds
-one slab's (sites, p, p) stacks of one sector at a time (-ad, its powers
-T..T^3 scaled by 2**-s, the exponential, the dexpinv sum; tens of MB) and
-that slab's D eps, whatever the lattice size.  The fat body differences
-only eta, one stored pair at a time.
+slab's rows of the configuration and the window of its parameter and writes
+the transformed rows where it is told.  A parameter, like each field, is a
+full array or a FieldRecipe, checked for its shape alone (_parameter).
+thin_gauge_transform and fat_gauge_transform write the rows over the held
+configuration they are given (the rows of a recipe are read-only, so a
+streamed field raises) and return it without re-validating it, so a
+non-finite value reaches the action and FAILs.  transformed_actions writes
+them into new slab arrays that a slab ring (lattice._ring) hands to the
+action with their neighbour rows, so the gauge check's configuration, its
+transforms and their parameters are realized and transformed one slab at a
+time and no n^4 field exists.  The thin body is pointwise once D eps is
+formed: it holds one slab's (sites, p, p) stacks of one sector at a time
+(-ad, its powers T..T^3 scaled by 2**-s, the exponential, the dexpinv sum;
+tens of MB) and that slab's D eps, whatever the lattice size.  The fat body
+differences only eta, one stored pair at a time.
 """
 
 from __future__ import annotations
@@ -195,6 +197,7 @@ def thin_gauge_transform(cm, cfg: FieldConfiguration,
     exponential leaves NaN in the fields, which reaches the action and
     FAILs.
     """
+    _require_4d(cm, cfg, "gauge transformations are")
     eps = _parameter(cm, cfg.lattice, "eps", eps_field)
     for slab in cfg.slabs(rows=FIELDS, eps=eps):
         _thin_slab(cm, slab, slab)
@@ -208,6 +211,7 @@ def fat_gauge_transform(cm, cfg: FieldConfiguration,
     (_fat_slab).  The result is not re-validated: a non-finite shift reaches
     the action and FAILs.
     """
+    _require_4d(cm, cfg, "gauge transformations are")
     eta = _parameter(cm, cfg.lattice, "eta", eta_field)
     T = t_map(cm)
     for slab in cfg.slabs(rows=FIELDS, eta=eta):
@@ -228,7 +232,7 @@ def transformed_actions(cm, cfg, eps, eta) -> tuple:
     transforms of a copy of it.
     """
     lat = cfg.lattice
-    _require_4d(lat, "the action is")
+    _require_4d(cm, cfg, "the action is")
     dens = [np.zeros(lat.shape) for _ in range(3)]
     T = t_map(cm)
 

@@ -240,13 +240,19 @@ def slab_source(lattice: Lattice, fields: dict, windowed):
     realized once, and only the periodic wrap rows n - 1 (before slab 0)
     and 0 (after the last slab) are realized a second time.  Any other
     recipe is realized at its slab.  Beside the slab it gives, the source
-    holds the next slab of its windowed recipes.
+    holds the next slab of its windowed recipes.  Rows realized from a
+    recipe are read-only: a write into them would be lost, so it raises.
     """
     parts = slabs(lattice)
     ahead = [k for k in windowed if isinstance(fields[k], FieldRecipe)]
 
+    def realize(field, lo, hi):
+        out = field.realize(lattice, lo, hi)
+        out.flags.writeable = False
+        return out
+
     def realized(lo, hi):
-        return {k: fields[k].realize(lattice, lo, hi) for k in ahead}
+        return {k: realize(fields[k], lo, hi) for k in ahead}
 
     def row(block, k):
         return {name: _axis0(f, lattice, k, k + 1 or None)
@@ -256,7 +262,7 @@ def slab_source(lattice: Lattice, fields: dict, windowed):
         if name in windowed:
             return slab_window(field, lattice, rows)
         if isinstance(field, FieldRecipe):
-            return None, field.realize(lattice, rows.start, rows.stop), None
+            return None, realize(field, rows.start, rows.stop), None
         return None, _axis0(field, lattice, rows.start, rows.stop), None
 
     nxt = realized(parts[0].start, parts[0].stop)
@@ -570,13 +576,9 @@ class ConfigRecipe:
     C: FieldRecipe
 
     def realize(self, lattice: Lattice) -> FieldConfiguration:
-        return FieldConfiguration(
-            lattice=lattice,
-            A=self.A.realize(lattice),
-            beta=self.beta.realize(lattice),
-            B=self.B.realize(lattice),
-            C=self.C.realize(lattice),
-        )
+        """The configuration of these recipes on lattice, held."""
+        return FieldConfiguration(lattice, *(getattr(self, k).realize(lattice)
+                                             for k in FIELDS))
 
     def stream(self, lattice: Lattice) -> FieldConfiguration:
         """The configuration of these recipes on lattice, streamed."""
@@ -625,10 +627,10 @@ def _ladder_order(estimate):
 @_ladder_order
 def fit_order(spacings, residuals):
     """Least-squares slope of log(residual) vs log(a), as a float; NaN,
-    which no order gate accepts, with fewer than two positive rungs to fit;
-    see _ladder_order for the rest."""
+    which no order gate accepts, when the positive rungs span fewer than two
+    distinct spacings, which fit no slope; see _ladder_order for the rest."""
     mask = residuals > 0
-    if mask.sum() < 2:
+    if len(np.unique(spacings[mask])) < 2:
         return float("nan")
     slope = np.polyfit(np.log(spacings[mask]), np.log(residuals[mask]), 1)[0]
     return float(slope)

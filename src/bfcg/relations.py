@@ -129,47 +129,47 @@ _rel("prim2", "full", "P(C)_k", "P(beta)_jk", -1, "kP,kx...,xy,Py...->...",
      "{P(C)_al^k, P(beta)_be^{ij}} = -eps^{ijk} q_{al be} d")
 
 _rel("sc1", "gf", "S(H)", "S(BCbeta)", 1, "abc,Pa...,b...,Pc...->...",
-     "f tA tB S(H)", "{S(H)^a_{ij}, S(BCb)_b} = f^a_{bc} S(H)^c_{ij} d")
+     "f tA tB S(H)", "{S(H)^a_{ij}, S(BCbeta)_b} = f^a_{bc} S(H)^c_{ij} d")
 _rel("sc2", "gf", "S(G)", "S(CB)", -2, "x...,xby,Py...,Pb...->...",
      "tA act tB S(H)",
      "{S(G)^al, S(CB)_{de ij}} = -2 act^al_{b de} S(H)^b_{ij} d")
 _rel("sc3", "gf", "S(BCbeta)", "S(BCbeta)", 1, "cab,a...,b...,c...->...",
-     "f tA tB S(BCbeta)", "{S(BCb)_a, S(BCb)_b} = f^c_{ab} S(BCb)_c d")
+     "f tA tB S(BCbeta)", "{S(BCbeta)_a, S(BCbeta)_b} = f^c_{ab} S(BCbeta)_c d")
 _rel("sc4", "gf", "S(G)", "S(BCbeta)", 1, "x...,xay,a...,y...->...",
-     "tA act tB S(G)", "{S(G)^al, S(BCb)_a} = act^al_{a be} S(G)^be d")
+     "tA act tB S(G)", "{S(G)^al, S(BCbeta)_a} = act^al_{a be} S(G)^be d")
 _rel("sc5", "gf", "S(CB)", "S(BCbeta)", 1, "Px...,xay,a...,Py...->...",
      "tA actmix tB S(CB)",
-     "{S(CB)_{al ij}, S(BCb)_a} = act_{al a}^de S(CB)_{de ij} d")
+     "{S(CB)_{al ij}, S(BCbeta)_a} = act_{al a}^{de} S(CB)_{de ij} d")
 
 _rel("sc0_HH", "gf", "S(H)", "S(H)", 0, "", "", "{S(H), S(H)} = 0")
 _rel("sc0_HG", "gf", "S(H)", "S(G)", 0, "", "", "{S(H), S(G)} = 0")
 _rel("sc0_GG", "gf", "S(G)", "S(G)", 0, "", "", "{S(G), S(G)} = 0")
 _rel("sc0_HCB", "gf", "S(H)", "S(CB)", 0, "", "",
-     "{S(H), S(CB)} = 0 (needs equivariance)")
+     "{S(H), S(CB)} = 0")
 _rel("sc0_CBCB", "gf", "S(CB)", "S(CB)", 0, "", "",
-     "{S(CB), S(CB)} = 0 (needs total antisymmetry of lowered phi)")
+     "{S(CB), S(CB)} = 0")
 
 _rel("fc1", "full", "phi(G)", "phi(CB)", -2, "x...,xcy,ly...,ca,la...->...",
      "tA actlow tB Qinv phi(H)",
      "{phi(G)_al, phi(CB)_de^l} = -2 act_{al c de} phi(H)^{cl} d")
 _rel("fc2", "full", "phi(G)", "phi(BCbeta)", 1, "x...,xay,a...,y...->...",
      "tA actmix tB phi(G)",
-     "{phi(G)_al, phi(BCb)_a} = act_{al a}^de phi(G)_de d")
+     "{phi(G)_al, phi(BCbeta)_a} = act_{al a}^{de} phi(G)_de d")
 _rel("fc3", "full", "phi(CB)", "phi(BCbeta)", 1, "kx...,xay,a...,ky...->...",
      "tA actmix tB phi(CB)",
-     "{phi(CB)_al^k, phi(BCb)_a} = act_{al a}^de phi(CB)_de^k d")
+     "{phi(CB)_al^k, phi(BCbeta)_a} = act_{al a}^{de} phi(CB)_de^k d")
 _rel("fc4", "full", "phi(H)", "phi(BCbeta)", 1, "cab,ia...,b...,ic...->...",
-     "f tA tB phi(H)", "{phi(H)_a^i, phi(BCb)_b} = f^c_{ab} phi(H)_c^i d")
+     "f tA tB phi(H)", "{phi(H)_a^i, phi(BCbeta)_b} = f^c_{ab} phi(H)_c^i d")
 _rel("fc5", "full", "phi(BCbeta)", "phi(BCbeta)", 1, "cab,a...,b...,c...->...",
      "f tA tB phi(BCbeta)",
-     "{phi(BCb)_a, phi(BCb)_b} = f^c_{ab} phi(BCb)_c d")
+     "{phi(BCbeta)_a, phi(BCbeta)_b} = f^c_{ab} phi(BCbeta)_c d")
 
 _rel("mixed1", "full", "phi(H)", "chi(A)", -1, "Pil,cae,ia...,le...,Pc...->...",
      "PAIR f tA tB chi(B)",
      "{phi(H)_a^i, chi(A)_e^l} = -f^c_{ae} chi(B)_c^{il} d")
 _rel("mixed2", "full", "phi(G)", "chi(A)", 2, "x...,xey,le...,ly...->...",
      "tA actmix tB chi(C)",
-     "{phi(G)_al, chi(A)_e^l} = 2 act_{al e}^de chi(C)_de^l d")
+     "{phi(G)_al, chi(A)_e^l} = 2 act_{al e}^{de} chi(C)_de^l d")
 _rel("mixed3", "full", "phi(G)", "chi(beta)", -2, "x...,xey,Py...,Pe...->...",
      "tA actQ tB chi(B)",
      "{phi(G)_al, chi(beta)_ga^{jk}} = -2 act_al^e_ga chi(B)_e^{jk} d")
@@ -180,15 +180,15 @@ _rel("mixed5", "full", "phi(CB)", "chi(C)", -1, "Plk,xey,kx...,ly...,Pe...->..."
      "PAIR actQ tA tB chi(B)",
      "{phi(CB)_al^k, chi(C)_de^l} = -act_al^e_de chi(B)_e^{lk} d")
 _rel("mixed6", "full", "phi(BCbeta)", "chi(A)", 1, "cae,a...,le...,lc...->...",
-     "f tA tB chi(A)", "{phi(BCb)_a, chi(A)_e^l} = f^c_{ae} chi(A)_c^l d")
+     "f tA tB chi(A)", "{phi(BCbeta)_a, chi(A)_e^l} = f^c_{ae} chi(A)_c^l d")
 _rel("mixed7", "full", "phi(BCbeta)", "chi(beta)", 1, "a...,xay,Py...,Px...->...",
      "tA act tB chi(beta)",
-     "{phi(BCb)_a, chi(beta)_ga^{jk}} = act^de_{a ga} chi(beta)_de^{jk} d")
+     "{phi(BCbeta)_a, chi(beta)_ga^{jk}} = act^de_{a ga} chi(beta)_de^{jk} d")
 _rel("mixed8", "full", "phi(BCbeta)", "chi(C)", 1, "a...,xay,ly...,lx...->...",
      "tA act tB chi(C)",
-     "{phi(BCb)_a, chi(C)_de^l} = act^ga_{a de} chi(C)_ga^l d")
+     "{phi(BCbeta)_a, chi(C)_de^l} = act^ga_{a de} chi(C)_ga^l d")
 _rel("mixed9", "full", "phi(BCbeta)", "chi(B)", 1, "a...,cae,Pe...,Pc...->...",
-     "tA f tB chi(B)", "{phi(BCb)_a, chi(B)_e^{jk}} = f^c_{ae} chi(B)_c^{jk} d")
+     "tA f tB chi(B)", "{phi(BCbeta)_a, chi(B)_e^{jk}} = f^c_{ae} chi(B)_c^{jk} d")
 
 
 def _rhs(cm, rel, point, tA, tB, dens) -> float:

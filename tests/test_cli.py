@@ -81,6 +81,19 @@ def test_empty_ladder_is_usage_error(ladder, capsys):
     assert err.startswith("error:") and "--n" in err
 
 
+@pytest.mark.parametrize("command, ladder", [
+    ("bianchi", "6,6,6"), ("gauge-check", "8,8,8"), ("validate", "6,8,6"),
+    ("gauge-check", "6,8")])
+def test_unfittable_ladder_is_usage_error(command, ladder, capsys):
+    """A ladder that repeats a size, or a two-rung gauge-check, fits no
+    refinement order: a usage error, not a verdict."""
+    code = main([command, "--module", "adjoint(su2)", "--n", ladder])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert "repeats a size" in err or "3 resolutions" in err
+
+
 def test_missing_spec_file_is_usage_error(capsys):
     code = main(["validate", "--spec", "/nonexistent/file.cmspec"])
     assert code == 2

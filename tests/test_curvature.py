@@ -9,8 +9,10 @@ from bfcg.crossed_module import builtin_module, contract
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_norms,
                             eom_gradient_check, eom_residuals,
                             evaluate_action)
-from bfcg.lattice import (FieldConfiguration, Lattice, Slab,
-                          discrete_derivative, levi_civita, finest_order,
+from bfcg.gauge import (fat_gauge_transform, thin_gauge_transform,
+                        transformed_actions)
+from bfcg.lattice import (FieldConfiguration, FieldRecipe, Lattice, Slab,
+                          _random_recipe, discrete_derivative, levi_civita, finest_order,
                           fit_order, make_config_recipe, pair_index, pairs,
                           slab_window, triples)
 from support import (curvature_G3, curvature_GB, curvature_T, fake_curvature,
@@ -416,6 +418,55 @@ def test_eom_gradient_check_copies_no_configuration():
     worst, peak = traced_peak(eom_gradient_check, cm, cfg, res, 16, 1)
     assert worst < 1e-6
     assert peak < one / 2, peak / one
+
+
+def test_eom_gradient_check_needs_held_fields():
+    """The finite differences window held fields: on recipes they raise a
+    ValueError that says so, not an error from inside a kernel."""
+    cm = builtin_module("adjoint(su2)")
+    cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).stream(
+        Lattice(4, 6, 1.0 / 6))
+    with pytest.raises(ValueError, match="held fields"):
+        eom_gradient_check(cm, cfg, eom_residuals(cm, cfg))
+
+
+def _misfits(cm, lat):
+    """Configurations of cm's lead shapes whose C or B has one component:
+    held, or C as a recipe of components (4, 1)."""
+    recipe = make_config_recipe(cm, 4, 1, seed=1, scale=0.4)
+    held = recipe.realize(lat)
+    thin_C = FieldRecipe(4, (4, 1), {k: (ca[:, :1], sa[:, :1]) for k, (ca, sa)
+                                     in recipe.C.coeffs.items()})
+    return {"held C": FieldConfiguration(lat, held.A, held.beta, held.B,
+                                         held.C[:, :1]),
+            "held B": FieldConfiguration(lat, held.A, held.beta,
+                                         held.B[:, :1], held.C),
+            "recipe C": FieldConfiguration(lat, recipe.A, recipe.beta,
+                                           recipe.B, thin_C)}
+
+
+@pytest.mark.parametrize("reader", [
+    curvature_F, curvature_norms, evaluate_action, eom_residuals,
+    bianchi_residuals,
+    lambda cm, cfg: eom_gradient_check(cm, cfg, {}),
+    lambda cm, cfg: thin_gauge_transform(cm, cfg, np.zeros(
+        (cm.p,) + cfg.lattice.shape)),
+    lambda cm, cfg: fat_gauge_transform(cm, cfg, np.zeros(
+        (4, cm.q) + cfg.lattice.shape)),
+    lambda cm, cfg: transformed_actions(cm, cfg, np.zeros(
+        (cm.p,) + cfg.lattice.shape), np.zeros((4, cm.q) + cfg.lattice.shape)),
+], ids=["curvature_F", "curvature_norms", "evaluate_action", "eom_residuals",
+        "bianchi_residuals", "eom_gradient_check", "thin_gauge_transform",
+        "fat_gauge_transform", "transformed_actions"])
+def test_a_configuration_that_misfits_the_module_is_refused(reader):
+    """einsum broadcasts a size-1 component axis, so a C or B of one
+    component on adjoint(su2) (p = q = 3) would give a finite action; every
+    4D entry refuses it, held or recipe, with a ValueError naming the
+    field."""
+    cm = builtin_module("adjoint(su2)")
+    for kind, cfg in _misfits(cm, Lattice(4, 5, 0.2)).items():
+        with pytest.raises(ValueError, match=f"field {kind[-1]} does not fit"):
+            reader(cm, cfg)
 
 
 def test_eom_curvature_part_flat_abelian():

@@ -313,6 +313,49 @@ def test_transformed_actions_are_the_held_actions(name, n):
                                eta.realize(lat)) == want
 
 
+def test_in_place_transforms_of_recipes_raise():
+    """The in-place transforms write into the slab rows they read.  Rows
+    realized from a recipe are read-only, so a transform of a streamed
+    configuration raises instead of returning it unchanged; a held one
+    takes a parameter of either kind, with bitwise the same result."""
+    cm = builtin_module("adjoint(su2)")
+    lat = Lattice(4, 6, 1.0 / 6)
+    recipe = make_config_recipe(cm, 4, 1, seed=1, scale=0.4)
+    rng = np.random.default_rng(3)
+    eps = _random_recipe(rng, 4, (cm.p,), 1, scale=0.3)
+    eta = _random_recipe(rng, 4, (4, cm.q), 1, scale=0.3)
+    for transform, param in ((thin_gauge_transform, eps),
+                             (fat_gauge_transform, eta)):
+        with pytest.raises(ValueError, match="read-only"):
+            transform(cm, recipe.stream(lat), param)
+        want = transform(cm, recipe.realize(lat), param.realize(lat))
+        got = transform(cm, recipe.realize(lat), param)
+        for name in ("A", "beta", "B", "C"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("name, kind, comp", [
+    ("eps", "recipe", (3, 3)), ("eps", "array", (2,)),
+    ("eta", "recipe", (4, 2)), ("eta", "array", (2,))])
+def test_misshaped_parameters_are_refused(name, kind, comp):
+    """Every transform checks its parameter's component shape, recipe or
+    array, before any kernel reads it (on adjoint(su2), eps has (3,) and
+    eta (4, 3))."""
+    cm = builtin_module("adjoint(su2)")
+    lat = Lattice(4, 5, 0.2)
+    rng = np.random.default_rng(1)
+    bad = (_random_recipe(rng, 4, comp, 1, scale=0.3) if kind == "recipe"
+           else np.zeros(comp + lat.shape))
+    params = {"eps": np.zeros((cm.p,) + lat.shape),
+              "eta": np.zeros((4, cm.q) + lat.shape), name: bad}
+    cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(lat)
+    transform = {"eps": thin_gauge_transform, "eta": fat_gauge_transform}
+    with pytest.raises(ValueError, match=f"field {name} does not fit"):
+        transformed_actions(cm, cfg, params["eps"], params["eta"])
+    with pytest.raises(ValueError, match=f"field {name} does not fit"):
+        transform[name](cm, cfg, bad)
+
+
 def test_nan_exponential_of_one_slab_reaches_the_action():
     """A NaN thin parameter on one slab of five gives that slab NaN
     exponentials; the ring hands its rows to the action, which is NaN, with

@@ -289,6 +289,17 @@ def test_fit_order_single_positive_rung_is_nan(residuals):
     assert not order_ok(order)
 
 
+@pytest.mark.parametrize("spacings, residuals", [
+    ([0.1, 0.1, 0.1], [1e-2, 2e-3, 3e-4]),
+    ([0.1, 0.1, 0.05], [1e-2, 2e-3, 0.0]),
+])
+def test_fit_order_on_one_spacing_is_nan(spacings, residuals):
+    """Positive rungs at one spacing fit no slope: NaN, with no warning."""
+    order = fit_order(spacings, residuals)
+    assert isinstance(order, float) and np.isnan(order)
+    assert not order_ok(order)
+
+
 SPACINGS = [1 / 8, 1 / 16, 1 / 32]
 
 

@@ -1,6 +1,8 @@
 """Constraint-algebra relations, consistency, off-shell identities, reduction."""
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,17 @@ def test_catalog_covers_the_tables():
     assert len(FIRSTCLASS_RELATIONS) == 5
     assert len(MIXED_RELATIONS) == 9
     assert set(ALL_TABLE + ZERO_RELATIONS) == set(RELATIONS)
+
+
+def test_the_doc_tables_state_the_catalog():
+    """docs/relations.md lists each of the 26 relations once, in a table row
+    whose relation is the RelationSpec's note, word for word."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "relations.md")
+    rows = re.findall(r"^\| (\w+) \| `([^`]*)` \| (\w+) \|$",
+                      doc.read_text(encoding="utf-8"), re.M)
+    assert len(rows) == len(RELATIONS) == 26
+    assert {rid: (note, cls) for rid, note, cls in rows} == {
+        rid: (spec.note, "exact") for rid, spec in RELATIONS.items()}
 
 
 def test_unknown_relation_id():
