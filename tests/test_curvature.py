@@ -12,7 +12,7 @@ from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_norms,
 from bfcg.gauge import (fat_gauge_transform, thin_gauge_transform,
                         transformed_actions)
 from bfcg.lattice import (FieldConfiguration, FieldRecipe, Lattice, Slab,
-                          _random_recipe, discrete_derivative, levi_civita, finest_order,
+                          discrete_derivative, levi_civita, finest_order,
                           fit_order, make_config_recipe, pair_index, pairs,
                           slab_window, triples)
 from support import (curvature_G3, curvature_GB, curvature_T, fake_curvature,
