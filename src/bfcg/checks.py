@@ -3,7 +3,9 @@
 Each check maps a crossed module and a `RunConfig` to a `CheckRecord`: the
 verdict, the detail of its verdict line, the report lines it prints and the
 plain floats behind them (the residual at each rung, the fitted orders).
-The CLI renders records to text; the acceptance suite asserts on them.
+The CLI renders records to text.  The acceptance suite asserts on the
+records of bianchi (C03), gauge-check (C04), eom (C05), consistency (C08)
+and offshell (C09); its other criteria run data no `RunConfig` reproduces.
 """
 
 from __future__ import annotations
@@ -62,14 +64,30 @@ class RunConfig:
         if len(set(self.ns)) != len(self.ns):
             raise ValueError(f"the lattice ladder --n repeats a size: "
                              f"{list(self.ns)}")
+        if min(self.ns) < 4:
+            raise ValueError(f"the lattice ladder --n has a size below 4: "
+                             f"{list(self.ns)}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"--tol must be finite and positive, got {self.tol!r}")
         if self.modes < 1:
             raise ValueError(f"--modes must be at least 1, got {self.modes!r}")
-        if self.a is not None and not (math.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"--a must be finite and positive, got {self.a!r}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {self.seed!r}")
         if self.a is None:
             object.__setattr__(self, "a", 1.0 / self.ns[0])
+        # each rung's spacing and its fourth power, the 4D volume element,
+        # must be finite positive doubles: a spacing that overflows or
+        # underflows makes both sides of an identity inf, NaN or 0
+        for n in self.ns:
+            h = self.spacing(n)
+            if not all(math.isfinite(x) and x > 0 for x in (h, h * h * h * h)):
+                raise ValueError(f"--a must give every rung a finite positive "
+                                 f"spacing with a finite nonzero fourth power;"
+                                 f" --a {self.a!r} gives {h!r} at n={n}")
+
+    def spacing(self, n: int) -> float:
+        """Spacing at size n over the extent fixed by the first rung."""
+        return self.ns[0] * self.a / n
 
 
 @dataclass(frozen=True)
@@ -112,7 +130,7 @@ def _refinement(spacings, table: dict, label: str):
 
 def _lattice(cfg: RunConfig, D: int, n: int) -> Lattice:
     """Lattice of size n over the extent fixed by the first rung."""
-    return Lattice(D=D, n=n, a=cfg.ns[0] * cfg.a / n)
+    return Lattice(D=D, n=n, a=cfg.spacing(n))
 
 
 def _recipe(cm, cfg: RunConfig):

@@ -34,6 +34,7 @@ continuum field can be realized on any resolution for Richardson studies.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,9 @@ class Lattice:
             raise ValueError(f"D must be 3 or 4, got {self.D}")
         if self.n < 4:
             raise ValueError(f"n must be >= 4 for second-order stencils, got {self.n}")
-        if not self.a > 0:
-            raise ValueError(f"lattice spacing must be positive, got {self.a}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"lattice spacing must be finite and positive, "
+                             f"got {self.a}")
 
     @property
     def sites(self) -> int:

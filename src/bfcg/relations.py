@@ -233,7 +233,7 @@ class RelationResult:
     lhs: float
     rhs: float
     residual: float
-    scale: float
+    scale: float    # 1 + sum of |terms| of lhs; check_algebra's gate reads it
 
 
 def relation_table(cm, rel_ids, point: PhasePoint, seed: int = 0) -> list:
@@ -278,11 +278,11 @@ def relation_table(cm, rel_ids, point: PhasePoint, seed: int = 0) -> list:
         (tA, gA), (tB, gB) = (take(key, smeared) for key in sides(rel))
         pairs_ = GAUGE_FIXED_PAIRS if rel.system == "gf" else CANONICAL_PAIRS
         lhs = pair_gradients(gA, gB, pairs_, lat.a)
-        scale = 1.0
+        scale = 0.0
         for qb, pb in pairs_:
             scale += float(paired_sum(gA.get(qb), gB.get(pb), np.abs) +
                            paired_sum(gA.get(pb), gB.get(qb), np.abs))
-        scale /= lat.a ** 3
+        scale = 1.0 + scale / lat.a ** 3
         dens = {key[0]: take(key, evaluated) for key in arrays(rel)}
         rhs = _rhs(cm, rel, point, tA, tB, dens)
         out.append(RelationResult(rid=rel.rid, lhs=lhs, rhs=rhs,

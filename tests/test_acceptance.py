@@ -1,10 +1,18 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Run with `pytest -s tests/test_acceptance.py` to see one pass/fail line per
-criterion.  C03 (Bianchi) and C09 (off-shell) run exactly the data of a CLI
-configuration, so they call the check registry `bfcg.checks` and assert on
-its records.  The other criteria use data no CLI configuration reproduces;
-they keep their own computation and take every gate from `bfcg.checks`.
+criterion.  C03 (Bianchi), C04 (gauge invariance), C05 (field equations),
+C08 (multiplier consistency) and C09 (off-shell) run CLI configurations, so
+they call the check registry `bfcg.checks` and assert on its records.  The
+other criteria keep their own data, which no `RunConfig` reproduces: C01
+and C02 are sweeps (every single-entry perturbation of a structure tensor;
+every (p, q) up to 50); C06 holds the primary relations to the absolute
+1e-12 fundamental-bracket bound, which is stricter than the `algebra`
+check's scaled gate; C07 holds every table relation to the absolute
+DEFAULT_TOL at three points on each rung of the n = 8, 16, 32 ladder, where
+`algebra` runs at one n; C10 holds three modules to a bound stricter than
+the `consistency` check's.  Every bound is named once: in `bfcg.checks`, or
+below.
 """
 
 import time
@@ -13,29 +21,22 @@ from pathlib import Path
 
 import numpy as np
 
-from bfcg.checks import (EOM_TOL, FUNDAMENTAL_TOL, LADDER, TABLE_RELATIONS,
-                         RunConfig, check_bianchi, check_offshell, order_ok)
+from bfcg.checks import (DEFAULT_TOL, EOM_TOL, FUNDAMENTAL_TOL, LADDER,
+                         TABLE_RELATIONS, RunConfig, check_bianchi,
+                         check_consistency, check_eom, check_gauge,
+                         check_offshell, order_ok)
 from bfcg.crossed_module import builtin_module, validate_crossed_module
-from bfcg.curvature import (curvature_F, eom_gradient_check, eom_residuals,
-                            evaluate_action)
 from bfcg.dof import dof_count
-from bfcg.gauge import expm_batched, fat_gauge_transform, thin_gauge_transform
-from bfcg.lattice import (Lattice, _random_recipe, finest_order, fit_order,
-                          make_config_recipe)
+from bfcg.lattice import Lattice
 from bfcg.phase import random_phase_point
 from bfcg.relations import (PRIMARY_RELATIONS, check_algebra_relation,
-                            consistency_residuals,
                             fundamental_bracket_residuals, reduction_residual)
 
-_CONFIG_CACHE = {}
-
-
-def _su2_config(n):
-    if n not in _CONFIG_CACHE:
-        cm = builtin_module("adjoint(su2)")
-        recipe = make_config_recipe(cm, 4, 1, seed=1, scale=0.4)
-        _CONFIG_CACHE[n] = recipe.realize(Lattice(D=4, n=n, a=1.0 / n))
-    return _CONFIG_CACHE[n]
+# The chi = 0 reduction compares densities site by site, with no bracket
+# and no 1/a^3 lattice pairing, so it holds to rounding of order-one
+# values; the consistency check gates it at the run's --tol with its
+# bracket rows.
+REDUCTION_TOL = 1e-12
 
 
 def _report(tag, ok, detail=""):
@@ -49,7 +50,7 @@ def test_criterion_01_crossed_module_axiom_suite():
                "vector_poincare", "abelian(2,3)"]
     worst = 0.0
     for name in catalog:
-        rep = validate_crossed_module(builtin_module(name), tol=1e-10)
+        rep = validate_crossed_module(builtin_module(name), tol=DEFAULT_TOL)
         assert rep.passed, (name, rep.failures())
         worst = max(worst, max(v for _, v, _ in rep.entries))
     missed = []
@@ -66,7 +67,7 @@ def test_criterion_01_crossed_module_axiom_suite():
                 if validate_crossed_module(replace(cm, **{attr: tensor})).passed:
                     missed.append((name, attr, idx))
     elapsed = time.perf_counter() - t0
-    _report("C01 crossed-module axioms", worst <= 1e-10 and not missed
+    _report("C01 crossed-module axioms", worst <= DEFAULT_TOL and not missed
             and elapsed < 1.0,
             f"worst={worst:.2e} missed={len(missed)} time={elapsed:.2f}s")
 
@@ -95,46 +96,22 @@ def test_criterion_03_bianchi_convergence():
 
 
 def test_criterion_04_gauge_invariance():
-    cm = builtin_module("adjoint(su2)")
-    rng = np.random.default_rng(100)
-    eps_rec = _random_recipe(rng, 4, (cm.p,), 1, scale=0.3)
-    eta_rec = _random_recipe(rng, 4, (4, cm.q), 1, scale=0.3)
-    dthin, dfat, spacings = [], [], []
-    for n in LADDER:
-        lat = Lattice(D=4, n=n, a=1.0 / n)
-        cfg = _su2_config(n)
-        S0 = evaluate_action(cm, cfg)
-        ct = thin_gauge_transform(cm, cfg.copy(), eps_rec.realize(lat))
-        dthin.append(abs(evaluate_action(cm, ct) - S0))
-        del ct
-        cf = fat_gauge_transform(cm, cfg.copy(), eta_rec.realize(lat))
-        dfat.append(abs(evaluate_action(cm, cf) - S0))
-        del cf
-        spacings.append(lat.a)
-    o_thin = finest_order(spacings, dthin)
-    o_fat = finest_order(spacings, dfat)
-    cfg = _su2_config(8)
-    lat8 = cfg.lattice
-    eps_c = np.array([0.4, -0.3, 0.2])
-    eps_field = np.broadcast_to(eps_c.reshape(3, 1, 1, 1, 1),
-                                (3,) + lat8.shape).copy()
-    ct = thin_gauge_transform(cm, cfg.copy(), eps_field)
-    Rg = expm_batched(-np.einsum("abc,b->ac", cm.f, eps_c))
-    F0 = curvature_F(cm, cfg)
-    rot = np.einsum("ab,Pb...->Pa...", Rg, F0)
-    cov = float(np.max(np.abs(curvature_F(cm, ct) - rot)))
-    ok_thin = o_thin != "exact" and order_ok(o_thin)
-    _report("C04 gauge invariance", ok_thin and order_ok(o_fat) and cov <= 1e-10,
-            f"thin_order={o_thin:.3f} (all-rung fit "
-            f"{fit_order(spacings, dthin):.3f}) fat={o_fat} "
-            f"const-covariance={cov:.2e}")
+    rec = check_gauge(builtin_module("adjoint(su2)"), RunConfig(seed=1))
+    thin, fat = rec.orders["thin"], rec.orders["fat"]
+    cov = rec.residuals["covariance"][0]
+    ok = rec.ok and thin != "exact" and order_ok(thin) and order_ok(fat)
+    _report("C04 gauge invariance", ok and cov <= DEFAULT_TOL,
+            f"thin_order={thin:.3f} (all-rung fit {rec.fits['thin']:.3f}) "
+            f"fat={fat} const-covariance={cov:.2e}")
 
 
 def test_criterion_05_eom_cross_check():
     cm = builtin_module("adjoint(su2)")
-    c = _su2_config(8)
-    worst = eom_gradient_check(cm, c, eom_residuals(cm, c), n_samples=24, seed=5)
-    _report("C05 eom finite-difference", worst <= EOM_TOL, f"relerr={worst:.2e}")
+    recs = [check_eom(cm, RunConfig(seed=seed, ns=(8,))) for seed in (1, 5)]
+    worst = max(rec.residuals["relerr"][0] for rec in recs)
+    _report("C05 eom finite-difference",
+            all(rec.ok for rec in recs) and worst <= EOM_TOL,
+            f"relerr={worst:.2e} (seeds 1, 5)")
 
 
 def test_criterion_06_fundamental_and_primary_brackets():
@@ -168,7 +145,7 @@ def test_criterion_07_constraint_algebra_tables():
             for rid in TABLE_RELATIONS:
                 res = check_algebra_relation(cm, rid, pt, seed=k)
                 worst_exact = max(worst_exact, res.residual)
-                if res.residual > 1e-10:
+                if res.residual > DEFAULT_TOL:
                     failed.append((rid, nn, k, res.residual))
     elapsed = time.perf_counter() - t0
     _report("C07 constraint algebra tables",
@@ -179,27 +156,11 @@ def test_criterion_07_constraint_algebra_tables():
 
 def test_criterion_08_multiplier_consistency():
     cm = builtin_module("adjoint(su2)")
-    lat = Lattice(D=3, n=8, a=1.0 / 8)
-    worst_spatial = 0.0
-    worst_secondary = 0.0
-    worst_phi = 0.0
-    for seed in (3, 4):
-        pt_on = random_phase_point(cm, lat, seed=seed, rule="on_shell")
-        rows = dict(consistency_residuals(cm, pt_on, seed=seed))
-        for label, r in rows.items():
-            if "preservation" in label and "weak" not in label:
-                worst_spatial = max(worst_spatial, r)
-            if "vs secondary" in label:
-                worst_secondary = max(worst_secondary, r)
-        pt_rnd = random_phase_point(cm, lat, seed=seed + 50, rule="random")
-        rows = dict(consistency_residuals(cm, pt_rnd, seed=seed))
-        for label, r in rows.items():
-            if "vs phi" in label:
-                worst_phi = max(worst_phi, r)
-    ok = worst_spatial <= 1e-10 and worst_secondary <= 1e-10 and worst_phi <= 1e-10
-    _report("C08 multiplier consistency", ok,
-            f"spatial={worst_spatial:.2e} temporal-vs-secondary="
-            f"{worst_secondary:.2e} first-class={worst_phi:.2e}")
+    recs = [check_consistency(cm, RunConfig(seed=seed, ns=(8,)))
+            for seed in (0, 1)]
+    reduction = max(rec.residuals["reduction"][0] for rec in recs)
+    _report("C08 multiplier consistency", all(rec.ok for rec in recs),
+            f"seeds 0, 1 at n=8, tol={DEFAULT_TOL:g}, reduction={reduction:.2e}")
 
 
 def test_criterion_09_offshell_dependencies():
@@ -220,4 +181,4 @@ def test_criterion_10_gauge_fixed_reduction():
         for seed in (11, 12):
             pt = random_phase_point(cm, lat, seed=seed, rule="random")
             worst = max(worst, reduction_residual(cm, pt))
-    _report("C10 gauge-fixed reduction", worst <= 1e-12, f"worst={worst:.2e}")
+    _report("C10 gauge-fixed reduction", worst <= REDUCTION_TOL, f"worst={worst:.2e}")

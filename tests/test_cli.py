@@ -73,7 +73,18 @@ def test_bad_modes_is_usage_error(command, modes, capsys):
     assert err.startswith("error: --modes must be")
 
 
-@pytest.mark.parametrize("ladder", ["", ","])
+@pytest.mark.parametrize("command", ["validate", "full-report", "eom"])
+def test_negative_seed_is_usage_error(command, capsys):
+    """A negative --seed is refused before any check runs: no partial
+    report, where numpy's generators would reject it mid-report."""
+    code = main([command, "--module", "adjoint(su2)", "--n", "6",
+                 "--seed=-1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: --seed must be non-negative")
+
+
+@pytest.mark.parametrize("ladder", ["", ",", "0", "4,2"])
 def test_empty_ladder_is_usage_error(ladder, capsys):
     code = main(["validate", "--n", ladder])
     out, err = capsys.readouterr()
@@ -191,18 +202,40 @@ def test_bad_spacing_is_usage_error(a, capsys):
     assert err.startswith("error:") and "--a" in err
 
 
+@pytest.mark.parametrize("command, module, ladder, a", [
+    ("eom", "abelian(1,1)", "4", "1e308"),
+    ("algebra", "abelian(1,1)", "4", "1e308"),
+    ("curvature", "abelian(1,1)", "4", "1e308"),
+    ("bianchi", "vector_poincare", "4,6,8", "1e308"),
+    ("eom", "adjoint(su2)", "8", "1e-200"),
+    ("curvature", "adjoint(su2)", "8", "1e300"),
+    ("algebra", "adjoint(su2)", "8", "1e-200"),
+    ("validate", "adjoint(su2)", "4,64", "1e-80"),
+])
+def test_overflowing_spacing_is_usage_error(command, module, ladder, a, capsys):
+    """A rung whose spacing or its fourth power overflows to inf or
+    underflows to 0 is a usage error: with it both sides of an identity
+    read inf, NaN or 0, so a check would PASS or crash.  At 4,64 and 1e-80
+    the first rung's fourth power is a subnormal double and the last
+    rung's underflows."""
+    code = main([command, "--module", module, "--n", ladder, f"--a={a}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: --a ")
+
+
 @pytest.mark.parametrize("command, line", [
-    ("eom", "eom finite-difference relerr nan"),
     ("algebra", "fundamental-brackets worst nan"),
-    ("curvature", "action nan"),
 ])
 def test_nan_residual_at_huge_spacing_fails(command, line, capsys):
-    """At a = 1e308 the action and the brackets overflow to NaN, with the
-    RuntimeWarnings that this provokes; the worst-case reductions keep the
-    NaN, so the check FAILs."""
+    """At a = 1e60, whose fourth power is finite, the fundamental brackets
+    overflow to NaN, with the RuntimeWarnings that this provokes; the
+    worst-case reduction keeps the NaN, so the check FAILs.  eom and
+    curvature reach NaN on an overflowing module instead
+    (test_overflowing_structure_constants_reach_nan)."""
     with pytest.warns(RuntimeWarning):
         code, out = _run(capsys, [command, "--module", "abelian(1,1)", "--n",
-                                  "4", "--a", "1e308"])
+                                  "4", "--a", "1e60"])
     assert code == 1
     assert line in out and f"[FAIL] {command}" in out
 
@@ -229,6 +262,20 @@ def test_overflowing_structure_constants_never_pass(huge_spec, capsys):
     assert "gauge thin-constant F-covariance nan" in out
     assert "gauge thin dS nan nan nan" in out
     assert "[FAIL] gauge-check" in out and "overall FAIL" in out
+
+
+@pytest.mark.parametrize("command, line", [
+    ("eom", "eom finite-difference relerr nan"),
+    ("curvature", "action nan"),
+])
+def test_overflowing_structure_constants_reach_nan(huge_spec, command, line,
+                                                   capsys):
+    """The overflowing curvature reaches the action as NaN: the worst-case
+    reductions keep it, so the check FAILs."""
+    with pytest.warns(RuntimeWarning):
+        code, out = _run(capsys, [command, "--spec", huge_spec, "--n", "6"])
+    assert code == 1
+    assert line in out and f"[FAIL] {command}" in out
 
 
 def test_overflowing_structure_constants_keep_the_full_report(huge_spec,

@@ -21,7 +21,8 @@ def test_make_lattice_basic():
     assert Lattice(3, 4, 0.25).sites == 64
 
 
-@pytest.mark.parametrize("bad", [(4, 2, 0.1), (2, 8, 0.1), (4, 8, -1.0)])
+@pytest.mark.parametrize("bad", [(4, 2, 0.1), (2, 8, 0.1), (4, 8, -1.0),
+                                 (4, 8, float("inf")), (4, 8, float("nan"))])
 def test_make_lattice_rejects(bad):
     with pytest.raises(ValueError):
         Lattice(*bad)

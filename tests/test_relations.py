@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bfcg.checks import RunConfig, check_algebra
 from bfcg.constraints import (constraint_density, evaluate_constraint,
                               family_shape, total_hamiltonian_functional)
 from bfcg.crossed_module import builtin_module, contract
@@ -382,3 +383,26 @@ def test_q_zero_pure_bf_sector():
     assert reduction_residual(cm, pt) < 1e-12
     out = offshell_relations(cm, pt)
     assert out["rb_residual"] == 0.0  # empty h sector
+
+
+def test_relation_scale_does_not_grow_as_n_cubed():
+    """The scale is 1 plus the absolute terms of the bracket, each already
+    paired with its 1/a^3: a Riemann sum that settles as n grows, so the
+    gate tol * max(1, scale) does not widen as n^3."""
+    worst = {}
+    for n in (8, 16):
+        pt = random_phase_point(SU2, Lattice(3, n, 1.0 / n), seed=1,
+                                rule="random")
+        worst[n] = max(r.scale for r in relation_table(
+            SU2, ALL_TABLE + ZERO_RELATIONS, pt, seed=1))
+    assert 1.0 < worst[8] < 8 ** 3 and worst[16] < 1.5 * worst[8], worst
+
+
+def test_algebra_fails_a_right_side_off_by_1e_8(monkeypatch):
+    """An error of 1e-8 in every right side FAILs the algebra check at n = 8
+    (the relations of scale below 100 are gated below it)."""
+    rhs = relations._rhs
+    monkeypatch.setattr(relations, "_rhs", lambda *args: rhs(*args) + 1e-8)
+    rec = check_algebra(SU2, RunConfig(ns=(8,)))
+    assert not rec.ok
+    assert any(line.endswith("exact FAIL") for line in rec.lines)
