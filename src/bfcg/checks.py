@@ -21,7 +21,8 @@ from .crossed_module import (DEFAULT_TOL, _maxabs, _nondegeneracy_violation,
 from .curvature import (bianchi_residuals, curvature_F, curvature_norms,
                         eom_gradient_check, eom_residuals, evaluate_action)
 from .dof import dof_count, dof_report
-from .gauge import expm_batched, thin_gauge_transform, transformed_actions
+from .gauge import (_generators, expm_batched, thin_gauge_transform,
+                    transformed_actions)
 from .lattice import (FieldRecipe, Lattice, _random_recipe, finest_order,
                       fit_order, make_config_recipe)
 from .phase import random_phase_point
@@ -212,7 +213,7 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
     # exact covariance under a constant thin parameter, a one-mode recipe
     c = recipe.realize(_lattice(cfg, 4, cfg.ns[0]))
     eps_c = rng.normal(size=cm.p) * 0.4
-    Rg = expm_batched(-np.einsum("abc,b->ac", cm.f, eps_c))
+    Rg = expm_batched(_generators(cm.f, eps_c[:, None])[0])
     F0 = curvature_F(cm, c)
     F1 = curvature_F(cm, thin_gauge_transform(
         cm, c, FieldRecipe(4, (cm.p,), {(0, 0, 0, 0): (eps_c, 0.0)})))

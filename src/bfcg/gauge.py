@@ -35,9 +35,15 @@ them into new slab arrays that a slab ring (lattice._ring) hands to the
 action with their neighbour rows, so the gauge check's configuration, its
 transforms and their parameters are realized and transformed one slab at a
 time and no n^4 field exists.  The thin body is pointwise once D eps is
-formed: it holds one slab's (sites, p, p) stacks of one sector at a time
-(-ad, its powers T..T^3 scaled by 2**-s, the exponential, the dexpinv sum;
-tens of MB) and that slab's D eps, whatever the lattice size.  The fat body
+formed: it builds -f eps (and -act eps) from the nonzeros of the structure
+tensor, exponentiates it as (sites, p, p) stacks, and copies the rotation
+and the dexpinv sum to sites-last (p, p, sites) stacks, whose products with
+the fields run over contiguous sites.  When act equals f (adjoint modules,
+abelian(1,1)) the h-sector stack is the g-sector one, so the g-sector
+rotation serves both and each slab forms one exponential; otherwise the
+g-sector stacks are dropped before the h-sector exponential is formed.
+So one sector's stacks (the exponential's working set; tens of MB) and that
+slab's D eps are alive at a time, whatever the lattice size.  The fat body
 differences only eta, one stored pair at a time.
 """
 
@@ -119,10 +125,41 @@ def expm_batched(M: np.ndarray, return_dexpinv: bool = False):
     return (result, dexpinv) if return_dexpinv else result
 
 
+def _generators(G, eps):
+    """-G eps as a (sites, r, c) stack, -sum_b G[r, b, c] eps[b, sites], for
+    G = f (-ad_eps) or act (-act_eps) and eps of shape (b, sites).
+
+    Each nonzero of G is added into its slot of a zero stack in the order of
+    b, then the stack is negated, so the result is bitwise
+    -np.einsum("abc,bs->sac", G, eps) at a fraction of its cost.
+    """
+    out = np.zeros((eps.shape[1], G.shape[0], G.shape[2]))
+    tmp = np.empty(eps.shape[1])
+    for r, b, c in zip(*np.nonzero(G)):
+        slot = out[:, r, c]
+        slot += np.multiply(G[r, b, c], eps[b], out=tmp)
+    return np.negative(out, out=out)
+
+
+# sites per block of the sites-last copy: a block's reads and writes stay in
+# cache, where one strided pass over the stack does not
+_COPY_BLOCK = 1024
+
+
+def _sites_last(M):
+    """The stack M (sites, d, d) copied to (d, d, sites)."""
+    out = np.empty(M.shape[1:] + M.shape[:1])
+    for i in range(0, len(M), _COPY_BLOCK):
+        out[..., i:i + _COPY_BLOCK] = M[i:i + _COPY_BLOCK].transpose(1, 2, 0)
+    return out
+
+
 def _apply(mat, field):
-    """Apply per-site matrices (sites, d, d) to a slab field (d, rows, ...)."""
-    flat = field.reshape(len(field), len(mat))
-    return np.einsum("sxy,ys->xs", mat, flat).reshape(field.shape)
+    """Apply sites-last per-site matrices (d, d, sites) to a slab field
+    (d, rows, ...); each output is summed over y in the order of
+    np.einsum("sxy,ys->xs") on the sites-first stack, so bitwise equal."""
+    flat = field.reshape(len(field), mat.shape[-1])
+    return np.einsum("xys,ys->xs", mat, flat).reshape(field.shape)
 
 
 def _thin_slab(cm, slab, out) -> None:
@@ -130,27 +167,33 @@ def _thin_slab(cm, slab, out) -> None:
     its window of "eps", written into out[field] (the slab's rows; out may
     be the slab itself).
 
-    The slab gets its own D eps, ad/act matrices, exponentials and dexpinv
-    sum, so its exponentials scale by its own stack-wide 2**s.  The g-sector
-    fields are rotated before the h-sector exponential is formed, so at most
-    one sector's stacks are alive.
+    The slab gets its own D eps, generator stacks, exponentials and dexpinv
+    sum, so its exponentials scale by its own stack-wide 2**s.  The
+    rotation and the dexpinv sum are applied as sites-last copies.  If act
+    equals f, -act eps is bitwise -f eps, and the exponential does not
+    depend on return_dexpinv, so the g-sector rotation is the h-sector one
+    too; otherwise the g-sector fields are rotated and the g-sector stacks
+    dropped before the h-sector exponential is formed, so at most one
+    sector's stacks are alive.
     """
     lat = slab.lattice
     eps = slab["eps"].reshape(cm.p, -1)
-    Rg, S = expm_batched(-np.einsum("abc,bs->sac", cm.f, eps),
-                         return_dexpinv=True)
+    R, S = map(_sites_last, expm_batched(_generators(cm.f, eps),
+                                         return_dexpinv=True))
     window = slab.window("eps")
     for mu in range(lat.D):
         d_eps = slab_derivative(window, mu, lat)
-        out["A"][mu] = _apply(Rg, slab["A"][mu]) + _apply(S, d_eps)
+        out["A"][mu] = _apply(R, slab["A"][mu]) + _apply(S, d_eps)
     for P in range(len(slab["B"])):
-        out["B"][P] = _apply(Rg, slab["B"][P])
-    del Rg, S
-    Rh = expm_batched(-np.einsum("xay,as->sxy", cm.act, eps))
+        out["B"][P] = _apply(R, slab["B"][P])
+    del S
+    if not np.array_equal(cm.act, cm.f):
+        del R
+        R = _sites_last(expm_batched(_generators(cm.act, eps)))
     for mu in range(lat.D):
-        out["C"][mu] = _apply(Rh, slab["C"][mu])
+        out["C"][mu] = _apply(R, slab["C"][mu])
     for P in range(len(slab["beta"])):
-        out["beta"][P] = _apply(Rh, slab["beta"][P])
+        out["beta"][P] = _apply(R, slab["beta"][P])
 
 
 def _fat_slab(cm, slab, out, T) -> None:

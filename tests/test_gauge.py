@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from bfcg import lattice
+from bfcg import gauge, lattice
 from bfcg.checks import (RunConfig, check_bianchi, check_curvature,
                          check_gauge, order_ok)
 from bfcg.crossed_module import builtin_module
 from bfcg.curvature import bianchi_residuals, curvature_F, evaluate_action
-from bfcg.gauge import (expm_batched, fat_gauge_transform,
-                        thin_gauge_transform, transformed_actions)
+from bfcg.gauge import (_apply, _generators, _sites_last, expm_batched,
+                        fat_gauge_transform, thin_gauge_transform,
+                        transformed_actions)
 from bfcg.lattice import (Lattice, _random_recipe, discrete_derivative, levi_civita,
                           finest_order, fit_order, make_config_recipe, pairs,
                           slabs, triples)
@@ -20,6 +21,8 @@ from support import (curvature_G3, expm_series, fake_curvature,
 
 ORACLE_MODULES = ["adjoint(su2)", "vector_poincare", "abelian(2,3)",
                   "trivial_bf(3)"]
+CATALOG = ["trivial_bf(1)", "trivial_bf(3)", "adjoint(su2)", "vector_poincare",
+           "abelian(1,1)", "abelian(2,3)", "abelian(4,2)"]
 
 
 def _const_field(vec, lat):
@@ -97,6 +100,85 @@ def test_expm_batched_is_partition_independent():
             Ei, Si = expm_batched(part, return_dexpinv=True)
             assert np.array_equal(Ei.reshape(E[i].shape), E[i])
             assert np.array_equal(Si.reshape(S[i].shape), S[i])
+
+
+def _bits(x):
+    """The bytes of x, so that == compares bitwise (signed zeros included)."""
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("d", [0, 3, 4, 6])
+@pytest.mark.parametrize("rows, n", [(6, 6), (12, 12), (4, 20), (8, 16)])
+def test_sites_last_apply_is_the_sites_first_einsum(d, rows, n):
+    """A slab of rows x n^3 sites (1296, 20736, 32000 and 32768; 32000 ends
+    in a partial copy block): the sites-last copy holds the stack's entries,
+    and applying it gives bitwise the sites-first einsum."""
+    rng = np.random.default_rng(10 * d + n)
+    sites = rows * n ** 3
+    mat = rng.normal(size=(sites, d, d))
+    field = rng.normal(size=(d, rows, n, n, n))
+    last = _sites_last(mat)
+    assert np.array_equal(last, np.moveaxis(mat, 0, -1))
+    got = _apply(last, field)
+    assert got.shape == field.shape
+    assert _bits(got) == _bits(np.einsum("sxy,ys->xs", mat,
+                                         field.reshape(d, sites)))
+
+
+@pytest.mark.parametrize("name", CATALOG + ["dense"])
+def test_generators_are_the_einsum(name):
+    """-G eps for G = f and act, from the nonzeros of G, is bitwise the
+    dense einsum, signed zeros of zero parameters included."""
+    rng = np.random.default_rng(8)
+    if name == "dense":
+        tensors = [rng.normal(size=(5, 4, 5)), rng.normal(size=(3, 3, 3))]
+    else:
+        cm = builtin_module(name)
+        tensors = [cm.f, cm.act]
+    for G in tensors:
+        eps = rng.normal(size=(G.shape[1], 500))
+        eps[:, :40] = 0.0
+        eps[:, 40:80] = -0.0
+        got = _generators(G, eps)
+        assert _bits(got) == _bits(-np.einsum("abc,bs->sac", G, eps))
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
+def test_exponential_does_not_depend_on_dexpinv(name, s):
+    """The exponential of a generator stack is bitwise the same with and
+    without its dexpinv sum, whatever the scaling s, so the thin transform
+    may take the h-sector rotation from the g-sector call when act == f."""
+    cm = builtin_module(name)
+    M = _generators(cm.f, np.random.default_rng(s).normal(size=(cm.p, 300)))
+    M *= 0.45 * 2.0 ** s / np.max(np.sum(np.abs(M), axis=-1))
+    assert _squarings(M) == s
+    assert _bits(expm_batched(M)) == _bits(expm_batched(M, True)[0])
+
+
+@pytest.mark.parametrize("name, per_slab", [
+    ("adjoint(su2)", 1), ("abelian(1,1)", 1),
+    ("vector_poincare", 2), ("abelian(2,3)", 2)])
+def test_one_exponential_per_distinct_generator_tensor(name, per_slab,
+                                                       monkeypatch):
+    """At n = 16 (two slabs) the thin transform exponentiates once per slab
+    when act equals f and twice when it does not."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return expm_batched(*args, **kwargs)
+
+    monkeypatch.setattr(gauge, "expm_batched", counted)
+    cm = builtin_module(name)
+    lat = Lattice(4, 16, 1.0 / 16)
+    assert len(slabs(lat)) == 2
+    rng = np.random.default_rng(3)
+    eps = _random_recipe(rng, 4, (cm.p,), 1, scale=0.3)
+    eta = _random_recipe(rng, 4, (4, cm.q), 1, scale=0.3)
+    recipe = make_config_recipe(cm, 4, 1, seed=1, scale=0.4)
+    transformed_actions(cm, recipe.stream(lat), eps, eta)
+    assert len(calls) == 2 * per_slab, calls
 
 
 def test_thin_identity_at_zero_parameter():
