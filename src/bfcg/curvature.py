@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .crossed_module import _maxabs, contract
+from .crossed_module import _maxabs, bilinear, contract, matvec
 from .lattice import (FIELDS, SLAB_SITES, FieldConfiguration, Slab, _fitted,
                       _ring, levi_civita, pair_index, pairs, slab_derivative,
                       slab_window, triples)
@@ -102,7 +102,7 @@ def _curvature_F_pair(cm, slab, P) -> np.ndarray:
 def _fake_curvature_pair(cm, slab, P) -> np.ndarray:
     """H^a on the stored pair P over the slab, shape (p, slab...)."""
     out = _curvature_F_pair(cm, slab, P)
-    out -= np.einsum("ga,g...->a...", cm.del_, slab["beta"][P])
+    out -= matvec(cm.del_.T, slab["beta"][P])
     return out
 
 
@@ -138,26 +138,39 @@ def _cyclic(tri, D):
         yield (tri[k],) + pidx[(tri[(k + 1) % 3], tri[(k + 2) % 3])]
 
 
+def _twice_signed_sum(terms) -> np.ndarray:
+    """2 sum_t sign_t x_t over the (sign, x) terms of a cyclic sum, each x a
+    fresh array: the first x (negated in place for sign -1), with each
+    other added or subtracted in turn.  So every value is bitwise that of
+    the sum into zeros, but that an exact zero may be -0.0."""
+    out = None
+    for sign, x in terms:
+        if out is None:
+            out = x if sign > 0 else np.negative(x, out=x)
+        elif sign > 0:
+            out += x
+        else:
+            out -= x
+    out *= 2.0
+    return out
+
+
 def _three_form_triple(slab, X, coupling, tri) -> np.ndarray:
     """d_A of the slab's pair-stored 2-form X (a field name) on one triple
     over the slab: the S3-antisymmetrized covariant curl
     sum_{p in S3} sgn(p) nabla_d X_{ij}, (d, i, j) = p(tri)."""
-    out = np.zeros(slab[X][0].shape)
-    for d, P, psign in _cyclic(tri, slab.lattice.D):
-        out += psign * _cov_derivative(slab, coupling, slab.window(X, P), d)
-    out *= 2.0
-    return out
+    return _twice_signed_sum(
+        (psign, _cov_derivative(slab, coupling, slab.window(X, P), d))
+        for d, P, psign in _cyclic(tri, slab.lattice.D))
 
 
 def _wedge_triple(coupling, two_form, one_form, tri) -> np.ndarray:
     """W(c; X, Y) on one triple over a slab of a 2-form X and a 1-form Y: the
     S3 sum of c(X_{ij}, Y_d), which is 2 sum_{cyclic (d, i, j)} sgn(i, j)
     c(X_P, Y_d)."""
-    out = np.zeros((coupling.shape[0],) + two_form.shape[2:])
-    for d, P, psign in _cyclic(tri, len(one_form)):
-        out += psign * contract(coupling, two_form[P], one_form[d])
-    out *= 2.0
-    return out
+    return _twice_signed_sum(
+        (psign, contract(coupling, two_form[P], one_form[d]))
+        for d, P, psign in _cyclic(tri, len(one_form)))
 
 
 def _curvature_T_pair(cm, slab, P) -> np.ndarray:
@@ -168,21 +181,16 @@ def _curvature_T_pair(cm, slab, P) -> np.ndarray:
     return out
 
 
-def _lower(metric, X) -> np.ndarray:
-    """metric_{ab} X^b on the leading index of X."""
-    return np.einsum("ab,b...->a...", metric, X)
-
-
 def _bianchi_g(cm, slab, tri) -> np.ndarray:
     """Q . d_A F on one triple over the slab, from its window of F: the
     g-sector Bianchi 3-form."""
-    return _lower(cm.Q, _three_form_triple(slab, "F", cm.f, tri))
+    return matvec(cm.Q, _three_form_triple(slab, "F", cm.f, tri))
 
 
 def _bianchi_h(cm, slab, tri) -> np.ndarray:
     """q . d_A T - W(actlow; F, C) on one triple over the slab, from its
     windows of F and T: the h-sector Bianchi 3-form."""
-    out = _lower(cm.qf, _three_form_triple(slab, "T", cm.act, tri))
+    out = matvec(cm.qf, _three_form_triple(slab, "T", cm.act, tri))
     out -= _wedge_triple(cm.actlow, slab["F"], slab["C"], tri)
     return out
 
@@ -203,16 +211,24 @@ _AT4 = [(mu, tri, levi_civita((mu,) + tri)) for mu in range(4)
 ACTION_FIELDS = (("A", "beta"), ("B", "C"))
 
 
+def _add_signed(out, sign, x) -> None:
+    """out += sign x for a sign +-1, as an add or a subtract in place."""
+    if sign > 0:
+        out += x
+    else:
+        out -= x
+
+
 def _action_density(cm, slab, out) -> None:
     """Add the action's density over the slab (without a^4) into out, the
     slab's rows of a site array: H one stored pair and G one stored triple
     at a time, in the same per-site order on any slab."""
     for Pi, Pj, e in _PP4:
         H = _fake_curvature_pair(cm, slab, Pj)
-        out += e * np.einsum("a...,ab,b...->...", slab["B"][Pi], cm.Q, H)
+        _add_signed(out, e, bilinear(slab["B"][Pi], cm.Q, H))
     for mu, tri, e in _AT4:
         G = _three_form_triple(slab, "beta", cm.act, tri)
-        out += e * np.einsum("x...,xy,y...->...", slab["C"][mu], cm.qf, G)
+        _add_signed(out, e, bilinear(slab["C"][mu], cm.qf, G))
 
 
 def _density(cm, cfg) -> np.ndarray:
@@ -270,7 +286,7 @@ def curvature_norms(cm, cfg) -> dict:
         F = [_curvature_F_pair(cm, slab, P) for P in range(npairs)]
         worst.append((
             _worst(F),
-            _worst(F[P] - np.einsum("ga,g...->a...", cm.del_, slab["beta"][P])
+            _worst(F[P] - matvec(cm.del_.T, slab["beta"][P])
                    for P in range(npairs)),
             _worst(_three_form_triple(slab, "beta", cm.act, tri)
                    for tri in triples(4)),
@@ -306,14 +322,21 @@ def eom_residuals(cm, cfg) -> dict:
             _worst(_three_form_triple(slab, "beta", cm.act, tri)
                    for tri in triples(4))))
         for sig, tri, e in _AT4:
-            E = _lower(cm.Q, _three_form_triple(slab, "B", cm.f, tri))
-            E += 2.0 * _wedge_triple(actlow_a, slab["beta"], slab["C"], tri)
-            E *= -e
+            E = matvec(cm.Q, _three_form_triple(slab, "B", cm.f, tri))
+            W = _wedge_triple(actlow_a, slab["beta"], slab["C"], tri)
+            W *= 2.0
+            E += W
+            if e > 0:   # E *= -e
+                np.negative(E, out=E)
             E_A[sig, :, slab.rows] = E
         for Pp, P, e in _PP4:
-            T = _curvature_T_pair(cm, slab, Pp)
-            E_beta[P, :, slab.rows] = e * (_lower(cm.qf, T) - 0.5
-                                           * _lower(cm.dlow, slab["B"][Pp]))
+            E = matvec(cm.qf, _curvature_T_pair(cm, slab, Pp))
+            dB = matvec(cm.dlow, slab["B"][Pp])
+            dB *= 0.5
+            E -= dB
+            if e < 0:   # E *= e
+                np.negative(E, out=E)
+            E_beta[P, :, slab.rows] = E
     H_norm, G_norm = map(float, np.max(worst, axis=0))
     return {
         "H_norm": H_norm,
@@ -450,10 +473,14 @@ def _covariant_top_form(slab, F, X, coupling, metric) -> float:
     for lam, tri, e in _AT4:
         dA = slab.window("d" + X) if lam == 0 else (
             None, _three_form_triple(slab, X, coupling, tri), None)
-        out += 2.0 * e * _cov_derivative(slab, coupling, dA, lam)
+        x = _cov_derivative(slab, coupling, dA, lam)
+        x *= 2.0
+        _add_signed(out, e, x)
     for Pi, Pj, e in _PP4:
-        out -= 4.0 * e * contract(coupling, F[Pi], slab[X][Pj])
-    return _maxabs(_lower(metric, out))
+        x = contract(coupling, F[Pi], slab[X][Pj])
+        x *= 4.0
+        _add_signed(out, -e, x)
+    return _maxabs(matvec(metric, out))
 
 
 def bianchi_residuals(cm, cfg) -> dict:

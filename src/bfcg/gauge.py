@@ -53,7 +53,7 @@ import math
 
 import numpy as np
 
-from .crossed_module import contract, t_map
+from .crossed_module import contract, matvec, t_map
 from .curvature import ACTION_FIELDS, _action, _action_density, _require_4d
 from .lattice import (FIELDS, FieldConfiguration, _fitted, _ring, pairs,
                       slab_derivative)
@@ -92,7 +92,8 @@ def expm_batched(M: np.ndarray, return_dexpinv: bool = False):
         nan = np.full(M.shape, np.nan)
         return (nan, nan.copy()) if return_dexpinv else nan
     s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    T = np.divide(M, 2.0 ** s, out=np.empty(M.shape))
+    # M / 2**s as the product with the exact 2**-s (a double for s <= 1023)
+    T = np.multiply(M, math.ldexp(1.0, -s), out=np.empty(M.shape))
     T2 = np.matmul(T, T)
     T3 = np.matmul(T2, T)
     tmp = np.empty(M.shape)
@@ -114,8 +115,10 @@ def expm_batched(M: np.ndarray, return_dexpinv: bool = False):
         dexpinv += np.divide(T, div[4], out=tmp)
         np.matmul(dexpinv, T3, out=tmp)
         dexpinv, tmp = tmp, dexpinv
-        for k, Tk in ((3, T3), (2, T2), (1, T)):
+        for k, Tk in ((3, T3), (2, T2)):
             dexpinv += np.divide(Tk, div[k], out=tmp)
+        # div[1] = 2**(1 - s), whose reciprocal 2**(s - 1) is exact
+        dexpinv += np.multiply(T, 1.0 / div[1], out=tmp)
         for i in range(M.shape[-1]):
             dexpinv[..., i, i] += 1.0
     del T, T2, T3
@@ -183,7 +186,7 @@ def _thin_slab(cm, slab, out) -> None:
     window = slab.window("eps")
     for mu in range(lat.D):
         d_eps = slab_derivative(window, mu, lat)
-        out["A"][mu] = _apply(R, slab["A"][mu]) + _apply(S, d_eps)
+        np.add(_apply(R, slab["A"][mu]), _apply(S, d_eps), out=out["A"][mu])
     for P in range(len(slab["B"])):
         out["B"][P] = _apply(R, slab["B"][P])
     del S
@@ -208,18 +211,19 @@ def _fat_slab(cm, slab, out, T) -> None:
     lat = slab.lattice
     A, C, e = slab["A"], slab["C"], slab["eta"]
     for P, (m, n) in enumerate(pairs(lat.D)):
-        d_eta = (slab_derivative(slab.window("eta", n), m, lat)
-                 - slab_derivative(slab.window("eta", m), n, lat))
-        wedge = (contract(cm.act, A[m], e[n])
-                 - contract(cm.act, A[n], e[m]))
-        etaeta = contract(cm.phi, e[m], e[n])
-        np.add(slab["beta"][P], d_eta + wedge + etaeta, out=out["beta"][P])
-        np.add(slab["B"][P], 2.0 * (contract(T, C[m], e[n])
-                                    - contract(T, C[n], e[m])),
-               out=out["B"][P])
+        shift = slab_derivative(slab.window("eta", n), m, lat)
+        shift -= slab_derivative(slab.window("eta", m), n, lat)
+        wedge = contract(cm.act, A[m], e[n])
+        wedge -= contract(cm.act, A[n], e[m])
+        shift += wedge
+        shift += contract(cm.phi, e[m], e[n])
+        np.add(slab["beta"][P], shift, out=out["beta"][P])
+        shift = contract(T, C[m], e[n])
+        shift -= contract(T, C[n], e[m])
+        shift *= 2.0
+        np.add(slab["B"][P], shift, out=out["B"][P])
     for mu in range(lat.D):
-        np.add(A[mu], np.einsum("ga,g...->a...", cm.del_, e[mu]),
-               out=out["A"][mu])
+        np.add(A[mu], matvec(cm.del_.T, e[mu]), out=out["A"][mu])
 
 
 def _parameter(cm, lat, name, field):

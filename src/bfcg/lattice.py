@@ -101,7 +101,10 @@ def _central(field: np.ndarray, ax: int, a: float, before: np.ndarray,
     one row `after`.
 
     Each row is differenced straight from where its neighbours lie, so no
-    shifted or concatenated copy of the field is made.
+    shifted or concatenated copy of the field is made.  When 2a is a power
+    of two with a finite reciprocal, x / 2a is x * (1 / 2a) bit for bit, so
+    the difference is scaled by the reciprocal, a cheaper pass; any other
+    spacing divides.
     """
     m = field.shape[ax]
     out = np.empty(field.shape, dtype=np.result_type(field, 1.0))
@@ -113,7 +116,11 @@ def _central(field: np.ndarray, ax: int, a: float, before: np.ndarray,
                     out=_rows(out, ax, 1, m - 1))
         np.subtract(after, _rows(field, ax, m - 2, m - 1),
                     out=_rows(out, ax, m - 1, m))
-    out /= 2.0 * a
+    h = 2.0 * a
+    if math.frexp(h)[0] == 0.5 and math.isfinite(1.0 / h):
+        out *= 1.0 / h
+    else:
+        out /= h
     return out
 
 

@@ -124,20 +124,40 @@ class _FactorCache:
         return self.cache[factor]
 
 
+def _product(fcache, factors):
+    """The product of the factors' values, multiplied left to right: the
+    cached value itself for one factor (not to be written into), a fresh
+    array for more, None for none."""
+    prod = None
+    for k, f in enumerate(factors):
+        v = fcache.get(f)
+        if prod is None:
+            prod = v
+        elif k == 1:
+            prod = prod * v
+        else:
+            prod *= v
+    return prod
+
+
 def evaluate_density(density: Density, point: dict, lattice: Lattice) -> np.ndarray:
-    """Pointwise values of the density, shape (comp_shape..., n, n, n)."""
+    """Pointwise values of the density, shape (comp_shape..., n, n, n).
+
+    Each term's product is added into zeros, a coefficient +-1 by an add or
+    a subtract, so every value is bitwise the sum of coeff * product."""
     shape = density.comp_shape + lattice.shape
     out = np.zeros(shape)
     fcache = _FactorCache(point, lattice)
     for fc, terms in density.items():
         acc = out[fc]
         for coeff, factors in terms:
-            prod = None
-            for f in factors:
-                v = fcache.get(f)
-                prod = v.copy() if prod is None else prod * v
+            prod = _product(fcache, factors)
             if prod is None:
                 acc += coeff
+            elif coeff == 1.0:
+                acc += prod
+            elif coeff == -1.0:
+                acc -= prod
             else:
                 acc += coeff * prod
     return out
@@ -158,19 +178,25 @@ class LocalFunctional:
         fcache = _FactorCache(point, self.lattice)
         total = 0.0
         for coeff, weight, factors in self.entries:
-            prod = None
-            for f in factors:
-                v = fcache.get(f)
-                prod = v.copy() if prod is None else prod * v
+            prod = _product(fcache, factors)
             if prod is None:
                 if weight is None:
                     total += coeff * self.lattice.n ** 3
                 else:
                     total += coeff * float(np.sum(weight))
-            else:
-                if weight is not None:
+                continue
+            if weight is not None:
+                if len(factors) == 1:
                     prod = prod * weight
-                total += coeff * float(np.sum(prod))
+                else:
+                    prod *= weight
+            s = float(np.sum(prod))
+            if coeff == 1.0:
+                total += s
+            elif coeff == -1.0:
+                total -= s
+            else:
+                total += coeff * s
         return a3 * total
 
     def gradient(self, point: dict) -> dict:
@@ -182,11 +208,16 @@ class LocalFunctional:
         shape = self.lattice.shape
         for coeff, weight, factors in self.entries:
             vals = [fcache.get(f) for f in factors]
+            base = coeff * a3 if weight is None else coeff * a3 * weight
             for j, (block, comp, daxis) in enumerate(factors):
-                partial = coeff * a3 if weight is None else coeff * a3 * weight
+                partial = base
                 for k, v in enumerate(vals):
-                    if k != j:
+                    if k == j:
+                        continue
+                    if partial is base:
                         partial = partial * v
+                    else:
+                        partial *= v
                 if block not in grad:
                     grad[block] = np.zeros_like(point[block])
                 if daxis < 0:

@@ -210,3 +210,49 @@ def test_first_order_stencil_in_the_ring_differences_fails(monkeypatch):
     assert not rec.ok
     for key in ("bianchi_F", "bianchi_T", "bianchi_GB", "bianchi_G"):
         assert abs(rec.orders[key] - 1.0) < 0.2, (key, rec.orders[key])
+
+
+class _Poisoned:
+    """A configuration recipe whose realized and streamed configurations
+    are the held ones of `recipe` with one entry of `field` set to value."""
+
+    def __init__(self, recipe, field, value):
+        self.recipe, self.field, self.value = recipe, field, value
+
+    def realize(self, lat):
+        cfg = self.recipe.realize(lat)
+        getattr(cfg, self.field)[1, 0, 2, 3, 1, 0] = self.value
+        return cfg
+
+    stream = realize
+
+
+@pytest.mark.parametrize("name", ["vector_poincare", "adjoint(su2)"])
+@pytest.mark.parametrize("field", ["beta", "B"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_entry_fails_curvature_and_eom(monkeypatch, name, field,
+                                                  value):
+    """The metric and del contractions skip the zeros of their matrices, so
+    no 0 * inf gives NaN; one inf or NaN entry of beta or B still makes a
+    printed value of the curvature and eom records non-finite, and both
+    FAIL, whether del is zero (vector_poincare) or not."""
+    recipe = checks._recipe
+    monkeypatch.setattr(checks, "_recipe", lambda cm, cfg: _Poisoned(
+        recipe(cm, cfg), field, value))
+    cm = builtin_module(name)
+    with np.errstate(invalid="ignore", over="ignore"):
+        records = [checks.check_curvature(cm, RunConfig(ns=(4,))),
+                   checks.check_eom(cm, RunConfig(ns=(4,)))]
+    for rec in records:
+        printed = [float(tok) for line in rec.lines for tok in line.split()
+                   if _is_float(tok)]
+        assert not np.isfinite(printed).all(), rec.lines
+        assert not rec.ok, rec.lines
+
+
+def _is_float(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True

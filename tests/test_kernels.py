@@ -7,13 +7,22 @@ the same trigonometric polynomial, discrete_derivative and slab_derivative
 bitwise against the np.roll formula, and every slab-streamed kernel bitwise
 against itself on a different slab partition, and on held fields and on
 recipes; the slab rings of the Bianchi residuals compute each slab once.
+
+The exact-arithmetic kernels are pinned to the loops they stand for:
+contract() to the sum into zeros with a product per coefficient (on
+fields with +-0, inf and NaN entries), matvec() and bilinear() bitwise,
+the sign of a zero included, to the einsums over the metrics and del,
+and evaluate_density, LocalFunctional.value and .gradient bitwise to a
+copy-and-multiply loop over every constraint density.
 """
 
 import numpy as np
 import pytest
 
 from bfcg import curvature, lattice
-from bfcg.crossed_module import builtin_module, contract, t_map
+from bfcg.constraints import FAMILIES, constraint_density
+from bfcg.crossed_module import (bilinear, builtin_module, contract, matvec,
+                                 t_map)
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_norms,
                             eom_residuals, evaluate_action)
 from bfcg.gauge import (fat_gauge_transform, thin_gauge_transform,
@@ -22,6 +31,7 @@ from bfcg.lattice import (FieldConfiguration, FieldRecipe, Lattice,
                           _random_recipe, discrete_derivative,
                           make_config_recipe, slab_derivative, slab_window,
                           slabs)
+from bfcg.localpoly import _FactorCache, evaluate_density, smear
 from bfcg.phase import random_phase_point
 from bfcg.relations import offshell_relations
 from support import realize_derivative
@@ -71,6 +81,189 @@ def test_contract_zero_tensor_gives_zeros():
     X = np.ones((2, 4, 4))
     out = contract(cm.f, X, X)
     assert out.shape == (2, 4, 4) and not np.any(out)
+
+
+def _special_field(rng, shape):
+    """Normal entries with exact +0, -0, +-inf and NaN planted (none in an
+    empty field, at q = 0)."""
+    X = rng.normal(size=shape)
+    if not X.size:
+        return X
+    flat = X.reshape(len(X), -1)
+    for col, value in enumerate((0.0, -0.0, np.inf, -np.inf, np.nan)):
+        flat[col % len(flat), 3 * col] = value
+    flat[:, -1] = -0.0
+    return X
+
+
+def _zero_filled_contract(T, X, Y):
+    """contract() as the sum into zeros of (X[j] Y[k]) T[i, j, k]."""
+    out = np.zeros((T.shape[0],) + np.broadcast_shapes(X.shape[1:],
+                                                       Y.shape[1:]))
+    for i, j, k in zip(*np.nonzero(T)):
+        out[i] += X[j] * Y[k] * T[i, j, k]
+    return out
+
+
+def _random_tensor(cm):
+    """A dense tensor of f's shape with non-unit entries."""
+    return np.random.default_rng(8).normal(size=cm.f.shape)
+
+
+@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("tensor", ["f", "act", "actlow", "phi", "t_map",
+                                    "random"])
+def test_contract_matches_the_zero_filled_loop(name, tensor):
+    """Bitwise but for the sign of an exact zero, with the same NaNs, on
+    fields that hold +-0, +-inf and NaN."""
+    cm = builtin_module(name)
+    T = _random_tensor(cm) if tensor == "random" else TENSORS[tensor](cm)
+    rng = np.random.default_rng(9)
+    X = _special_field(rng, (T.shape[1], 4, 6))
+    Y = _special_field(rng, (T.shape[2], 4, 6))
+    with np.errstate(invalid="ignore"):
+        got = contract(T, X, Y)
+        want = _zero_filled_contract(T, X, Y)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    if tensor == "random":   # every entry of X and Y reaches the output
+        assert not np.isfinite(got).all()
+
+
+def _metrics(cm):
+    """The matrices the curvature and gauge layers contract with (del_ and
+    dlow both ways round), and a dense one with non-unit entries."""
+    rng = np.random.default_rng(10)
+    return {"Q": cm.Q, "qf": cm.qf, "dlow": cm.dlow, "dlow.T": cm.dlow.T,
+            "del": cm.del_, "del.T": cm.del_.T,
+            "random": rng.normal(size=(cm.p, cm.q + 2))}
+
+
+def _bitwise(got, want):
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_matvec_and_bilinear_match_einsum(name):
+    """Bitwise, the sign of a zero included, on fields with +-0 entries."""
+    cm = builtin_module(name)
+    rng = np.random.default_rng(11)
+    for key, M in _metrics(cm).items():
+        X = rng.normal(size=(M.shape[0], 4, 6))
+        Y = rng.normal(size=(M.shape[1], 4, 6))
+        for Z in (X, Y):
+            Z[..., 0] = 0.0
+            Z[..., 1] = -0.0
+            Z[:1, 2] = -0.0
+        assert _bitwise(matvec(M, Y), np.einsum("ij,j...->i...", M, Y)), key
+        assert _bitwise(bilinear(X, M, Y),
+                        np.einsum("i...,ij,j...->...", X, M, Y)), key
+
+
+SPACINGS = {"0.3": 0.3, "1/6": 1 / 6, "1/24": 1 / 24,   # divided by 2a
+            "1/8": 1 / 8, "1/32": 1 / 32, "2^-20": 2.0 ** -20}   # reciprocal
+
+
+@pytest.mark.parametrize("D", [3, 4])
+@pytest.mark.parametrize("a", SPACINGS.values(), ids=SPACINGS.keys())
+def test_discrete_derivative_bitwise_roll(a, D):
+    """Both differences, the slab one on slabs at either end of axis 0, in
+    its interior and over all of it, are bitwise, signs of zeros included,
+    the np.roll formula, which divides by 2a, from slab_window's views of
+    the field and from copies of them (the edge rows of separately computed
+    slabs): by division at a = 0.3, 1/6 and 1/24, by the exact reciprocal
+    of the power of two 2a at a = 1/8, 1/32 and 2**-20."""
+    lat = Lattice(D=D, n=5, a=a)
+    field = np.random.default_rng(D).normal(size=(2, 3) + lat.shape)
+    field[0, 0] = 1.5   # a constant component: zero differences
+    for axis in range(D):
+        ax = field.ndim - D + axis
+        want = ((np.roll(field, -1, axis=ax) - np.roll(field, 1, axis=ax))
+                / (2.0 * lat.a))
+        assert _bitwise(discrete_derivative(field, axis, lat), want)
+        for rows in (slice(0, 1), slice(4, 5), slice(0, 2), slice(3, 5),
+                     slice(1, 4), slice(0, 5), slice(None)):
+            window = slab_window(field, lat, rows)
+            for win in (window, tuple(w.copy() for w in window)):
+                got = slab_derivative(win, axis, lat)
+                assert _bitwise(got, want[:, :, rows]), (axis, rows)
+
+
+def _loop_density(density, point, lat):
+    """evaluate_density as the sum into zeros of coeff times a product that
+    starts from a copy of its first factor."""
+    out = np.zeros(density.comp_shape + lat.shape)
+    fcache = _FactorCache(point, lat)
+    for fc, terms in density.items():
+        for coeff, factors in terms:
+            prod = None
+            for f in factors:
+                v = fcache.get(f)
+                prod = v.copy() if prod is None else prod * v
+            out[fc] += coeff if prod is None else coeff * prod
+    return out
+
+
+def _loop_value(fn, point):
+    """LocalFunctional.value as the same product loop, weighted, summed."""
+    fcache = _FactorCache(point, fn.lattice)
+    total = 0.0
+    for coeff, weight, factors in fn.entries:
+        prod = None
+        for f in factors:
+            v = fcache.get(f)
+            prod = v.copy() if prod is None else prod * v
+        if prod is None:
+            total += coeff * (fn.lattice.n ** 3 if weight is None
+                              else float(np.sum(weight)))
+            continue
+        if weight is not None:
+            prod = prod * weight
+        total += coeff * float(np.sum(prod))
+    return fn.lattice.a ** 3 * total
+
+
+def _loop_gradient(fn, point):
+    """LocalFunctional.gradient with coeff a^3 weight formed per factor."""
+    a3, lat = fn.lattice.a ** 3, fn.lattice
+    fcache = _FactorCache(point, lat)
+    grad = {}
+    for coeff, weight, factors in fn.entries:
+        vals = [fcache.get(f) for f in factors]
+        for j, (block, comp, daxis) in enumerate(factors):
+            partial = coeff * a3 if weight is None else coeff * a3 * weight
+            for k, v in enumerate(vals):
+                if k != j:
+                    partial = partial * v
+            g = grad.setdefault(block, np.zeros_like(point[block]))
+            if daxis < 0:
+                g[comp] += partial
+            else:
+                g[comp] -= discrete_derivative(
+                    np.broadcast_to(partial, lat.shape), daxis, lat)
+    return grad
+
+
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
+def test_density_kernels_match_the_product_loop(name):
+    """Every constraint density, smeared with a test field and unsmeared,
+    gives bitwise the loop's values, value and gradient blocks."""
+    cm = builtin_module(name)
+    lat = Lattice(3, 4, 0.3)
+    point = random_phase_point(cm, lat, seed=3).blocks
+    rng = np.random.default_rng(12)
+    for fam in FAMILIES:
+        dens = constraint_density(cm, fam)
+        assert (evaluate_density(dens, point, lat).tobytes()
+                == _loop_density(dens, point, lat).tobytes()), fam
+        test = rng.normal(size=dens.comp_shape + lat.shape)
+        for fn in (smear(dens, test, lat), smear(dens, None, lat)):
+            assert fn.value(point) == _loop_value(fn, point), fam
+            got, want = fn.gradient(point), _loop_gradient(fn, point)
+            assert got.keys() == want.keys(), fam
+            for block in want:
+                assert got[block].tobytes() == want[block].tobytes(), fam
 
 
 def _ifftn_oracle(recipe, lattice):
@@ -127,26 +320,6 @@ def test_realize_derivative_matches_ifftn():
                                       for k, (ca, sa) in coeffs.items()})
         got = realize_derivative(recipe, lat, axis)
         assert np.max(np.abs(got - _ifftn_oracle(deriv, lat))) < 1e-12
-
-
-@pytest.mark.parametrize("D", [3, 4])
-def test_discrete_derivative_bitwise_roll(D):
-    """Both differences, the slab one on slabs at either end of axis 0, in
-    its interior and over all of it, are bitwise the np.roll formula, from
-    slab_window's views of the field and from copies of them (the edge rows
-    of separately computed slabs)."""
-    lat = Lattice(D=D, n=5, a=0.3)
-    field = np.random.default_rng(D).normal(size=(2, 3) + lat.shape)
-    for axis in range(D):
-        ax = field.ndim - D + axis
-        want = (np.roll(field, -1, axis=ax) - np.roll(field, 1, axis=ax)) / (2.0 * lat.a)
-        assert np.array_equal(discrete_derivative(field, axis, lat), want)
-        for rows in (slice(0, 1), slice(4, 5), slice(0, 2), slice(3, 5),
-                     slice(1, 4), slice(0, 5), slice(None)):
-            window = slab_window(field, lat, rows)
-            for win in (window, tuple(w.copy() for w in window)):
-                got = slab_derivative(win, axis, lat)
-                assert np.array_equal(got, want[:, :, rows]), (axis, rows)
 
 
 def test_slabs_partition_axis_0():

@@ -83,3 +83,35 @@ def test_exported_name_has_a_caller(module, name):
 def test_private_function_has_a_caller(module, name):
     if name not in REFERENCES:
         pytest.fail(f"bfcg.{module}.{name} is never read by library code")
+
+
+
+def _einsum_calls(path):
+    """(enclosing module-level function, line, cm.<tensor> operands) of
+    every np.einsum call in the file."""
+    out = []
+    for top in _tree(path).body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "einsum"):
+                continue
+            tensors = [f"cm.{sub.attr}" for arg in node.args
+                       for sub in ast.walk(arg)
+                       if isinstance(sub, ast.Attribute)
+                       and isinstance(sub.value, ast.Name)
+                       and sub.value.id == "cm"]
+            out.append((getattr(top, "name", None), node.lineno, tensors))
+    return out
+
+
+@pytest.mark.parametrize("module", ["curvature", "gauge"])
+def test_kernels_contract_structure_tensors_through_the_helpers(module):
+    """The 4D kernels contract every structure tensor and metric through
+    crossed_module's sparse helpers (contract, matvec, bilinear), which skip
+    its zeros and its +-1 products, not through a dense np.einsum: no
+    einsum takes a cm.<tensor> operand, and the one einsum left is the
+    per-site rotation of gauge._apply, whose matrices are not a module's."""
+    calls = _einsum_calls(SRC / f"{module}.py")
+    assert not [c for c in calls if c[2]], calls
+    assert {fn for fn, _, _ in calls} <= {"_apply"}, calls
