@@ -93,8 +93,8 @@ def _curvature_F_pair(cm, slab, P) -> np.ndarray:
     """F^a on the stored pair P over the slab, shape (p, slab...)."""
     lat = slab.lattice
     m, n = pairs(lat.D)[P]
-    out = (slab_derivative(slab.window("A", n), m, lat)
-           - slab_derivative(slab.window("A", m), n, lat))
+    out = slab_derivative(slab.window("A", n), m, lat)
+    out -= slab_derivative(slab.window("A", m), n, lat)
     out += contract(cm.f, slab["A"][m], slab["A"][n])
     return out
 
@@ -138,6 +138,14 @@ def _cyclic(tri, D):
         yield (tri[k],) + pidx[(tri[(k + 1) % 3], tri[(k + 2) % 3])]
 
 
+def _add_signed(out, sign, x) -> None:
+    """out += sign x for a sign +-1, as an add or a subtract in place."""
+    if sign > 0:
+        out += x
+    else:
+        out -= x
+
+
 def _twice_signed_sum(terms) -> np.ndarray:
     """2 sum_t sign_t x_t over the (sign, x) terms of a cyclic sum, each x a
     fresh array: the first x (negated in place for sign -1), with each
@@ -147,10 +155,8 @@ def _twice_signed_sum(terms) -> np.ndarray:
     for sign, x in terms:
         if out is None:
             out = x if sign > 0 else np.negative(x, out=x)
-        elif sign > 0:
-            out += x
         else:
-            out -= x
+            _add_signed(out, sign, x)
     out *= 2.0
     return out
 
@@ -209,14 +215,6 @@ _AT4 = [(mu, tri, levi_civita((mu,) + tri)) for mu in range(4)
 
 # the fields the action density reads with their windows, and by rows
 ACTION_FIELDS = (("A", "beta"), ("B", "C"))
-
-
-def _add_signed(out, sign, x) -> None:
-    """out += sign x for a sign +-1, as an add or a subtract in place."""
-    if sign > 0:
-        out += x
-    else:
-        out -= x
 
 
 def _action_density(cm, slab, out) -> None:
