@@ -258,11 +258,12 @@ def contract(T: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     out = np.empty((T.shape[0],) + np.broadcast_shapes(X.shape[1:], Y.shape[1:]))
     buf = np.empty(out.shape[1:])
-    started = np.zeros(len(out), dtype=bool)
+    last = -1   # np.nonzero runs over the rows in order
     for i, j, k in zip(*np.nonzero(T)):
         c, row = T[i, j, k], out[i]
-        if not started[i]:
-            started[i] = True
+        if i != last:
+            out[last + 1:i] = 0.0   # rows with no nonzero
+            last = i
             np.multiply(X[j], Y[k], out=row)
             if c == -1.0:
                 np.negative(row, out=row)
@@ -270,14 +271,13 @@ def contract(T: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
                 row *= c
             continue
         np.multiply(X[j], Y[k], out=buf)
-        if c == 1.0:
-            row += buf
-        elif c == -1.0:
+        if abs(c) != 1.0:
+            buf *= c
+        if c == -1.0:
             row -= buf
         else:
-            buf *= c
             row += buf
-    out[~started] = 0.0
+    out[last + 1:] = 0.0
     return out
 
 
@@ -321,15 +321,14 @@ def bilinear(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
     buf = np.empty(out.shape)
     for i, j in zip(*np.nonzero(M)):
         c = M[i, j]
-        if c == 1.0 or c == -1.0:
+        if abs(c) == 1.0:
             np.multiply(X[i], Y[j], out=buf)
-            if c == 1.0:
-                out += buf
-            else:
-                out -= buf
         else:
             np.multiply(X[i], c, out=buf)
             buf *= Y[j]
+        if c == -1.0:
+            out -= buf
+        else:
             out += buf
     return out
 

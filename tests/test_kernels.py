@@ -105,19 +105,24 @@ def _zero_filled_contract(T, X, Y):
     return out
 
 
-def _random_tensor(cm):
-    """A dense tensor of f's shape with non-unit entries."""
-    return np.random.default_rng(8).normal(size=cm.f.shape)
+def _random_tensor(cm, gapped=False):
+    """A dense tensor of f's shape with non-unit entries; gapped, with the
+    even rows zero."""
+    T = np.random.default_rng(8).normal(size=cm.f.shape)
+    if gapped:
+        T[::2] = 0.0
+    return T
 
 
 @pytest.mark.parametrize("name", MODULES)
 @pytest.mark.parametrize("tensor", ["f", "act", "actlow", "phi", "t_map",
-                                    "random"])
+                                    "random", "gapped"])
 def test_contract_matches_the_zero_filled_loop(name, tensor):
     """Bitwise but for the sign of an exact zero, with the same NaNs, on
     fields that hold +-0, +-inf and NaN."""
     cm = builtin_module(name)
-    T = _random_tensor(cm) if tensor == "random" else TENSORS[tensor](cm)
+    T = (_random_tensor(cm, tensor == "gapped") if tensor in ("random", "gapped")
+         else TENSORS[tensor](cm))
     rng = np.random.default_rng(9)
     X = _special_field(rng, (T.shape[1], 4, 6))
     Y = _special_field(rng, (T.shape[2], 4, 6))
