@@ -246,7 +246,7 @@ def _action(lattice, dens) -> float:
 def _require_fit(cm, cfg) -> None:
     """ValueError unless every field of cfg, array or recipe, has the
     components (D, p), (npairs, q), (npairs, p) and (D, q) of the module cm
-    (einsum would broadcast a size-1 component axis)."""
+    (contract would broadcast a size-1 component axis)."""
     D, npairs = cfg.lattice.D, len(pairs(cfg.lattice.D))
     for name, comp in zip(FIELDS, ((D, cm.p), (npairs, cm.q), (npairs, cm.p),
                                    (D, cm.q))):
