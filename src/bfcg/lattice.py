@@ -95,25 +95,36 @@ def _rows(field: np.ndarray, ax: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _central(field: np.ndarray, ax: int, a: float, before: np.ndarray,
-             after: np.ndarray) -> np.ndarray:
+             after: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Central difference along array axis `ax` of field, whose first row is
     preceded by the one row `before` and whose last row is followed by the
-    one row `after`.
+    one row `after`; written into out when given, else into a new array.
 
-    Each row is differenced straight from where its neighbours lie, so no
-    shifted or concatenated copy of the field is made.  When 2a is a power
-    of two with a finite reciprocal, x / 2a is x * (1 / 2a) bit for bit, so
-    the difference is scaled by the reciprocal, a cheaper pass; any other
-    spacing divides.
+    No shifted or concatenated copy of the field is made.  When field and
+    out are C-contiguous, the difference is one subtract over the flattened
+    entries, entry x from x + s and x - s with s the axis stride: right for
+    every row but the first and the last, which are then written again from
+    their true neighbours.  Other fields (ring rows, transposed or
+    broadcast views) are differenced one run of rows at a time.  Either way
+    each entry is the one subtract of its two neighbours.  When 2a is a
+    power of two with a finite reciprocal, x / 2a is x * (1 / 2a) bit for
+    bit, so the difference is scaled by the reciprocal, a cheaper pass;
+    any other spacing divides.
     """
     m = field.shape[ax]
-    out = np.empty(field.shape, dtype=np.result_type(field, 1.0))
+    if out is None:
+        out = np.empty(field.shape, dtype=np.result_type(field, 1.0))
     if m == 1:
         np.subtract(after, before, out=out)
     else:
+        if m > 2 and field.flags.c_contiguous and out.flags.c_contiguous:
+            s = field.strides[ax] // field.itemsize
+            flat = field.reshape(-1)
+            np.subtract(flat[2 * s:], flat[:-2 * s], out=out.reshape(-1)[s:-s])
+        else:
+            np.subtract(_rows(field, ax, 2, m), _rows(field, ax, 0, m - 2),
+                        out=_rows(out, ax, 1, m - 1))
         np.subtract(_rows(field, ax, 1, 2), before, out=_rows(out, ax, 0, 1))
-        np.subtract(_rows(field, ax, 2, m), _rows(field, ax, 0, m - 2),
-                    out=_rows(out, ax, 1, m - 1))
         np.subtract(after, _rows(field, ax, m - 2, m - 1),
                     out=_rows(out, ax, m - 1, m))
     h = 2.0 * a
@@ -124,21 +135,24 @@ def _central(field: np.ndarray, ax: int, a: float, before: np.ndarray,
     return out
 
 
-def _periodic(field: np.ndarray, ax: int, a: float) -> np.ndarray:
+def _periodic(field: np.ndarray, ax: int, a: float,
+              out: np.ndarray = None) -> np.ndarray:
     """The periodic central difference along array axis `ax` of field."""
     m = field.shape[ax]
     return _central(field, ax, a, _rows(field, ax, m - 1, m),
-                    _rows(field, ax, 0, 1))
+                    _rows(field, ax, 0, 1), out)
 
 
-def discrete_derivative(field: np.ndarray, axis: int, lattice: Lattice) -> np.ndarray:
-    """Central difference along lattice axis `axis` (0-based, 0..D-1).
+def discrete_derivative(field: np.ndarray, axis: int, lattice: Lattice,
+                        out: np.ndarray = None) -> np.ndarray:
+    """Central difference along lattice axis `axis` (0-based, 0..D-1),
+    written into out (a float array of field's shape) when given.
 
     The lattice axes are the trailing D axes of `field`.  The values are
     bitwise those of (roll(f, -1) - roll(f, 1)) / (2a).
     """
     field = np.asarray(field)
-    return _periodic(field, field.ndim - lattice.D + axis, lattice.a)
+    return _periodic(field, field.ndim - lattice.D + axis, lattice.a, out)
 
 
 # ---------------------------------------------------------------------------

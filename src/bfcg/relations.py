@@ -10,8 +10,13 @@ lattice sum of the density arrays against the product of test fields.
 relation_table evaluates a list of relations at one point and shares their
 work: each smeared gradient, one per (system, family, side), and each
 right-side density array, one per (density, system), is made once per call.
-The arrays come from evaluate_density, never from the gradients, so the
-right side stays independent of the bracket engine.
+A gradient is formed only in the blocks whose conjugate some partner of
+its side reads, and in any other block that a bound cannot prove finite
+(see LocalFunctional.gradient); the read sets are kept on the densities.
+Each block product serves both the left side, its sum, and the relation's
+scale, the sum of its absolute values.  The arrays come from
+evaluate_density, never from the gradients, so the right side stays
+independent of the bracket engine.
 
 Every bracket relation in the tables below is lattice-exact: LHS - RHS
 vanishes identically on the lattice and is asserted at machine precision.
@@ -36,7 +41,7 @@ See docs/relations.md for the table in human-readable form.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +54,8 @@ from .curvature import (_bianchi_g, _bianchi_h, _cov_derivative,
                         _curvature_F_pair, _curvature_T_pair)
 from .lattice import (EPS3_PAIR, PAIR, Lattice, Slab, _random_recipe,
                       fit_order, pair_index, slab_window)
-from .localpoly import (evaluate_density, identity, pair_gradients,
-                        paired_sum, smear, tensor_density)
+from .localpoly import (bracket_size, evaluate_density, identity,
+                        pair_gradients, smear, tensor_density)
 from .phase import (CANONICAL_PAIRS, GAUGE_FIXED_PAIRS, PhasePoint,
                     make_phase_recipe, onshell_momenta)
 
@@ -66,6 +71,9 @@ __all__ = [
 ]
 
 PIDX3 = pair_index(3)
+_PAIRS = {"full": CANONICAL_PAIRS, "gf": GAUGE_FIXED_PAIRS}
+_CONJUGATE = {system: {**dict(pairs), **{p: q for q, p in pairs}}
+              for system, pairs in _PAIRS.items()}   # block -> its conjugate
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +250,8 @@ def relation_table(cm, rel_ids, point: PhasePoint, seed: int = 0) -> list:
 
     Relations share their work: the smeared gradient of a (system, family,
     side) and the right-side density array of a (name, system) are each
-    made once per call, and dropped after their last use.
+    made once per call, and dropped after their last use.  A gradient holds
+    the blocks its partners pair (see the module docstring).
     """
     unknown = [rid for rid in rel_ids if rid not in RELATIONS]
     if unknown:
@@ -265,10 +274,22 @@ def relation_table(cm, rel_ids, point: PhasePoint, seed: int = 0) -> list:
         uses[key] -= 1
         return memo[key] if uses[key] else memo.pop(key)
 
+    # each side's gradient is paired only in the blocks whose conjugate some
+    # partner reads
+    partner_reads = defaultdict(set)
+    for rel in rels:
+        side_a, side_b = sides(rel)
+        partner_reads[side_a] |= _density(cm, rel.famB, rel.system).blocks
+        partner_reads[side_b] |= _density(cm, rel.famA, rel.system).blocks
+
     def smeared(system, fam, side):
         t = make_test(family_shape(cm, fam), lat,
                       seed=seed * 7919 + (11 if side == "A" else 23))
-        return t, smear(_density(cm, fam, system), t, lat).gradient(point.blocks)
+        conj = _CONJUGATE[system]
+        paired = {conj[b] for b in partner_reads[system, fam, side]
+                  if b in conj}
+        return t, smear(_density(cm, fam, system), t, lat).gradient(
+            point.blocks, paired)
 
     def evaluated(name, system):
         return evaluate_density(_density(cm, name, system), point.blocks, lat)
@@ -276,17 +297,11 @@ def relation_table(cm, rel_ids, point: PhasePoint, seed: int = 0) -> list:
     out = []
     for rel in rels:
         (tA, gA), (tB, gB) = (take(key, smeared) for key in sides(rel))
-        pairs_ = GAUGE_FIXED_PAIRS if rel.system == "gf" else CANONICAL_PAIRS
-        lhs = pair_gradients(gA, gB, pairs_, lat.a)
-        scale = 0.0
-        for qb, pb in pairs_:
-            scale += float(paired_sum(gA.get(qb), gB.get(pb), np.abs) +
-                           paired_sum(gA.get(pb), gB.get(qb), np.abs))
-        scale = 1.0 + scale / lat.a ** 3
+        lhs, size = bracket_size(gA, gB, _PAIRS[rel.system], lat.a)
         dens = {key[0]: take(key, evaluated) for key in arrays(rel)}
         rhs = _rhs(cm, rel, point, tA, tB, dens)
         out.append(RelationResult(rid=rel.rid, lhs=lhs, rhs=rhs,
-                                  residual=abs(lhs - rhs), scale=scale))
+                                  residual=abs(lhs - rhs), scale=1.0 + size))
     return out
 
 

@@ -170,29 +170,72 @@ SPACINGS = {"0.3": 0.3, "1/6": 1 / 6, "1/24": 1 / 24,   # divided by 2a
             "1/8": 1 / 8, "1/32": 1 / 32, "2^-20": 2.0 ** -20}   # reciprocal
 
 
+def _roll_difference(field, ax, a):
+    return (np.roll(field, -1, axis=ax) - np.roll(field, 1, axis=ax)) / (2.0 * a)
+
+
 @pytest.mark.parametrize("D", [3, 4])
 @pytest.mark.parametrize("a", SPACINGS.values(), ids=SPACINGS.keys())
 def test_discrete_derivative_bitwise_roll(a, D):
-    """Both differences, the slab one on slabs at either end of axis 0, in
-    its interior and over all of it, are bitwise, signs of zeros included,
-    the np.roll formula, which divides by 2a, from slab_window's views of
-    the field and from copies of them (the edge rows of separately computed
-    slabs): by division at a = 0.3, 1/6 and 1/24, by the exact reciprocal
-    of the power of two 2a at a = 1/8, 1/32 and 2**-20."""
-    lat = Lattice(D=D, n=5, a=a)
-    field = np.random.default_rng(D).normal(size=(2, 3) + lat.shape)
-    field[0, 0] = 1.5   # a constant component: zero differences
-    for axis in range(D):
-        ax = field.ndim - D + axis
-        want = ((np.roll(field, -1, axis=ax) - np.roll(field, 1, axis=ax))
-                / (2.0 * lat.a))
-        assert _bitwise(discrete_derivative(field, axis, lat), want)
-        for rows in (slice(0, 1), slice(4, 5), slice(0, 2), slice(3, 5),
-                     slice(1, 4), slice(0, 5), slice(None)):
-            window = slab_window(field, lat, rows)
-            for win in (window, tuple(w.copy() for w in window)):
-                got = slab_derivative(win, axis, lat)
-                assert _bitwise(got, want[:, :, rows]), (axis, rows)
+    """Both differences along every axis, at n = 6 and 32, the slab one on
+    slabs at either end of axis 0, in its interior and over all of it, are
+    bitwise, signs of zeros included, the np.roll formula, which divides by
+    2a, from slab_window's views of the field and from copies of them (the
+    edge rows of separately computed slabs): by division at a = 0.3, 1/6
+    and 1/24, by the exact reciprocal of the power of two 2a at a = 1/8,
+    1/32 and 2**-20.  The whole field and the copies are C-contiguous, so
+    they are differenced in one flattened pass; the views of a run of rows
+    are not."""
+    for n in (6, 32):
+        lat = Lattice(D=D, n=n, a=a)
+        comps = (2, 3) if n == 6 else (2,)
+        field = np.random.default_rng(D).normal(size=comps + lat.shape)
+        field[0] = 1.5   # a constant component: zero differences
+        for axis in range(D):
+            ax = field.ndim - D + axis
+            want = _roll_difference(field, ax, lat.a)
+            assert _bitwise(discrete_derivative(field, axis, lat), want)
+            for rows in (slice(0, 1), slice(n - 1, n), slice(0, 2),
+                         slice(n - 2, n), slice(1, n - 1), slice(0, n),
+                         slice(None)):
+                window = slab_window(field, lat, rows)
+                for win in (window, tuple(w.copy() for w in window)):
+                    got = slab_derivative(win, axis, lat)
+                    assert _bitwise(got, want[(Ellipsis, rows)
+                                              + (slice(None),) * (D - 1)]), (
+                        n, axis, rows)
+
+
+@pytest.mark.parametrize("a", [1 / 8, 1 / 6], ids=["1/8", "1/6"])
+def test_slab_derivative_bitwise_on_non_contiguous_windows(a):
+    """A slab that is not C-contiguous is differenced run of rows by run of
+    rows, a C-contiguous one in one flattened pass; both are bitwise the
+    np.roll formula, on the rows of a ring (a slab between its two
+    neighbour rows in one array) and on a transposed field's windows, and
+    on C-contiguous copies of the same windows, by the reciprocal at
+    a = 1/8 and by division at a = 1/6."""
+    lat = Lattice(D=4, n=6, a=a)
+    rng = np.random.default_rng(23)
+    field = rng.normal(size=(2, 3) + lat.shape)
+    field[1, 2] = -0.0
+    transposed = rng.normal(size=(2,) + lat.shape).transpose(0, 1, 4, 3, 2)
+    rows = slice(2, 5)
+    ring = field[:, :, 1:6]   # rows 1..5: the slab 2..4 and its neighbours
+    windows = {
+        "ring": (ring[:, :, :1], ring[:, :, 1:-1], ring[:, :, -1:]),
+        "transposed": slab_window(transposed, lat, rows),
+    }
+    for name, window in windows.items():
+        source = field if name == "ring" else transposed
+        assert not window[1].flags.c_contiguous, name
+        copies = tuple(np.ascontiguousarray(w) for w in window)
+        assert copies[1].flags.c_contiguous, name
+        for axis in range(4):
+            ax = source.ndim - 4 + axis
+            want = _roll_difference(source, ax, lat.a)[..., rows, :, :, :]
+            for win in (window, copies):
+                assert _bitwise(slab_derivative(win, axis, lat), want), (
+                    name, axis)
 
 
 def _loop_density(density, point, lat):

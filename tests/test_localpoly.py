@@ -174,6 +174,59 @@ def test_non_finite_read_block_gives_nan_bracket(bad):
     assert np.isnan(poisson_bracket(G, F, pt, PAIRS))
 
 
+def _cubic(t, q2_factor, lat):
+    """a^3 sum t q1_0 q2 p2, q2 differenced along axis 0 when q2_factor is
+    DQ2, with the test field t (None, or a constant): its q1 partials are
+    a^3 t (D)q2 p2, multiplied left to right, and q1 pairs with p1, which
+    nothing else reads."""
+    rank = 1 + (q2_factor is DQ2)
+    d = tensor_density((), (_one((2,) + (3,) * (rank - 1) + (1, 1),
+                                 (0,) * (rank + 2)), Q1, q2_factor, P2))
+    return smear(d, None if t is None else np.full(lat.shape, t), lat)
+
+
+ALTERNATING = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]  # D: +-2/(2a)
+
+BOUND_CASES = {
+    # (test value, q2 factor, q2, p2, spacing): (is q1 formed? is it finite?)
+    "moderate": ((None, Q2, 1.0, 1.0, 0.5), (False, True)),
+    "finite 1e200 partials": ((None, Q2, 1e100, 1e100, 0.5), (False, True)),
+    "overflowing partials": ((None, Q2, 1e200, 1e200, 0.5), (True, False)),
+    "finite, bound past the margin": ((None, Q2, 1e152, 1e152, 0.5),
+                                      (True, True)),
+    "overflow midway": ((1e200, Q2, 1e200, 1e-200, 0.5), (True, False)),
+    "NaN entry": ((None, Q2, np.nan, 1.0, 0.5), (True, False)),
+    "finite difference": ((1e-40, DQ2, 1e300 * ALTERNATING, 1.0, 1e10),
+                          (False, True)),
+    "overflowing difference": ((1e-40, DQ2, 1e308 * ALTERNATING, 1.0, 1e10),
+                               (True, False)),
+}
+
+
+@pytest.mark.parametrize("case", BOUND_CASES.values(), ids=BOUND_CASES.keys())
+def test_unpaired_block_left_out_only_under_its_bound(case):
+    """A block outside paired is left out only when its bound proves every
+    entry finite: a bound that stays below 1e300, at every product too,
+    and counts the subtract of a difference, which overflows at +-1e308
+    though the scale 1/(2a) of a = 1e10 and the test field 1e-40 would
+    bring it back.  A block formed or kept is bitwise the unrestricted
+    gradient's."""
+    (t, q2_factor, q2, p2, a), (formed, finite) = case
+    lat = Lattice(D=3, n=4, a=a)
+    fn = _cubic(t, q2_factor, lat)
+    pt = _point(17)
+    pt["q2"] = np.broadcast_to(q2, pt["q2"].shape).copy()
+    pt["p2"] = np.full_like(pt["p2"], p2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = fn.gradient(pt)
+        part = fn.gradient(pt, paired={"q2", "p2"})
+    assert set(full) == {"q1", "q2", "p2"}
+    assert set(part) == ({"q1", "q2", "p2"} if formed else {"q2", "p2"})
+    for block in part:
+        assert part[block].tobytes() == full[block].tobytes(), block
+    assert np.isfinite(full["q1"]).all() == finite
+
+
 def test_scalar_functional_constant_weight():
     d = tensor_density((), (np.full(1, 3.0), Q2))
     fn = smear(d, None, LAT)

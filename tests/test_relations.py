@@ -14,15 +14,17 @@ from bfcg.crossed_module import builtin_module, contract
 from bfcg.curvature import _bianchi_g, _bianchi_h, curvature_F
 from bfcg.lattice import (EPS3_PAIR, FieldConfiguration, Lattice, Slab,
                           discrete_derivative, slab_window)
-from bfcg.localpoly import LocalFunctional, poisson_bracket, smear
+from bfcg.localpoly import (LocalFunctional, evaluate_density,
+                            poisson_bracket, smear)
 from bfcg import relations
-from bfcg.phase import CANONICAL_PAIRS, PhasePoint, random_phase_point
+from bfcg.phase import (CANONICAL_PAIRS, GAUGE_FIXED_PAIRS, PhasePoint,
+                        random_phase_point)
 from bfcg.relations import (SECONDARY_RELATIONS, FIRSTCLASS_RELATIONS, MIXED_RELATIONS,
                             PRIMARY_RELATIONS, RELATIONS, ZERO_RELATIONS,
                             check_algebra_relation, consistency_residuals,
                             fundamental_bracket_residuals, offshell_refinement,
                             offshell_relations, reduction_residual,
-                            relation_table)
+                            relation_table, RelationResult)
 from support import curvature_T
 
 SU2 = builtin_module("adjoint(su2)")
@@ -73,9 +75,9 @@ def test_fundamental_brackets_differentiate_each_block_once(monkeypatch):
     calls = []
     gradient = LocalFunctional.gradient
 
-    def counted(self, point):
+    def counted(self, point, paired=None):
         calls.append(self)
-        return gradient(self, point)
+        return gradient(self, point, paired)
 
     monkeypatch.setattr(LocalFunctional, "gradient", counted)
     fundamental_bracket_residuals(SU2, pt, seed=5)
@@ -126,9 +128,9 @@ def _count_work(monkeypatch):
     counts = {"gradient": 0, "array": 0}
     gradient, evaluate = LocalFunctional.gradient, relations.evaluate_density
 
-    def counted_gradient(self, point):
+    def counted_gradient(self, point, paired=None):
         counts["gradient"] += 1
-        return gradient(self, point)
+        return gradient(self, point, paired)
 
     def counted_evaluate(*args):
         counts["array"] += 1
@@ -174,6 +176,125 @@ def test_relation_table_unknown_id_before_any_work(monkeypatch):
     with pytest.raises(KeyError, match="sc99"):
         relation_table(SU2, ("prim1", "fc1", "sc99"), pt)
     assert counts == {"gradient": 0, "array": 0}
+
+
+# ---------------------------------------------------------------------------
+# paired-only gradients against unrestricted ones, paired product by product
+# ---------------------------------------------------------------------------
+
+def _oracle_sum(x, y, fn=None):
+    """np.sum(fn(x * y)) of two gradient blocks, None absent: a missing side
+    gives 0.0, or NaN when the present side holds a non-finite entry."""
+    if x is None or y is None:
+        z = y if x is None else x
+        return 0.0 if z is None or np.isfinite(z).all() else np.nan
+    prod = x * y
+    return np.sum(prod if fn is None else fn(prod))
+
+
+def _oracle_bracket(gf, gg, pairs, a):
+    """(bracket, 1 + its sum of |terms|) of two unrestricted gradients, each
+    product formed once for the bracket and again for the sum."""
+    lhs = scale = 0.0
+    for qb, pb in pairs:
+        lhs += float(_oracle_sum(gf.get(qb), gg.get(pb))
+                     - _oracle_sum(gf.get(pb), gg.get(qb)))
+    for qb, pb in pairs:
+        scale += float(_oracle_sum(gf.get(qb), gg.get(pb), np.abs)
+                       + _oracle_sum(gf.get(pb), gg.get(qb), np.abs))
+    return lhs / a ** 3, 1.0 + scale / a ** 3
+
+
+def _oracle_relation(cm, rid, point, seed):
+    rel = RELATIONS[rid]
+    lat = point.lattice
+    tests, grads = [], []
+    for fam, offset in ((rel.famA, 11), (rel.famB, 23)):
+        t = relations.make_test(family_shape(cm, fam), lat,
+                                seed=seed * 7919 + offset)
+        tests.append(t)
+        grads.append(smear(relations._density(cm, fam, rel.system), t,
+                           lat).gradient(point.blocks))
+    pairs = GAUGE_FIXED_PAIRS if rel.system == "gf" else CANONICAL_PAIRS
+    lhs, scale = _oracle_bracket(*grads, pairs, lat.a)
+    dens = {name: evaluate_density(relations._density(cm, name, rel.system),
+                                   point.blocks, lat)
+            for name in rel.operands if "(" in name}
+    rhs = relations._rhs(cm, rel, point, *tests, dens)
+    return RelationResult(rid, lhs, rhs, abs(lhs - rhs), scale)
+
+
+def _oracle_consistency(cm, point, seed):
+    lat = point.lattice
+    g_ht = total_hamiltonian_functional(cm, lat).gradient(point.blocks)
+    rows = []
+    for i, (fam, targets) in enumerate(relations._CONSISTENCY_ROWS):
+        t = relations.make_test(family_shape(cm, fam), lat,
+                                seed=seed * 9176 + 101 * (i + 1))
+        g_fn = smear(constraint_density(cm, fam), t, lat).gradient(
+            point.blocks)
+        br = _oracle_bracket(g_fn, g_ht, CANONICAL_PAIRS, lat.a)[0]
+        for label, dens in targets:
+            val = 0.0 if dens is None else relations._vol_sum(lat, np.sum(
+                t * evaluate_constraint(cm, dens, point),
+                axis=tuple(range(t.ndim - 3))))
+            rows.append((label, abs(br - val)))
+    return rows
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
+def test_paired_only_rows_equal_the_unrestricted_pairing(name, n):
+    """relation_table (gradients paired in the blocks some partner of the
+    whole table reads), each relation alone (its one partner) and
+    consistency_residuals give exactly the rows of unrestricted gradients
+    paired product by product."""
+    cm = builtin_module(name)
+    lat = Lattice(D=3, n=n, a=1.0 / n)
+    pt = random_phase_point(cm, lat, seed=17, rule="random")
+    want = [_oracle_relation(cm, rid, pt, 3) for rid in FULL_TABLE]
+    assert relation_table(cm, FULL_TABLE, pt, seed=3) == want
+    assert [check_algebra_relation(cm, rid, pt, seed=3)
+            for rid in FULL_TABLE] == want
+    on_shell = random_phase_point(cm, lat, seed=18, rule="on_shell")
+    for point in (pt, on_shell):
+        assert (consistency_residuals(cm, point, seed=4)
+                == _oracle_consistency(cm, point, 4))
+
+
+UNPAIRED = {
+    # (entry put at one site of pB, spacing): does the B partial overflow?
+    "NaN": ((np.nan, 1 / 6), True),
+    "inf": ((np.inf, 1 / 6), True),
+    "1e200, overflowing": ((1e200, 1e40), True),
+    "1e200, finite": ((1e200, 1 / 6), False),
+}
+
+
+@pytest.mark.parametrize("case", UNPAIRED.values(), ids=UNPAIRED.keys())
+def test_unpaired_block_keeps_the_nan_of_a_non_finite_entry(case):
+    """mixed6 on adjoint(su2): pB enters the phi(BCbeta) gradient only
+    through its B block, whose conjugate pB chi(A) does not read, so B
+    faces an absent block and is left out where a bound proves it finite.
+    A NaN or inf in pB, or 1e200 times the a^3 = 1e120 of spacing 1e40,
+    puts a non-finite entry in B, which must still make the left side and
+    the scale NaN, as unrestricted gradients do; 1e200 at spacing 1/6
+    leaves B finite, and the row is the unrestricted one."""
+    (bad, a), overflows = case
+    lat = Lattice(D=3, n=6, a=a)
+    pt = random_phase_point(SU2, lat, seed=19, rule="random")
+    pt.blocks["pB"][1, 2, 0, 3, 4] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = check_algebra_relation(SU2, "mixed6", pt, seed=5)
+        table = relation_table(SU2, ("mixed6", "mixed7"), pt, seed=5)[0]
+        want = _oracle_relation(SU2, "mixed6", pt, 5)
+    for res in (got, table):
+        assert np.isnan(res.lhs) == np.isnan(res.scale) == overflows
+        if overflows:
+            assert np.isnan(want.lhs) and np.isnan(want.scale)
+            assert res.rhs == want.rhs
+        else:
+            assert res == want
 
 
 # ---------------------------------------------------------------------------
