@@ -366,7 +366,12 @@ def _so31_vector() -> tuple:
             comm = gens[b] @ gens[c] - gens[c] @ gens[b]
             coeff, res, *_ = np.linalg.lstsq(basis_flat, comm.reshape(16), rcond=None)
             f[:, b, c] = coeff
-    f[np.abs(f) < 1e-13] = 0.0
+    # the commutators are integer combinations of the basis, which lstsq
+    # returns to within roundoff (+-0.9999999999999998): round them
+    exact = np.rint(f)
+    if np.max(np.abs(f - exact)) > 1e-12:
+        raise ArithmeticError("so(3,1) structure constants are not integers")
+    f = exact + 0.0   # no -0.0
     Q = -0.5 * np.einsum("aCD,bDC->ab", gens, gens)
     Q[np.abs(Q) < 1e-13] = 0.0
     act = np.einsum("aCD->CaD", gens)  # ▷^β_{aα} = (M_a)^β{}_α

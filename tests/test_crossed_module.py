@@ -112,6 +112,18 @@ def test_vectorized_identities_match_loop_oracle(name):
         assert abs(violation[key] - val) < 1e-13
 
 
+def test_vector_poincare_tensors_are_exact_integers():
+    """The so(3,1) structure constants solved by lstsq (+-0.9999999999999998)
+    are rounded: f, act, Q and qf are exact integers, and every identity of
+    validate holds exactly."""
+    cm = builtin_module("vector_poincare")
+    for name in ("f", "act", "Q", "qf"):
+        tensor = getattr(cm, name)
+        assert np.array_equal(tensor, np.rint(tensor)), name
+    assert [viol for _, viol, _ in validate_crossed_module(cm).entries] == [
+        0.0] * 13
+
+
 def test_adjoint_composition_reproduces_phi_exactly():
     cm = builtin_module("adjoint(su2)")
     composed = np.einsum("da,gab->gdb", cm.del_, cm.act)
