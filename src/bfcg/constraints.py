@@ -72,7 +72,8 @@ import numpy as np
 from .lattice import EPS3_PAIR, PAIR, Lattice
 from .localpoly import (Density, LocalFunctional, evaluate_density, identity,
                         smear, tensor_density)
-from .phase import COORD_BLOCKS, PhasePoint, block_shapes, component_shape
+from .phase import (COORD_BLOCKS, PhasePoint, block_shapes, component_shape,
+                    onshell_map)
 
 __all__ = [
     "constraint_density",
@@ -127,15 +128,15 @@ def _product(a_terms, b_terms):
 # ---------------------------------------------------------------------------
 
 def _chi_A(cm):
-    """P(A)_a^i = pi(A)_a^i - 1/2 eps^{ijk} Q_ab B^b_jk."""
-    return [(identity((3, cm.p)), "pA"),
-            (-np.einsum("iP,ab->iaPb", E3, cm.Q), "B")]
+    """P(A)_a^i = pi(A)_a^i - 1/2 eps^{ijk} Q_ab B^b_jk = pi(A) - M . B,
+    with M the on-shell map of phase.onshell_map."""
+    return [(identity((3, cm.p)), "pA"), (-onshell_map(cm)["pA"][1], "B")]
 
 
 def _chi_beta(cm):
-    """P(beta)_al^{jk} = pi(beta)_al^{jk} + eps^{ljk} q_{al be} C^be_l."""
-    return [(identity((3, cm.q)), "pbe"),
-            (np.einsum("lP,xy->Pxly", E3, cm.qf), "C")]
+    """P(beta)_al^{jk} = pi(beta)_al^{jk} + eps^{ljk} q_{al be} C^be_l
+    = pi(beta) - M . C, with M the on-shell map of phase.onshell_map."""
+    return [(identity((3, cm.q)), "pbe"), (-onshell_map(cm)["pbe"][1], "C")]
 
 
 def _S_H(cm, lowered):
@@ -372,10 +373,13 @@ def evaluate_constraint(cm, family: str, point: PhasePoint) -> np.ndarray:
 
 def _gauge_fix(cm, terms):
     """Contract the component axes of every B, dB, C and dC factor of the
-    terms with the elimination map T[old comp..., new comp...] of its block,
-    giving pA, dpA, pbe and dpbe factors."""
-    subs = {"B": ("pA", np.einsum("lP,bc->Pblc", E3, cm.Qinv)),
-            "C": ("pbe", -np.einsum("mP,gd->mgPd", E3, cm.qfinv))}
+    terms with the inverse of its block's on-shell map (phase.onshell_map)
+    as a matrix, giving pA, dpA, pbe and dpbe factors."""
+    subs = {}
+    for mom, (block, M) in onshell_map(cm).items():
+        n = M.shape[0] * M.shape[1]
+        subs[block] = (mom, np.linalg.inv(M.reshape(n, n)).reshape(
+            M.shape[2:] + M.shape[:2]))
     out = []
     for c, *specs in terms:
         pos = c.ndim - sum(r + d for _, r, d in map(_factor, specs))

@@ -172,6 +172,14 @@ def _nondegeneracy_violation(M: np.ndarray) -> float:
     return max(0.0, NONDEGENERACY_RATIO * smax - smin)
 
 
+def _jacobi(c: np.ndarray) -> np.ndarray:
+    """The Jacobi residual of structure constants c, written as
+    c^d_{ac} c^c_{be} - c^c_{ab} c^d_{ce} + c^c_{ae} c^d_{cb} = 0."""
+    return (np.einsum("dac,cbe->dabe", c, c)
+            - np.einsum("cab,dce->dabe", c, c)
+            + np.einsum("cae,dcb->dabe", c, c))
+
+
 def validate_crossed_module(cm: DifferentialCrossedModule,
                             tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check every algebraic identity a crossed module must satisfy.
@@ -186,15 +194,8 @@ def validate_crossed_module(cm: DifferentialCrossedModule,
     checks.append(("f_antisymmetry", _maxabs(f + np.swapaxes(f, 1, 2))))
     checks.append(("phi_antisymmetry", _maxabs(phi + np.swapaxes(phi, 1, 2))))
 
-    # Jacobi: f^d_{ac} f^c_{be} = f^c_{ab} f^d_{ce} - f^c_{ae} f^d_{cb}
-    jac_g = (np.einsum("dac,cbe->dabe", f, f)
-             - np.einsum("cab,dce->dabe", f, f)
-             + np.einsum("cae,dcb->dabe", f, f))
-    checks.append(("jacobi_g", _maxabs(jac_g)))
-    jac_h = (np.einsum("dac,cbe->dabe", phi, phi)
-             - np.einsum("cab,dce->dabe", phi, phi)
-             + np.einsum("cae,dcb->dabe", phi, phi))
-    checks.append(("jacobi_h", _maxabs(jac_h)))
+    checks.append(("jacobi_g", _maxabs(_jacobi(f))))
+    checks.append(("jacobi_h", _maxabs(_jacobi(phi))))
 
     # equivariance: ▷^β_{aα} ∂_β{}^b = ∂_α{}^c f^b_{ac}
     equi = (np.einsum("gad,gb->bad", act, del_)
@@ -358,22 +359,14 @@ def _so31_vector() -> tuple:
         M[B, :] -= eta[A, :]
         gens.append(M)
     gens = np.array(gens)  # gens[a, C, D] = (M_a)^C{}_D
-    # structure constants from the (faithful) vector representation
-    basis_flat = gens.reshape(6, 16).T
-    f = np.zeros((6, 6, 6))
-    for b in range(6):
-        for c in range(6):
-            comm = gens[b] @ gens[c] - gens[c] @ gens[b]
-            coeff, res, *_ = np.linalg.lstsq(basis_flat, comm.reshape(16), rcond=None)
-            f[:, b, c] = coeff
-    # the commutators are integer combinations of the basis, which lstsq
-    # returns to within roundoff (+-0.9999999999999998): round them
-    exact = np.rint(f)
-    if np.max(np.abs(f - exact)) > 1e-12:
-        raise ArithmeticError("so(3,1) structure constants are not integers")
-    f = exact + 0.0   # no -0.0
-    Q = -0.5 * np.einsum("aCD,bDC->ab", gens, gens)
-    Q[np.abs(Q) < 1e-13] = 0.0
+    # [M_b, M_c] = f^a_bc M_a, and of the basis only M_a = M_AB has an
+    # (A, B) entry, eta_BB = +-1: so f^a_bc is the (A, B) entry of
+    # [M_b, M_c] times eta_BB, an exact integer (+ 0.0: no -0.0)
+    prods = np.einsum("bCE,cED->bcCD", gens, gens)   # M_b M_c
+    comm = prods - np.swapaxes(prods, 0, 1)
+    A, B = np.array(pairs).T
+    f = np.moveaxis(comm[:, :, A, B] * eta[B, B], -1, 0) + 0.0
+    Q = -0.5 * np.einsum("aCD,bDC->ab", gens, gens) + 0.0
     act = np.einsum("aCD->CaD", gens)  # ▷^β_{aα} = (M_a)^β{}_α
     return f, Q, act, eta
 

@@ -54,9 +54,9 @@ Slab streaming.  Every stencil kernel here is evaluated one slab at a time
 (lattice.slabs: consecutive rows of lattice axis 0, at most
 lattice.SLAB_SITES sites), so its intermediates stay in cache.  A kernel
 reads its configuration, whose fields are held arrays or recipes, only
-through its slab source (lattice.slab_source): a lattice.Slab holds each
-field's window, the slab and the neighbour rows before and after it along
-axis 0, which a kernel differences with lattice.slab_derivative.  Only
+through its slab source (FieldConfiguration.slabs): a lattice.Slab holds
+each field's window, the slab and the neighbour rows before and after it
+along axis 0, which a kernel differences with lattice.slab_derivative.  Only
 curvature_F, which the gauge check's covariance compares whole, forms a
 full curvature: the norms and the field equations reduce each stored pair
 or triple of a slab at once, and the Bianchi identities difference
@@ -215,6 +215,8 @@ _AT4 = [(mu, tri, levi_civita((mu,) + tri)) for mu in range(4)
 
 # the fields the action density reads with their windows, and by rows
 ACTION_FIELDS = (("A", "beta"), ("B", "C"))
+# entries of A and of beta that eom_gradient_check samples
+EOM_SAMPLES = 16
 
 
 def _action_density(cm, slab, out) -> None:
@@ -409,11 +411,11 @@ def _entry_actions(cm, cfg: FieldConfiguration, dens, name: str,
 
 
 def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
-                       n_samples: int = 24, seed: int = 0) -> float:
+                       seed: int = 0) -> float:
     """Max relative error between E_A/E_beta and finite differences of S.
 
     res is eom_residuals(cm, cfg).  Central differences of step 1e-6 in
-    randomly sampled entries of A and beta are compared against -1/2 a^4
+    EOM_SAMPLES random entries each of A and beta are compared against -1/2 a^4
     E_A and 2 a^4 E_beta; an empty field (beta at q = 0) has no entry to
     sample.  S(x + h) and S(x - h), with x - h formed as (x + h) - 2h, are
     bitwise evaluate_action of the configuration with the entry set, but
@@ -439,7 +441,7 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
             continue
         samples = [tuple(rng.integers(0, k) for k in E.shape[:2])
                    + tuple(rng.integers(0, lat.n, size=4))
-                   for _ in range(n_samples)]
+                   for _ in range(EOM_SAMPLES)]
         entries = []
         for idx in samples:
             plus = getattr(cfg, field_name)[idx] + step

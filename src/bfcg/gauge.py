@@ -271,10 +271,11 @@ def transformed_actions(cm, cfg, eps, eta) -> tuple:
     transforms with parameters eps and eta, in one pass over cfg's slabs.
 
     The fields of cfg and the parameters are full arrays or FieldRecipes,
-    which the slab source realizes slab by slab.  Each slab is
-    transformed once, on the lattice.slabs partition, into new slab arrays
-    (C is shared by the fat transform), and a slab ring (lattice._ring)
-    gives the action each transformed slab with its neighbour rows.  The
+    which the slab source (FieldConfiguration.slabs) realizes slab by
+    slab.  Each slab is transformed once, on the lattice.slabs partition,
+    into new slab arrays (C is shared by the fat transform), and a slab
+    ring (lattice._ring) gives the action each transformed slab with its
+    neighbour rows.  The
     three values are bitwise those of evaluate_action on cfg and on the
     transforms of a copy of it.
     """

@@ -15,12 +15,12 @@ lattice axis 0 of at most SLAB_SITES sites, the one block size of the
 package.  slab_derivative gives one slab's rows of the central difference
 from a window: the slab and its two neighbour rows along axis 0.  A kernel
 reads a FieldConfiguration, whose fields are full arrays or FieldRecipes,
-only through its slab source (slab_source), which gives one Slab at a
-time: the windows of the fields the kernel differences along axis 0 and
-the rows of the others, as views of an array or as rows of a recipe, each
-realized once, so a streamed n^4 field never exists.  Fields a kernel
-computes per slab get their neighbour rows from a slab ring (_ring), which
-keeps the edge rows of each slab for the slabs around it.
+only through its slab source (FieldConfiguration.slabs), which gives one
+Slab at a time: the windows of the fields the kernel differences along
+axis 0 and the rows of the others, as views of an array or as rows of a
+recipe, each realized once, so a streamed n^4 field never exists.  Fields
+a kernel computes per slab get their neighbour rows from a slab ring
+(_ring), which keeps the edge rows of each slab for the slabs around it.
 
 Antisymmetric form components are stored on ordered index pairs mu < nu
 (and ordered triples for 3-forms); reconstruction uses X_{nu mu} = -X_{mu nu}.
@@ -46,7 +46,6 @@ __all__ = [
     "slab_window",
     "slab_derivative",
     "Slab",
-    "slab_source",
     "pairs",
     "triples",
     "pair_index",
@@ -249,60 +248,6 @@ def _kept(field: np.ndarray, lattice: Lattice, k: int,
     if view or field.base is not None or row.shape == field.shape:
         return row
     return row.copy()
-
-
-def slab_source(lattice: Lattice, fields: dict, windowed):
-    """One Slab per slab of slabs(lattice), in order, over `fields` (name ->
-    full array or FieldRecipe): the fields named in `windowed` with their
-    windows, the others with the slab's rows alone (a window (None, rows,
-    None), which no difference along axis 0 can read).
-
-    An array gives views (slab_window).  A windowed recipe is realized one
-    slab ahead, so a slab's row after is the next slab's first row and its
-    row before is the last row of the slab before, kept: each row is
-    realized once, and only the periodic wrap rows n - 1 (before slab 0)
-    and 0 (after the last slab) are realized a second time.  Any other
-    recipe is realized at its slab.  Beside the slab it gives, the source
-    holds the next slab of its windowed recipes.  Rows realized from a
-    recipe are read-only: a write into them would be lost, so it raises.
-    """
-    parts = slabs(lattice)
-    ahead = [k for k in windowed if isinstance(fields[k], FieldRecipe)]
-
-    def realize(field, lo, hi):
-        out = field.realize(lattice, lo, hi)
-        out.flags.writeable = False
-        return out
-
-    def realized(lo, hi):
-        return {k: realize(fields[k], lo, hi) for k in ahead}
-
-    def row(block, k):
-        return {name: _axis0(f, lattice, k, k + 1 or None)
-                for name, f in block.items()}
-
-    def window(name, field, rows):
-        if name in windowed:
-            return slab_window(field, lattice, rows)
-        if isinstance(field, FieldRecipe):
-            return None, realize(field, rows.start, rows.stop), None
-        return None, _axis0(field, lattice, rows.start, rows.stop), None
-
-    nxt = realized(parts[0].start, parts[0].stop)
-    before = row(nxt, -1) if len(parts) == 1 else realized(-1, 0)
-    for s, rows in enumerate(parts):
-        cur = nxt
-        if s + 1 < len(parts):
-            nxt = realized(parts[s + 1].start, parts[s + 1].stop)
-            after = row(nxt, 0)
-        else:
-            after = row(cur, 0) if len(parts) == 1 else realized(
-                lattice.n, lattice.n + 1)
-        windows = {k: (before[k], cur[k], after[k]) if k in cur
-                   else window(k, v, rows) for k, v in fields.items()}
-        yield Slab(lattice, rows, windows)
-        del windows   # let the slab go before the next one is realized
-        before = {k: _kept(f, lattice, -1) for k, f in cur.items()}
 
 
 def _ring(source, kernel, reduce, edges) -> list:
@@ -544,8 +489,9 @@ def _fitted(lattice: Lattice, name: str, field, comp: tuple):
 class FieldConfiguration:
     """The 2-connection (A, beta) and multipliers (B, C) on a lattice: each
     field a full array of lattice samples (held), or a FieldRecipe realized
-    one slab at a time by the slab source and never held whole (streamed).
-    A streamed field's slabs are bitwise those of its realized array.
+    one slab at a time by the slab source, slabs, and never held whole
+    (streamed).  A streamed field's slabs are bitwise those of its realized
+    array.
 
     Component shapes (an array's lattice axes trailing):
         A:    (D, p)      1-form
@@ -577,13 +523,64 @@ class FieldConfiguration:
             f if isinstance(f, FieldRecipe) else f.copy() for f in fields))
 
     def slabs(self, windows=(), rows=(), **extra):
-        """slab_source over the fields named in `windows` and in `rows` and
-        the extra fields (full arrays or FieldRecipes, such as a gauge
-        parameter): the extra fields and those in `windows` with their
-        windows, those in `rows` with the slab's rows alone."""
+        """The slab source of every 4D kernel: one Slab per slab of
+        slabs(lattice), in order, over the fields named in `windows` and in
+        `rows` and the extra fields (full arrays or FieldRecipes, such as a
+        gauge parameter): the extra fields and those in `windows` with
+        their windows, those in `rows` with the slab's rows alone (a window
+        (None, rows, None), which no difference along axis 0 can read).
+
+        An array gives views (slab_window).  A windowed recipe is realized
+        one slab ahead, so a slab's row after is the next slab's first row
+        and its row before is the last row of the slab before, kept: each
+        row is realized once, and only the periodic wrap rows n - 1 (before
+        slab 0) and 0 (after the last slab) are realized a second time.
+        Any other recipe is realized at its slab.  Beside the slab it
+        gives, the source holds the next slab of its windowed recipes.
+        Rows realized from a recipe are read-only: a write into them would
+        be lost, so it raises.
+        """
+        lattice = self.lattice
         fields = {k: getattr(self, k) for k in windows + rows}
         fields.update(extra)
-        return slab_source(self.lattice, fields, {*windows, *extra})
+        windowed = {*windows, *extra}
+        parts = slabs(lattice)
+        ahead = [k for k in windowed if isinstance(fields[k], FieldRecipe)]
+
+        def realize(field, lo, hi):
+            out = field.realize(lattice, lo, hi)
+            out.flags.writeable = False
+            return out
+
+        def realized(lo, hi):
+            return {k: realize(fields[k], lo, hi) for k in ahead}
+
+        def row(block, k):
+            return {name: _axis0(f, lattice, k, k + 1 or None)
+                    for name, f in block.items()}
+
+        def window(name, field, span):
+            if name in windowed:
+                return slab_window(field, lattice, span)
+            if isinstance(field, FieldRecipe):
+                return None, realize(field, span.start, span.stop), None
+            return None, _axis0(field, lattice, span.start, span.stop), None
+
+        nxt = realized(parts[0].start, parts[0].stop)
+        before = row(nxt, -1) if len(parts) == 1 else realized(-1, 0)
+        for s, span in enumerate(parts):
+            cur = nxt
+            if s + 1 < len(parts):
+                nxt = realized(parts[s + 1].start, parts[s + 1].stop)
+                after = row(nxt, 0)
+            else:
+                after = row(cur, 0) if len(parts) == 1 else realized(
+                    lattice.n, lattice.n + 1)
+            views = {k: (before[k], cur[k], after[k]) if k in cur
+                     else window(k, v, span) for k, v in fields.items()}
+            yield Slab(lattice, span, views)
+            del views   # let the slab go before the next one is realized
+            before = {k: _kept(f, lattice, -1) for k, f in cur.items()}
 
 
 @dataclass

@@ -87,10 +87,10 @@ def tensor_density(comp_shape, *terms) -> Density:
 
     A term is (coeff, factor, ...) with each factor (block, rank, deriv): a
     field block with rank component axes, centrally differenced when deriv
-    is true.  The axes of coeff are the free components (comp_shape), then
-    for each factor in order its derivative axis (the lattice axis, only
-    when deriv) and its rank component axes.  Every entry of coeff at or
-    above the drop threshold becomes one monomial; monomials of one free
+    is true; a term with no factor raises ValueError.  The axes of coeff are
+    the free components (comp_shape), then for each factor in order its
+    derivative axis (the lattice axis, only when deriv) and its rank
+    component axes.  Every entry of coeff at or above the drop threshold becomes one monomial; monomials of one free
     component with the same factor set are merged, and a merged coefficient
     below the threshold is dropped.
     """
@@ -98,6 +98,8 @@ def tensor_density(comp_shape, *terms) -> Density:
     nfree = len(comp_shape)
     per_comp = {fc: {} for fc in np.ndindex(*comp_shape)}
     for coeff, *factors in terms:
+        if not factors:
+            raise ValueError("a density term needs at least one factor")
         coeff = np.asarray(coeff, dtype=float)
         if (coeff.shape[:nfree] != comp_shape or coeff.ndim != nfree + sum(
                 rank + bool(deriv) for _, rank, deriv in factors)):
@@ -140,16 +142,14 @@ class _FactorCache:
 def _product(fcache, factors):
     """The product of the factors' values, multiplied left to right: the
     cached value itself for one factor (not to be written into), a fresh
-    array for more, None for none."""
-    prod = None
-    for k, f in enumerate(factors):
-        v = fcache.get(f)
-        if prod is None:
-            prod = v
-        elif k == 1:
-            prod = prod * v
+    array for more."""
+    first, *rest = factors
+    prod = fcache.get(first)
+    for k, f in enumerate(rest):
+        if k == 0:
+            prod = prod * fcache.get(f)
         else:
-            prod *= v
+            prod *= fcache.get(f)
     return prod
 
 
@@ -165,9 +165,7 @@ def evaluate_density(density: Density, point: dict, lattice: Lattice) -> np.ndar
         acc = out[fc]
         for coeff, factors in terms:
             prod = _product(fcache, factors)
-            if prod is None:
-                acc += coeff
-            elif coeff == 1.0:
+            if coeff == 1.0:
                 acc += prod
             elif coeff == -1.0:
                 acc -= prod
@@ -208,12 +206,6 @@ class LocalFunctional:
         total = 0.0
         for coeff, weight, factors in self.entries:
             prod = _product(fcache, factors)
-            if prod is None:
-                if weight is None:
-                    total += coeff * self.lattice.n ** 3
-                else:
-                    total += coeff * float(np.sum(weight))
-                continue
             if weight is not None:
                 if len(factors) == 1:
                     prod = prod * weight

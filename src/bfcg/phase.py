@@ -24,7 +24,8 @@ The on-shell momentum rule
     pi(A)_a^i = 1/2 eps^{ijk} B_{a jk},   pi(beta)_al^{ij} = -eps^{ijk} C_{al k},
     pi(B) = pi(C) = 0,  pi(A)_a^0 = 0,    pi(beta)_al^{0i} = 0
 
-makes every primary constraint vanish identically.
+makes every primary constraint vanish identically.  Its two nonzero lines
+are stated once, in onshell_map, which bfcg.constraints reads too.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "PhaseRecipe",
     "make_phase_recipe",
     "random_phase_point",
+    "onshell_map",
     "onshell_momenta",
 ]
 
@@ -98,6 +100,16 @@ class PhasePoint:
                           {k: v.copy() for k, v in self.blocks.items()})
 
 
+def onshell_map(cm) -> dict:
+    """The on-shell rule as momentum -> (field, M), pi = M . field over the
+    field's component axes: M[i, a, P, b] = EPS3_PAIR[i, P] Q[a, b] for
+    pi(A) from B, M[P, x, l, y] = -EPS3_PAIR[l, P] q[x, y] for pi(beta)
+    from C.  chi(A) and chi(beta) are pi - M . field, and the gauge-fixed
+    densities eliminate B and C by the inverse of M."""
+    return {"pA": ("B", np.einsum("iP,ab->iaPb", EPS3_PAIR, cm.Q)),
+            "pbe": ("C", -np.einsum("lP,xy->Pxly", EPS3_PAIR, cm.qf))}
+
+
 def onshell_momenta(cm, blocks: dict, lattice: Lattice) -> dict:
     """Momenta that make every primary constraint vanish exactly."""
     shapes = block_shapes(cm.p, cm.q)
@@ -105,12 +117,8 @@ def onshell_momenta(cm, blocks: dict, lattice: Lattice) -> dict:
     out = {mom: np.zeros(shapes[mom] + lattice.shape)
            for name, mom in CANONICAL_PAIRS
            if (name, mom) not in GAUGE_FIXED_PAIRS}
-    # pi(A)_a^i = 1/2 eps^{ijk} B_{a jk} = sum_P s(i,P) (Q B)[P]
-    B_low = np.einsum("ab,Pb...->Pa...", cm.Q, blocks["B"])
-    out["pA"] = np.einsum("iP,Pa...->ia...", EPS3_PAIR, B_low)
-    # pi(beta)_al^{jk} = -eps^{jki} C_{al i} = -sum_i s(i,P) (qf C)[i]
-    C_low = np.einsum("xy,iy...->ix...", cm.qf, blocks["C"])
-    out["pbe"] = -np.einsum("iP,ix...->Px...", EPS3_PAIR, C_low)
+    out.update((mom, np.tensordot(M, blocks[name], axes=2))
+               for mom, (name, M) in onshell_map(cm).items())
     return out
 
 

@@ -259,3 +259,11 @@ def test_tensor_density_merges_equal_factor_sets():
                        (_one((2, 2), (1, 1)), Q1, P1),
                        (_one((2, 2), (1, 1), -1.0), P1, Q1))
     assert d.per_comp[()] == [(3.0, (("q1", (0,), -1), ("p1", (1,), -1)))]
+
+
+@pytest.mark.parametrize("comp_shape", [(), (2,)])
+def test_tensor_density_refuses_a_term_without_factor(comp_shape):
+    """A term without a factor is refused, not expanded into a constant:
+    evaluation and smearing have no path for one."""
+    with pytest.raises(ValueError, match="factor"):
+        tensor_density(comp_shape, (np.ones(comp_shape),))

@@ -1,13 +1,18 @@
 """Phase recipes and the gauge-fixed substitution machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bfcg.constraints import constraint_density, gauge_fixed_density
+from bfcg import constraints
+from bfcg.constraints import (constraint_density, evaluate_constraint,
+                              gauge_fixed_density)
 from bfcg.crossed_module import builtin_module
 from bfcg.lattice import EPS3_PAIR, Lattice, pairs
-from bfcg.localpoly import evaluate_density
-from bfcg.phase import make_phase_recipe, onshell_momenta, random_phase_point
+from bfcg.localpoly import evaluate_density, identity
+from bfcg.phase import (make_phase_recipe, onshell_map, onshell_momenta,
+                        random_phase_point)
 
 CM = builtin_module("adjoint(su2)")
 LAT = Lattice(D=3, n=5, a=0.2)
@@ -68,3 +73,39 @@ def test_onshell_momenta_invert_the_elimination():
     for P, (j, k) in enumerate(P3):
         d = 3 - j - k
         assert np.max(np.abs(S3[d, P] * pA_up[d] - pt.blocks["B"][P])) < 1e-12
+
+
+CATALOG = ["trivial_bf(1)", "trivial_bf(3)", "abelian(1,1)", "abelian(2,3)",
+           "abelian(4,2)", "adjoint(su2)", "vector_poincare"]
+
+
+def _dense_module():
+    """abelian(2,3) with dense positive-definite Q and q: every structure
+    tensor is zero, so any symmetric metric is invariant."""
+    rng = np.random.default_rng(4)
+    m, h = rng.normal(size=(2, 2)), rng.normal(size=(3, 3))
+    return dataclasses.replace(builtin_module("abelian(2,3)"),
+                               Q=m @ m.T + np.eye(2), qf=h @ h.T + np.eye(3),
+                               name="dense")
+
+
+@pytest.mark.parametrize("name", CATALOG + ["dense"])
+def test_onshell_map_is_the_one_rule(name):
+    """onshell_momenta makes chi(A) and chi(beta) vanish, and the gauge-fixed
+    substitution of a field, composed with the on-shell map, is the
+    identity on its momentum: exactly on the catalog, whose metrics are
+    diagonal with entries +-1, and to roundoff on dense metrics."""
+    cm = _dense_module() if name == "dense" else builtin_module(name)
+    tol = 1e-13 if name == "dense" else 0.0
+    pt = random_phase_point(cm, LAT, seed=3, rule="random", mode_count=2)
+    pt.blocks.update(onshell_momenta(cm, pt.blocks, LAT))
+    for fam in ("chi(A)", "chi(beta)"):
+        chi = evaluate_constraint(cm, fam, pt)
+        assert np.max(np.abs(chi), initial=0.0) <= tol, fam
+    for mom, (field, M) in onshell_map(cm).items():
+        shape = M.shape[2:]
+        [(sub, got)] = constraints._gauge_fix(cm, [(identity(shape), field)])
+        assert got == mom
+        composed = np.tensordot(M, sub, axes=2)
+        assert np.max(np.abs(composed - identity(M.shape[:2])),
+                      initial=0.0) <= tol, mom
