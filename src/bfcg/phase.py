@@ -117,7 +117,7 @@ def onshell_momenta(cm, blocks: dict, lattice: Lattice) -> dict:
     out = {mom: np.zeros(shapes[mom] + lattice.shape)
            for name, mom in CANONICAL_PAIRS
            if (name, mom) not in GAUGE_FIXED_PAIRS}
-    out.update((mom, np.tensordot(M, blocks[name], axes=2))
+    out.update((mom, np.einsum("ijkl,kl...->ij...", M, blocks[name]))
                for mom, (name, M) in onshell_map(cm).items())
     return out
 
