@@ -143,12 +143,10 @@ def _product(fcache, factors):
     """The product of the factors' values, multiplied left to right: the
     cached value itself for one factor (not to be written into), a fresh
     array for more."""
-    first, *rest = factors
-    prod = fcache.get(first)
-    for k, f in enumerate(rest):
-        if k == 0:
-            prod = prod * fcache.get(f)
-        else:
+    prod = fcache.get(factors[0])
+    if len(factors) > 1:
+        prod = prod * fcache.get(factors[1])
+        for f in factors[2:]:
             prod *= fcache.get(f)
     return prod
 

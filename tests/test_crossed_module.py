@@ -113,8 +113,8 @@ def test_vectorized_identities_match_loop_oracle(name):
 
 
 def test_vector_poincare_tensors_are_exact_integers():
-    """The so(3,1) structure constants solved by lstsq (+-0.9999999999999998)
-    are rounded: f, act, Q and qf are exact integers, and every identity of
+    """The so(3,1) structure constants are read from commutator entries, not
+    fitted: f, act, Q and qf are exact integers, and every identity of
     validate holds exactly."""
     cm = builtin_module("vector_poincare")
     for name in ("f", "act", "Q", "qf"):
