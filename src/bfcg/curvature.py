@@ -56,8 +56,8 @@ lattice.SLAB_SITES sites), so its intermediates stay in cache.  A kernel
 reads its configuration, whose fields are held arrays or recipes, only
 through its slab source (FieldConfiguration.slabs): a lattice.Slab holds
 each field's window, the slab and the neighbour rows before and after it
-along axis 0, which a kernel differences with lattice.slab_derivative.  Only
-curvature_F, which the gauge check's covariance compares whole, forms a
+along axis 0, which a kernel differences with lattice.slab_derivative.
+Only curvature_F, which the gauge check's covariance compares whole, forms a
 full curvature: the norms and the field equations reduce each stored pair
 or triple of a slab at once, and the Bianchi identities difference
 curvatures held in slab rings (lattice._ring), which compute each slab once

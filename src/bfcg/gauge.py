@@ -275,9 +275,8 @@ def transformed_actions(cm, cfg, eps, eta) -> tuple:
     slab.  Each slab is transformed once, on the lattice.slabs partition,
     into new slab arrays (C is shared by the fat transform), and a slab
     ring (lattice._ring) gives the action each transformed slab with its
-    neighbour rows.  The
-    three values are bitwise those of evaluate_action on cfg and on the
-    transforms of a copy of it.
+    neighbour rows.  The three values are bitwise those of evaluate_action
+    on cfg and on the transforms of a copy of it.
     """
     lat = cfg.lattice
     _require_4d(cm, cfg, "the action is")

@@ -90,9 +90,10 @@ def tensor_density(comp_shape, *terms) -> Density:
     is true; a term with no factor raises ValueError.  The axes of coeff are
     the free components (comp_shape), then for each factor in order its
     derivative axis (the lattice axis, only when deriv) and its rank
-    component axes.  Every entry of coeff at or above the drop threshold becomes one monomial; monomials of one free
-    component with the same factor set are merged, and a merged coefficient
-    below the threshold is dropped.
+    component axes.  Every entry of coeff at or above the drop threshold
+    becomes one monomial; monomials of one free component with the same
+    factor set are merged, and a merged coefficient below the threshold is
+    dropped.
     """
     comp_shape = tuple(comp_shape)
     nfree = len(comp_shape)
