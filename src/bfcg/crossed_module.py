@@ -51,8 +51,6 @@ __all__ = [
     "validate_crossed_module",
     "t_map",
     "contract",
-    "matvec",
-    "bilinear",
     "load_crossed_module",
     "dump_crossed_module",
 ]
@@ -239,98 +237,65 @@ def t_map(cm: DifferentialCrossedModule) -> np.ndarray:
     return np.linalg.solve(cm.Q.T, rhs).reshape(cm.p, cm.q, cm.q)
 
 
-def contract(T: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """out[i] = sum_{j,k} T[i, j, k] X[j] Y[k], summed over the nonzeros of T.
+def _product_into(out, X, others) -> np.ndarray:
+    """out = X times each array of others in turn (a copy of X if there is
+    none)."""
+    if not others:
+        np.copyto(out, X)
+        return out
+    np.multiply(X, others[0], out=out)
+    for Z in others[1:]:
+        out *= Z
+    return out
 
-    X and Y carry the contracted index first and lattice axes after it, so
-    this is the contraction einsum("ijk,j...,k...->i...", T, X, Y), with
-    the nonzeros of T taken in (j, k) order.  Structure tensors are mostly
-    zero: the loop does one product per nonzero and site, through a single
-    scratch buffer, where the dense contraction does I*J*K.  For another
-    index order pass a transposed view of T.
+
+def contract(T: np.ndarray, *fields) -> np.ndarray:
+    """out[i] = sum T[i, j, k, ...] X[j] Y[k] ..., summed over the nonzeros
+    of T.
+
+    T takes one field per axis after its first.  Each field carries the
+    contracted index first and lattice axes after it, broadcast against the
+    others, so this is the contraction einsum("ijk...,j...,k...->i...", T,
+    X, Y, ...), with the nonzeros of T taken in index order.  Structure
+    tensors and metrics are mostly zero: the loop does one product per
+    nonzero and site, through a single scratch buffer, where the dense
+    contraction does one per entry.  For another index order pass a
+    transposed view of T; the pairing X M Y of two fields by a metric M is
+    contract(M[None], X, Y)[0].
 
     Each row starts from its first term, and a coefficient c = +-1 adds or
-    subtracts the product X[j] Y[k]; any other c adds (X[j] Y[k]) c.  So
-    every value is bitwise that of the same terms summed into zeros, but
-    that an exact-zero row may be -0.0 where zeros give +0.0.  A row with
-    no nonzero of T is zero.
+    subtracts the product X[j] Y[k] ... (a lone field X[j] itself); any
+    other c adds (X[j] Y[k] ...) c.  So every value is bitwise that of the
+    same terms summed into zeros, but that an exact-zero row may be -0.0
+    where zeros give +0.0.  A row with no nonzero of T is zero.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    out = np.empty((T.shape[0],) + np.broadcast_shapes(X.shape[1:], Y.shape[1:]))
-    buf = np.empty(out.shape[1:])
-    last = -1   # np.nonzero runs over the rows in order
-    for i, j, k in zip(*np.nonzero(T)):
-        c, row = T[i, j, k], out[i]
+    fields = [np.asarray(X, dtype=float) for X in fields]
+    shape = (T.shape[0],) + np.broadcast_shapes(*(X.shape[1:] for X in fields))
+    nonzero = np.nonzero(T)
+    rows = nonzero[0].tolist()   # in order
+    # a row with no nonzero keeps the zeros it is made with
+    out = np.empty(shape) if len(set(rows)) == len(T) else np.zeros(shape)
+    buf = np.empty(shape[1:])
+    last = -1
+    for i, c, *js in zip(rows, T[nonzero].tolist(),
+                         *(k.tolist() for k in nonzero[1:])):
+        X, *others = [F[j] for F, j in zip(fields, js)]
         if i != last:
-            out[last + 1:i] = 0.0   # rows with no nonzero
-            last = i
-            np.multiply(X[j], Y[k], out=row)
+            last, row = i, out[i]
+            _product_into(row, X, others)
             if c == -1.0:
                 np.negative(row, out=row)
             elif c != 1.0:
                 row *= c
             continue
-        np.multiply(X[j], Y[k], out=buf)
-        if abs(c) != 1.0:
-            buf *= c
+        if others or abs(c) != 1.0:
+            X = _product_into(buf, X, others)
+            if abs(c) != 1.0:
+                X *= c
         if c == -1.0:
-            row -= buf
+            row -= X
         else:
-            row += buf
-    out[last + 1:] = 0.0
-    return out
-
-
-def matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """out[i] = sum_j M[i, j] X[j], summed over the nonzeros of M into zeros.
-
-    X carries the contracted index first and lattice axes after it.  The
-    terms are added in the order of j, a coefficient +-1 as X[j] itself, so
-    every value, the sign of a zero included, is bitwise
-    einsum("ij,j...->i...", M, X) on finite X (for "ji,j..." pass M.T).
-    A zero entry of M adds no term, where einsum adds 0 X[j], which is NaN
-    for an infinite or NaN X[j].
-    """
-    X = np.asarray(X, dtype=float)
-    out = np.zeros((M.shape[0],) + X.shape[1:])
-    buf = np.empty(X.shape[1:])
-    for i, j in zip(*np.nonzero(M)):
-        c = M[i, j]
-        if c == 1.0:
-            out[i] += X[j]
-        elif c == -1.0:
-            out[i] -= X[j]
-        else:
-            out[i] += np.multiply(X[j], c, out=buf)
-    return out
-
-
-def bilinear(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """sum_{i,j} X[i] M[i, j] Y[j] per site, over the nonzeros of M, summed
-    into zeros.
-
-    X and Y carry the contracted index first.  The terms are added in (i, j)
-    order, each as (X[i] c) Y[j] and a coefficient c = +-1 as +-X[i] Y[j],
-    so every value, the sign of a zero included, is bitwise
-    einsum("i...,ij,j...->...", X, M, Y) on finite X and Y; a zero entry of
-    M adds no term, where einsum's 0 times inf or NaN is NaN.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    out = np.zeros(np.broadcast_shapes(X.shape[1:], Y.shape[1:]))
-    buf = np.empty(out.shape)
-    for i, j in zip(*np.nonzero(M)):
-        c = M[i, j]
-        if abs(c) == 1.0:
-            np.multiply(X[i], Y[j], out=buf)
-        else:
-            np.multiply(X[i], c, out=buf)
-            buf *= Y[j]
-        if c == -1.0:
-            out -= buf
-        else:
-            out += buf
+            row += X
     return out
 
 

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .crossed_module import _maxabs, bilinear, contract, matvec
+from .crossed_module import _maxabs, contract
 from .lattice import (FIELDS, SLAB_SITES, FieldConfiguration, Slab, _fitted,
                       _ring, levi_civita, pair_index, pairs, slab_derivative,
                       slab_window, triples)
@@ -102,7 +102,7 @@ def _curvature_F_pair(cm, slab, P) -> np.ndarray:
 def _fake_curvature_pair(cm, slab, P) -> np.ndarray:
     """H^a on the stored pair P over the slab, shape (p, slab...)."""
     out = _curvature_F_pair(cm, slab, P)
-    out -= matvec(cm.del_.T, slab["beta"][P])
+    out -= contract(cm.del_.T, slab["beta"][P])
     return out
 
 
@@ -190,13 +190,13 @@ def _curvature_T_pair(cm, slab, P) -> np.ndarray:
 def _bianchi_g(cm, slab, tri) -> np.ndarray:
     """Q . d_A F on one triple over the slab, from its window of F: the
     g-sector Bianchi 3-form."""
-    return matvec(cm.Q, _three_form_triple(slab, "F", cm.f, tri))
+    return contract(cm.Q, _three_form_triple(slab, "F", cm.f, tri))
 
 
 def _bianchi_h(cm, slab, tri) -> np.ndarray:
     """q . d_A T - W(actlow; F, C) on one triple over the slab, from its
     windows of F and T: the h-sector Bianchi 3-form."""
-    out = matvec(cm.qf, _three_form_triple(slab, "T", cm.act, tri))
+    out = contract(cm.qf, _three_form_triple(slab, "T", cm.act, tri))
     out -= _wedge_triple(cm.actlow, slab["F"], slab["C"], tri)
     return out
 
@@ -225,10 +225,10 @@ def _action_density(cm, slab, out) -> None:
     at a time, in the same per-site order on any slab."""
     for Pi, Pj, e in _PP4:
         H = _fake_curvature_pair(cm, slab, Pj)
-        _add_signed(out, e, bilinear(slab["B"][Pi], cm.Q, H))
+        _add_signed(out, e, contract(cm.Q[None], slab["B"][Pi], H)[0])
     for mu, tri, e in _AT4:
         G = _three_form_triple(slab, "beta", cm.act, tri)
-        _add_signed(out, e, bilinear(slab["C"][mu], cm.qf, G))
+        _add_signed(out, e, contract(cm.qf[None], slab["C"][mu], G)[0])
 
 
 def _density(cm, cfg) -> np.ndarray:
@@ -286,7 +286,7 @@ def curvature_norms(cm, cfg) -> dict:
         F = [_curvature_F_pair(cm, slab, P) for P in range(npairs)]
         worst.append((
             _worst(F),
-            _worst(F[P] - matvec(cm.del_.T, slab["beta"][P])
+            _worst(F[P] - contract(cm.del_.T, slab["beta"][P])
                    for P in range(npairs)),
             _worst(_three_form_triple(slab, "beta", cm.act, tri)
                    for tri in triples(4)),
@@ -322,7 +322,7 @@ def eom_residuals(cm, cfg) -> dict:
             _worst(_three_form_triple(slab, "beta", cm.act, tri)
                    for tri in triples(4))))
         for sig, tri, e in _AT4:
-            E = matvec(cm.Q, _three_form_triple(slab, "B", cm.f, tri))
+            E = contract(cm.Q, _three_form_triple(slab, "B", cm.f, tri))
             W = _wedge_triple(actlow_a, slab["beta"], slab["C"], tri)
             W *= 2.0
             E += W
@@ -330,8 +330,8 @@ def eom_residuals(cm, cfg) -> dict:
                 np.negative(E, out=E)
             E_A[sig, :, slab.rows] = E
         for Pp, P, e in _PP4:
-            E = matvec(cm.qf, _curvature_T_pair(cm, slab, Pp))
-            dB = matvec(cm.dlow, slab["B"][Pp])
+            E = contract(cm.qf, _curvature_T_pair(cm, slab, Pp))
+            dB = contract(cm.dlow, slab["B"][Pp])
             dB *= 0.5
             E -= dB
             if e < 0:   # E *= e
@@ -480,7 +480,7 @@ def _covariant_top_form(slab, F, X, coupling, metric) -> float:
         x = contract(coupling, F[Pi], slab[X][Pj])
         x *= 4.0
         _add_signed(out, -e, x)
-    return _maxabs(matvec(metric, out))
+    return _maxabs(contract(metric, out))
 
 
 def bianchi_residuals(cm, cfg) -> dict:

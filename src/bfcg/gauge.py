@@ -53,7 +53,7 @@ import math
 
 import numpy as np
 
-from .crossed_module import contract, matvec, t_map
+from .crossed_module import contract, t_map
 from .curvature import ACTION_FIELDS, _action, _action_density, _require_4d
 from .lattice import (FIELDS, FieldConfiguration, _fitted, _ring, pairs,
                       slab_derivative)
@@ -223,7 +223,7 @@ def _fat_slab(cm, slab, out, T) -> None:
         shift *= 2.0
         np.add(slab["B"][P], shift, out=out["B"][P])
     for mu in range(lat.D):
-        np.add(A[mu], matvec(cm.del_.T, e[mu]), out=out["A"][mu])
+        np.add(A[mu], contract(cm.del_.T, e[mu]), out=out["A"][mu])
 
 
 def _parameter(cm, lat, name, field):

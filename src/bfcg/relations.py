@@ -434,7 +434,7 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     f_abc = cm.f.transpose(1, 2, 0)
     lhs_a = sum(_cov_derivative(whole, f_abc, window(phiH[i]), i)
                 for i in range(3))
-    lhs_a += 0.5 * np.einsum("ga,g...->a...", cm.dup, phiG)
+    lhs_a += 0.5 * contract(cm.dup.T, phiG)
     mix1 = np.einsum("ga,ged->ade", cm.dup, cm.actQ)
     for P in range(3):
         lhs_a += contract(mix1, be[P], chiB[P])
@@ -452,13 +452,12 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     # actmix = actlow . qfinv is the coupling of a lowered h index
     lhs_b = sum(_cov_derivative(whole, cm.actmix, window(phiCB[k]), k)
                 for k in range(3))
-    lhs_b += np.einsum("xa,a...->x...", cm.del_, phiBCb)
-    chibe_up = np.einsum("xy,Py...->Px...", cm.qfinv, chibe)
+    lhs_b += contract(cm.del_, phiBCb)
     del_f = np.einsum("xa,ead->xde", cm.del_, cm.f)
     phi_xbg = cm.phi.transpose(1, 2, 0)  # phi^g_{xb} as [x, b, g]
     actQ_xde = cm.actQ.transpose(0, 2, 1)  # actQ[x, e, d] as [x, d, e]
     for P in range(3):
-        lhs_b += contract(cm.actlow, F3[P], chibe_up[P])
+        lhs_b += contract(cm.actlow, F3[P], contract(cm.qfinv, chibe[P]))
         lhs_b -= contract(del_f, B[P], chiB[P])
         lhs_b -= contract(phi_xbg, be[P], chibe[P])
     for k in range(3):

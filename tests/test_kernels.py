@@ -9,10 +9,10 @@ against itself on a different slab partition, and on held fields and on
 recipes; the slab rings of the Bianchi residuals compute each slab once.
 
 The exact-arithmetic kernels are pinned to the loops they stand for:
-contract() to the sum into zeros with a product per coefficient (on
-fields with +-0, inf and NaN entries), matvec() and bilinear() bitwise,
-the sign of a zero included, to the einsums over the metrics and del,
-and evaluate_density, LocalFunctional.value and .gradient bitwise to a
+contract() with one, two and three fields to the sum into zeros with a
+product per coefficient (on fields with +-0, inf and NaN entries), and
+over the metrics and del to their einsums by value, and
+evaluate_density, LocalFunctional.value and .gradient bitwise to a
 copy-and-multiply loop over every constraint density.
 """
 
@@ -21,8 +21,7 @@ import pytest
 
 from bfcg import curvature, lattice
 from bfcg.constraints import FAMILIES, constraint_density
-from bfcg.crossed_module import (bilinear, builtin_module, contract, matvec,
-                                 t_map)
+from bfcg.crossed_module import builtin_module, contract, t_map
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_norms,
                             eom_residuals, evaluate_action)
 from bfcg.gauge import (fat_gauge_transform, thin_gauge_transform,
@@ -96,74 +95,95 @@ def _special_field(rng, shape):
     return X
 
 
-def _zero_filled_contract(T, X, Y):
-    """contract() as the sum into zeros of (X[j] Y[k]) T[i, j, k]."""
-    out = np.zeros((T.shape[0],) + np.broadcast_shapes(X.shape[1:],
-                                                       Y.shape[1:]))
-    for i, j, k in zip(*np.nonzero(T)):
-        out[i] += X[j] * Y[k] * T[i, j, k]
+def _zero_filled_contract(T, *fields):
+    """contract() as the sum into zeros of (X[j] Y[k] ...) T[i, j, k, ...]."""
+    out = np.zeros((T.shape[0],) + np.broadcast_shapes(
+        *(X.shape[1:] for X in fields)))
+    for i, *js in zip(*np.nonzero(T)):
+        term = fields[0][js[0]]
+        for X, j in zip(fields[1:], js[1:]):
+            term = term * X[j]
+        out[i] += term * T[(i, *js)]
     return out
 
 
-def _random_tensor(cm, gapped=False):
-    """A dense tensor of f's shape with non-unit entries; gapped, with the
-    even rows zero."""
-    T = np.random.default_rng(8).normal(size=cm.f.shape)
-    if gapped:
+def _metrics(cm):
+    """The matrices the curvature, gauge and off-shell layers contract
+    with: the metrics, the inverse metric of h, and del_ and dlow both ways
+    round."""
+    return {"Q": cm.Q, "qf": cm.qf, "qfinv": cm.qfinv, "dup.T": cm.dup.T,
+            "dlow": cm.dlow, "dlow.T": cm.dlow.T, "del": cm.del_,
+            "del.T": cm.del_.T}
+
+
+def _dense_tensor(cm, kind):
+    """A dense tensor with non-unit entries: of f's shape ("random"), with
+    its even rows zero ("gapped"), a (p, q + 2) matrix ("random2") or a
+    (2, p, 3, q + 1) tensor ("random4")."""
+    shape = {"random2": (cm.p, cm.q + 2),
+             "random4": (2, cm.p, 3, cm.q + 1)}.get(kind, cm.f.shape)
+    T = np.random.default_rng(8).normal(size=shape)
+    if kind == "gapped":
         T[::2] = 0.0
     return T
 
 
+def _tensor(cm, kind):
+    if kind in TENSORS:
+        return TENSORS[kind](cm)
+    if kind == "Q[None]":   # the pairing B Q H of the action density
+        return cm.Q[None]
+    metrics = _metrics(cm)
+    return metrics[kind] if kind in metrics else _dense_tensor(cm, kind)
+
+
 @pytest.mark.parametrize("name", MODULES)
 @pytest.mark.parametrize("tensor", ["f", "act", "actlow", "phi", "t_map",
-                                    "random", "gapped"])
+                                    "random", "gapped", "Q", "qf", "dlow",
+                                    "dlow.T", "del", "del.T", "Q[None]",
+                                    "random2", "random4"])
 def test_contract_matches_the_zero_filled_loop(name, tensor):
     """Bitwise but for the sign of an exact zero, with the same NaNs, on
-    fields that hold +-0, +-inf and NaN."""
+    fields that hold +-0, +-inf and NaN: one field per axis of the tensor
+    after its first, so one field for a matrix, two for the catalog's
+    rank-3 tensors and a pairing M[None], three for "random4"."""
     cm = builtin_module(name)
-    T = (_random_tensor(cm, tensor == "gapped") if tensor in ("random", "gapped")
-         else TENSORS[tensor](cm))
+    T = _tensor(cm, tensor)
     rng = np.random.default_rng(9)
-    X = _special_field(rng, (T.shape[1], 4, 6))
-    Y = _special_field(rng, (T.shape[2], 4, 6))
+    fields = [_special_field(rng, (k, 4, 6)) for k in T.shape[1:]]
     with np.errstate(invalid="ignore"):
-        got = contract(T, X, Y)
-        want = _zero_filled_contract(T, X, Y)
+        got = contract(T, *fields)
+        want = _zero_filled_contract(T, *fields)
     assert got.shape == want.shape
     assert np.array_equal(got, want, equal_nan=True)
-    if tensor == "random":   # every entry of X and Y reaches the output
+    if tensor.startswith("random"):   # every entry of a field reaches out
         assert not np.isfinite(got).all()
 
 
-def _metrics(cm):
-    """The matrices the curvature and gauge layers contract with (del_ and
-    dlow both ways round), and a dense one with non-unit entries."""
-    rng = np.random.default_rng(10)
-    return {"Q": cm.Q, "qf": cm.qf, "dlow": cm.dlow, "dlow.T": cm.dlow.T,
-            "del": cm.del_, "del.T": cm.del_.T,
-            "random": rng.normal(size=(cm.p, cm.q + 2))}
-
-
-def _bitwise(got, want):
-    return (got.shape == want.shape and np.array_equal(got, want)
-            and np.array_equal(np.signbit(got), np.signbit(want)))
-
-
 @pytest.mark.parametrize("name", MODULES)
-def test_matvec_and_bilinear_match_einsum(name):
-    """Bitwise, the sign of a zero included, on fields with +-0 entries."""
+def test_contract_over_a_metric_equals_einsum(name):
+    """On the catalog's metrics and del, whose entries are 0 and +-1, one
+    field and the pairing of two equal their einsums in value on finite
+    fields with +-0 entries."""
     cm = builtin_module(name)
     rng = np.random.default_rng(11)
     for key, M in _metrics(cm).items():
+        assert set(np.unique(M)) <= {-1.0, 0.0, 1.0}, key
         X = rng.normal(size=(M.shape[0], 4, 6))
         Y = rng.normal(size=(M.shape[1], 4, 6))
         for Z in (X, Y):
             Z[..., 0] = 0.0
             Z[..., 1] = -0.0
             Z[:1, 2] = -0.0
-        assert _bitwise(matvec(M, Y), np.einsum("ij,j...->i...", M, Y)), key
-        assert _bitwise(bilinear(X, M, Y),
-                        np.einsum("i...,ij,j...->...", X, M, Y)), key
+        assert np.array_equal(contract(M, Y),
+                              np.einsum("ij,j...->i...", M, Y)), key
+        assert np.array_equal(contract(M[None], X, Y)[0],
+                              np.einsum("i...,ij,j...->...", X, M, Y)), key
+
+
+def _bitwise(got, want):
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
 
 
 SPACINGS = {"0.3": 0.3, "1/6": 1 / 6, "1/24": 1 / 24,   # divided by 2a

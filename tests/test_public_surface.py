@@ -87,8 +87,10 @@ def test_private_function_has_a_caller(module, name):
 
 
 def _einsum_calls(path):
-    """(enclosing module-level function, line, cm.<tensor> operands) of
-    every np.einsum call in the file."""
+    """(enclosing module-level function, line, cm.<tensor> operands, per
+    site) of every np.einsum call in the file; a call is per site unless
+    its subscripts are a string constant without "...", an operand with
+    lattice axes."""
     out = []
     for top in _tree(path).body:
         for node in ast.walk(top):
@@ -101,17 +103,26 @@ def _einsum_calls(path):
                        if isinstance(sub, ast.Attribute)
                        and isinstance(sub.value, ast.Name)
                        and sub.value.id == "cm"]
-            out.append((getattr(top, "name", None), node.lineno, tensors))
+            subs = node.args[0]
+            per_site = not (isinstance(subs, ast.Constant)
+                            and "..." not in subs.value)
+            out.append((getattr(top, "name", None), node.lineno, tensors,
+                        per_site))
     return out
 
 
-@pytest.mark.parametrize("module", ["curvature", "gauge"])
+@pytest.mark.parametrize("module", ["curvature", "gauge", "relations"])
 def test_kernels_contract_structure_tensors_through_the_helpers(module):
-    """The 4D kernels contract every structure tensor and metric through
-    crossed_module's sparse helpers (contract, matvec, bilinear), which skip
-    its zeros and its +-1 products, not through a dense np.einsum: no
-    einsum takes a cm.<tensor> operand, and the one einsum left is the
-    per-site rotation of gauge._apply, whose matrices are not a module's."""
+    """The lattice kernels contract every structure tensor and metric with
+    a field through crossed_module.contract, which skips its zeros and its
+    +-1 products, not through a dense np.einsum: no per-site einsum takes a
+    cm.<tensor> operand.  In the 4D kernels no einsum takes one at all, and
+    the one einsum left is the per-site rotation of gauge._apply, whose
+    matrices are not a module's; relations keeps the einsums of the
+    independent right-side oracle _rhs, whose operands it looks up by
+    name, and those that combine module tensors alone."""
     calls = _einsum_calls(SRC / f"{module}.py")
-    assert not [c for c in calls if c[2]], calls
-    assert {fn for fn, _, _ in calls} <= {"_apply"}, calls
+    assert not [c for c in calls if c[2] and c[3]], calls
+    if module != "relations":
+        assert not [c for c in calls if c[2]], calls
+        assert {fn for fn, *_ in calls} <= {"_apply"}, calls
