@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import EPS3
+from .lattice import EPS3, pairs
 
 __all__ = [
     "DifferentialCrossedModule",
@@ -311,14 +311,13 @@ def _su2() -> tuple:
 def _so31_vector() -> tuple:
     """so(3,1) structure constants, invariant form, and the vector action.
 
-    Basis: M_{AB} with (A,B) in lexicographic pair order
-    (01, 02, 03, 12, 13, 23); η = diag(-1, 1, 1, 1).  The invariant form is
+    Basis: M_{AB} with (A,B) in the lexicographic pair order of
+    lattice.pairs(4), (01, 02, 03, 12, 13, 23); η = diag(-1, 1, 1, 1).  The invariant form is
     Q(M_{AB}, M_{CD}) = η_{AC} η_{BD} - η_{AD} η_{BC} = -tr(M_{AB} M_{CD})/2.
     """
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     gens = []
-    for A, B in pairs:
+    for A, B in pairs(4):
         M = np.zeros((4, 4))
         M[A, :] += eta[B, :]
         M[B, :] -= eta[A, :]
@@ -329,7 +328,7 @@ def _so31_vector() -> tuple:
     # [M_b, M_c] times eta_BB, an exact integer (+ 0.0: no -0.0)
     prods = np.einsum("bCE,cED->bcCD", gens, gens)   # M_b M_c
     comm = prods - np.swapaxes(prods, 0, 1)
-    A, B = np.array(pairs).T
+    A, B = np.array(pairs(4)).T
     f = np.moveaxis(comm[:, :, A, B] * eta[B, B], -1, 0) + 0.0
     Q = -0.5 * np.einsum("aCD,bDC->ab", gens, gens) + 0.0
     act = np.einsum("aCD->CaD", gens)  # ▷^β_{aα} = (M_a)^β{}_α
