@@ -21,8 +21,8 @@ from .crossed_module import (DEFAULT_TOL, _maxabs, _nondegeneracy_violation,
 from .curvature import (bianchi_residuals, curvature_F, curvature_norms,
                         eom_gradient_check, eom_residuals, evaluate_action)
 from .dof import dof_count, dof_report
-from .gauge import (_generators, expm_batched, thin_gauge_transform,
-                    transformed_actions)
+from .gauge import (_generators, expm_batched, fat_H_change,
+                    thin_gauge_transform, transformed_actions)
 from .lattice import (FieldRecipe, Lattice, _random_recipe, finest_order,
                       fit_order, make_config_recipe)
 from .phase import random_phase_point
@@ -164,19 +164,39 @@ def check_validate(cm, cfg: RunConfig) -> CheckRecord:
                        {name: (float(viol),) for name, viol, _ in rep.entries})
 
 
+def _gauge_parameters(cm, cfg: RunConfig):
+    """The rng of the gauge checks and the recipes of the thin parameter
+    eps and the fat parameter eta, drawn from it in that order."""
+    rng = np.random.default_rng(cfg.seed + 100)
+    eps = _random_recipe(rng, 4, (cm.p,), cfg.modes, scale=0.3)
+    eta = _random_recipe(rng, 4, (4, cm.q), cfg.modes, scale=0.3)
+    return rng, eps, eta
+
+
 @_nondegenerate
 def check_curvature(cm, cfg: RunConfig) -> CheckRecord:
+    """The curvature norms and the action, which must be finite, and the
+    fat invariance of the fake curvature H, gated relative to its size:
+    max |H' - H| <= tol max(1, max |H|), with eta as gauge-check draws it.
+    H' = H holds exactly on the lattice by the equivariance of del and the
+    Peiffer identity, which read f, act, phi and del, so a perturbation of
+    any of them that breaks those identities FAILs here."""
     n = cfg.ns[0]
     c = _recipe(cm, cfg).stream(_lattice(cfg, 4, n))
     norms = curvature_norms(cm, c)
     S = evaluate_action(cm, c)
+    dH = fat_H_change(cm, c, _gauge_parameters(cm, cfg)[2])
+    invariant = dH <= cfg.tol * max(1.0, norms["H"])
     lines = [f"# curvature norms at n={n}"]
     lines += [f"curvature {k} maxabs {_fmt(v)}" for k, v in norms.items()]
+    lines.append(f"curvature H fat-invariance {_fmt(dH)} {_pf(invariant)}")
     lines.append(f"action {S!r}")
     # a norm is finite iff every entry is
     finite = all(map(np.isfinite, norms.values()))
-    return CheckRecord("curvature", bool(finite and np.isfinite(S)), "", lines,
-                       {k: (v,) for k, v in norms.items()})
+    return CheckRecord("curvature", bool(finite and np.isfinite(S)
+                                         and invariant), "", lines,
+                       {**{k: (v,) for k, v in norms.items()},
+                        "H_fat": (dH,)})
 
 
 @_nondegenerate
@@ -204,10 +224,7 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
     if len(cfg.ns) == 2:
         raise ValueError("gauge-check refinement needs at least 3 resolutions"
                          " (one gives the covariance alone)")
-    rng = np.random.default_rng(cfg.seed + 100)
-    eps_rec = _random_recipe(rng, 4, (cm.p,), cfg.modes, scale=0.3)
-    eta_rec = _random_recipe(rng, 4, (4, cm.q), cfg.modes, scale=0.3)
-
+    rng, eps_rec, eta_rec = _gauge_parameters(cm, cfg)
     recipe = _recipe(cm, cfg)
 
     # exact covariance under a constant thin parameter, a one-mode recipe

@@ -44,7 +44,9 @@ rotation serves both and each slab forms one exponential; otherwise the
 g-sector stacks are dropped before the h-sector exponential is formed.
 So one sector's stacks (the exponential's working set; tens of MB) and that
 slab's D eps are alive at a time, whatever the lattice size.  The fat body
-differences only eta, one stored pair at a time.
+differences only eta, one stored pair at a time.  fat_H_change compares the
+fake curvature of a configuration with that of its fat transform slab by
+slab, from the fat shift of beta and the pointwise shift of A.
 """
 
 from __future__ import annotations
@@ -53,15 +55,17 @@ import math
 
 import numpy as np
 
-from .crossed_module import contract, t_map
-from .curvature import ACTION_FIELDS, _action, _action_density, _require_4d
-from .lattice import (FIELDS, FieldConfiguration, _fitted, _ring, pairs,
+from .crossed_module import _maxabs, contract, t_map
+from .curvature import (ACTION_FIELDS, _action, _action_density,
+                        _curvature_F_pair, _fake_curvature_pair, _require_4d)
+from .lattice import (FIELDS, FieldConfiguration, Slab, _fitted, _ring, pairs,
                       slab_derivative)
 
 __all__ = [
     "expm_batched",
     "thin_gauge_transform",
     "fat_gauge_transform",
+    "fat_H_change",
     "transformed_actions",
 ]
 
@@ -199,6 +203,22 @@ def _thin_slab(cm, slab, out) -> None:
         out["beta"][P] = _apply(R, slab["beta"][P])
 
 
+def _fat_beta_shift(cm, slab, P) -> np.ndarray:
+    """d eta + A wedge^act eta + eta ^ eta on the stored pair P over the
+    slab, from its rows of A and its window of "eta": the fat shift of
+    beta."""
+    lat = slab.lattice
+    A, e = slab["A"], slab["eta"]
+    m, n = pairs(lat.D)[P]
+    shift = slab_derivative(slab.window("eta", n), m, lat)
+    shift -= slab_derivative(slab.window("eta", m), n, lat)
+    wedge = contract(cm.act, A[m], e[n])
+    wedge -= contract(cm.act, A[n], e[m])
+    shift += wedge
+    shift += contract(cm.phi, e[m], e[n])
+    return shift
+
+
 def _fat_slab(cm, slab, out, T) -> None:
     """The fat transformation of one slab, from its rows of the fields and
     its window of "eta", written into out["A"], out["beta"] and out["B"]
@@ -211,13 +231,8 @@ def _fat_slab(cm, slab, out, T) -> None:
     lat = slab.lattice
     A, C, e = slab["A"], slab["C"], slab["eta"]
     for P, (m, n) in enumerate(pairs(lat.D)):
-        shift = slab_derivative(slab.window("eta", n), m, lat)
-        shift -= slab_derivative(slab.window("eta", m), n, lat)
-        wedge = contract(cm.act, A[m], e[n])
-        wedge -= contract(cm.act, A[n], e[m])
-        shift += wedge
-        shift += contract(cm.phi, e[m], e[n])
-        np.add(slab["beta"][P], shift, out=out["beta"][P])
+        np.add(slab["beta"][P], _fat_beta_shift(cm, slab, P),
+               out=out["beta"][P])
         shift = contract(T, C[m], e[n])
         shift -= contract(T, C[n], e[m])
         shift *= 2.0
@@ -264,6 +279,35 @@ def fat_gauge_transform(cm, cfg: FieldConfiguration,
     for slab in cfg.slabs(rows=FIELDS, eta=eta):
         _fat_slab(cm, slab, slab, T)
     return cfg
+
+
+def fat_H_change(cm, cfg: FieldConfiguration, eta) -> float:
+    """max |H' - H| over the lattice, for the fake curvature H = F - del beta
+    of cfg and H' that of its fat transform with parameter eta (a full
+    array or a FieldRecipe), which leaves H exactly invariant.
+
+    One pass over cfg's slabs; no transformed field is formed beyond a
+    slab.  A' = A + del eta is pointwise, so the window of A' that F
+    differences is formed from the windows of A and eta, and beta' on the
+    slab's rows (_fat_beta_shift).  Each stored pair of H and H' is formed
+    as curvature_norms forms H and reduced at once; the slabs' maxima by
+    np.max, so a NaN reaches the result.  At q = 0 eta is empty and H' - H
+    is an exact zero.
+    """
+    lat = cfg.lattice
+    _require_4d(cm, cfg, "gauge transformations are")
+    eta = _parameter(cm, lat, "eta", eta)
+    worst = []
+    for slab in cfg.slabs(("A",), ("beta",), eta=eta):
+        A1 = tuple(np.stack([A[mu] + contract(cm.del_.T, e[mu])
+                             for mu in range(lat.D)])
+                   for A, e in zip(slab.windows["A"], slab.windows["eta"]))
+        for P in range(len(slab["beta"])):
+            beta1 = slab["beta"][P] + _fat_beta_shift(cm, slab, P)
+            H1 = _curvature_F_pair(cm, Slab(lat, slab.rows, {"A": A1}), P)
+            H1 -= contract(cm.del_.T, beta1)
+            worst.append(_maxabs(H1 - _fake_curvature_pair(cm, slab, P)))
+    return float(np.max(worst))
 
 
 def transformed_actions(cm, cfg, eps, eta) -> tuple:

@@ -256,3 +256,66 @@ def _is_float(tok):
     except ValueError:
         return False
     return True
+
+
+def _broken(kind):
+    """adjoint(su2) with one entry of f, act, phi or del moved by 0.1 (f and
+    phi antisymmetrically): a module that validate FAILs."""
+    cm = builtin_module("adjoint(su2)")
+    T = {"f": cm.f, "act": cm.act, "phi": cm.phi, "del": cm.del_}[kind].copy()
+    if kind == "del":
+        T[0, 1] += 0.1
+    else:
+        T[0, 1, 2] += 0.1
+        if kind != "act":
+            T[0, 2, 1] -= 0.1
+    return replace(cm, **{"del_" if kind == "del" else kind: T})
+
+
+def _fat_row(rec):
+    row, = [line for line in rec.lines
+            if line.startswith("curvature H fat-invariance ")]
+    return row
+
+
+@pytest.mark.parametrize("kind", ["f", "act", "phi", "del"])
+def test_a_broken_module_identity_fails_curvature(kind):
+    """The fake curvature's fat invariance reads the identities that
+    validate gates, so each single-entry mutant FAILs curvature, the phi
+    one included, which eom, algebra and consistency PASS."""
+    cm = _broken(kind)
+    assert not checks.check_validate(cm, RunConfig()).ok
+    rec = check_curvature(cm, RunConfig(ns=(6,)))
+    assert _fat_row(rec).endswith(" FAIL") and not rec.ok
+    assert rec.residuals["H_fat"][0] > 1e-2
+
+
+def _honest(name):
+    """A catalog module, adjoint(su2) with f, act and phi scaled by 0.7 (a
+    crossed module with non-unit entries), or abelian(2,3) with a random
+    del (any del is a crossed module when the rest is zero)."""
+    if name == "adjoint(su2) x0.7":
+        cm = builtin_module("adjoint(su2)")
+        return replace(cm, f=0.7 * cm.f, act=0.7 * cm.act, phi=0.7 * cm.phi)
+    if name == "abelian(2,3) random del":
+        return replace(builtin_module("abelian(2,3)"),
+                       del_=np.random.default_rng(3).normal(size=(3, 2)))
+    return builtin_module(name)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+@pytest.mark.parametrize("name", ["adjoint(su2)", "adjoint(su2) x0.7",
+                                  "abelian(2,3) random del", "vector_poincare",
+                                  "trivial_bf(3)"])
+def test_the_fake_curvature_is_fat_invariant(name, n):
+    """On valid modules the H fat-invariance row PASSes at n = 8, 16 and 24
+    (1, 2 and 12 slabs), at roundoff; at q = 0 eta is empty and the row is
+    an exact zero."""
+    cm = _honest(name)
+    assert checks.check_validate(cm, RunConfig()).ok
+    rec = check_curvature(cm, RunConfig(ns=(n,)))
+    assert rec.ok and _fat_row(rec).endswith(" PASS"), rec.lines
+    dH, H = rec.residuals["H_fat"][0], rec.residuals["H"][0]
+    assert dH <= 1e-13 * max(1.0, H)
+    if cm.q == 0:
+        assert dH == 0.0
