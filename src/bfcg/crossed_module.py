@@ -272,11 +272,11 @@ def contract(T: np.ndarray, *fields) -> np.ndarray:
     fields = [np.asarray(X, dtype=float) for X in fields]
     shape = (T.shape[0],) + np.broadcast_shapes(*(X.shape[1:] for X in fields))
     nonzero = np.nonzero(T)
-    rows = nonzero[0].tolist()   # in order
+    rows = nonzero[0].tolist()
     # a row with no nonzero keeps the zeros it is made with
     out = np.empty(shape) if len(set(rows)) == len(T) else np.zeros(shape)
     buf = np.empty(shape[1:])
-    last = -1
+    last = -1   # np.nonzero runs over the rows in order
     for i, c, *js in zip(rows, T[nonzero].tolist(),
                          *(k.tolist() for k in nonzero[1:])):
         X, *others = [F[j] for F, j in zip(fields, js)]
@@ -288,14 +288,13 @@ def contract(T: np.ndarray, *fields) -> np.ndarray:
             elif c != 1.0:
                 row *= c
             continue
-        if others or abs(c) != 1.0:
-            X = _product_into(buf, X, others)
-            if abs(c) != 1.0:
-                X *= c
+        term = _product_into(buf, X, others) if others or abs(c) != 1.0 else X
+        if abs(c) != 1.0:
+            term *= c
         if c == -1.0:
-            row -= X
+            row -= term
         else:
-            row += X
+            row += term
     return out
 
 
@@ -312,7 +311,8 @@ def _so31_vector() -> tuple:
     """so(3,1) structure constants, invariant form, and the vector action.
 
     Basis: M_{AB} with (A,B) in the lexicographic pair order of
-    lattice.pairs(4), (01, 02, 03, 12, 13, 23); η = diag(-1, 1, 1, 1).  The invariant form is
+    lattice.pairs(4), (01, 02, 03, 12, 13, 23); η = diag(-1, 1, 1, 1).  The
+    invariant form is
     Q(M_{AB}, M_{CD}) = η_{AC} η_{BD} - η_{AD} η_{BC} = -tr(M_{AB} M_{CD})/2.
     """
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
