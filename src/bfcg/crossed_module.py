@@ -270,7 +270,11 @@ def contract(T: np.ndarray, *fields) -> np.ndarray:
     where zeros give +0.0.  A row with no nonzero of T is zero.
     """
     fields = [np.asarray(X, dtype=float) for X in fields]
-    shape = (T.shape[0],) + np.broadcast_shapes(*(X.shape[1:] for X in fields))
+    # the fields' lattice axes mostly agree, and np.broadcast_shapes costs
+    # microseconds a call
+    sites = {X.shape[1:] for X in fields}
+    shape = (T.shape[0],) + (sites.pop() if len(sites) == 1
+                             else np.broadcast_shapes(*sites))
     nonzero = np.nonzero(T)
     rows = nonzero[0].tolist()
     # a row with no nonzero keeps the zeros it is made with
