@@ -30,23 +30,24 @@ full array or a FieldRecipe, checked for its shape alone (_parameter).
 thin_gauge_transform and fat_gauge_transform write the rows over the held
 configuration they are given (the rows of a recipe are read-only, so a
 streamed field raises) and return it without re-validating it, so a
-non-finite value reaches the action and FAILs.  transformed_actions writes
-them into new slab arrays that a slab ring (lattice._ring) hands to the
-action with their neighbour rows, so the gauge check's configuration, its
-transforms and their parameters are realized and transformed one slab at a
-time and no n^4 field exists.  The thin body is pointwise once D eps is
-formed: it builds -f eps (and -act eps) from the nonzeros of the structure
-tensor, exponentiates it as (sites, p, p) stacks, and copies the rotation
-and the dexpinv sum to sites-last (p, p, sites) stacks, whose products with
-the fields run over contiguous sites.  When act equals f (adjoint modules,
-abelian(1,1)) the h-sector stack is the g-sector one, so the g-sector
-rotation serves both and each slab forms one exponential; otherwise the
-g-sector stacks are dropped before the h-sector exponential is formed.
-So one sector's stacks (the exponential's working set; tens of MB) and that
-slab's D eps are alive at a time, whatever the lattice size.  The fat body
-differences only eta, one stored pair at a time.  fat_H_change compares the
-fake curvature of a configuration with that of its fat transform slab by
-slab, from the fat shift of beta and the pointwise shift of A.
+non-finite value reaches the action and FAILs.  transformed_actions makes
+one pass per transform and writes its rows into new slab arrays that a slab
+ring (lattice._ring) hands to the action with their neighbour rows, so the
+gauge check's configuration, one transform at a time and its parameter are
+realized and transformed one slab at a time and no n^4 field exists.  The
+thin body is pointwise once D eps is formed: it builds -f eps (and -act
+eps) from the nonzeros of the structure tensor, exponentiates it as (sites,
+p, p) stacks, and copies the rotation and the dexpinv sum to sites-last (p,
+p, sites) stacks, whose products with the fields run over contiguous sites.
+When act equals f (adjoint modules, abelian(1,1)) the h-sector stack is the
+g-sector one, so the g-sector rotation serves both and each slab forms one
+exponential; otherwise the g-sector stacks are dropped before the h-sector
+exponential is formed.  So one sector's stacks (tens of MB; expm_batched
+adds seven stacks of _EXPM_BLOCK matrices) and that slab's D eps are alive
+at a time, whatever the lattice size.  The fat body differences only eta,
+one stored pair at a time.  fat_H_change compares the fake curvature of a
+configuration with that of its fat transform slab by slab, from the fat
+shift of beta and the pointwise shift of A.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ _MAX_NORM = 2.0 ** 1022
 _TAYLOR = [1.0 / math.factorial(k) for k in range(19)]
 
 
+# matrices per block of expm_batched: the seven block stacks of 10 x 10
+# matrices (vector_poincare) stay within L2, where seven whole stacks did not
+_EXPM_BLOCK = 2048
+
+
 def expm_batched(M: np.ndarray, return_dexpinv: bool = False):
     """Matrix exponential of a stack of small matrices (..., d, d), and with
     return_dexpinv also sum_{k=0}^{6} M^k / (k+1)! (dexpinv for M = -ad).
@@ -84,10 +90,12 @@ def expm_batched(M: np.ndarray, return_dexpinv: bool = False):
     (norm <= 1/2), evaluated by Paterson-Stockmeyer as a Horner scheme in
     T^3 over blocks in I, T, T^2 (c I added on the diagonal only): 7
     matmuls, then s squarings.  The dexpinv sum is L + H T^3 from the same
-    powers (M^k = 2**(s k) T^k), one more matmul.  Past the stack-wide s,
-    every step is per matrix.  The working set is seven stacks the size of
-    M, M included.  A non-finite norm, or one too large for 2**s to be a
-    double, gives NaN stacks.
+    powers (M^k = 2**(s k) T^k), one more matmul.  s is taken from the norm
+    of the whole stack; every later step is per matrix, so the stack,
+    flattened to (-1, d, d), is evaluated in blocks of _EXPM_BLOCK matrices
+    (_expm_block) with bitwise the result of one block.  The working set is
+    the output stacks and seven block stacks.  A non-finite norm, or one too
+    large for 2**s to be a double, gives NaN stacks.
     """
     if M.shape[-1] == 0:
         return (M.copy(), M.copy()) if return_dexpinv else M.copy()
@@ -96,6 +104,18 @@ def expm_batched(M: np.ndarray, return_dexpinv: bool = False):
         nan = np.full(M.shape, np.nan)
         return (nan, nan.copy()) if return_dexpinv else nan
     s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
+    flat = M.reshape((-1,) + M.shape[-2:])
+    outs = [np.empty(flat.shape) for _ in range(1 + return_dexpinv)]
+    for lo in range(0, len(flat), _EXPM_BLOCK):
+        block = slice(lo, lo + _EXPM_BLOCK)
+        _expm_block(flat[block], s, *(out[block] for out in outs))
+    outs = [out.reshape(M.shape) for out in outs]
+    return tuple(outs) if return_dexpinv else outs[0]
+
+
+def _expm_block(M, s, out, dexpinv_out=None) -> None:
+    """expm_batched of the stack M (k, d, d) with the stack-wide scaling s,
+    written into out, and the dexpinv sum into dexpinv_out if given."""
     # M / 2**s as the product with the exact 2**-s (a double for s <= 1023)
     T = np.multiply(M, math.ldexp(1.0, -s), out=np.empty(M.shape))
     T2 = np.matmul(T, T)
@@ -111,25 +131,24 @@ def expm_batched(M: np.ndarray, return_dexpinv: bool = False):
         if j:
             np.matmul(result, T3, out=tmp)
             result, tmp = tmp, result
-    if return_dexpinv:
+    if dexpinv_out is not None:
         # M^k / (k+1)! = T^k / ((k+1)! 2**(-s k)); L has k <= 3, H T^3 the rest
         div = [math.ldexp(math.factorial(k + 1), -s * k) for k in range(7)]
         dexpinv = np.divide(T3, div[6])
         dexpinv += np.divide(T2, div[5], out=tmp)
         dexpinv += np.divide(T, div[4], out=tmp)
-        np.matmul(dexpinv, T3, out=tmp)
-        dexpinv, tmp = tmp, dexpinv
+        np.matmul(dexpinv, T3, out=dexpinv_out)
         for k, Tk in ((3, T3), (2, T2)):
-            dexpinv += np.divide(Tk, div[k], out=tmp)
+            dexpinv_out += np.divide(Tk, div[k], out=tmp)
         # div[1] = 2**(1 - s), whose reciprocal 2**(s - 1) is exact
-        dexpinv += np.multiply(T, 1.0 / div[1], out=tmp)
+        dexpinv_out += np.multiply(T, 1.0 / div[1], out=tmp)
         for i in range(M.shape[-1]):
-            dexpinv[..., i, i] += 1.0
+            dexpinv_out[..., i, i] += 1.0
     del T, T2, T3
     for _ in range(s):
         np.matmul(result, result, out=tmp)
         result, tmp = tmp, result
-    return (result, dexpinv) if return_dexpinv else result
+    out[...] = result
 
 
 def _generators(G, eps):
@@ -312,35 +331,53 @@ def fat_H_change(cm, cfg: FieldConfiguration, eta) -> float:
 
 def transformed_actions(cm, cfg, eps, eta) -> tuple:
     """(S, S_thin, S_fat): the action of cfg and of its thin and fat
-    transforms with parameters eps and eta, in one pass over cfg's slabs.
+    transforms with parameters eps and eta, in two passes over cfg's slabs.
 
     The fields of cfg and the parameters are full arrays or FieldRecipes,
     which the slab source (FieldConfiguration.slabs) realizes slab by
-    slab.  Each slab is transformed once, on the lattice.slabs partition,
-    into new slab arrays (C is shared by the fat transform), and a slab
-    ring (lattice._ring) gives the action each transformed slab with its
-    neighbour rows.  The three values are bitwise those of evaluate_action
-    on cfg and on the transforms of a copy of it.
+    slab; both parameters are checked before either pass.  The first pass
+    transforms each slab by the thin transformation, the second by the fat
+    one and forms the action's density of the untransformed slab beside it
+    (_transformed_density).  The three values are bitwise those of
+    evaluate_action on cfg and on the transforms of a copy of it.
     """
     lat = cfg.lattice
     _require_4d(cm, cfg, "the action is")
-    dens = [np.zeros(lat.shape) for _ in range(3)]
+    eps, eta = _parameter(cm, lat, "eps", eps), _parameter(cm, lat, "eta", eta)
     T = t_map(cm)
+    dens = np.zeros(lat.shape)
+
+    def thin_kernel(slab, out):
+        _thin_slab(cm, slab, out)
+
+    def fat_kernel(slab, out):   # and the untransformed density
+        _action_density(cm, slab, dens[slab.rows])
+        _fat_slab(cm, slab, out, T)
+
+    thin = _transformed_density(cm, cfg, thin_kernel, FIELDS, eps=eps)
+    fat = _transformed_density(cm, cfg, fat_kernel, ("A", "beta", "B"),
+                               eta=eta)
+    return tuple(_action(lat, d) for d in (dens, thin, fat))
+
+
+def _transformed_density(cm, cfg, transform, moved, **parameter):
+    """The action's density of cfg's transform: transform(slab, out) writes
+    the fields named in `moved` into new slab arrays out (the others are the
+    slab's own), and a slab ring (lattice._ring) gives the action each
+    transformed slab with its neighbour rows.  So beside the source's slabs
+    only this transform's current slab, slab 0 and the ring's edge rows are
+    alive."""
+    dens = np.zeros(cfg.lattice.shape)
 
     def transformed(slab):
-        _action_density(cm, slab, dens[0][slab.rows])
-        thin = {k: np.empty_like(slab[k]) for k in FIELDS}
-        _thin_slab(cm, slab, thin)
-        fat = {k: np.empty_like(slab[k]) for k in ("A", "beta", "B")}
-        fat["C"] = slab["C"]
-        _fat_slab(cm, slab, fat, T)
-        return thin, fat
+        out = {k: np.empty_like(slab[k]) if k in moved else slab[k]
+               for k in FIELDS}
+        transform(slab, out)
+        return (out,)
 
-    def actions(rings):
-        for ring, d in zip(rings, dens[1:]):
-            _action_density(cm, ring, d[ring.rows])
+    def action(rings):
+        _action_density(cm, rings[0], dens[rings[0].rows])
 
-    eps, eta = _parameter(cm, lat, "eps", eps), _parameter(cm, lat, "eta", eta)
-    _ring(cfg.slabs(*ACTION_FIELDS, eps=eps, eta=eta), transformed, actions,
+    _ring(cfg.slabs(*ACTION_FIELDS, **parameter), transformed, action,
           ACTION_FIELDS[0])
-    return tuple(_action(lat, d) for d in dens)
+    return dens
