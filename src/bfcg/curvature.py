@@ -66,8 +66,8 @@ operations in the same order on any partition, so the results are bitwise
 independent of the slab size and of the field kind; the action's density
 (_density) is one full site array summed once.  So the finite differences
 of the field equations, which window held fields, form again only the
-three rows of density that a perturbed entry moves, and sum them with the
-rest of the unperturbed density (_entry_actions).
+three rows of density that a perturbed entry moves, and sum their change
+against the unperturbed density on those rows (_entry_actions).
 """
 
 from __future__ import annotations
@@ -358,16 +358,19 @@ def _batched(window, ax: int, size: int) -> np.ndarray:
 
 def _entry_actions(cm, cfg: FieldConfiguration, dens, name: str,
                    entries) -> list:
-    """S of cfg with one entry of its field `name` (A or beta) set, for each
-    (index, value) of entries; dens is the density that evaluate_action
-    sums for cfg, and is left as it was.
+    """(dS, |dS|) for each (index, value) of entries: the change of the
+    action when one entry of cfg's field `name` (A or beta) is set, and the
+    size of its terms, a^4 sum |d' - d| over the sites it moves; dens is the
+    density that evaluate_action sums for cfg.
 
     The density of a row reads the windowed fields of ACTION_FIELDS on the
     row and its one-row window, so an entry on row y of lattice axis 0 moves
-    the density on rows y - 1..y + 1 alone.  Each entry's density is formed
-    on those rows only, from one Slab whose windows end on rows y - 2 and
-    y + 2 (slab_window, wrapped mod n as the slab source wraps them), and
-    spliced into dens for _action to sum.
+    the density on rows y - 1..y + 1 alone.  Each entry's density d' is
+    formed on those rows only, from one Slab whose windows end on rows
+    y - 2 and y + 2 (slab_window, wrapped mod n as the slab source wraps
+    them), and dS is a^4 sum (d' - d) over the three rows: every other
+    site's term is an exact zero, so the roundoff of dS is that of the terms
+    the entry moves, not of the whole action.
 
     The entries on one row are batched on an axis before the lattice axes:
     every window is a broadcast view but the rows y - 1..y + 1 of the field
@@ -376,8 +379,8 @@ def _entry_actions(cm, cfg: FieldConfiguration, dens, name: str,
     SLAB_SITES // (3 n^4) entries, at least one: its three-row blocks hold
     at most SLAB_SITES / n sites, and from n = 10 on each entry is a batch.
 
-    Every site gets the operations of evaluate_action, so each S is bitwise
-    evaluate_action of the configuration with that entry set.
+    Every site gets the operations of evaluate_action, so d' is bitwise the
+    density of the configuration with that entry set.
     """
     lat = cfg.lattice
     ax = getattr(cfg, name).ndim - lat.D   # the batch axis
@@ -403,10 +406,9 @@ def _entry_actions(cm, cfg: FieldConfiguration, dens, name: str,
             fields[name] = before, mid, after
             d = np.zeros((len(batch), 3) + lat.shape[1:])
             _action_density(cm, Slab(lat, rows, fields), d)
+            d -= kept
             for j, k in enumerate(batch):
-                dens[moved] = d[j]
-                out[k] = _action(lat, dens)
-        dens[moved] = kept
+                out[k] = (_action(lat, d[j]), _action(lat, np.abs(d[j])))
     return out
 
 
@@ -417,12 +419,16 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
     res is eom_residuals(cm, cfg).  Central differences of step 1e-6 in
     EOM_SAMPLES random entries each of A and beta are compared against -1/2 a^4
     E_A and 2 a^4 E_beta; an empty field (beta at q = 0) has no entry to
-    sample.  S(x + h) and S(x - h), with x - h formed as (x + h) - 2h, are
-    bitwise evaluate_action of the configuration with the entry set, but
-    each is summed from the density of cfg with the three rows the entry
-    moves formed again (_entry_actions), so no configuration is copied.  The
-    reduction is np.max, so a NaN error (a NaN action) is returned, never
-    dropped.  cfg's fields must be held arrays (ValueError on a recipe).
+    sample.  S(x + h) - S(x) and S(x - h) - S(x), with x - h formed as
+    (x + h) - 2h, are local sums over the three rows the entry moves
+    (_entry_actions), so no configuration is copied and their roundoff does
+    not grow with the lattice.  Each error is relative to the size of its
+    terms: the larger of |a^4 E| at the entry and the finite difference's
+    terms, (|dS+| + |dS-|) / 2h, where |dS| sums the moved density's changes
+    in absolute value.  Both are zero only where every term is an exact
+    zero, and so is the error, which is then 0.  The reduction is np.max, so
+    a NaN error (a NaN action) is returned, never dropped.  cfg's fields
+    must be held arrays (ValueError on a recipe).
     """
     _require_4d(cm, cfg, "equations of motion are")
     if not all(isinstance(getattr(cfg, k), np.ndarray) for k in FIELDS):
@@ -436,7 +442,7 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
     dens = _density(cm, cfg)
 
     for field_name, key, coeff in (("A", "E_A", -0.5), ("beta", "E_beta", 2.0)):
-        E, scale = res[key], max(1.0, res[key + "_norm"] * a4)
+        E = res[key]
         if E.size == 0:
             continue
         samples = [tuple(rng.integers(0, k) for k in E.shape[:2])
@@ -446,11 +452,14 @@ def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
         for idx in samples:
             plus = getattr(cfg, field_name)[idx] + step
             entries += [(idx, plus), (idx, plus - 2 * step)]
-        S = _entry_actions(cm, cfg, dens, field_name, entries)
-        for idx, s_plus, s_minus in zip(samples, S[::2], S[1::2]):
-            fd = (s_plus - s_minus) / (2 * step)
+        dS = _entry_actions(cm, cfg, dens, field_name, entries)
+        for idx, (d_plus, s_plus), (d_minus, s_minus) in zip(
+                samples, dS[::2], dS[1::2]):
+            fd = (d_plus - d_minus) / (2 * step)
             analytic = coeff * a4 * E[idx]
-            worst = float(np.max([worst, abs(fd - analytic) / scale]))
+            scale = max(abs(analytic), (s_plus + s_minus) / (2 * step))
+            err = abs(fd - analytic) / scale if scale else 0.0
+            worst = float(np.max([worst, err]))
     return worst
 
 

@@ -1,10 +1,12 @@
 """Curvature components, action, field equations, Bianchi residuals."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bfcg import curvature
-from bfcg.checks import RunConfig, check_eom, order_ok
+from bfcg.checks import EOM_TOL, RunConfig, check_eom, order_ok
 from bfcg.crossed_module import builtin_module, contract
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_norms,
                             eom_gradient_check, eom_residuals,
@@ -331,17 +333,22 @@ def test_eom_matches_action_gradient():
     (name, n) for name in ("trivial_bf(1)", "abelian(4,2)", "adjoint(su2)",
                            "vector_poincare") for n in (4, 5, 6)]
     + [("trivial_bf(1)", 16), ("adjoint(su2)", 16)])
-def test_entry_actions_are_the_actions_of_perturbed_copies(name, n):
-    """Each action that the finite differences read, formed from the
-    density of the unperturbed configuration and the three rows an entry
-    moves, is bitwise evaluate_action of a copy with that entry set: on the
-    wrap rows 0 and n - 1 and a middle row, and with two samples (four
-    entries) at one site in one batch.  beta at q = 0 has no entry."""
+def test_entry_actions_are_the_changes_of_perturbed_copies(name, n):
+    """Each change of the action that the finite differences read, summed
+    over the three rows an entry moves, is evaluate_action of a copy with
+    that entry set minus that of cfg, within the roundoff of those two
+    whole sums (pairwise sums of n^4 terms, each within log2(n^4) eps of
+    the sum of absolute values): on the wrap rows 0 and n - 1 and a middle
+    row, and with two samples (four entries) at one site in one batch.  The
+    size of its terms bounds it, and is that of the copy's density change.
+    beta at q = 0 has no entry."""
     cm = builtin_module(name)
     lat = Lattice(4, n, 1.0 / n)
     cfg = make_config_recipe(cm, 4, 1, seed=n, scale=0.4).realize(lat)
     dens = curvature._density(cm, cfg)
     unperturbed = dens.copy()
+    S = evaluate_action(cm, cfg)
+    eps = np.finfo(float).eps * math.log2(lat.sites)
     rng = np.random.default_rng(n)
     for field_name in ("A", "beta"):
         field = getattr(cfg, field_name)
@@ -357,33 +364,46 @@ def test_entry_actions_are_the_actions_of_perturbed_copies(name, n):
         entries += [(index, field[index] + 0.5), (index, field[index] - 0.25)]
         got = curvature._entry_actions(cm, cfg, dens, field_name, entries)
         assert np.array_equal(dens, unperturbed)
-        for (index, value), S in zip(entries, got):
+        for (index, value), (dS, size) in zip(entries, got):
             work = cfg.copy()
             getattr(work, field_name)[index] = value
-            assert S == evaluate_action(cm, work), (field_name, index)
+            moved = curvature._density(cm, work)
+            bound = eps * lat.volume_element * (np.sum(np.abs(moved))
+                                                + np.sum(np.abs(dens)))
+            assert abs(dS - (evaluate_action(cm, work) - S)) <= bound
+            assert abs(dS) <= size
+            assert math.isclose(size, lat.volume_element
+                                * np.sum(np.abs(moved - dens)), rel_tol=1e-12)
 
 
-def _gradient_check_oracle(cm, cfg, res, n_samples, seed):
+def _gradient_check_oracle(cm, cfg, res, n_samples, seed, E_factor=1.0):
     """eom_gradient_check as a loop over copies: each finite difference
-    evaluates the action of a whole configuration copy, twice."""
+    forms the whole density of two configuration copies, and the action's
+    changes and the size of their terms are whole-lattice sums against the
+    density of cfg.  E_factor scales E before the comparison."""
     lat = cfg.lattice
     rng = np.random.default_rng(seed)
     a4, step, worst = lat.volume_element, 1e-6, 0.0
+    dens = curvature._density(cm, cfg)
     for field_name, E, coeff in (("A", res["E_A"], -0.5),
                                  ("beta", res["E_beta"], 2.0)):
         if E.size == 0:
             continue
-        scale = max(1.0, np.max(np.abs(E)) * a4)
         for _ in range(n_samples):
             idx = (tuple(rng.integers(0, k) for k in E.shape[:2])
                    + tuple(rng.integers(0, lat.n, size=4)))
             work = cfg.copy()
             arr = getattr(work, field_name)
             arr[idx] += step
-            s_plus = evaluate_action(cm, work)
+            plus = curvature._density(cm, work) - dens
             arr[idx] -= 2 * step
-            fd = (s_plus - evaluate_action(cm, work)) / (2 * step)
-            worst = float(np.max([worst, abs(fd - coeff * a4 * E[idx]) / scale]))
+            minus = curvature._density(cm, work) - dens
+            fd = a4 * (np.sum(plus) - np.sum(minus)) / (2 * step)
+            analytic = coeff * a4 * E[idx] * E_factor
+            scale = max(abs(analytic), a4 * (np.sum(np.abs(plus))
+                                             + np.sum(np.abs(minus)))
+                        / (2 * step))
+            worst = max(worst, abs(fd - analytic) / scale)
     return worst
 
 
@@ -392,17 +412,57 @@ def _gradient_check_oracle(cm, cfg, res, n_samples, seed):
                                            ("adjoint(su2)", 5, 1),
                                            ("vector_poincare", 4, 1)])
 def test_eom_gradient_check_is_the_loop_over_copies(name, n, seed):
-    """The eom check's relative error is bitwise that of the loop over
-    configuration copies, the same draws and steps on the same actions.
-    abelian(4,2) at n = 6 and seed 2 moves if x - h is formed other than as
-    (x + h) - 2h."""
+    """The eom check's relative error is that of the loop over whole
+    configuration copies, the same draws and steps, to the roundoff of
+    summing the moved terms in another order (1e-13 of the scale, where
+    the honest error is about 1e-10 of it)."""
     cm = builtin_module(name)
     rec = check_eom(cm, RunConfig(seed=seed, ns=(n,)))
     cfg = make_config_recipe(cm, 4, 1, seed=seed, scale=0.4).realize(
         Lattice(4, n, 1.0 / n))
     res = eom_residuals(cm, cfg)
-    assert rec.residuals["relerr"] == (
-        _gradient_check_oracle(cm, cfg, res, n_samples=16, seed=seed),)
+    want = _gradient_check_oracle(cm, cfg, res, n_samples=16, seed=seed)
+    assert rec.residuals["relerr"][0] <= EOM_TOL
+    assert abs(rec.residuals["relerr"][0] - want) <= 1e-13, (rec, want)
+
+
+EOM_MODULES = ["adjoint(su2)", "vector_poincare", "abelian(1,1)"]
+
+
+@pytest.mark.parametrize("name", EOM_MODULES)
+@pytest.mark.parametrize("n", [8, 16])
+def test_eom_gate_kills_a_1e4_error_in_E(name, n):
+    """E_A or E_beta 0.01 % wrong FAILs the gate: each error is relative to
+    the size of the terms the finite difference sums, so it does not hide
+    under a floor of 1 (the honest error is about 1e-10 of the scale)."""
+    cm = builtin_module(name)
+    cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).realize(
+        Lattice(4, n, 1.0 / n))
+    res = eom_residuals(cm, cfg)
+    assert eom_gradient_check(cm, cfg, res, seed=1) <= EOM_TOL / 100
+    for key in ("E_A", "E_beta"):
+        wrong = dict(res, **{key: res[key] * (1 + 1e-4)})
+        assert eom_gradient_check(cm, cfg, wrong, seed=1) > EOM_TOL, key
+
+
+@pytest.mark.parametrize("name", EOM_MODULES)
+@pytest.mark.parametrize("a", [1e-80, 1e3])
+def test_eom_passes_at_extreme_spacings(name, a):
+    """The gate's scale is the size of the terms at any spacing: a^4 is
+    1e-320 or 1e12 at n = 8, and the honest check still PASSes by a wide
+    margin (it was vacuous at a = 1e-80 under a scale of max(1, |E| a^4))."""
+    rec = check_eom(builtin_module(name), RunConfig(ns=(8,), a=a))
+    assert rec.ok and rec.residuals["relerr"][0] <= EOM_TOL / 10, rec
+
+
+def test_eom_gradient_check_at_zero_field_is_zero():
+    """At the zero configuration E is zero and every term the finite
+    differences sum is an exact zero, so the scale is zero and the error,
+    0, is returned without a division by zero."""
+    cm = builtin_module("adjoint(su2)")
+    cfg = _zero_config(cm, Lattice(4, 4, 0.2))
+    res = eom_residuals(cm, cfg)
+    assert eom_gradient_check(cm, cfg, res, seed=1) == 0.0
 
 
 def test_eom_gradient_check_copies_no_configuration():
