@@ -43,7 +43,7 @@ When act equals f (adjoint modules, abelian(1,1)) the h-sector stack is the
 g-sector one, so the g-sector rotation serves both and each slab forms one
 exponential; otherwise the g-sector stacks are dropped before the h-sector
 exponential is formed.  So one sector's stacks (tens of MB; expm_batched
-adds seven stacks of _EXPM_BLOCK matrices) and that slab's D eps are alive
+adds four stacks of _EXPM_BLOCK matrices) and that slab's D eps are alive
 at a time, whatever the lattice size.  The fat body differences only eta,
 one stored pair at a time.  fat_H_change compares the fake curvature of a
 configuration with that of its fat transform slab by slab, from the fat
@@ -77,8 +77,8 @@ _MAX_NORM = 2.0 ** 1022
 _TAYLOR = [1.0 / math.factorial(k) for k in range(19)]
 
 
-# matrices per block of expm_batched: the seven block stacks of 10 x 10
-# matrices (vector_poincare) stay within L2, where seven whole stacks did not
+# matrices per block of expm_batched: the block stacks of 10 x 10 matrices
+# (vector_poincare) stay within L2, where whole stacks did not
 _EXPM_BLOCK = 2048
 
 
@@ -93,9 +93,9 @@ def expm_batched(M: np.ndarray, return_dexpinv: bool = False):
     powers (M^k = 2**(s k) T^k), one more matmul.  s is taken from the norm
     of the whole stack; every later step is per matrix, so the stack,
     flattened to (-1, d, d), is evaluated in blocks of _EXPM_BLOCK matrices
-    (_expm_block) with bitwise the result of one block.  The working set is
-    the output stacks and seven block stacks.  A non-finite norm, or one too
-    large for 2**s to be a double, gives NaN stacks.
+    (_expm_block) with bitwise the result of one block.  Beside M and the
+    output stacks, the working set is four block stacks.  A non-finite
+    norm, or one too large for 2**s to be a double, gives NaN stacks.
     """
     if M.shape[-1] == 0:
         return (M.copy(), M.copy()) if return_dexpinv else M.copy()
@@ -115,14 +115,33 @@ def expm_batched(M: np.ndarray, return_dexpinv: bool = False):
 
 def _expm_block(M, s, out, dexpinv_out=None) -> None:
     """expm_batched of the stack M (k, d, d) with the stack-wide scaling s,
-    written into out, and the dexpinv sum into dexpinv_out if given."""
+    written into out, and the dexpinv sum into dexpinv_out if given.
+
+    The outputs are work buffers too: the dexpinv sum's first factor is
+    formed in out, and the Horner scheme and the squarings swap the
+    exponential between out and one spare block 5 + s times, starting in
+    the buffer that the last swap leaves it in out."""
     # M / 2**s as the product with the exact 2**-s (a double for s <= 1023)
     T = np.multiply(M, math.ldexp(1.0, -s), out=np.empty(M.shape))
     T2 = np.matmul(T, T)
     T3 = np.matmul(T2, T)
-    tmp = np.empty(M.shape)
+    spare = np.empty(M.shape)
+    if dexpinv_out is not None:
+        # M^k / (k+1)! = T^k / ((k+1)! 2**(-s k)); L has k <= 3, H T^3 the rest
+        div = [math.ldexp(math.factorial(k + 1), -s * k) for k in range(7)]
+        H = np.divide(T3, div[6], out=out)
+        H += np.divide(T2, div[5], out=spare)
+        H += np.divide(T, div[4], out=spare)
+        np.matmul(H, T3, out=dexpinv_out)
+        for k, Tk in ((3, T3), (2, T2)):
+            dexpinv_out += np.divide(Tk, div[k], out=spare)
+        # div[1] = 2**(1 - s), whose reciprocal 2**(s - 1) is exact
+        dexpinv_out += np.multiply(T, 1.0 / div[1], out=spare)
+        for i in range(M.shape[-1]):
+            dexpinv_out[..., i, i] += 1.0
+    result, tmp = (out, spare) if (5 + s) % 2 == 0 else (spare, out)
     # (..((c18 T^3 + B_15) T^3 + B_12) T^3 ..) T^3 + B_0, B_j of degree 2
-    result = np.multiply(T3, _TAYLOR[18])
+    np.multiply(T3, _TAYLOR[18], out=result)
     for j in range(15, -1, -3):
         result += np.multiply(T, _TAYLOR[j + 1], out=tmp)
         result += np.multiply(T2, _TAYLOR[j + 2], out=tmp)
@@ -131,24 +150,10 @@ def _expm_block(M, s, out, dexpinv_out=None) -> None:
         if j:
             np.matmul(result, T3, out=tmp)
             result, tmp = tmp, result
-    if dexpinv_out is not None:
-        # M^k / (k+1)! = T^k / ((k+1)! 2**(-s k)); L has k <= 3, H T^3 the rest
-        div = [math.ldexp(math.factorial(k + 1), -s * k) for k in range(7)]
-        dexpinv = np.divide(T3, div[6])
-        dexpinv += np.divide(T2, div[5], out=tmp)
-        dexpinv += np.divide(T, div[4], out=tmp)
-        np.matmul(dexpinv, T3, out=dexpinv_out)
-        for k, Tk in ((3, T3), (2, T2)):
-            dexpinv_out += np.divide(Tk, div[k], out=tmp)
-        # div[1] = 2**(1 - s), whose reciprocal 2**(s - 1) is exact
-        dexpinv_out += np.multiply(T, 1.0 / div[1], out=tmp)
-        for i in range(M.shape[-1]):
-            dexpinv_out[..., i, i] += 1.0
     del T, T2, T3
     for _ in range(s):
         np.matmul(result, result, out=tmp)
         result, tmp = tmp, result
-    out[...] = result
 
 
 def _generators(G, eps):

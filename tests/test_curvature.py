@@ -333,7 +333,7 @@ def test_eom_matches_action_gradient():
     (name, n) for name in ("trivial_bf(1)", "abelian(4,2)", "adjoint(su2)",
                            "vector_poincare") for n in (4, 5, 6)]
     + [("trivial_bf(1)", 16), ("adjoint(su2)", 16)])
-def test_entry_actions_are_the_changes_of_perturbed_copies(name, n):
+def test_entry_actions_are_the_actions_of_perturbed_copies(name, n):
     """Each change of the action that the finite differences read, summed
     over the three rows an entry moves, is evaluate_action of a copy with
     that entry set minus that of cfg, within the roundoff of those two
