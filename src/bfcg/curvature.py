@@ -60,8 +60,9 @@ along axis 0, which a kernel differences with lattice.slab_derivative.
 Only curvature_F, which the gauge check's covariance compares whole, forms a
 full curvature: the norms and the field equations reduce each stored pair
 or triple of a slab at once, and the Bianchi identities difference
-curvatures held in slab rings (lattice._ring), which compute each slab once
-and keep its edge rows for the slabs around.  Each site gets the same
+curvatures held in slab rings (lattice._ring), which compute the last slab
+first, as a lead that gives row 0 its row before, then each slab once, and
+keep only the rows that wait for a neighbour.  Each site gets the same
 operations in the same order on any partition, so the results are bitwise
 independent of the slab size and of the field kind; the action's density
 (_density) is one full site array summed once.  So the finite differences
@@ -497,7 +498,8 @@ def bianchi_residuals(cm, cfg) -> dict:
     configuration.
 
     No curvature is a full array: two slab rings (_ring) make two
-    passes over the configuration's slabs.  The first reads A and C and
+    passes over the configuration's slabs, each led by the last slab.  The
+    first reads A and C and
     carries F and T.  The 2-form identities are eps^{l T} times a Bianchi
     3-form on the triple T complementary to l; each triple is formed on one
     run of rows and reduced to its max at once (the sign eps = +-1 does not
@@ -544,10 +546,11 @@ def bianchi_residuals(cm, cfg) -> dict:
                 for X, coupling, metric in tops]
 
     # np.max, not max: a NaN triple must reach the result
-    worst_F, worst_T = np.max(_ring(cfg.slabs(("A", "C")), curvatures,
-                                    two_forms, ("F", "T")), axis=(0, 1))
+    worst_F, worst_T = np.max(_ring(cfg._ring_slabs(("A", "C")),
+                                    curvatures, two_forms, ("F", "T")),
+                              axis=(0, 1))
     worst_GB, worst_G = np.max(_ring(
-        cfg.slabs(rows=("A", "B", "beta")), top_triples, top_forms,
+        cfg._ring_slabs(rows=("A", "B", "beta")), top_triples, top_forms,
         ("A", "B", "beta", "dB", "dbeta")), axis=0)
     return {
         "bianchi_F": float(worst_F),

@@ -35,19 +35,24 @@ one pass per transform and writes its rows into new slab arrays that a slab
 ring (lattice._ring) hands to the action with their neighbour rows, so the
 gauge check's configuration, one transform at a time and its parameter are
 realized and transformed one slab at a time and no n^4 field exists.  The
-thin body is pointwise once D eps is formed: it builds -f eps (and -act
-eps) from the nonzeros of the structure tensor, exponentiates it as (sites,
-p, p) stacks, and copies the rotation and the dexpinv sum to sites-last (p,
-p, sites) stacks, whose products with the fields run over contiguous sites.
-When act equals f (adjoint modules, abelian(1,1)) the h-sector stack is the
-g-sector one, so the g-sector rotation serves both and each slab forms one
-exponential; otherwise the g-sector stacks are dropped before the h-sector
-exponential is formed.  So one sector's stacks (tens of MB; expm_batched
-adds four stacks of _EXPM_BLOCK matrices) and that slab's D eps are alive
-at a time, whatever the lattice size.  The fat body differences only eta,
-one stored pair at a time.  fat_H_change compares the fake curvature of a
-configuration with that of its fat transform slab by slab, from the fat
-shift of beta and the pointwise shift of A.
+ring transforms the last slab first, as its lead, and keeps only that
+slab's last row's edge fields, so beside the current slab it holds a few
+rows of the transform, and no slab waits to the end; beside them are at
+most two density site arrays, the untransformed one and the transform's.
+The thin body is pointwise once D eps is formed: it builds -f eps (and
+-act eps) from the nonzeros of the structure tensor, exponentiates it as
+(sites, p, p) stacks, and copies the rotation and the dexpinv sum to
+sites-last (p, p, sites) stacks, whose products with the fields run over
+contiguous sites.  When act equals f (adjoint modules, abelian(1,1)) the
+h-sector stack is the g-sector one, so the g-sector rotation serves both
+and each slab forms one exponential; otherwise the g-sector stacks are
+dropped before the h-sector exponential is formed.  So one sector's stacks
+(tens of MB; expm_batched adds four stacks of _EXPM_BLOCK matrices) and
+that slab's D eps are alive at a time, whatever the lattice size.  The fat
+body differences only eta, one stored pair at a time.  fat_H_change
+compares the fake curvature of a configuration with that of its fat
+transform slab by slab, from the fat shift of beta and the pointwise shift
+of A.
 """
 
 from __future__ import annotations
@@ -339,39 +344,46 @@ def transformed_actions(cm, cfg, eps, eta) -> tuple:
     transforms with parameters eps and eta, in two passes over cfg's slabs.
 
     The fields of cfg and the parameters are full arrays or FieldRecipes,
-    which the slab source (FieldConfiguration.slabs) realizes slab by
+    which the slab source (FieldConfiguration._ring_slabs) realizes slab by
     slab; both parameters are checked before either pass.  The first pass
-    transforms each slab by the thin transformation, the second by the fat
-    one and forms the action's density of the untransformed slab beside it
-    (_transformed_density).  The three values are bitwise those of
-    evaluate_action on cfg and on the transforms of a copy of it.
+    transforms each slab by the thin transformation, and S_thin is summed
+    as it ends.  The second transforms each slab by the fat one and forms
+    the action's density of the untransformed slab beside it, once per
+    slab (_transformed_density computes the last slab twice).  So at most
+    two density site arrays exist at a time.  The three values are bitwise
+    those of evaluate_action on cfg and on the transforms of a copy of it.
     """
     lat = cfg.lattice
     _require_4d(cm, cfg, "the action is")
     eps, eta = _parameter(cm, lat, "eps", eps), _parameter(cm, lat, "eta", eta)
     T = t_map(cm)
-    dens = np.zeros(lat.shape)
 
     def thin_kernel(slab, out):
         _thin_slab(cm, slab, out)
 
-    def fat_kernel(slab, out):   # and the untransformed density
-        _action_density(cm, slab, dens[slab.rows])
+    S_thin = _action(lat, _transformed_density(cm, cfg, thin_kernel, FIELDS,
+                                               eps=eps))
+    dens, filled = np.zeros(lat.shape), set()
+
+    def fat_kernel(slab, out):   # and the untransformed density, once
+        if slab.rows.start not in filled:
+            filled.add(slab.rows.start)
+            _action_density(cm, slab, dens[slab.rows])
         _fat_slab(cm, slab, out, T)
 
-    thin = _transformed_density(cm, cfg, thin_kernel, FIELDS, eps=eps)
     fat = _transformed_density(cm, cfg, fat_kernel, ("A", "beta", "B"),
                                eta=eta)
-    return tuple(_action(lat, d) for d in (dens, thin, fat))
+    return _action(lat, dens), S_thin, _action(lat, fat)
 
 
 def _transformed_density(cm, cfg, transform, moved, **parameter):
     """The action's density of cfg's transform: transform(slab, out) writes
     the fields named in `moved` into new slab arrays out (the others are the
     slab's own), and a slab ring (lattice._ring) gives the action each
-    transformed slab with its neighbour rows.  So beside the source's slabs
-    only this transform's current slab, slab 0 and the ring's edge rows are
-    alive."""
+    transformed row with its neighbour rows.  The ring transforms the last
+    slab twice, as its lead and in turn, so a transform with a side effect
+    makes it once per slab's rows.  Beside the source's slabs only this
+    transform's current slab and the ring's few rows are alive."""
     dens = np.zeros(cfg.lattice.shape)
 
     def transformed(slab):
@@ -383,6 +395,6 @@ def _transformed_density(cm, cfg, transform, moved, **parameter):
     def action(rings):
         _action_density(cm, rings[0], dens[rings[0].rows])
 
-    _ring(cfg.slabs(*ACTION_FIELDS, **parameter), transformed, action,
+    _ring(cfg._ring_slabs(*ACTION_FIELDS, **parameter), transformed, action,
           ACTION_FIELDS[0])
     return dens

@@ -20,7 +20,8 @@ Slab at a time: the windows of the fields the kernel differences along
 axis 0 and the rows of the others, as views of an array or as rows of a
 recipe, each realized once, so a streamed n^4 field never exists.  Fields
 a kernel computes per slab get their neighbour rows from a slab ring
-(_ring), which keeps the edge rows of each slab for the slabs around it.
+(_ring), which computes the last slab first, as the lead whose last row
+comes before row 0, and then keeps only the few rows a pending row needs.
 
 Antisymmetric form components are stored on ordered index pairs mu < nu
 (and ordered triples for 3-forms); reconstruction uses X_{nu mu} = -X_{mu nu}.
@@ -252,22 +253,37 @@ def _kept(field: np.ndarray, lattice: Lattice, k: int,
 
 def _ring(source, kernel, reduce, edges) -> list:
     """reduce(rings) over every row of the lattice, in runs of rows, with
-    kernel(slab) called once per Slab of the source.
+    kernel(slab) called once per Slab of the source
+    (FieldConfiguration._ring_slabs): first its lead, the last slab, then
+    slabs 0 to the last in order.
 
     kernel gives a tuple of dicts of fields on the slab's rows (lattice axes
     last); rings holds one Slab per dict for a run of rows, whose windows
     take the neighbour rows of the fields named in `edges` from the slabs
-    around (the others' are None).  A slab's rows whose neighbours it holds
-    itself are reduced at once; its last row waits for the first row of the
-    next slab, and row 0 for row n - 1, to the end.  So beside the current
-    slab the ring holds slab 0 and the last two rows it has seen, a few
-    slabs at most.  Each row is reduced once.
+    around (the others' are None).  The lead gives row 0 its row before:
+    the ring keeps the edge fields of the lead's last row, row n - 1, and
+    drops the rest of its block.  The lead is the whole last slab, not its
+    last row, so that its row n - 1 is bitwise the last slab's when a
+    kernel forms a row from its whole slab (the thin exponential scales
+    each slab's stack by its own 2^s).  A slab's rows whose neighbours the
+    ring holds are reduced at once; its last row waits for the next slab's
+    first row, and row n - 1 for the edge fields of row 0, the one thing
+    kept from the start to the end.  So beside the current block the ring
+    holds the pending row and the one before it, each a copy, or a view of
+    a block of one or two rows (which then waits whole), and never a longer
+    slab.  Each row is reduced once; the last slab is computed twice, so a
+    kernel with a side effect makes it once per slab's rows.
     """
-    out, first, kept = [], [], []   # rows 0 and 1; the last two rows
+    out = []
 
     def rows(block, lo, hi):
         return tuple({name: _axis0(f, lattice, lo, hi)
                       for name, f in d.items()} for d in block)
+
+    def row(block, k, names=None, view=False):
+        return tuple({name: _kept(f, lattice, k, view)
+                      for name, f in d.items() if names is None
+                      or name in names} for d in block)
 
     def neighbour(row):
         return tuple({name: f for name, f in d.items() if name in edges}
@@ -279,34 +295,29 @@ def _ring(source, kernel, reduce, edges) -> list:
                            for name in m})
                      for b, m, a in zip(before, mid, after))
 
+    source = iter(source)
+    lead = next(source)
+    lattice = lead.lattice
+    last = row(kernel(lead), -1, edges)   # row n - 1, before row 0
+    del lead
     for slab in source:
-        lattice, lo, hi = slab.lattice, slab.rows.start, slab.rows.stop
-        block = kernel(slab)
-        if lo >= 2:   # the last row of the slab before
-            out.append(reduce(rings(lo - 1, lo, kept[-2], kept[-1],
-                                    rows(block, 0, 1))))
-        start = max(lo, 1)   # row 0 waits for row n - 1
-        if start < hi - 1:
-            out.append(reduce(rings(
-                start, hi - 1, kept[-1] if start == lo
-                else rows(block, 0, 1), rows(block, start - lo, hi - 1 - lo),
-                rows(block, hi - 1 - lo, hi - lo))))
-        # slab 0 waits whole, with row 1 if that is the next slab's; of the
-        # others the last two rows wait, and a block of two rows whole
+        lo, hi = slab.rows.start, slab.rows.stop
         m = hi - lo
-        whole = m <= 2 or lo == 0
-        first += [rows(block, r - lo, r - lo + 1) for r in (0, 1)
-                  if lo <= r < hi]
-        first[1:] = map(neighbour, first[1:])
-        kept = kept[-1:] if m == 1 else []
-        kept += [tuple({name: _kept(f, lattice, k, whole)
-                        for name, f in d.items()} for d in block)
-                 for k in range(max(0, m - 2), m)]
-        kept[:-1] = map(neighbour, kept[:-1])
+        block = kernel(slab)
+        if lo > 0:   # the last row of the slab before
+            out.append(reduce(rings(lo - 1, lo, before, last,
+                                    rows(block, 0, 1))))
+        if m > 1:
+            out.append(reduce(rings(lo, hi - 1, last, rows(block, 0, m - 1),
+                                    rows(block, m - 1, m))))
+        if lo == 0:
+            first = row(block, 0, edges)
+        view = m <= 2   # a block of one or two rows waits whole
+        before = neighbour(last) if m == 1 else row(block, m - 2, edges, view)
+        last = row(block, m - 1, view=view)
         del slab, block   # let the slab go before the next is made
     n = lattice.n
-    out.append(reduce(rings(n - 1, n, kept[-2], kept[-1], first[0])))
-    out.append(reduce(rings(0, 1, kept[-1], first[0], first[1])))
+    out.append(reduce(rings(n - 1, n, before, last, first)))
     return out
 
 
@@ -540,7 +551,18 @@ class FieldConfiguration:
         Rows realized from a recipe are read-only: a write into them would
         be lost, so it raises.
         """
-        lattice = self.lattice
+        return self._slabs(windows, rows, extra)
+
+    def _ring_slabs(self, windows=(), rows=(), **extra):
+        """The slab source of a slab ring (_ring): the lead, a Slab over
+        the last slab of slabs(lattice) with the same windows, then the
+        Slabs of slabs() in order.  The lead realizes the last slab and its
+        two neighbour rows once more; slab 0's row before is the lead's last
+        row, not realized again."""
+        return self._slabs(windows, rows, extra, lead=True)
+
+    def _slabs(self, windows, rows, extra, lead=False):
+        lattice, n = self.lattice, self.lattice.n
         fields = {k: getattr(self, k) for k in windows + rows}
         fields.update(extra)
         windowed = {*windows, *extra}
@@ -566,20 +588,33 @@ class FieldConfiguration:
                 return None, realize(field, span.start, span.stop), None
             return None, _axis0(field, lattice, span.start, span.stop), None
 
+        def slab(span, before, cur, after):
+            return Slab(lattice, span, {
+                k: (before[k], cur[k], after[k]) if k in cur
+                else window(k, v, span) for k, v in fields.items()})
+
+        def last_after(cur):   # row 0, after the last slab
+            return row(cur, 0) if len(parts) == 1 else realized(n, n + 1)
+
+        if lead:
+            span = parts[-1]
+            cur = realized(span.start, span.stop)
+            before = row(cur, -1) if len(parts) == 1 else realized(
+                span.start - 1, span.start)
+            yield slab(span, before, cur, last_after(cur))
+            before = {k: _kept(f, lattice, -1) for k, f in cur.items()}
+            del cur   # let the lead go before slab 0 is realized
         nxt = realized(parts[0].start, parts[0].stop)
-        before = row(nxt, -1) if len(parts) == 1 else realized(-1, 0)
+        if not lead:
+            before = row(nxt, -1) if len(parts) == 1 else realized(-1, 0)
         for s, span in enumerate(parts):
             cur = nxt
             if s + 1 < len(parts):
                 nxt = realized(parts[s + 1].start, parts[s + 1].stop)
                 after = row(nxt, 0)
             else:
-                after = row(cur, 0) if len(parts) == 1 else realized(
-                    lattice.n, lattice.n + 1)
-            views = {k: (before[k], cur[k], after[k]) if k in cur
-                     else window(k, v, span) for k, v in fields.items()}
-            yield Slab(lattice, span, views)
-            del views   # let the slab go before the next one is realized
+                after = last_after(cur)
+            yield slab(span, before, cur, after)
             before = {k: _kept(f, lattice, -1) for k, f in cur.items()}
 
 

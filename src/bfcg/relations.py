@@ -425,43 +425,52 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
     F3 = np.stack([_curvature_F_pair(cm, whole, P) for P in range(3)])
     T3 = np.stack([_curvature_T_pair(cm, whole, P) for P in range(3)])
     whole.windows.update(F=window(F3), T=window(T3))
-    chiB = evaluate_constraint(cm, "chi(B)", point)
-    phiH = evaluate_constraint(cm, "phi(H)", point)
-    phiG = evaluate_constraint(cm, "phi(G)", point)
+
+    # each constraint array lives only while its terms are added, and each
+    # sector's arrays go once it is reduced to its two floats
+    def constraint(family):
+        return evaluate_constraint(cm, family, point)
+
+    chiB = constraint("chi(B)")
 
     # first dependency (g sector); f^c_{ab} as [a, b, c] is the coadjoint
     # coupling of a lowered g index
     f_abc = cm.f.transpose(1, 2, 0)
+    phiH = constraint("phi(H)")
     lhs_a = sum(_cov_derivative(whole, f_abc, window(phiH[i]), i)
                 for i in range(3))
-    lhs_a += 0.5 * contract(cm.dup.T, phiG)
+    del phiH
+    lhs_a += 0.5 * contract(cm.dup.T, constraint("phi(G)"))
     mix1 = np.einsum("ga,ged->ade", cm.dup, cm.actQ)
     for P in range(3):
         lhs_a += contract(mix1, be[P], chiB[P])
     for P in range(3):
         lhs_a += contract(f_abc, F3[P], chiB[P])
     rhs_a = 0.5 * _bianchi_g(cm, whole, (0, 1, 2))
+    out = {"ra_residual": _maxabs(lhs_a - rhs_a),
+           "ra_bianchi_norm": _maxabs(rhs_a)}
+    del lhs_a, rhs_a
 
     # second dependency (h sector)
-    SH = evaluate_constraint(cm, "S(H)", point)
-    phiCB = evaluate_constraint(cm, "phi(CB)", point)
-    phiBCb = evaluate_constraint(cm, "phi(BCbeta)", point)
-    chiC = evaluate_constraint(cm, "chi(C)", point)
-    chibe = evaluate_constraint(cm, "chi(beta)", point)
-
     # actmix = actlow . qfinv is the coupling of a lowered h index
+    phiCB = constraint("phi(CB)")
     lhs_b = sum(_cov_derivative(whole, cm.actmix, window(phiCB[k]), k)
                 for k in range(3))
-    lhs_b += contract(cm.del_, phiBCb)
+    del phiCB
+    lhs_b += contract(cm.del_, constraint("phi(BCbeta)"))
     del_f = np.einsum("xa,ead->xde", cm.del_, cm.f)
     phi_xbg = cm.phi.transpose(1, 2, 0)  # phi^g_{xb} as [x, b, g]
     actQ_xde = cm.actQ.transpose(0, 2, 1)  # actQ[x, e, d] as [x, d, e]
+    chibe = constraint("chi(beta)")
     for P in range(3):
         lhs_b += contract(cm.actlow, F3[P], contract(cm.qfinv, chibe[P]))
         lhs_b -= contract(del_f, B[P], chiB[P])
         lhs_b -= contract(phi_xbg, be[P], chibe[P])
+    del chibe
+    chiC = constraint("chi(C)")
     for k in range(3):
         lhs_b -= contract(phi_xbg, C[k], chiC[k])
+    del chiC
     for k in range(3):
         for m in range(3):
             if m == k:
@@ -471,19 +480,18 @@ def offshell_relations(cm, point: PhasePoint) -> dict:
             lhs_b += sig * contract(actQ_xde, gradC, chiB[Pmk])
             covchi = _cov_derivative(whole, f_abc, window(chiB[Pmk]), k)
             lhs_b += sig * contract(actQ_xde, C[m], covchi)
+    SH = constraint("S(H)")
     for k in range(3):
         for P in range(3):
             s = EPS3_PAIR[k, P]
             if s:
                 lhs_b -= s * contract(cm.actlow, SH[P], C[k])
+    del SH
 
     rhs_b = 0.5 * _bianchi_h(cm, whole, (0, 1, 2))
-    return {
-        "ra_residual": _maxabs(lhs_a - rhs_a),
-        "ra_bianchi_norm": _maxabs(rhs_a),
-        "rb_residual": _maxabs(lhs_b - rhs_b),
-        "rb_bianchi_norm": _maxabs(rhs_b),
-    }
+    out.update(rb_residual=_maxabs(lhs_b - rhs_b),
+               rb_bianchi_norm=_maxabs(rhs_b))
+    return out
 
 
 def offshell_refinement(cm, n_list, seed: int = 0, mode_count: int = 1) -> dict:

@@ -454,7 +454,8 @@ def test_bianchi_rings_compute_each_slab_once(name, monkeypatch):
     2, 3 and 6 rows, of a held and of a streamed configuration.  With 2
     slabs a slab's previous and next slab are the same slab, and with 1
     slab both are the slab itself.  On every partition each ring computes
-    each slab once, in order, and reduces each row once."""
+    its lead, the last slab, first and then each slab once, in order, and
+    reduces each row once."""
     cm = builtin_module(name)
     lat = Lattice(4, 6, 1.0 / 6)
     recipe = make_config_recipe(cm, 4, 1, seed=2, scale=0.4)
@@ -487,7 +488,7 @@ def test_bianchi_rings_compute_each_slab_once(name, monkeypatch):
                                for k, v in bianchi_residuals(cm, cfg).items()}
             assert len(calls) == 2
             for computed, reduced in calls:
-                assert computed == parts
+                assert computed == parts[-1:] + parts
                 assert sorted(reduced) == list(range(lat.n))
     assert len(set(map(str, res.values()))) == 1, res
 
