@@ -578,8 +578,11 @@ class FieldConfiguration:
             return {k: realize(fields[k], lo, hi) for k in ahead}
 
         def row(block, k):
-            return {name: _axis0(f, lattice, k, k + 1 or None)
+            return {name: _axis0(f, lattice, k, k + 1)
                     for name, f in block.items()}
+
+        def wrapped(cur, k):   # row k of lattice axis 0, taken mod n
+            return row(cur, k % n) if len(parts) == 1 else realized(k, k + 1)
 
         def window(name, field, span):
             if name in windowed:
@@ -593,27 +596,23 @@ class FieldConfiguration:
                 k: (before[k], cur[k], after[k]) if k in cur
                 else window(k, v, span) for k, v in fields.items()})
 
-        def last_after(cur):   # row 0, after the last slab
-            return row(cur, 0) if len(parts) == 1 else realized(n, n + 1)
-
         if lead:
             span = parts[-1]
             cur = realized(span.start, span.stop)
-            before = row(cur, -1) if len(parts) == 1 else realized(
-                span.start - 1, span.start)
-            yield slab(span, before, cur, last_after(cur))
+            yield slab(span, wrapped(cur, span.start - 1), cur,
+                       wrapped(cur, n))
             before = {k: _kept(f, lattice, -1) for k, f in cur.items()}
             del cur   # let the lead go before slab 0 is realized
         nxt = realized(parts[0].start, parts[0].stop)
         if not lead:
-            before = row(nxt, -1) if len(parts) == 1 else realized(-1, 0)
+            before = wrapped(nxt, -1)
         for s, span in enumerate(parts):
             cur = nxt
             if s + 1 < len(parts):
                 nxt = realized(parts[s + 1].start, parts[s + 1].stop)
                 after = row(nxt, 0)
             else:
-                after = last_after(cur)
+                after = wrapped(cur, n)
             yield slab(span, before, cur, after)
             before = {k: _kept(f, lattice, -1) for k, f in cur.items()}
 
