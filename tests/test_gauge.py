@@ -518,20 +518,23 @@ def test_transformed_actions_are_the_held_actions(name, n):
     _assert_held_actions(name, n, eps_scale=0.9)
 
 
-@pytest.mark.parametrize("n", [6, 12])
-def test_ring_lead_is_the_whole_last_slab(n):
+@pytest.mark.parametrize("name, n, rng_seed", [
+    ("vector_poincare", 6, 6), ("vector_poincare", 12, 6),
+    ("adjoint(su2)", 6, 6), ("adjoint(su2)", 12, 103)])
+def test_ring_lead_is_the_whole_last_slab(name, n, rng_seed):
     """At n = 6 and 12 the lattice is one slab.  The thin exponential
     scales each slab's stack by its own 2^s, so the actions stay bitwise
     the held ones only if the ring's lead is the whole last slab: with eps
-    of scale 1.5, a lead of the last row alone moves S_thin."""
-    _assert_held_actions("vector_poincare", n, eps_scale=1.5)
+    of scale 1.5, a lead of the last row alone moves S_thin in the last
+    bits on both adjoint(su2) cases."""
+    _assert_held_actions(name, n, eps_scale=1.5, rng_seed=rng_seed)
 
 
-def _assert_held_actions(name, n, eps_scale):
+def _assert_held_actions(name, n, eps_scale, rng_seed=6):
     cm = builtin_module(name)
     lat = Lattice(4, n, 1.0 / n)
     recipe = make_config_recipe(cm, 4, 2, seed=1, scale=0.4)
-    rng = np.random.default_rng(6)
+    rng = np.random.default_rng(rng_seed)
     eps = _random_recipe(rng, 4, (cm.p,), 2, scale=eps_scale)
     eta = _random_recipe(rng, 4, (4, cm.q), 2, scale=0.3)
     cfg = recipe.realize(lat)
