@@ -258,9 +258,9 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
 
 @_nondegenerate
 def check_eom(cm, cfg: RunConfig) -> CheckRecord:
-    c = _recipe(cm, cfg).realize(_lattice(cfg, 4, cfg.ns[0]))
-    res = eom_residuals(cm, c)
-    worst = eom_gradient_check(cm, c, res, seed=cfg.seed)
+    c = _recipe(cm, cfg).stream(_lattice(cfg, 4, cfg.ns[0]))
+    res = eom_residuals(cm, c, cfg.seed)
+    worst = eom_gradient_check(cm, c, res)
     lines = [f"eom H-norm {_fmt(res['H_norm'])} G-norm {_fmt(res['G_norm'])}",
              f"eom E_A-norm {_fmt(res['E_A_norm'])} "
              f"E_beta-norm {_fmt(res['E_beta_norm'])}",

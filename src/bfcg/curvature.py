@@ -66,9 +66,9 @@ keep only the rows that wait for a neighbour.  Each site gets the same
 operations in the same order on any partition, so the results are bitwise
 independent of the slab size and of the field kind; the action's density
 (_density) is one full site array summed once.  So the finite differences
-of the field equations, which window held fields, form again only the
-three rows of density that a perturbed entry moves, and sum their change
-against the unperturbed density on those rows (_entry_actions).
+of the field equations form again only the three rows of density that a
+perturbed entry moves, from the windows of that row alone, and sum their
+change against the unperturbed density on those rows (_entry_actions).
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ import numpy as np
 
 from .crossed_module import _maxabs, contract
 from .lattice import (FIELDS, SLAB_SITES, FieldConfiguration, Slab, _fitted,
-                      _ring, levi_civita, pair_index, pairs, slab_derivative,
-                      slab_window, triples)
+                      _ring, _window, levi_civita, pair_index, pairs,
+                      slab_derivative, triples)
 
 __all__ = [
     "curvature_F",
@@ -216,7 +216,7 @@ _AT4 = [(mu, tri, levi_civita((mu,) + tri)) for mu in range(4)
 
 # the fields the action density reads with their windows, and by rows
 ACTION_FIELDS = (("A", "beta"), ("B", "C"))
-# entries of A and of beta that eom_gradient_check samples
+# entries of A and of beta that eom_residuals draws for eom_gradient_check
 EOM_SAMPLES = 16
 
 
@@ -299,168 +299,156 @@ def curvature_norms(cm, cfg) -> dict:
 # equations of motion
 # ---------------------------------------------------------------------------
 
-def eom_residuals(cm, cfg) -> dict:
-    """Field-equation data of a configuration: curvature norms and the
-    multiplier equations.
+def _field_equations(cm, slab):
+    """(field, lead, E) over the slab: E_A on each axis, then E_beta on each
+    stored pair (from T on its complementary pair), one at a time."""
+    for sig, tri, e in _AT4:
+        E = contract(cm.Q, _three_form_triple(slab, "B", cm.f, tri))
+        W = _wedge_triple(cm.actlow.transpose(1, 0, 2), slab["beta"],
+                          slab["C"], tri)
+        W *= 2.0
+        E += W
+        if e > 0:   # E *= -e
+            np.negative(E, out=E)
+        yield "A", sig, E
+    for Pp, P, e in _PP4:
+        E = contract(cm.qf, _curvature_T_pair(cm, slab, Pp))
+        dB = contract(cm.dlow, slab["B"][Pp])
+        dB *= 0.5
+        E -= dB
+        if e < 0:   # E *= e
+            np.negative(E, out=E)
+        yield "beta", P, E
 
-    Returns max-abs of H and G (the B/C stationarity conditions) and the
-    two epsilon-contracted expressions E_A, E_beta described in the module
-    docstring, whose vanishing is the A/beta stationarity, with their
-    norms.  One pass over the slabs reduces H and G as curvature_norms
-    does, and fills the slab's rows of E_A and E_beta, the only full
-    arrays, forming T one stored pair at a time.
+
+def eom_residuals(cm, cfg, seed: int = 0) -> dict:
+    """Field-equation data of a configuration from one pass over its slabs.
+
+    The max-abs of H and G (the B/C stationarity conditions) and of E_A and
+    E_beta (the A/beta stationarity): each is formed per slab and stored
+    pair, triple or axis, reduced at once and dropped, so none is a full
+    array; np.max reduces the slabs, so a NaN reaches its norm.  "samples"
+    holds (index, the field's value, E) at EOM_SAMPLES entries of A and
+    then of beta (none of an empty field) drawn from default_rng(seed), and
+    "density" the action's density, bitwise _density's, for
+    eom_gradient_check.
     """
     lat = cfg.lattice
     _require_4d(cm, cfg, "equations of motion are")
     npairs = len(pairs(4))
-    E_A = np.empty((4, cm.p) + lat.shape)
-    E_beta = np.empty((npairs, cm.q) + lat.shape)
-    actlow_a = cm.actlow.transpose(1, 0, 2)  # [a, al, be]
+    rng = np.random.default_rng(seed)
+    draws = {name: [tuple(rng.integers(0, k) for k in lead)
+                    + tuple(rng.integers(0, lat.n, size=4))
+                    for _ in range(EOM_SAMPLES)] if all(lead) else []
+             for name, lead in (("A", (4, cm.p)), ("beta", (npairs, cm.q)))}
+    samples = {name: [None] * len(d) for name, d in draws.items()}
+    dens = np.zeros(lat.shape)
     worst = []
     for slab in cfg.slabs(FIELDS):
+        E_worst = {"A": [], "beta": []}
+        for name, lead, E in _field_equations(cm, slab):
+            E_worst[name].append(_maxabs(E))
+            for k, index in enumerate(draws[name]):
+                y = index[2] - slab.rows.start
+                if index[0] == lead and 0 <= y < E.shape[1]:
+                    at = index[:2] + (y,) + index[3:]
+                    samples[name][k] = (index, float(slab[name][at]),
+                                        float(E[at[1:]]))
         worst.append((
             _worst(_fake_curvature_pair(cm, slab, P) for P in range(npairs)),
             _worst(_three_form_triple(slab, "beta", cm.act, tri)
-                   for tri in triples(4))))
-        for sig, tri, e in _AT4:
-            E = contract(cm.Q, _three_form_triple(slab, "B", cm.f, tri))
-            W = _wedge_triple(actlow_a, slab["beta"], slab["C"], tri)
-            W *= 2.0
-            E += W
-            if e > 0:   # E *= -e
-                np.negative(E, out=E)
-            E_A[sig, :, slab.rows] = E
-        for Pp, P, e in _PP4:
-            E = contract(cm.qf, _curvature_T_pair(cm, slab, Pp))
-            dB = contract(cm.dlow, slab["B"][Pp])
-            dB *= 0.5
-            E -= dB
-            if e < 0:   # E *= e
-                np.negative(E, out=E)
-            E_beta[P, :, slab.rows] = E
-    H_norm, G_norm = map(float, np.max(worst, axis=0))
-    return {
-        "H_norm": H_norm,
-        "G_norm": G_norm,
-        "E_A": E_A,
-        "E_beta": E_beta,
-        "E_A_norm": _maxabs(E_A),
-        "E_beta_norm": _maxabs(E_beta),
-    }
+                   for tri in triples(4)),
+            np.max(E_worst["A"]), np.max(E_worst["beta"])))
+        _action_density(cm, slab, dens[slab.rows])
+    norms = map(float, np.max(worst, axis=0))
+    return {**dict(zip(("H_norm", "G_norm", "E_A_norm", "E_beta_norm"),
+                       norms)), "samples": samples, "density": dens}
 
 
-def _batched(window, ax: int, size: int) -> np.ndarray:
-    """A view of window with a batch axis of the given size at array axis ax,
-    broadcast."""
-    window = np.expand_dims(window, ax)
-    return np.broadcast_to(window, window.shape[:ax] + (size,)
-                           + window.shape[ax + 1:])
+def _entry_actions(cm, cfg: FieldConfiguration, dens, entries) -> list:
+    """(dS, |dS|) for each (field name, index, value) of entries: the change
+    of the action when one entry of cfg's A or beta is set, and the size of
+    its terms, a^4 sum |d' - d| over the sites it moves; dens is the
+    density d that evaluate_action sums for cfg.
 
+    An entry on row y of lattice axis 0 moves the density on rows
+    y - 1..y + 1 alone, which read the windows of ACTION_FIELDS[0] from row
+    y - 2 to y + 2 and the rows of the others.  Each row's windows
+    (lattice._window: views of a held field, copies where its rows wrap,
+    or realized once from a recipe) serve all its entries and are dropped
+    before the next row's.  d' is formed on the three rows with every
+    site's operations of evaluate_action, so bitwise the density with the
+    entry set; dS = a^4 sum (d' - d) over them, so its roundoff is that of
+    the terms the entry moves, not of the whole action.
 
-def _entry_actions(cm, cfg: FieldConfiguration, dens, name: str,
-                   entries) -> list:
-    """(dS, |dS|) for each (index, value) of entries: the change of the
-    action when one entry of cfg's field `name` (A or beta) is set, and the
-    size of its terms, a^4 sum |d' - d| over the sites it moves; dens is the
-    density that evaluate_action sums for cfg.
-
-    The density of a row reads the windowed fields of ACTION_FIELDS on the
-    row and its one-row window, so an entry on row y of lattice axis 0 moves
-    the density on rows y - 1..y + 1 alone.  Each entry's density d' is
-    formed on those rows only, from one Slab whose windows end on rows
-    y - 2 and y + 2 (slab_window, wrapped mod n as the slab source wraps
-    them), and dS is a^4 sum (d' - d) over the three rows: every other
-    site's term is an exact zero, so the roundoff of dS is that of the terms
-    the entry moves, not of the whole action.
-
-    The entries on one row are batched on an axis before the lattice axes:
-    every window is a broadcast view but the rows y - 1..y + 1 of the field
-    set, copied once per batch.  Batching pays on lattices far smaller than
-    a slab, where a kernel call is mostly overhead, so a batch holds
-    SLAB_SITES // (3 n^4) entries, at least one: its three-row blocks hold
-    at most SLAB_SITES / n sites, and from n = 10 on each entry is a batch.
-
-    Every site gets the operations of evaluate_action, so d' is bitwise the
-    density of the configuration with that entry set.
+    A row's entries are batched on an axis before the lattice axes, every
+    window a broadcast view but the three rows of a field a batch sets,
+    copied.  Batching pays where a kernel call is mostly overhead, so a
+    batch holds SLAB_SITES // (3 n^4) entries, at least one (from n = 10
+    on, each entry is a batch).
     """
-    lat = cfg.lattice
-    ax = getattr(cfg, name).ndim - lat.D   # the batch axis
+    lat, n = cfg.lattice, cfg.lattice.n
+    ax = 2   # the batch axis: every field has two component axes
     size = max(1, SLAB_SITES // (3 * lat.sites))
     by_row = {}
-    for k, (index, _) in enumerate(entries):
+    for k, (_, index, _) in enumerate(entries):
         by_row.setdefault(index[ax], []).append(k)
     out = [None] * len(entries)
     for y, ks in by_row.items():
         rows = slice(y - 1, y + 2)
-        windows = {f: slab_window(getattr(cfg, f), lat, rows) for f in FIELDS}
-        moved = np.arange(y - 1, y + 2) % lat.n
-        kept = dens[moved]
+        windows = {f: _window(getattr(cfg, f), lat, rows,
+                              f in ACTION_FIELDS[0]) for f in FIELDS}
+        kept = dens[np.arange(y - 1, y + 2) % n]
         for lo in range(0, len(ks), size):
             batch = ks[lo:lo + size]
-            fields = {f: tuple(_batched(w, ax, len(batch)) for w in ws)
-                      for f, ws in windows.items()}
-            before, mid, after = fields[name]
-            mid = mid.copy()
+            fields = {f: tuple(w if w is None else np.broadcast_to(
+                np.expand_dims(w, ax), w.shape[:ax] + (len(batch),)
+                + w.shape[ax:]) for w in ws) for f, ws in windows.items()}
+            for name in {entries[k][0] for k in batch}:
+                before, mid, after = fields[name]
+                fields[name] = before, mid.copy(), after
             for j, k in enumerate(batch):
-                index, value = entries[k]
-                mid[index[:ax] + (j, 1) + index[ax + 1:]] = value
-            fields[name] = before, mid, after
+                name, index, value = entries[k]
+                fields[name][1][index[:ax] + (j, 1) + index[ax + 1:]] = value
             d = np.zeros((len(batch), 3) + lat.shape[1:])
             _action_density(cm, Slab(lat, rows, fields), d)
             d -= kept
             for j, k in enumerate(batch):
                 out[k] = (_action(lat, d[j]), _action(lat, np.abs(d[j])))
+        del windows, fields
     return out
 
 
-def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict,
-                       seed: int = 0) -> float:
+def eom_gradient_check(cm, cfg: FieldConfiguration, res: dict) -> float:
     """Max relative error between E_A/E_beta and finite differences of S.
 
-    res is eom_residuals(cm, cfg).  Central differences of step 1e-6 in
-    EOM_SAMPLES random entries each of A and beta are compared against -1/2 a^4
-    E_A and 2 a^4 E_beta; an empty field (beta at q = 0) has no entry to
-    sample.  S(x + h) - S(x) and S(x - h) - S(x), with x - h formed as
-    (x + h) - 2h, are local sums over the three rows the entry moves
-    (_entry_actions), so no configuration is copied and their roundoff does
-    not grow with the lattice.  Each error is relative to the size of its
-    terms: the larger of |a^4 E| at the entry and the finite difference's
-    terms, (|dS+| + |dS-|) / 2h, where |dS| sums the moved density's changes
-    in absolute value.  Both are zero only where every term is an exact
-    zero, and so is the error, which is then 0.  The reduction is np.max, so
-    a NaN error (a NaN action) is returned, never dropped.  cfg's fields
-    must be held arrays (ValueError on a recipe).
+    res is eom_residuals(cm, cfg, seed).  Central differences of step 1e-6
+    at its sampled entries, S(x + h) - S(x) and S(x - h) - S(x) with x - h
+    formed as (x + h) - 2h, are compared against -1/2 a^4 E_A and
+    2 a^4 E_beta.  Each is a local sum over the rows its entry moves
+    (_entry_actions), so no configuration is copied or held, and held and
+    streamed fields give the same bits.  Each error is relative to the
+    larger of |a^4 E| and the size of the difference's terms,
+    (|dS+| + |dS-|) / 2h; if both are zero, so is every term, and the error
+    is 0.  np.max reduces the errors, so a NaN is returned, never dropped.
     """
     _require_4d(cm, cfg, "equations of motion are")
-    if not all(isinstance(getattr(cfg, k), np.ndarray) for k in FIELDS):
-        raise ValueError("the finite differences of the action window held "
-                         "fields; realize the configuration's recipes")
-    lat = cfg.lattice
-    rng = np.random.default_rng(seed)
-    a4 = lat.volume_element
+    a4 = cfg.lattice.volume_element
     step = 1e-6
+    samples = [(name, coeff, sample)
+               for name, coeff in (("A", -0.5), ("beta", 2.0))
+               for sample in res["samples"][name]]
+    entries = [(name, index, x) for name, _, (index, value, _) in samples
+               for x in (value + step, value + step - 2 * step)]
+    dS = _entry_actions(cm, cfg, res["density"], entries)
     worst = 0.0
-    dens = _density(cm, cfg)
-
-    for field_name, key, coeff in (("A", "E_A", -0.5), ("beta", "E_beta", 2.0)):
-        E = res[key]
-        if E.size == 0:
-            continue
-        samples = [tuple(rng.integers(0, k) for k in E.shape[:2])
-                   + tuple(rng.integers(0, lat.n, size=4))
-                   for _ in range(EOM_SAMPLES)]
-        entries = []
-        for idx in samples:
-            plus = getattr(cfg, field_name)[idx] + step
-            entries += [(idx, plus), (idx, plus - 2 * step)]
-        dS = _entry_actions(cm, cfg, dens, field_name, entries)
-        for idx, (d_plus, s_plus), (d_minus, s_minus) in zip(
-                samples, dS[::2], dS[1::2]):
-            fd = (d_plus - d_minus) / (2 * step)
-            analytic = coeff * a4 * E[idx]
-            scale = max(abs(analytic), (s_plus + s_minus) / (2 * step))
-            err = abs(fd - analytic) / scale if scale else 0.0
-            worst = float(np.max([worst, err]))
+    for (_, coeff, (_, _, E)), (d_plus, s_plus), (d_minus, s_minus) in zip(
+            samples, dS[::2], dS[1::2]):
+        fd = (d_plus - d_minus) / (2 * step)
+        analytic = coeff * a4 * E
+        scale = max(abs(analytic), (s_plus + s_minus) / (2 * step))
+        err = abs(fd - analytic) / scale if scale else 0.0
+        worst = float(np.max([worst, err]))
     return worst
 
 
@@ -524,10 +512,9 @@ def bianchi_residuals(cm, cfg) -> dict:
         for P in range(npairs):
             F[P] = _curvature_F_pair(cm, slab, P)
             T[P] = _curvature_T_pair(cm, slab, P)
-        return ({"F": F, "T": T, "A": slab["A"], "C": slab["C"]},)
+        return {"F": F, "T": T, "A": slab["A"], "C": slab["C"]}
 
-    def two_forms(rings):
-        ring, = rings
+    def two_forms(ring):
         return [(_maxabs(_bianchi_g(cm, ring, tri)),
                  _maxabs(_bianchi_h(cm, ring, tri)))
                 for tri in triples(4)]
@@ -537,10 +524,9 @@ def bianchi_residuals(cm, cfg) -> dict:
         fields.update(("d" + X, _three_form_triple(slab, X, coupling,
                                                    dA0_triple))
                       for X, coupling, _ in tops)
-        return (fields,)
+        return fields
 
-    def top_forms(rings):
-        ring, = rings
+    def top_forms(ring):
         F = [_curvature_F_pair(cm, ring, P) for P in range(npairs)]
         return [_covariant_top_form(ring, F, X, coupling, metric)
                 for X, coupling, metric in tops]

@@ -390,10 +390,10 @@ def _transformed_density(cm, cfg, transform, moved, **parameter):
         out = {k: np.empty_like(slab[k]) if k in moved else slab[k]
                for k in FIELDS}
         transform(slab, out)
-        return (out,)
+        return out
 
-    def action(rings):
-        _action_density(cm, rings[0], dens[rings[0].rows])
+    def action(ring):
+        _action_density(cm, ring, dens[ring.rows])
 
     _ring(cfg._ring_slabs(*ACTION_FIELDS, **parameter), transformed, action,
           ACTION_FIELDS[0])

@@ -170,16 +170,21 @@ def slabs(lattice: Lattice) -> list:
             for lo in range(0, lattice.n, rows)]
 
 
-def slab_window(field: np.ndarray, lattice: Lattice, rows: slice) -> tuple:
+def slab_window(field, lattice: Lattice, rows: slice) -> tuple:
     """(the row before, the rows `rows`, the row after) of lattice axis 0 of
-    a full field.  The rows, like the neighbour rows, wrap periodically, so
-    they may run past 0 or n - 1 (see _wrapped_rows): each part is a view,
-    or a copy if its rows cross from row n - 1 to row 0."""
-    field = np.asarray(field)
+    a full field or a FieldRecipe.  The rows, like the neighbour rows, wrap
+    periodically, so they may run past 0 or n - 1 (see _field_rows).  A
+    recipe is realized once, on the rows from the row before to the row
+    after, and each part is a view of them."""
     lo, hi = rows.start or 0, lattice.n if rows.stop is None else rows.stop
-    return (_wrapped_rows(field, lattice, lo - 1, lo),
-            _wrapped_rows(field, lattice, lo, hi),
-            _wrapped_rows(field, lattice, hi, hi + 1))
+    if isinstance(field, FieldRecipe):
+        block = _field_rows(field, lattice, lo - 1, hi + 1)
+        m = hi - lo
+        return (_axis0(block, lattice, 0, 1), _axis0(block, lattice, 1, m + 1),
+                _axis0(block, lattice, m + 1, m + 2))
+    return (_field_rows(field, lattice, lo - 1, lo),
+            _field_rows(field, lattice, lo, hi),
+            _field_rows(field, lattice, hi, hi + 1))
 
 
 def slab_derivative(window: tuple, axis: int, lattice: Lattice) -> np.ndarray:
@@ -239,6 +244,25 @@ def _wrapped_rows(field: np.ndarray, lattice: Lattice, lo: int,
                    axis=field.ndim - lattice.D)
 
 
+def _field_rows(field, lattice: Lattice, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of lattice axis 0, taken mod n, of a full field (as
+    _wrapped_rows gives them) or of a FieldRecipe, realized read-only: a
+    write into them would be lost, so it raises."""
+    if isinstance(field, FieldRecipe):
+        out = field.realize(lattice, lo, hi)
+        out.flags.writeable = False
+        return out
+    return _wrapped_rows(np.asarray(field), lattice, lo, hi)
+
+
+def _window(field, lattice: Lattice, rows: slice, windowed: bool) -> tuple:
+    """slab_window of field over `rows` if windowed, else (None, the rows
+    alone, None), which no difference along axis 0 can read."""
+    if windowed:
+        return slab_window(field, lattice, rows)
+    return None, _field_rows(field, lattice, rows.start, rows.stop), None
+
+
 def _kept(field: np.ndarray, lattice: Lattice, k: int,
           view: bool = False) -> np.ndarray:
     """Row k of lattice axis 0 of field, to keep once the rest of field may
@@ -252,48 +276,44 @@ def _kept(field: np.ndarray, lattice: Lattice, k: int,
 
 
 def _ring(source, kernel, reduce, edges) -> list:
-    """reduce(rings) over every row of the lattice, in runs of rows, with
+    """reduce(ring) over every row of the lattice, in runs of rows, with
     kernel(slab) called once per Slab of the source
     (FieldConfiguration._ring_slabs): first its lead, the last slab, then
     slabs 0 to the last in order.
 
-    kernel gives a tuple of dicts of fields on the slab's rows (lattice axes
-    last); rings holds one Slab per dict for a run of rows, whose windows
-    take the neighbour rows of the fields named in `edges` from the slabs
-    around (the others' are None).  The lead gives row 0 its row before:
-    the ring keeps the edge fields of the lead's last row, row n - 1, and
-    drops the rest of its block.  The lead is the whole last slab, not its
-    last row, so that its row n - 1 is bitwise the last slab's when a
-    kernel forms a row from its whole slab (the thin exponential scales
-    each slab's stack by its own 2^s).  A slab's rows whose neighbours the
-    ring holds are reduced at once; its last row waits for the next slab's
-    first row, and row n - 1 for the edge fields of row 0, the one thing
-    kept from the start to the end.  So beside the current block the ring
-    holds the pending row and the one before it, each a copy, or a view of
-    a block of one or two rows (which then waits whole), and never a longer
-    slab.  Each row is reduced once; the last slab is computed twice, so a
-    kernel with a side effect makes it once per slab's rows.
+    kernel gives a dict of fields on the slab's rows (lattice axes last);
+    ring is a Slab over a run of rows, whose windows take the neighbour
+    rows of the fields named in `edges` from the slabs around (the others'
+    are None).  The lead gives row 0 its row before: the ring keeps the
+    edge fields of the lead's last row, row n - 1, and drops the rest of
+    its block.  The lead is the whole last slab, not its last row, so that
+    its row n - 1 is bitwise the last slab's when a kernel forms a row from
+    its whole slab (the thin exponential scales each slab's stack by its
+    own 2^s).  A slab's rows whose neighbours the ring holds are reduced at
+    once; its last row waits for the next slab's first row, and row n - 1
+    for the edge fields of row 0, the one thing kept from the start to the
+    end.  So beside the current block the ring holds the pending row and
+    the one before it, each a copy, or a view of a block of one or two rows
+    (which then waits whole), and never a longer slab.  Each row is reduced
+    once; the last slab is computed twice, so a kernel with a side effect
+    makes it once per slab's rows.
     """
     out = []
 
     def rows(block, lo, hi):
-        return tuple({name: _axis0(f, lattice, lo, hi)
-                      for name, f in d.items()} for d in block)
+        return {name: _axis0(f, lattice, lo, hi) for name, f in block.items()}
 
     def row(block, k, names=None, view=False):
-        return tuple({name: _kept(f, lattice, k, view)
-                      for name, f in d.items() if names is None
-                      or name in names} for d in block)
+        return {name: _kept(f, lattice, k, view) for name, f in block.items()
+                if names is None or name in names}
 
     def neighbour(row):
-        return tuple({name: f for name, f in d.items() if name in edges}
-                     for d in row)
+        return {name: f for name, f in row.items() if name in edges}
 
-    def rings(lo, hi, before, mid, after):
-        return tuple(Slab(lattice, slice(lo, hi),
-                          {name: (b.get(name), m[name], a.get(name))
-                           for name in m})
-                     for b, m, a in zip(before, mid, after))
+    def ring(lo, hi, before, mid, after):
+        return Slab(lattice, slice(lo, hi),
+                    {name: (before.get(name), f, after.get(name))
+                     for name, f in mid.items()})
 
     source = iter(source)
     lead = next(source)
@@ -305,11 +325,11 @@ def _ring(source, kernel, reduce, edges) -> list:
         m = hi - lo
         block = kernel(slab)
         if lo > 0:   # the last row of the slab before
-            out.append(reduce(rings(lo - 1, lo, before, last,
-                                    rows(block, 0, 1))))
+            out.append(reduce(ring(lo - 1, lo, before, last,
+                                   rows(block, 0, 1))))
         if m > 1:
-            out.append(reduce(rings(lo, hi - 1, last, rows(block, 0, m - 1),
-                                    rows(block, m - 1, m))))
+            out.append(reduce(ring(lo, hi - 1, last, rows(block, 0, m - 1),
+                                   rows(block, m - 1, m))))
         if lo == 0:
             first = row(block, 0, edges)
         view = m <= 2   # a block of one or two rows waits whole
@@ -317,7 +337,7 @@ def _ring(source, kernel, reduce, edges) -> list:
         last = row(block, m - 1, view=view)
         del slab, block   # let the slab go before the next is made
     n = lattice.n
-    out.append(reduce(rings(n - 1, n, before, last, first)))
+    out.append(reduce(ring(n - 1, n, before, last, first)))
     return out
 
 
@@ -569,13 +589,8 @@ class FieldConfiguration:
         parts = slabs(lattice)
         ahead = [k for k in windowed if isinstance(fields[k], FieldRecipe)]
 
-        def realize(field, lo, hi):
-            out = field.realize(lattice, lo, hi)
-            out.flags.writeable = False
-            return out
-
         def realized(lo, hi):
-            return {k: realize(fields[k], lo, hi) for k in ahead}
+            return {k: _field_rows(fields[k], lattice, lo, hi) for k in ahead}
 
         def row(block, k):
             return {name: _axis0(f, lattice, k, k + 1)
@@ -584,17 +599,11 @@ class FieldConfiguration:
         def wrapped(cur, k):   # row k of lattice axis 0, taken mod n
             return row(cur, k % n) if len(parts) == 1 else realized(k, k + 1)
 
-        def window(name, field, span):
-            if name in windowed:
-                return slab_window(field, lattice, span)
-            if isinstance(field, FieldRecipe):
-                return None, realize(field, span.start, span.stop), None
-            return None, _axis0(field, lattice, span.start, span.stop), None
-
         def slab(span, before, cur, after):
             return Slab(lattice, span, {
                 k: (before[k], cur[k], after[k]) if k in cur
-                else window(k, v, span) for k, v in fields.items()})
+                else _window(v, lattice, span, k in windowed)
+                for k, v in fields.items()})
 
         if lead:
             span = parts[-1]

@@ -164,12 +164,11 @@ def _forward_bianchi_orders(monkeypatch, ring_only):
     ring_fields = []   # the ring fields of the reduction under way
 
     def tracked_ring(source, kernel, reduce, edges):
-        def tracked(rings):
-            ring_fields[:] = [r[k] for r in rings
-                              for k in ("F", "T", "dB", "dbeta")
-                              if k in r.windows]
+        def tracked(ring):
+            ring_fields[:] = [ring[k] for k in ("F", "T", "dB", "dbeta")
+                              if k in ring.windows]
             try:
-                return reduce(rings)
+                return reduce(ring)
             finally:
                 ring_fields.clear()
         return ring(source, kernel, tracked, edges)

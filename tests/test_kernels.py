@@ -23,7 +23,8 @@ from bfcg import curvature, lattice
 from bfcg.constraints import FAMILIES, constraint_density
 from bfcg.crossed_module import builtin_module, contract, t_map
 from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_norms,
-                            eom_residuals, evaluate_action)
+                            eom_gradient_check, eom_residuals,
+                            evaluate_action)
 from bfcg.gauge import (fat_gauge_transform, thin_gauge_transform,
                         transformed_actions)
 from bfcg.lattice import (FieldConfiguration, FieldRecipe, Lattice,
@@ -470,9 +471,9 @@ def test_bianchi_rings_compute_each_slab_once(name, monkeypatch):
             computed.append((slab.rows.start, slab.rows.stop))
             return kernel(slab)
 
-        def counted_reduce(rings):
-            reduced.extend(range(rings[0].rows.start, rings[0].rows.stop))
-            return reduce(rings)
+        def counted_reduce(ring):
+            reduced.extend(range(ring.rows.start, ring.rows.stop))
+            return reduce(ring)
 
         return ring(source, counted_kernel, counted_reduce, edges)
 
@@ -494,13 +495,15 @@ def test_bianchi_rings_compute_each_slab_once(name, monkeypatch):
 
 
 def _readers(cm, cfg, eps, eta) -> dict:
-    """Every 4D reader's result on cfg, its arrays as bytes."""
-    eom = eom_residuals(cm, cfg)
+    """Every 4D reader's result on cfg, its arrays as bytes and the eom
+    samples by repr, which tells every float bit."""
+    eom = eom_residuals(cm, cfg, 3)
     return {"curvature_F": curvature_F(cm, cfg).tobytes(),
             "curvature_norms": curvature_norms(cm, cfg),
             "evaluate_action": evaluate_action(cm, cfg),
-            "eom_residuals": {k: np.asarray(v).tobytes()
-                              for k, v in eom.items()},
+            "eom_residuals": {k: v.tobytes() if isinstance(v, np.ndarray)
+                              else repr(v) for k, v in eom.items()},
+            "eom_gradient_check": eom_gradient_check(cm, cfg, eom).hex(),
             "bianchi_residuals": bianchi_residuals(cm, cfg),
             "transformed_actions": transformed_actions(cm, cfg, eps, eta)}
 
