@@ -58,17 +58,18 @@ through its slab source (FieldConfiguration.slabs): a lattice.Slab holds
 each field's window, the slab and the neighbour rows before and after it
 along axis 0, which a kernel differences with lattice.slab_derivative.
 Only curvature_F, which the gauge check's covariance compares whole, forms a
-full curvature: the norms and the field equations reduce each stored pair
-or triple of a slab at once, and the Bianchi identities difference
-curvatures held in slab rings (lattice._ring), which compute the last slab
-first, as a lead that gives row 0 its row before, then each slab once, and
-keep only the rows that wait for a neighbour.  Each site gets the same
-operations in the same order on any partition, so the results are bitwise
-independent of the slab size and of the field kind; the action's density
-(_density) is one full site array summed once.  So the finite differences
-of the field equations form again only the three rows of density that a
-perturbed entry moves, from the windows of that row alone, and sum their
-change against the unperturbed density on those rows (_entry_actions).
+full curvature: the curvature check's one pass (gauge.curvature_residuals)
+and the field equations reduce each stored pair or triple of a slab at once,
+and the Bianchi identities difference curvatures held in slab rings
+(lattice._ring), which compute the last slab first, as a lead that gives row
+0 its row before, then each slab once, and keep only the rows that wait for
+a neighbour.  Each site gets the same operations in the same order on any
+partition, so the results are bitwise independent of the slab size and of
+the field kind; the action's density (_density) is one full site array
+summed once.  So the finite differences of the field equations form again
+only the three rows of density that a perturbed entry moves, from the
+windows of that row alone, and sum their change against the unperturbed
+density on those rows (_entry_actions).
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ from .lattice import (FIELDS, SLAB_SITES, FieldConfiguration, Slab, _fitted,
 
 __all__ = [
     "curvature_F",
-    "curvature_norms",
     "evaluate_action",
     "eom_residuals",
     "eom_gradient_check",
@@ -273,26 +273,6 @@ def evaluate_action(cm, cfg) -> float:
 def _worst(arrays) -> float:
     """max |x| over an iterable of arrays by np.max: NaN if any entry is."""
     return float(np.max([_maxabs(x) for x in arrays]))
-
-
-def curvature_norms(cm, cfg) -> dict:
-    """max |F|, |H|, |G| and |T| of a configuration in one pass over its
-    slabs: each stored pair or triple of a slab, H from the slab's F, is
-    reduced to its max as it is formed, and the slabs' maxima by np.max, so
-    a NaN reaches its norm."""
-    _require_4d(cm, cfg, "curvatures are")
-    npairs = len(pairs(4))
-    worst = []
-    for slab in cfg.slabs(("A", "beta", "C")):
-        F = [_curvature_F_pair(cm, slab, P) for P in range(npairs)]
-        worst.append((
-            _worst(F),
-            _worst(F[P] - contract(cm.del_.T, slab["beta"][P])
-                   for P in range(npairs)),
-            _worst(_three_form_triple(slab, "beta", cm.act, tri)
-                   for tri in triples(4)),
-            _worst(_curvature_T_pair(cm, slab, P) for P in range(npairs))))
-    return dict(zip("FHGT", map(float, np.max(worst, axis=0))))
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,8 @@ and each slab forms one exponential; otherwise the g-sector stacks are
 dropped before the h-sector exponential is formed.  So one sector's stacks
 (tens of MB; expm_batched adds four stacks of _EXPM_BLOCK matrices) and
 that slab's D eps are alive at a time, whatever the lattice size.  The fat
-body differences only eta, one stored pair at a time.  fat_H_change
-compares the fake curvature of a configuration with that of its fat
-transform slab by slab, from the fat shift of beta and the pointwise shift
-of A.
+body differences only eta, one stored pair at a time; curvature_residuals
+compares each slab's fake curvature with that of its fat transform.
 """
 
 from __future__ import annotations
@@ -63,15 +61,16 @@ import numpy as np
 
 from .crossed_module import _maxabs, contract, t_map
 from .curvature import (ACTION_FIELDS, _action, _action_density,
-                        _curvature_F_pair, _fake_curvature_pair, _require_4d)
+                        _curvature_F_pair, _curvature_T_pair, _require_4d,
+                        _three_form_triple, _worst)
 from .lattice import (FIELDS, FieldConfiguration, Slab, _fitted, _ring, pairs,
-                      slab_derivative)
+                      slab_derivative, triples)
 
 __all__ = [
     "expm_batched",
     "thin_gauge_transform",
     "fat_gauge_transform",
-    "fat_H_change",
+    "curvature_residuals",
     "transformed_actions",
 ]
 
@@ -310,33 +309,46 @@ def fat_gauge_transform(cm, cfg: FieldConfiguration,
     return cfg
 
 
-def fat_H_change(cm, cfg: FieldConfiguration, eta) -> float:
-    """max |H' - H| over the lattice, for the fake curvature H = F - del beta
-    of cfg and H' that of its fat transform with parameter eta (a full
-    array or a FieldRecipe), which leaves H exactly invariant.
-
-    One pass over cfg's slabs; no transformed field is formed beyond a
-    slab.  A' = A + del eta is pointwise, so the window of A' that F
-    differences is formed from the windows of A and eta, and beta' on the
-    slab's rows (_fat_beta_shift).  Each stored pair of H and H' is formed
-    as curvature_norms forms H and reduced at once; the slabs' maxima by
-    np.max, so a NaN reaches the result.  At q = 0 eta is empty and H' - H
-    is an exact zero.
-    """
+def curvature_residuals(cm, cfg: FieldConfiguration, eta) -> dict:
+    """The curvature check's data from one pass over cfg's slabs: the
+    max-abs "F", "H", "G" and "T" of F, H = F - del beta, G and T; "H_fat",
+    max |H' - H| for H' the H of cfg's fat transform by eta (an array or a
+    FieldRecipe), which leaves H invariant; and "S", the action, bitwise
+    evaluate_action's.  Each stored pair is reduced as it is formed: F, H
+    in place, and H' from the windows of A' = A + del eta and beta' on the
+    slab's rows (_fat_beta_shift).  A' and the slab go before the source
+    realizes the slab after the next.  np.max keeps a NaN; at q = 0, H' - H
+    is an exact zero."""
     lat = cfg.lattice
-    _require_4d(cm, cfg, "gauge transformations are")
+    _require_4d(cm, cfg, "curvatures are")
     eta = _parameter(cm, lat, "eta", eta)
-    worst = []
-    for slab in cfg.slabs(("A",), ("beta",), eta=eta):
-        A1 = tuple(np.stack([A[mu] + contract(cm.del_.T, e[mu])
-                             for mu in range(lat.D)])
-                   for A, e in zip(slab.windows["A"], slab.windows["eta"]))
+    dens, worst = np.zeros(lat.shape), []
+    for slab in cfg.slabs(("A", "beta", "C"), ("B",), eta=eta):
+        fat = Slab(lat, slab.rows, {"A": tuple(
+            np.stack([A[mu] + contract(cm.del_.T, e[mu]) for mu in range(4)])
+            for A, e in zip(slab.windows["A"], slab.windows["eta"]))})
+        pair_worst = []   # (F, H, H' - H) of each stored pair
         for P in range(len(slab["beta"])):
-            beta1 = slab["beta"][P] + _fat_beta_shift(cm, slab, P)
-            H1 = _curvature_F_pair(cm, Slab(lat, slab.rows, {"A": A1}), P)
-            H1 -= contract(cm.del_.T, beta1)
-            worst.append(_maxabs(H1 - _fake_curvature_pair(cm, slab, P)))
-    return float(np.max(worst))
+            H = _curvature_F_pair(cm, slab, P)   # F, then H in place
+            F_worst = _maxabs(H)
+            H -= contract(cm.del_.T, slab["beta"][P])
+            H1 = _curvature_F_pair(cm, fat, P)
+            H1 -= contract(cm.del_.T,
+                           slab["beta"][P] + _fat_beta_shift(cm, slab, P))
+            H1 -= H
+            pair_worst.append((F_worst, _maxabs(H), _maxabs(H1)))
+        del fat
+        worst.append((
+            *np.max(pair_worst, axis=0),
+            _worst(_three_form_triple(slab, "beta", cm.act, tri)
+                   for tri in triples(4)),
+            _worst(_curvature_T_pair(cm, slab, P)
+                   for P in range(len(slab["beta"])))))
+        _action_density(cm, slab, dens[slab.rows])
+        del slab
+    norms = map(float, np.max(worst, axis=0))
+    return {**dict(zip(("F", "H", "H_fat", "G", "T"), norms)),
+            "S": _action(lat, dens)}
 
 
 def transformed_actions(cm, cfg, eps, eta) -> tuple:

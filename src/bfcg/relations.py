@@ -318,7 +318,10 @@ def check_algebra_relation(cm, rel_id: str, point: PhasePoint,
 def fundamental_bracket_residuals(cm, point: PhasePoint, seed: int = 0) -> dict:
     """Reproduce the fundamental PB table: {q[f], p[g]} = a^3 sum f.g,
     all cross-block brackets zero.  Each smeared block is differentiated
-    once and its gradient paired with every other."""
+    once and its gradient paired with every other.  "conjugate" and
+    "cross" are the worst residuals of either kind, and "brackets" holds
+    (residual, scale) of each, the scale 1 + the sum of |terms| of the
+    bracket (bracket_size), which check_algebra gates as a relation's."""
     lat = point.lattice
     rng = np.random.default_rng(seed)
     names = [n for pr in CANONICAL_PAIRS for n in pr]
@@ -329,19 +332,22 @@ def fundamental_bracket_residuals(cm, point: PhasePoint, seed: int = 0) -> dict:
         dens = tensor_density(shape, (identity(shape), (name, len(shape), False)))
         grads[name] = smear(dens, t, lat).gradient(point.blocks)
 
-    def bracket(na, nb):
-        return pair_gradients(grads[na], grads[nb], CANONICAL_PAIRS, lat.a)
+    def bracket(na, nb, expect=0.0):
+        value, size = bracket_size(grads[na], grads[nb], CANONICAL_PAIRS,
+                                   lat.a)
+        return abs(value - expect), 1.0 + size
 
-    worst_pair = worst_zero = 0.0
-    for qb, pb in CANONICAL_PAIRS:
-        tq, tp = tests[qb], tests[pb]
-        expect = _vol_sum(lat, np.sum(tq * tp, axis=tuple(range(tq.ndim - 3))))
-        worst_pair = float(np.max([worst_pair, abs(bracket(qb, pb) - expect)]))
-    for i, na in enumerate(names):
-        for nb in names[i + 1:]:
-            if (na, nb) not in CANONICAL_PAIRS and (nb, na) not in CANONICAL_PAIRS:
-                worst_zero = float(np.max([worst_zero, abs(bracket(na, nb))]))
-    return {"conjugate": worst_pair, "cross": worst_zero}
+    def worst(brackets):   # np.max, not max: a NaN residual is kept
+        return float(np.max([0.0] + [r for r, _ in brackets]))
+
+    conjugate = [bracket(qb, pb, _vol_sum(lat, np.sum(
+        tests[qb] * tests[pb], axis=tuple(range(tests[qb].ndim - 3)))))
+        for qb, pb in CANONICAL_PAIRS]
+    cross = [bracket(na, nb) for i, na in enumerate(names)
+             for nb in names[i + 1:] if (na, nb) not in CANONICAL_PAIRS
+             and (nb, na) not in CANONICAL_PAIRS]
+    return {"conjugate": worst(conjugate), "cross": worst(cross),
+            "brackets": conjugate + cross}
 
 
 # ---------------------------------------------------------------------------

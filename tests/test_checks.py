@@ -7,9 +7,10 @@ import pytest
 
 import bfcg
 from bfcg import checks
-from bfcg import curvature
-from bfcg.checks import (CHECKS, ORDER_WINDOW, RunConfig, check_bianchi,
-                         check_curvature, check_dof, check_offshell, order_ok)
+from bfcg import curvature, gauge, relations
+from bfcg.checks import (CHECKS, ORDER_WINDOW, RunConfig, check_algebra,
+                         check_bianchi, check_curvature, check_dof,
+                         check_offshell, order_ok)
 from bfcg.cli import main
 from bfcg.crossed_module import builtin_module, dump_crossed_module
 from bfcg.lattice import Lattice, slab_derivative, slabs
@@ -54,13 +55,46 @@ def test_offshell_gate_is_the_order_window(monkeypatch, key, order, ok):
 
 
 def test_nan_fundamental_bracket_fails_algebra(monkeypatch):
-    """A NaN bracket residual is not dropped by the worst-case reduction."""
+    """A NaN bracket residual is not dropped by the worst-case reduction,
+    and fails its gate."""
+    nan = float("nan")
     monkeypatch.setattr(checks, "fundamental_bracket_residuals",
-                        lambda cm, point, seed: {"conjugate": float("nan"),
-                                                 "cross": 0.0})
+                        lambda cm, point, seed: {
+                            "conjugate": nan, "cross": 0.0,
+                            "brackets": [(nan, 1.0), (0.0, 1.0)]})
     rec = checks.check_algebra(builtin_module("abelian(1,1)"), RunConfig(ns=(4,)))
     assert not rec.ok
     assert rec.lines[-1] == "fundamental-brackets worst nan"
+
+
+@pytest.mark.parametrize("a", [None, 1e3], ids=["default", "a=1e3"])
+@pytest.mark.parametrize("name", ["abelian(1,1)", "adjoint(su2)"])
+def test_fundamental_brackets_are_gated_on_their_size(name, a, monkeypatch):
+    """Each fundamental bracket is gated at FUNDAMENTAL_TOL (1 + the sum of
+    |terms| of it), as a relation is.  At a = 1e3 the brackets, of order
+    a^3, are 1.2e-4 off the expected sums (the printed worst) and PASS.  A
+    value scaled by 1 + 1e-6 in the fundamental brackets alone FAILs at
+    either spacing, while every relation row still PASSes."""
+    cm = builtin_module(name)
+    cfg = RunConfig(seed=1, ns=(8,), a=a)
+    assert check_algebra(cm, cfg).ok
+    size = relations.bracket_size
+    residuals = checks.fundamental_bracket_residuals
+
+    def scaled(*args):
+        value, terms = size(*args)
+        return value * (1 + 1e-6), terms
+
+    def mutant(cm, point, seed):
+        with monkeypatch.context() as m:
+            m.setattr(relations, "bracket_size", scaled)
+            return residuals(cm, point, seed=seed)
+
+    monkeypatch.setattr(checks, "fundamental_bracket_residuals", mutant)
+    rec = check_algebra(cm, cfg)
+    assert not rec.ok
+    rows = [line for line in rec.lines if line.startswith("relation ")]
+    assert rows and all(line.endswith("exact PASS") for line in rows)
 
 
 def test_nan_on_the_last_slab_reaches_the_curvature_norm(monkeypatch):
@@ -69,7 +103,7 @@ def test_nan_on_the_last_slab_reaches_the_curvature_norm(monkeypatch):
     action, which does not read T, stays finite: the maxima are reduced by
     np.max, where the built-in max would keep the first finite value."""
     assert len(slabs(Lattice(4, 16, 1.0 / 16))) == 2
-    kernel = curvature._curvature_T_pair
+    kernel = gauge._curvature_T_pair
 
     def nan_at_the_end(cm, slab, P):
         out = kernel(cm, slab, P)
@@ -77,7 +111,8 @@ def test_nan_on_the_last_slab_reaches_the_curvature_norm(monkeypatch):
             out[...] = np.nan
         return out
 
-    monkeypatch.setattr(curvature, "_curvature_T_pair", nan_at_the_end)
+    # the curvature check's pass, gauge.curvature_residuals, looks T up there
+    monkeypatch.setattr(gauge, "_curvature_T_pair", nan_at_the_end)
     rec = check_curvature(builtin_module("adjoint(su2)"), RunConfig(ns=(16,)))
     assert "curvature T maxabs nan" in rec.lines
     assert np.isfinite(float(rec.lines[-1].split()[-1]))

@@ -8,16 +8,16 @@ import pytest
 from bfcg import curvature
 from bfcg.checks import EOM_TOL, RunConfig, check_eom, order_ok
 from bfcg.crossed_module import builtin_module, contract
-from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_norms,
+from bfcg.curvature import (bianchi_residuals, curvature_F,
                             eom_gradient_check, eom_residuals,
                             evaluate_action)
-from bfcg.gauge import (fat_gauge_transform, thin_gauge_transform,
-                        transformed_actions)
+from bfcg.gauge import (curvature_residuals, fat_gauge_transform,
+                        thin_gauge_transform, transformed_actions)
 from bfcg.lattice import (FIELDS, ConfigRecipe, FieldConfiguration,
-                          FieldRecipe, Lattice, Slab, discrete_derivative,
-                          levi_civita, finest_order, fit_order,
-                          make_config_recipe, pair_index, pairs, slab_window,
-                          slabs, triples)
+                          FieldRecipe, Lattice, Slab, _random_recipe,
+                          discrete_derivative, levi_civita, finest_order,
+                          fit_order, make_config_recipe, pair_index, pairs,
+                          slab_window, slabs, triples)
 from support import (curvature_G3, curvature_GB, curvature_T, fake_curvature,
                      sample_smooth_fields, traced_peak)
 
@@ -143,19 +143,27 @@ def test_abelian_T_GB_match_exterior_derivative_oracle():
                                      ("vector_poincare", 16),
                                      ("trivial_bf(3)", 5), ("abelian(2,3)", 6)])
 def test_curvature_norms_are_the_full_array_maxima(name, n):
-    """The one slab pass gives bitwise the max-abs of the full F, H, G and T
-    arrays, of a held and of a streamed configuration, and eom_residuals
-    the same H and G norms; n = 14 is two slabs of 11 and 3 rows, n = 16
-    two of 8."""
+    """The curvature check's one slab pass gives bitwise the max-abs of the
+    full F, H, G and T arrays and of H' - H, H' the fake curvature of the
+    fat transform of a copy, and evaluate_action's action, of a held and of
+    a streamed configuration, with a held and a recipe eta; eom_residuals
+    gives the same H and G norms.  n = 14 is two slabs of 11 and 3 rows,
+    n = 16 two of 8."""
     cm = builtin_module(name)
     lat = Lattice(4, n, 1.0 / n)
     recipe = make_config_recipe(cm, 4, 2, seed=n, scale=0.7)
+    eta = _random_recipe(np.random.default_rng(n), 4, (4, cm.q), 2,
+                         scale=0.3)
     cfg = recipe.realize(lat)
     full = {"F": curvature_F(cm, cfg), "H": fake_curvature(cm, cfg),
             "G": curvature_G3(cm, cfg), "T": curvature_T(cm, cfg)}
+    full["H_fat"] = fake_curvature(
+        cm, fat_gauge_transform(cm, cfg.copy(), eta)) - full["H"]
     want = {k: float(np.max(np.abs(v), initial=0.0)) for k, v in full.items()}
-    assert curvature_norms(cm, cfg) == want
-    assert curvature_norms(cm, recipe.stream(lat)) == want
+    want["S"] = evaluate_action(cm, cfg)
+    for c, e in ((cfg, eta), (recipe.stream(lat), eta),
+                 (recipe.stream(lat), eta.realize(lat))):
+        assert curvature_residuals(cm, c, e) == want
     res = eom_residuals(cm, cfg)
     assert (res["H_norm"], res["G_norm"]) == (want["H"], want["G"])
 
@@ -569,8 +577,10 @@ def _misfits(cm, lat):
 
 
 @pytest.mark.parametrize("reader", [
-    curvature_F, curvature_norms, evaluate_action, eom_residuals,
-    bianchi_residuals,
+    curvature_F,
+    lambda cm, cfg: curvature_residuals(cm, cfg, np.zeros(
+        (4, cm.q) + cfg.lattice.shape)),
+    evaluate_action, eom_residuals, bianchi_residuals,
     lambda cm, cfg: eom_gradient_check(cm, cfg, {}),
     lambda cm, cfg: thin_gauge_transform(cm, cfg, np.zeros(
         (cm.p,) + cfg.lattice.shape)),
@@ -578,7 +588,7 @@ def _misfits(cm, lat):
         (4, cm.q) + cfg.lattice.shape)),
     lambda cm, cfg: transformed_actions(cm, cfg, np.zeros(
         (cm.p,) + cfg.lattice.shape), np.zeros((4, cm.q) + cfg.lattice.shape)),
-], ids=["curvature_F", "curvature_norms", "evaluate_action", "eom_residuals",
+], ids=["curvature_F", "curvature_residuals", "evaluate_action", "eom_residuals",
         "bianchi_residuals", "eom_gradient_check", "thin_gauge_transform",
         "fat_gauge_transform", "transformed_actions"])
 def test_a_configuration_that_misfits_the_module_is_refused(reader):

@@ -14,7 +14,8 @@ from bfcg.curvature import bianchi_residuals, curvature_F, evaluate_action
 from bfcg.gauge import (_apply, _generators, _sites_last, expm_batched,
                         fat_gauge_transform, thin_gauge_transform,
                         transformed_actions)
-from bfcg.lattice import (Lattice, _random_recipe, discrete_derivative, levi_civita,
+from bfcg.lattice import (FieldRecipe, Lattice, _random_recipe,
+                          discrete_derivative, levi_civita,
                           finest_order, fit_order, make_config_recipe, pairs,
                           slabs, triples)
 from support import (curvature_G3, expm_series, fake_curvature,
@@ -414,11 +415,15 @@ def test_streamed_checks_hold_no_configuration():
     """bianchi, gauge-check and curvature realize each rung one slab at a
     time.  At n = 24 (12 slabs of 2 rows) Bianchi, whose rings hold a few
     rows beside the current slab, peaks below 0.3 of one configuration
-    (0.26 measured); curvature, which holds the action's density beside
-    one slab's curvatures, below half of one; and gauge-check, which holds
-    the current slab of one transform at a time and a few rows beside the
-    source's slabs, below half of one (0.44 measured).  (At n = 20 a slab
-    is a fifth of the lattice, and those slabs make about one
+    (0.26 measured); curvature, whose one pass holds the windows of A,
+    beta, C and eta and the rows of B for the current and the next slab
+    beside the action's density, below 0.4 of one (0.29 measured; 0.27 in
+    the three passes of fewer fields it once made, 0.38 in one pass that
+    kept its last slab while the source realized the next); and
+    gauge-check,
+    which holds the current slab of one transform at a time and a few rows
+    beside the source's slabs, below half of one (0.44 measured).  (At
+    n = 20 a slab is a fifth of the lattice, and those slabs make about one
     configuration.)"""
     cm = builtin_module("adjoint(su2)")
     lat = Lattice(4, 24, 1.0 / 24)
@@ -426,10 +431,31 @@ def test_streamed_checks_hold_no_configuration():
     assert len(slabs(lat)) == 12
     for check, ns, bound in ((check_bianchi, (8, 12, 24), 0.3 * one),
                              (check_gauge, (8, 12, 24), one / 2),
-                             (check_curvature, (24,), one / 2)):
+                             (check_curvature, (24,), 0.4 * one)):
         rec, peak = traced_peak(check, cm, RunConfig(ns=ns))
         assert rec.ok, rec.name
         assert peak < bound, (rec.name, peak / one)
+
+
+def test_curvature_reads_its_configuration_once(monkeypatch):
+    """check_curvature makes one pass over its streamed configuration: at
+    n = 24 (12 slabs of 2 rows) it realizes each of A, beta, B, C and the
+    fat parameter eta once per slab, and the four windowed ones once more
+    at each periodic wrap row, n - 1 before slab 0 and 0 after the last
+    (68 realizations; the three passes it made before took 134)."""
+    lat = Lattice(4, 24, 1.0 / 24)
+    assert len(slabs(lat)) == 12
+    realize, calls = FieldRecipe.realize, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return realize(self, *args, **kwargs)
+
+    monkeypatch.setattr(FieldRecipe, "realize", counted)
+    assert check_curvature(builtin_module("adjoint(su2)"),
+                           RunConfig(ns=(24,))).ok
+    assert len(calls) == 5 * 12 + 4 * 2
+    assert len(set(map(id, calls))) == 5
 
 
 @pytest.mark.parametrize("module, run", [

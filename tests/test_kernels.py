@@ -22,11 +22,11 @@ import pytest
 from bfcg import curvature, lattice
 from bfcg.constraints import FAMILIES, constraint_density
 from bfcg.crossed_module import builtin_module, contract, t_map
-from bfcg.curvature import (bianchi_residuals, curvature_F, curvature_norms,
+from bfcg.curvature import (bianchi_residuals, curvature_F,
                             eom_gradient_check, eom_residuals,
                             evaluate_action)
-from bfcg.gauge import (fat_gauge_transform, thin_gauge_transform,
-                        transformed_actions)
+from bfcg.gauge import (curvature_residuals, fat_gauge_transform,
+                        thin_gauge_transform, transformed_actions)
 from bfcg.lattice import (FieldConfiguration, FieldRecipe, Lattice,
                           _random_recipe, discrete_derivative,
                           make_config_recipe, slab_derivative, slab_window,
@@ -407,7 +407,8 @@ def test_slabs_partition_axis_0():
 def _slabbed_outputs(cm, cfg, eps, eta, point):
     """Every slab-streamed result on one configuration, by name."""
     out = {"F": curvature_F(cm, cfg), "S": evaluate_action(cm, cfg)}
-    out.update(("norm " + k, v) for k, v in curvature_norms(cm, cfg).items())
+    out.update(("curvature " + k, v)
+               for k, v in curvature_residuals(cm, cfg, eta).items())
     out.update(("eom " + k, v) for k, v in eom_residuals(cm, cfg).items())
     out.update(bianchi_residuals(cm, cfg))
     for kind, new in (("thin", thin_gauge_transform(cm, cfg.copy(), eps)),
@@ -499,7 +500,7 @@ def _readers(cm, cfg, eps, eta) -> dict:
     samples by repr, which tells every float bit."""
     eom = eom_residuals(cm, cfg, 3)
     return {"curvature_F": curvature_F(cm, cfg).tobytes(),
-            "curvature_norms": curvature_norms(cm, cfg),
+            "curvature_residuals": curvature_residuals(cm, cfg, eta),
             "evaluate_action": evaluate_action(cm, cfg),
             "eom_residuals": {k: v.tobytes() if isinstance(v, np.ndarray)
                               else repr(v) for k, v in eom.items()},
