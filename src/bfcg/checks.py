@@ -242,7 +242,7 @@ def check_gauge(cm, cfg: RunConfig) -> CheckRecord:
         spac = []
         for n in cfg.ns:
             lat = _lattice(cfg, 4, n)
-            # one pass over the streamed slabs gives all three actions
+            # the three actions, each from its own pass over the slabs
             S0, S_thin, S_fat = transformed_actions(
                 cm, recipe.stream(lat), eps_rec, eta_rec)
             dS["thin"].append(abs(S_thin - S0))

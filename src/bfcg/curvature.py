@@ -65,11 +65,14 @@ and the Bianchi identities difference curvatures held in slab rings
 0 its row before, then each slab once, and keep only the rows that wait for
 a neighbour.  Each site gets the same operations in the same order on any
 partition, so the results are bitwise independent of the slab size and of
-the field kind; the action's density (_density) is one full site array
-summed once.  So the finite differences of the field equations form again
-only the three rows of density that a perturbed entry moves, from the
-windows of that row alone, and sum their change against the unperturbed
-density on those rows (_entry_actions).
+the field kind.  evaluate_action sums the action's density (_density) as
+one full site array by one np.sum; the passes that stream it, the
+curvature check's and the gauge transforms', sum each slab's or run's
+density at once in numpy's pairwise order (lattice._StreamedSum), so to
+the same bits without the array.  The finite differences of the field
+equations form again only the three rows of density that a perturbed
+entry moves, from the windows of that row alone, and sum their change
+against the unperturbed density on those rows (_entry_actions).
 """
 
 from __future__ import annotations
@@ -225,11 +228,17 @@ def _action_density(cm, slab, out) -> None:
     slab's rows of a site array: H one stored pair and G one stored triple
     at a time, in the same per-site order on any slab."""
     for Pi, Pj, e in _PP4:
-        H = _fake_curvature_pair(cm, slab, Pj)
-        _add_signed(out, e, contract(cm.Q[None], slab["B"][Pi], H)[0])
+        _add_pairing(out, e, cm.Q, slab["B"][Pi],
+                     _fake_curvature_pair(cm, slab, Pj))
     for mu, tri, e in _AT4:
-        G = _three_form_triple(slab, "beta", cm.act, tri)
-        _add_signed(out, e, contract(cm.qf[None], slab["C"][mu], G)[0])
+        _add_pairing(out, e, cm.qf, slab["C"][mu],
+                     _three_form_triple(slab, "beta", cm.act, tri))
+
+
+def _add_pairing(out, sign, metric, X, Y) -> None:
+    """out += sign metric(X, Y), one term of the action's density: B with H
+    (metric Q) on a stored pair, or C with G (q) on an axis."""
+    _add_signed(out, sign, contract(metric[None], X, Y)[0])
 
 
 def _density(cm, cfg) -> np.ndarray:

@@ -30,15 +30,18 @@ full array or a FieldRecipe, checked for its shape alone (_parameter).
 thin_gauge_transform and fat_gauge_transform write the rows over the held
 configuration they are given (the rows of a recipe are read-only, so a
 streamed field raises) and return it without re-validating it, so a
-non-finite value reaches the action and FAILs.  transformed_actions makes
-one pass per transform and writes its rows into new slab arrays that a slab
-ring (lattice._ring) hands to the action with their neighbour rows, so the
-gauge check's configuration, one transform at a time and its parameter are
-realized and transformed one slab at a time and no n^4 field exists.  The
-ring transforms the last slab first, as its lead, and keeps only that
-slab's last row's edge fields, so beside the current slab it holds a few
-rows of the transform, and no slab waits to the end; beside them are at
-most two density site arrays, the untransformed one and the transform's.
+non-finite value reaches the action and FAILs.  transformed_actions takes
+the untransformed action from evaluate_action and makes one pass per
+transform, which realizes the rows of the four fields and the window of
+the parameter alone and writes the transformed rows into new slab arrays
+that a slab ring (lattice._ring) hands to the action with their neighbour
+rows, so the gauge check's configuration, one transform at a time and its
+parameter are realized and transformed one slab at a time and no n^4
+field exists.  The ring transforms the last slab first, as its lead, and
+keeps only that slab's last row's edge fields, so beside the current slab
+it holds a few rows of the transform, and no slab waits to the end; the
+density of each run of rows it reduces is added to a streamed np.sum
+(lattice._StreamedSum) at once, so no density site array exists either.
 The thin body is pointwise once D eps is formed: it builds -f eps (and
 -act eps) from the nonzeros of the structure tensor, exponentiates it as
 (sites, p, p) stacks, and copies the rotation and the dexpinv sum to
@@ -60,11 +63,12 @@ import math
 import numpy as np
 
 from .crossed_module import _maxabs, contract, t_map
-from .curvature import (ACTION_FIELDS, _action, _action_density,
-                        _curvature_F_pair, _curvature_T_pair, _require_4d,
-                        _three_form_triple, _worst)
-from .lattice import (FIELDS, FieldConfiguration, Slab, _fitted, _ring, pairs,
-                      slab_derivative, triples)
+from .curvature import (_AT4, _PP4, ACTION_FIELDS, _action_density,
+                        _add_pairing, _curvature_F_pair, _curvature_T_pair,
+                        _require_4d, _three_form_triple, _worst,
+                        evaluate_action)
+from .lattice import (FIELDS, FieldConfiguration, Slab, _fitted, _ring,
+                      _StreamedSum, pairs, slab_derivative)
 
 __all__ = [
     "expm_batched",
@@ -316,19 +320,23 @@ def curvature_residuals(cm, cfg: FieldConfiguration, eta) -> dict:
     FieldRecipe), which leaves H invariant; and "S", the action, bitwise
     evaluate_action's.  Each stored pair is reduced as it is formed: F, H
     in place, and H' from the windows of A' = A + del eta and beta' on the
-    slab's rows (_fat_beta_shift).  A' and the slab go before the source
-    realizes the slab after the next.  np.max keeps a NaN; at q = 0, H' - H
-    is an exact zero."""
+    slab's rows (_fat_beta_shift).  The pairs are visited in _PP4 and the
+    triples in _AT4 order, so each H and G adds its term to the slab's
+    density as it is formed, in _action_density's order, and the density
+    goes to a streamed np.sum (lattice._StreamedSum).  A' and the slab go
+    before the source realizes the slab after the next.  np.max keeps a
+    NaN; at q = 0, H' - H is an exact zero."""
     lat = cfg.lattice
     _require_4d(cm, cfg, "curvatures are")
     eta = _parameter(cm, lat, "eta", eta)
-    dens, worst = np.zeros(lat.shape), []
+    total, worst = _StreamedSum(lat), []
     for slab in cfg.slabs(("A", "beta", "C"), ("B",), eta=eta):
         fat = Slab(lat, slab.rows, {"A": tuple(
             np.stack([A[mu] + contract(cm.del_.T, e[mu]) for mu in range(4)])
             for A, e in zip(slab.windows["A"], slab.windows["eta"]))})
+        dens = np.zeros(slab["B"].shape[2:])
         pair_worst = []   # (F, H, H' - H) of each stored pair
-        for P in range(len(slab["beta"])):
+        for Pi, P, e in _PP4:
             H = _curvature_F_pair(cm, slab, P)   # F, then H in place
             F_worst = _maxabs(H)
             H -= contract(cm.del_.T, slab["beta"][P])
@@ -337,76 +345,73 @@ def curvature_residuals(cm, cfg: FieldConfiguration, eta) -> dict:
                            slab["beta"][P] + _fat_beta_shift(cm, slab, P))
             H1 -= H
             pair_worst.append((F_worst, _maxabs(H), _maxabs(H1)))
+            _add_pairing(dens, e, cm.Q, slab["B"][Pi], H)
         del fat
-        worst.append((
-            *np.max(pair_worst, axis=0),
-            _worst(_three_form_triple(slab, "beta", cm.act, tri)
-                   for tri in triples(4)),
-            _worst(_curvature_T_pair(cm, slab, P)
-                   for P in range(len(slab["beta"])))))
-        _action_density(cm, slab, dens[slab.rows])
+        G_worst = []
+        for mu, tri, e in _AT4:
+            G = _three_form_triple(slab, "beta", cm.act, tri)
+            G_worst.append(_maxabs(G))
+            _add_pairing(dens, e, cm.qf, slab["C"][mu], G)
+        worst.append((*np.max(pair_worst, axis=0), np.max(G_worst),
+                      _worst(_curvature_T_pair(cm, slab, P)
+                             for P in range(len(slab["beta"])))))
+        total.add(slab.rows, dens)
         del slab
     norms = map(float, np.max(worst, axis=0))
     return {**dict(zip(("F", "H", "H_fat", "G", "T"), norms)),
-            "S": _action(lat, dens)}
+            "S": float(lat.volume_element * total.sum())}
 
 
 def transformed_actions(cm, cfg, eps, eta) -> tuple:
     """(S, S_thin, S_fat): the action of cfg and of its thin and fat
-    transforms with parameters eps and eta, in two passes over cfg's slabs.
+    transforms with parameters eps and eta, in three passes over cfg's
+    slabs.
 
     The fields of cfg and the parameters are full arrays or FieldRecipes,
-    which the slab source (FieldConfiguration._ring_slabs) realizes slab by
-    slab; both parameters are checked before either pass.  The first pass
-    transforms each slab by the thin transformation, and S_thin is summed
-    as it ends.  The second transforms each slab by the fat one and forms
-    the action's density of the untransformed slab beside it, once per
-    slab (_transformed_density computes the last slab twice).  So at most
-    two density site arrays exist at a time.  The three values are bitwise
-    those of evaluate_action on cfg and on the transforms of a copy of it.
+    which the slab sources realize slab by slab; both parameters are
+    checked before any pass.  S is evaluate_action's.  Each transform's
+    pass reads the rows of the four fields and the window of its parameter
+    alone, and its action's density is summed run by run as its slab ring
+    reduces it (_transformed_action), so neither holds a density site
+    array.  The three values are bitwise those of evaluate_action on cfg
+    and on the transforms of a copy of it.
     """
     lat = cfg.lattice
     _require_4d(cm, cfg, "the action is")
     eps, eta = _parameter(cm, lat, "eps", eps), _parameter(cm, lat, "eta", eta)
     T = t_map(cm)
-
-    def thin_kernel(slab, out):
-        _thin_slab(cm, slab, out)
-
-    S_thin = _action(lat, _transformed_density(cm, cfg, thin_kernel, FIELDS,
-                                               eps=eps))
-    dens, filled = np.zeros(lat.shape), set()
-
-    def fat_kernel(slab, out):   # and the untransformed density, once
-        if slab.rows.start not in filled:
-            filled.add(slab.rows.start)
-            _action_density(cm, slab, dens[slab.rows])
-        _fat_slab(cm, slab, out, T)
-
-    fat = _transformed_density(cm, cfg, fat_kernel, ("A", "beta", "B"),
-                               eta=eta)
-    return _action(lat, dens), S_thin, _action(lat, fat)
+    return (evaluate_action(cm, cfg),
+            _transformed_action(cm, cfg, _thin_slab, FIELDS, eps=eps),
+            _transformed_action(cm, cfg, lambda cm, slab, out:
+                                _fat_slab(cm, slab, out, T),
+                                ("A", "beta", "B"), eta=eta))
 
 
-def _transformed_density(cm, cfg, transform, moved, **parameter):
-    """The action's density of cfg's transform: transform(slab, out) writes
-    the fields named in `moved` into new slab arrays out (the others are the
-    slab's own), and a slab ring (lattice._ring) gives the action each
-    transformed row with its neighbour rows.  The ring transforms the last
-    slab twice, as its lead and in turn, so a transform with a side effect
-    makes it once per slab's rows.  Beside the source's slabs only this
-    transform's current slab and the ring's few rows are alive."""
-    dens = np.zeros(cfg.lattice.shape)
+def _transformed_action(cm, cfg, transform, moved, **parameter):
+    """The action of cfg's transform: transform(cm, slab, out) writes the
+    fields named in `moved` into new slab arrays out (the others are the
+    slab's own rows), and a slab ring (lattice._ring) gives the action's
+    density each transformed run of rows with its neighbour rows, taken
+    from the transformed slabs, and adds it to a streamed np.sum
+    (lattice._StreamedSum).  The source gives the rows of the four fields
+    and the window of the parameter, which is all a transform reads.
+    Beside the source's slab and its next slab of the parameter only this
+    transform's current slab, the ring's few rows and one run's density are
+    alive."""
+    lat = cfg.lattice
+    total = _StreamedSum(lat)
 
     def transformed(slab):
         out = {k: np.empty_like(slab[k]) if k in moved else slab[k]
                for k in FIELDS}
-        transform(slab, out)
+        transform(cm, slab, out)
         return out
 
     def action(ring):
-        _action_density(cm, ring, dens[ring.rows])
+        dens = np.zeros(ring["A"].shape[2:])
+        _action_density(cm, ring, dens)
+        total.add(ring.rows, dens)
 
-    _ring(cfg._ring_slabs(*ACTION_FIELDS, **parameter), transformed, action,
+    _ring(cfg._ring_slabs((), FIELDS, **parameter), transformed, action,
           ACTION_FIELDS[0])
-    return dens
+    return float(lat.volume_element * total.sum())

@@ -535,10 +535,12 @@ def reduction_residual(cm, point: PhasePoint) -> float:
 
     Setting the second-class constraints to zero (spatial momenta on shell)
     must reduce phi(H), phi(G), phi(CB), phi(BCbeta) componentwise to the
-    epsilon-dualized secondary densities.
+    epsilon-dualized secondary densities.  The reduced point shares the
+    coordinate blocks of point, which are only read, and takes the on-shell
+    momenta.
     """
-    reduced = point.copy()
-    reduced.blocks.update(onshell_momenta(cm, reduced.blocks, point.lattice))
+    reduced = PhasePoint(point.lattice, point.p, point.q, {
+        **point.blocks, **onshell_momenta(cm, point.blocks, point.lattice)})
     worst = 0.0
     for row in TEMPORAL:
         diff = (evaluate_constraint(cm, row.completion, reduced)

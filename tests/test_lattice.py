@@ -241,6 +241,57 @@ def test_one_row_fields_are_kept_as_views():
     assert np.may_share_memory(lattice._kept(field[:, 1:3], lat, 0), field)
 
 
+def _streamed_sums(lat, x):
+    """The streamed np.sum of the site array x, added three ways: in the
+    runs of rows a slab ring reduces, in order (row n - 1 last); as whole
+    slabs; and as single rows from the last to the first."""
+    parts = slabs(lat)
+    ring = lattice._StreamedSum(lat)
+    lattice._ring([lattice.Slab(lat, s, {}) for s in parts[-1:] + parts],
+                  lambda slab: {"x": x[slab.rows]},
+                  lambda run: ring.add(run.rows, run["x"]), ())
+    whole, single = lattice._StreamedSum(lat), lattice._StreamedSum(lat)
+    for s in parts:
+        whole.add(s, x[s])
+    for k in reversed(range(lat.n)):
+        single.add(slice(k, k + 1), x[k:k + 1])
+    return [acc.sum() for acc in (ring, whole, single)]
+
+
+def test_streamed_sum_is_np_sum():
+    """The streamed sum follows numpy's pairwise tree over the flattened
+    array, so it is bitwise np.sum of the whole array for every n, on
+    entries of magnitudes from 1e-12 to 1e12, however it is added (n = 4
+    to 7 is one slab, n = 33 slabs of a single row).  A sum row by row
+    rounds otherwise, so the tree matters."""
+    by_rows = []
+    for n in range(4, 34):
+        lat = Lattice(4, n, 1.0 / n)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=lat.shape) * 10.0 ** rng.integers(-12, 13,
+                                                               lat.shape)
+        want = np.sum(x)
+        assert all(got == want for got in _streamed_sums(lat, x)), n
+        by_rows.append(sum(np.sum(row) for row in x) != want)
+    assert any(by_rows)
+
+
+@pytest.mark.parametrize("bad, want", [
+    ({3: np.nan}, "nan"), ({12: np.inf}, "inf"),
+    ({3: np.inf, 12: -np.inf}, "nan")])
+def test_streamed_sum_keeps_non_finite_rows(bad, want):
+    """A NaN or inf entry in a row reaches the streamed sum as np.sum gives
+    it: NaN, inf, or NaN for infinities of both signs (n = 16 is two
+    slabs of 8 rows)."""
+    lat = Lattice(4, 16, 1.0 / 16)
+    x = np.random.default_rng(1).normal(size=lat.shape)
+    for row, value in bad.items():
+        x[row, 2, 1, 0] = value
+    with np.errstate(invalid="ignore"):   # inf - inf, as np.sum warns
+        sums = [np.sum(x)] + _streamed_sums(lat, x)
+    assert all(str(got) == want for got in sums), sums
+
+
 # ---------------------------------------------------------------------------
 # configuration container
 # ---------------------------------------------------------------------------
