@@ -375,7 +375,7 @@ class _StreamedSum:
 
     def add(self, rows: slice, values: np.ndarray) -> None:
         """Add the site array's values on `rows`, (rows, n, ...)."""
-        values = np.ascontiguousarray(values).reshape(-1)
+        values = np.reshape(values, -1)
         lo = rows.start * self.row
         self._add(0, self.size, lo, lo + len(values), values)
 
