@@ -57,19 +57,21 @@ reads its configuration, whose fields are held arrays or recipes, only
 through its slab source (FieldConfiguration.slabs): a lattice.Slab holds
 each field's window, the slab and the neighbour rows before and after it
 along axis 0, which a kernel differences with lattice.slab_derivative.
-Only curvature_F, which the gauge check's covariance compares whole, forms a
-full curvature: the curvature check's one pass (gauge.curvature_residuals)
+Only curvature_F forms a full curvature, and only the tests and perfbench's
+spans call it: the curvature check's one pass (gauge.curvature_residuals)
 and the field equations reduce each stored pair or triple of a slab at once,
-and the Bianchi identities difference curvatures held in slab rings
+and the Bianchi identities and the gauge check's covariance
+(gauge.thin_covariance) difference fields held in slab rings
 (lattice._ring), which compute the last slab first, as a lead that gives row
-0 its row before, then each slab once, and keep only the rows that wait for
-a neighbour.  Each site gets the same operations in the same order on any
-partition, so the results are bitwise independent of the slab size and of
-the field kind.  evaluate_action sums the action's density (_density) as
-one full site array by one np.sum; the passes that stream it, the
-curvature check's and the gauge transforms', sum each slab's or run's
-density at once in numpy's pairwise order (lattice._StreamedSum), so to
-the same bits without the array.  The finite differences of the field
+0 its row before (on a one-slab lattice the lead is slab 0), then each slab
+once, and keep only the rows that wait for a neighbour.  Each site gets the
+same operations in the same order on any partition, so the results are
+bitwise independent of the slab size and of the field kind.
+evaluate_action sums the action's density (_density) as one full site
+array by one np.sum; the passes that stream it, the curvature check's and
+the gauge transforms', sum each slab's or run's density at once in numpy's
+pairwise order (lattice._StreamedSum), so to the same bits without the
+array.  The finite differences of the field
 equations form again only the three rows of density that a perturbed
 entry moves, from the windows of that row alone, and sum their change
 against the unperturbed density on those rows (_entry_actions).

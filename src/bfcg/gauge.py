@@ -28,19 +28,18 @@ slab's rows of the configuration and the window of its parameter and writes
 the transformed rows where it is told.  A parameter, like each field, is a
 full array or a FieldRecipe, checked for its shape alone (_parameter).
 thin_gauge_transform and fat_gauge_transform write the rows over the held
-configuration they are given (the rows of a recipe are read-only, so a
-streamed field raises) and return it without re-validating it, so a
-non-finite value reaches the action and FAILs.  transformed_actions takes
-the untransformed action from evaluate_action and makes one pass per
-transform, which realizes the rows of the four fields and the window of
-the parameter alone and writes the transformed rows into new slab arrays
-that a slab ring (lattice._ring) hands to the action with their neighbour
-rows, so the gauge check's configuration, one transform at a time and its
-parameter are realized and transformed one slab at a time and no n^4
-field exists.  The ring transforms the last slab first, as its lead, and
-keeps only that slab's last row's edge fields, so beside the current slab
-it holds a few rows of the transform, and no slab waits to the end; the
-density of each run of rows it reduces is added to a streamed np.sum
+configuration they are given (a recipe's rows are read-only, so a streamed
+field raises) and return it unvalidated, so a non-finite value reaches the
+action and FAILs; only the tests, as oracles, and perfbench's spans call
+them.  The gauge check's passes (transformed_actions, one per transform,
+and thin_covariance) realize the rows of the four fields and the window of
+the parameter alone, and write the transformed rows into new slab arrays
+that a slab ring (_transform_ring over lattice._ring) hands, with their
+neighbour rows, to the action or to the comparison of F(A') with R F(A),
+so no n^4 field exists.  A ring transforms the last slab first, as its
+lead (on one slab, slab 0, transformed once), and keeps only its last
+row's edge fields, so beside the current slab it holds a few rows, and no
+slab waits to the end; each run's density goes to a streamed np.sum
 (lattice._StreamedSum) at once, so no density site array exists either.
 The thin body is pointwise once D eps is formed: it builds -f eps (and
 -act eps) from the nonzeros of the structure tensor, exponentiates it as
@@ -67,8 +66,8 @@ from .curvature import (_AT4, _PP4, ACTION_FIELDS, _action_density,
                         _add_pairing, _curvature_F_pair, _curvature_T_pair,
                         _require_4d, _three_form_triple, _worst,
                         evaluate_action)
-from .lattice import (FIELDS, FieldConfiguration, Slab, _fitted, _ring,
-                      _StreamedSum, pairs, slab_derivative)
+from .lattice import (FIELDS, FieldConfiguration, FieldRecipe, Slab, _fitted,
+                      _ring, _StreamedSum, pairs, slab_derivative)
 
 __all__ = [
     "expm_batched",
@@ -76,6 +75,7 @@ __all__ = [
     "fat_gauge_transform",
     "curvature_residuals",
     "transformed_actions",
+    "thin_covariance",
 ]
 
 
@@ -371,47 +371,78 @@ def transformed_actions(cm, cfg, eps, eta) -> tuple:
     which the slab sources realize slab by slab; both parameters are
     checked before any pass.  S is evaluate_action's.  Each transform's
     pass reads the rows of the four fields and the window of its parameter
-    alone, and its action's density is summed run by run as its slab ring
-    reduces it (_transformed_action), so neither holds a density site
-    array.  The three values are bitwise those of evaluate_action on cfg
-    and on the transforms of a copy of it.
+    alone, and its action's density goes run by run, as its slab ring
+    (_transform_ring) reduces it, to a streamed np.sum
+    (lattice._StreamedSum), so neither holds a density site array.  The
+    three values are bitwise those of evaluate_action on cfg and on the
+    transforms of a copy of it.
     """
     lat = cfg.lattice
     _require_4d(cm, cfg, "the action is")
     eps, eta = _parameter(cm, lat, "eps", eps), _parameter(cm, lat, "eta", eta)
     T = t_map(cm)
+
+    def action(transform, moved, **parameter):
+        total = _StreamedSum(lat)
+
+        def add(ring):
+            dens = np.zeros(ring["A"].shape[2:])
+            _action_density(cm, ring, dens)
+            total.add(ring.rows, dens)
+
+        _transform_ring(cm, cfg, transform, moved, add, ACTION_FIELDS[0],
+                        **parameter)
+        return float(lat.volume_element * total.sum())
+
     return (evaluate_action(cm, cfg),
-            _transformed_action(cm, cfg, _thin_slab, FIELDS, eps=eps),
-            _transformed_action(cm, cfg, lambda cm, slab, out:
-                                _fat_slab(cm, slab, out, T),
-                                ("A", "beta", "B"), eta=eta))
+            action(_thin_slab, FIELDS, eps=eps),
+            action(lambda cm, slab, out: _fat_slab(cm, slab, out, T),
+                   ("A", "beta", "B"), eta=eta))
 
 
-def _transformed_action(cm, cfg, transform, moved, **parameter):
-    """The action of cfg's transform: transform(cm, slab, out) writes the
-    fields named in `moved` into new slab arrays out (the others are the
-    slab's own rows), and a slab ring (lattice._ring) gives the action's
-    density each transformed run of rows with its neighbour rows, taken
-    from the transformed slabs, and adds it to a streamed np.sum
-    (lattice._StreamedSum).  The source gives the rows of the four fields
-    and the window of the parameter, which is all a transform reads.
-    Beside the source's slab and its next slab of the parameter only this
-    transform's current slab, the ring's few rows and one run's density are
-    alive."""
+def thin_covariance(cm, cfg, eps) -> float:
+    """max |F(A') - R F(A)| over the stored pairs and the sites, for A' the
+    thin transform of cfg's A by a constant parameter eps (p,), which F
+    follows exactly as R F, R = exp(-ad_eps).  One slab ring
+    (_transform_ring) carries A', from _thin_slab, beside the slab's own A
+    and compares both F run by run, R F(A) by contract: bitwise the
+    max-abs of curvature_F of a held copy's thin transform against
+    np.einsum("ab,Pb...->Pa...", R, curvature_F(cm, cfg)).
+    """
     lat = cfg.lattice
-    total = _StreamedSum(lat)
+    _require_4d(cm, cfg, "gauge transformations are")
+    eps = np.asarray(eps, dtype=float)
+    R = expm_batched(_generators(cm.f, eps[:, None])[0])
 
+    def thin(cm, slab, out):   # A' and the slab's A, all that F reads
+        _thin_slab(cm, slab, out)
+        del out["beta"], out["B"], out["C"]
+        out["A0"] = slab["A"]
+
+    def compare(ring):
+        untransformed = Slab(lat, ring.rows, {"A": ring.windows["A0"]})
+        return _worst(_curvature_F_pair(cm, ring, P)
+                      - contract(R, _curvature_F_pair(cm, untransformed, P))
+                      for P in range(len(pairs(lat.D))))
+
+    const = FieldRecipe(lat.D, (cm.p,), {(0,) * lat.D: (eps, 0.0)})
+    return float(np.max(_transform_ring(cm, cfg, thin, FIELDS, compare,
+                                        ("A", "A0"), eps=const)))
+
+
+def _transform_ring(cm, cfg, transform, moved, reduce, edges, **parameter):
+    """[reduce(ring)] over every run of rows of cfg's transform, in a slab
+    ring (lattice._ring) whose block is out after transform(cm, slab, out),
+    which writes the fields named in `moved` into new slab arrays (out
+    holds the slab's own rows of the others) and may add or drop fields;
+    those named in `edges` take their neighbour rows from the slabs around.
+    The source gives the rows of the four fields and the window of the
+    parameter, which is all a transform reads."""
     def transformed(slab):
         out = {k: np.empty_like(slab[k]) if k in moved else slab[k]
                for k in FIELDS}
         transform(cm, slab, out)
         return out
 
-    def action(ring):
-        dens = np.zeros(ring["A"].shape[2:])
-        _action_density(cm, ring, dens)
-        total.add(ring.rows, dens)
-
-    _ring(cfg._ring_slabs((), FIELDS, **parameter), transformed, action,
-          ACTION_FIELDS[0])
-    return float(lat.volume_element * total.sum())
+    return _ring(cfg._ring_slabs((), FIELDS, **parameter), transformed,
+                 reduce, edges)

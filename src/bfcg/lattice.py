@@ -21,7 +21,8 @@ axis 0 and the rows of the others, as views of an array or as rows of a
 recipe, each realized once, so a streamed n^4 field never exists.  Fields
 a kernel computes per slab get their neighbour rows from a slab ring
 (_ring), which computes the last slab first, as the lead whose last row
-comes before row 0, and then keeps only the few rows a pending row needs.
+comes before row 0 (on a one-slab lattice the lead is slab 0, computed
+once), and then keeps only the few rows a pending row needs.
 A site array a kernel forms run by run is summed as it goes by a streamed
 np.sum (_StreamedSum), to the bits of np.sum of the whole array.
 
@@ -281,7 +282,9 @@ def _ring(source, kernel, reduce, edges) -> list:
     """reduce(ring) over every row of the lattice, in runs of rows, with
     kernel(slab) called once per Slab of the source
     (FieldConfiguration._ring_slabs): first its lead, the last slab, then
-    slabs 0 to the last in order.
+    slabs 0 to the last in order.  On a one-slab lattice the lead is slab 0,
+    and its block is reduced in one run, with its own last and first rows
+    as neighbours; the source is read no further.
 
     kernel gives a dict of fields on the slab's rows (lattice axes last);
     ring is a Slab over a run of rows, whose windows take the neighbour
@@ -297,8 +300,8 @@ def _ring(source, kernel, reduce, edges) -> list:
     end.  So beside the current block the ring holds the pending row and
     the one before it, each a copy, or a view of a block of one or two rows
     (which then waits whole), and never a longer slab.  Each row is reduced
-    once; the last slab is computed twice, so a kernel with a side effect
-    makes it once per slab's rows.
+    once; on more than one slab the last slab is computed twice, so a
+    kernel with a side effect makes it once per slab's rows.
     """
     out = []
 
@@ -320,8 +323,12 @@ def _ring(source, kernel, reduce, edges) -> list:
     source = iter(source)
     lead = next(source)
     lattice = lead.lattice
-    last = row(kernel(lead), -1, edges)   # row n - 1, before row 0
-    del lead
+    block = kernel(lead)
+    if lead.rows.start == 0:   # the one slab: one run, its own rows around
+        return [reduce(ring(0, lattice.n, row(block, -1, edges, True), block,
+                            row(block, 0, edges, True)))]
+    last = row(block, -1, edges)   # row n - 1, before row 0
+    del lead, block   # let the lead go before slab 0 is made
     for slab in source:
         lo, hi = slab.rows.start, slab.rows.stop
         m = hi - lo
@@ -644,7 +651,8 @@ class FieldConfiguration:
         the last slab of slabs(lattice) with the same windows, then the
         Slabs of slabs() in order.  The lead realizes the last slab and its
         two neighbour rows once more; slab 0's row before is the lead's last
-        row, not realized again."""
+        row, not realized again.  On a one-slab lattice the lead is slab 0,
+        and a ring reads no further, so nothing is realized twice."""
         return self._slabs(windows, rows, extra, lead=True)
 
     def _slabs(self, windows, rows, extra, lead=False):

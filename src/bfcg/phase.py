@@ -95,10 +95,6 @@ class PhasePoint:
                     raise ValueError(f"block {name!r} has non-finite entries")
                 self.blocks[name] = arr
 
-    def copy(self) -> "PhasePoint":
-        return PhasePoint(self.lattice, self.p, self.q,
-                          {k: v.copy() for k, v in self.blocks.items()})
-
 
 def onshell_map(cm) -> dict:
     """The on-shell rule as momentum -> (field, M), pi = M . field over the

@@ -6,7 +6,9 @@ q = 0 included), FieldRecipe.realize against an inverse-FFT synthesis of
 the same trigonometric polynomial, discrete_derivative and slab_derivative
 bitwise against the np.roll formula, and every slab-streamed kernel bitwise
 against itself on a different slab partition, and on held fields and on
-recipes; the slab rings of the Bianchi residuals compute each slab once.
+recipes; the slab rings of the Bianchi residuals and of the thin
+covariance compute each slab once, and the covariance is pinned bitwise
+to the held computation it replaced.
 
 The exact-arithmetic kernels are pinned to the loops they stand for:
 contract() with one, two and three fields to the sum into zeros with a
@@ -19,13 +21,14 @@ copy-and-multiply loop over every constraint density.
 import numpy as np
 import pytest
 
-from bfcg import curvature, lattice
+from bfcg import curvature, gauge, lattice
 from bfcg.constraints import FAMILIES, constraint_density
 from bfcg.crossed_module import builtin_module, contract, t_map
 from bfcg.curvature import (bianchi_residuals, curvature_F,
                             eom_gradient_check, eom_residuals,
                             evaluate_action)
-from bfcg.gauge import (curvature_residuals, fat_gauge_transform,
+from bfcg.gauge import (_generators, curvature_residuals, expm_batched,
+                        fat_gauge_transform, thin_covariance,
                         thin_gauge_transform, transformed_actions)
 from bfcg.lattice import (FieldConfiguration, FieldRecipe, Lattice,
                           _random_recipe, discrete_derivative,
@@ -452,16 +455,23 @@ def test_one_row_slabs_match_one_slab(name, monkeypatch):
 @pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare",
                                   "trivial_bf(1)", "abelian(2,3)"])
 def test_bianchi_rings_compute_each_slab_once(name, monkeypatch):
-    """At n = 6 the Bianchi residuals are bitwise the same with slabs of 1,
-    2, 3 and 6 rows, of a held and of a streamed configuration.  With 2
-    slabs a slab's previous and next slab are the same slab, and with 1
-    slab both are the slab itself.  On every partition each ring computes
-    its lead, the last slab, first and then each slab once, in order, and
-    reduces each row once."""
+    """At n = 6 the Bianchi residuals and the thin covariance are bitwise
+    the same with slabs of 1, 2, 3 and 6 rows, of a held and of a streamed
+    configuration, and the covariance is bitwise the held computation it
+    replaced: curvature_F of the in-place transform of a held copy against
+    the einsum rotation of curvature_F.  With 2 slabs a slab's previous
+    and next slab are the same slab, and with 1 slab both are the slab
+    itself.  On every partition of more than one slab each ring computes
+    its lead, the last slab, first and then each slab once, in order; on
+    one slab the lead is slab 0, computed once and reduced in one run.
+    Each ring reduces each row once."""
     cm = builtin_module(name)
     lat = Lattice(4, 6, 1.0 / 6)
     recipe = make_config_recipe(cm, 4, 1, seed=2, scale=0.4)
     held = recipe.realize(lat)
+    eps = np.random.default_rng(3).normal(size=cm.p) * 0.4
+    const = FieldRecipe(4, (cm.p,), {(0, 0, 0, 0): (eps, 0.0)})
+    R = expm_batched(_generators(cm.f, eps[:, None])[0])
     ring, calls = curvature._ring, []
 
     def counted_ring(source, kernel, reduce, edges):
@@ -473,25 +483,36 @@ def test_bianchi_rings_compute_each_slab_once(name, monkeypatch):
             return kernel(slab)
 
         def counted_reduce(ring):
-            reduced.extend(range(ring.rows.start, ring.rows.stop))
+            reduced.append((ring.rows.start, ring.rows.stop))
             return reduce(ring)
 
         return ring(source, counted_kernel, counted_reduce, edges)
 
     monkeypatch.setattr(curvature, "_ring", counted_ring)
+    monkeypatch.setattr(gauge, "_ring", counted_ring)
     res = {}
     for rows in (1, 2, 3, 6):
         monkeypatch.setattr(lattice, "SLAB_SITES", rows * lat.n ** 3)
         parts = [(s.start, s.stop) for s in slabs(lat)]
         assert len(parts) == lat.n // rows
+        F1 = curvature_F(cm, thin_gauge_transform(cm, held.copy(), const))
+        oracle = np.max(np.abs(
+            F1 - np.einsum("ab,Pb...->Pa...", R, curvature_F(cm, held))))
         for kind, cfg in (("held", held), ("streamed", recipe.stream(lat))):
             calls.clear()
             res[rows, kind] = {k: float(v).hex()
                                for k, v in bianchi_residuals(cm, cfg).items()}
-            assert len(calls) == 2
+            cov = thin_covariance(cm, cfg, eps)
+            assert cov.hex() == float(oracle).hex(), (rows, kind)
+            res[rows, kind]["covariance"] = cov.hex()
+            assert len(calls) == 3
             for computed, reduced in calls:
-                assert computed == parts[-1:] + parts
-                assert sorted(reduced) == list(range(lat.n))
+                if len(parts) == 1:
+                    assert computed == parts and reduced == parts
+                else:
+                    assert computed == parts[-1:] + parts
+                assert sorted(k for run in reduced
+                              for k in range(*run)) == list(range(lat.n))
     assert len(set(map(str, res.values()))) == 1, res
 
 

@@ -11,8 +11,8 @@ from bfcg.constraints import (constraint_density, evaluate_constraint,
 from bfcg.crossed_module import builtin_module
 from bfcg.lattice import EPS3_PAIR, Lattice, pairs
 from bfcg.localpoly import evaluate_density, identity
-from bfcg.phase import (make_phase_recipe, onshell_map, onshell_momenta,
-                        random_phase_point)
+from bfcg.phase import (PhasePoint, make_phase_recipe, onshell_map,
+                        onshell_momenta, random_phase_point)
 
 CM = builtin_module("adjoint(su2)")
 LAT = Lattice(D=3, n=5, a=0.2)
@@ -44,7 +44,6 @@ def test_gauge_fixed_substitution_matches_manual(name):
     S3 = EPS3_PAIR
     P3 = pairs(3)
     # rebuild B, C from the momenta the way the gf map defines them
-    sub = pt.copy()
     B = np.zeros_like(pt.blocks["B"])
     C = np.zeros_like(pt.blocks["C"])
     pA_up = np.einsum("ab,ib...->ia...", np.linalg.inv(cm.Q), pt.blocks["pA"])
@@ -55,8 +54,7 @@ def test_gauge_fixed_substitution_matches_manual(name):
     for m in range(3):
         Pm = next(P for P, pr in enumerate(P3) if m not in pr)
         C[m] = -S3[m, Pm] * pbe_up[Pm]
-    sub.blocks["B"] = B
-    sub.blocks["C"] = C
+    sub = PhasePoint(pt.lattice, pt.p, pt.q, {**pt.blocks, "B": B, "C": C})
     for fam in ("S(H)", "S(G)", "S(CB)", "S(BCbeta)"):
         gf = evaluate_density(gauge_fixed_density(cm, fam), pt.blocks, LAT)
         manual = evaluate_density(constraint_density(cm, fam), sub.blocks, LAT)

@@ -4,8 +4,10 @@ outside the tests.
 A name in a module's __all__ that no other library code and no perfbench
 workload reaches is served only by the tests: it belongs in the tests, as
 an oracle, or nowhere.  A module-level private function that nothing in the
-library or in perfbench reads is a leftover of a cut.  These tests read the
-source files without importing them.
+library or in perfbench reads is a leftover of a cut.  The 4D kernels
+contract structure tensors through the helpers, and the check registry
+names no function of the held 4D path.  These tests read the source files
+without importing them.
 """
 
 import ast
@@ -126,3 +128,25 @@ def test_kernels_contract_structure_tensors_through_the_helpers(module):
     if module != "relations":
         assert not [c for c in calls if c[2]], calls
         assert {fn for fn, *_ in calls} <= {"_apply"}, calls
+
+
+# the held 4D path: realized configurations, in-place transforms, full
+# curvatures and dense rotations
+HELD_PATH = {"curvature_F", "thin_gauge_transform", "fat_gauge_transform",
+             "realize", "copy", "_generators", "einsum"}
+
+
+def test_check_registry_reads_no_held_path():
+    """Every 4D check streams its configuration: the check registry names
+    none of the functions that realize a held configuration, transform one
+    in place or form a full curvature, nor np.einsum, so no check slides
+    back onto the held path."""
+    names = set()
+    for node in ast.walk(_tree(SRC / "checks.py")):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & HELD_PATH, sorted(names & HELD_PATH)
