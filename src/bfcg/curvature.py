@@ -67,14 +67,14 @@ and the Bianchi identities and the gauge check's covariance
 once, and keep only the rows that wait for a neighbour.  Each site gets the
 same operations in the same order on any partition, so the results are
 bitwise independent of the slab size and of the field kind.
-evaluate_action sums the action's density (_density) as one full site
-array by one np.sum; the passes that stream it, the curvature check's and
-the gauge transforms', sum each slab's or run's density at once in numpy's
-pairwise order (lattice._StreamedSum), so to the same bits without the
-array.  The finite differences of the field
-equations form again only the three rows of density that a perturbed
-entry moves, from the windows of that row alone, and sum their change
-against the unperturbed density on those rows (_entry_actions).
+Every action is its density summed row by row (lattice._RowSums):
+evaluate_action sums one full site array (_density), and the passes that
+stream it, the curvature check's and the gauge transforms', add each
+slab's or run's rows at once, so to the same bits without the array.  The
+finite differences of the field equations form again only the three rows
+of density that a perturbed entry moves, from the windows of that row
+alone, and sum their change against the unperturbed density on those rows
+by one np.sum (_entry_actions).
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ import numpy as np
 
 from .crossed_module import _maxabs, contract
 from .lattice import (FIELDS, SLAB_SITES, FieldConfiguration, Slab, _fitted,
-                      _ring, _window, levi_civita, pair_index, pairs,
-                      slab_derivative, triples)
+                      _ring, _RowSums, _window, levi_civita, pair_index,
+                      pairs, slab_derivative, triples)
 
 __all__ = [
     "curvature_F",
@@ -252,11 +252,6 @@ def _density(cm, cfg) -> np.ndarray:
     return dens
 
 
-def _action(lattice, dens) -> float:
-    """The action from its full density site array, summed by one np.sum."""
-    return float(lattice.volume_element * np.sum(dens))
-
-
 def _require_fit(cm, cfg) -> None:
     """ValueError unless every field of cfg, array or recipe, has the
     components (D, p), (npairs, q), (npairs, p) and (D, q) of the module cm
@@ -276,9 +271,11 @@ def _require_4d(cm, cfg, what: str) -> None:
 
 def evaluate_action(cm, cfg) -> float:
     """BFCG action S on a D=4 periodic lattice: the configuration's _density
-    summed by one np.sum."""
+    summed row by row."""
     _require_4d(cm, cfg, "the action is")
-    return _action(cfg.lattice, _density(cm, cfg))
+    total = _RowSums(cfg.lattice)
+    total.add(slice(0, cfg.lattice.n), _density(cm, cfg))
+    return total.integral()
 
 
 def _worst(arrays) -> float:
@@ -378,7 +375,7 @@ def _entry_actions(cm, cfg: FieldConfiguration, dens, entries) -> list:
     batch holds SLAB_SITES // (3 n^4) entries, at least one (from n = 10
     on, each entry is a batch).
     """
-    lat, n = cfg.lattice, cfg.lattice.n
+    lat, n, a4 = cfg.lattice, cfg.lattice.n, cfg.lattice.volume_element
     ax = 2   # the batch axis: every field has two component axes
     size = max(1, SLAB_SITES // (3 * lat.sites))
     by_row = {}
@@ -405,7 +402,8 @@ def _entry_actions(cm, cfg: FieldConfiguration, dens, entries) -> list:
             _action_density(cm, Slab(lat, rows, fields), d)
             d -= kept
             for j, k in enumerate(batch):
-                out[k] = (_action(lat, d[j]), _action(lat, np.abs(d[j])))
+                out[k] = (float(a4 * np.sum(d[j])),
+                          float(a4 * np.sum(np.abs(d[j]))))
         del windows, fields
     return out
 

@@ -39,8 +39,8 @@ neighbour rows, to the action or to the comparison of F(A') with R F(A),
 so no n^4 field exists.  A ring transforms the last slab first, as its
 lead (on one slab, slab 0, transformed once), and keeps only its last
 row's edge fields, so beside the current slab it holds a few rows, and no
-slab waits to the end; each run's density goes to a streamed np.sum
-(lattice._StreamedSum) at once, so no density site array exists either.
+slab waits to the end; each run's density is summed row by row
+(lattice._RowSums) at once, so no density site array exists either.
 The thin body is pointwise once D eps is formed: it builds -f eps (and
 -act eps) from the nonzeros of the structure tensor, exponentiates it as
 (sites, p, p) stacks, and copies the rotation and the dexpinv sum to
@@ -67,7 +67,7 @@ from .curvature import (_AT4, _PP4, ACTION_FIELDS, _action_density,
                         _require_4d, _three_form_triple, _worst,
                         evaluate_action)
 from .lattice import (FIELDS, FieldConfiguration, FieldRecipe, Slab, _fitted,
-                      _ring, _StreamedSum, pairs, slab_derivative)
+                      _ring, _RowSums, pairs, slab_derivative)
 
 __all__ = [
     "expm_batched",
@@ -323,13 +323,13 @@ def curvature_residuals(cm, cfg: FieldConfiguration, eta) -> dict:
     slab's rows (_fat_beta_shift).  The pairs are visited in _PP4 and the
     triples in _AT4 order, so each H and G adds its term to the slab's
     density as it is formed, in _action_density's order, and the density
-    goes to a streamed np.sum (lattice._StreamedSum).  A' and the slab go
+    is summed row by row (lattice._RowSums).  A' and the slab go
     before the source realizes the slab after the next.  np.max keeps a
     NaN; at q = 0, H' - H is an exact zero."""
     lat = cfg.lattice
     _require_4d(cm, cfg, "curvatures are")
     eta = _parameter(cm, lat, "eta", eta)
-    total, worst = _StreamedSum(lat), []
+    total, worst = _RowSums(lat), []
     for slab in cfg.slabs(("A", "beta", "C"), ("B",), eta=eta):
         fat = Slab(lat, slab.rows, {"A": tuple(
             np.stack([A[mu] + contract(cm.del_.T, e[mu]) for mu in range(4)])
@@ -359,7 +359,7 @@ def curvature_residuals(cm, cfg: FieldConfiguration, eta) -> dict:
         del slab
     norms = map(float, np.max(worst, axis=0))
     return {**dict(zip(("F", "H", "H_fat", "G", "T"), norms)),
-            "S": float(lat.volume_element * total.sum())}
+            "S": total.integral()}
 
 
 def transformed_actions(cm, cfg, eps, eta) -> tuple:
@@ -371,9 +371,9 @@ def transformed_actions(cm, cfg, eps, eta) -> tuple:
     which the slab sources realize slab by slab; both parameters are
     checked before any pass.  S is evaluate_action's.  Each transform's
     pass reads the rows of the four fields and the window of its parameter
-    alone, and its action's density goes run by run, as its slab ring
-    (_transform_ring) reduces it, to a streamed np.sum
-    (lattice._StreamedSum), so neither holds a density site array.  The
+    alone, and its action's density is summed row by row
+    (lattice._RowSums) run by run, as its slab ring (_transform_ring)
+    reduces it, so neither holds a density site array.  The
     three values are bitwise those of evaluate_action on cfg and on the
     transforms of a copy of it.
     """
@@ -383,7 +383,7 @@ def transformed_actions(cm, cfg, eps, eta) -> tuple:
     T = t_map(cm)
 
     def action(transform, moved, **parameter):
-        total = _StreamedSum(lat)
+        total = _RowSums(lat)
 
         def add(ring):
             dens = np.zeros(ring["A"].shape[2:])
@@ -392,7 +392,7 @@ def transformed_actions(cm, cfg, eps, eta) -> tuple:
 
         _transform_ring(cm, cfg, transform, moved, add, ACTION_FIELDS[0],
                         **parameter)
-        return float(lat.volume_element * total.sum())
+        return total.integral()
 
     return (evaluate_action(cm, cfg),
             action(_thin_slab, FIELDS, eps=eps),

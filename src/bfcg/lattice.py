@@ -23,8 +23,9 @@ a kernel computes per slab get their neighbour rows from a slab ring
 (_ring), which computes the last slab first, as the lead whose last row
 comes before row 0 (on a one-slab lattice the lead is slab 0, computed
 once), and then keeps only the few rows a pending row needs.
-A site array a kernel forms run by run is summed as it goes by a streamed
-np.sum (_StreamedSum), to the bits of np.sum of the whole array.
+A site array is summed row by row (_RowSums): np.sum of each row along
+axis 0, then np.sum over the n row sums, so the sum of an array a kernel
+forms run by run does not depend on the runs or their order.
 
 Antisymmetric form components are stored on ordered index pairs mu < nu
 (and ordered triples for 3-forms); reconstruction uses X_{nu mu} = -X_{mu nu}.
@@ -350,68 +351,27 @@ def _ring(source, kernel, reduce, edges) -> list:
     return out
 
 
-# numpy's pairwise summation sums a run of at most this many entries in one
-# leaf, and splits a longer run at half its length, rounded down to a
-# multiple of 8 (its unrolling)
-_PAIRWISE_LEAF = 128
-
-
-def _pairwise_split(size: int) -> int:
-    half = size // 2
-    return half - half % 8
-
-
-class _StreamedSum:
-    """np.sum of a site array of lattice that is added in runs of rows of
-    lattice axis 0, in any order, and never held whole: bitwise the value
-    np.sum gives for the whole C-contiguous array, NaN and inf included.
-
-    np.sum of a contiguous float array is 0 plus numpy's pairwise sum of
-    its flattened entries.  Each node of that tree which lies inside one
-    added run is one np.sum of its slice, the same tree; a leaf node that
-    crosses runs is copied together and summed once its pieces have
-    arrived, so beside the node sums it holds a few leaves.  sum() combines
-    the nodes in tree order.
+class _RowSums:
+    """The lattice sum a^D * sum_x of a site array of lattice that is added
+    in runs of rows of lattice axis 0, in any order, and never held whole:
+    np.sum over the n row sums, each np.sum of one C-contiguous row, so
+    bitwise independent of the runs and their order, NaN and inf included.
     """
 
     def __init__(self, lattice: Lattice):
-        self.row = lattice.sites // lattice.n
-        self.size = lattice.sites
-        self.sums = {}     # (lo, hi) of a node -> its sum
-        self.leaves = {}   # (lo, hi) of a crossing leaf -> [entries, count]
+        self.lattice = lattice
+        self.sums = {}   # row -> its sum
 
     def add(self, rows: slice, values: np.ndarray) -> None:
         """Add the site array's values on `rows`, (rows, n, ...)."""
-        values = np.reshape(values, -1)
-        lo = rows.start * self.row
-        self._add(0, self.size, lo, lo + len(values), values)
+        flat = np.reshape(values, (rows.stop - rows.start, -1))
+        for k, row in enumerate(flat, rows.start):
+            self.sums[k] = np.sum(row)
 
-    def _add(self, a, b, lo, hi, values) -> None:
-        if b <= lo or hi <= a:
-            return
-        if lo <= a and b <= hi:
-            self.sums[a, b] = np.sum(values[a - lo:b - lo])
-        elif b - a <= _PAIRWISE_LEAF:
-            leaf = self.leaves.setdefault((a, b), [np.empty(b - a), 0])
-            start, stop = max(a, lo), min(b, hi)
-            leaf[0][start - a:stop - a] = values[start - lo:stop - lo]
-            leaf[1] += stop - start
-            if leaf[1] == b - a:
-                self.sums[a, b] = np.sum(self.leaves.pop((a, b))[0])
-        else:
-            mid = a + _pairwise_split(b - a)
-            self._add(a, mid, lo, hi, values)
-            self._add(mid, b, lo, hi, values)
-
-    def sum(self):
-        """The sum of every entry, each added once (KeyError if one is
-        missing)."""
-        def node(a, b):
-            if (a, b) in self.sums or b - a <= _PAIRWISE_LEAF:
-                return self.sums[a, b]
-            mid = a + _pairwise_split(b - a)
-            return node(a, mid) + node(mid, b)
-        return 0.0 + node(0, self.size)
+    def integral(self) -> float:
+        """a^D times the sum of every row (KeyError if one is missing)."""
+        total = np.sum([self.sums[k] for k in range(self.lattice.n)])
+        return float(self.lattice.volume_element * total)
 
 
 # ---------------------------------------------------------------------------

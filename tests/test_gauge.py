@@ -272,6 +272,20 @@ def test_constant_thin_covariance_exact(name):
     assert abs(evaluate_action(cm, out) - evaluate_action(cm, cfg)) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["adjoint(su2)", "vector_poincare"])
+def test_transposed_thin_rotation_fails_the_covariance(name, monkeypatch):
+    """The covariance row reads the library's thin transform: a transform
+    that rotates by the transpose of each per-site matrix leaves F(A') far
+    from R F(A) (5.3 and 4.3), and gauge-check FAILs on its covariance
+    alone (n = 8).  A covariance that formed A' = R A itself would PASS
+    this mutant."""
+    monkeypatch.setattr(gauge, "_apply", lambda mat, field: _apply(
+        mat.transpose(1, 0, 2), field))
+    rec = check_gauge(builtin_module(name), RunConfig(ns=(8,)))
+    assert rec.residuals["covariance"][0] > 1.0
+    assert not rec.ok
+
+
 def test_thin_action_invariance_refines_second_order():
     cm = builtin_module("adjoint(su2)")
     recipe = make_config_recipe(cm, 4, 1, seed=3, scale=0.5)

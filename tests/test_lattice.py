@@ -241,39 +241,44 @@ def test_one_row_fields_are_kept_as_views():
     assert np.may_share_memory(lattice._kept(field[:, 1:3], lat, 0), field)
 
 
-def _streamed_sums(lat, x):
-    """The streamed np.sum of the site array x, added three ways: in the
+def _streamed_sums(lat, x, rng):
+    """The row-by-row sum of the site array x, added four ways: in the
     runs of rows a slab ring reduces, in order (row n - 1 last); as whole
-    slabs; and as single rows from the last to the first."""
+    slabs; as single rows from the last to the first; and in random runs
+    (from rng) added in a random order."""
     parts = slabs(lat)
-    ring = lattice._StreamedSum(lat)
+    ring = lattice._RowSums(lat)
     lattice._ring([lattice.Slab(lat, s, {}) for s in parts[-1:] + parts],
                   lambda slab: {"x": x[slab.rows]},
                   lambda run: ring.add(run.rows, run["x"]), ())
-    whole, single = lattice._StreamedSum(lat), lattice._StreamedSum(lat)
+    whole, single = lattice._RowSums(lat), lattice._RowSums(lat)
     for s in parts:
         whole.add(s, x[s])
     for k in reversed(range(lat.n)):
         single.add(slice(k, k + 1), x[k:k + 1])
-    return [acc.sum() for acc in (ring, whole, single)]
+    cuts = [0, *sorted(rng.choice(range(1, lat.n), rng.integers(lat.n),
+                                  replace=False)), lat.n]
+    runs = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    shuffled = lattice._RowSums(lat)
+    for k in rng.permutation(len(runs)):
+        shuffled.add(runs[k], x[runs[k]])
+    return [acc.integral() for acc in (ring, whole, single, shuffled)]
 
 
-def test_streamed_sum_is_np_sum():
-    """The streamed sum follows numpy's pairwise tree over the flattened
-    array, so it is bitwise np.sum of the whole array for every n, on
-    entries of magnitudes from 1e-12 to 1e12, however it is added (n = 4
-    to 7 is one slab, n = 33 slabs of a single row).  A sum row by row
-    rounds otherwise, so the tree matters."""
-    by_rows = []
+def test_streamed_sum_is_independent_of_the_runs():
+    """The lattice sum is a^4 times np.sum over the n row sums, each np.sum
+    of one row, so it is bitwise the same for every partition of the rows
+    into runs and every order of adding them, for every n, on entries of
+    magnitudes from 1e-12 to 1e12 (n = 4 to 7 is one slab, n = 33 slabs
+    of a single row)."""
     for n in range(4, 34):
         lat = Lattice(4, n, 1.0 / n)
         rng = np.random.default_rng(n)
         x = rng.normal(size=lat.shape) * 10.0 ** rng.integers(-12, 13,
                                                                lat.shape)
-        want = np.sum(x)
-        assert all(got == want for got in _streamed_sums(lat, x)), n
-        by_rows.append(sum(np.sum(row) for row in x) != want)
-    assert any(by_rows)
+        want = float(lat.volume_element * np.sum([np.sum(row) for row in x]))
+        for _ in range(3):
+            assert all(got == want for got in _streamed_sums(lat, x, rng)), n
 
 
 @pytest.mark.parametrize("bad, want", [
@@ -288,8 +293,20 @@ def test_streamed_sum_keeps_non_finite_rows(bad, want):
     for row, value in bad.items():
         x[row, 2, 1, 0] = value
     with np.errstate(invalid="ignore"):   # inf - inf, as np.sum warns
-        sums = [np.sum(x)] + _streamed_sums(lat, x)
+        sums = [np.sum(x)] + _streamed_sums(lat, x, np.random.default_rng(2))
     assert all(str(got) == want for got in sums), sums
+
+
+def test_streamed_sum_of_a_missing_row_raises():
+    """A row never added makes the sum raise, not drop it."""
+    lat = Lattice(4, 6, 0.5)
+    total = lattice._RowSums(lat)
+    total.add(slice(0, 3), np.ones((3,) + lat.shape[1:]))
+    total.add(slice(4, 6), np.ones((2,) + lat.shape[1:]))
+    with pytest.raises(KeyError):
+        total.integral()
+    total.add(slice(3, 4), np.ones((1,) + lat.shape[1:]))
+    assert total.integral() == 6 ** 4 / 2 ** 4
 
 
 # ---------------------------------------------------------------------------
