@@ -23,36 +23,40 @@ invariance of the fake curvature and of the action under this package's
 normalization (see docs/conventions.md); both are covered by tests.
 
 Working set.  Each transformation has one body per slab of lattice.slabs
-(the package's one block size, lattice.SLAB_SITES sites), which reads the
-slab's rows of the configuration and the window of its parameter and writes
-the transformed rows where it is told.  A parameter, like each field, is a
-full array or a FieldRecipe, checked for its shape alone (_parameter).
-thin_gauge_transform and fat_gauge_transform write the rows over the held
+(the package's one block size, lattice.SLAB_SITES sites), body(cm, slab,
+out), which reads the slab's rows of the configuration and the window of
+its parameter and writes the transformed rows into the arrays of the dict
+out.  A parameter, like each field, is a full array or a FieldRecipe,
+checked for its shape alone (_parameter).  thin_gauge_transform and
+fat_gauge_transform hand the body the slab's own rows of the held
 configuration they are given (a recipe's rows are read-only, so a streamed
 field raises) and return it unvalidated, so a non-finite value reaches the
 action and FAILs; only the tests, as oracles, and perfbench's spans call
-them.  The gauge check's passes (transformed_actions, one per transform,
-and thin_covariance) realize the rows of the four fields and the window of
-the parameter alone, and write the transformed rows into new slab arrays
-that a slab ring (_transform_ring over lattice._ring) hands, with their
-neighbour rows, to the action or to the comparison of F(A') with R F(A),
-so no n^4 field exists.  A ring transforms the last slab first, as its
-lead (on one slab, slab 0, transformed once), and keeps only its last
-row's edge fields, so beside the current slab it holds a few rows, and no
-slab waits to the end; each run's density is summed row by row
-(lattice._RowSums) at once, so no density site array exists either.
+them.  The gauge check's passes realize the rows of the fields they read
+and the window of the parameter alone: transformed_actions, one pass per
+transform, the four fields, and thin_covariance A, whose ring's block is A'
+and A.  The body writes into new slab arrays that a slab ring
+(_transform_ring over lattice._ring) hands, with their neighbour rows, to
+the action or to the comparison of F(A') with R F(A), so no n^4 field
+exists.  A ring transforms the last slab first, as its lead (on one slab,
+slab 0, transformed once), and keeps only its last row's edge fields, so
+beside the current slab it holds a few rows, and no slab waits to the end;
+each run's density is summed row by row (lattice._RowSums) at once, so no
+density site array exists either.
 The thin body is pointwise once D eps is formed: it builds -f eps (and
 -act eps) from the nonzeros of the structure tensor, exponentiates it as
 (sites, p, p) stacks, and copies the rotation and the dexpinv sum to
-sites-last (p, p, sites) stacks, whose products with the fields run over
-contiguous sites.  When act equals f (adjoint modules, abelian(1,1)) the
-h-sector stack is the g-sector one, so the g-sector rotation serves both
-and each slab forms one exponential; otherwise the g-sector stacks are
-dropped before the h-sector exponential is formed.  So one sector's stacks
-(tens of MB; expm_batched adds four stacks of _EXPM_BLOCK matrices) and
-that slab's D eps are alive at a time, whatever the lattice size.  The fat
-body differences only eta, one stored pair at a time; curvature_residuals
-compares each slab's fake curvature with that of its fat transform.
+sites-last (p, p, sites) stacks, whose products with a whole field run over
+contiguous sites in one einsum written into out.  When act equals f
+(adjoint modules, abelian(1,1)) the h-sector stack is the g-sector one, so
+the g-sector rotation serves both and each slab forms one exponential;
+otherwise the g-sector stacks are dropped before the h-sector exponential
+is formed, and the covariance ring, which moves A alone, forms none.  So
+one sector's stacks (tens of MB; expm_batched adds four stacks of
+_EXPM_BLOCK matrices) and that slab's D eps are alive at a time, whatever
+the lattice size.  The fat body differences only eta, one stored pair at a
+time; curvature_residuals compares each slab's fake curvature with that of
+its fat transform.
 """
 
 from __future__ import annotations
@@ -193,46 +197,49 @@ def _sites_last(M):
     return out
 
 
-def _apply(mat, field):
-    """Apply sites-last per-site matrices (d, d, sites) to a slab field
-    (d, rows, ...); each output is summed over y in the order of
-    np.einsum("sxy,ys->xs") on the sites-first stack, so bitwise equal."""
-    flat = field.reshape(len(field), mat.shape[-1])
-    return np.einsum("xys,ys->xs", mat, flat).reshape(field.shape)
+def _apply(mat, field, out=None):
+    """Apply sites-last per-site matrices (d, d, sites) to every stored
+    component of a slab field (k, d, rows, ...) in one einsum, written into
+    out if given, which may be field itself (np.einsum copies an operand
+    that overlaps its out); each output is summed over y in the order of
+    np.einsum("sxy,ys->xs") on the sites-first stack and one component, so
+    bitwise equal."""
+    mat = mat.reshape(mat.shape[:2] + field.shape[2:])
+    return np.einsum("xy...,ky...->kx...", mat, field, out=out)
 
 
 def _thin_slab(cm, slab, out) -> None:
     """The thin transformation of one slab, from its rows of the fields and
-    its window of "eps", written into out[field] (the slab's rows; out may
-    be the slab itself).
+    its window of "eps", written into out[field] for the fields out holds
+    (the slab's rows): A alone, or all four.
 
     The slab gets its own D eps, generator stacks, exponentials and dexpinv
     sum, so its exponentials scale by its own stack-wide 2**s.  The
-    rotation and the dexpinv sum are applied as sites-last copies.  If act
-    equals f, -act eps is bitwise -f eps, and the exponential does not
-    depend on return_dexpinv, so the g-sector rotation is the h-sector one
-    too; otherwise the g-sector fields are rotated and the g-sector stacks
-    dropped before the h-sector exponential is formed, so at most one
-    sector's stacks are alive.
+    rotation and the dexpinv sum are applied as sites-last copies, to whole
+    fields and to one D eps at a time.  If act equals f, -act eps is
+    bitwise -f eps, and the exponential does not depend on return_dexpinv,
+    so the g-sector rotation is the h-sector one too; otherwise the g-sector
+    stacks are dropped before the h-sector exponential is formed, so at
+    most one sector's stacks are alive, and a slab of A alone forms no
+    h-sector exponential.
     """
     lat = slab.lattice
     eps = slab["eps"].reshape(cm.p, -1)
     R, S = map(_sites_last, expm_batched(_generators(cm.f, eps),
                                          return_dexpinv=True))
     window = slab.window("eps")
+    _apply(R, slab["A"], out["A"])
     for mu in range(lat.D):
-        d_eps = slab_derivative(window, mu, lat)
-        np.add(_apply(R, slab["A"][mu]), _apply(S, d_eps), out=out["A"][mu])
-    for P in range(len(slab["B"])):
-        out["B"][P] = _apply(R, slab["B"][P])
+        out["A"][mu] += _apply(S, slab_derivative(window, mu, lat)[None])[0]
     del S
+    if "B" not in out:   # the covariance ring moves A alone
+        return
+    _apply(R, slab["B"], out["B"])
     if not np.array_equal(cm.act, cm.f):
         del R
         R = _sites_last(expm_batched(_generators(cm.act, eps)))
-    for mu in range(lat.D):
-        out["C"][mu] = _apply(R, slab["C"][mu])
-    for P in range(len(slab["beta"])):
-        out["beta"][P] = _apply(R, slab["beta"][P])
+    _apply(R, slab["C"], out["C"])
+    _apply(R, slab["beta"], out["beta"])
 
 
 def _fat_beta_shift(cm, slab, P) -> np.ndarray:
@@ -251,16 +258,16 @@ def _fat_beta_shift(cm, slab, P) -> np.ndarray:
     return shift
 
 
-def _fat_slab(cm, slab, out, T) -> None:
+def _fat_slab(cm, slab, out) -> None:
     """The fat transformation of one slab, from its rows of the fields and
     its window of "eta", written into out["A"], out["beta"] and out["B"]
-    (the slab's rows; out may be the slab itself); C does not change.  T is
-    t_map(cm).
+    (the slab's rows; out may hold the slab's own); C does not change.
 
     Only eta is differenced, so the beta and B shifts, which read the rows
     of A and C, are added before the A shift.
     """
     lat = slab.lattice
+    T = t_map(cm)
     A, C, e = slab["A"], slab["C"], slab["eta"]
     for P, (m, n) in enumerate(pairs(lat.D)):
         np.add(slab["beta"][P], _fat_beta_shift(cm, slab, P),
@@ -285,31 +292,26 @@ def thin_gauge_transform(cm, cfg: FieldConfiguration,
                          eps_field: np.ndarray) -> FieldConfiguration:
     """Thin transformation with parameter eps^a(x), a full array or a
     FieldRecipe, in place on cfg, which it returns; exact for constant eps.
-
-    Each slab's rows of every field are overwritten with the transformed
-    values (_thin_slab).  The result is not re-validated: an unscalable
-    exponential leaves NaN in the fields, which reaches the action and
-    FAILs.
-    """
-    _require_4d(cm, cfg, "gauge transformations are")
-    eps = _parameter(cm, cfg.lattice, "eps", eps_field)
-    for slab in cfg.slabs(rows=FIELDS, eps=eps):
-        _thin_slab(cm, slab, slab)
-    return cfg
+    Not re-validated: an unscalable exponential leaves NaN in the fields,
+    which reaches the action and FAILs."""
+    return _in_place(cm, cfg, _thin_slab, "eps", eps_field)
 
 
 def fat_gauge_transform(cm, cfg: FieldConfiguration,
                         eta_field: np.ndarray) -> FieldConfiguration:
     """Fat transformation with an h-valued 1-form eta^al_mu(x), a full array
-    or a FieldRecipe, in place on cfg, which it returns, one slab at a time
-    (_fat_slab).  The result is not re-validated: a non-finite shift reaches
-    the action and FAILs.
-    """
+    or a FieldRecipe, in place on cfg, which it returns.  Not re-validated:
+    a non-finite shift reaches the action and FAILs."""
+    return _in_place(cm, cfg, _fat_slab, "eta", eta_field)
+
+
+def _in_place(cm, cfg, transform, name, parameter):
+    """cfg with each slab's rows overwritten by transform(cm, slab, out),
+    whose out is the dict of the slab's own rows of the four fields."""
     _require_4d(cm, cfg, "gauge transformations are")
-    eta = _parameter(cm, cfg.lattice, "eta", eta_field)
-    T = t_map(cm)
-    for slab in cfg.slabs(rows=FIELDS, eta=eta):
-        _fat_slab(cm, slab, slab, T)
+    parameter = _parameter(cm, cfg.lattice, name, parameter)
+    for slab in cfg.slabs(rows=FIELDS, **{name: parameter}):
+        transform(cm, slab, {k: slab[k] for k in FIELDS})
     return cfg
 
 
@@ -364,23 +366,18 @@ def curvature_residuals(cm, cfg: FieldConfiguration, eta) -> dict:
 
 def transformed_actions(cm, cfg, eps, eta) -> tuple:
     """(S, S_thin, S_fat): the action of cfg and of its thin and fat
-    transforms with parameters eps and eta, in three passes over cfg's
-    slabs.
-
-    The fields of cfg and the parameters are full arrays or FieldRecipes,
-    which the slab sources realize slab by slab; both parameters are
-    checked before any pass.  S is evaluate_action's.  Each transform's
-    pass reads the rows of the four fields and the window of its parameter
-    alone, and its action's density is summed row by row
-    (lattice._RowSums) run by run, as its slab ring (_transform_ring)
-    reduces it, so neither holds a density site array.  The
-    three values are bitwise those of evaluate_action on cfg and on the
-    transforms of a copy of it.
+    transforms with parameters eps and eta (full arrays or FieldRecipes,
+    like cfg's fields, both checked before any pass), in three passes over
+    cfg's slabs.  S is evaluate_action's; each transform's slab ring
+    (_transform_ring) reads the rows of the four fields and the window of
+    its parameter and sums its action's density row by row
+    (lattice._RowSums) run by run, so no pass holds a density site array.
+    The three values are bitwise those of evaluate_action on cfg and on
+    the transforms of a copy of it.
     """
     lat = cfg.lattice
     _require_4d(cm, cfg, "the action is")
     eps, eta = _parameter(cm, lat, "eps", eps), _parameter(cm, lat, "eta", eta)
-    T = t_map(cm)
 
     def action(transform, moved, **parameter):
         total = _RowSums(lat)
@@ -390,23 +387,22 @@ def transformed_actions(cm, cfg, eps, eta) -> tuple:
             _action_density(cm, ring, dens)
             total.add(ring.rows, dens)
 
-        _transform_ring(cm, cfg, transform, moved, add, ACTION_FIELDS[0],
-                        **parameter)
+        _transform_ring(cm, cfg, transform, FIELDS, moved, add,
+                        ACTION_FIELDS[0], **parameter)
         return total.integral()
 
-    return (evaluate_action(cm, cfg),
-            action(_thin_slab, FIELDS, eps=eps),
-            action(lambda cm, slab, out: _fat_slab(cm, slab, out, T),
-                   ("A", "beta", "B"), eta=eta))
+    return (evaluate_action(cm, cfg), action(_thin_slab, FIELDS, eps=eps),
+            action(_fat_slab, ("A", "beta", "B"), eta=eta))
 
 
 def thin_covariance(cm, cfg, eps) -> float:
     """max |F(A') - R F(A)| over the stored pairs and the sites, for A' the
     thin transform of cfg's A by a constant parameter eps (p,), which F
     follows exactly as R F, R = exp(-ad_eps).  One slab ring
-    (_transform_ring) carries A', from _thin_slab, beside the slab's own A
-    and compares both F run by run, R F(A) by contract: bitwise the
-    max-abs of curvature_F of a held copy's thin transform against
+    (_transform_ring) reads the rows of A alone, carries A', from
+    _thin_slab, beside the slab's own A as "A0" and compares both F run by
+    run, R F(A) by contract: bitwise the max-abs of curvature_F of a held
+    copy's thin transform against
     np.einsum("ab,Pb...->Pa...", R, curvature_F(cm, cfg)).
     """
     lat = cfg.lattice
@@ -416,7 +412,6 @@ def thin_covariance(cm, cfg, eps) -> float:
 
     def thin(cm, slab, out):   # A' and the slab's A, all that F reads
         _thin_slab(cm, slab, out)
-        del out["beta"], out["B"], out["C"]
         out["A0"] = slab["A"]
 
     def compare(ring):
@@ -426,23 +421,25 @@ def thin_covariance(cm, cfg, eps) -> float:
                       for P in range(len(pairs(lat.D))))
 
     const = FieldRecipe(lat.D, (cm.p,), {(0,) * lat.D: (eps, 0.0)})
-    return float(np.max(_transform_ring(cm, cfg, thin, FIELDS, compare,
-                                        ("A", "A0"), eps=const)))
+    return float(np.max(_transform_ring(cm, cfg, thin, ("A",), ("A",),
+                                        compare, ("A", "A0"), eps=const)))
 
 
-def _transform_ring(cm, cfg, transform, moved, reduce, edges, **parameter):
+def _transform_ring(cm, cfg, transform, fields, moved, reduce, edges,
+                    **parameter):
     """[reduce(ring)] over every run of rows of cfg's transform, in a slab
-    ring (lattice._ring) whose block is out after transform(cm, slab, out),
-    which writes the fields named in `moved` into new slab arrays (out
-    holds the slab's own rows of the others) and may add or drop fields;
-    those named in `edges` take their neighbour rows from the slabs around.
-    The source gives the rows of the four fields and the window of the
-    parameter, which is all a transform reads."""
+    ring (lattice._ring) whose source gives the rows of the fields named in
+    `fields` and the window of the parameter, all a transform reads, and
+    whose block is out after transform(cm, slab, out): out holds a new slab
+    array for each field named in `moved`, which transform writes, and the
+    slab's own rows of the others, and transform may add fields to it;
+    those named in `edges` take their neighbour rows from the slabs
+    around."""
     def transformed(slab):
         out = {k: np.empty_like(slab[k]) if k in moved else slab[k]
-               for k in FIELDS}
+               for k in fields}
         transform(cm, slab, out)
         return out
 
-    return _ring(cfg._ring_slabs((), FIELDS, **parameter), transformed,
+    return _ring(cfg._ring_slabs((), fields, **parameter), transformed,
                  reduce, edges)

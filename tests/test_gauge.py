@@ -12,8 +12,8 @@ from bfcg.checks import (RunConfig, check_bianchi, check_curvature,
 from bfcg.crossed_module import builtin_module
 from bfcg.curvature import bianchi_residuals, curvature_F, evaluate_action
 from bfcg.gauge import (_apply, _generators, _sites_last, expm_batched,
-                        fat_gauge_transform, thin_gauge_transform,
-                        transformed_actions)
+                        fat_gauge_transform, thin_covariance,
+                        thin_gauge_transform, transformed_actions)
 from bfcg.lattice import (FIELDS, FieldRecipe, Lattice, _random_recipe,
                           discrete_derivative, levi_civita,
                           finest_order, fit_order, make_config_recipe, pairs,
@@ -175,22 +175,31 @@ def test_unscalable_norm_gives_nan_in_every_block(monkeypatch):
         assert out.shape == M.shape and np.all(np.isnan(out))
 
 
-@pytest.mark.parametrize("d", [0, 3, 4, 6])
+@pytest.mark.parametrize("d", [0, 3, 4, 6, 10])
 @pytest.mark.parametrize("rows, n", [(6, 6), (12, 12), (4, 20), (8, 16)])
 def test_sites_last_apply_is_the_sites_first_einsum(d, rows, n):
     """A slab of rows x n^3 sites (1296, 20736, 32000 and 32768; all but
     the last end in a partial copy block): the sites-last copy holds the
-    stack's entries, and applying it gives bitwise the sites-first einsum."""
+    stack's entries, and applying it to a whole field of 0 to 6 stored
+    components, returned, written into out or in place, gives bitwise the
+    sites-first einsum of each component."""
     rng = np.random.default_rng(10 * d + n)
     sites = rows * n ** 3
     mat = rng.normal(size=(sites, d, d))
-    field = rng.normal(size=(d, rows, n, n, n))
     last = _sites_last(mat)
     assert np.array_equal(last, np.moveaxis(mat, 0, -1))
-    got = _apply(last, field)
-    assert got.shape == field.shape
-    assert _bits(got) == _bits(np.einsum("sxy,ys->xs", mat,
-                                         field.reshape(d, sites)))
+    for k in range(7):
+        field = rng.normal(size=(k, d, rows, n, n, n))
+        want = b"".join(_bits(np.einsum("sxy,ys->xs", mat,
+                                        comp.reshape(d, sites)))
+                        for comp in field)
+        got = _apply(last, field)
+        assert got.shape == field.shape
+        assert _bits(got) == want
+        out = np.empty_like(field)
+        assert _apply(last, field, out) is out
+        assert _bits(out) == want
+        assert _bits(_apply(last, field, field)) == want   # in place
 
 
 @pytest.mark.parametrize("name", CATALOG + ["dense"])
@@ -237,6 +246,34 @@ def test_one_exponential_per_distinct_generator_tensor(name, per_slab,
     assert len(calls) == 3 * per_slab, calls
 
 
+def test_covariance_ring_moves_a_alone(monkeypatch):
+    """F reads A alone, so the covariance ring rotates A and D eps and
+    nothing else.  On vector_poincare, whose act is not f, at n = 16 (two
+    slabs and the lead) it exponentiates once for R and once per slab,
+    where rotating beta, B and C took an h-sector exponential per slab
+    more (7 in all)."""
+    cm = builtin_module("vector_poincare")
+    lat = Lattice(4, 16, 1.0 / 16)
+    assert len(slabs(lat)) == 2
+    calls, rotated = [], set()
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return expm_batched(*args, **kwargs)
+
+    def seen(mat, field, *out):
+        rotated.add(field.shape[:2])
+        return _apply(mat, field, *out)
+
+    monkeypatch.setattr(gauge, "expm_batched", counted)
+    monkeypatch.setattr(gauge, "_apply", seen)
+    cfg = make_config_recipe(cm, 4, 1, seed=1, scale=0.4).stream(lat)
+    eps = np.random.default_rng(3).normal(size=cm.p) * 0.4
+    assert thin_covariance(cm, cfg, eps) < 1e-12
+    assert len(calls) == 1 + 3, calls
+    assert rotated == {(4, cm.p), (1, cm.p)}, rotated   # A and one D eps
+
+
 def test_thin_identity_at_zero_parameter():
     cm = builtin_module("adjoint(su2)")
     lat = Lattice(4, 4, 0.25)
@@ -279,8 +316,8 @@ def test_transposed_thin_rotation_fails_the_covariance(name, monkeypatch):
     from R F(A) (5.3 and 4.3), and gauge-check FAILs on its covariance
     alone (n = 8).  A covariance that formed A' = R A itself would PASS
     this mutant."""
-    monkeypatch.setattr(gauge, "_apply", lambda mat, field: _apply(
-        mat.transpose(1, 0, 2), field))
+    monkeypatch.setattr(gauge, "_apply", lambda mat, field, out=None: _apply(
+        mat.transpose(1, 0, 2), field, out))
     rec = check_gauge(builtin_module(name), RunConfig(ns=(8,)))
     assert rec.residuals["covariance"][0] > 1.0
     assert not rec.ok
